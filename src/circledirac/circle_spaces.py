@@ -297,6 +297,8 @@ def chart_point_to_json(chart: SpaceChart, coords: Iterable[float]) -> str:
 
 def chart_point_from_json(text: str | dict) -> tuple[SpaceChart, np.ndarray]:
     rec = json.loads(text) if isinstance(text, str) else text
+    if not isinstance(rec, dict):
+        raise ValueError(f"chart point record must be a JSON object, got {type(rec).__name__}")
     chart = SpaceChart(ChartKind(rec["chart"]), rec.get("R0"), rec.get("R1"))
     coords = np.asarray(rec["coords"], dtype=float)
     if coords.shape != (4,):

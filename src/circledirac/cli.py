@@ -41,10 +41,10 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise CircleDiracError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not self.mass_ev > 0:
-            raise CircleDiracError(f"mass-ev must be positive, got {self.mass_ev}")
-        if not self.tol > 0:
-            raise CircleDiracError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.mass_ev < math.inf:
+            raise CircleDiracError(f"mass-ev must be positive and finite, got {self.mass_ev}")
+        if not 0 < self.tol < math.inf:
+            raise CircleDiracError(f"tol must be positive and finite, got {self.tol}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,7 +111,7 @@ def cmd_spectrum(config: RunConfig, max_n_theta: int, max_n_r: int) -> int:
     if config.format == "csv":
         sys.stdout.write(sp.lines_to_csv(lines))
     else:
-        sys.stdout.write(json.dumps(sp.lines_to_json_rows(lines)) + "\n")
+        sys.stdout.write(json.dumps(sp.lines_to_json_rows(lines), allow_nan=False) + "\n")
     threshold = config.tol * config.mass_ev
     return EXIT_OK if all(line.abs_diff <= threshold for line in lines) else EXIT_VERIFICATION
 
@@ -138,14 +138,17 @@ def cmd_map(config: RunConfig, space: str, R0, R1, point_json: str, round_trip: 
             "back": json.loads(cs.chart_point_to_json(source, back)),
             "round_trip_error": float(max(abs(b - c) for b, c in zip(back, coords))),
         }
-        sys.stdout.write(json.dumps(payload) + "\n")
+        sys.stdout.write(json.dumps(payload, allow_nan=False) + "\n")
     else:
-        sys.stdout.write(json.dumps(forward) + "\n")
+        sys.stdout.write(json.dumps(forward, allow_nan=False) + "\n")
     return EXIT_OK
 
 
 def cmd_qed_rho(config: RunConfig, A: float, mass: float, charge: float | None,
                 n_theta: int, n_r: int, branch: str) -> int:
+    for name, value in (("A", A), ("mass", mass), ("charge", charge)):
+        if value is not None and not math.isfinite(value):
+            raise CircleDiracError(f"{name} must be finite, got {value}")
     e = math.sqrt(config.alpha) if charge is None else charge
     d_prime = qed.coefficient_d_prime(QuantumNumbers(n_theta, n_r), config.alpha)
     sol = qed.solve_rho(A, mass, e, d_prime)
@@ -163,7 +166,7 @@ def cmd_qed_rho(config: RunConfig, A: float, mass: float, charge: float | None,
         payload["rho"] = sol.rho_plus
     elif branch == "minus":
         payload["rho"] = sol.rho_minus
-    sys.stdout.write(json.dumps(payload) + "\n")
+    sys.stdout.write(json.dumps(payload, allow_nan=False) + "\n")
     return EXIT_OK
 
 
@@ -191,6 +194,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"circledirac: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"circledirac: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
 

@@ -28,12 +28,16 @@ routes:
 which is the Sommerfeld/Dirac fine-structure formula with k = n_theta
 and radial number n_r.  :func:`sommerfeld_reference` evaluates that
 reference independently in high-precision arithmetic (mpmath) for use
-as an oracle.
+as an oracle.  :func:`spectrum_table` works one n_theta row at a time:
+it solves the orbit and the oracle's root sqrt(n_theta^2 - alpha^2)
+once per row, and still evaluates route A and the oracle for every
+level.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import mpmath
@@ -58,18 +62,31 @@ __all__ = [
 ]
 
 
+def _integer(name: str, value, low: int) -> int:
+    """``value`` as a plain int >= low; bools and non-integers are rejected."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < low:
+        raise InvalidQuantumNumber(f"{name} must be an integer >= {low}, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class QuantumNumbers:
-    """Angular number n_theta >= 1 and circle-wave number n_r >= 0."""
+    """Angular number n_theta >= 1 and circle-wave number n_r >= 0.
+
+    Both must be integers (anything ``operator.index`` accepts, such as
+    numpy integers, but not ``bool``) and are stored as plain ``int``.
+    """
 
     n_theta: int
     n_r: int = 0
 
     def __post_init__(self):
-        if int(self.n_theta) != self.n_theta or self.n_theta < 1:
-            raise InvalidQuantumNumber(f"n_theta must be an integer >= 1, got {self.n_theta}")
-        if int(self.n_r) != self.n_r or self.n_r < 0:
-            raise InvalidQuantumNumber(f"n_r must be an integer >= 0, got {self.n_r}")
+        object.__setattr__(self, "n_theta", _integer("n_theta", self.n_theta, 1))
+        object.__setattr__(self, "n_r", _integer("n_r", self.n_r, 0))
 
     @property
     def n(self) -> int:
@@ -170,6 +187,14 @@ class CoupledState:
     m_h: float
 
 
+def _chain(b: BohrState, n_r: int, mass: float) -> tuple[float, float]:
+    """Route A on a solved orbit: K -> v_m -> nu_m for n_r vibrations."""
+    v = b.v_b
+    K = (math.sqrt(1.0 - v * v) + n_r / b.n_theta) / v
+    v_m = 1.0 / math.sqrt(1.0 + K * K)
+    return v_m, mass * math.sqrt(1.0 - v_m * v_m)
+
+
 def coupled_solve(alpha: float, qn: QuantumNumbers, mass: float = 1.0) -> CoupledState:
     """Route A: geometric chain for the coupled interaction.
 
@@ -182,9 +207,7 @@ def coupled_solve(alpha: float, qn: QuantumNumbers, mass: float = 1.0) -> Couple
     b = bohr_solve(alpha, qn.n_theta, mass)
     eta_l = circle_wave_energy(mass, qn)
     v = b.v_b
-    K = (math.sqrt(1.0 - v * v) + qn.n_r / qn.n_theta) / v
-    v_m = 1.0 / math.sqrt(1.0 + K * K)
-    nu_m = mass * math.sqrt(1.0 - v_m * v_m)
+    v_m, nu_m = _chain(b, qn.n_r, mass)
     mu_m = mass * v_m / math.sqrt(1.0 - v_m * v_m)
     vprime_m = mass * mass / b.mu_b + eta_l / v
 
@@ -223,22 +246,34 @@ def energy_closed_form(alpha: float, n_theta: int, n_r: int, mass: float = 1.0) 
     return mass / math.sqrt(1.0 + alpha * alpha / denom)
 
 
+def _row_oracle(alpha: float, n_theta: int, n_rs, mass: float, dps: int) -> list[float]:
+    """High-precision levels (n_theta, n_r) for each n_r in ``n_rs``.
+
+    One mpmath context per row: alpha and the root sqrt(k^2 - alpha^2)
+    are converted and computed once, then every level is evaluated from
+    them and rounded to float on its own.
+    """
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(alpha)
+        k = mpmath.mpf(n_theta)
+        m = mpmath.mpf(mass)
+        root = mpmath.sqrt(k * k - a * a)
+        return [float(m / mpmath.sqrt(1 + (a / (mpmath.mpf(n_r) + root)) ** 2))
+                for n_r in n_rs]
+
+
 def sommerfeld_reference(alpha: float, n_theta: int, n_r: int,
                          mass: float = 1.0, dps: int = 40) -> float:
     """Independent high-precision Sommerfeld/Dirac level, rounded to float.
 
     E = m*(1 + alpha^2/(n_r + sqrt(k^2 - alpha^2))^2)^(-1/2) with k the
-    angular number; evaluated with mpmath at ``dps`` decimal digits.
+    angular number; evaluated with mpmath at ``dps`` decimal digits.  This
+    is a one-level call of the row oracle that :func:`spectrum_table`
+    uses, so both give the same value for the same level.
     """
     qn = QuantumNumbers(n_theta, n_r)
     _check_speed(alpha, qn.n_theta, allow_zero=True)
-    with mpmath.workdps(dps):
-        a = mpmath.mpf(alpha)
-        k = mpmath.mpf(qn.n_theta)
-        nr = mpmath.mpf(qn.n_r)
-        root = mpmath.sqrt(k * k - a * a)
-        e = mpmath.mpf(mass) / mpmath.sqrt(1 + (a / (nr + root)) ** 2)
-        return float(e)
+    return _row_oracle(alpha, qn.n_theta, (qn.n_r,), mass, dps)[0]
 
 
 @dataclass(frozen=True)
@@ -257,8 +292,18 @@ def spectrum_table(alpha: float, mass_ev: float,
                    max_n_theta: int, max_n_r: int) -> list[SpectrumLine]:
     """All levels with n_theta in [1, max_n_theta], n_r in [0, max_n_r].
 
-    reference_ev comes from :func:`sommerfeld_reference`; rows are
-    sorted by (n_theta + n_r, n_theta).
+    The table is built one n_theta row at a time.  Each row solves the
+    orbit once and opens one 40-digit mpmath context that computes the
+    oracle root sqrt(n_theta^2 - alpha^2) once; every level in the row
+    then gets its own route-A energy (the geometric chain of
+    :func:`coupled_solve`) and its own mpmath reference_ev (the formula
+    of :func:`sommerfeld_reference`, bit-identical to it).
+
+    binding_ev = -mass_ev*v_m^2/(1 + sqrt(1 - v_m^2)) is taken from
+    route A's coupled speed (sqrt(1 - v_m^2) is nu_m at unit mass).  It
+    equals energy_ev - mass_ev without the cancellation that subtraction
+    suffers for weak coupling and high levels.  Rows are sorted by
+    (n_theta + n_r, n_theta).
     """
     if max_n_theta < 1 or max_n_r < 0:
         raise InvalidQuantumNumber(
@@ -266,18 +311,20 @@ def spectrum_table(alpha: float, mass_ev: float,
         )
     if not mass_ev > 0:
         raise NonpositiveMass(f"mass_ev must be positive, got {mass_ev}")
+    n_rs = range(0, max_n_r + 1)
     lines = []
     for n_theta in range(1, max_n_theta + 1):
-        for n_r in range(0, max_n_r + 1):
-            qn = QuantumNumbers(n_theta, n_r)
-            state = coupled_solve(alpha, qn, mass=1.0)
-            energy_ev = state.nu_m * mass_ev
-            reference_ev = sommerfeld_reference(alpha, n_theta, n_r, mass=1.0) * mass_ev
+        orbit = bohr_solve(alpha, n_theta, mass=1.0)
+        references = _row_oracle(alpha, n_theta, n_rs, mass=1.0, dps=40)
+        for n_r, reference in zip(n_rs, references):
+            v_m, nu_m = _chain(orbit, n_r, mass=1.0)
+            energy_ev = nu_m * mass_ev
+            reference_ev = reference * mass_ev
             lines.append(SpectrumLine(
-                qn=qn,
-                energy_natural=state.nu_m,
+                qn=QuantumNumbers(n_theta, n_r),
+                energy_natural=nu_m,
                 energy_ev=energy_ev,
-                binding_ev=energy_ev - mass_ev,
+                binding_ev=-mass_ev * v_m * v_m / (1.0 + nu_m),
                 reference_ev=reference_ev,
                 abs_diff=abs(energy_ev - reference_ev),
             ))

@@ -172,3 +172,16 @@ class TestSubprocessContract:
     def test_usage_error_exit_one(self):
         proc = self._run("verify", "--suite", "bogus")
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("args", [
+        ("spectrum", "--mass-ev", "inf", "--format", "json"),
+        ("qed-rho", "--A", "nan"),
+        ("qed-rho", "--A", "1e200"),
+        ("map", "--space", "L", "--point", "[1]"),
+    ])
+    def test_bad_input_exit_one_without_traceback(self, args):
+        proc = self._run(*args)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr

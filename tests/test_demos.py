@@ -1,0 +1,28 @@
+"""Every demo runs to completion as a script."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env.pop("CIRCLEDIRAC_FAULT", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          env=env, cwd=ROOT, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout

@@ -1,5 +1,7 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from circledirac import (
@@ -32,6 +34,18 @@ class TestQuantumNumbers:
             QuantumNumbers(0, 0)
         with pytest.raises(InvalidQuantumNumber):
             QuantumNumbers(1, -1)
+
+    @pytest.mark.parametrize("n_theta, n_r", [
+        (True, 0), (1, False), (1.0, 0), (1, 2.0), (1.5, 0), ("1", 0), (None, 0),
+    ])
+    def test_rejects_non_integers(self, n_theta, n_r):
+        with pytest.raises(InvalidQuantumNumber):
+            QuantumNumbers(n_theta, n_r)
+
+    def test_numpy_integers_stored_as_int(self):
+        qn = QuantumNumbers(np.int64(3), np.uint8(2))
+        assert (qn.n_theta, qn.n_r) == (3, 2)
+        assert type(qn.n_theta) is int and type(qn.n_r) is int
 
 
 class TestCircleQuantization:
@@ -144,6 +158,11 @@ class TestTwoRoutes:
                     worst = max(worst, abs(a - b))
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("alpha, n_theta, n_r", [(1.0, 1, 0), (2.5, 2, 3), (7.0, 7, 1)])
+    def test_reference_speed_domain(self, alpha, n_theta, n_r):
+        with pytest.raises(SpeedDomain):
+            sommerfeld_reference(alpha, n_theta, n_r)
+
     def test_reference_agreement(self):
         for n_theta in range(1, 6):
             for n_r in range(0, 6):
@@ -211,3 +230,46 @@ class TestSpectrumTable:
         first = rows[1].split(",")
         assert first[0] == "1" and first[1] == "0"
         assert float(first[3]) == lines[0].energy_natural
+
+    @pytest.mark.parametrize("alpha", [1e-6, CODATA_ALPHA, 0.5, 0.999])
+    @pytest.mark.parametrize("max_n_theta, max_n_r", [(1, 0), (1, 7), (7, 0), (12, 9)])
+    def test_rows_equal_single_level_routes(self, alpha, max_n_theta, max_n_r):
+        lines = spectrum_table(alpha, ELECTRON_MASS_EV, max_n_theta, max_n_r)
+        assert len(lines) == max_n_theta * (max_n_r + 1)
+        for line in lines:
+            nt, nr = line.qn.n_theta, line.qn.n_r
+            assert line.energy_natural == coupled_solve(alpha, line.qn).nu_m
+            assert line.reference_ev == sommerfeld_reference(alpha, nt, nr) * ELECTRON_MASS_EV
+
+    def test_rejects_speed_domain(self):
+        with pytest.raises(SpeedDomain):
+            spectrum_table(1.0, ELECTRON_MASS_EV, 2, 1)
+
+
+def _oracle_binding(alpha, n_theta, n_r, mass_ev):
+    """E - m at 50 digits, as an mpf."""
+    a = mpmath.mpf(alpha)
+    root = mpmath.sqrt(n_theta * n_theta - a * a)
+    level = 1 / mpmath.sqrt(1 + (a / (n_r + root)) ** 2)
+    return mpmath.mpf(mass_ev) * (level - 1)
+
+
+class TestBindingEnergy:
+    @pytest.mark.parametrize("alpha", [1e-6, CODATA_ALPHA, 0.3, 0.999])
+    def test_relative_error_on_grid(self, alpha):
+        worst = 0.0
+        with mpmath.workdps(50):
+            for line in spectrum_table(alpha, ELECTRON_MASS_EV, 40, 40):
+                oracle = _oracle_binding(alpha, line.qn.n_theta, line.qn.n_r, ELECTRON_MASS_EV)
+                worst = max(worst, float(abs(line.binding_ev - oracle) / abs(oracle)))
+        assert worst <= 1e-13
+
+    def test_high_n_splitting_survives(self):
+        lines = {(line.qn.n_theta, line.qn.n_r): line
+                 for line in spectrum_table(CODATA_ALPHA, ELECTRON_MASS_EV, 40, 1)}
+        split = lines[(40, 0)].binding_ev - lines[(39, 1)].binding_ev
+        with mpmath.workdps(50):
+            oracle = float(_oracle_binding(CODATA_ALPHA, 40, 0, ELECTRON_MASS_EV)
+                           - _oracle_binding(CODATA_ALPHA, 39, 1, ELECTRON_MASS_EV))
+        assert split != 0.0
+        assert split == pytest.approx(oracle, rel=1e-6)
