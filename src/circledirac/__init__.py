@@ -17,6 +17,8 @@ from .biquaternion import (
     I3,
     ONE,
     UNITS,
+    array_conj,
+    array_mul,
     conj,
     embed,
     mul,
@@ -43,6 +45,7 @@ from .circle_spaces import (
 from .errors import (
     CircleDiracError,
     DispersionViolation,
+    FloatRange,
     InvalidQuantumNumber,
     LightConePoint,
     NonpositiveMass,

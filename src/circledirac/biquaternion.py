@@ -21,6 +21,13 @@ four-vector (x0, x1, x2, x3) onto the biquaternion
 
 With that convention ``norm_form(embed(X))`` is the Minkowski form
 -x0^2 + x1^2 + x2^2 + x3^2.
+
+Array layout
+------------
+:func:`array_mul` and :func:`array_conj` act on numpy complex arrays of
+shape ``(..., 4)`` holding c0..c3 in the last axis, and broadcast over
+the leading axes, so a batch of points is one call.  They follow the
+same multiplication table, term for term, as :class:`Biquaternion`.
 """
 
 from __future__ import annotations
@@ -42,6 +49,8 @@ __all__ = [
     "UNITS",
     "mul",
     "conj",
+    "array_mul",
+    "array_conj",
     "norm_form",
     "embed",
     "unembed",
@@ -221,6 +230,31 @@ def conj(a: Biquaternion) -> Biquaternion:
 def norm_form(a: Biquaternion) -> complex:
     """Scalar part of a*conj(a); Minkowski form on embedded four-vectors."""
     return a.norm_form()
+
+
+def array_mul(a, b) -> np.ndarray:
+    """Broadcasting product of ``(..., 4)`` coefficient arrays.
+
+    The terms are those of :meth:`Biquaternion.__mul__`, in the same order.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    c0 = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+    out = np.empty(c0.shape + (4,), dtype=c0.dtype)
+    out[..., 0] = c0
+    out[..., 1] = a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+    out[..., 2] = a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+    out[..., 3] = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+    return out
+
+
+def array_conj(a) -> np.ndarray:
+    """Quaternion conjugate of ``(..., 4)`` coefficient arrays: c1..c3 negated."""
+    a = np.asarray(a)
+    out = np.negative(a)
+    out[..., 0] = a[..., 0]
+    return out
 
 
 def embed(x: FourVector | Iterable[float]) -> Biquaternion:

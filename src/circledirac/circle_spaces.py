@@ -36,12 +36,13 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 from typing import Iterable
 
 import numpy as np
 
 from .biquaternion import Biquaternion, I0, I1, I2, I3
-from .errors import LightConePoint, NonpositiveRadiusParameter
+from .errors import FloatRange, LightConePoint, NonpositiveRadiusParameter
 from .reflector import Reflector, unit_reflector
 
 __all__ = [
@@ -88,8 +89,20 @@ class SpaceChart:
 
     @staticmethod
     def _require_radius(name: str, value):
-        if value is None or not value > 0:
-            raise NonpositiveRadiusParameter(f"chart requires {name} > 0, got {value}")
+        if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
+            raise NonpositiveRadiusParameter(f"chart requires a finite {name} > 0, got {value!r}")
+
+
+def _hyperbolic_polar(x0: float, x3: float) -> tuple[float, float]:
+    """(r0, theta0) of a point in the x3 > |x0| wedge of the temporal plane."""
+    w = x3 * x3 - x0 * x0
+    if w <= 0.0 or x3 <= 0.0:
+        raise LightConePoint(
+            f"temporal polar map undefined at (x0, x3) = ({x0}, {x3}); "
+            "requires x3 > |x0|"
+        )
+    r0 = math.sqrt(w)
+    return r0, math.asinh(x0 / r0)
 
 
 @dataclass(frozen=True)
@@ -101,14 +114,7 @@ class TemporalPolar:
 
     @classmethod
     def from_plane(cls, x0: float, x3: float) -> "TemporalPolar":
-        w = x3 * x3 - x0 * x0
-        if w <= 0.0 or x3 <= 0.0:
-            raise LightConePoint(
-                f"temporal polar map undefined at (x0, x3) = ({x0}, {x3}); "
-                "requires x3 > |x0|"
-            )
-        r0 = math.sqrt(w)
-        return cls(r0, math.asinh(x0 / r0))
+        return cls(*_hyperbolic_polar(x0, x3))
 
     def to_plane(self) -> tuple[float, float]:
         return self.r0 * math.sinh(self.theta0), self.r0 * math.cosh(self.theta0)
@@ -237,38 +243,14 @@ def scale_potential(a: Biquaternion, r1: float, R1: float) -> Biquaternion:
 
 # -- chart-to-chart maps ----------------------------------------------------
 
-def _to_L(coords: np.ndarray, chart: SpaceChart) -> np.ndarray:
-    c = np.asarray(coords, dtype=float)
-    kind = chart.kind
-    if kind is ChartKind.L:
-        return c.copy()
-    out = c.copy()
-    if kind in (ChartKind.T, ChartKind.S):
-        theta0 = c[0] / chart.R0
-        out[0] = c[3] * math.sinh(theta0)
-        out[3] = c[3] * math.cosh(theta0)
-    if kind in (ChartKind.M, ChartKind.S):
-        theta1 = c[1] / chart.R1
-        out[1] = c[2] * math.sin(theta1)
-        out[2] = c[2] * math.cos(theta1)
-    return out
+_TEMPORAL = (ChartKind.T, ChartKind.S)
+_SPATIAL = (ChartKind.M, ChartKind.S)
 
 
-def _from_L(coords: np.ndarray, chart: SpaceChart) -> np.ndarray:
-    c = np.asarray(coords, dtype=float)
-    kind = chart.kind
-    if kind is ChartKind.L:
-        return c.copy()
-    out = c.copy()
-    if kind in (ChartKind.T, ChartKind.S):
-        pol = TemporalPolar.from_plane(c[0], c[3])
-        out[0] = chart.R0 * pol.theta0
-        out[3] = pol.r0
-    if kind in (ChartKind.M, ChartKind.S):
-        pol = SpatialPolar.from_plane(c[1], c[2])
-        out[1] = chart.R1 * pol.theta1
-        out[2] = pol.r1
-    return out
+def _chart_label(chart: SpaceChart) -> str:
+    radii = ", ".join(f"{name}={value}" for name, value in (("R0", chart.R0), ("R1", chart.R1))
+                      if value is not None)
+    return f"{chart.kind.value} chart ({radii})" if radii else f"{chart.kind.value} chart"
 
 
 def chart_map(coords: Iterable[float], source: SpaceChart, target: SpaceChart) -> np.ndarray:
@@ -276,13 +258,35 @@ def chart_map(coords: Iterable[float], source: SpaceChart, target: SpaceChart) -
 
     Composes the polar decompositions, the arc maps and the slot
     renaming (arc coordinates occupy the slots of the plane coordinates
-    they replace).  Raises LightConePoint when the temporal inversion is
-    required at a point with x3 <= |x0|.
+    they replace), in one pass over plain floats through L.  Raises
+    LightConePoint when the temporal inversion is required at a point
+    with x3 <= |x0|, and FloatRange when the point or its image is not
+    finite in double precision.
     """
-    c = np.asarray(list(coords), dtype=float)
+    c = np.asarray(coords if isinstance(coords, np.ndarray) else list(coords), dtype=float)
     if c.shape != (4,):
         raise ValueError(f"chart point needs exactly 4 coordinates, got shape {c.shape}")
-    return _from_L(_to_L(c, source), target)
+    x0, x1, x2, x3 = c.tolist()
+    try:
+        if source.kind in _TEMPORAL:
+            theta0 = x0 / source.R0
+            x0, x3 = x3 * math.sinh(theta0), x3 * math.cosh(theta0)
+        if source.kind in _SPATIAL:
+            theta1 = x1 / source.R1
+            x1, x2 = x2 * math.sin(theta1), x2 * math.cos(theta1)
+    except (OverflowError, ValueError):
+        raise FloatRange(f"{_chart_label(source)} point {c.tolist()} overflows "
+                         "when mapped to L") from None
+    if target.kind in _TEMPORAL:
+        r0, theta0 = _hyperbolic_polar(x0, x3)
+        x0, x3 = target.R0 * theta0, r0
+    if target.kind in _SPATIAL:
+        x1, x2 = target.R1 * math.atan2(x1, x2), math.hypot(x1, x2)
+    image = (x0, x1, x2, x3)
+    if not all(map(math.isfinite, image)):
+        raise FloatRange(f"{_chart_label(source)} point {c.tolist()} has no finite "
+                         f"image on the {_chart_label(target)}: {list(image)}")
+    return np.array(image)
 
 
 def chart_point_to_json(chart: SpaceChart, coords: Iterable[float]) -> str:
@@ -300,7 +304,10 @@ def chart_point_from_json(text: str | dict) -> tuple[SpaceChart, np.ndarray]:
     if not isinstance(rec, dict):
         raise ValueError(f"chart point record must be a JSON object, got {type(rec).__name__}")
     chart = SpaceChart(ChartKind(rec["chart"]), rec.get("R0"), rec.get("R1"))
-    coords = np.asarray(rec["coords"], dtype=float)
+    try:
+        coords = np.asarray(rec["coords"], dtype=float)
+    except TypeError:
+        raise ValueError(f"chart point coords must be numbers, got {rec['coords']!r}") from None
     if coords.shape != (4,):
         raise ValueError("chart point record needs exactly 4 coordinates")
     return chart, coords

@@ -1,8 +1,12 @@
 """Exception types shared across the library.
 
 All domain errors derive from :class:`CircleDiracError`, which itself
-derives from ``ValueError`` so callers may catch either.
+derives from ``ValueError`` so callers may catch either.  The module
+also holds :func:`quantum_integer`, the one rule for integer quantum
+numbers, so every module can import it without an import cycle.
 """
+
+import operator
 
 
 class CircleDiracError(ValueError):
@@ -48,8 +52,27 @@ class InvalidQuantumNumber(CircleDiracError):
     """Quantum numbers must satisfy n_theta >= 1, n_r >= 0."""
 
 
+def quantum_integer(name: str, value, low: int) -> int:
+    """``value`` as a plain int >= low; bools and non-integers are rejected.
+
+    Accepts anything ``operator.index`` accepts (such as numpy integers),
+    but not ``bool``; raises :class:`InvalidQuantumNumber` otherwise.
+    """
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < low:
+        raise InvalidQuantumNumber(f"{name} must be an integer >= {low}, got {value!r}")
+    return number
+
+
 class ZeroCharge(CircleDiracError):
     """Charge e must be nonzero for the charge-density solve."""
+
+
+class FloatRange(CircleDiracError):
+    """A result would overflow or be non-finite in double precision."""
 
 
 class ZeroArcElement(CircleDiracError):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import InvalidQuantumNumber, SpeedDomain, ZeroCharge
+from .errors import FloatRange, InvalidQuantumNumber, SpeedDomain, ZeroCharge
 from .spectrum import QuantumNumbers
 
 __all__ = [
@@ -104,7 +104,9 @@ def solve_rho(A: float, mass: float, e: float, d_prime: float) -> ChargeDensityS
     """Closed-form roots rho = (A^2 e^2 d'/2)(A +- sqrt(A^2 + 4 m^2/e^2)).
 
     Both branches are returned together with the residual of each in the
-    quadratic; physical selection is left to the caller.
+    quadratic; physical selection is left to the caller.  Raises
+    FloatRange when a root or a residual would overflow or be non-finite
+    (from |A| of about 1e52 the residuals no longer fit a double).
     """
     if e == 0.0:
         raise ZeroCharge("charge e must be nonzero")
@@ -113,22 +115,24 @@ def solve_rho(A: float, mass: float, e: float, d_prime: float) -> ChargeDensityS
     if A == 0.0:
         return ChargeDensitySolution(A=0.0, rho_plus=0.0, rho_minus=0.0,
                                      residual_plus=0.0, residual_minus=0.0)
-    s = math.sqrt(A * A + 4.0 * mass * mass / (e * e))
-    front = A * A * e * e * d_prime / 2.0
-    # A -+ s cancels catastrophically when 4 m^2/e^2 << A^2; take the
-    # well-conditioned branch directly and the other from the exact root
-    # product rho_plus * rho_minus = -A^4 e^2 d'^2 m^2.
-    product = -(A ** 4) * e * e * d_prime * d_prime * mass * mass
-    if A > 0.0:
-        rho_p = front * (A + s)
-        rho_m = product / rho_p + 0.0
-    else:
-        rho_m = front * (A - s)
-        rho_p = product / rho_m + 0.0
-    return ChargeDensitySolution(
-        A=A,
-        rho_plus=rho_p,
-        rho_minus=rho_m,
-        residual_plus=rho_residual(rho_p, A, mass, e, d_prime),
-        residual_minus=rho_residual(rho_m, A, mass, e, d_prime),
-    )
+    try:
+        s = math.sqrt(A * A + 4.0 * mass * mass / (e * e))
+        front = A * A * e * e * d_prime / 2.0
+        # A -+ s cancels catastrophically when 4 m^2/e^2 << A^2; take the
+        # well-conditioned branch directly and the other from the exact root
+        # product rho_plus * rho_minus = -A^4 e^2 d'^2 m^2.
+        product = -(A ** 4) * e * e * d_prime * d_prime * mass * mass
+        if A > 0.0:
+            rho_p = front * (A + s)
+            rho_m = product / rho_p + 0.0
+        else:
+            rho_m = front * (A - s)
+            rho_p = product / rho_m + 0.0
+        fields = (rho_p, rho_m, rho_residual(rho_p, A, mass, e, d_prime),
+                  rho_residual(rho_m, A, mass, e, d_prime))
+    except (OverflowError, ZeroDivisionError):  # A**4 overflows, or front underflows to 0
+        fields = None
+    if fields is None or not all(map(math.isfinite, fields)):
+        raise FloatRange(f"charge-density roots or residuals at A={A} (mass={mass}, e={e}, "
+                         f"d_prime={d_prime}) leave the float range")
+    return ChargeDensitySolution(A, *fields)

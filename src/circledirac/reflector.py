@@ -20,6 +20,12 @@ does not commute.
 Derivative application is injected (analytic for plane waves, central
 finite differences generically) so residual checks can cross-validate
 the two routes.
+
+Both sides are assembled once, by :func:`dirac_lhs_array` and
+:func:`dirac_rhs_array`, on coefficient arrays: a reflector or a
+DiagPair is a ``(..., 2, 4)`` array (top/upper first), and leading axes
+broadcast over points and derivative routes.  :func:`dirac_lhs` and
+:func:`dirac_rhs` are their one-point wrappers.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .biquaternion import Biquaternion, I0, I1, I2, I3
+from .biquaternion import Biquaternion, I0, I1, I2, I3, array_conj, array_mul
 from .errors import NonUnitRotor
 
 __all__ = [
@@ -46,6 +52,10 @@ __all__ = [
     "sandwich",
     "dirac_lhs",
     "dirac_rhs",
+    "dirac_lhs_array",
+    "dirac_rhs_array",
+    "reflector_mul_array",
+    "evaluate",
     "STANDARD_UNITS",
     "ARC_TIME_UNITS",
 ]
@@ -76,6 +86,10 @@ class Reflector:
     def max_abs_diff(self, other: "Reflector") -> float:
         return (self - other).max_abs()
 
+    def to_array(self) -> np.ndarray:
+        """The ``(2, 4)`` coefficient array [top, bottom]."""
+        return np.array((self.top.coeffs, self.bottom.coeffs), dtype=complex)
+
     def to_matrix(self) -> np.ndarray:
         m = np.zeros((4, 4), dtype=complex)
         m[:2, 2:] = self.top.to_matrix()
@@ -89,6 +103,11 @@ class DiagPair:
 
     upper: Biquaternion
     lower: Biquaternion
+
+    @classmethod
+    def from_array(cls, c) -> "DiagPair":
+        """DiagPair from a ``(2, 4)`` coefficient array [upper, lower]."""
+        return cls(Biquaternion.from_coeffs(c[0]), Biquaternion.from_coeffs(c[1]))
 
     def __add__(self, other: "DiagPair") -> "DiagPair":
         return DiagPair(self.upper + other.upper, self.lower + other.lower)
@@ -115,6 +134,11 @@ class DiagPair:
 def reflector_mul(a: Reflector, b: Reflector) -> DiagPair:
     """Reflector times reflector is block-diagonal."""
     return DiagPair(a.top * b.bottom, a.bottom * b.top)
+
+
+def reflector_mul_array(a, b) -> np.ndarray:
+    """:func:`reflector_mul` on ``(..., 2, 4)`` arrays: [a.top*b.bottom, a.bottom*b.top]."""
+    return array_mul(a, np.asarray(b)[..., ::-1, :])
 
 
 def diag_mul_reflector(d: DiagPair, r: Reflector) -> Reflector:
@@ -164,7 +188,9 @@ class WaveFunction:
 
     phi1 and phi2 map a length-4 coordinate array to a Biquaternion.
     Components that expose a ``derivative(point, mu)`` method can be
-    differentiated analytically.
+    differentiated analytically.  Components may also expose
+    ``batch(points)`` and ``batch_derivative(points)``, which evaluate a
+    whole ``(..., 4)`` point array at once; see :func:`evaluate`.
     """
 
     phi1: Callable[[np.ndarray], Biquaternion]
@@ -174,11 +200,36 @@ class WaveFunction:
         return Reflector(self.phi1(point), self.phi2(point))
 
 
+def _point_by_point(fn, points: np.ndarray) -> np.ndarray:
+    """Stack ``fn(point)`` over the leading axes of a ``(..., 4)`` point array."""
+    out = np.array([fn(p) for p in points.reshape(-1, 4)], dtype=complex)
+    return out.reshape(points.shape[:-1] + out.shape[1:])
+
+
+def evaluate(f, points: np.ndarray) -> np.ndarray:
+    """Coefficients ``(..., 4)`` of the wave component f at points ``(..., 4)``.
+
+    Uses ``f.batch`` when the component has one; a plain callable is
+    called point by point.
+    """
+    batch = getattr(f, "batch", None)
+    if batch is not None:
+        return batch(points)
+    return _point_by_point(lambda p: f(p).coeffs, points)
+
+
 class AnalyticDerivative:
     """Uses the component's own closed-form derivative."""
 
     def __call__(self, f, point: np.ndarray, mu: int) -> Biquaternion:
         return f.derivative(point, mu)
+
+    def batch(self, f, points: np.ndarray) -> np.ndarray:
+        """d f/d x_mu at points ``(N, 4)`` for every mu, shape ``(N, 4, 4)``."""
+        batch = getattr(f, "batch_derivative", None)
+        if batch is not None:
+            return batch(points)
+        return _point_by_point(lambda p: [f.derivative(p, mu).coeffs for mu in range(4)], points)
 
 
 class CentralDifference:
@@ -195,6 +246,16 @@ class CentralDifference:
         p_plus[mu] += self.h
         p_minus[mu] -= self.h
         return (f(p_plus) - f(p_minus)) / (2.0 * self.h)
+
+    def batch(self, f, points: np.ndarray) -> np.ndarray:
+        """Central differences at points ``(N, 4)`` for every mu, shape ``(N, 4, 4)``.
+
+        Evaluates f at all 8N shifted points p +- h e_mu in one call.
+        """
+        step = self.h * np.eye(4)
+        shifted = points[:, None, :] + np.stack((step, -step))[:, None]
+        plus, minus = evaluate(f, shifted)
+        return (plus - minus) / (2.0 * self.h)
 
 
 @dataclass(frozen=True)
@@ -214,9 +275,38 @@ class DiracOperator:
         """New operator with every unit mapped through f (e.g. a rotor sandwich)."""
         return DiracOperator(tuple(f(u) for u in self.units))
 
+    def to_array(self) -> np.ndarray:
+        """The unit reflectors (u, conj(u)) as a ``(4, 2, 4)`` array, one per coordinate mu."""
+        return np.array([unit_reflector(u).to_array() for u in self.units])
+
 
 STANDARD_UNITS = DiracOperator((I0, I1, I2, I3))
 ARC_TIME_UNITS = DiracOperator((1j * I0, I1, I2, I3))
+
+
+def dirac_lhs_array(units, a_pot, e: float, phi, d_phi) -> np.ndarray:
+    """(D - i e A) Phi on coefficient arrays, as a ``(..., 2, 4)`` DiagPair array.
+
+    ``units`` is :meth:`DiracOperator.to_array`, ``a_pot`` the ``(2, 4)``
+    potential reflector (a, conj(a)), ``phi`` the ``(..., 2, 4)`` wave
+    and ``d_phi`` its ``(..., 4, 2, 4)`` derivatives, one per coordinate
+    mu.  Leading axes broadcast, so one call covers a batch of points,
+    or of points under several derivative routes.  Every term is a
+    reflector product, so the potential multiplies the wave components
+    on the left.
+    """
+    return (reflector_mul_array(units, d_phi).sum(axis=-3)
+            - (1j * e) * reflector_mul_array(a_pot, phi))
+
+
+def dirac_rhs_array(phi, m) -> np.ndarray:
+    """Phi M on coefficient arrays, with M the reflector (m, -conj(m)) of a ``(4,)`` m."""
+    m = np.asarray(m)
+    return reflector_mul_array(phi, np.stack((m, -array_conj(m))))
+
+
+def _wave_coeffs(wave: WaveFunction, point) -> np.ndarray:
+    return np.array((wave.phi1(point).coeffs, wave.phi2(point).coeffs), dtype=complex)
 
 
 def dirac_lhs(operator: DiracOperator,
@@ -229,18 +319,16 @@ def dirac_lhs(operator: DiracOperator,
 
     ``a_pot`` is the embedded potential biquaternion (temporal slot
     already divided by i); it multiplies the wave components on the left.
+    ``deriv(f, point, mu)`` supplies each derivative; the blocks come from
+    :func:`dirac_lhs_array` at this one point.
     """
-    upper = Biquaternion()
-    lower = Biquaternion()
-    for mu, u in enumerate(operator.units):
-        upper = upper + u * deriv(wave.phi2, point, mu)
-        lower = lower + u.conj * deriv(wave.phi1, point, mu)
-    ie = 1j * e
-    upper = upper - ie * (a_pot * wave.phi2(point))
-    lower = lower - ie * (a_pot.conj * wave.phi1(point))
-    return DiagPair(upper, lower)
+    d_phi = np.array([(deriv(wave.phi1, point, mu).coeffs, deriv(wave.phi2, point, mu).coeffs)
+                      for mu in range(4)], dtype=complex)
+    lhs = dirac_lhs_array(operator.to_array(), unit_reflector(a_pot).to_array(), e,
+                          _wave_coeffs(wave, point), d_phi)
+    return DiagPair.from_array(lhs)
 
 
 def dirac_rhs(wave: WaveFunction, m: Biquaternion, point: np.ndarray) -> DiagPair:
-    """Right-hand side Phi M as a DiagPair; M multiplies on the right."""
-    return DiagPair(-(wave.phi1(point) * m.conj), wave.phi2(point) * m)
+    """Right-hand side Phi M at a point, as a DiagPair, via :func:`dirac_rhs_array`."""
+    return DiagPair.from_array(dirac_rhs_array(_wave_coeffs(wave, point), m.coeffs))

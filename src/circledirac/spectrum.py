@@ -37,12 +37,11 @@ level.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import mpmath
 
-from .errors import InvalidQuantumNumber, NonpositiveMass, SpeedDomain
+from .errors import InvalidQuantumNumber, NonpositiveMass, SpeedDomain, quantum_integer
 from .planewave import de_broglie
 
 __all__ = [
@@ -62,17 +61,6 @@ __all__ = [
 ]
 
 
-def _integer(name: str, value, low: int) -> int:
-    """``value`` as a plain int >= low; bools and non-integers are rejected."""
-    try:
-        number = None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        number = None
-    if number is None or number < low:
-        raise InvalidQuantumNumber(f"{name} must be an integer >= {low}, got {value!r}")
-    return number
-
-
 @dataclass(frozen=True)
 class QuantumNumbers:
     """Angular number n_theta >= 1 and circle-wave number n_r >= 0.
@@ -85,8 +73,8 @@ class QuantumNumbers:
     n_r: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "n_theta", _integer("n_theta", self.n_theta, 1))
-        object.__setattr__(self, "n_r", _integer("n_r", self.n_r, 0))
+        object.__setattr__(self, "n_theta", quantum_integer("n_theta", self.n_theta, 1))
+        object.__setattr__(self, "n_r", quantum_integer("n_r", self.n_r, 0))
 
     @property
     def n(self) -> int:
@@ -129,12 +117,13 @@ def _check_speed(alpha: float, n_theta: int, allow_zero: bool = False) -> float:
 
 
 def circle_quantize(mass: float, n_theta: int) -> float:
-    """Rest-frame temporal circle radius n_theta/mass (single-valued phase)."""
+    """Rest-frame temporal circle radius n_theta/mass (single-valued phase).
+
+    n_theta follows the :class:`QuantumNumbers` rule: an integer >= 1, not ``bool``.
+    """
     if not mass > 0:
         raise NonpositiveMass(f"mass must be positive, got {mass}")
-    if int(n_theta) != n_theta or n_theta < 1:
-        raise InvalidQuantumNumber(f"n_theta must be an integer >= 1, got {n_theta}")
-    return n_theta / mass
+    return quantum_integer("n_theta", n_theta, 1) / mass
 
 
 def circle_wave_energy(mass: float, qn: QuantumNumbers) -> float:

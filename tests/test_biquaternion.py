@@ -11,6 +11,8 @@ from circledirac import (
     I2,
     I3,
     ONE,
+    array_conj,
+    array_mul,
     conj,
     embed,
     mul,
@@ -164,3 +166,40 @@ def test_scalar_arithmetic():
     assert 2.0 * a == a * 2.0 == a + a
     assert a / 2.0 + a / 2.0 == a
     assert (1j * a).c1 == 2j
+
+
+class TestArrayCore:
+    """The (..., 4) array product and conjugate against the scalar class."""
+
+    def test_product_matches_scalar(self):
+        rng = np.random.default_rng(41)
+        a = rng.standard_normal((200, 4)) + 1j * rng.standard_normal((200, 4))
+        b = rng.standard_normal((200, 4)) + 1j * rng.standard_normal((200, 4))
+        out = array_mul(a, b)
+        for x, y, z in zip(a, b, out):
+            # numpy may fuse multiply-adds, so agreement is to rounding, not bits
+            ref = Biquaternion(*x) * Biquaternion(*y)
+            assert ref.max_abs_diff(Biquaternion(*z)) <= 1e-14
+
+    def test_unit_table_exact(self):
+        units = np.array([u.coeffs for u in (I0, I1, I2, I3)])
+        table = array_mul(units[:, None, :], units[None, :, :])
+        for i, u in enumerate((I0, I1, I2, I3)):
+            for j, v in enumerate((I0, I1, I2, I3)):
+                assert Biquaternion(*table[i, j]) == u * v
+
+    def test_broadcasts_over_leading_axes(self):
+        rng = np.random.default_rng(42)
+        a = rng.standard_normal((3, 1, 4)) + 0j
+        b = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+        out = array_mul(a, b)
+        assert out.shape == (3, 5, 4)
+        assert np.array_equal(out[2, 4], array_mul(a[2, 0], b[4]))
+
+    def test_conj_matches_scalar_exactly(self):
+        rng = np.random.default_rng(43)
+        a = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
+        out = array_conj(a)
+        for x, z in zip(a, out):
+            assert Biquaternion(*z) == Biquaternion(*x).conj
+        assert np.array_equal(array_conj(out), a)

@@ -8,6 +8,7 @@ from circledirac import (
     Biquaternion,
     ChartKind,
     DiagPair,
+    FloatRange,
     I0,
     I1,
     I2,
@@ -15,6 +16,8 @@ from circledirac import (
     LightConePoint,
     NonpositiveRadiusParameter,
     SpaceChart,
+    SpatialPolar,
+    TemporalPolar,
     arc_map,
     arc_map_inverse,
     chart_map,
@@ -158,6 +161,40 @@ class TestChartMap:
         for bad in ([1.0, 0, 0, 1.0], [2.0, 0, 0, 1.0], [0.0, 0, 0, -1.0]):
             with pytest.raises(LightConePoint):
                 chart_map(bad, L, T)
+
+    @pytest.mark.parametrize("source", [L, T, M, S])
+    @pytest.mark.parametrize("target", [L, T, M, S])
+    def test_bit_identical_to_polar_composition(self, source, target):
+        # reference: through L with the polar classes, one plane at a time
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            x3 = rng.uniform(0.3, 3.0)
+            plane = [x3 * rng.uniform(-0.9, 0.9), rng.uniform(-2, 2), rng.uniform(-2, 2), x3]
+            p = chart_map(plane, L, source)
+            x = list(p)
+            if source.kind in (ChartKind.T, ChartKind.S):
+                x[0], x[3] = TemporalPolar(p[3], p[0] / source.R0).to_plane()
+            if source.kind in (ChartKind.M, ChartKind.S):
+                x[1], x[2] = SpatialPolar(p[2], p[1] / source.R1).to_plane()
+            y = list(x)
+            if target.kind in (ChartKind.T, ChartKind.S):
+                pol = TemporalPolar.from_plane(x[0], x[3])
+                y[0], y[3] = target.R0 * pol.theta0, pol.r0
+            if target.kind in (ChartKind.M, ChartKind.S):
+                pol = SpatialPolar.from_plane(x[1], x[2])
+                y[1], y[2] = target.R1 * pol.theta1, pol.r1
+            assert chart_map(p, source, target).tolist() == y
+
+    @pytest.mark.parametrize("source, coords, target", [
+        (SpaceChart(ChartKind.T, R0=1.0), [1000.0, 0, 0, 1.0], SpaceChart(ChartKind.T, R0=1.0)),
+        (SpaceChart(ChartKind.T, R0=1.0), [1000.0, 0, 0, 1.0], L),
+        (L, [0.0, 0, 0, 1e200], T),
+        (L, [math.nan, 0, 0, 1.0], L),
+        (M, [0.0, math.inf, 1.0, 1.0], L),
+    ])
+    def test_float_range(self, source, coords, target):
+        with pytest.raises(FloatRange, match=source.kind.value + " chart"):
+            chart_map(coords, source, target)
 
     def test_chart_requires_radii(self):
         with pytest.raises(NonpositiveRadiusParameter):

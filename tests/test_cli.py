@@ -6,6 +6,8 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from circledirac.cli import main
 
@@ -174,14 +176,84 @@ class TestSubprocessContract:
         assert proc.returncode == 1
 
     @pytest.mark.parametrize("args", [
-        ("spectrum", "--mass-ev", "inf", "--format", "json"),
-        ("qed-rho", "--A", "nan"),
-        ("qed-rho", "--A", "1e200"),
-        ("map", "--space", "L", "--point", "[1]"),
+        (("spectrum", "--mass-ev", "inf", "--format", "json"), "CircleDiracError: mass-ev"),
+        (("qed-rho", "--A", "nan"), "CircleDiracError: A must be finite"),
+        (("qed-rho", "--A", "1e200"), "FloatRange: "),
+        (("map", "--space", "L", "--point", "[1]"), "JSON object"),
+        (("map", "--space", "T", "--R0", "1",
+          "--point", '{"chart":"T","R0":1,"coords":[1000,0,0,1]}'),
+         "FloatRange: T chart (R0=1) point [1000.0, 0.0, 0.0, 1.0]"),
+        (("qed-rho", "--A", "1e60"), "FloatRange: charge-density roots or residuals at A=1e+60"),
+        (("qed-rho", "--A", "1e100"), "FloatRange: charge-density roots or residuals at A=1e+100"),
     ])
     def test_bad_input_exit_one_without_traceback(self, args):
-        proc = self._run(*args)
+        argv, message = args
+        proc = self._run(*argv)
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("circledirac: error: ")
+        assert message in proc.stderr
+
+
+# -- fuzzing the CLI boundary ---------------------------------------------------
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+_numbers = st.one_of(
+    st.floats(),                                           # includes nan, inf, huge, subnormal
+    st.sampled_from([1e308, -1e308, 5e-324, 0.0, -0.0, 1e52, 1e77, 1e100, -1e200]),
+)
+_number_args = st.one_of(_numbers.map(repr), st.sampled_from(["", "abc", "1e", "0x10", "--"]))
+_int_args = st.one_of(st.integers(-2, 3).map(str), st.sampled_from(["1.5", "x", "10**3"]))
+_json_values = st.one_of(_numbers, st.integers(-10 ** 400, 10 ** 400), st.booleans(), st.none(),
+                         st.text(max_size=3), st.just([1]), st.just({"a": 1}))
+_charts = st.one_of(st.sampled_from(["L", "T", "M", "S"]), st.sampled_from(["X", 5, None]))
+_radii = st.one_of(st.floats(0.1, 10.0), _json_values)
+_coords = st.one_of(st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4),
+                    st.lists(_numbers, min_size=4, max_size=4),
+                    st.lists(_json_values, min_size=4, max_size=4), _json_values)
+_points = st.one_of(
+    st.fixed_dictionaries({"chart": _charts, "coords": _coords},
+                          optional={"R0": _radii, "R1": _radii}).map(json.dumps),
+    st.sampled_from(["not json", "[1]", "{", "null", "1", '{"coords": [0, 0, 0, 1]}']),
+)
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _argv(command, *parts):
+    return st.tuples(*parts).map(lambda groups: [command] + [a for g in groups for a in g])
+
+
+_map_argv = _argv("map", st.sampled_from(["L", "T", "M", "S"]).map(lambda s: ["--space", s]),
+                  _opt("--R0", _number_args), _opt("--R1", _number_args),
+                  _points.map(lambda p: ["--point", p]),
+                  st.sampled_from([[], ["--round-trip"]]))
+_qed_argv = _argv("qed-rho", _opt("--A", _number_args), _opt("--mass", _number_args),
+                  _opt("--charge", _number_args), _opt("--alpha", _number_args),
+                  _opt("--ntheta", _int_args), _opt("--nr", _int_args),
+                  _opt("--branch", st.sampled_from(["plus", "minus", "both", "up"])))
+_spectrum_argv = _argv("spectrum", _opt("--max-ntheta", _int_args), _opt("--max-nr", _int_args),
+                       _opt("--alpha", _number_args), _opt("--mass-ev", _number_args),
+                       _opt("--tol", _number_args), st.just(["--format", "json"]))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(_map_argv, _qed_argv, _spectrum_argv))
+def test_cli_fuzz_total(argv):
+    """Every drawn command ends in exit 0, 1 or 2, without a traceback and
+    with strict JSON (no NaN or Infinity) on stdout."""
+    code, out, err = run_cli(*argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert out == ""
+    else:
+        json.loads(out, parse_constant=_reject_constant)

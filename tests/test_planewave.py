@@ -18,6 +18,14 @@ from circledirac import (
     plane_wave_solution,
     residual,
 )
+from circledirac.reflector import (
+    ARC_TIME_UNITS,
+    AnalyticDerivative,
+    CentralDifference,
+    WaveFunction,
+    dirac_lhs,
+    dirac_rhs,
+)
 
 RNG = np.random.default_rng(11)
 POINTS = [RNG.uniform(-2.0, 2.0, size=4) for _ in range(10)]
@@ -122,6 +130,68 @@ class TestResidualHarness:
             assert rep.analytic >= 1e-4
 
 
+BATCH = np.random.default_rng(13).uniform(-2.0, 2.0, size=(50, 4))
+ON_SHELL = bound_solution(PW)
+OFF_SHELL = plane_wave_solution(PW.nu + 0.1, PW.mu, PW.mass)
+
+
+def pointwise(wave, deriv, points):
+    """Reference: the worst scalar dirac_lhs - dirac_rhs over the points, one at a time."""
+    a, e, m = _args(PW)
+    return max(dirac_lhs(ARC_TIME_UNITS, deriv, a, e, wave, p).max_abs_diff(dirac_rhs(wave, m, p))
+               for p in points)
+
+
+class TestBatchedResidual:
+    """The one-pass residual against the per-point scalar route."""
+
+    @pytest.mark.parametrize("h", [1e-5, 0.05])
+    @pytest.mark.parametrize("wave", [ON_SHELL, OFF_SHELL], ids=["on-shell", "off-shell"])
+    def test_matches_pointwise(self, wave, h):
+        rep = residual(wave, *_args(PW), BATCH, h=h)
+        ref_an = pointwise(wave, AnalyticDerivative(), BATCH)
+        ref_fd = pointwise(wave, CentralDifference(h), BATCH)
+        if wave is ON_SHELL:
+            assert rep.analytic <= 1e-12 and ref_an <= 1e-12
+        else:
+            assert rep.analytic == pytest.approx(ref_an, rel=1e-9)
+        if h == 0.05:
+            assert rep.fd == pytest.approx(ref_fd, rel=1e-9)
+        else:
+            assert abs(rep.fd - ref_fd) <= 1e-9
+
+    @pytest.mark.parametrize("empty", [[], np.empty((0, 4))])
+    def test_empty_point_list(self, empty):
+        rep = residual(ON_SHELL, *_args(PW), empty)
+        assert (rep.fd, rep.analytic) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("wave", [ON_SHELL, OFF_SHELL], ids=["on-shell", "off-shell"])
+    def test_independent_of_order_and_split(self, wave):
+        args = _args(PW)
+        whole = residual(wave, *args, BATCH, h=1e-5)
+        assert residual(wave, *args, BATCH[::-1], h=1e-5) == whole
+        assert residual(wave, *args, list(BATCH), h=1e-5) == whole
+        for k in (1, 17, 49):
+            head = residual(wave, *args, BATCH[:k], h=1e-5)
+            tail = residual(wave, *args, BATCH[k:], h=1e-5)
+            assert whole.fd == max(head.fd, tail.fd)
+            assert whole.analytic == max(head.analytic, tail.analytic)
+
+    def test_plain_callable_wave(self):
+        on = ON_SHELL
+        plain = WaveFunction(lambda p: on.phi1(p), lambda p: on.phi2(p))
+        rep = residual(plain, *_args(PW), BATCH[:5], h=1e-5)
+        assert rep.analytic is None
+        assert math.isfinite(rep.fd) and rep.fd <= 1e-8
+        assert rep.fd == pytest.approx(pointwise(on, CentralDifference(1e-5), BATCH[:5]), abs=1e-9)
+
+    def test_rejects_bad_step_and_shape(self):
+        with pytest.raises(ValueError):
+            residual(ON_SHELL, *_args(PW), BATCH, h=0.0)
+        with pytest.raises(ValueError):
+            residual(ON_SHELL, *_args(PW), np.zeros((3, 3)))
+
+
 class TestDeBroglie:
     def test_rest(self):
         assert de_broglie(1.5, 0.0) == (1.5, 0.0)
@@ -154,3 +224,12 @@ class TestCircleWave:
     def test_rejects_zero_mode(self):
         with pytest.raises(InvalidQuantumNumber):
             CircleWave(0, 1.0)
+
+    @pytest.mark.parametrize("n_r", [True, 2.0, 1.5, "1", None])
+    def test_rejects_non_integer_mode(self, n_r):
+        with pytest.raises(InvalidQuantumNumber):
+            CircleWave(n_r, 1.0)
+
+    def test_numpy_mode_stored_as_int(self):
+        wave = CircleWave(np.int64(2), 1.0)
+        assert type(wave.n_r) is int and wave.eta_l == 2.0

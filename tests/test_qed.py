@@ -5,6 +5,7 @@ import pytest
 
 from circledirac import (
     CouplingCoefficients,
+    FloatRange,
     InvalidQuantumNumber,
     QuantumNumbers,
     SpeedDomain,
@@ -128,3 +129,14 @@ class TestSolveRho:
             solve_rho(1.0, 1.0, 0.0, 0.1)
         with pytest.raises(ZeroCharge):
             rho_residual(1.0, 1.0, 1.0, 0.0, 0.1)
+
+    @pytest.mark.parametrize("A", [1e52, -1e52, 1e60, 1.4e77, 1e100, -1e200, 1e-200, math.nan])
+    def test_non_finite_fields_raise(self, A):
+        with pytest.raises(FloatRange, match="A="):
+            solve_rho(A, 1.0, math.sqrt(ALPHA), coefficient_d(1))
+
+    @pytest.mark.parametrize("A", [1e-100, 1e50, -1e50])
+    def test_large_finite_potential(self, A):
+        sol = solve_rho(A, 1.0, math.sqrt(ALPHA), coefficient_d(1))
+        fields = (sol.rho_plus, sol.rho_minus, sol.residual_plus, sol.residual_minus)
+        assert all(math.isfinite(v) for v in fields)

@@ -66,6 +66,11 @@ class TestCircleQuantization:
         with pytest.raises(InvalidQuantumNumber):
             circle_quantize(1.0, 0)
 
+    @pytest.mark.parametrize("n_theta", [True, 4.0, 1.5, "1"])
+    def test_rejects_non_integers(self, n_theta):
+        with pytest.raises(InvalidQuantumNumber):
+            circle_quantize(2.0, n_theta)
+
 
 class TestBohrSolve:
     def test_orbit_speed(self):
