@@ -18,7 +18,10 @@ from .biquaternion import (
     ONE,
     UNITS,
     array_conj,
+    array_embed,
     array_mul,
+    array_norm_form,
+    array_to_matrix,
     conj,
     embed,
     mul,

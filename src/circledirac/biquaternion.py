@@ -24,10 +24,11 @@ With that convention ``norm_form(embed(X))`` is the Minkowski form
 
 Array layout
 ------------
-:func:`array_mul` and :func:`array_conj` act on numpy complex arrays of
-shape ``(..., 4)`` holding c0..c3 in the last axis, and broadcast over
-the leading axes, so a batch of points is one call.  They follow the
-same multiplication table, term for term, as :class:`Biquaternion`.
+:func:`array_mul`, :func:`array_conj`, :func:`array_norm_form`,
+:func:`array_embed` and :func:`array_to_matrix` act on numpy complex
+arrays of shape ``(..., 4)`` holding c0..c3 in the last axis, and
+broadcast over the leading axes, so a batch of points is one call.  They
+follow the same formulas, term for term, as :class:`Biquaternion`.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ __all__ = [
     "conj",
     "array_mul",
     "array_conj",
+    "array_norm_form",
+    "array_embed",
+    "array_to_matrix",
     "norm_form",
     "embed",
     "unembed",
@@ -171,12 +175,7 @@ class Biquaternion:
 
     def to_matrix(self) -> np.ndarray:
         """Faithful 2x2 complex matrix representation, i_r -> -i sigma_r."""
-        c0, c1, c2, c3 = self.coeffs
-        return np.array(
-            [[c0 - 1j * c3, -1j * c1 - c2],
-             [-1j * c1 + c2, c0 + 1j * c3]],
-            dtype=complex,
-        )
+        return array_to_matrix(np.array(self.coeffs))
 
     # -- value semantics ---------------------------------------------------
 
@@ -202,7 +201,11 @@ UNITS = (I0, I1, I2, I3)
 
 @dataclass(frozen=True)
 class FourVector:
-    """A real four-vector in natural units (hbar = c = 1)."""
+    """A real four-vector in natural units (hbar = c = 1).
+
+    The components may also be numpy arrays of one shape, a batch of
+    four-vectors; :meth:`minkowski_form` then works elementwise.
+    """
 
     x0: float
     x1: float
@@ -254,6 +257,33 @@ def array_conj(a) -> np.ndarray:
     a = np.asarray(a)
     out = np.negative(a)
     out[..., 0] = a[..., 0]
+    return out
+
+
+def array_norm_form(a) -> np.ndarray:
+    """:meth:`Biquaternion.norm_form` of ``(..., 4)`` arrays: c0^2 + c1^2 + c2^2 + c3^2."""
+    a = np.asarray(a)
+    a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    return a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
+
+
+def array_to_matrix(a) -> np.ndarray:
+    """2x2 matrices ``(..., 2, 2)`` of ``(..., 4)`` arrays, i_r -> -i sigma_r."""
+    a = np.asarray(a)
+    c0, c1, c2, c3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    out = np.empty(c0.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = c0 - 1j * c3
+    out[..., 0, 1] = -1j * c1 - c2
+    out[..., 1, 0] = -1j * c1 + c2
+    out[..., 1, 1] = c0 + 1j * c3
+    return out
+
+
+def array_embed(x) -> np.ndarray:
+    """:func:`embed` of real four-vectors ``(..., 4)``: c0 = -i*x0, c1..c3 = x1..x3."""
+    x = np.asarray(x, dtype=float)
+    out = x.astype(complex)
+    out[..., 0] = -1j * x[..., 0]
     return out
 
 

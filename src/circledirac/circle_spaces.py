@@ -73,7 +73,11 @@ class ChartKind(str, Enum):
 
 @dataclass(frozen=True)
 class SpaceChart:
-    """A chart label plus the circle radii it needs."""
+    """A chart label plus the circle radii it needs.
+
+    A radius the chart does not need may be left out; every radius that
+    is given must be a finite positive real number, needed or not.
+    """
 
     kind: ChartKind
     R0: float | None = None
@@ -82,9 +86,9 @@ class SpaceChart:
     def __post_init__(self):
         kind = ChartKind(self.kind)
         object.__setattr__(self, "kind", kind)
-        if kind in (ChartKind.T, ChartKind.S):
+        if kind in (ChartKind.T, ChartKind.S) or self.R0 is not None:
             self._require_radius("R0", self.R0)
-        if kind in (ChartKind.M, ChartKind.S):
+        if kind in (ChartKind.M, ChartKind.S) or self.R1 is not None:
             self._require_radius("R1", self.R1)
 
     @staticmethod
@@ -139,18 +143,22 @@ def arc_map(r: float, s: float, R: float) -> float:
     """True arc length r*s/R from the chart arc coordinate s.
 
     Total in r, including the light cone r = 0; bijective in s for
-    fixed r != 0.
+    fixed r != 0.  The arguments may be numpy arrays that broadcast
+    together; every R must then be positive.
     """
-    if not R > 0:
+    if not np.all(np.greater(R, 0)):
         raise NonpositiveRadiusParameter(f"arc map requires R > 0, got {R}")
     return r * s / R
 
 
 def arc_map_inverse(r: float, s_tilde: float, R: float) -> float:
-    """Chart arc coordinate R*s_tilde/r; undefined on the cone r = 0."""
-    if not R > 0:
+    """Chart arc coordinate R*s_tilde/r; undefined on the cone r = 0.
+
+    Takes broadcasting arrays like :func:`arc_map`.
+    """
+    if not np.all(np.greater(R, 0)):
         raise NonpositiveRadiusParameter(f"arc map requires R > 0, got {R}")
-    if r == 0.0:
+    if np.any(np.equal(r, 0.0)):
         raise LightConePoint("arc map inverse undefined at r = 0")
     return R * s_tilde / r
 
@@ -234,7 +242,8 @@ def scale_potential(a: Biquaternion, r1: float, R1: float) -> Biquaternion:
 
     Applied to an inverse-distance potential A0 = e/r1 this yields the
     constant e/R1, independent of r1: the premise of the constant bound
-    potential.
+    potential.  ``a`` may also be a ``(..., 4)`` coefficient array, with
+    r1 broadcasting against it (shape ``(..., 1)`` for one r1 per row).
     """
     if not R1 > 0:
         raise NonpositiveRadiusParameter(f"potential scaling requires R1 > 0, got {R1}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import FloatRange, InvalidQuantumNumber, SpeedDomain, ZeroCharge
+from .errors import FloatRange, SpeedDomain, ZeroCharge, quantum_integer
 from .spectrum import QuantumNumbers
 
 __all__ = [
@@ -41,9 +41,11 @@ H_NATURAL = 2.0 * math.pi  # Planck's constant with hbar = 1
 
 
 def coefficient_d(n: int) -> float:
-    """Orbital coupling coefficient 3*pi/(n^2 h^2) = 3/(4 pi n^2)."""
-    if int(n) != n or n < 1:
-        raise InvalidQuantumNumber(f"n must be an integer >= 1, got {n}")
+    """Orbital coupling coefficient 3*pi/(n^2 h^2) = 3/(4 pi n^2).
+
+    n follows the :class:`QuantumNumbers` rule: an integer >= 1, not ``bool``.
+    """
+    n = quantum_integer("n", n, 1)
     return 3.0 / (4.0 * math.pi * (n * n))
 
 
@@ -51,10 +53,10 @@ def replacement_map(n_theta: int, alpha: float) -> float:
     """sqrt(n_theta^2 - alpha^2); callers add n_r to extend the orbit coupling.
 
     Squaring the shifted value and adding alpha^2 reproduces the
-    denominator bracket of :func:`coefficient_d_prime` exactly.
+    denominator bracket of :func:`coefficient_d_prime` exactly.  n_theta
+    follows the :class:`QuantumNumbers` rule.
     """
-    if int(n_theta) != n_theta or n_theta < 1:
-        raise InvalidQuantumNumber(f"n_theta must be an integer >= 1, got {n_theta}")
+    n_theta = quantum_integer("n_theta", n_theta, 1)
     if not alpha < n_theta:
         raise SpeedDomain(f"need alpha < n_theta, got alpha={alpha}, n_theta={n_theta}")
     return math.sqrt(n_theta * n_theta - alpha * alpha)

@@ -15,6 +15,10 @@ coefficient map, not in the real components.  The dashed-frame kinematic
 relations are plain exchanges in stored-real form: s0' = s1, s1' = s0,
 eta' = mu, mu' = eta, and the arc-form dot product eta*ds0 + mu*ds1 is
 invariant under them.
+
+:func:`component_map`, :func:`tachyon_quaternion` and :func:`tachyon_double`
+take a :class:`Biquaternion` or a ``(..., 4)`` coefficient array (see
+:func:`~circledirac.biquaternion.array_mul`), so a batch is one call.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .biquaternion import Biquaternion, FourVector, I1, embed, unembed
+import numpy as np
+
+from .biquaternion import Biquaternion, FourVector, I1, array_mul, embed, unembed
 from .errors import NonUnitRotor, ZeroArcElement
 from .reflector import DiracOperator, Reflector, WaveFunction, sandwich
 from .planewave import ExpWave
@@ -72,19 +78,29 @@ class TachyonRotor:
         return self.r.conj
 
 
-def component_map(x: Biquaternion) -> Biquaternion:
+def _same_factor(r: Biquaternion, x: Biquaternion | np.ndarray) -> Biquaternion | np.ndarray:
+    """r*x*r for a Biquaternion or a ``(..., 4)`` coefficient array x."""
+    if isinstance(x, Biquaternion):
+        return r * x * r
+    r = np.array(r.coeffs)
+    return array_mul(array_mul(r, x), r)
+
+
+def component_map(x: Biquaternion | np.ndarray) -> Biquaternion | np.ndarray:
     """The transformation written on coefficients: (c0, c1) -> (-c1, c0)."""
     sign = -1.0 if os.environ.get(FAULT_ENV, "") == "tachyon-sign" else 1.0
-    return Biquaternion(-x.c1, sign * x.c0, x.c2, x.c3)
+    if isinstance(x, Biquaternion):
+        return Biquaternion(-x.c1, sign * x.c0, x.c2, x.c3)
+    x = np.asarray(x)
+    return np.stack((-x[..., 1], sign * x[..., 0], x[..., 2], x[..., 3]), axis=-1)
 
 
-def tachyon_quaternion(x: Biquaternion,
+def tachyon_quaternion(x: Biquaternion | np.ndarray,
                        rotor: TachyonRotor | None = None,
-                       conjugated: bool = False) -> Biquaternion:
+                       conjugated: bool = False) -> Biquaternion | np.ndarray:
     """Same-factor sandwich r*x*r (or conj(r)*x*conj(r) for dagger-type x)."""
     rot = rotor if rotor is not None else TachyonRotor()
-    r = rot.conj if conjugated else rot.r
-    return r * x * r
+    return _same_factor(rot.conj if conjugated else rot.r, x)
 
 
 def tachyon_reflector(x: Reflector, rotor: TachyonRotor | None = None) -> Reflector:
@@ -103,9 +119,9 @@ def tachyon_fourvector(x: FourVector) -> FourVector:
     return FourVector(x.x1, x.x0, x.x2, x.x3)
 
 
-def tachyon_double(x: Biquaternion) -> Biquaternion:
+def tachyon_double(x: Biquaternion | np.ndarray) -> Biquaternion | np.ndarray:
     """Two applications, via the composed rotor i_1: exact (0,1) half turn."""
-    return I1 * x * I1
+    return _same_factor(I1, x)
 
 
 def tachyon_fourvector_double(x: FourVector) -> FourVector:

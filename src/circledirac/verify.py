@@ -10,6 +10,14 @@ Most cases report a maximum error that must stay below a tolerance.
 Detection cases (where a fault must produce a LARGE residual, or an
 ordering must be strict) report the ratio required/actual instead, with
 tolerance 1, so that "max_error <= tolerance" uniformly means pass.
+
+Each case draws its inputs in one generator call, runs the library code
+it checks once over the whole batch (through the ``(..., 4)`` array forms
+of :mod:`circledirac.biquaternion` and friends) and reduces with one
+maximum, so a NaN error propagates and fails the case.  The chart round
+trips and the charge-density roots stay scalar calls of
+:func:`~circledirac.circle_spaces.chart_map` and
+:func:`~circledirac.qed.solve_rho`, whose batch forms do not exist.
 """
 
 from __future__ import annotations
@@ -17,15 +25,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from . import circle_spaces as cs
 from . import qed
 from . import spectrum as sp
-from .biquaternion import Biquaternion, FourVector, I1, I2, I3, embed, norm_form
+from .biquaternion import (Biquaternion, FourVector, I1, I2, I3, ONE, array_conj, array_embed,
+                           array_mul, array_norm_form, array_to_matrix)
 from .planewave import PlaneWave, bound_solution, free_solution, mass_term, plane_wave_solution, residual
-from .reflector import DiagPair, reflector_mul
+from .reflector import reflector_mul_array
 from .spectrum import QuantumNumbers
 from .tachyon import DashedKinematics, TachyonRotor, component_map, tachyon_double, tachyon_quaternion
 
@@ -72,16 +82,19 @@ def _detect(case_id: str, actual: float, required: float) -> CaseResult:
     return _case(case_id, required / actual, 1.0)
 
 
-def _rand_biquaternion(rng: np.random.Generator) -> Biquaternion:
-    re = rng.standard_normal(4)
-    im = rng.standard_normal(4)
-    return Biquaternion(*(complex(a, b) for a, b in zip(re, im)))
+def _complex_pairs(draws: np.ndarray) -> np.ndarray:
+    """Coefficients ``(..., 4)`` from draws ``(..., 2, 4)``: real parts, then imaginary.
+
+    A ``(n, 2, 4)`` draw holds the same values, in the same order, as n
+    pairs of ``(4,)`` draws for the real and the imaginary parts.
+    """
+    return draws[..., 0, :] + 1j * draws[..., 1, :]
 
 
-def _rand_int_biquaternion(rng: np.random.Generator) -> Biquaternion:
-    re = rng.integers(-9, 10, size=4)
-    im = rng.integers(-9, 10, size=4)
-    return Biquaternion(*(complex(int(a), int(b)) for a, b in zip(re, im)))
+def _max_rel(diff: np.ndarray, ref: np.ndarray, axis=-1) -> float:
+    """Worst row of max|diff| / max(max|ref|, tiny), rows reduced over ``axis``."""
+    scale = np.maximum(np.max(np.abs(ref), axis=axis), _TINY)
+    return np.max(np.max(np.abs(diff), axis=axis) / scale)
 
 
 # -- algebra -----------------------------------------------------------------
@@ -89,46 +102,36 @@ def _rand_int_biquaternion(rng: np.random.Generator) -> Biquaternion:
 def suite_algebra(rng: np.random.Generator) -> VerificationReport:
     cases = []
 
-    err = 0.0
-    for _ in range(1000):
-        a, b, c = (_rand_biquaternion(rng) for _ in range(3))
-        left = (a * b) * c
-        right = a * (b * c)
-        err = max(err, left.max_abs_diff(right) / max(left.max_abs(), _TINY))
-    cases.append(_case("mul-associative", err, 1e-14))
+    x = _complex_pairs(rng.standard_normal((1000, 3, 2, 4)))
+    a, b, c = x[:, 0], x[:, 1], x[:, 2]
+    left = array_mul(array_mul(a, b), c)
+    right = array_mul(a, array_mul(b, c))
+    cases.append(_case("mul-associative", _max_rel(left - right, left), 1e-14))
 
-    err = 0.0
-    units = (I1, I2, I3)
-    for r in range(3):
-        err = max(err, (units[r] * units[r] + Biquaternion(1.0)).max_abs())
-        for s in range(3):
-            if r != s:
-                err = max(err, (units[r] * units[s] + units[s] * units[r]).max_abs())
-    cases.append(_case("unit-anticommutation", err, 0.0))
+    units = np.array([I1.coeffs, I2.coeffs, I3.coeffs])
+    products = array_mul(units[:, None], units[None, :])       # [r, s] = i_r i_s
+    diag = np.arange(3)
+    squares = products[diag, diag] + np.array(ONE.coeffs)
+    anti = (products + products.swapaxes(0, 1))[~np.eye(3, dtype=bool)]
+    cases.append(_case("unit-anticommutation",
+                       np.max(np.abs(np.concatenate((squares, anti)))), 0.0))
 
-    err = 0.0
-    for _ in range(1000):
-        x = FourVector(*rng.uniform(-3.0, 3.0, size=4))
-        n = norm_form(embed(x))
-        expected = x.minkowski_form()
-        err = max(err, abs(n - expected) / max(abs(expected), 1.0))
-    cases.append(_case("minkowski-embed", err, 1e-14))
+    x = rng.uniform(-3.0, 3.0, size=(1000, 4))
+    n = array_norm_form(array_embed(x))
+    expected = FourVector(*x.T).minkowski_form()
+    cases.append(_case("minkowski-embed",
+                       np.max(np.abs(n - expected) / np.maximum(np.abs(expected), 1.0)), 1e-14))
 
-    err = 0.0
-    for _ in range(200):
-        a = _rand_int_biquaternion(rng)
-        b = _rand_int_biquaternion(rng)
-        err = max(err, (a * b).conj.max_abs_diff(b.conj * a.conj))
+    x = _complex_pairs(rng.integers(-9, 10, size=(200, 2, 2, 4)))
+    a, b = x[:, 0], x[:, 1]
+    err = np.max(np.abs(array_conj(array_mul(a, b)) - array_mul(array_conj(b), array_conj(a))))
     cases.append(_case("conj-antihomomorphism", err, 0.0))
 
-    err = 0.0
-    for _ in range(500):
-        a = _rand_biquaternion(rng)
-        b = _rand_biquaternion(rng)
-        lhs = (a * b).to_matrix()
-        rhs = a.to_matrix() @ b.to_matrix()
-        err = max(err, float(np.max(np.abs(lhs - rhs))) / max(float(np.max(np.abs(lhs))), _TINY))
-    cases.append(_case("matrix-representation", err, 1e-13))
+    x = _complex_pairs(rng.standard_normal((500, 2, 2, 4)))
+    a, b = x[:, 0], x[:, 1]
+    lhs = array_to_matrix(array_mul(a, b))
+    rhs = array_to_matrix(a) @ array_to_matrix(b)
+    cases.append(_case("matrix-representation", _max_rel(lhs - rhs, lhs, axis=(-2, -1)), 1e-13))
 
     return VerificationReport("algebra", tuple(cases))
 
@@ -154,51 +157,41 @@ def suite_charts(rng: np.random.Generator) -> VerificationReport:
     }
     points = _rand_off_cone_points(rng, 1000)
     for name, chart in targets.items():
-        err = 0.0
-        for p in points:
-            q = cs.chart_map(p, chart_l, chart)
-            back = cs.chart_map(q, chart, chart_l)
-            err = max(err, float(np.max(np.abs(back - p))))
-            # the opposite round trip, starting from the circular chart
-            there = cs.chart_map(back, chart_l, chart)
-            err = max(err, float(np.max(np.abs(there - q))))
+        there = [cs.chart_map(p, chart_l, chart) for p in points]
+        back = [cs.chart_map(q, chart, chart_l) for q in there]
+        # the opposite round trip, starting from the circular chart
+        again = [cs.chart_map(p, chart_l, chart) for p in back]
+        err = np.max(np.abs(np.stack((np.subtract(back, points), np.subtract(again, there)))))
         cases.append(_case(f"roundtrip-L-{name}", err, 1e-12))
 
-    err = 0.0
-    identity = DiagPair(Biquaternion(1.0), Biquaternion(1.0))
-    for _ in range(100):
-        basis = cs.rotated_basis(rng.uniform(-2.5, 2.5), rng.uniform(-math.pi, math.pi))
-        units = basis.units
-        for i, u in enumerate(units):
-            err = max(err, (reflector_mul(u, u) - identity).max_abs())
-            for j in range(i + 1, 4):
-                anti = reflector_mul(u, units[j]) + reflector_mul(units[j], u)
-                err = max(err, anti.max_abs())
-    cases.append(_case("rotated-basis-relations", err, 1e-13))
+    angles = rng.uniform((-2.5, -math.pi), (2.5, math.pi), size=(100, 2))
+    units = np.array([[u.to_array() for u in cs.rotated_basis(theta0, theta1).units]
+                      for theta0, theta1 in angles.tolist()])            # (100, 4, 2, 4)
+    products = reflector_mul_array(units[:, :, None], units[:, None, :])  # [:, i, j] = u_i u_j
+    diag = np.arange(4)
+    squares = products[:, diag, diag] - np.array((ONE.coeffs, ONE.coeffs))
+    i, j = np.triu_indices(4, 1)
+    anti = products[:, i, j] + products[:, j, i]
+    cases.append(_case("rotated-basis-relations",
+                       np.max(np.abs(np.concatenate((squares, anti), axis=1))), 1e-13))
 
-    err = 0.0
-    for theta in rng.uniform(-2.5, 2.5, size=100):
-        det = float(np.linalg.det(cs.temporal_derivative_matrix(theta)))
-        err = max(err, abs(det - 1.0))
-    cases.append(_case("derivative-matrix-unimodular", err, 1e-13))
+    thetas = rng.uniform(-2.5, 2.5, size=100)
+    det = np.linalg.det(np.array([cs.temporal_derivative_matrix(t) for t in thetas.tolist()]))
+    cases.append(_case("derivative-matrix-unimodular", np.max(np.abs(det - 1.0)), 1e-13))
 
-    err = 0.0
-    for _ in range(1000):
-        r = rng.uniform(0.1, 4.0) * rng.choice([-1.0, 1.0])
-        s = rng.uniform(-5.0, 5.0)
-        big_r = rng.uniform(0.1, 4.0)
-        s_back = cs.arc_map_inverse(r, cs.arc_map(r, s, big_r), big_r)
-        err = max(err, abs(s_back - s) / max(abs(s), 1.0))
-    cases.append(_case("arc-map-inverse", err, 1e-14))
+    r, s, big_r = rng.uniform((0.1, -5.0, 0.1), (4.0, 5.0, 4.0), size=(1000, 3)).T
+    r = r * rng.choice([-1.0, 1.0], size=1000)
+    s_back = cs.arc_map_inverse(r, cs.arc_map(r, s, big_r), big_r)
+    cases.append(_case("arc-map-inverse",
+                       np.max(np.abs(s_back - s) / np.maximum(np.abs(s), 1.0)), 1e-14))
 
-    err = 0.0
     e = 0.5
     big_r1 = 1.7
-    for r1 in rng.uniform(0.05, 5.0, size=200):
-        a = embed((e / r1, 0.0, 0.0, 0.0))
-        scaled = cs.scale_potential(a, r1, big_r1)
-        expected = embed((e / big_r1, 0.0, 0.0, 0.0))
-        err = max(err, scaled.max_abs_diff(expected) / expected.max_abs())
+    r1 = rng.uniform(0.05, 5.0, size=(200, 1))
+    a = array_embed(np.hstack((e / r1, np.zeros((200, 3)))))
+    scaled = cs.scale_potential(a, r1, big_r1)
+    expected = array_embed((e / big_r1, 0.0, 0.0, 0.0))
+    err = np.max(np.abs(scaled - expected)) / np.max(np.abs(expected))
     cases.append(_case("inverse-distance-flattens", err, 1e-14))
 
     return VerificationReport("charts", tuple(cases))
@@ -254,37 +247,25 @@ def suite_tachyon(rng: np.random.Generator) -> VerificationReport:
     cases = []
     rotor = TachyonRotor()
 
-    err = 0.0
-    for _ in range(1000):
-        x = _rand_biquaternion(rng)
-        err = max(err, tachyon_quaternion(x, rotor).max_abs_diff(component_map(x)))
+    x = _complex_pairs(rng.standard_normal((1000, 2, 4)))
+    err = np.max(np.abs(tachyon_quaternion(x, rotor) - component_map(x)))
     cases.append(_case("rotor-vs-component-map", err, 1e-14))
 
-    err = 0.0
-    for _ in range(200):
-        x = _rand_biquaternion(rng)
-        err = max(err, tachyon_double(x).max_abs_diff(component_map(component_map(x))))
+    x = _complex_pairs(rng.standard_normal((200, 2, 4)))
+    err = np.max(np.abs(tachyon_double(x) - component_map(component_map(x))))
     cases.append(_case("double-application-exact", err, 0.0))
 
-    err = 0.0
-    for _ in range(1000):
-        s0, s1 = rng.uniform(-3.0, 3.0, size=2)
-        eta, mu = rng.uniform(-3.0, 3.0, size=2)
-        d = DashedKinematics.from_undashed(s0, s1, eta, mu)
-        dot = eta * s0 + mu * s1
-        dot_dashed = d.etad * d.s0d + d.mud * d.s1d
-        err = max(err, abs(dot_dashed - dot))
+    s0, s1, eta, mu = rng.uniform(-3.0, 3.0, size=(1000, 4)).T
+    d = DashedKinematics.from_undashed(s0, s1, eta, mu)
+    err = np.max(np.abs((d.etad * d.s0d + d.mud * d.s1d) - (eta * s0 + mu * s1)))
     cases.append(_case("dot-product-invariance", err, 1e-13))
 
-    err = 0.0
-    for _ in range(1000):
-        raw = rng.standard_normal(4)
-        raw /= np.linalg.norm(raw)
-        r = Biquaternion(*raw)
-        x = _rand_biquaternion(rng)
-        n_before = norm_form(x)
-        n_after = norm_form(r * x * r)
-        err = max(err, abs(n_after - n_before) / max(abs(n_before), 1.0))
+    draws = rng.standard_normal((1000, 3, 4))
+    r = draws[:, 0] / np.linalg.norm(draws[:, 0], axis=-1, keepdims=True)
+    x = _complex_pairs(draws[:, 1:])
+    n_before = array_norm_form(x)
+    n_after = array_norm_form(array_mul(array_mul(r, x), r))
+    err = np.max(np.abs(n_after - n_before) / np.maximum(np.abs(n_before), 1.0))
     cases.append(_case("general-rotor-norm-preserved", err, 1e-13))
 
     return VerificationReport("tachyon", tuple(cases))
@@ -293,7 +274,10 @@ def suite_tachyon(rng: np.random.Generator) -> VerificationReport:
 # -- spectrum ----------------------------------------------------------------
 
 def sommerfeld_expansion(alpha: float, n_theta: int, n_r: int) -> float:
-    """Fourth-order expansion of the level in alpha (independent oracle)."""
+    """Fourth-order expansion of the level in alpha (independent oracle).
+
+    n_theta and n_r may be integer arrays that broadcast together.
+    """
     n = n_theta + n_r
     a2 = alpha * alpha
     return 1.0 - a2 / (2.0 * n * n) - (a2 * a2 / (2.0 * n ** 4)) * (n / n_theta - 0.75)
@@ -302,76 +286,54 @@ def sommerfeld_expansion(alpha: float, n_theta: int, n_r: int) -> float:
 def suite_spectrum(rng: np.random.Generator) -> VerificationReport:
     cases = []
     alphas = (1.0 / 137.0, 0.3, 0.6)
+    # every level (alpha, n_theta, n_r) of the 3 x 8 x 9 grid, solved once by each route
+    grid = (len(alphas), 8, 9)
+    levels = [(alpha, n_theta, n_r) for alpha in alphas
+              for n_theta in range(1, 9) for n_r in range(0, 9)]
+    states = [sp.coupled_solve(alpha, QuantumNumbers(n_theta, n_r))
+              for alpha, n_theta, n_r in levels]
+    closed = np.array([sp.energy_closed_form(*level) for level in levels]).reshape(grid)
 
-    err = 0.0
-    for alpha in alphas:
-        for n_theta in range(1, 9):
-            for n_r in range(0, 9):
-                qn = QuantumNumbers(n_theta, n_r)
-                a_route = sp.coupled_solve(alpha, qn).nu_m
-                b_route = sp.energy_closed_form(alpha, n_theta, n_r)
-                err = max(err, abs(a_route - b_route))
-    cases.append(_case("two-route-agreement", err, 1e-12))
+    def field(name: str) -> np.ndarray:
+        get = attrgetter(name)
+        return np.array([get(c) for c in states]).reshape(grid)
 
-    err = 0.0
+    nu_m = field("nu_m")
+    cases.append(_case("two-route-agreement", np.max(np.abs(nu_m - closed)), 1e-12))
+
+    alpha = alphas[0]
+    ref = np.array([[sp.sommerfeld_reference(alpha, n_theta, n_r) for n_r in range(0, 9)]
+                    for n_theta in range(1, 9)])
+    cases.append(_case("reference-agreement", np.max(np.abs(closed[0] - ref)), 1e-12))
+
+    web = []
     for n_theta in range(1, 9):
-        for n_r in range(0, 9):
-            b_route = sp.energy_closed_form(1.0 / 137.0, n_theta, n_r)
-            ref = sp.sommerfeld_reference(1.0 / 137.0, n_theta, n_r)
-            err = max(err, abs(b_route - ref))
-    cases.append(_case("reference-agreement", err, 1e-12))
-
-    err = 0.0
-    for n_theta in range(1, 9):
-        for alpha in (1.0 / 137.0, 0.3, 0.9 * n_theta):
-            b = sp.bohr_solve(alpha, n_theta)
-            err = max(err, abs(1.0 * b.R0_l - n_theta) / n_theta)
-            err = max(err, abs(b.nu_b * b.R0_b - n_theta) / n_theta)
-            err = max(err, abs(b.eta_b * b.R0_b + b.mu_b * b.R1_hat - n_theta) / n_theta)
+        for a in (1.0 / 137.0, 0.3, 0.9 * n_theta):
+            b = sp.bohr_solve(a, n_theta)
+            web.append((1.0 * b.R0_l, b.nu_b * b.R0_b, b.eta_b * b.R0_b + b.mu_b * b.R1_hat, n_theta))
+    web = np.array(web)
+    err = np.max(np.abs(web[:, :3] - web[:, 3:]) / web[:, 3:])
     cases.append(_case("quantization-web", err, 1e-13))
 
-    err = 0.0
-    for alpha in (1.0 / 137.0, 0.3):
-        for n_theta in range(1, 9):
-            coupled = sp.coupled_solve(alpha, QuantumNumbers(n_theta, 0))
-            err = max(err, abs(coupled.nu_m - coupled.bohr.nu_b))
+    err = np.max(np.abs(nu_m[:2, :, 0] - field("bohr.nu_b")[:2, :, 0]))
     cases.append(_case("no-vibration-reduction", err, 1e-13))
 
-    min_step = math.inf
-    for alpha in alphas:
-        grid = {(nt, nr): sp.energy_closed_form(alpha, nt, nr)
-                for nt in range(1, 9) for nr in range(0, 9)}
-        for (nt, nr), value in grid.items():
-            if nr > 0:
-                min_step = min(min_step, value - grid[(nt, nr - 1)])
-            if nt > 1:
-                min_step = min(min_step, value - grid[(nt - 1, nr)])
-    cases.append(_detect("energy-monotonicity", min_step, 1e-15))
+    steps = np.concatenate((np.diff(closed, axis=2).ravel(), np.diff(closed, axis=1).ravel()))
+    cases.append(_detect("energy-monotonicity", np.min(steps), 1e-15))
 
-    err = 0.0
-    for n_theta in range(1, 6):
-        for n_r in range(0, 6):
-            nu = sp.energy_closed_form(1.0 / 137.0, n_theta, n_r)
-            err = max(err, abs(nu - sommerfeld_expansion(1.0 / 137.0, n_theta, n_r)))
+    n_theta, n_r = np.arange(1, 6)[:, None], np.arange(0, 6)
+    err = np.max(np.abs(closed[0, :5, :6] - sommerfeld_expansion(alpha, n_theta, n_r)))
     cases.append(_case("fourth-order-expansion", err, 1e-12))
 
-    err = 0.0
-    for alpha in alphas:
-        for n_theta in range(1, 9):
-            for n_r in range(0, 9):
-                c = sp.coupled_solve(alpha, QuantumNumbers(n_theta, n_r))
-                err = max(err, abs(c.mu_h / c.eta_h - c.bohr.v_b))
-                err = max(err, abs(c.m_h ** 2 - (c.eta_h ** 2 - c.mu_h ** 2)) / c.m_h ** 2)
-                err = max(err, abs(c.eta_h * c.nu_h - c.m_h ** 2) / c.m_h ** 2)
+    mu_h, eta_h, nu_h, m_h = (field(name) for name in ("mu_h", "eta_h", "nu_h", "m_h"))
+    m_h2 = m_h ** 2
+    err = np.max((np.abs(mu_h / eta_h - field("bohr.v_b")),
+                  np.abs(m_h2 - (eta_h ** 2 - mu_h ** 2)) / m_h2,
+                  np.abs(eta_h * nu_h - m_h2) / m_h2))
     cases.append(_case("heavy-electron-closure", err, 1e-13))
 
-    err = 0.0
-    for alpha in alphas:
-        for n_theta in range(1, 9):
-            for n_r in range(0, 9):
-                c = sp.coupled_solve(alpha, QuantumNumbers(n_theta, n_r))
-                expected = 1.0 / c.mu_m
-                err = max(err, abs(c.vprime_m - expected) / abs(expected))
+    expected = 1.0 / field("mu_m")
+    err = np.max(np.abs(field("vprime_m") - expected) / np.abs(expected))
     cases.append(_case("dashed-energy-consistency", err, 1e-12))
 
     return VerificationReport("spectrum", tuple(cases))
@@ -382,53 +344,38 @@ def suite_spectrum(rng: np.random.Generator) -> VerificationReport:
 def suite_qed(rng: np.random.Generator) -> VerificationReport:
     cases = []
     alpha = 1.0 / 137.0
+    # d' at n_theta = 1..10 (rows) and n_r = 0..10 (columns), shared by every case
+    d_prime = np.array([[qed.coefficient_d_prime(QuantumNumbers(n_theta, n_r), alpha)
+                         for n_r in range(0, 11)] for n_theta in range(1, 11)])
 
-    err = 0.0
-    for _ in range(1000):
-        a = rng.uniform(-3.0, 3.0)
-        mass = rng.uniform(0.0, 2.0)
-        e = rng.uniform(0.2, 2.0)
-        qn = QuantumNumbers(int(rng.integers(1, 6)), int(rng.integers(0, 6)))
-        d_prime = qed.coefficient_d_prime(qn, alpha)
-        sol = qed.solve_rho(a, mass, e, d_prime)
-        for rho, res in ((sol.rho_plus, sol.residual_plus),
-                         (sol.rho_minus, sol.residual_minus)):
-            scale = max(rho * rho / (d_prime * e * e), abs(a ** 3 * rho),
-                        mass * mass * d_prime * a ** 4, _TINY)
-            err = max(err, abs(res) / scale)
-    cases.append(_case("root-residuals", err, 1e-12))
+    a, mass, e = rng.uniform((-3.0, 0.0, 0.2), (3.0, 2.0, 2.0), size=(1000, 3)).T
+    n_theta, n_r = rng.integers((1, 0), (6, 6), size=(1000, 2)).T
+    d = d_prime[n_theta - 1, n_r]
+    sols = [qed.solve_rho(*args) for args in zip(a.tolist(), mass.tolist(), e.tolist(), d.tolist())]
+    rho = np.array([(sol.rho_plus, sol.rho_minus) for sol in sols])
+    res = np.array([(sol.residual_plus, sol.residual_minus) for sol in sols])
+    a, mass, e, d = a[:, None], mass[:, None], e[:, None], d[:, None]
+    scale = np.maximum(np.maximum(rho * rho / (d * e * e), np.abs(a ** 3 * rho)),
+                       np.maximum(mass * mass * d * a ** 4, _TINY))
+    cases.append(_case("root-residuals", np.max(np.abs(res) / scale), 1e-12))
 
-    min_d_prime = math.inf
-    for n_theta in range(1, 11):
-        for n_r in range(0, 11):
-            min_d_prime = min(min_d_prime, qed.coefficient_d_prime(QuantumNumbers(n_theta, n_r), alpha))
-    cases.append(_detect("d-prime-positive", min_d_prime, 1e-6))
+    cases.append(_detect("d-prime-positive", np.min(d_prime), 1e-6))
 
-    err = 0.0
-    for n_theta in range(1, 11):
-        err = max(err, abs(qed.coefficient_d_prime(QuantumNumbers(n_theta, 0), alpha)
-                           - qed.coefficient_d(n_theta)))
-    cases.append(_case("d-prime-reduces-to-d", err, 0.0))
+    d_plain = np.array([qed.coefficient_d(n) for n in range(1, 11)])
+    cases.append(_case("d-prime-reduces-to-d", np.max(np.abs(d_prime[:, 0] - d_plain)), 0.0))
 
-    err = 0.0
-    for _ in range(500):
-        n_theta = int(rng.integers(1, 11))
-        n_r = int(rng.integers(0, 11))
-        a = rng.uniform(0.0, 0.99) * n_theta
-        root = qed.replacement_map(n_theta, a)
-        bracket = n_theta * n_theta + n_r * n_r + 2.0 * n_r * root
-        shifted = (root + n_r) ** 2 + a * a
-        err = max(err, abs(shifted - bracket) / bracket)
-    cases.append(_case("bracket-identity", err, 1e-14))
+    n_theta, n_r = rng.integers((1, 0), (11, 11), size=(500, 2)).T
+    a = rng.uniform(0.0, 0.99, size=500) * n_theta
+    root = np.array([qed.replacement_map(n, x) for n, x in zip(n_theta.tolist(), a.tolist())])
+    bracket = n_theta * n_theta + n_r * n_r + 2.0 * n_r * root
+    shifted = (root + n_r) ** 2 + a * a
+    cases.append(_case("bracket-identity", np.max(np.abs(shifted - bracket) / bracket), 1e-14))
 
-    min_gap = math.inf
-    for _ in range(200):
-        a = rng.uniform(0.01, 3.0)
-        mass = rng.uniform(0.0, 2.0)
-        e = rng.uniform(0.2, 2.0)
-        sol = qed.solve_rho(a, mass, e, qed.coefficient_d_prime(QuantumNumbers(1, 1), alpha))
-        min_gap = min(min_gap, sol.rho_plus - sol.rho_minus)
-    cases.append(_case("branch-ordering", max(0.0, -min_gap), 0.0))
+    a, mass, e = rng.uniform((0.01, 0.0, 0.2), (3.0, 2.0, 2.0), size=(200, 3)).T
+    d_11 = float(d_prime[0, 1])
+    gaps = np.array([sol.rho_plus - sol.rho_minus for sol in
+                     (qed.solve_rho(*args, d_11) for args in zip(a.tolist(), mass.tolist(), e.tolist()))])
+    cases.append(_case("branch-ordering", max(0.0, -np.min(gaps)), 0.0))
 
     return VerificationReport("qed", tuple(cases))
 
@@ -458,19 +405,28 @@ def run_suites(names, seed: int = 0) -> list[VerificationReport]:
     return [run_suite(name, seed) for name in names]
 
 
+def _case_record(case: CaseResult) -> dict:
+    """JSON record of a case; a non-finite ``max_error`` (a failed case) is ``null``."""
+    record = asdict(case)
+    if not math.isfinite(case.max_error):
+        record["max_error"] = None
+    return record
+
+
 def reports_to_json(reports: list[VerificationReport]) -> str:
+    """Strict JSON (RFC 8259): never ``NaN`` or ``Infinity``."""
     payload = {
         "reports": [
             {
                 "suite": r.suite,
                 "overall": r.overall,
-                "cases": [asdict(c) for c in r.cases],
+                "cases": [_case_record(c) for c in r.cases],
             }
             for r in reports
         ],
         "overall": all(r.overall for r in reports),
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def reports_to_csv(reports: list[VerificationReport]) -> str:

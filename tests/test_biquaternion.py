@@ -12,7 +12,10 @@ from circledirac import (
     I3,
     ONE,
     array_conj,
+    array_embed,
     array_mul,
+    array_norm_form,
+    array_to_matrix,
     conj,
     embed,
     mul,
@@ -203,3 +206,38 @@ class TestArrayCore:
         for x, z in zip(a, out):
             assert Biquaternion(*z) == Biquaternion(*x).conj
         assert np.array_equal(array_conj(out), a)
+
+    def test_norm_form_matches_scalar(self):
+        rng = np.random.default_rng(44)
+        a = rng.standard_normal((100, 4)) + 1j * rng.standard_normal((100, 4))
+        out = array_norm_form(a)
+        assert out.shape == (100,)
+        for x, n in zip(a, out):
+            # fused multiply-adds again: agreement to rounding
+            assert abs(n - Biquaternion(*x).norm_form()) <= 1e-14 * max(1.0, abs(n))
+
+    def test_embed_matches_scalar_exactly(self):
+        rng = np.random.default_rng(45)
+        x = rng.uniform(-3.0, 3.0, size=(100, 4))
+        out = array_embed(x)
+        for v, z in zip(x, out):
+            assert Biquaternion(*z) == embed(v)
+        assert np.array_equal(array_embed(x[7]), out[7])
+
+    def test_embedded_norm_is_minkowski_form(self):
+        rng = np.random.default_rng(46)
+        x = rng.uniform(-3.0, 3.0, size=(100, 4))
+        n = array_norm_form(array_embed(x))
+        assert np.array_equal(n.real, FourVector(*x.T).minkowski_form())
+        assert np.all(n.imag == 0.0)
+
+    def test_to_matrix_matches_scalar_exactly(self):
+        rng = np.random.default_rng(47)
+        a = rng.standard_normal((2, 30, 4)) + 1j * rng.standard_normal((2, 30, 4))
+        out = array_to_matrix(a)
+        assert out.shape == (2, 30, 2, 2)
+        for x, m in zip(a.reshape(-1, 4), out.reshape(-1, 2, 2)):
+            b = Biquaternion(*x)
+            c0, c1, c2, c3 = b.coeffs
+            assert np.array_equal(m, [[c0 - 1j * c3, -1j * c1 - c2], [-1j * c1 + c2, c0 + 1j * c3]])
+            assert np.array_equal(b.to_matrix(), m)

@@ -65,6 +65,23 @@ class TestArcMap:
         with pytest.raises(LightConePoint):
             arc_map_inverse(0.0, 1.0, 1.0)
 
+    def test_arrays_match_scalars_exactly(self):
+        rng = np.random.default_rng(48)
+        r, s, big_r = rng.uniform((0.1, -5.0, 0.1), (4.0, 5.0, 4.0), size=(50, 3)).T
+        forward = arc_map(r, s, big_r)
+        back = arc_map_inverse(r, forward, big_r)
+        for i in range(50):
+            assert forward[i] == arc_map(r[i], s[i], big_r[i])
+            assert back[i] == arc_map_inverse(r[i], forward[i], big_r[i])
+
+    def test_arrays_reject_any_bad_entry(self):
+        with pytest.raises(NonpositiveRadiusParameter):
+            arc_map(np.ones(3), np.ones(3), np.array([1.0, 0.0, 2.0]))
+        with pytest.raises(NonpositiveRadiusParameter):
+            arc_map_inverse(np.ones(2), np.ones(2), np.array([1.0, math.nan]))
+        with pytest.raises(LightConePoint):
+            arc_map_inverse(np.array([1.0, 0.0]), np.ones(2), 1.0)
+
 
 def _pairwise_relations(basis):
     worst = 0.0
@@ -130,6 +147,13 @@ class TestScalePotential:
     def test_rejects_radius(self):
         with pytest.raises(NonpositiveRadiusParameter):
             scale_potential(Biquaternion(1.0), 1.0, 0.0)
+
+    def test_array_rows_match_scalar_exactly(self):
+        r1 = np.array([[0.1], [1.0], [7.5]])
+        a = np.array([embed((0.25 / r, 0.1, 0.0, -r)).coeffs for r in r1[:, 0]])
+        out = scale_potential(a, r1, 2.0)
+        for r, row, z in zip(r1[:, 0], a, out):
+            assert Biquaternion(*z) == scale_potential(Biquaternion(*row), r, 2.0)
 
 
 class TestChartMap:
@@ -201,6 +225,19 @@ class TestChartMap:
             SpaceChart(ChartKind.T)
         with pytest.raises(NonpositiveRadiusParameter):
             SpaceChart(ChartKind.S, R0=1.0)
+
+    @pytest.mark.parametrize("kind, radii", [
+        (ChartKind.L, {"R0": "x"}),
+        (ChartKind.L, {"R1": -1.0}),
+        (ChartKind.T, {"R0": 1.0, "R1": math.inf}),
+        (ChartKind.M, {"R0": True, "R1": 1.0}),
+    ])
+    def test_chart_validates_every_given_radius(self, kind, radii):
+        with pytest.raises(NonpositiveRadiusParameter):
+            SpaceChart(kind, **radii)
+
+    def test_chart_keeps_valid_unused_radius(self):
+        assert SpaceChart(ChartKind.L, R0=2.0).R0 == 2.0
 
     def test_json_round_trip(self):
         text = chart_point_to_json(S, [0.1, 0.2, 0.3, 1.4])

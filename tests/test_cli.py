@@ -185,6 +185,8 @@ class TestSubprocessContract:
          "FloatRange: T chart (R0=1) point [1000.0, 0.0, 0.0, 1.0]"),
         (("qed-rho", "--A", "1e60"), "FloatRange: charge-density roots or residuals at A=1e+60"),
         (("qed-rho", "--A", "1e100"), "FloatRange: charge-density roots or residuals at A=1e+100"),
+        (("map", "--space", "T", "--R0", "1", "--round-trip",
+          "--point", '{"chart":"L","R0":"x","coords":[0.1,0,0,1]}'), "R0 > 0, got 'x'"),
     ])
     def test_bad_input_exit_one_without_traceback(self, args):
         argv, message = args

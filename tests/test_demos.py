@@ -19,8 +19,6 @@ def test_demos_found():
 def test_demo_runs(demo):
     env = dict(os.environ)
     env.pop("CIRCLEDIRAC_FAULT", None)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
                           env=env, cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -36,6 +36,14 @@ class TestCoefficientD:
         with pytest.raises(InvalidQuantumNumber):
             coefficient_d(0)
 
+    @pytest.mark.parametrize("n", [True, 2.0, 1.5, "1"])
+    def test_rejects_non_integer(self, n):
+        with pytest.raises(InvalidQuantumNumber):
+            coefficient_d(n)
+
+    def test_accepts_numpy_integers(self):
+        assert coefficient_d(np.int64(2)) == coefficient_d(2)
+
 
 class TestCoefficientDPrime:
     def test_reduces_to_d_exactly(self):
@@ -77,6 +85,11 @@ class TestReplacementMap:
             root = replacement_map(n_theta, alpha)
             bracket = n_theta ** 2 + n_r ** 2 + 2 * n_r * root
             assert (root + n_r) ** 2 + alpha ** 2 == pytest.approx(bracket, rel=1e-14)
+
+    @pytest.mark.parametrize("n_theta", [0, True, 2.0, 1.5])
+    def test_rejects_non_integer(self, n_theta):
+        with pytest.raises(InvalidQuantumNumber):
+            replacement_map(n_theta, 0.1)
 
     def test_no_vibration_is_identity_on_radicand(self):
         root = replacement_map(2, 0.5)

@@ -115,6 +115,44 @@ class TestQuaternionMap:
             TachyonRotor(Biquaternion(1.0, 1.0))
 
 
+class TestArrayForms:
+    """component_map, tachyon_quaternion and tachyon_double on (..., 4) arrays."""
+
+    @staticmethod
+    def _batch(seed, shape=(60,)):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(shape + (4,)) + 1j * rng.standard_normal(shape + (4,))
+
+    def test_component_map_matches_scalar_exactly(self):
+        x = self._batch(27, (3, 20))
+        out = component_map(x)
+        assert out.shape == x.shape
+        for v, z in zip(x.reshape(-1, 4), out.reshape(-1, 4)):
+            assert Biquaternion(*z) == component_map(Biquaternion(*v))
+
+    def test_double_matches_scalar_exactly(self):
+        x = self._batch(28)
+        for v, z in zip(x, tachyon_double(x)):
+            assert Biquaternion(*z) == tachyon_double(Biquaternion(*v))
+
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_quaternion_matches_scalar(self, conjugated):
+        x = self._batch(29)
+        out = tachyon_quaternion(x, conjugated=conjugated)
+        for v, z in zip(x, out):
+            # array_mul may fuse multiply-adds: agreement to rounding
+            ref = tachyon_quaternion(Biquaternion(*v), conjugated=conjugated)
+            assert ref.max_abs_diff(Biquaternion(*z)) <= 1e-15
+
+    def test_fault_flips_the_array_form_too(self, monkeypatch):
+        x = self._batch(30)
+        monkeypatch.setenv("CIRCLEDIRAC_FAULT", "tachyon-sign")
+        faulted = component_map(x)
+        assert np.array_equal(faulted[:, 1], -x[:, 0])
+        for v, z in zip(x, faulted):
+            assert Biquaternion(*z) == component_map(Biquaternion(*v))
+
+
 class TestReflectorTransform:
     def test_identity_rotor(self):
         rng = np.random.default_rng(27)

@@ -1,0 +1,80 @@
+import io
+import json
+import math
+from contextlib import redirect_stdout
+
+import pytest
+
+from circledirac import verify
+from circledirac.cli import main
+from circledirac.verify import VerificationReport, reports_to_csv, reports_to_json
+
+KNOWN_CASES = {
+    "algebra": ("mul-associative", "unit-anticommutation", "minkowski-embed",
+                "conj-antihomomorphism", "matrix-representation"),
+    "charts": ("roundtrip-L-T", "roundtrip-L-M", "roundtrip-L-S", "rotated-basis-relations",
+               "derivative-matrix-unimodular", "arc-map-inverse", "inverse-distance-flattens"),
+    "dirac": ("free-analytic", "free-fd", "bound-analytic", "bound-fd",
+              "bound-potential-analytic", "bound-potential-fd", "fd-convergence-order",
+              "offshell-detected"),
+    "tachyon": ("rotor-vs-component-map", "double-application-exact",
+                "dot-product-invariance", "general-rotor-norm-preserved"),
+    "spectrum": ("two-route-agreement", "reference-agreement", "quantization-web",
+                 "no-vibration-reduction", "energy-monotonicity", "fourth-order-expansion",
+                 "heavy-electron-closure", "dashed-energy-consistency"),
+    "qed": ("root-residuals", "d-prime-positive", "d-prime-reduces-to-d", "bracket-identity",
+            "branch-ordering"),
+}
+EXACT_ZERO = {"unit-anticommutation", "conj-antihomomorphism", "double-application-exact",
+              "d-prime-reduces-to-d", "branch-ordering"}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_every_seed_reports_the_known_cases_passing(seed, monkeypatch):
+    monkeypatch.delenv("CIRCLEDIRAC_FAULT", raising=False)
+    reports = verify.run_suites(verify.SUITE_NAMES, seed)
+    assert [r.suite for r in reports] == list(KNOWN_CASES)
+    assert {r.suite: tuple(c.id for c in r.cases) for r in reports} == KNOWN_CASES
+    assert sum(len(r.cases) for r in reports) == 37
+    for report in reports:
+        for case in report.cases:
+            assert case.passed, (report.suite, case)
+            assert math.isfinite(case.max_error)
+            if case.id in EXACT_ZERO:
+                assert case.max_error == 0.0, case
+
+
+def test_tachyon_sign_fault_fails_both_coefficient_cases(monkeypatch):
+    monkeypatch.setenv("CIRCLEDIRAC_FAULT", "tachyon-sign")
+    cases = {c.id: c for c in verify.run_suite("tachyon", 42).cases}
+    assert not cases["rotor-vs-component-map"].passed
+    assert not cases["double-application-exact"].passed
+    assert cases["dot-product-invariance"].passed
+
+
+def _non_finite_reports():
+    return [VerificationReport("x", (verify._detect("inf-case", 0.0, 1.0),
+                                     verify._case("nan-case", math.nan, 1e-12),
+                                     verify._case("fine", 0.5, 1.0)))]
+
+
+def test_non_finite_errors_fail_and_print_null(monkeypatch):
+    reports = _non_finite_reports()
+    assert [c.passed for c in reports[0].cases] == [False, False, True]
+    payload = json.loads(reports_to_json(reports), parse_constant=_reject_constant)
+    assert [c["max_error"] for c in payload["reports"][0]["cases"]] == [None, None, 0.5]
+    assert payload["overall"] is False
+    assert reports_to_csv(reports).splitlines()[1:3] == ["x,inf-case,inf,1.0,false",
+                                                        "x,nan-case,nan,1e-12,false"]
+
+    monkeypatch.setattr(verify, "run_suites", lambda names, seed=0: _non_finite_reports())
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["verify", "--format", "json"])
+    assert code == 2
+    json.loads(out.getvalue(), parse_constant=_reject_constant)
+
