@@ -42,8 +42,10 @@ from .circle_spaces import (
     rotate_spatial_basis,
     rotate_temporal_basis,
     rotated_basis,
+    rotated_basis_array,
     scale_potential,
     temporal_derivative_matrix,
+    temporal_derivative_matrix_array,
 )
 from .errors import (
     CircleDiracError,

@@ -41,7 +41,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .biquaternion import Biquaternion, I0, I1, I2, I3
+from .biquaternion import Biquaternion, I0, I1, I2, I3, array_conj
 from .errors import FloatRange, LightConePoint, NonpositiveRadiusParameter
 from .reflector import Reflector, unit_reflector
 
@@ -56,7 +56,9 @@ __all__ = [
     "rotate_temporal_basis",
     "rotate_spatial_basis",
     "rotated_basis",
+    "rotated_basis_array",
     "temporal_derivative_matrix",
+    "temporal_derivative_matrix_array",
     "scale_potential",
     "chart_map",
     "chart_point_to_json",
@@ -139,15 +141,44 @@ class SpatialPolar:
         return self.r1 * math.sin(self.theta1), self.r1 * math.cos(self.theta1)
 
 
+def _mapped(fn, *args) -> np.ndarray:
+    """``fn`` from :mod:`math` applied entry by entry over same-shape arrays.
+
+    numpy's own sinh, cosh, asinh, atan2 and hypot may differ from
+    ``math``'s in the last bit, so the array forms map ``math``'s and
+    every entry keeps the bits of the one-point code.
+    """
+    shape = np.shape(args[0])
+    flat = [np.ravel(a).tolist() for a in args]
+    return np.fromiter(map(fn, *flat), float, len(flat[0])).reshape(shape)
+
+
+def _first_offender(ok, values, name: str) -> str:
+    """``name = value``, or ``name[index] = value`` at the first False entry of an array ``ok``.
+
+    ``ok`` has the shape of ``values``.
+    """
+    if np.ndim(ok) == 0:
+        return f"{name} = {values}"
+    index = np.unravel_index(np.argmin(ok), np.shape(ok))
+    return f"{name}[{', '.join(map(str, index))}] = {np.asarray(values)[index]}"
+
+
+def _require_positive(R, what: str, name: str = "R") -> None:
+    ok = np.greater(R, 0)
+    if not np.all(ok):
+        raise NonpositiveRadiusParameter(f"{what} requires {name} > 0, got {_first_offender(ok, R, name)}")
+
+
 def arc_map(r: float, s: float, R: float) -> float:
     """True arc length r*s/R from the chart arc coordinate s.
 
     Total in r, including the light cone r = 0; bijective in s for
     fixed r != 0.  The arguments may be numpy arrays that broadcast
-    together; every R must then be positive.
+    together; every R must then be positive, and an error names the
+    first entry that is not.
     """
-    if not np.all(np.greater(R, 0)):
-        raise NonpositiveRadiusParameter(f"arc map requires R > 0, got {R}")
+    _require_positive(R, "arc map")
     return r * s / R
 
 
@@ -156,10 +187,10 @@ def arc_map_inverse(r: float, s_tilde: float, R: float) -> float:
 
     Takes broadcasting arrays like :func:`arc_map`.
     """
-    if not np.all(np.greater(R, 0)):
-        raise NonpositiveRadiusParameter(f"arc map requires R > 0, got {R}")
-    if np.any(np.equal(r, 0.0)):
-        raise LightConePoint("arc map inverse undefined at r = 0")
+    _require_positive(R, "arc map")
+    off_cone = np.not_equal(r, 0.0)
+    if not np.all(off_cone):
+        raise LightConePoint(f"arc map inverse undefined at {_first_offender(off_cone, r, 'r')}")
     return R * s_tilde / r
 
 
@@ -227,6 +258,26 @@ def rotated_basis(theta0: float, theta1: float) -> RotatedBasis:
     return RotatedBasis(t.u0, s.u1, s.u2, t.u3)
 
 
+def rotated_basis_array(theta0, theta1) -> np.ndarray:
+    """:func:`rotated_basis` over broadcasting arrays of angles.
+
+    Returns ``(..., 4, 2, 4)``: entry ``[..., k, :, :]`` is the
+    ``units[k].to_array()`` of the one-point basis, bit for bit.
+    """
+    theta0, theta1 = np.broadcast_arrays(np.asarray(theta0, dtype=float),
+                                         np.asarray(theta1, dtype=float))
+    ch, sh = _mapped(math.cosh, theta0), _mapped(math.sinh, theta0)
+    c, s = _mapped(math.cos, theta1), _mapped(math.sin, theta1)
+    zero = np.zeros_like(ch)
+    tops = np.stack([np.stack(unit, axis=-1).astype(complex) for unit in (
+        (ch, zero, zero, 1j * sh),       # arc_0
+        (zero, c, -s, zero),             # arc_1
+        (zero, s, c, zero),              # radius_1
+        (-1j * sh, zero, zero, ch),      # radius_0
+    )], axis=-2)
+    return np.stack((tops, array_conj(tops)), axis=-2)
+
+
 def temporal_derivative_matrix(theta0: float) -> np.ndarray:
     """Hyperbolic rotation taking plane derivatives to polar ones.
 
@@ -237,6 +288,13 @@ def temporal_derivative_matrix(theta0: float) -> np.ndarray:
     return np.array([[ch, -sh], [-sh, ch]], dtype=float)
 
 
+def temporal_derivative_matrix_array(theta0) -> np.ndarray:
+    """:func:`temporal_derivative_matrix` over an array of angles: ``(..., 2, 2)``, bit for bit."""
+    theta0 = np.asarray(theta0, dtype=float)
+    ch, sh = _mapped(math.cosh, theta0), _mapped(math.sinh, theta0)
+    return np.stack((np.stack((ch, -sh), axis=-1), np.stack((-sh, ch), axis=-1)), axis=-2)
+
+
 def scale_potential(a: Biquaternion, r1: float, R1: float) -> Biquaternion:
     """Volume-element rescaling (r1/R1)*a of a potential on a spatial circle chart.
 
@@ -244,9 +302,9 @@ def scale_potential(a: Biquaternion, r1: float, R1: float) -> Biquaternion:
     constant e/R1, independent of r1: the premise of the constant bound
     potential.  ``a`` may also be a ``(..., 4)`` coefficient array, with
     r1 broadcasting against it (shape ``(..., 1)`` for one r1 per row).
+    R1 may be an array too; every entry must be positive.
     """
-    if not R1 > 0:
-        raise NonpositiveRadiusParameter(f"potential scaling requires R1 > 0, got {R1}")
+    _require_positive(R1, "potential scaling", "R1")
     return (r1 / R1) * a
 
 
@@ -262,8 +320,9 @@ def _chart_label(chart: SpaceChart) -> str:
     return f"{chart.kind.value} chart ({radii})" if radii else f"{chart.kind.value} chart"
 
 
-def chart_map(coords: Iterable[float], source: SpaceChart, target: SpaceChart) -> np.ndarray:
-    """Map a point between charts; round trips are the identity.
+def chart_map(coords: Iterable[float] | np.ndarray, source: SpaceChart,
+              target: SpaceChart) -> np.ndarray:
+    """Map a point ``(4,)`` or a batch ``(N, 4)`` between charts; round trips are the identity.
 
     Composes the polar decompositions, the arc maps and the slot
     renaming (arc coordinates occupy the slots of the plane coordinates
@@ -271,10 +330,14 @@ def chart_map(coords: Iterable[float], source: SpaceChart, target: SpaceChart) -
     LightConePoint when the temporal inversion is required at a point
     with x3 <= |x0|, and FloatRange when the point or its image is not
     finite in double precision.
+
+    A batch gives in every row exactly the bits a one-point call gives
+    for that row.  It raises what one-point calls over its rows would
+    raise first, with a message naming that row's index and coordinates.
     """
     c = np.asarray(coords if isinstance(coords, np.ndarray) else list(coords), dtype=float)
     if c.shape != (4,):
-        raise ValueError(f"chart point needs exactly 4 coordinates, got shape {c.shape}")
+        return _chart_map_batch(c, source, target)
     x0, x1, x2, x3 = c.tolist()
     try:
         if source.kind in _TEMPORAL:
@@ -296,6 +359,54 @@ def chart_map(coords: Iterable[float], source: SpaceChart, target: SpaceChart) -
         raise FloatRange(f"{_chart_label(source)} point {c.tolist()} has no finite "
                          f"image on the {_chart_label(target)}: {list(image)}")
     return np.array(image)
+
+
+def _chart_map_batch(c: np.ndarray, source: SpaceChart, target: SpaceChart) -> np.ndarray:
+    """:func:`chart_map` of an ``(N, 4)`` batch, row for row bit-identical to the one-point map.
+
+    The arithmetic runs in numpy, whose ``/``, ``*``, ``-`` and ``sqrt``
+    are correctly rounded like Python's, and every transcendental is
+    ``math``'s own (:func:`_mapped`).  The one-point body is kept apart
+    because its per-call cost is what pointwise callers pay.
+    """
+    if c.ndim != 2 or c.shape[1] != 4:
+        raise ValueError(f"chart points need shape (4,) or (N, 4), got shape {c.shape}")
+    x0, x1, x2, x3 = c.T
+    with np.errstate(all="ignore"):
+        try:
+            if source.kind in _TEMPORAL:
+                theta0 = x0 / float(source.R0)
+                x0, x3 = x3 * _mapped(math.sinh, theta0), x3 * _mapped(math.cosh, theta0)
+            if source.kind in _SPATIAL:
+                theta1 = x1 / float(source.R1)
+                x1, x2 = x2 * _mapped(math.sin, theta1), x2 * _mapped(math.cos, theta1)
+        except (OverflowError, ValueError):
+            raise _first_row_error(c, source, target) from None
+        if target.kind in _TEMPORAL:
+            w = x3 * x3 - x0 * x0
+            if np.any((w <= 0.0) | (x3 <= 0.0)):
+                raise _first_row_error(c, source, target)
+            r0 = np.sqrt(w)
+            x0, x3 = float(target.R0) * _mapped(math.asinh, x0 / r0), r0
+        if target.kind in _SPATIAL:
+            x1, x2 = float(target.R1) * _mapped(math.atan2, x1, x2), _mapped(math.hypot, x1, x2)
+    image = np.stack((x0, x1, x2, x3), axis=1)
+    if not np.isfinite(image).all():
+        raise _first_row_error(c, source, target)
+    return image
+
+
+def _first_row_error(c: np.ndarray, source: SpaceChart,
+                     target: SpaceChart) -> LightConePoint | FloatRange:
+    """The one-point error of the first row of ``c`` that fails, with that row's index added."""
+    for i, row in enumerate(c):
+        try:
+            chart_map(row, source, target)
+        except LightConePoint as err:
+            return LightConePoint(f"{_chart_label(source)} batch row {i} {row.tolist()} "
+                                  f"is off the {_chart_label(target)}: {err}")
+        except FloatRange as err:
+            return FloatRange(f"batch row {i}: {err}")
 
 
 def chart_point_to_json(chart: SpaceChart, coords: Iterable[float]) -> str:

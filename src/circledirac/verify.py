@@ -13,11 +13,11 @@ tolerance 1, so that "max_error <= tolerance" uniformly means pass.
 
 Each case draws its inputs in one generator call, runs the library code
 it checks once over the whole batch (through the ``(..., 4)`` array forms
-of :mod:`circledirac.biquaternion` and friends) and reduces with one
-maximum, so a NaN error propagates and fails the case.  The chart round
-trips and the charge-density roots stay scalar calls of
-:func:`~circledirac.circle_spaces.chart_map` and
-:func:`~circledirac.qed.solve_rho`, whose batch forms do not exist.
+of :mod:`circledirac.biquaternion` and friends, and the ``(N, 4)`` batch
+form of :func:`~circledirac.circle_spaces.chart_map`) and reduces with
+one maximum, so a NaN error propagates and fails the case.  The
+charge-density roots stay scalar calls of
+:func:`~circledirac.qed.solve_rho`, whose batch form does not exist.
 """
 
 from __future__ import annotations
@@ -157,16 +157,15 @@ def suite_charts(rng: np.random.Generator) -> VerificationReport:
     }
     points = _rand_off_cone_points(rng, 1000)
     for name, chart in targets.items():
-        there = [cs.chart_map(p, chart_l, chart) for p in points]
-        back = [cs.chart_map(q, chart, chart_l) for q in there]
+        there = cs.chart_map(points, chart_l, chart)
+        back = cs.chart_map(there, chart, chart_l)
         # the opposite round trip, starting from the circular chart
-        again = [cs.chart_map(p, chart_l, chart) for p in back]
-        err = np.max(np.abs(np.stack((np.subtract(back, points), np.subtract(again, there)))))
+        again = cs.chart_map(back, chart_l, chart)
+        err = np.max(np.abs(np.stack((back - points, again - there))))
         cases.append(_case(f"roundtrip-L-{name}", err, 1e-12))
 
     angles = rng.uniform((-2.5, -math.pi), (2.5, math.pi), size=(100, 2))
-    units = np.array([[u.to_array() for u in cs.rotated_basis(theta0, theta1).units]
-                      for theta0, theta1 in angles.tolist()])            # (100, 4, 2, 4)
+    units = cs.rotated_basis_array(angles[:, 0], angles[:, 1])           # (100, 4, 2, 4)
     products = reflector_mul_array(units[:, :, None], units[:, None, :])  # [:, i, j] = u_i u_j
     diag = np.arange(4)
     squares = products[:, diag, diag] - np.array((ONE.coeffs, ONE.coeffs))
@@ -176,7 +175,7 @@ def suite_charts(rng: np.random.Generator) -> VerificationReport:
                        np.max(np.abs(np.concatenate((squares, anti), axis=1))), 1e-13))
 
     thetas = rng.uniform(-2.5, 2.5, size=100)
-    det = np.linalg.det(np.array([cs.temporal_derivative_matrix(t) for t in thetas.tolist()]))
+    det = np.linalg.det(cs.temporal_derivative_matrix_array(thetas))
     cases.append(_case("derivative-matrix-unimodular", np.max(np.abs(det - 1.0)), 1e-13))
 
     r, s, big_r = rng.uniform((0.1, -5.0, 0.1), (4.0, 5.0, 4.0), size=(1000, 3)).T

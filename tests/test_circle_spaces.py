@@ -28,8 +28,10 @@ from circledirac import (
     rotate_spatial_basis,
     rotate_temporal_basis,
     rotated_basis,
+    rotated_basis_array,
     scale_potential,
     temporal_derivative_matrix,
+    temporal_derivative_matrix_array,
     unit_reflector,
 )
 
@@ -39,6 +41,21 @@ M = SpaceChart(ChartKind.M, R1=1.3)
 S = SpaceChart(ChartKind.S, R0=0.7, R1=1.3)
 
 IDENTITY = DiagPair(Biquaternion(1.0), Biquaternion(1.0))
+
+# a point every chart above maps onto every other chart
+GOOD_POINT = [0.1, 0.2, 0.3, 1.5]
+
+
+def _batch_with(bad):
+    """Six good rows with ``bad`` at row 3."""
+    batch = np.tile(GOOD_POINT, (6, 1))
+    batch[3] = bad
+    return batch
+
+
+def _bits(a):
+    """Bit patterns of a float or complex array, so that signed zeros count."""
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 class TestArcMap:
@@ -81,6 +98,19 @@ class TestArcMap:
             arc_map_inverse(np.ones(2), np.ones(2), np.array([1.0, math.nan]))
         with pytest.raises(LightConePoint):
             arc_map_inverse(np.array([1.0, 0.0]), np.ones(2), 1.0)
+
+    def test_array_errors_name_first_offender(self):
+        big_r = np.ones(1000)
+        big_r[[617, 800]] = (0.0, -1.0)
+        for fn in (arc_map, arc_map_inverse):
+            with pytest.raises(NonpositiveRadiusParameter) as info:
+                fn(np.ones(1000), np.ones(1000), big_r)
+            assert str(info.value) == "arc map requires R > 0, got R[617] = 0.0"
+        r = np.ones((2, 3))
+        r[1, 2] = 0.0
+        with pytest.raises(LightConePoint) as info:
+            arc_map_inverse(r, np.ones(3), 1.0)
+        assert str(info.value) == "arc map inverse undefined at r[1, 2] = 0.0"
 
 
 def _pairwise_relations(basis):
@@ -129,6 +159,19 @@ class TestRotatedBases:
         for theta in np.linspace(-2.5, 2.5, 41):
             assert abs(np.linalg.det(temporal_derivative_matrix(theta)) - 1.0) < 1e-13
 
+    def test_array_forms_bit_identical(self):
+        rng = np.random.default_rng(11)
+        theta0 = np.concatenate(([0.0, -0.0, 2.5, -2.5], rng.uniform(-2.5, 2.5, 46)))
+        theta1 = np.concatenate(([0.0, -0.0, math.pi, -math.pi], rng.uniform(-math.pi, math.pi, 46)))
+        units = rotated_basis_array(theta0, theta1)
+        matrices = temporal_derivative_matrix_array(theta0.reshape(5, 10))
+        assert units.shape == (50, 4, 2, 4) and matrices.shape == (5, 10, 2, 2)
+        for k, (t0, t1) in enumerate(zip(theta0.tolist(), theta1.tolist())):
+            one = np.array([u.to_array() for u in rotated_basis(t0, t1).units])
+            assert np.array_equal(_bits(units[k]), _bits(one))
+            assert np.array_equal(_bits(matrices.reshape(50, 2, 2)[k]),
+                                  _bits(temporal_derivative_matrix(t0)))
+
 
 class TestScalePotential:
     def test_tangent_radius_unchanged(self):
@@ -147,6 +190,8 @@ class TestScalePotential:
     def test_rejects_radius(self):
         with pytest.raises(NonpositiveRadiusParameter):
             scale_potential(Biquaternion(1.0), 1.0, 0.0)
+        with pytest.raises(NonpositiveRadiusParameter, match=r"R1\[1, 0\] = -1\.0"):
+            scale_potential(np.ones((3, 4)), 1.0, np.array([[1.0], [-1.0], [2.0]]))
 
     def test_array_rows_match_scalar_exactly(self):
         r1 = np.array([[0.1], [1.0], [7.5]])
@@ -185,12 +230,21 @@ class TestChartMap:
         for bad in ([1.0, 0, 0, 1.0], [2.0, 0, 0, 1.0], [0.0, 0, 0, -1.0]):
             with pytest.raises(LightConePoint):
                 chart_map(bad, L, T)
+            with pytest.raises(LightConePoint, match=r"L chart batch row 3 \[.*T chart"):
+                chart_map(_batch_with(bad), L, T)
+
+    def test_batch_shapes(self):
+        assert chart_map(np.empty((0, 4)), L, S).shape == (0, 4)
+        for shape in ((4, 3), (2, 2, 4)):
+            with pytest.raises(ValueError, match="shape"):
+                chart_map(np.ones(shape), L, S)
 
     @pytest.mark.parametrize("source", [L, T, M, S])
     @pytest.mark.parametrize("target", [L, T, M, S])
     def test_bit_identical_to_polar_composition(self, source, target):
         # reference: through L with the polar classes, one plane at a time
         rng = np.random.default_rng(10)
+        points, images = [], []
         for _ in range(50):
             x3 = rng.uniform(0.3, 3.0)
             plane = [x3 * rng.uniform(-0.9, 0.9), rng.uniform(-2, 2), rng.uniform(-2, 2), x3]
@@ -208,6 +262,10 @@ class TestChartMap:
                 pol = SpatialPolar.from_plane(x[1], x[2])
                 y[1], y[2] = target.R1 * pol.theta1, pol.r1
             assert chart_map(p, source, target).tolist() == y
+            points.append(p)
+            images.append(y)
+        # the batch form gives every row the bits of its one-point call
+        assert chart_map(np.array(points), source, target).tolist() == images
 
     @pytest.mark.parametrize("source, coords, target", [
         (SpaceChart(ChartKind.T, R0=1.0), [1000.0, 0, 0, 1.0], SpaceChart(ChartKind.T, R0=1.0)),
@@ -219,6 +277,8 @@ class TestChartMap:
     def test_float_range(self, source, coords, target):
         with pytest.raises(FloatRange, match=source.kind.value + " chart"):
             chart_map(coords, source, target)
+        with pytest.raises(FloatRange, match="batch row 3: " + source.kind.value + " chart"):
+            chart_map(_batch_with(coords), source, target)
 
     def test_chart_requires_radii(self):
         with pytest.raises(NonpositiveRadiusParameter):
