@@ -45,7 +45,6 @@ from .circle_spaces import (
     rotated_basis_array,
     scale_potential,
     temporal_derivative_matrix,
-    temporal_derivative_matrix_array,
 )
 from .errors import (
     CircleDiracError,

@@ -58,7 +58,6 @@ __all__ = [
     "rotated_basis",
     "rotated_basis_array",
     "temporal_derivative_matrix",
-    "temporal_derivative_matrix_array",
     "scale_potential",
     "chart_map",
     "chart_point_to_json",
@@ -78,7 +77,11 @@ class SpaceChart:
     """A chart label plus the circle radii it needs.
 
     A radius the chart does not need may be left out; every radius that
-    is given must be a finite positive real number, needed or not.
+    is given must be a positive real number, needed or not, that is
+    finite as a double.  It is stored as a Python float, so the maps
+    compute in double precision whatever its type (a numpy ``float32``
+    too); a Python int is kept as given, since Python and numpy divide
+    and multiply by it as by its float.
     """
 
     kind: ChartKind
@@ -89,14 +92,21 @@ class SpaceChart:
         kind = ChartKind(self.kind)
         object.__setattr__(self, "kind", kind)
         if kind in (ChartKind.T, ChartKind.S) or self.R0 is not None:
-            self._require_radius("R0", self.R0)
+            object.__setattr__(self, "R0", self._radius("R0", self.R0))
         if kind in (ChartKind.M, ChartKind.S) or self.R1 is not None:
-            self._require_radius("R1", self.R1)
+            object.__setattr__(self, "R1", self._radius("R1", self.R1))
 
     @staticmethod
-    def _require_radius(name: str, value):
-        if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
+    def _radius(name: str, value) -> float | int:
+        as_float = math.nan
+        if isinstance(value, Real) and not isinstance(value, bool):
+            try:
+                as_float = float(value)
+            except OverflowError:
+                pass
+        if not 0 < as_float < math.inf:
             raise NonpositiveRadiusParameter(f"chart requires a finite {name} > 0, got {value!r}")
+        return value if type(value) is int else as_float
 
 
 def _hyperbolic_polar(x0: float, x3: float) -> tuple[float, float]:
@@ -252,17 +262,18 @@ def rotate_spatial_basis(theta1: float) -> RotatedBasis:
 
 
 def rotated_basis(theta0: float, theta1: float) -> RotatedBasis:
-    """Full circular-chart basis with both planes rotated."""
-    t = rotate_temporal_basis(theta0)
-    s = rotate_spatial_basis(theta1)
-    return RotatedBasis(t.u0, s.u1, s.u2, t.u3)
+    """Full circular-chart basis with both planes rotated: one point of :func:`rotated_basis_array`."""
+    return RotatedBasis(*(Reflector(Biquaternion(*top), Biquaternion(*bottom))
+                          for top, bottom in rotated_basis_array(theta0, theta1).tolist()))
 
 
 def rotated_basis_array(theta0, theta1) -> np.ndarray:
-    """:func:`rotated_basis` over broadcasting arrays of angles.
+    """Coefficients of the circular-chart basis over broadcasting arrays of angles.
 
-    Returns ``(..., 4, 2, 4)``: entry ``[..., k, :, :]`` is the
-    ``units[k].to_array()`` of the one-point basis, bit for bit.
+    Returns ``(..., 4, 2, 4)``: entry ``[..., k, :, :]`` is unit ``k`` of
+    the basis (arc_0, arc_1, radius_1, radius_0) as a reflector array,
+    i.e. the :func:`rotate_temporal_basis` units in slots 0 and 3 and the
+    :func:`rotate_spatial_basis` units in slots 1 and 2.
     """
     theta0, theta1 = np.broadcast_arrays(np.asarray(theta0, dtype=float),
                                          np.asarray(theta1, dtype=float))
@@ -282,14 +293,8 @@ def temporal_derivative_matrix(theta0: float) -> np.ndarray:
     """Hyperbolic rotation taking plane derivatives to polar ones.
 
     Has Lorentz-boost form; its determinant cosh^2 - sinh^2 is 1.
+    theta0 may be an array of angles; the result is then ``(..., 2, 2)``.
     """
-    ch = math.cosh(theta0)
-    sh = math.sinh(theta0)
-    return np.array([[ch, -sh], [-sh, ch]], dtype=float)
-
-
-def temporal_derivative_matrix_array(theta0) -> np.ndarray:
-    """:func:`temporal_derivative_matrix` over an array of angles: ``(..., 2, 2)``, bit for bit."""
     theta0 = np.asarray(theta0, dtype=float)
     ch, sh = _mapped(math.cosh, theta0), _mapped(math.sinh, theta0)
     return np.stack((np.stack((ch, -sh), axis=-1), np.stack((-sh, ch), axis=-1)), axis=-2)
@@ -375,10 +380,10 @@ def _chart_map_batch(c: np.ndarray, source: SpaceChart, target: SpaceChart) -> n
     with np.errstate(all="ignore"):
         try:
             if source.kind in _TEMPORAL:
-                theta0 = x0 / float(source.R0)
+                theta0 = x0 / source.R0
                 x0, x3 = x3 * _mapped(math.sinh, theta0), x3 * _mapped(math.cosh, theta0)
             if source.kind in _SPATIAL:
-                theta1 = x1 / float(source.R1)
+                theta1 = x1 / source.R1
                 x1, x2 = x2 * _mapped(math.sin, theta1), x2 * _mapped(math.cos, theta1)
         except (OverflowError, ValueError):
             raise _first_row_error(c, source, target) from None
@@ -387,9 +392,9 @@ def _chart_map_batch(c: np.ndarray, source: SpaceChart, target: SpaceChart) -> n
             if np.any((w <= 0.0) | (x3 <= 0.0)):
                 raise _first_row_error(c, source, target)
             r0 = np.sqrt(w)
-            x0, x3 = float(target.R0) * _mapped(math.asinh, x0 / r0), r0
+            x0, x3 = target.R0 * _mapped(math.asinh, x0 / r0), r0
         if target.kind in _SPATIAL:
-            x1, x2 = float(target.R1) * _mapped(math.atan2, x1, x2), _mapped(math.hypot, x1, x2)
+            x1, x2 = target.R1 * _mapped(math.atan2, x1, x2), _mapped(math.hypot, x1, x2)
     image = np.stack((x0, x1, x2, x3), axis=1)
     if not np.isfinite(image).all():
         raise _first_row_error(c, source, target)
@@ -397,8 +402,12 @@ def _chart_map_batch(c: np.ndarray, source: SpaceChart, target: SpaceChart) -> n
 
 
 def _first_row_error(c: np.ndarray, source: SpaceChart,
-                     target: SpaceChart) -> LightConePoint | FloatRange:
-    """The one-point error of the first row of ``c`` that fails, with that row's index added."""
+                     target: SpaceChart) -> LightConePoint | FloatRange | RuntimeError:
+    """The one-point error of the first row of ``c`` that fails, with that row's index added.
+
+    A RuntimeError if no row fails on its own: the batch and the
+    one-point map then disagree, which is a defect of the batch.
+    """
     for i, row in enumerate(c):
         try:
             chart_map(row, source, target)
@@ -407,6 +416,8 @@ def _first_row_error(c: np.ndarray, source: SpaceChart,
                                   f"is off the {_chart_label(target)}: {err}")
         except FloatRange as err:
             return FloatRange(f"batch row {i}: {err}")
+    return RuntimeError(f"a batch of {len(c)} rows failed to map from the {_chart_label(source)} "
+                        f"to the {_chart_label(target)}, but every row maps on its own")
 
 
 def chart_point_to_json(chart: SpaceChart, coords: Iterable[float]) -> str:

@@ -175,7 +175,7 @@ def suite_charts(rng: np.random.Generator) -> VerificationReport:
                        np.max(np.abs(np.concatenate((squares, anti), axis=1))), 1e-13))
 
     thetas = rng.uniform(-2.5, 2.5, size=100)
-    det = np.linalg.det(cs.temporal_derivative_matrix_array(thetas))
+    det = np.linalg.det(cs.temporal_derivative_matrix(thetas))
     cases.append(_case("derivative-matrix-unimodular", np.max(np.abs(det - 1.0)), 1e-13))
 
     r, s, big_r = rng.uniform((0.1, -5.0, 0.1), (4.0, 5.0, 4.0), size=(1000, 3)).T
