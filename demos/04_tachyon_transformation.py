@@ -25,7 +25,7 @@ from circledirac import (
     tachyon_quaternion,
 )
 from circledirac.reflector import ARC_TIME_UNITS, AnalyticDerivative
-from circledirac.tachyon import transform_mass, transform_operator, transform_potential, transform_wave
+from circledirac.tachyon import transform_operator, transform_wave
 
 print("On stored-real four-vectors the transformation swaps the temporal")
 print("and first spatial components:")
@@ -49,7 +49,7 @@ pw = PlaneWave(nu=eA + math.sqrt(1 + mu * mu), mu=mu, mass=1.0, eA=eA)
 wave = transform_wave(bound_solution(pw))
 op = transform_operator(ARC_TIME_UNITS)
 a_pot, e = pw.potential()
-a_dashed, m_dashed = transform_potential(a_pot), transform_mass(mass_term(1.0))
+a_dashed, m_dashed = tachyon_quaternion(a_pot), tachyon_quaternion(mass_term(1.0))
 deriv = AnalyticDerivative()
 worst = 0.0
 for point in np.random.default_rng(4).uniform(-2, 2, size=(10, 4)):

@@ -22,10 +22,7 @@ from .biquaternion import (
     array_mul,
     array_norm_form,
     array_to_matrix,
-    conj,
     embed,
-    mul,
-    norm_form,
     unembed,
 )
 from .circle_spaces import (
@@ -74,7 +71,6 @@ from .planewave import (
 )
 from .qed import (
     ChargeDensitySolution,
-    CouplingCoefficients,
     coefficient_d,
     coefficient_d_prime,
     replacement_map,
@@ -90,11 +86,9 @@ from .reflector import (
     DiracOperator,
     Reflector,
     WaveFunction,
-    diag_mul_reflector,
     dirac_lhs,
     dirac_rhs,
     reflector_mul,
-    reflector_mul_diag,
     sandwich,
     unit_reflector,
 )

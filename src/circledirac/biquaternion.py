@@ -19,7 +19,7 @@ four-vector (x0, x1, x2, x3) onto the biquaternion
 
     -i*x0 * i_0 + x1 * i_1 + x2 * i_2 + x3 * i_3.
 
-With that convention ``norm_form(embed(X))`` is the Minkowski form
+With that convention ``embed(X).norm_form()`` is the Minkowski form
 -x0^2 + x1^2 + x2^2 + x3^2.
 
 Array layout
@@ -48,14 +48,11 @@ __all__ = [
     "I2",
     "I3",
     "UNITS",
-    "mul",
-    "conj",
     "array_mul",
     "array_conj",
     "array_norm_form",
     "array_embed",
     "array_to_matrix",
-    "norm_form",
     "embed",
     "unembed",
 ]
@@ -75,10 +72,6 @@ class Biquaternion:
     @property
     def coeffs(self) -> tuple[complex, complex, complex, complex]:
         return (self.c0, self.c1, self.c2, self.c3)
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[complex]) -> "Biquaternion":
-        return cls(*coeffs)
 
     # -- ring operations -------------------------------------------------
 
@@ -169,10 +162,6 @@ class Biquaternion:
     def max_abs_diff(self, other: "Biquaternion") -> float:
         return (self - other).max_abs()
 
-    def approx_eq(self, other: "Biquaternion", tol: float = 1e-12) -> bool:
-        """Componentwise absolute comparison (default tolerance 1e-12)."""
-        return self.max_abs_diff(other) <= tol
-
     def to_matrix(self) -> np.ndarray:
         """Faithful 2x2 complex matrix representation, i_r -> -i sigma_r."""
         return array_to_matrix(np.array(self.coeffs))
@@ -218,21 +207,6 @@ class FourVector:
     def minkowski_form(self) -> float:
         """-x0^2 + x1^2 + x2^2 + x3^2 (signature matching norm_form(embed))."""
         return -self.x0 * self.x0 + self.x1 * self.x1 + self.x2 * self.x2 + self.x3 * self.x3
-
-
-def mul(a: Biquaternion, b: Biquaternion) -> Biquaternion:
-    """Quaternion product following the multiplication table."""
-    return a * b
-
-
-def conj(a: Biquaternion) -> Biquaternion:
-    """Quaternion conjugation; (a*b) -> conj(b)*conj(a)."""
-    return a.conj
-
-
-def norm_form(a: Biquaternion) -> complex:
-    """Scalar part of a*conj(a); Minkowski form on embedded four-vectors."""
-    return a.norm_form()
 
 
 def array_mul(a, b) -> np.ndarray:

@@ -26,8 +26,9 @@ fixed-radius arc s = R*theta, giving the bijection s_tilde = r*s/R
 inverse hyperbolic polar map rejects on-cone points.
 
 Hyperbolic angles are kept real.  The imaginary rotation angle
-theta_hat = -i*theta0 exists only inside :func:`rotate_temporal_basis`,
-entering through cos(-i t) = cosh t and sin(-i t) = -i sinh t.
+theta_hat = -i*theta0 exists only in the derivation of the temporal basis
+(:func:`rotate_temporal_basis`), entering through cos(-i t) = cosh t and
+sin(-i t) = -i sinh t.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .biquaternion import Biquaternion, I0, I1, I2, I3, array_conj
+from .biquaternion import Biquaternion, array_conj
 from .errors import FloatRange, LightConePoint, NonpositiveRadiusParameter
-from .reflector import Reflector, unit_reflector
+from .reflector import Reflector
 
 __all__ = [
     "ChartKind",
@@ -237,14 +238,10 @@ def rotate_temporal_basis(theta0: float) -> RotatedBasis:
         radius_0 = i_0 sin(theta_hat) + i_3 cos(theta_hat)
                  = -i i_0 sinh(theta0) + i_3 cosh(theta0)
 
-    so theta0 = 0 returns (i_0, i_3) unchanged.
+    so theta0 = 0 returns (i_0, i_3) unchanged.  This is
+    ``rotated_basis(theta0, 0.0)``.
     """
-    ch = math.cosh(theta0)
-    sh = math.sinh(theta0)
-    arc = Biquaternion(ch, 0.0, 0.0, 1j * sh)
-    radius = Biquaternion(-1j * sh, 0.0, 0.0, ch)
-    return RotatedBasis(unit_reflector(arc), unit_reflector(I1),
-                        unit_reflector(I2), unit_reflector(radius))
+    return rotated_basis(theta0, 0.0)
 
 
 def rotate_spatial_basis(theta1: float) -> RotatedBasis:
@@ -252,13 +249,10 @@ def rotate_spatial_basis(theta1: float) -> RotatedBasis:
 
         arc_1    = i_1 cos(theta1) - i_2 sin(theta1)
         radius_1 = i_1 sin(theta1) + i_2 cos(theta1)
+
+    This is ``rotated_basis(0.0, theta1)``.
     """
-    c = math.cos(theta1)
-    s = math.sin(theta1)
-    arc = Biquaternion(0.0, c, -s, 0.0)
-    radius = Biquaternion(0.0, s, c, 0.0)
-    return RotatedBasis(unit_reflector(I0), unit_reflector(arc),
-                        unit_reflector(radius), unit_reflector(I3))
+    return rotated_basis(0.0, theta1)
 
 
 def rotated_basis(theta0: float, theta1: float) -> RotatedBasis:
@@ -434,6 +428,9 @@ def chart_point_from_json(text: str | dict) -> tuple[SpaceChart, np.ndarray]:
     rec = json.loads(text) if isinstance(text, str) else text
     if not isinstance(rec, dict):
         raise ValueError(f"chart point record must be a JSON object, got {type(rec).__name__}")
+    for key in ("chart", "coords"):
+        if key not in rec:
+            raise ValueError(f"chart point record needs the key {key!r}")
     chart = SpaceChart(ChartKind(rec["chart"]), rec.get("R0"), rec.get("R1"))
     try:
         coords = np.asarray(rec["coords"], dtype=float)

@@ -151,9 +151,6 @@ class ExpWave:
         """Derivatives along every mu at points ``(..., 4)``, shape ``(..., 4, 4)``."""
         return (1j * self.k)[:, None] * self.batch(points)[..., None, :]
 
-    def scaled(self, s: complex) -> "ExpWave":
-        return ExpWave(s * self.prefactor, self.k)
-
 
 def mass_term(mass: float) -> Biquaternion:
     """Scalar mass biquaternion -i*mass; its norm form is -mass^2."""
@@ -196,9 +193,6 @@ class ResidualReport:
 
     fd: float
     analytic: float | None
-
-    def worst(self) -> float:
-        return self.fd if self.analytic is None else max(self.fd, self.analytic)
 
 
 def residual(wave: WaveFunction,

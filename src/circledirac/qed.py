@@ -21,14 +21,12 @@ d(n_theta) at n_r = 0.  The quadratic solves in closed form:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import FloatRange, SpeedDomain, ZeroCharge, quantum_integer
 from .spectrum import QuantumNumbers
 
 __all__ = [
-    "H_NATURAL",
-    "CouplingCoefficients",
     "ChargeDensitySolution",
     "coefficient_d",
     "coefficient_d_prime",
@@ -36,9 +34,6 @@ __all__ = [
     "rho_residual",
     "solve_rho",
 ]
-
-H_NATURAL = 2.0 * math.pi  # Planck's constant with hbar = 1
-
 
 def coefficient_d(n: int) -> float:
     """Orbital coupling coefficient 3*pi/(n^2 h^2) = 3/(4 pi n^2).
@@ -67,21 +62,6 @@ def coefficient_d_prime(qn: QuantumNumbers, alpha: float) -> float:
     root = replacement_map(qn.n_theta, alpha)
     bracket = qn.n_theta * qn.n_theta + qn.n_r * qn.n_r + 2.0 * qn.n_r * root
     return 3.0 / (4.0 * math.pi * bracket)
-
-
-@dataclass(frozen=True)
-class CouplingCoefficients:
-    """d and d' for a quantum-number pair at coupling alpha."""
-
-    alpha: float
-    qn: QuantumNumbers
-    d: float = field(init=False)
-    d_prime: float = field(init=False)
-    h: float = H_NATURAL
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", coefficient_d(self.qn.n))
-        object.__setattr__(self, "d_prime", coefficient_d_prime(self.qn, self.alpha))
 
 
 def rho_residual(rho: float, A: float, mass: float, e: float, d: float) -> float:

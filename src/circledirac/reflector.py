@@ -25,17 +25,19 @@ Both sides are assembled once, by :func:`dirac_lhs_array` and
 :func:`dirac_rhs_array`, on coefficient arrays: a reflector or a
 DiagPair is a ``(..., 2, 4)`` array (top/upper first), and leading axes
 broadcast over points and derivative routes.  :func:`dirac_lhs` and
-:func:`dirac_rhs` are their one-point wrappers.
+:func:`dirac_rhs` are their one-point wrappers.  :func:`sandwich` is
+the library's one rotor sandwich r*x*r.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .biquaternion import Biquaternion, I0, I1, I2, I3, array_conj, array_mul
+from .biquaternion import Biquaternion, I0, I1, I2, I3, array_conj, array_mul, array_norm_form
 from .errors import NonUnitRotor
 
 __all__ = [
@@ -46,8 +48,6 @@ __all__ = [
     "AnalyticDerivative",
     "CentralDifference",
     "reflector_mul",
-    "diag_mul_reflector",
-    "reflector_mul_diag",
     "unit_reflector",
     "sandwich",
     "dirac_lhs",
@@ -77,9 +77,6 @@ class Reflector:
     def __neg__(self) -> "Reflector":
         return Reflector(-self.top, -self.bottom)
 
-    def scale(self, s: complex) -> "Reflector":
-        return Reflector(s * self.top, s * self.bottom)
-
     def max_abs(self) -> float:
         return max(self.top.max_abs(), self.bottom.max_abs())
 
@@ -107,7 +104,7 @@ class DiagPair:
     @classmethod
     def from_array(cls, c) -> "DiagPair":
         """DiagPair from a ``(2, 4)`` coefficient array [upper, lower]."""
-        return cls(Biquaternion.from_coeffs(c[0]), Biquaternion.from_coeffs(c[1]))
+        return cls(Biquaternion(*c[0]), Biquaternion(*c[1]))
 
     def __add__(self, other: "DiagPair") -> "DiagPair":
         return DiagPair(self.upper + other.upper, self.lower + other.lower)
@@ -141,15 +138,6 @@ def reflector_mul_array(a, b) -> np.ndarray:
     return array_mul(a, np.asarray(b)[..., ::-1, :])
 
 
-def diag_mul_reflector(d: DiagPair, r: Reflector) -> Reflector:
-    """Diagonal times reflector stays a reflector."""
-    return Reflector(d.upper * r.top, d.lower * r.bottom)
-
-
-def reflector_mul_diag(r: Reflector, d: DiagPair) -> Reflector:
-    return Reflector(r.top * d.lower, r.bottom * d.upper)
-
-
 def unit_reflector(u: Biquaternion) -> Reflector:
     """The reflector (u, conj(u)) carried by a basis unit or operator symbol."""
     return Reflector(u, u.conj)
@@ -157,27 +145,36 @@ def unit_reflector(u: Biquaternion) -> Reflector:
 
 # -- rotor sandwich ------------------------------------------------------
 
-def _check_unit(r: Biquaternion, tol: float) -> None:
-    n = r.norm_form()
-    if abs(n - 1.0) > tol:
-        raise NonUnitRotor(f"rotor norm form {n} differs from 1 by more than {tol}")
+def _check_unit(r, tol: float) -> None:
+    """Raise NonUnitRotor unless every norm form of r is 1 within tol; names the first bad row."""
+    n = np.asarray(r.norm_form() if isinstance(r, Biquaternion) else array_norm_form(r))
+    bad = np.abs(n - 1.0) > tol
+    if np.any(bad):
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        where = f" {list(map(int, at))}" if at else ""
+        raise NonUnitRotor(f"rotor{where} norm form {n[at]} differs from 1 by more than {tol}")
 
 
-def sandwich(r: Biquaternion, x, tol: float = 1e-12):
-    """Same-factor rotor sandwich.
+def sandwich(r, x, tol: float = 1e-12):
+    """Same-factor rotor sandwich r*x*r, the one place the library writes it.
 
-    For a biquaternion x the result is r*x*r.  For a reflector the top
-    block is sandwiched with (r, r) and the bottom block with
-    (conj(r), conj(r)); this is the diagonal-rotor action
+    For a biquaternion x the result is r*x*r.  x, or the rotor r, may
+    also be a ``(..., 4)`` coefficient array (rotors broadcast against
+    x); the result is then an array.  For a reflector x (r a
+    biquaternion) the top block is sandwiched with (r, r) and the bottom
+    block with (conj(r), conj(r)); this is the diagonal-rotor action
     DiagPair(r, conj(r)) . X . DiagPair(conj(r), r) written out.
     """
     _check_unit(r, tol)
-    if isinstance(x, Biquaternion):
-        return r * x * r
-    if isinstance(x, Reflector):
+    if isinstance(x, Reflector) and isinstance(r, Biquaternion):
         rc = r.conj
         return Reflector(r * x.top * r, rc * x.bottom * rc)
-    raise TypeError(f"cannot sandwich object of type {type(x).__name__}")
+    if isinstance(x, Biquaternion) and isinstance(r, Biquaternion):
+        return r * x * r
+    if not isinstance(x, Biquaternion) and np.shape(x)[-1:] != (4,):
+        raise TypeError(f"cannot sandwich object of type {type(x).__name__}")
+    r, x = (np.asarray(v.coeffs if isinstance(v, Biquaternion) else v) for v in (r, x))
+    return array_mul(array_mul(r, x), r)
 
 
 # -- wave functions and derivative strategies ------------------------------
@@ -195,9 +192,6 @@ class WaveFunction:
 
     phi1: Callable[[np.ndarray], Biquaternion]
     phi2: Callable[[np.ndarray], Biquaternion]
-
-    def at(self, point: np.ndarray) -> Reflector:
-        return Reflector(self.phi1(point), self.phi2(point))
 
 
 def _point_by_point(fn, points: np.ndarray) -> np.ndarray:
@@ -236,8 +230,8 @@ class CentralDifference:
     """Second-order central difference with step h."""
 
     def __init__(self, h: float = 1e-5):
-        if h <= 0:
-            raise ValueError("finite-difference step must be positive")
+        if not 0 < h < math.inf:
+            raise ValueError(f"finite-difference step must be positive and finite, got {h}")
         self.h = h
 
     def __call__(self, f, point: np.ndarray, mu: int) -> Biquaternion:

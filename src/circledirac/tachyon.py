@@ -19,6 +19,8 @@ invariant under them.
 :func:`component_map`, :func:`tachyon_quaternion` and :func:`tachyon_double`
 take a :class:`Biquaternion` or a ``(..., 4)`` coefficient array (see
 :func:`~circledirac.biquaternion.array_mul`), so a batch is one call.
+Every rotor product is :func:`~circledirac.reflector.sandwich`; the dashed
+mass and potential are :func:`tachyon_quaternion` of the undashed ones.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .biquaternion import Biquaternion, FourVector, I1, array_mul, embed, unembed
-from .errors import NonUnitRotor, ZeroArcElement
-from .reflector import DiracOperator, Reflector, WaveFunction, sandwich
+from .biquaternion import Biquaternion, FourVector, I1, embed, unembed
+from .errors import ZeroArcElement
+from .reflector import DiracOperator, Reflector, WaveFunction, _check_unit, sandwich
 from .planewave import ExpWave
 
 __all__ = [
@@ -69,21 +71,11 @@ class TachyonRotor:
     tol: float = 1e-12
 
     def __post_init__(self):
-        n = self.r.norm_form()
-        if abs(n - 1.0) > self.tol:
-            raise NonUnitRotor(f"rotor norm form {n} differs from 1 by more than {self.tol}")
+        _check_unit(self.r, self.tol)
 
     @property
     def conj(self) -> Biquaternion:
         return self.r.conj
-
-
-def _same_factor(r: Biquaternion, x: Biquaternion | np.ndarray) -> Biquaternion | np.ndarray:
-    """r*x*r for a Biquaternion or a ``(..., 4)`` coefficient array x."""
-    if isinstance(x, Biquaternion):
-        return r * x * r
-    r = np.array(r.coeffs)
-    return array_mul(array_mul(r, x), r)
 
 
 def component_map(x: Biquaternion | np.ndarray) -> Biquaternion | np.ndarray:
@@ -100,7 +92,7 @@ def tachyon_quaternion(x: Biquaternion | np.ndarray,
                        conjugated: bool = False) -> Biquaternion | np.ndarray:
     """Same-factor sandwich r*x*r (or conj(r)*x*conj(r) for dagger-type x)."""
     rot = rotor if rotor is not None else TachyonRotor()
-    return _same_factor(rot.conj if conjugated else rot.r, x)
+    return sandwich(rot.conj if conjugated else rot.r, x, tol=rot.tol)
 
 
 def tachyon_reflector(x: Reflector, rotor: TachyonRotor | None = None) -> Reflector:
@@ -121,7 +113,7 @@ def tachyon_fourvector(x: FourVector) -> FourVector:
 
 def tachyon_double(x: Biquaternion | np.ndarray) -> Biquaternion | np.ndarray:
     """Two applications, via the composed rotor i_1: exact (0,1) half turn."""
-    return _same_factor(I1, x)
+    return sandwich(I1, x)
 
 
 def tachyon_fourvector_double(x: FourVector) -> FourVector:
@@ -167,31 +159,17 @@ def transform_wave(wave: WaveFunction, rotor: TachyonRotor | None = None) -> Wav
     rot = rotor if rotor is not None else TachyonRotor()
     if not isinstance(wave.phi1, ExpWave) or not isinstance(wave.phi2, ExpWave):
         raise TypeError("transform_wave requires exponential plane-wave components")
-    r, rc = rot.r, rot.conj
+    prefactors = sandwich(rot.r, Reflector(wave.phi1.prefactor, wave.phi2.prefactor), tol=rot.tol)
 
     def swap(k):
         return (k[1], k[0], k[2], k[3])
 
-    phi1 = ExpWave(r * wave.phi1.prefactor * r, swap(wave.phi1.k))
-    phi2 = ExpWave(rc * wave.phi2.prefactor * rc, swap(wave.phi2.k))
-    return WaveFunction(phi1, phi2)
+    return WaveFunction(ExpWave(prefactors.top, swap(wave.phi1.k)),
+                        ExpWave(prefactors.bottom, swap(wave.phi2.k)))
 
 
 def transform_operator(op: DiracOperator, rotor: TachyonRotor | None = None) -> DiracOperator:
     """Tachyon-transform the operator: sandwich units and swap arc slots."""
     rot = rotor if rotor is not None else TachyonRotor()
-    r = rot.r
-    u = [r * unit * r for unit in op.units]
+    u = op.transform(lambda unit: sandwich(rot.r, unit, tol=rot.tol)).units
     return DiracOperator((u[1], u[0], u[2], u[3]))
-
-
-def transform_mass(m: Biquaternion, rotor: TachyonRotor | None = None) -> Biquaternion:
-    """Upper-block mass quaternion in the dashed frame."""
-    rot = rotor if rotor is not None else TachyonRotor()
-    return rot.r * m * rot.r
-
-
-def transform_potential(a: Biquaternion, rotor: TachyonRotor | None = None) -> Biquaternion:
-    """Upper-block potential quaternion in the dashed frame."""
-    rot = rotor if rotor is not None else TachyonRotor()
-    return rot.r * a * rot.r

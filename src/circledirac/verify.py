@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from numbers import Integral
 from operator import attrgetter
 
 import numpy as np
@@ -35,7 +36,7 @@ from . import spectrum as sp
 from .biquaternion import (Biquaternion, FourVector, I1, I2, I3, ONE, array_conj, array_embed,
                            array_mul, array_norm_form, array_to_matrix)
 from .planewave import PlaneWave, bound_solution, free_solution, mass_term, plane_wave_solution, residual
-from .reflector import reflector_mul_array
+from .reflector import reflector_mul_array, sandwich
 from .spectrum import QuantumNumbers
 from .tachyon import DashedKinematics, TachyonRotor, component_map, tachyon_double, tachyon_quaternion
 
@@ -263,7 +264,7 @@ def suite_tachyon(rng: np.random.Generator) -> VerificationReport:
     r = draws[:, 0] / np.linalg.norm(draws[:, 0], axis=-1, keepdims=True)
     x = _complex_pairs(draws[:, 1:])
     n_before = array_norm_form(x)
-    n_after = array_norm_form(array_mul(array_mul(r, x), r))
+    n_after = array_norm_form(sandwich(r, x))
     err = np.max(np.abs(n_after - n_before) / np.maximum(np.abs(n_before), 1.0))
     cases.append(_case("general-rotor-norm-preserved", err, 1e-13))
 
@@ -396,6 +397,8 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suite(name: str, seed: int = 0) -> VerificationReport:
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
+    if not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     index, fn = _SUITES[name]
     return fn(np.random.default_rng([seed, index]))
 

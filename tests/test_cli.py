@@ -187,6 +187,11 @@ class TestSubprocessContract:
         (("qed-rho", "--A", "1e100"), "FloatRange: charge-density roots or residuals at A=1e+100"),
         (("map", "--space", "T", "--R0", "1", "--round-trip",
           "--point", '{"chart":"L","R0":"x","coords":[0.1,0,0,1]}'), "R0 > 0, got 'x'"),
+        (("verify", "--seed", "-1"), "seed must be a non-negative integer, got -1"),
+        (("map", "--space", "T", "--R0", "1", "--point", '{"coords":[0,0,0,1]}'),
+         "chart point record needs the key 'chart'"),
+        (("map", "--space", "T", "--R0", "1", "--point", '{"chart":"L"}'),
+         "chart point record needs the key 'coords'"),
     ])
     def test_bad_input_exit_one_without_traceback(self, args):
         argv, message = args

@@ -1,0 +1,32 @@
+"""Every public name resolves: module ``__all__`` lists and the package re-exports agree."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import circledirac
+
+MODULES = [info.name for info in pkgutil.iter_modules(circledirac.__path__)
+           if info.name != "__main__"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_entries_resolve(name):
+    module = importlib.import_module(f"circledirac.{name}")
+    missing = [entry for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
+    assert missing == []
+
+
+def test_package_reexports_are_listed():
+    tree = ast.parse(Path(circledirac.__file__).read_text())
+    unlisted = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"circledirac.{node.module}")
+            exported = getattr(module, "__all__", None)
+            if exported is not None:
+                unlisted += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
+    assert unlisted == []

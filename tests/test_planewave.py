@@ -7,6 +7,7 @@ from circledirac import (
     Biquaternion,
     CircleWave,
     DispersionViolation,
+    ExpWave,
     InvalidQuantumNumber,
     NonpositiveMass,
     PlaneWave,
@@ -111,7 +112,8 @@ class TestResidualHarness:
 
     def test_linearity(self):
         wave = plane_wave_solution(PW.nu + 0.1, PW.mu, PW.mass)
-        scaled = type(wave)(wave.phi1.scaled(2.0), wave.phi2.scaled(2.0))
+        scaled = WaveFunction(ExpWave(2.0 * wave.phi1.prefactor, wave.phi1.k),
+                              ExpWave(2.0 * wave.phi2.prefactor, wave.phi2.k))
         a, e, m = _args(PW)
         r1 = residual(wave, a, e, m, POINTS, h=1e-4)
         r2 = residual(scaled, a, e, m, POINTS, h=1e-4)
@@ -186,8 +188,9 @@ class TestBatchedResidual:
         assert rep.fd == pytest.approx(pointwise(on, CentralDifference(1e-5), BATCH[:5]), abs=1e-9)
 
     def test_rejects_bad_step_and_shape(self):
-        with pytest.raises(ValueError):
-            residual(ON_SHELL, *_args(PW), BATCH, h=0.0)
+        for h in (0.0, -1e-5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="step must be positive and finite"):
+                residual(ON_SHELL, *_args(PW), BATCH, h=h)
         with pytest.raises(ValueError):
             residual(ON_SHELL, *_args(PW), np.zeros((3, 3)))
 

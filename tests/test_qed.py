@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from circledirac import (
-    CouplingCoefficients,
     FloatRange,
     InvalidQuantumNumber,
     QuantumNumbers,
@@ -64,12 +63,6 @@ class TestCoefficientDPrime:
     def test_rejects_speed_domain(self):
         with pytest.raises(SpeedDomain):
             coefficient_d_prime(QuantumNumbers(1, 0), 1.0)
-
-    def test_dataclass_bundle(self):
-        cc = CouplingCoefficients(ALPHA, QuantumNumbers(2, 1))
-        assert cc.d == coefficient_d(3)
-        assert cc.d_prime == coefficient_d_prime(QuantumNumbers(2, 1), ALPHA)
-        assert cc.h == pytest.approx(2.0 * math.pi)
 
 
 class TestReplacementMap:

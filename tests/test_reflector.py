@@ -11,13 +11,10 @@ from circledirac import (
     NonUnitRotor,
     Reflector,
     WaveFunction,
-    diag_mul_reflector,
     dirac_rhs,
     embed,
     mass_term,
-    norm_form,
     reflector_mul,
-    reflector_mul_diag,
     sandwich,
     unit_reflector,
 )
@@ -74,15 +71,6 @@ class TestBlockProducts:
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         assert worst <= 1e-13
 
-    def test_structure_closure(self):
-        rng = np.random.default_rng(4)
-        r = Reflector(rand_bq(rng), rand_bq(rng))
-        d = DiagPair(rand_bq(rng), rand_bq(rng))
-        left = diag_mul_reflector(d, r)
-        assert np.max(np.abs(left.to_matrix() - d.to_matrix() @ r.to_matrix())) < 1e-13
-        right = reflector_mul_diag(r, d)
-        assert np.max(np.abs(right.to_matrix() - r.to_matrix() @ d.to_matrix())) < 1e-13
-
 
 class TestSandwich:
     def test_identity_rotor(self):
@@ -102,20 +90,51 @@ class TestSandwich:
     def test_rejects_non_unit(self):
         with pytest.raises(NonUnitRotor):
             sandwich(Biquaternion(2.0), I1)
+        rotors = np.tile(np.array(ROTOR.coeffs), (5, 1))
+        rotors[3] *= 1.0 + 1e-9
+        with pytest.raises(NonUnitRotor, match=r"rotor \[3\] norm form"):
+            sandwich(rotors, np.ones((5, 4)))
+        with pytest.raises(NonUnitRotor):
+            sandwich(rotors[3], np.ones(4))
 
     def test_norm_form_preserved(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
             x = embed(rng.uniform(-2, 2, size=4))
-            assert abs(norm_form(sandwich(ROTOR, x)) - norm_form(x)) < 1e-13
+            assert abs(sandwich(ROTOR, x).norm_form() - x.norm_form()) < 1e-13
 
     def test_reflector_blocks(self):
+        # top with (r, r), bottom with (conj r, conj r): the diagonal-rotor action
         rng = np.random.default_rng(7)
-        top, bottom = rand_bq(rng), rand_bq(rng)
-        out = sandwich(ROTOR, Reflector(top, bottom))
-        assert out.top.max_abs_diff(ROTOR * top * ROTOR) == 0.0
         rc = ROTOR.conj
-        assert out.bottom.max_abs_diff(rc * bottom * rc) == 0.0
+        for _ in range(20):
+            top, bottom = rand_bq(rng), rand_bq(rng)
+            out = sandwich(ROTOR, Reflector(top, bottom))
+            assert out.top == ROTOR * top * ROTOR
+            assert out.bottom == rc * bottom * rc
+            diag = DiagPair(ROTOR, rc).to_matrix()
+            expected = diag @ Reflector(top, bottom).to_matrix() @ DiagPair(rc, ROTOR).to_matrix()
+            assert np.max(np.abs(out.to_matrix() - expected)) < 1e-13
+
+    def test_array_matches_scalar(self):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((60, 4)) + 1j * rng.standard_normal((60, 4))
+        raw = rng.standard_normal((60, 4))
+        rotors = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+        for r, rows in ((ROTOR, [ROTOR] * 60), (rotors, [Biquaternion(*q) for q in rotors])):
+            out = sandwich(r, x)
+            assert out.shape == (60, 4)
+            for q, v, z in zip(rows, x, out):
+                # array_mul may fuse multiply-adds: agreement to rounding
+                assert sandwich(q, Biquaternion(*v)).max_abs_diff(Biquaternion(*z)) <= 1e-15
+
+    def test_rejects_non_coefficients(self):
+        with pytest.raises(TypeError):
+            sandwich(ROTOR, DiagPair(I0, I0))
+        with pytest.raises(TypeError):
+            sandwich(ROTOR, np.ones((4, 3)))
+        with pytest.raises(TypeError):
+            sandwich(np.array(ROTOR.coeffs), Reflector(I0, I0))
 
 
 class TestDiracSides:
