@@ -2,11 +2,15 @@
 
 All domain errors derive from :class:`CircleDiracError`, which itself
 derives from ``ValueError`` so callers may catch either.  The module
-also holds :func:`quantum_integer`, the one rule for integer quantum
-numbers, so every module can import it without an import cycle.
+also holds the checks every module shares without an import cycle:
+:func:`require`, which names the first failing entry of an array
+argument, :func:`quantum_integer`, the one rule for integer quantum
+numbers, and :func:`positive_mass`.
 """
 
 import operator
+
+import numpy as np
 
 
 class CircleDiracError(ValueError):
@@ -52,12 +56,41 @@ class InvalidQuantumNumber(CircleDiracError):
     """Quantum numbers must satisfy n_theta >= 1, n_r >= 0."""
 
 
-def quantum_integer(name: str, value, low: int) -> int:
+def require(ok, error: type[Exception], message: str, **values) -> None:
+    """Raise ``error`` unless every entry of the boolean (array) ``ok`` is true.
+
+    ``message`` is a format string, filled with ``values`` (each
+    broadcasting against ``ok``) at the first entry that fails, in C
+    order, as plain Python numbers.  For an array ``ok`` the message
+    starts with that entry's row: ``row 3: ...``, or ``row (0, 2): ...``
+    in two or more dimensions.  A scalar check gives the bare message.
+    """
+    ok = np.asarray(ok)
+    if ok.all() if ok.ndim else ok:
+        return
+    index = tuple(int(i) for i in np.unravel_index(np.argmin(ok), ok.shape))
+    text = message.format(**{key: np.broadcast_to(value, ok.shape)[index].item()
+                             for key, value in values.items()})
+    if index:
+        text = f"row {index[0] if len(index) == 1 else index}: {text}"
+    raise error(text)
+
+
+def quantum_integer(name: str, value, low: int):
     """``value`` as a plain int >= low; bools and non-integers are rejected.
 
     Accepts anything ``operator.index`` accepts (such as numpy integers),
-    but not ``bool``; raises :class:`InvalidQuantumNumber` otherwise.
+    but not ``bool``, and also a numpy integer array of one or more
+    dimensions, returned as it is; raises :class:`InvalidQuantumNumber`
+    otherwise, naming the first entry of an array that is below ``low``.
     """
+    if isinstance(value, np.ndarray) and value.ndim:
+        if value.dtype.kind not in "iu":
+            raise InvalidQuantumNumber(f"{name} must be an integer >= {low}, "
+                                       f"got an array of dtype {value.dtype}")
+        require(value >= low, InvalidQuantumNumber,
+                f"{name} must be an integer >= {low}, got {{value!r}}", value=value)
+        return value
     try:
         number = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
@@ -65,6 +98,12 @@ def quantum_integer(name: str, value, low: int) -> int:
     if number is None or number < low:
         raise InvalidQuantumNumber(f"{name} must be an integer >= {low}, got {value!r}")
     return number
+
+
+def positive_mass(mass, name: str = "mass") -> None:
+    """Raise :class:`NonpositiveMass` unless every entry of ``mass`` is > 0 (NaN is not)."""
+    require(np.greater(mass, 0), NonpositiveMass, f"{name} must be positive, got {{mass}}",
+            mass=mass)
 
 
 class ZeroCharge(CircleDiracError):

@@ -19,7 +19,6 @@ to i at rest).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -31,7 +30,9 @@ from .errors import (
     NonpositiveMass,
     NonpositiveRadiusParameter,
     SuperluminalSpeed,
+    positive_mass,
     quantum_integer,
+    require,
 )
 from .reflector import (
     ARC_TIME_UNITS,
@@ -230,11 +231,12 @@ def de_broglie(mass: float, v: float) -> tuple[float, float]:
     """Energy and momentum (eta, mu) of a free particle at speed v.
 
     eta = mass/sqrt(1 - v^2), mu = mass*v/sqrt(1 - v^2); they satisfy
-    eta^2 - mu^2 = mass^2 and mu/eta = v.
+    eta^2 - mu^2 = mass^2 and mu/eta = v.  mass and v may be arrays that
+    broadcast together; scalars give plain floats.
     """
-    if not mass > 0:
-        raise NonpositiveMass(f"mass must be positive, got {mass}")
-    if not abs(v) < 1.0:
-        raise SuperluminalSpeed(f"|v| must be below 1, got {v}")
-    gamma = 1.0 / math.sqrt(1.0 - v * v)
-    return mass * gamma, mass * v * gamma
+    positive_mass(mass)
+    require(np.abs(v) < 1.0, SuperluminalSpeed, "|v| must be below 1, got {v}", v=v)
+    with np.errstate(all="ignore"):
+        gamma = 1.0 / np.sqrt(1.0 - np.multiply(v, v))
+        eta, mu = mass * gamma, mass * v * gamma
+    return (eta, mu) if np.ndim(eta) else (float(eta), float(mu))

@@ -16,15 +16,21 @@ whose denominator bracket equals (sqrt(n_theta^2 - alpha^2) + n_r)^2
 d(n_theta) at n_r = 0.  The quadratic solves in closed form:
 
     rho = (A^2 e^2 d'/2) * (A +- sqrt(A^2 + 4 m^2/e^2)).
+
+Every function takes scalars or numpy arrays that broadcast together, in
+one body, like the solvers of :mod:`circledirac.spectrum`: a scalar call
+returns plain floats, and each array entry has the bits of its scalar
+call (powers are Python's own).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import FloatRange, SpeedDomain, ZeroCharge, quantum_integer
-from .spectrum import QuantumNumbers
+import numpy as np
+
+from .errors import FloatRange, SpeedDomain, ZeroCharge, quantum_integer, require
+from .spectrum import QuantumNumbers, _plain, _pow
 
 __all__ = [
     "ChargeDensitySolution",
@@ -38,37 +44,49 @@ __all__ = [
 def coefficient_d(n: int) -> float:
     """Orbital coupling coefficient 3*pi/(n^2 h^2) = 3/(4 pi n^2).
 
-    n follows the :class:`QuantumNumbers` rule: an integer >= 1, not ``bool``.
+    n follows the :class:`QuantumNumbers` rule: an integer >= 1, not
+    ``bool``, or an integer array.
     """
-    n = quantum_integer("n", n, 1)
-    return 3.0 / (4.0 * math.pi * (n * n))
+    n = np.asarray(quantum_integer("n", n, 1), dtype=float)
+    return _plain(3.0 / (4.0 * np.pi * (n * n)))
 
 
 def replacement_map(n_theta: int, alpha: float) -> float:
-    """sqrt(n_theta^2 - alpha^2); callers add n_r to extend the orbit coupling.
+    """sqrt(n_theta^2 - alpha^2) for 0 <= alpha < n_theta, to which callers add n_r.
 
     Squaring the shifted value and adding alpha^2 reproduces the
     denominator bracket of :func:`coefficient_d_prime` exactly.  n_theta
-    follows the :class:`QuantumNumbers` rule.
+    follows the :class:`QuantumNumbers` rule; both arguments may be
+    arrays that broadcast together.
     """
     n_theta = quantum_integer("n_theta", n_theta, 1)
-    if not alpha < n_theta:
-        raise SpeedDomain(f"need alpha < n_theta, got alpha={alpha}, n_theta={n_theta}")
-    return math.sqrt(n_theta * n_theta - alpha * alpha)
+    require(np.greater_equal(alpha, 0.0) & np.less(alpha, n_theta), SpeedDomain,
+            "need 0 <= alpha < n_theta, got alpha={alpha}, n_theta={n_theta}",
+            alpha=alpha, n_theta=n_theta)
+    k, a = np.asarray(n_theta, dtype=float), np.asarray(alpha, dtype=float)
+    return _plain(np.sqrt(k * k - a * a))
 
 
 def coefficient_d_prime(qn: QuantumNumbers, alpha: float) -> float:
-    """Coupled coefficient; positive, equal to coefficient_d(n_theta) at n_r = 0."""
+    """Coupled coefficient; positive, equal to coefficient_d(n_theta) at n_r = 0.
+
+    The numbers in ``qn`` and alpha may be arrays that broadcast together.
+    """
     root = replacement_map(qn.n_theta, alpha)
-    bracket = qn.n_theta * qn.n_theta + qn.n_r * qn.n_r + 2.0 * qn.n_r * root
-    return 3.0 / (4.0 * math.pi * bracket)
+    k, r = np.asarray(qn.n_theta, dtype=float), np.asarray(qn.n_r, dtype=float)
+    return _plain(3.0 / (4.0 * np.pi * (k * k + r * r + 2.0 * r * root)))
 
 
 def rho_residual(rho: float, A: float, mass: float, e: float, d: float) -> float:
-    """Residual of the charge-density quadratic at rho (d or d' as supplied)."""
-    if e == 0.0:
-        raise ZeroCharge("charge e must be nonzero")
-    return rho * rho / (d * e * e) - A ** 3 * rho - mass * mass * d * A ** 4
+    """Residual of the charge-density quadratic at rho (d or d' as supplied).
+
+    The arguments may be arrays that broadcast together; a power that
+    overflows gives an infinite or NaN residual rather than an error.
+    """
+    require(np.not_equal(e, 0.0), ZeroCharge, "charge e must be nonzero")
+    rho, mass, e, d = (np.asarray(x, dtype=float) for x in (rho, mass, e, d))
+    with np.errstate(all="ignore"):
+        return _plain(rho * rho / (d * e * e) - _pow(A, 3) * rho - mass * mass * d * _pow(A, 4))
 
 
 @dataclass(frozen=True)
@@ -89,32 +107,30 @@ def solve_rho(A: float, mass: float, e: float, d_prime: float) -> ChargeDensityS
     quadratic; physical selection is left to the caller.  Raises
     FloatRange when a root or a residual would overflow or be non-finite
     (from |A| of about 1e52 the residuals no longer fit a double).
+
+    The arguments may be arrays that broadcast together; every field is
+    then an array, each entry with the bits of the scalar call.  An entry
+    that fails a check raises the scalar call's error, naming the first
+    such row.
     """
-    if e == 0.0:
-        raise ZeroCharge("charge e must be nonzero")
-    if not d_prime > 0:
-        raise ValueError(f"d_prime must be positive, got {d_prime}")
-    if A == 0.0:
-        return ChargeDensitySolution(A=0.0, rho_plus=0.0, rho_minus=0.0,
-                                     residual_plus=0.0, residual_minus=0.0)
-    try:
-        s = math.sqrt(A * A + 4.0 * mass * mass / (e * e))
-        front = A * A * e * e * d_prime / 2.0
+    require(np.not_equal(e, 0.0), ZeroCharge, "charge e must be nonzero")
+    require(np.greater(d_prime, 0), ValueError, "d_prime must be positive, got {d_prime}",
+            d_prime=d_prime)
+    a, m, q, d = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (A, mass, e, d_prime)))
+    with np.errstate(all="ignore"):
+        s = np.sqrt(a * a + 4.0 * m * m / (q * q))
+        front = a * a * q * q * d / 2.0
         # A -+ s cancels catastrophically when 4 m^2/e^2 << A^2; take the
         # well-conditioned branch directly and the other from the exact root
         # product rho_plus * rho_minus = -A^4 e^2 d'^2 m^2.
-        product = -(A ** 4) * e * e * d_prime * d_prime * mass * mass
-        if A > 0.0:
-            rho_p = front * (A + s)
-            rho_m = product / rho_p + 0.0
-        else:
-            rho_m = front * (A - s)
-            rho_p = product / rho_m + 0.0
-        fields = (rho_p, rho_m, rho_residual(rho_p, A, mass, e, d_prime),
-                  rho_residual(rho_m, A, mass, e, d_prime))
-    except (OverflowError, ZeroDivisionError):  # A**4 overflows, or front underflows to 0
-        fields = None
-    if fields is None or not all(map(math.isfinite, fields)):
-        raise FloatRange(f"charge-density roots or residuals at A={A} (mass={mass}, e={e}, "
-                         f"d_prime={d_prime}) leave the float range")
-    return ChargeDensitySolution(A, *fields)
+        product = -_pow(a, 4) * q * q * d * d * m * m
+        direct_p, direct_m = front * (a + s), front * (a - s)
+        positive = a > 0.0
+        rho_p = np.where(positive, direct_p, product / direct_m + 0.0)
+        rho_m = np.where(positive, product / direct_p + 0.0, direct_m)
+    fields = (rho_p, rho_m, *rho_residual(np.stack((rho_p, rho_m)), a, m, q, d))
+    zero = a == 0.0
+    require(zero | np.isfinite(fields).all(axis=0), FloatRange,
+            "charge-density roots or residuals at A={A} (mass={mass}, e={e}, "
+            "d_prime={d_prime}) leave the float range", A=A, mass=mass, e=e, d_prime=d_prime)
+    return ChargeDensitySolution(*(_plain(np.where(zero, 0.0, x)) for x in (a, *fields)))

@@ -28,20 +28,28 @@ routes:
 which is the Sommerfeld/Dirac fine-structure formula with k = n_theta
 and radial number n_r.  :func:`sommerfeld_reference` evaluates that
 reference independently in high-precision arithmetic (mpmath) for use
-as an oracle.  :func:`spectrum_table` works one n_theta row at a time:
-it solves the orbit and the oracle's root sqrt(n_theta^2 - alpha^2)
-once per row, and still evaluates route A and the oracle for every
-level.
+as an oracle.
+
+Each solver has one body, which takes scalars or numpy arrays that
+broadcast together (quantum numbers as integer arrays).  A scalar call
+returns plain Python floats; an array call gives every entry the bits
+of the scalar call for it, because numpy's ``+ - * /`` and ``sqrt`` round
+like Python's and every power is Python's own (:func:`_pow`).  An array
+entry out of domain raises the scalar call's error class, and the
+message names the first such row.  :func:`spectrum_table` makes two
+array calls over its level grid, route A and the oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import mpmath
+import numpy as np
 
-from .errors import InvalidQuantumNumber, NonpositiveMass, SpeedDomain, quantum_integer
+from .errors import SpeedDomain, positive_mass, quantum_integer, require
 from .planewave import de_broglie
 
 __all__ = [
@@ -66,7 +74,9 @@ class QuantumNumbers:
     """Angular number n_theta >= 1 and circle-wave number n_r >= 0.
 
     Both must be integers (anything ``operator.index`` accepts, such as
-    numpy integers, but not ``bool``) and are stored as plain ``int``.
+    numpy integers, but not ``bool``) and are stored as plain ``int``; or
+    numpy integer arrays, stored as they are, which name a broadcasting
+    grid of levels for the array forms of the solvers.
     """
 
     n_theta: int
@@ -105,58 +115,74 @@ class BohrState:
     L: float
 
 
-def _check_speed(alpha: float, n_theta: int, allow_zero: bool = False) -> float:
-    v = alpha / n_theta
+def _check_speed(alpha, n_theta, allow_zero: bool = False):
+    v = np.divide(alpha, n_theta)
     low_ok = v >= 0.0 if allow_zero else v > 0.0
-    if not (low_ok and v < 1.0):
-        raise SpeedDomain(
+    require(low_ok & (v < 1.0), SpeedDomain,
             f"need {'0 <=' if allow_zero else '0 <'} alpha < n_theta for a bound orbit, "
-            f"got alpha={alpha}, n_theta={n_theta}"
-        )
+            "got alpha={alpha}, n_theta={n_theta}", alpha=alpha, n_theta=n_theta)
     return v
+
+
+def _plain(x):
+    """A 0-d result as a plain Python float; an array as it is."""
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
+
+
+def _pow(x, p: int) -> np.ndarray:
+    """Python's float ``x ** p`` entry by entry, an overflow giving an infinity of its sign.
+
+    numpy's ``**`` rounds small integer powers differently from Python's
+    (which calls the C ``pow``) on a few percent of inputs, so the array
+    forms map Python's, and every entry keeps the bits of a scalar call.
+    """
+    x = np.asarray(x, dtype=float)
+    values = []
+    for v in x.ravel().tolist():
+        try:
+            values.append(v ** p)
+        except OverflowError:
+            values.append(math.copysign(math.inf, v) ** p)
+    return np.array(values, dtype=float).reshape(x.shape)
 
 
 def circle_quantize(mass: float, n_theta: int) -> float:
     """Rest-frame temporal circle radius n_theta/mass (single-valued phase).
 
-    n_theta follows the :class:`QuantumNumbers` rule: an integer >= 1, not ``bool``.
+    n_theta follows the :class:`QuantumNumbers` rule: an integer >= 1, not
+    ``bool``, or an integer array broadcasting against mass.
     """
-    if not mass > 0:
-        raise NonpositiveMass(f"mass must be positive, got {mass}")
-    return quantum_integer("n_theta", n_theta, 1) / mass
+    positive_mass(mass)
+    return _plain(np.divide(quantum_integer("n_theta", n_theta, 1), mass))
 
 
 def circle_wave_energy(mass: float, qn: QuantumNumbers) -> float:
     """Energy n_r*mass/n_theta carried by the circle vibration."""
-    if not mass > 0:
-        raise NonpositiveMass(f"mass must be positive, got {mass}")
-    return qn.n_r * mass / qn.n_theta
+    positive_mass(mass)
+    return _plain(np.multiply(qn.n_r, mass) / qn.n_theta)
 
 
 def bohr_solve(alpha: float, n_theta: int, mass: float = 1.0) -> BohrState:
-    """Solve the circular-orbit bound state at coupling alpha."""
-    if not mass > 0:
-        raise NonpositiveMass(f"mass must be positive, got {mass}")
-    qn = QuantumNumbers(n_theta, 0)
-    v = _check_speed(alpha, qn.n_theta)
+    """Solve the circular-orbit bound state at coupling alpha.
+
+    alpha, n_theta and mass may be arrays that broadcast together, with
+    n_theta an integer array; each field is then an array with the
+    broadcast shape of the inputs it depends on, and an out-of-domain
+    entry raises the scalar call's error, naming its row.
+    """
+    positive_mass(mass)
+    n_theta = quantum_integer("n_theta", n_theta, 1)
+    v = _check_speed(alpha, n_theta)
+    m, k = np.asarray(mass, dtype=float), np.asarray(n_theta, dtype=float)
     eta, mu = de_broglie(mass, v)
-    root = math.sqrt(1.0 - v * v)
-    eA = -mass * v * v / root
-    nu = eta + eA
-    R0_l = circle_quantize(mass, qn.n_theta)
-    return BohrState(
-        n_theta=qn.n_theta,
-        v_b=v,
-        eta_b=eta,
-        mu_b=mu,
-        nu_b=nu,
-        eA_b=eA,
-        R1_b=qn.n_theta * root / (mass * v),
-        R0_l=R0_l,
-        R0_b=R0_l / root,
-        R1_hat=-v * R0_l / root,
-        L=float(qn.n_theta),
-    )
+    with np.errstate(all="ignore"):
+        root = np.sqrt(1.0 - v * v)
+        eA = -m * v * v / root
+        R0_l = circle_quantize(mass, n_theta)
+        fields = dict(v_b=v, eta_b=eta, mu_b=mu, nu_b=eta + eA, eA_b=eA,
+                      R1_b=k * root / (m * v), R0_l=R0_l, R0_b=R0_l / root,
+                      R1_hat=-v * R0_l / root, L=k)
+    return BohrState(n_theta=n_theta, **{name: _plain(x) for name, x in fields.items()})
 
 
 @dataclass(frozen=True)
@@ -176,14 +202,6 @@ class CoupledState:
     m_h: float
 
 
-def _chain(b: BohrState, n_r: int, mass: float) -> tuple[float, float]:
-    """Route A on a solved orbit: K -> v_m -> nu_m for n_r vibrations."""
-    v = b.v_b
-    K = (math.sqrt(1.0 - v * v) + n_r / b.n_theta) / v
-    v_m = 1.0 / math.sqrt(1.0 + K * K)
-    return v_m, mass * math.sqrt(1.0 - v_m * v_m)
-
-
 def coupled_solve(alpha: float, qn: QuantumNumbers, mass: float = 1.0) -> CoupledState:
     """Route A: geometric chain for the coupled interaction.
 
@@ -192,63 +210,40 @@ def coupled_solve(alpha: float, qn: QuantumNumbers, mass: float = 1.0) -> Couple
     nu_m = mass*sqrt(1 - v_m^2).  The heavy-electron fields absorb the
     orbit and vibration energies into one particle at the orbital speed,
     with the boosted denominators ds0^2 - ds1^2 of the arc elements.
+
+    alpha, mass and the numbers in ``qn`` may be arrays that broadcast
+    together, as for :func:`bohr_solve`; each field then has the
+    broadcast shape of the inputs it depends on.
     """
     b = bohr_solve(alpha, qn.n_theta, mass)
     eta_l = circle_wave_energy(mass, qn)
-    v = b.v_b
-    v_m, nu_m = _chain(b, qn.n_r, mass)
-    mu_m = mass * v_m / math.sqrt(1.0 - v_m * v_m)
-    vprime_m = mass * mass / b.mu_b + eta_l / v
-
-    # heavy electron: total energy nu_h at speed v_b, with ds1/ds0 = v_b
-    nu_h = b.nu_b + eta_l
-    one_minus = 1.0 - v * v
-    eta_h = nu_h / one_minus
-    mu_h = nu_h * v / one_minus
-    m_h = nu_h / math.sqrt(one_minus)
-
-    return CoupledState(
-        qn=qn,
-        bohr=b,
-        eta_l=eta_l,
-        v_m=v_m,
-        nu_m=nu_m,
-        mu_m=mu_m,
-        vprime_m=vprime_m,
-        nu_h=nu_h,
-        eta_h=eta_h,
-        mu_h=mu_h,
-        m_h=m_h,
-    )
+    v, m = b.v_b, np.asarray(mass, dtype=float)
+    with np.errstate(all="ignore"):
+        K = (np.sqrt(1.0 - v * v) + np.divide(qn.n_r, qn.n_theta)) / v
+        v_m = 1.0 / np.sqrt(1.0 + K * K)
+        rest = np.sqrt(1.0 - v_m * v_m)
+        # heavy electron: total energy nu_h at speed v_b, with ds1/ds0 = v_b
+        nu_h = b.nu_b + eta_l
+        one_minus = 1.0 - v * v
+        fields = dict(eta_l=eta_l, v_m=v_m, nu_m=m * rest, mu_m=m * v_m / rest,
+                      vprime_m=m * m / b.mu_b + eta_l / v, nu_h=nu_h, eta_h=nu_h / one_minus,
+                      mu_h=nu_h * v / one_minus, m_h=nu_h / np.sqrt(one_minus))
+    return CoupledState(qn=qn, bohr=b, **{name: _plain(x) for name, x in fields.items()})
 
 
 def energy_closed_form(alpha: float, n_theta: int, n_r: int, mass: float = 1.0) -> float:
     """Route B: closed-form coupled energy (fine-structure formula).
 
     Unlike the geometric chain this survives the free limit alpha = 0,
-    where every level collapses to the rest mass.
+    where every level collapses to the rest mass.  The arguments may be
+    arrays that broadcast together (the quantum numbers integer arrays).
     """
+    positive_mass(mass)
     qn = QuantumNumbers(n_theta, n_r)
     _check_speed(alpha, qn.n_theta, allow_zero=True)
-    root = math.sqrt(qn.n_theta * qn.n_theta - alpha * alpha)
-    denom = (root + qn.n_r) ** 2
-    return mass / math.sqrt(1.0 + alpha * alpha / denom)
-
-
-def _row_oracle(alpha: float, n_theta: int, n_rs, mass: float, dps: int) -> list[float]:
-    """High-precision levels (n_theta, n_r) for each n_r in ``n_rs``.
-
-    One mpmath context per row: alpha and the root sqrt(k^2 - alpha^2)
-    are converted and computed once, then every level is evaluated from
-    them and rounded to float on its own.
-    """
-    with mpmath.workdps(dps):
-        a = mpmath.mpf(alpha)
-        k = mpmath.mpf(n_theta)
-        m = mpmath.mpf(mass)
-        root = mpmath.sqrt(k * k - a * a)
-        return [float(m / mpmath.sqrt(1 + (a / (mpmath.mpf(n_r) + root)) ** 2))
-                for n_r in n_rs]
+    a, k = np.asarray(alpha, dtype=float), np.asarray(qn.n_theta, dtype=float)
+    denom = _pow(np.sqrt(k * k - a * a) + qn.n_r, 2)
+    return _plain(mass / np.sqrt(1.0 + a * a / denom))
 
 
 def sommerfeld_reference(alpha: float, n_theta: int, n_r: int,
@@ -256,13 +251,30 @@ def sommerfeld_reference(alpha: float, n_theta: int, n_r: int,
     """Independent high-precision Sommerfeld/Dirac level, rounded to float.
 
     E = m*(1 + alpha^2/(n_r + sqrt(k^2 - alpha^2))^2)^(-1/2) with k the
-    angular number; evaluated with mpmath at ``dps`` decimal digits.  This
-    is a one-level call of the row oracle that :func:`spectrum_table`
-    uses, so both give the same value for the same level.
+    angular number; evaluated with mpmath at ``dps`` >= 17 decimal digits
+    (fewer than a double carries could not check one).  The arguments may
+    be arrays that broadcast together.  All levels share one mpmath
+    context, and levels of one (alpha, n_theta, mass) row share the root
+    sqrt(k^2 - alpha^2), which is computed exactly as for a single level,
+    so every level has the bits of its one-level call.
     """
+    if isinstance(dps, bool) or not isinstance(dps, Integral) or dps < 17:
+        raise ValueError(f"dps must be an integer >= 17, got {dps!r}")
+    positive_mass(mass)
     qn = QuantumNumbers(n_theta, n_r)
     _check_speed(alpha, qn.n_theta, allow_zero=True)
-    return _row_oracle(alpha, qn.n_theta, (qn.n_r,), mass, dps)[0]
+    grid = np.broadcast_arrays(np.asarray(alpha, dtype=float), qn.n_theta, qn.n_r,
+                               np.asarray(mass, dtype=float))
+    rows, levels = {}, []
+    with mpmath.workdps(dps):
+        for a, k, r, m in zip(*(x.ravel().tolist() for x in grid)):
+            row = rows.get((a, k, m))
+            if row is None:
+                a_mp, k_mp = mpmath.mpf(a), mpmath.mpf(k)
+                row = rows[a, k, m] = a_mp, mpmath.mpf(m), mpmath.sqrt(k_mp * k_mp - a_mp * a_mp)
+            a_mp, m_mp, root = row
+            levels.append(float(m_mp / mpmath.sqrt(1 + (a_mp / (mpmath.mpf(r) + root)) ** 2)))
+    return _plain(np.array(levels).reshape(grid[0].shape))
 
 
 @dataclass(frozen=True)
@@ -281,42 +293,31 @@ def spectrum_table(alpha: float, mass_ev: float,
                    max_n_theta: int, max_n_r: int) -> list[SpectrumLine]:
     """All levels with n_theta in [1, max_n_theta], n_r in [0, max_n_r].
 
-    The table is built one n_theta row at a time.  Each row solves the
-    orbit once and opens one 40-digit mpmath context that computes the
-    oracle root sqrt(n_theta^2 - alpha^2) once; every level in the row
-    then gets its own route-A energy (the geometric chain of
-    :func:`coupled_solve`) and its own mpmath reference_ev (the formula
-    of :func:`sommerfeld_reference`, bit-identical to it).
+    The table makes two array calls over its (n_theta, n_r) grid:
+    :func:`coupled_solve` gives each level's route-A energy (the
+    geometric chain) and :func:`sommerfeld_reference` its 40-digit mpmath
+    reference_ev, with the orbit and the oracle's root
+    sqrt(n_theta^2 - alpha^2) computed once per n_theta row.  Every value
+    has the bits of the single-level calls.
 
     binding_ev = -mass_ev*v_m^2/(1 + sqrt(1 - v_m^2)) is taken from
     route A's coupled speed (sqrt(1 - v_m^2) is nu_m at unit mass).  It
     equals energy_ev - mass_ev without the cancellation that subtraction
     suffers for weak coupling and high levels.  Rows are sorted by
-    (n_theta + n_r, n_theta).
+    (n_theta + n_r, n_theta).  The bounds follow the :class:`QuantumNumbers`
+    rule: integers with max_n_theta >= 1 and max_n_r >= 0.
     """
-    if max_n_theta < 1 or max_n_r < 0:
-        raise InvalidQuantumNumber(
-            f"need max_n_theta >= 1 and max_n_r >= 0, got {max_n_theta}, {max_n_r}"
-        )
-    if not mass_ev > 0:
-        raise NonpositiveMass(f"mass_ev must be positive, got {mass_ev}")
-    n_rs = range(0, max_n_r + 1)
-    lines = []
-    for n_theta in range(1, max_n_theta + 1):
-        orbit = bohr_solve(alpha, n_theta, mass=1.0)
-        references = _row_oracle(alpha, n_theta, n_rs, mass=1.0, dps=40)
-        for n_r, reference in zip(n_rs, references):
-            v_m, nu_m = _chain(orbit, n_r, mass=1.0)
-            energy_ev = nu_m * mass_ev
-            reference_ev = reference * mass_ev
-            lines.append(SpectrumLine(
-                qn=QuantumNumbers(n_theta, n_r),
-                energy_natural=nu_m,
-                energy_ev=energy_ev,
-                binding_ev=-mass_ev * v_m * v_m / (1.0 + nu_m),
-                reference_ev=reference_ev,
-                abs_diff=abs(energy_ev - reference_ev),
-            ))
+    n_theta = np.arange(1, quantum_integer("max_n_theta", max_n_theta, 1) + 1)[:, None]
+    n_r = np.arange(quantum_integer("max_n_r", max_n_r, 0) + 1)
+    positive_mass(mass_ev, "mass_ev")
+    state = coupled_solve(alpha, QuantumNumbers(n_theta, n_r))
+    energy_ev = state.nu_m * mass_ev
+    reference_ev = sommerfeld_reference(alpha, n_theta, n_r) * mass_ev
+    columns = np.broadcast_arrays(n_theta, n_r, state.nu_m, energy_ev,
+                                  -mass_ev * state.v_m * state.v_m / (1.0 + state.nu_m),
+                                  reference_ev, np.abs(energy_ev - reference_ev))
+    lines = [SpectrumLine(QuantumNumbers(k, r), *values)
+             for k, r, *values in zip(*(column.ravel().tolist() for column in columns))]
     lines.sort(key=lambda line: (line.qn.n, line.qn.n_theta))
     return lines
 

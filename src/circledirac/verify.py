@@ -13,11 +13,13 @@ tolerance 1, so that "max_error <= tolerance" uniformly means pass.
 
 Each case draws its inputs in one generator call, runs the library code
 it checks once over the whole batch (through the ``(..., 4)`` array forms
-of :mod:`circledirac.biquaternion` and friends, and the ``(N, 4)`` batch
-form of :func:`~circledirac.circle_spaces.chart_map`) and reduces with
-one maximum, so a NaN error propagates and fails the case.  The
-charge-density roots stay scalar calls of
-:func:`~circledirac.qed.solve_rho`, whose batch form does not exist.
+of :mod:`circledirac.biquaternion` and friends, the ``(N, 4)`` batch form
+of :func:`~circledirac.circle_spaces.chart_map`, and the broadcasting
+array forms of the spectrum solvers and of
+:func:`~circledirac.qed.solve_rho`) and reduces with one maximum, so a
+NaN error propagates and fails the case.  The spectrum suite solves its
+3 x 8 x 9 level grid with one call per route and checks the mpmath oracle
+with one call over an 8 x 9 grid.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from numbers import Integral
-from operator import attrgetter
 
 import numpy as np
 
@@ -285,55 +286,40 @@ def sommerfeld_expansion(alpha: float, n_theta: int, n_r: int) -> float:
 
 def suite_spectrum(rng: np.random.Generator) -> VerificationReport:
     cases = []
-    alphas = (1.0 / 137.0, 0.3, 0.6)
+    alpha = 1.0 / 137.0
     # every level (alpha, n_theta, n_r) of the 3 x 8 x 9 grid, solved once by each route
-    grid = (len(alphas), 8, 9)
-    levels = [(alpha, n_theta, n_r) for alpha in alphas
-              for n_theta in range(1, 9) for n_r in range(0, 9)]
-    states = [sp.coupled_solve(alpha, QuantumNumbers(n_theta, n_r))
-              for alpha, n_theta, n_r in levels]
-    closed = np.array([sp.energy_closed_form(*level) for level in levels]).reshape(grid)
+    alphas = np.array((alpha, 0.3, 0.6))[:, None, None]
+    n_theta, n_r = np.arange(1, 9)[:, None], np.arange(0, 9)
+    state = sp.coupled_solve(alphas, QuantumNumbers(n_theta, n_r))
+    closed = sp.energy_closed_form(alphas, n_theta, n_r)
+    cases.append(_case("two-route-agreement", np.max(np.abs(state.nu_m - closed)), 1e-12))
 
-    def field(name: str) -> np.ndarray:
-        get = attrgetter(name)
-        return np.array([get(c) for c in states]).reshape(grid)
-
-    nu_m = field("nu_m")
-    cases.append(_case("two-route-agreement", np.max(np.abs(nu_m - closed)), 1e-12))
-
-    alpha = alphas[0]
-    ref = np.array([[sp.sommerfeld_reference(alpha, n_theta, n_r) for n_r in range(0, 9)]
-                    for n_theta in range(1, 9)])
+    ref = sp.sommerfeld_reference(alpha, n_theta, n_r)
     cases.append(_case("reference-agreement", np.max(np.abs(closed[0] - ref)), 1e-12))
 
-    web = []
-    for n_theta in range(1, 9):
-        for a in (1.0 / 137.0, 0.3, 0.9 * n_theta):
-            b = sp.bohr_solve(a, n_theta)
-            web.append((1.0 * b.R0_l, b.nu_b * b.R0_b, b.eta_b * b.R0_b + b.mu_b * b.R1_hat, n_theta))
-    web = np.array(web)
-    err = np.max(np.abs(web[:, :3] - web[:, 3:]) / web[:, 3:])
+    b = sp.bohr_solve(np.array([(alpha, 0.3, 0.9 * n) for n in range(1, 9)]), n_theta)
+    web = np.stack(np.broadcast_arrays(1.0 * b.R0_l, b.nu_b * b.R0_b,
+                                       b.eta_b * b.R0_b + b.mu_b * b.R1_hat))
+    err = np.max(np.abs(web - n_theta) / n_theta)
     cases.append(_case("quantization-web", err, 1e-13))
 
-    err = np.max(np.abs(nu_m[:2, :, 0] - field("bohr.nu_b")[:2, :, 0]))
+    err = np.max(np.abs(state.nu_m[:2, :, 0] - state.bohr.nu_b[:2, :, 0]))
     cases.append(_case("no-vibration-reduction", err, 1e-13))
 
     steps = np.concatenate((np.diff(closed, axis=2).ravel(), np.diff(closed, axis=1).ravel()))
     cases.append(_detect("energy-monotonicity", np.min(steps), 1e-15))
 
-    n_theta, n_r = np.arange(1, 6)[:, None], np.arange(0, 6)
-    err = np.max(np.abs(closed[0, :5, :6] - sommerfeld_expansion(alpha, n_theta, n_r)))
+    err = np.max(np.abs(closed[0, :5, :6] - sommerfeld_expansion(alpha, n_theta[:5], n_r[:6])))
     cases.append(_case("fourth-order-expansion", err, 1e-12))
 
-    mu_h, eta_h, nu_h, m_h = (field(name) for name in ("mu_h", "eta_h", "nu_h", "m_h"))
-    m_h2 = m_h ** 2
-    err = np.max((np.abs(mu_h / eta_h - field("bohr.v_b")),
-                  np.abs(m_h2 - (eta_h ** 2 - mu_h ** 2)) / m_h2,
-                  np.abs(eta_h * nu_h - m_h2) / m_h2))
+    m_h2 = state.m_h ** 2
+    err = np.max((np.abs(state.mu_h / state.eta_h - state.bohr.v_b),
+                  np.abs(m_h2 - (state.eta_h ** 2 - state.mu_h ** 2)) / m_h2,
+                  np.abs(state.eta_h * state.nu_h - m_h2) / m_h2))
     cases.append(_case("heavy-electron-closure", err, 1e-13))
 
-    expected = 1.0 / field("mu_m")
-    err = np.max(np.abs(field("vprime_m") - expected) / np.abs(expected))
+    expected = 1.0 / state.mu_m
+    err = np.max(np.abs(state.vprime_m - expected) / np.abs(expected))
     cases.append(_case("dashed-energy-consistency", err, 1e-12))
 
     return VerificationReport("spectrum", tuple(cases))
@@ -345,15 +331,15 @@ def suite_qed(rng: np.random.Generator) -> VerificationReport:
     cases = []
     alpha = 1.0 / 137.0
     # d' at n_theta = 1..10 (rows) and n_r = 0..10 (columns), shared by every case
-    d_prime = np.array([[qed.coefficient_d_prime(QuantumNumbers(n_theta, n_r), alpha)
-                         for n_r in range(0, 11)] for n_theta in range(1, 11)])
+    d_prime = qed.coefficient_d_prime(QuantumNumbers(np.arange(1, 11)[:, None], np.arange(0, 11)),
+                                      alpha)
 
     a, mass, e = rng.uniform((-3.0, 0.0, 0.2), (3.0, 2.0, 2.0), size=(1000, 3)).T
     n_theta, n_r = rng.integers((1, 0), (6, 6), size=(1000, 2)).T
     d = d_prime[n_theta - 1, n_r]
-    sols = [qed.solve_rho(*args) for args in zip(a.tolist(), mass.tolist(), e.tolist(), d.tolist())]
-    rho = np.array([(sol.rho_plus, sol.rho_minus) for sol in sols])
-    res = np.array([(sol.residual_plus, sol.residual_minus) for sol in sols])
+    sol = qed.solve_rho(a, mass, e, d)
+    rho = np.stack((sol.rho_plus, sol.rho_minus), axis=1)
+    res = np.stack((sol.residual_plus, sol.residual_minus), axis=1)
     a, mass, e, d = a[:, None], mass[:, None], e[:, None], d[:, None]
     scale = np.maximum(np.maximum(rho * rho / (d * e * e), np.abs(a ** 3 * rho)),
                        np.maximum(mass * mass * d * a ** 4, _TINY))
@@ -361,21 +347,19 @@ def suite_qed(rng: np.random.Generator) -> VerificationReport:
 
     cases.append(_detect("d-prime-positive", np.min(d_prime), 1e-6))
 
-    d_plain = np.array([qed.coefficient_d(n) for n in range(1, 11)])
+    d_plain = qed.coefficient_d(np.arange(1, 11))
     cases.append(_case("d-prime-reduces-to-d", np.max(np.abs(d_prime[:, 0] - d_plain)), 0.0))
 
     n_theta, n_r = rng.integers((1, 0), (11, 11), size=(500, 2)).T
     a = rng.uniform(0.0, 0.99, size=500) * n_theta
-    root = np.array([qed.replacement_map(n, x) for n, x in zip(n_theta.tolist(), a.tolist())])
+    root = qed.replacement_map(n_theta, a)
     bracket = n_theta * n_theta + n_r * n_r + 2.0 * n_r * root
     shifted = (root + n_r) ** 2 + a * a
     cases.append(_case("bracket-identity", np.max(np.abs(shifted - bracket) / bracket), 1e-14))
 
     a, mass, e = rng.uniform((0.01, 0.0, 0.2), (3.0, 2.0, 2.0), size=(200, 3)).T
-    d_11 = float(d_prime[0, 1])
-    gaps = np.array([sol.rho_plus - sol.rho_minus for sol in
-                     (qed.solve_rho(*args, d_11) for args in zip(a.tolist(), mass.tolist(), e.tolist()))])
-    cases.append(_case("branch-ordering", max(0.0, -np.min(gaps)), 0.0))
+    sol = qed.solve_rho(a, mass, e, d_prime[0, 1])
+    cases.append(_case("branch-ordering", max(0.0, -np.min(sol.rho_plus - sol.rho_minus)), 0.0))
 
     return VerificationReport("qed", tuple(cases))
 

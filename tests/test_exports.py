@@ -1,4 +1,5 @@
-"""Every public name resolves: module ``__all__`` lists and the package re-exports agree."""
+"""Every public name resolves: module ``__all__`` lists, the package re-exports and the
+functions the benchmark's tracer wraps."""
 
 import ast
 import importlib
@@ -30,3 +31,18 @@ def test_package_reexports_are_listed():
             if exported is not None:
                 unlisted += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
     assert unlisted == []
+
+
+def _traced_functions() -> list[str]:
+    """``FUNCTIONS`` of ``perfbench/spans.py``, read from its source without importing it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["FUNCTIONS"]:
+            return list(ast.literal_eval(node.value))
+    raise AssertionError("perfbench/spans.py defines no FUNCTIONS")
+
+
+@pytest.mark.parametrize("layer", _traced_functions())
+def test_traced_functions_resolve(layer):
+    module, name = layer.split(".")
+    assert callable(getattr(importlib.import_module(f"circledirac.{module}"), name, None))

@@ -63,6 +63,15 @@ class TestCoefficientDPrime:
     def test_rejects_speed_domain(self):
         with pytest.raises(SpeedDomain):
             coefficient_d_prime(QuantumNumbers(1, 0), 1.0)
+        with pytest.raises(SpeedDomain, match="alpha=-5.0"):
+            coefficient_d_prime(QuantumNumbers(1, 1), -5.0)
+
+    def test_array_grid_matches_scalar_calls(self):
+        grid = coefficient_d_prime(QuantumNumbers(np.arange(1, 11)[:, None], np.arange(0, 11)), ALPHA)
+        assert grid.shape == (10, 11)
+        assert grid.tolist() == [[coefficient_d_prime(QuantumNumbers(n_theta, n_r), ALPHA)
+                                  for n_r in range(0, 11)] for n_theta in range(1, 11)]
+        assert coefficient_d(np.arange(1, 11)).tolist() == [coefficient_d(n) for n in range(1, 11)]
 
 
 class TestReplacementMap:
@@ -83,6 +92,20 @@ class TestReplacementMap:
     def test_rejects_non_integer(self, n_theta):
         with pytest.raises(InvalidQuantumNumber):
             replacement_map(n_theta, 0.1)
+
+    @pytest.mark.parametrize("alpha", [-5.0, -1e-300, 3.0, 4.5, math.nan])
+    def test_rejects_speed_domain(self, alpha):
+        with pytest.raises(SpeedDomain, match=f"alpha={alpha}, n_theta=3"):
+            replacement_map(3, alpha)
+
+    def test_array_names_first_offending_row(self):
+        n_theta = np.array([1, 2, 3, 4])
+        with pytest.raises(SpeedDomain, match=r"^row 2: need 0 <= alpha < n_theta, got alpha=-1.0, n_theta=3$"):
+            replacement_map(n_theta, np.array([0.5, 1.5, -1.0, 9.0]))
+        with pytest.raises(InvalidQuantumNumber, match=r"^row 1: n_theta must be an integer >= 1, got 0$"):
+            replacement_map(np.array([1, 0, -1]), 0.5)
+        with pytest.raises(InvalidQuantumNumber, match="array of dtype float64"):
+            replacement_map(np.array([1.0, 2.0]), 0.5)
 
     def test_no_vibration_is_identity_on_radicand(self):
         root = replacement_map(2, 0.5)
@@ -146,3 +169,74 @@ class TestSolveRho:
         sol = solve_rho(A, 1.0, math.sqrt(ALPHA), coefficient_d(1))
         fields = (sol.rho_plus, sol.rho_minus, sol.residual_plus, sol.residual_minus)
         assert all(math.isfinite(v) for v in fields)
+
+
+def _scalar_rho_residual(rho, A, mass, e, d):
+    """The scalar residual as it stood before the array kernel, kept as a reference."""
+    return rho * rho / (d * e * e) - A ** 3 * rho - mass * mass * d * A ** 4
+
+
+def _scalar_solve_rho(A, mass, e, d_prime):
+    """The scalar solve_rho body as it stood before the array kernel (checks dropped)."""
+    if A == 0.0:
+        return (0.0, 0.0, 0.0, 0.0, 0.0)
+    s = math.sqrt(A * A + 4.0 * mass * mass / (e * e))
+    front = A * A * e * e * d_prime / 2.0
+    product = -(A ** 4) * e * e * d_prime * d_prime * mass * mass
+    if A > 0.0:
+        rho_p = front * (A + s)
+        rho_m = product / rho_p + 0.0
+    else:
+        rho_m = front * (A - s)
+        rho_p = product / rho_m + 0.0
+    return (A, rho_p, rho_m, _scalar_rho_residual(rho_p, A, mass, e, d_prime),
+            _scalar_rho_residual(rho_m, A, mass, e, d_prime))
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestArrayKernel:
+    def test_bit_identical_to_scalar_reference(self):
+        rng = np.random.default_rng(43)
+        n = 12000
+        A = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-20.0, 20.0, n)
+        A[rng.random(n) < 0.05] = 0.0
+        A[: n // 3] = rng.uniform(-3.0, 3.0, n // 3)
+        mass = rng.uniform(0.0, 2.0, n)
+        mass[rng.random(n) < 0.1] = 0.0
+        e = rng.uniform(0.2, 2.0, n)
+        d = rng.uniform(0.01, 0.3, n)
+        sol = solve_rho(A, mass, e, d)
+        got = np.stack((sol.A, sol.rho_plus, sol.rho_minus, sol.residual_plus, sol.residual_minus))
+        want = np.array([_scalar_solve_rho(*args) for args in
+                         zip(A.tolist(), mass.tolist(), e.tolist(), d.tolist())]).T
+        assert got.shape == (5, n)
+        assert (_bits(got) == _bits(want)).all()
+        for i in range(0, n, 600):
+            scalar = solve_rho(float(A[i]), float(mass[i]), float(e[i]), float(d[i]))
+            assert all(type(value) is float for value in vars(scalar).values())
+            assert (_bits(list(vars(scalar).values())) == _bits(want[:, i])).all()
+
+    def test_broadcasting(self):
+        sol = solve_rho(np.array([[0.5], [-2.0]]), 1.0, np.array([0.3, 0.7, 1.1]), 0.2)
+        assert sol.rho_plus.shape == (2, 3)
+        assert sol.rho_minus[1, 2] == solve_rho(-2.0, 1.0, 1.1, 0.2).rho_minus
+
+    def test_array_error_names_first_offending_row(self):
+        A = np.array([1.0, 2.0, 1e60, 0.5, 1e70])
+        with pytest.raises(FloatRange, match=r"^row 2: charge-density roots or residuals at "
+                                             r"A=1e\+60 \(mass=1.0, e=0.5, d_prime=0.2\)"):
+            solve_rho(A, 1.0, 0.5, 0.2)
+        with pytest.raises(FloatRange, match=r"^row \(1, 0\): .* at A=1e\+100 "):
+            solve_rho(np.array([[1.0, 2.0], [1e100, 3.0]]), 1.0, 0.5, 0.2)
+        with pytest.raises(ZeroCharge, match="^row 1: charge e must be nonzero$"):
+            solve_rho(A, 1.0, np.array([0.5, 0.0, 0.5, 0.5, 0.5]), 0.2)
+        with pytest.raises(ValueError, match="^row 3: d_prime must be positive, got -0.1$"):
+            solve_rho(1.0, 1.0, 0.5, np.array([0.1, 0.2, 0.3, -0.1]))
+
+    def test_residual_of_overflowing_power_is_not_finite(self):
+        assert not math.isfinite(rho_residual(1.0, 1e100, 1.0, 0.5, 0.2))
+        assert rho_residual(np.array([1.0, 2.0]), 1.5, 1.0, 0.5, 0.2).tolist() == \
+            [rho_residual(1.0, 1.5, 1.0, 0.5, 0.2), rho_residual(2.0, 1.5, 1.0, 0.5, 0.2)]

@@ -250,6 +250,127 @@ class TestSpectrumTable:
         with pytest.raises(SpeedDomain):
             spectrum_table(1.0, ELECTRON_MASS_EV, 2, 1)
 
+    @pytest.mark.parametrize("max_n_theta, max_n_r", [
+        (2.0, 1), (True, 1), (0, 1), (2, -1), (2, 1.0), (2, False), ("2", 1),
+    ])
+    def test_rejects_bad_bounds(self, max_n_theta, max_n_r):
+        with pytest.raises(InvalidQuantumNumber, match="max_n_"):
+            spectrum_table(0.1, 1.0, max_n_theta, max_n_r)
+
+
+SOLVERS = {
+    "bohr_solve": lambda mass: bohr_solve(0.1, 1, mass),
+    "coupled_solve": lambda mass: coupled_solve(0.1, QuantumNumbers(1, 1), mass),
+    "energy_closed_form": lambda mass: energy_closed_form(0.1, 1, 0, mass),
+    "sommerfeld_reference": lambda mass: sommerfeld_reference(0.1, 1, 0, mass),
+}
+
+
+class TestSharedChecks:
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("mass", [-1.0, 0.0, -0.0, math.nan])
+    def test_rejects_nonpositive_mass(self, solver, mass):
+        with pytest.raises(NonpositiveMass, match=f"mass must be positive, got {mass}"):
+            SOLVERS[solver](mass)
+
+    @pytest.mark.parametrize("dps", [0, -3, 16, 17.5, 40.0, True, "40", None])
+    def test_reference_rejects_too_few_digits(self, dps):
+        with pytest.raises(ValueError, match="dps must be an integer >= 17"):
+            sommerfeld_reference(0.1, 1, 0, dps=dps)
+
+    def test_reference_accepts_seventeen_digits(self):
+        assert sommerfeld_reference(0.1, 1, 0, dps=17) == pytest.approx(
+            energy_closed_form(0.1, 1, 0), rel=1e-15)
+
+    def test_array_errors_name_first_offending_row(self):
+        with pytest.raises(SpeedDomain, match=r"^row 1: need 0 < alpha < n_theta for a bound "
+                                              r"orbit, got alpha=1.5, n_theta=1$"):
+            coupled_solve(np.array([0.1, 1.5, 0.2, 3.0]), QuantumNumbers(1, 0))
+        with pytest.raises(SpeedDomain, match=r"^row \(0, 1\): need 0 <= alpha .* "
+                                              r"got alpha=1.0, n_theta=1$"):
+            energy_closed_form(np.array([0.5, 1.0]), np.array([[1], [2]]), 0)
+        with pytest.raises(NonpositiveMass, match="^row 2: mass must be positive, got 0.0$"):
+            sommerfeld_reference(0.1, 1, 0, np.array([1.0, 2.0, 0.0]))
+        with pytest.raises(InvalidQuantumNumber, match="^row 1: n_r must be an integer >= 0, got -1$"):
+            QuantumNumbers(1, np.array([0, -1]))
+        with pytest.raises(InvalidQuantumNumber, match="array of dtype bool"):
+            QuantumNumbers(np.array([True]), 0)
+
+
+def _scalar_chain(alpha, n_theta, n_r, mass):
+    """Route A as the scalar chain computed it before the array kernel: (v_m, nu_m)."""
+    v = alpha / n_theta
+    K = (math.sqrt(1.0 - v * v) + n_r / n_theta) / v
+    v_m = 1.0 / math.sqrt(1.0 + K * K)
+    return v_m, mass * math.sqrt(1.0 - v_m * v_m)
+
+
+def _scalar_closed_form(alpha, n_theta, n_r, mass):
+    """Route B as the scalar body computed it before the array kernel."""
+    root = math.sqrt(n_theta * n_theta - alpha * alpha)
+    denom = (root + n_r) ** 2
+    return mass / math.sqrt(1.0 + alpha * alpha / denom)
+
+
+class TestArrayKernels:
+    def test_bit_identical_to_scalar_references(self):
+        rng = np.random.default_rng(44)
+        n = 12000
+        n_theta = rng.integers(1, 21, n)
+        n_r = rng.integers(0, 21, n)
+        alpha = rng.uniform(1e-6, 0.999, n) * n_theta
+        alpha[: n // 4] = 10.0 ** rng.uniform(-12.0, -1.0, n // 4)
+        mass = rng.uniform(0.1, 10.0, n)
+        mass[rng.random(n) < 0.2] = 1.0
+        state = coupled_solve(alpha, QuantumNumbers(n_theta, n_r), mass)
+        closed = energy_closed_form(alpha, n_theta, n_r, mass)
+        rows = list(zip(alpha.tolist(), n_theta.tolist(), n_r.tolist(), mass.tolist()))
+        chain = np.array([_scalar_chain(*row) for row in rows]).T
+        want_closed = np.array([_scalar_closed_form(*row) for row in rows])
+        bits = lambda x: np.asarray(x, dtype=float).view(np.uint64)
+        assert (bits(np.stack((state.v_m, state.nu_m))) == bits(chain)).all()
+        assert (bits(closed) == bits(want_closed)).all()
+        for i in range(0, n, 600):
+            a, k, r, m = rows[i]
+            scalar = coupled_solve(a, QuantumNumbers(k, r), m)
+            assert (scalar.v_m, scalar.nu_m) == tuple(chain[:, i])
+            assert energy_closed_form(a, k, r, m) == want_closed[i]
+
+    def test_route_b_bit_identical_at_domain_edge(self):
+        # without vibration and near alpha = n_theta the denominator (root + n_r)^2
+        # is small, and its last bit reaches the level: Python's ** and numpy's
+        # square differ there on about 1 input in 3000
+        rng = np.random.default_rng(45)
+        n_theta = rng.integers(1, 21, 40000)
+        alpha = rng.uniform(0.9, 0.999999, 40000) * n_theta
+        want = [_scalar_closed_form(a, k, 0, 1.0) for a, k in zip(alpha.tolist(), n_theta.tolist())]
+        assert energy_closed_form(alpha, n_theta, 0).tolist() == want
+
+    def test_scalar_calls_return_plain_numbers(self):
+        state = coupled_solve(0.3, QuantumNumbers(np.int64(2), 1))
+        fields = [value for name, value in vars(state).items() if name not in ("qn", "bohr")]
+        fields += [value for name, value in vars(state.bohr).items() if name != "n_theta"]
+        assert all(type(value) is float for value in fields)
+        assert type(state.bohr.n_theta) is int
+        assert type(energy_closed_form(0.3, 2, 1)) is float
+        assert type(sommerfeld_reference(0.3, 2, 1)) is float
+
+    def test_grid_fields_match_single_levels(self):
+        alphas = np.array([ALPHA, 0.3])[:, None, None]
+        n_theta, n_r = np.arange(1, 4)[:, None], np.arange(0, 3)
+        state = coupled_solve(alphas, QuantumNumbers(n_theta, n_r))
+        reference = sommerfeld_reference(ALPHA, n_theta, n_r)
+        assert state.nu_m.shape == (2, 3, 3) and state.bohr.nu_b.shape == (2, 3, 1)
+        for i, alpha in enumerate((ALPHA, 0.3)):
+            for j in range(3):
+                for k in range(3):
+                    single = coupled_solve(alpha, QuantumNumbers(j + 1, k))
+                    assert state.nu_m[i, j, k] == single.nu_m
+                    assert state.m_h[i, j, k] == single.m_h
+                    assert state.bohr.R1_hat[i, j, 0] == single.bohr.R1_hat
+                    if i == 0:
+                        assert reference[j, k] == sommerfeld_reference(ALPHA, j + 1, k)
+
 
 def _oracle_binding(alpha, n_theta, n_r, mass_ev):
     """E - m at 50 digits, as an mpf."""
