@@ -29,8 +29,6 @@ from .circle_spaces import (
     ChartKind,
     RotatedBasis,
     SpaceChart,
-    SpatialPolar,
-    TemporalPolar,
     arc_map,
     arc_map_inverse,
     chart_map,
@@ -86,8 +84,6 @@ from .reflector import (
     DiracOperator,
     Reflector,
     WaveFunction,
-    dirac_lhs,
-    dirac_rhs,
     reflector_mul,
     sandwich,
     unit_reflector,

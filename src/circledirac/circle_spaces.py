@@ -43,14 +43,12 @@ from typing import Iterable
 import numpy as np
 
 from .biquaternion import Biquaternion, array_conj
-from .errors import FloatRange, LightConePoint, NonpositiveRadiusParameter
+from .errors import FloatRange, LightConePoint, NonpositiveRadiusParameter, require
 from .reflector import Reflector
 
 __all__ = [
     "ChartKind",
     "SpaceChart",
-    "TemporalPolar",
-    "SpatialPolar",
     "RotatedBasis",
     "arc_map",
     "arc_map_inverse",
@@ -122,36 +120,6 @@ def _hyperbolic_polar(x0: float, x3: float) -> tuple[float, float]:
     return r0, math.asinh(x0 / r0)
 
 
-@dataclass(frozen=True)
-class TemporalPolar:
-    """Hyperbolic polar point of the temporal plane (x3 > |x0| wedge)."""
-
-    r0: float
-    theta0: float
-
-    @classmethod
-    def from_plane(cls, x0: float, x3: float) -> "TemporalPolar":
-        return cls(*_hyperbolic_polar(x0, x3))
-
-    def to_plane(self) -> tuple[float, float]:
-        return self.r0 * math.sinh(self.theta0), self.r0 * math.cosh(self.theta0)
-
-
-@dataclass(frozen=True)
-class SpatialPolar:
-    """Ordinary polar point of the spatial plane."""
-
-    r1: float
-    theta1: float
-
-    @classmethod
-    def from_plane(cls, x1: float, x2: float) -> "SpatialPolar":
-        return cls(math.hypot(x1, x2), math.atan2(x1, x2))
-
-    def to_plane(self) -> tuple[float, float]:
-        return self.r1 * math.sin(self.theta1), self.r1 * math.cos(self.theta1)
-
-
 def _mapped(fn, *args) -> np.ndarray:
     """``fn`` from :mod:`math` applied entry by entry over same-shape arrays.
 
@@ -164,21 +132,9 @@ def _mapped(fn, *args) -> np.ndarray:
     return np.fromiter(map(fn, *flat), float, len(flat[0])).reshape(shape)
 
 
-def _first_offender(ok, values, name: str) -> str:
-    """``name = value``, or ``name[index] = value`` at the first False entry of an array ``ok``.
-
-    ``ok`` has the shape of ``values``.
-    """
-    if np.ndim(ok) == 0:
-        return f"{name} = {values}"
-    index = np.unravel_index(np.argmin(ok), np.shape(ok))
-    return f"{name}[{', '.join(map(str, index))}] = {np.asarray(values)[index]}"
-
-
 def _require_positive(R, what: str, name: str = "R") -> None:
-    ok = np.greater(R, 0)
-    if not np.all(ok):
-        raise NonpositiveRadiusParameter(f"{what} requires {name} > 0, got {_first_offender(ok, R, name)}")
+    require(np.greater(R, 0), NonpositiveRadiusParameter,
+            f"{what} requires {name} > 0, got {name} = {{R}}", R=R)
 
 
 def arc_map(r: float, s: float, R: float) -> float:
@@ -199,9 +155,7 @@ def arc_map_inverse(r: float, s_tilde: float, R: float) -> float:
     Takes broadcasting arrays like :func:`arc_map`.
     """
     _require_positive(R, "arc map")
-    off_cone = np.not_equal(r, 0.0)
-    if not np.all(off_cone):
-        raise LightConePoint(f"arc map inverse undefined at {_first_offender(off_cone, r, 'r')}")
+    require(np.not_equal(r, 0.0), LightConePoint, "arc map inverse undefined at r = {r}", r=r)
     return R * s_tilde / r
 
 

@@ -27,7 +27,6 @@ import numpy as np
 from .biquaternion import Biquaternion, I0, embed
 from .errors import (
     DispersionViolation,
-    NonpositiveMass,
     NonpositiveRadiusParameter,
     SuperluminalSpeed,
     positive_mass,
@@ -164,8 +163,7 @@ def plane_wave_solution(nu: float, mu: float, mass: float, eA: float = 0.0) -> W
     Deliberately off-shell waves are useful for exercising the residual
     harness; :func:`bound_solution` is the checked entry point.
     """
-    if not mass > 0:
-        raise NonpositiveMass(f"mass must be positive, got {mass}")
+    positive_mass(mass)
     k = (-nu, mu, 0.0, 0.0)
     phi1 = ExpWave(I0, k)
     # ((nu - eA)*i_0 - i*mu*i_1) * inverse(-i*mass), inverse = i/mass
@@ -176,8 +174,6 @@ def plane_wave_solution(nu: float, mu: float, mass: float, eA: float = 0.0) -> W
 
 def free_solution(mass: float) -> WaveFunction:
     """Rest-frame wave exp(-i*mass*s0) on a temporal circle chart."""
-    if not mass > 0:
-        raise NonpositiveMass(f"mass must be positive, got {mass}")
     return plane_wave_solution(nu=mass, mu=0.0, mass=mass, eA=0.0)
 
 
@@ -204,6 +200,9 @@ def residual(wave: WaveFunction,
              h: float = 1e-5,
              operator: DiracOperator = ARC_TIME_UNITS) -> ResidualReport:
     """Max-norm residual of (D - i e A) Phi - Phi M over the given points.
+
+    The library's one evaluation of the Dirac system: a single point is
+    a batch of one.
 
     Always evaluates second-order central differences with step h, from
     the wave's values at the 8N shifted points p +- h e_mu; adds the

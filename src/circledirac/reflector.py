@@ -17,16 +17,15 @@ the wave components on the LEFT and the mass term on the RIGHT; the
 block layout forces this ordering and it matters because the algebra
 does not commute.
 
-Derivative application is injected (analytic for plane waves, central
+Derivatives come by two routes (analytic for plane waves, central
 finite differences generically) so residual checks can cross-validate
-the two routes.
+them.
 
 Both sides are assembled once, by :func:`dirac_lhs_array` and
 :func:`dirac_rhs_array`, on coefficient arrays: a reflector or a
 DiagPair is a ``(..., 2, 4)`` array (top/upper first), and leading axes
-broadcast over points and derivative routes.  :func:`dirac_lhs` and
-:func:`dirac_rhs` are their one-point wrappers.  :func:`sandwich` is
-the library's one rotor sandwich r*x*r.
+broadcast over points and derivative routes.  :func:`sandwich` is the
+library's one rotor sandwich r*x*r.
 """
 
 from __future__ import annotations
@@ -50,8 +49,6 @@ __all__ = [
     "reflector_mul",
     "unit_reflector",
     "sandwich",
-    "dirac_lhs",
-    "dirac_rhs",
     "dirac_lhs_array",
     "dirac_rhs_array",
     "reflector_mul_array",
@@ -100,11 +97,6 @@ class DiagPair:
 
     upper: Biquaternion
     lower: Biquaternion
-
-    @classmethod
-    def from_array(cls, c) -> "DiagPair":
-        """DiagPair from a ``(2, 4)`` coefficient array [upper, lower]."""
-        return cls(Biquaternion(*c[0]), Biquaternion(*c[1]))
 
     def __add__(self, other: "DiagPair") -> "DiagPair":
         return DiagPair(self.upper + other.upper, self.lower + other.lower)
@@ -215,9 +207,6 @@ def evaluate(f, points: np.ndarray) -> np.ndarray:
 class AnalyticDerivative:
     """Uses the component's own closed-form derivative."""
 
-    def __call__(self, f, point: np.ndarray, mu: int) -> Biquaternion:
-        return f.derivative(point, mu)
-
     def batch(self, f, points: np.ndarray) -> np.ndarray:
         """d f/d x_mu at points ``(N, 4)`` for every mu, shape ``(N, 4, 4)``."""
         batch = getattr(f, "batch_derivative", None)
@@ -233,13 +222,6 @@ class CentralDifference:
         if not 0 < h < math.inf:
             raise ValueError(f"finite-difference step must be positive and finite, got {h}")
         self.h = h
-
-    def __call__(self, f, point: np.ndarray, mu: int) -> Biquaternion:
-        p_plus = np.array(point, dtype=float)
-        p_minus = np.array(point, dtype=float)
-        p_plus[mu] += self.h
-        p_minus[mu] -= self.h
-        return (f(p_plus) - f(p_minus)) / (2.0 * self.h)
 
     def batch(self, f, points: np.ndarray) -> np.ndarray:
         """Central differences at points ``(N, 4)`` for every mu, shape ``(N, 4, 4)``.
@@ -297,32 +279,3 @@ def dirac_rhs_array(phi, m) -> np.ndarray:
     """Phi M on coefficient arrays, with M the reflector (m, -conj(m)) of a ``(4,)`` m."""
     m = np.asarray(m)
     return reflector_mul_array(phi, np.stack((m, -array_conj(m))))
-
-
-def _wave_coeffs(wave: WaveFunction, point) -> np.ndarray:
-    return np.array((wave.phi1(point).coeffs, wave.phi2(point).coeffs), dtype=complex)
-
-
-def dirac_lhs(operator: DiracOperator,
-              deriv,
-              a_pot: Biquaternion,
-              e: float,
-              wave: WaveFunction,
-              point: np.ndarray) -> DiagPair:
-    """Left-hand side (D - i e A) Phi evaluated at a point, as a DiagPair.
-
-    ``a_pot`` is the embedded potential biquaternion (temporal slot
-    already divided by i); it multiplies the wave components on the left.
-    ``deriv(f, point, mu)`` supplies each derivative; the blocks come from
-    :func:`dirac_lhs_array` at this one point.
-    """
-    d_phi = np.array([(deriv(wave.phi1, point, mu).coeffs, deriv(wave.phi2, point, mu).coeffs)
-                      for mu in range(4)], dtype=complex)
-    lhs = dirac_lhs_array(operator.to_array(), unit_reflector(a_pot).to_array(), e,
-                          _wave_coeffs(wave, point), d_phi)
-    return DiagPair.from_array(lhs)
-
-
-def dirac_rhs(wave: WaveFunction, m: Biquaternion, point: np.ndarray) -> DiagPair:
-    """Right-hand side Phi M at a point, as a DiagPair, via :func:`dirac_rhs_array`."""
-    return DiagPair.from_array(dirac_rhs_array(_wave_coeffs(wave, point), m.coeffs))

@@ -49,7 +49,7 @@ from numbers import Integral
 import mpmath
 import numpy as np
 
-from .errors import SpeedDomain, positive_mass, quantum_integer, require
+from .errors import FloatRange, SpeedDomain, positive_mass, quantum_integer, require
 from .planewave import de_broglie
 
 __all__ = [
@@ -124,6 +124,11 @@ def _check_speed(alpha, n_theta, allow_zero: bool = False):
     return v
 
 
+def _finite(fields: dict) -> np.ndarray:
+    """Where every field, broadcast against the others, is finite."""
+    return np.isfinite(np.broadcast_arrays(*fields.values())).all(axis=0)
+
+
 def _plain(x):
     """A 0-d result as a plain Python float; an array as it is."""
     return x if isinstance(x, np.ndarray) and x.ndim else float(x)
@@ -182,6 +187,8 @@ def bohr_solve(alpha: float, n_theta: int, mass: float = 1.0) -> BohrState:
         fields = dict(v_b=v, eta_b=eta, mu_b=mu, nu_b=eta + eA, eA_b=eA,
                       R1_b=k * root / (m * v), R0_l=R0_l, R0_b=R0_l / root,
                       R1_hat=-v * R0_l / root, L=k)
+    require(_finite(fields), FloatRange, "bound orbit at alpha={alpha} (n_theta={n_theta}, "
+            "mass={mass}) leaves the float range", alpha=alpha, n_theta=n_theta, mass=mass)
     return BohrState(n_theta=n_theta, **{name: _plain(x) for name, x in fields.items()})
 
 
@@ -228,6 +235,9 @@ def coupled_solve(alpha: float, qn: QuantumNumbers, mass: float = 1.0) -> Couple
         fields = dict(eta_l=eta_l, v_m=v_m, nu_m=m * rest, mu_m=m * v_m / rest,
                       vprime_m=m * m / b.mu_b + eta_l / v, nu_h=nu_h, eta_h=nu_h / one_minus,
                       mu_h=nu_h * v / one_minus, m_h=nu_h / np.sqrt(one_minus))
+    require(_finite(fields), FloatRange, "coupled state at alpha={alpha} (n_theta={n_theta}, "
+            "n_r={n_r}, mass={mass}) leaves the float range",
+            alpha=alpha, n_theta=qn.n_theta, n_r=qn.n_r, mass=mass)
     return CoupledState(qn=qn, bohr=b, **{name: _plain(x) for name, x in fields.items()})
 
 

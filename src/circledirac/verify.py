@@ -213,7 +213,7 @@ def suite_dirac(rng: np.random.Generator) -> VerificationReport:
 
     pw = PlaneWave(nu=1.25, mu=0.75, mass=1.0, eA=0.0)
     wave = bound_solution(pw)
-    rep = residual(wave, *_potential_args(pw), m1, points, h=1e-5)
+    rep = residual(wave, *pw.potential(), m1, points, h=1e-5)
     cases.append(_case("bound-analytic", rep.analytic, 1e-12))
     cases.append(_case("bound-fd", rep.fd, 1e-8))
 
@@ -221,25 +221,20 @@ def suite_dirac(rng: np.random.Generator) -> VerificationReport:
     eA = -0.3
     pw2 = PlaneWave(nu=eA + math.sqrt(1.0 + mu * mu), mu=mu, mass=1.0, eA=eA)
     wave2 = bound_solution(pw2)
-    rep2 = residual(wave2, *_potential_args(pw2), m1, points, h=1e-5)
+    rep2 = residual(wave2, *pw2.potential(), m1, points, h=1e-5)
     cases.append(_case("bound-potential-analytic", rep2.analytic, 1e-12))
     cases.append(_case("bound-potential-fd", rep2.fd, 1e-8))
 
-    r_coarse = residual(wave, *_potential_args(pw), m1, points, h=0.05).fd
-    r_fine = residual(wave, *_potential_args(pw), m1, points, h=0.025).fd
+    r_coarse = residual(wave, *pw.potential(), m1, points, h=0.05).fd
+    r_fine = residual(wave, *pw.potential(), m1, points, h=0.025).fd
     order = math.log2(r_coarse / r_fine)
     cases.append(_case("fd-convergence-order", abs(order - 2.0), 0.1))
 
     off = plane_wave_solution(pw.nu + 0.1, pw.mu, pw.mass, pw.eA)
-    rep_off = residual(off, *_potential_args(pw), m1, points, h=1e-5)
+    rep_off = residual(off, *pw.potential(), m1, points, h=1e-5)
     cases.append(_detect("offshell-detected", rep_off.analytic, 1e-4))
 
     return VerificationReport("dirac", tuple(cases))
-
-
-def _potential_args(pw: PlaneWave) -> tuple[Biquaternion, float]:
-    a, e = pw.potential()
-    return a, e
 
 
 # -- tachyon -----------------------------------------------------------------

@@ -1,13 +1,53 @@
-"""Make this checkout's ``src/`` importable by the subprocesses tests start.
+"""Shared test setup and the scalar reference for the Dirac system.
 
+Make this checkout's ``src/`` importable by the subprocesses tests start:
 ``pythonpath = ["src"]`` in pyproject.toml covers the test process itself;
 the CLI, acceptance and demo tests also run ``python -m circledirac`` or a
 demo script in a fresh interpreter, which reads ``PYTHONPATH`` instead.
+
+The reference helpers write both sides of the Dirac system out in scalar
+Biquaternion products, one point at a time, so the array kernels are
+checked against code they do not share.
 """
 
 import os
 import pathlib
 
+import numpy as np
+
+from circledirac import Biquaternion, DiagPair
+
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     [SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))
+
+
+def analytic(f, point, mu):
+    """d f/d x_mu at one point from the component's own closed-form derivative."""
+    return f.derivative(point, mu)
+
+
+def central_difference(h):
+    """d f/d x_mu at one point as (f(p + h e_mu) - f(p - h e_mu))/(2h)."""
+    def deriv(f, point, mu):
+        step = h * np.eye(4)[mu]
+        return (f(point + step) - f(point - step)) / (2.0 * h)
+    return deriv
+
+
+def scalar_lhs(operator, deriv, a_pot, e, wave, point):
+    """Reference (D - i e A) Phi written out in scalar Biquaternion products."""
+    upper = Biquaternion()
+    lower = Biquaternion()
+    for mu, u in enumerate(operator.units):
+        upper = upper + u * deriv(wave.phi2, point, mu)
+        lower = lower + u.conj * deriv(wave.phi1, point, mu)
+    ie = 1j * e
+    upper = upper - ie * (a_pot * wave.phi2(point))
+    lower = lower - ie * (a_pot.conj * wave.phi1(point))
+    return DiagPair(upper, lower)
+
+
+def scalar_rhs(wave, m, point):
+    """Reference Phi M with M = (m, -conj(m)): (-phi1 conj(m), phi2 m)."""
+    return DiagPair(-(wave.phi1(point) * m.conj), wave.phi2(point) * m)

@@ -17,8 +17,6 @@ from circledirac import (
     LightConePoint,
     NonpositiveRadiusParameter,
     SpaceChart,
-    SpatialPolar,
-    TemporalPolar,
     arc_map,
     arc_map_inverse,
     chart_map,
@@ -102,12 +100,12 @@ class TestArcMap:
         for fn in (arc_map, arc_map_inverse):
             with pytest.raises(NonpositiveRadiusParameter) as info:
                 fn(np.ones(1000), np.ones(1000), big_r)
-            assert str(info.value) == "arc map requires R > 0, got R[617] = 0.0"
+            assert str(info.value) == "row 617: arc map requires R > 0, got R = 0.0"
         r = np.ones((2, 3))
         r[1, 2] = 0.0
         with pytest.raises(LightConePoint) as info:
             arc_map_inverse(r, np.ones(3), 1.0)
-        assert str(info.value) == "arc map inverse undefined at r[1, 2] = 0.0"
+        assert str(info.value) == "row (1, 2): arc map inverse undefined at r = 0.0"
 
 
 def _pairwise_relations(basis):
@@ -177,7 +175,8 @@ class TestScalePotential:
     def test_rejects_radius(self):
         with pytest.raises(NonpositiveRadiusParameter):
             scale_potential(Biquaternion(1.0), 1.0, 0.0)
-        with pytest.raises(NonpositiveRadiusParameter, match=r"R1\[1, 0\] = -1\.0"):
+        with pytest.raises(NonpositiveRadiusParameter, match=r"^row \(1, 0\): potential scaling "
+                                                             r"requires R1 > 0, got R1 = -1\.0$"):
             scale_potential(np.ones((3, 4)), 1.0, np.array([[1.0], [-1.0], [2.0]]))
 
     def test_array_rows_match_scalar_exactly(self):
@@ -232,7 +231,7 @@ class TestChartMap:
     @pytest.mark.parametrize("source", [L, T, M, S, S32])
     @pytest.mark.parametrize("target", [L, T, M, S, S32])
     def test_bit_identical_to_polar_composition(self, source, target):
-        # reference: through L with the polar classes, one plane at a time
+        # reference: through L with the polar maps written out, one plane at a time
         rng = np.random.default_rng(10)
         points, images = [], []
         for _ in range(50):
@@ -241,16 +240,17 @@ class TestChartMap:
             p = chart_map(plane, L, source)
             x = list(p)
             if source.kind in (ChartKind.T, ChartKind.S):
-                x[0], x[3] = TemporalPolar(p[3], p[0] / source.R0).to_plane()
+                r0, theta0 = p[3], p[0] / source.R0
+                x[0], x[3] = r0 * math.sinh(theta0), r0 * math.cosh(theta0)
             if source.kind in (ChartKind.M, ChartKind.S):
-                x[1], x[2] = SpatialPolar(p[2], p[1] / source.R1).to_plane()
+                r1, theta1 = p[2], p[1] / source.R1
+                x[1], x[2] = r1 * math.sin(theta1), r1 * math.cos(theta1)
             y = list(x)
             if target.kind in (ChartKind.T, ChartKind.S):
-                pol = TemporalPolar.from_plane(x[0], x[3])
-                y[0], y[3] = target.R0 * pol.theta0, pol.r0
+                r0 = math.sqrt(x[3] * x[3] - x[0] * x[0])
+                y[0], y[3] = target.R0 * math.asinh(x[0] / r0), r0
             if target.kind in (ChartKind.M, ChartKind.S):
-                pol = SpatialPolar.from_plane(x[1], x[2])
-                y[1], y[2] = target.R1 * pol.theta1, pol.r1
+                y[1], y[2] = target.R1 * math.atan2(x[1], x[2]), math.hypot(x[1], x[2])
             assert chart_map(p, source, target).tolist() == y
             points.append(p)
             images.append(y)

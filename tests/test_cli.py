@@ -185,6 +185,10 @@ class TestSubprocessContract:
          "FloatRange: T chart (R0=1) point [1000.0, 0.0, 0.0, 1.0]"),
         (("qed-rho", "--A", "1e60"), "FloatRange: charge-density roots or residuals at A=1e+60"),
         (("qed-rho", "--A", "1e100"), "FloatRange: charge-density roots or residuals at A=1e+100"),
+        (("spectrum", "--alpha", "5e-324", "--max-ntheta", "1"),
+         "FloatRange: row (0, 0): bound orbit at alpha=5e-324"),
+        (("spectrum", "--alpha", "1e-308", "--max-ntheta", "1"),
+         "FloatRange: row (0, 1): coupled state at alpha=1e-308"),
         (("map", "--space", "T", "--R0", "1", "--round-trip",
           "--point", '{"chart":"L","R0":"x","coords":[0.1,0,0,1]}'), "R0 > 0, got 'x'"),
         (("verify", "--seed", "-1"), "seed must be a non-negative integer, got -1"),

@@ -42,7 +42,19 @@ def _traced_functions() -> list[str]:
     raise AssertionError("perfbench/spans.py defines no FUNCTIONS")
 
 
-@pytest.mark.parametrize("layer", _traced_functions())
+# Traced layers the library removed on purpose: the one-point Dirac wrappers, whose
+# work ``planewave.residual`` does for a batch.  The tracer lists them under
+# ``missing_layers`` until the benchmark's own FUNCTIONS list drops them.
+RETIRED = ("reflector.dirac_lhs", "reflector.dirac_rhs")
+
+
+@pytest.mark.parametrize("layer", [f for f in _traced_functions() if f not in RETIRED])
 def test_traced_functions_resolve(layer):
     module, name = layer.split(".")
     assert callable(getattr(importlib.import_module(f"circledirac.{module}"), name, None))
+
+
+@pytest.mark.parametrize("layer", RETIRED)
+def test_retired_layers_stay_removed(layer):
+    module, name = layer.split(".")
+    assert not hasattr(importlib.import_module(f"circledirac.{module}"), name)

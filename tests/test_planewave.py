@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import analytic, central_difference, scalar_lhs, scalar_rhs
 
 from circledirac import (
     Biquaternion,
@@ -19,14 +20,7 @@ from circledirac import (
     plane_wave_solution,
     residual,
 )
-from circledirac.reflector import (
-    ARC_TIME_UNITS,
-    AnalyticDerivative,
-    CentralDifference,
-    WaveFunction,
-    dirac_lhs,
-    dirac_rhs,
-)
+from circledirac.reflector import ARC_TIME_UNITS, WaveFunction
 
 RNG = np.random.default_rng(11)
 POINTS = [RNG.uniform(-2.0, 2.0, size=4) for _ in range(10)]
@@ -138,21 +132,21 @@ OFF_SHELL = plane_wave_solution(PW.nu + 0.1, PW.mu, PW.mass)
 
 
 def pointwise(wave, deriv, points):
-    """Reference: the worst scalar dirac_lhs - dirac_rhs over the points, one at a time."""
+    """Reference: the worst scalar (D - i e A) Phi - Phi M over the points, one at a time."""
     a, e, m = _args(PW)
-    return max(dirac_lhs(ARC_TIME_UNITS, deriv, a, e, wave, p).max_abs_diff(dirac_rhs(wave, m, p))
+    return max(scalar_lhs(ARC_TIME_UNITS, deriv, a, e, wave, p).max_abs_diff(scalar_rhs(wave, m, p))
                for p in points)
 
 
 class TestBatchedResidual:
-    """The one-pass residual against the per-point scalar route."""
+    """The one-pass residual against the per-point scalar reference of conftest."""
 
     @pytest.mark.parametrize("h", [1e-5, 0.05])
     @pytest.mark.parametrize("wave", [ON_SHELL, OFF_SHELL], ids=["on-shell", "off-shell"])
     def test_matches_pointwise(self, wave, h):
         rep = residual(wave, *_args(PW), BATCH, h=h)
-        ref_an = pointwise(wave, AnalyticDerivative(), BATCH)
-        ref_fd = pointwise(wave, CentralDifference(h), BATCH)
+        ref_an = pointwise(wave, analytic, BATCH)
+        ref_fd = pointwise(wave, central_difference(h), BATCH)
         if wave is ON_SHELL:
             assert rep.analytic <= 1e-12 and ref_an <= 1e-12
         else:
@@ -185,7 +179,7 @@ class TestBatchedResidual:
         rep = residual(plain, *_args(PW), BATCH[:5], h=1e-5)
         assert rep.analytic is None
         assert math.isfinite(rep.fd) and rep.fd <= 1e-8
-        assert rep.fd == pytest.approx(pointwise(on, CentralDifference(1e-5), BATCH[:5]), abs=1e-9)
+        assert rep.fd == pytest.approx(pointwise(on, central_difference(1e-5), BATCH[:5]), abs=1e-9)
 
     def test_rejects_bad_step_and_shape(self):
         for h in (0.0, -1e-5, math.nan, math.inf):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from circledirac import (
+    FloatRange,
     InvalidQuantumNumber,
     NonpositiveMass,
     QuantumNumbers,
@@ -295,6 +296,24 @@ class TestSharedChecks:
             QuantumNumbers(1, np.array([0, -1]))
         with pytest.raises(InvalidQuantumNumber, match="array of dtype bool"):
             QuantumNumbers(np.array([True]), 0)
+
+    def test_tiny_coupling_leaves_the_float_range(self):
+        # the orbit radius n_theta^2/alpha and the speed vprime_m = 2/alpha overflow
+        with pytest.raises(FloatRange, match=r"^bound orbit at alpha=5e-324 \(n_theta=1, "
+                                             r"mass=1.0\) leaves the float range$"):
+            bohr_solve(5e-324, 1)
+        with pytest.raises(FloatRange, match=r"^coupled state at alpha=1e-308 \(n_theta=1, "
+                                             r"n_r=1, mass=1.0\) leaves the float range$"):
+            coupled_solve(1e-308, QuantumNumbers(1, 1))
+        assert math.isfinite(bohr_solve(1e-308, 1).R1_b)
+        assert math.isfinite(coupled_solve(1e-308, QuantumNumbers(1, 0)).vprime_m)
+
+    def test_tiny_coupling_names_first_offending_row(self):
+        with pytest.raises(FloatRange, match=r"^row \(1, 2\): bound orbit at alpha=5e-324 "):
+            bohr_solve(np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 5e-324]]), 1)
+        with pytest.raises(FloatRange, match=r"^row 2: coupled state at alpha=1e-308 "
+                                             r"\(n_theta=1, n_r=1, mass=1.0\)"):
+            coupled_solve(np.array([0.1, 0.2, 1e-308, 1e-308]), QuantumNumbers(1, 1))
 
 
 def _scalar_chain(alpha, n_theta, n_r, mass):
