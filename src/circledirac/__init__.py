@@ -16,7 +16,6 @@ from .biquaternion import (
     I2,
     I3,
     ONE,
-    UNITS,
     array_conj,
     array_embed,
     array_mul,
@@ -60,6 +59,7 @@ from .planewave import (
     ExpWave,
     PlaneWave,
     ResidualReport,
+    WaveFunction,
     bound_solution,
     de_broglie,
     free_solution,
@@ -78,12 +78,9 @@ from .qed import (
 from .reflector import (
     ARC_TIME_UNITS,
     STANDARD_UNITS,
-    AnalyticDerivative,
-    CentralDifference,
     DiagPair,
     DiracOperator,
     Reflector,
-    WaveFunction,
     reflector_mul,
     sandwich,
     unit_reflector,

@@ -47,7 +47,6 @@ __all__ = [
     "I1",
     "I2",
     "I3",
-    "UNITS",
     "array_mul",
     "array_conj",
     "array_norm_form",
@@ -185,7 +184,6 @@ I0 = ONE
 I1 = Biquaternion(0.0, 1.0)
 I2 = Biquaternion(0.0, 0.0, 1.0)
 I3 = Biquaternion(0.0, 0.0, 0.0, 1.0)
-UNITS = (I0, I1, I2, I3)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from . import circle_spaces as cs
 from . import qed
@@ -20,7 +19,7 @@ from . import verify
 from .errors import CircleDiracError
 from .spectrum import QuantumNumbers
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -28,23 +27,6 @@ EXIT_VERIFICATION = 2
 
 DEFAULT_ALPHA = 7.2973525693e-3
 DEFAULT_MASS_EV = 510998.9461
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    alpha: float = DEFAULT_ALPHA
-    mass_ev: float = DEFAULT_MASS_EV
-    tol: float = 1e-12
-    seed: int = 0
-    format: str = "csv"
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise CircleDiracError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not 0 < self.mass_ev < math.inf:
-            raise CircleDiracError(f"mass-ev must be positive and finite, got {self.mass_ev}")
-        if not 0 < self.tol < math.inf:
-            raise CircleDiracError(f"tol must be positive and finite, got {self.tol}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,32 +39,34 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
-                        help="fine structure constant (default CODATA value)")
-    common.add_argument("--mass-ev", type=float, default=DEFAULT_MASS_EV,
-                        help="rest mass in eV for spectrum output")
-    common.add_argument("--tol", type=float, default=1e-12,
-                        help="acceptance tolerance for spectrum rows")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized verification suites")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
+    # each command takes only the options it reads; these two are shared by two commands each
+    alpha = _Parser(add_help=False)
+    alpha.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
+                       help="fine structure constant (default CODATA value)")
+    output = _Parser(add_help=False)
+    output.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (csv is the golden-file format)")
 
     parser = _Parser(prog="circledirac",
                      description="Verification tools for the circular-chart Dirac system.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_spec = sub.add_parser("spectrum", parents=[common],
+    p_spec = sub.add_parser("spectrum", parents=[alpha, output],
                             help="emit the fine-structure level table")
+    p_spec.add_argument("--mass-ev", type=float, default=DEFAULT_MASS_EV,
+                        help="rest mass in eV for spectrum output")
+    p_spec.add_argument("--tol", type=float, default=1e-12,
+                        help="acceptance tolerance for spectrum rows")
     p_spec.add_argument("--max-ntheta", type=int, default=3)
     p_spec.add_argument("--max-nr", type=int, default=3)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p_verify = sub.add_parser("verify", parents=[output], help="run a verification suite")
     p_verify.add_argument("--suite", default="all",
                           choices=verify.SUITE_NAMES + ("all",))
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="seed for randomized verification suites")
 
-    p_map = sub.add_parser("map", parents=[common], help="map a chart point")
+    p_map = sub.add_parser("map", help="map a chart point")
     p_map.add_argument("--space", required=True, choices=[k.value for k in cs.ChartKind],
                        help="target chart")
     p_map.add_argument("--R0", type=float, default=None, help="target temporal circle radius")
@@ -92,7 +76,7 @@ def _build_parser() -> _Parser:
     p_map.add_argument("--round-trip", action="store_true",
                        help="also map back and print both directions")
 
-    p_rho = sub.add_parser("qed-rho", parents=[common],
+    p_rho = sub.add_parser("qed-rho", parents=[alpha],
                            help="solve the charge-density quadratic")
     p_rho.add_argument("--A", type=float, default=1.0, help="local potential magnitude")
     p_rho.add_argument("--mass", type=float, default=1.0, help="rest mass (natural units)")
@@ -106,27 +90,38 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def cmd_spectrum(config: RunConfig, max_n_theta: int, max_n_r: int) -> int:
-    lines = sp.spectrum_table(config.alpha, config.mass_ev, max_n_theta, max_n_r)
-    if config.format == "csv":
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise CircleDiracError(f"alpha must lie in (0, 1), got {alpha}")
+
+
+def cmd_spectrum(alpha: float, mass_ev: float, tol: float, fmt: str,
+                 max_n_theta: int, max_n_r: int) -> int:
+    _check_alpha(alpha)
+    if not 0 < mass_ev < math.inf:
+        raise CircleDiracError(f"mass-ev must be positive and finite, got {mass_ev}")
+    if not 0 < tol < math.inf:
+        raise CircleDiracError(f"tol must be positive and finite, got {tol}")
+    lines = sp.spectrum_table(alpha, mass_ev, max_n_theta, max_n_r)
+    if fmt == "csv":
         sys.stdout.write(sp.lines_to_csv(lines))
     else:
         sys.stdout.write(json.dumps(sp.lines_to_json_rows(lines), allow_nan=False) + "\n")
-    threshold = config.tol * config.mass_ev
+    threshold = tol * mass_ev
     return EXIT_OK if all(line.abs_diff <= threshold for line in lines) else EXIT_VERIFICATION
 
 
-def cmd_verify(config: RunConfig, suite: str) -> int:
+def cmd_verify(suite: str, seed: int, fmt: str) -> int:
     names = verify.SUITE_NAMES if suite == "all" else (suite,)
-    reports = verify.run_suites(names, seed=config.seed)
-    if config.format == "json":
+    reports = verify.run_suites(names, seed=seed)
+    if fmt == "json":
         sys.stdout.write(verify.reports_to_json(reports))
     else:
         sys.stdout.write(verify.reports_to_csv(reports))
     return EXIT_OK if all(r.overall for r in reports) else EXIT_VERIFICATION
 
 
-def cmd_map(config: RunConfig, space: str, R0, R1, point_json: str, round_trip: bool) -> int:
+def cmd_map(space: str, R0, R1, point_json: str, round_trip: bool) -> int:
     source, coords = cs.chart_point_from_json(point_json)
     target = cs.SpaceChart(cs.ChartKind(space), R0, R1)
     mapped = cs.chart_map(coords, source, target)
@@ -144,13 +139,14 @@ def cmd_map(config: RunConfig, space: str, R0, R1, point_json: str, round_trip: 
     return EXIT_OK
 
 
-def cmd_qed_rho(config: RunConfig, A: float, mass: float, charge: float | None,
+def cmd_qed_rho(alpha: float, A: float, mass: float, charge: float | None,
                 n_theta: int, n_r: int, branch: str) -> int:
+    _check_alpha(alpha)
     for name, value in (("A", A), ("mass", mass), ("charge", charge)):
         if value is not None and not math.isfinite(value):
             raise CircleDiracError(f"{name} must be finite, got {value}")
-    e = math.sqrt(config.alpha) if charge is None else charge
-    d_prime = qed.coefficient_d_prime(QuantumNumbers(n_theta, n_r), config.alpha)
+    e = math.sqrt(alpha) if charge is None else charge
+    d_prime = qed.coefficient_d_prime(QuantumNumbers(n_theta, n_r), alpha)
     sol = qed.solve_rho(A, mass, e, d_prime)
     payload = {
         "A": sol.A,
@@ -177,16 +173,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = RunConfig(alpha=args.alpha, mass_ev=args.mass_ev,
-                           tol=args.tol, seed=args.seed, format=args.format)
         if args.command == "spectrum":
-            return cmd_spectrum(config, args.max_ntheta, args.max_nr)
+            return cmd_spectrum(args.alpha, args.mass_ev, args.tol, args.format,
+                                args.max_ntheta, args.max_nr)
         if args.command == "verify":
-            return cmd_verify(config, args.suite)
+            return cmd_verify(args.suite, args.seed, args.format)
         if args.command == "map":
-            return cmd_map(config, args.space, args.R0, args.R1, args.point, args.round_trip)
+            return cmd_map(args.space, args.R0, args.R1, args.point, args.round_trip)
         if args.command == "qed-rho":
-            return cmd_qed_rho(config, args.A, args.mass, args.charge,
+            return cmd_qed_rho(args.alpha, args.A, args.mass, args.charge,
                                args.ntheta, args.nr, args.branch)
         parser.error(f"unknown command {args.command!r}")
     except CircleDiracError as exc:

@@ -19,6 +19,7 @@ to i at rest).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -33,22 +34,13 @@ from .errors import (
     quantum_integer,
     require,
 )
-from .reflector import (
-    ARC_TIME_UNITS,
-    AnalyticDerivative,
-    CentralDifference,
-    DiracOperator,
-    WaveFunction,
-    dirac_lhs_array,
-    dirac_rhs_array,
-    evaluate,
-    unit_reflector,
-)
+from .reflector import ARC_TIME_UNITS, DiracOperator, dirac_lhs_array, dirac_rhs_array, unit_reflector
 
 __all__ = [
     "PlaneWave",
     "CircleWave",
     "ExpWave",
+    "WaveFunction",
     "ResidualReport",
     "mass_term",
     "plane_wave_solution",
@@ -116,7 +108,7 @@ class ExpWave:
     """prefactor * exp(i * k.x) with a real wavevector k over chart coordinates.
 
     Called with one point it returns a Biquaternion; :meth:`batch` and
-    :meth:`batch_derivative` evaluate a ``(..., 4)`` point array in one
+    :meth:`batch_derivative` take a ``(..., 4)`` point array in one
     numpy pass.  Every route goes through :meth:`_phases`, so a single
     expression defines the wave.
     """
@@ -134,11 +126,8 @@ class ExpWave:
         # does not depend on its position in the batch (a matmul's can)
         return np.exp(1j * (np.asarray(points, dtype=float) * self.k).sum(axis=-1))
 
-    def phase(self, point: np.ndarray) -> complex:
-        return complex(self._phases(point))
-
     def __call__(self, point: np.ndarray) -> Biquaternion:
-        return self.prefactor * self.phase(point)
+        return self.prefactor * complex(self._phases(point))
 
     def derivative(self, point: np.ndarray, mu: int) -> Biquaternion:
         return (1j * self.k[mu]) * self(point)
@@ -150,6 +139,24 @@ class ExpWave:
     def batch_derivative(self, points: np.ndarray) -> np.ndarray:
         """Derivatives along every mu at points ``(..., 4)``, shape ``(..., 4, 4)``."""
         return (1j * self.k)[:, None] * self.batch(points)[..., None, :]
+
+
+@dataclass(frozen=True)
+class WaveFunction:
+    """The wave reflector Phi = (phi1, phi2) over chart coordinates.
+
+    Both components are :class:`ExpWave`, the one wave protocol that
+    :func:`residual` reads; any other component raises ``TypeError``.
+    """
+
+    phi1: ExpWave
+    phi2: ExpWave
+
+    def __post_init__(self):
+        for name in ("phi1", "phi2"):
+            component = getattr(self, name)
+            if not isinstance(component, ExpWave):
+                raise TypeError(f"{name} must be an ExpWave, got {type(component).__name__}")
 
 
 def mass_term(mass: float) -> Biquaternion:
@@ -189,7 +196,18 @@ class ResidualReport:
     """Maximum Dirac-equation residual over the sampled points."""
 
     fd: float
-    analytic: float | None
+    analytic: float
+
+
+def _central_difference(f: ExpWave, points: np.ndarray, h: float) -> np.ndarray:
+    """Central differences of f at points ``(N, 4)`` for every mu, shape ``(N, 4, 4)``.
+
+    Evaluates f at all 8N shifted points p +- h e_mu in one call.
+    """
+    step = h * np.eye(4)
+    shifted = points[:, None, :] + np.stack((step, -step))[:, None]
+    plus, minus = f.batch(shifted)
+    return (plus - minus) / (2.0 * h)
 
 
 def residual(wave: WaveFunction,
@@ -204,26 +222,25 @@ def residual(wave: WaveFunction,
     The library's one evaluation of the Dirac system: a single point is
     a batch of one.
 
-    Always evaluates second-order central differences with step h, from
-    the wave's values at the 8N shifted points p +- h e_mu; adds the
-    analytic-derivative residual when both components expose one.  All
-    N points and both routes go through :func:`dirac_lhs_array` in one
-    numpy pass (components without ``batch`` are evaluated point by
-    point, see :func:`evaluate`).
+    Evaluates second-order central differences with step h, from the
+    wave's values at the 8N shifted points p +- h e_mu, and the analytic
+    derivatives of the components.  All N points and both routes go
+    through :func:`dirac_lhs_array` in one numpy pass.
     """
-    analytic = hasattr(wave.phi1, "derivative") and hasattr(wave.phi2, "derivative")
-    routes = [CentralDifference(h), AnalyticDerivative()] if analytic else [CentralDifference(h)]
+    if not 0 < h < math.inf:
+        raise ValueError(f"finite-difference step must be positive and finite, got {h}")
     p = np.asarray(points, dtype=float)
     if p.size == 0:
-        return ResidualReport(fd=0.0, analytic=0.0 if analytic else None)
+        return ResidualReport(fd=0.0, analytic=0.0)
     if p.ndim != 2 or p.shape[1] != 4:
         raise ValueError(f"points need shape (N, 4), got {p.shape}")
-    phi = np.stack((evaluate(wave.phi1, p), evaluate(wave.phi2, p)), axis=-2)
-    d_phi = np.stack([np.stack((route.batch(wave.phi1, p), route.batch(wave.phi2, p)), axis=-2)
-                      for route in routes])
+    components = (wave.phi1, wave.phi2)
+    phi = np.stack([f.batch(p) for f in components], axis=-2)
+    d_phi = np.stack((np.stack([_central_difference(f, p, h) for f in components], axis=-2),
+                      np.stack([f.batch_derivative(p) for f in components], axis=-2)))
     lhs = dirac_lhs_array(operator.to_array(), unit_reflector(a_pot).to_array(), e, phi, d_phi)
     worst = np.abs(lhs - dirac_rhs_array(phi, m.coeffs)).max(axis=(1, 2, 3))
-    return ResidualReport(fd=float(worst[0]), analytic=float(worst[1]) if analytic else None)
+    return ResidualReport(fd=float(worst[0]), analytic=float(worst[1]))
 
 
 def de_broglie(mass: float, v: float) -> tuple[float, float]:

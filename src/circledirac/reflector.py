@@ -17,9 +17,8 @@ the wave components on the LEFT and the mass term on the RIGHT; the
 block layout forces this ordering and it matters because the algebra
 does not commute.
 
-Derivatives come by two routes (analytic for plane waves, central
-finite differences generically) so residual checks can cross-validate
-them.
+The module holds only this block calculus.  Waves, their derivatives
+and the residual check live in :mod:`~circledirac.planewave`.
 
 Both sides are assembled once, by :func:`dirac_lhs_array` and
 :func:`dirac_rhs_array`, on coefficient arrays: a reflector or a
@@ -30,7 +29,6 @@ library's one rotor sandwich r*x*r.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,17 +40,13 @@ from .errors import NonUnitRotor
 __all__ = [
     "Reflector",
     "DiagPair",
-    "WaveFunction",
     "DiracOperator",
-    "AnalyticDerivative",
-    "CentralDifference",
     "reflector_mul",
     "unit_reflector",
     "sandwich",
     "dirac_lhs_array",
     "dirac_rhs_array",
     "reflector_mul_array",
-    "evaluate",
     "STANDARD_UNITS",
     "ARC_TIME_UNITS",
 ]
@@ -169,70 +163,7 @@ def sandwich(r, x, tol: float = 1e-12):
     return array_mul(array_mul(r, x), r)
 
 
-# -- wave functions and derivative strategies ------------------------------
-
-@dataclass(frozen=True)
-class WaveFunction:
-    """Pointwise reflector Phi = (phi1, phi2) over chart coordinates.
-
-    phi1 and phi2 map a length-4 coordinate array to a Biquaternion.
-    Components that expose a ``derivative(point, mu)`` method can be
-    differentiated analytically.  Components may also expose
-    ``batch(points)`` and ``batch_derivative(points)``, which evaluate a
-    whole ``(..., 4)`` point array at once; see :func:`evaluate`.
-    """
-
-    phi1: Callable[[np.ndarray], Biquaternion]
-    phi2: Callable[[np.ndarray], Biquaternion]
-
-
-def _point_by_point(fn, points: np.ndarray) -> np.ndarray:
-    """Stack ``fn(point)`` over the leading axes of a ``(..., 4)`` point array."""
-    out = np.array([fn(p) for p in points.reshape(-1, 4)], dtype=complex)
-    return out.reshape(points.shape[:-1] + out.shape[1:])
-
-
-def evaluate(f, points: np.ndarray) -> np.ndarray:
-    """Coefficients ``(..., 4)`` of the wave component f at points ``(..., 4)``.
-
-    Uses ``f.batch`` when the component has one; a plain callable is
-    called point by point.
-    """
-    batch = getattr(f, "batch", None)
-    if batch is not None:
-        return batch(points)
-    return _point_by_point(lambda p: f(p).coeffs, points)
-
-
-class AnalyticDerivative:
-    """Uses the component's own closed-form derivative."""
-
-    def batch(self, f, points: np.ndarray) -> np.ndarray:
-        """d f/d x_mu at points ``(N, 4)`` for every mu, shape ``(N, 4, 4)``."""
-        batch = getattr(f, "batch_derivative", None)
-        if batch is not None:
-            return batch(points)
-        return _point_by_point(lambda p: [f.derivative(p, mu).coeffs for mu in range(4)], points)
-
-
-class CentralDifference:
-    """Second-order central difference with step h."""
-
-    def __init__(self, h: float = 1e-5):
-        if not 0 < h < math.inf:
-            raise ValueError(f"finite-difference step must be positive and finite, got {h}")
-        self.h = h
-
-    def batch(self, f, points: np.ndarray) -> np.ndarray:
-        """Central differences at points ``(N, 4)`` for every mu, shape ``(N, 4, 4)``.
-
-        Evaluates f at all 8N shifted points p +- h e_mu in one call.
-        """
-        step = self.h * np.eye(4)
-        shifted = points[:, None, :] + np.stack((step, -step))[:, None]
-        plus, minus = evaluate(f, shifted)
-        return (plus - minus) / (2.0 * self.h)
-
+# -- the Dirac system ----------------------------------------------------
 
 @dataclass(frozen=True)
 class DiracOperator:

@@ -116,12 +116,12 @@ class BohrState:
 
 
 def _check_speed(alpha, n_theta, allow_zero: bool = False):
-    v = np.divide(alpha, n_theta)
-    low_ok = v >= 0.0 if allow_zero else v > 0.0
-    require(low_ok & (v < 1.0), SpeedDomain,
+    # compare alpha itself: alpha/n_theta can underflow to 0 for 0 < alpha < n_theta
+    low_ok = np.greater_equal(alpha, 0.0) if allow_zero else np.greater(alpha, 0.0)
+    require(low_ok & np.less(alpha, n_theta), SpeedDomain,
             f"need {'0 <=' if allow_zero else '0 <'} alpha < n_theta for a bound orbit, "
             "got alpha={alpha}, n_theta={n_theta}", alpha=alpha, n_theta=n_theta)
-    return v
+    return np.divide(alpha, n_theta)
 
 
 def _finite(fields: dict) -> np.ndarray:

@@ -33,8 +33,8 @@ import numpy as np
 
 from .biquaternion import Biquaternion, FourVector, I1, embed, unembed
 from .errors import ZeroArcElement
-from .reflector import DiracOperator, Reflector, WaveFunction, _check_unit, sandwich
-from .planewave import ExpWave
+from .reflector import DiracOperator, Reflector, _check_unit, sandwich
+from .planewave import ExpWave, WaveFunction
 
 __all__ = [
     "TachyonRotor",
@@ -152,13 +152,11 @@ def dashed_energy(v: float, ds0: float, ds1: float, eta: float, mu: float) -> fl
 def transform_wave(wave: WaveFunction, rotor: TachyonRotor | None = None) -> WaveFunction:
     """Tachyon-transform a plane wave: sandwich prefactors, swap arc slots.
 
-    Only exponential waves are supported; the phase re-expressed in
-    dashed coordinates swaps the wavevector's temporal and first spatial
-    components, matching the coordinate exchange.
+    The phase re-expressed in dashed coordinates swaps the wavevector's
+    temporal and first spatial components, matching the coordinate
+    exchange.
     """
     rot = rotor if rotor is not None else TachyonRotor()
-    if not isinstance(wave.phi1, ExpWave) or not isinstance(wave.phi2, ExpWave):
-        raise TypeError("transform_wave requires exponential plane-wave components")
     prefactors = sandwich(rot.r, Reflector(wave.phi1.prefactor, wave.phi2.prefactor), tol=rot.tol)
 
     def swap(k):

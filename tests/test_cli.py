@@ -1,15 +1,18 @@
+import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from circledirac.cli import main
+from circledirac.cli import _build_parser, main
 
 
 def run_cli(*argv):
@@ -150,6 +153,38 @@ class TestQedRhoCommand:
         assert json.loads(out)["e"] == pytest.approx(0.2)
 
 
+# the run options, each with a valid value, and the ones each command reads
+SHARED = {"--alpha": "0.5", "--mass-ev": "1", "--tol": "1e-3", "--seed": "5", "--format": "csv"}
+READS = {"spectrum": ("--alpha", "--mass-ev", "--tol", "--format"),
+         "verify": ("--seed", "--format"), "map": (), "qed-rho": ("--alpha",)}
+BASE = {"spectrum": ("--max-ntheta", "1", "--max-nr", "0"), "verify": ("--suite", "algebra"),
+        "map": ("--space", "T", "--R0", "1", "--point", '{"chart":"L","coords":[0,0,0,1]}'),
+        "qed-rho": ()}
+
+
+class TestCommandOptions:
+    """Each command takes only the options it reads."""
+
+    @pytest.mark.parametrize("command,option",
+                             [(c, o) for c in READS for o in SHARED if o not in READS[c]])
+    def test_option_the_command_does_not_read_exits_one(self, command, option):
+        assert run_cli(command, *BASE[command])[0] == 0
+        code, out, err = run_cli(command, *BASE[command], option, SHARED[option])
+        assert code == 1
+        assert out == ""
+        assert f"unrecognized arguments: {option}" in err
+
+    def test_readme_synopsis_names_each_option(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```")[1]
+        synopsis = {line.split()[1]: set(re.findall(r"--[\w-]+", line))
+                    for line in block.splitlines() if line.startswith("circledirac ")}
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+                   for name, p in sub.choices.items()}
+        assert synopsis == options
+
+
 class TestSubprocessContract:
     """End-to-end exit codes through a real process boundary."""
 
@@ -187,6 +222,7 @@ class TestSubprocessContract:
         (("qed-rho", "--A", "1e100"), "FloatRange: charge-density roots or residuals at A=1e+100"),
         (("spectrum", "--alpha", "5e-324", "--max-ntheta", "1"),
          "FloatRange: row (0, 0): bound orbit at alpha=5e-324"),
+        (("spectrum", "--alpha", "5e-324"), "FloatRange: row (0, 0): bound orbit at alpha=5e-324"),
         (("spectrum", "--alpha", "1e-308", "--max-ntheta", "1"),
          "FloatRange: row (0, 1): coupled state at alpha=1e-308"),
         (("map", "--space", "T", "--R0", "1", "--round-trip",

@@ -13,6 +13,7 @@ from circledirac import (
     NonpositiveMass,
     PlaneWave,
     SuperluminalSpeed,
+    WaveFunction,
     bound_solution,
     de_broglie,
     free_solution,
@@ -20,7 +21,7 @@ from circledirac import (
     plane_wave_solution,
     residual,
 )
-from circledirac.reflector import ARC_TIME_UNITS, WaveFunction
+from circledirac.reflector import ARC_TIME_UNITS
 
 RNG = np.random.default_rng(11)
 POINTS = [RNG.uniform(-2.0, 2.0, size=4) for _ in range(10)]
@@ -173,13 +174,9 @@ class TestBatchedResidual:
             assert whole.fd == max(head.fd, tail.fd)
             assert whole.analytic == max(head.analytic, tail.analytic)
 
-    def test_plain_callable_wave(self):
-        on = ON_SHELL
-        plain = WaveFunction(lambda p: on.phi1(p), lambda p: on.phi2(p))
-        rep = residual(plain, *_args(PW), BATCH[:5], h=1e-5)
-        assert rep.analytic is None
-        assert math.isfinite(rep.fd) and rep.fd <= 1e-8
-        assert rep.fd == pytest.approx(pointwise(on, central_difference(1e-5), BATCH[:5]), abs=1e-9)
+    def test_wave_components_must_be_exp_waves(self):
+        with pytest.raises(TypeError, match="phi2 must be an ExpWave, got function"):
+            WaveFunction(ON_SHELL.phi1, lambda p: ON_SHELL.phi2(p))
 
     def test_rejects_bad_step_and_shape(self):
         for h in (0.0, -1e-5, math.nan, math.inf):

@@ -4,7 +4,6 @@ from conftest import analytic, central_difference, scalar_lhs
 
 from circledirac import (
     Biquaternion,
-    CentralDifference,
     DiagPair,
     I0,
     I1,
@@ -17,14 +16,12 @@ from circledirac import (
     sandwich,
     unit_reflector,
 )
-from circledirac.planewave import ExpWave
+from circledirac.planewave import ExpWave, WaveFunction, _central_difference
 from circledirac.reflector import (
     ARC_TIME_UNITS,
     STANDARD_UNITS,
-    WaveFunction,
     dirac_lhs_array,
     dirac_rhs_array,
-    evaluate,
     reflector_mul_array,
 )
 
@@ -150,9 +147,9 @@ class TestDiracSides:
 
     def test_constant_wave_zero_potential(self):
         c = Biquaternion(0.5, 1.0, -2.0, 0.25)
-        fd = CentralDifference(1e-4)
+        constant = ExpWave(c, np.zeros(4))
         phi = np.array((c.coeffs, c.coeffs))
-        d_phi = np.stack((fd.batch(lambda p: c, np.zeros((1, 4)))[0],) * 2, axis=-2)
+        d_phi = np.stack((_central_difference(constant, np.zeros((1, 4)), 1e-4)[0],) * 2, axis=-2)
         out = dirac_lhs_array(ARC_TIME_UNITS.to_array(), unit_reflector(Biquaternion()).to_array(),
                               1.0, phi, d_phi)
         assert np.abs(out).max() < 1e-11
@@ -224,32 +221,13 @@ class TestArrayAssembly:
             out = diag_pair(reflector_mul_array(a.to_array(), b.to_array()))
             assert out.max_abs_diff(reflector_mul(a, b)) <= 1e-14
 
-    def test_plain_callable_evaluated_point_by_point(self):
-        calls = []
-
-        def component(p):
-            calls.append(p)
-            return Biquaternion(p[0], 1j * p[3])
-
-        points = np.arange(24.0).reshape(2, 3, 4)
-        out = evaluate(component, points)
-        assert out.shape == (2, 3, 4)
-        assert len(calls) == 6
-        assert Biquaternion(*out[1, 2]) == component(points[1, 2])
-
     def test_batch_central_difference_matches_scalar(self):
         rng = np.random.default_rng(46)
         c = rand_bq(rng)
         component = ExpWave(c, rng.uniform(-2, 2, size=4))
-
-        def plain(p):
-            return component(p)
-
         points = rng.uniform(-2, 2, size=(5, 4))
-        fd, reference = CentralDifference(0.01), central_difference(0.01)
-        for f in (component, plain):
-            out = fd.batch(f, points)
-            for n, p in enumerate(points):
-                for mu in range(4):
-                    assert Biquaternion(*out[n, mu]).max_abs_diff(reference(f, p, mu)) <= 1e-12
+        out, reference = _central_difference(component, points, 0.01), central_difference(0.01)
+        for n, p in enumerate(points):
+            for mu in range(4):
+                assert Biquaternion(*out[n, mu]).max_abs_diff(reference(component, p, mu)) <= 1e-12
 
