@@ -26,16 +26,12 @@ from .biquaternion import (
 )
 from .circle_spaces import (
     ChartKind,
-    RotatedBasis,
     SpaceChart,
     arc_map,
     arc_map_inverse,
     chart_map,
     chart_point_from_json,
     chart_point_to_json,
-    rotate_spatial_basis,
-    rotate_temporal_basis,
-    rotated_basis,
     rotated_basis_array,
     scale_potential,
     temporal_derivative_matrix,
@@ -55,7 +51,6 @@ from .errors import (
     ZeroCharge,
 )
 from .planewave import (
-    CircleWave,
     ExpWave,
     PlaneWave,
     ResidualReport,
@@ -77,11 +72,7 @@ from .qed import (
 )
 from .reflector import (
     ARC_TIME_UNITS,
-    STANDARD_UNITS,
-    DiagPair,
     DiracOperator,
-    Reflector,
-    reflector_mul,
     sandwich,
     unit_reflector,
 )
@@ -109,7 +100,6 @@ from .tachyon import (
     tachyon_fourvector,
     tachyon_fourvector_double,
     tachyon_quaternion,
-    tachyon_reflector,
 )
 
 __version__ = "0.1.0"

@@ -26,9 +26,10 @@ fixed-radius arc s = R*theta, giving the bijection s_tilde = r*s/R
 inverse hyperbolic polar map rejects on-cone points.
 
 Hyperbolic angles are kept real.  The imaginary rotation angle
-theta_hat = -i*theta0 exists only in the derivation of the temporal basis
-(:func:`rotate_temporal_basis`), entering through cos(-i t) = cosh t and
-sin(-i t) = -i sinh t.
+theta_hat = -i*theta0 exists only in the derivation of the temporal units
+of the chart basis, entering through cos(-i t) = cosh t and
+sin(-i t) = -i sinh t.  :func:`rotated_basis_array` builds that basis
+as a ``(..., 4, 2, 4)`` reflector array over arrays of angles.
 """
 
 from __future__ import annotations
@@ -44,17 +45,12 @@ import numpy as np
 
 from .biquaternion import Biquaternion, array_conj
 from .errors import FloatRange, LightConePoint, NonpositiveRadiusParameter, require
-from .reflector import Reflector
 
 __all__ = [
     "ChartKind",
     "SpaceChart",
-    "RotatedBasis",
     "arc_map",
     "arc_map_inverse",
-    "rotate_temporal_basis",
-    "rotate_spatial_basis",
-    "rotated_basis",
     "rotated_basis_array",
     "temporal_derivative_matrix",
     "scale_potential",
@@ -161,67 +157,28 @@ def arc_map_inverse(r: float, s_tilde: float, R: float) -> float:
 
 # -- rotated reflector bases ----------------------------------------------
 
-@dataclass(frozen=True)
-class RotatedBasis:
-    """Chart-axis reflector units in coordinate-slot order.
+def rotated_basis_array(theta0, theta1) -> np.ndarray:
+    """Coefficients of the circular-chart basis over broadcasting arrays of angles.
 
-    For a temporal rotation the slots hold (arc_0, i_1, i_2, radius_0);
-    for a spatial rotation (i_0, arc_1, radius_1, i_3); combining both
-    angles gives the full circular-chart basis (arc_0, arc_1, radius_1,
-    radius_0).  Every unit keeps the (u, conj(u)) reflector pattern and
-    the set satisfies unit squares and pairwise anti-commutation.
-    """
-
-    u0: Reflector
-    u1: Reflector
-    u2: Reflector
-    u3: Reflector
-
-    @property
-    def units(self) -> tuple[Reflector, Reflector, Reflector, Reflector]:
-        return (self.u0, self.u1, self.u2, self.u3)
-
-
-def rotate_temporal_basis(theta0: float) -> RotatedBasis:
-    """Rotate (i_0, i_3) into the arc/radius pair of the temporal circle.
-
-    With theta_hat = -i*theta0 the inverse rotation reads
+    Returns ``(..., 4, 2, 4)``: entry ``[..., k, :, :]`` is unit ``k`` of
+    the basis (arc_0, arc_1, radius_1, radius_0) as a reflector array.
+    Slots 0 and 3 rotate (i_0, i_3) into the arc/radius pair of the
+    temporal circle.  With theta_hat = -i*theta0 the inverse rotation
+    reads
 
         arc_0    = i_0 cos(theta_hat) - i_3 sin(theta_hat)
                  = i_0 cosh(theta0) + i i_3 sinh(theta0)
         radius_0 = i_0 sin(theta_hat) + i_3 cos(theta_hat)
                  = -i i_0 sinh(theta0) + i_3 cosh(theta0)
 
-    so theta0 = 0 returns (i_0, i_3) unchanged.  This is
-    ``rotated_basis(theta0, 0.0)``.
-    """
-    return rotated_basis(theta0, 0.0)
-
-
-def rotate_spatial_basis(theta1: float) -> RotatedBasis:
-    """Rotate (i_1, i_2) into the arc/radius pair of the spatial circle.
+    so theta0 = 0 leaves (i_0, i_3) unchanged.  Slots 1 and 2 rotate
+    (i_1, i_2) into the arc/radius pair of the spatial circle:
 
         arc_1    = i_1 cos(theta1) - i_2 sin(theta1)
         radius_1 = i_1 sin(theta1) + i_2 cos(theta1)
 
-    This is ``rotated_basis(0.0, theta1)``.
-    """
-    return rotated_basis(0.0, theta1)
-
-
-def rotated_basis(theta0: float, theta1: float) -> RotatedBasis:
-    """Full circular-chart basis with both planes rotated: one point of :func:`rotated_basis_array`."""
-    return RotatedBasis(*(Reflector(Biquaternion(*top), Biquaternion(*bottom))
-                          for top, bottom in rotated_basis_array(theta0, theta1).tolist()))
-
-
-def rotated_basis_array(theta0, theta1) -> np.ndarray:
-    """Coefficients of the circular-chart basis over broadcasting arrays of angles.
-
-    Returns ``(..., 4, 2, 4)``: entry ``[..., k, :, :]`` is unit ``k`` of
-    the basis (arc_0, arc_1, radius_1, radius_0) as a reflector array,
-    i.e. the :func:`rotate_temporal_basis` units in slots 0 and 3 and the
-    :func:`rotate_spatial_basis` units in slots 1 and 2.
+    Every unit keeps the (u, conj(u)) reflector pattern, and the set
+    satisfies unit squares and pairwise anti-commutation.
     """
     theta0, theta1 = np.broadcast_arrays(np.asarray(theta0, dtype=float),
                                          np.asarray(theta1, dtype=float))
@@ -386,10 +343,11 @@ def chart_point_from_json(text: str | dict) -> tuple[SpaceChart, np.ndarray]:
         if key not in rec:
             raise ValueError(f"chart point record needs the key {key!r}")
     chart = SpaceChart(ChartKind(rec["chart"]), rec.get("R0"), rec.get("R1"))
-    try:
-        coords = np.asarray(rec["coords"], dtype=float)
-    except TypeError:
-        raise ValueError(f"chart point coords must be numbers, got {rec['coords']!r}") from None
-    if coords.shape != (4,):
+    coords = rec["coords"]
+    # the rule SpaceChart._radius applies: a JSON string, true or null is not a number
+    if not isinstance(coords, list) or not all(
+            isinstance(x, Real) and not isinstance(x, bool) for x in coords):
+        raise ValueError(f"chart point coords must be numbers, got {coords!r}")
+    if len(coords) != 4:
         raise ValueError("chart point record needs exactly 4 coordinates")
-    return chart, coords
+    return chart, np.asarray(coords, dtype=float)

@@ -20,7 +20,7 @@ to i at rest).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,17 +28,14 @@ import numpy as np
 from .biquaternion import Biquaternion, I0, embed
 from .errors import (
     DispersionViolation,
-    NonpositiveRadiusParameter,
     SuperluminalSpeed,
     positive_mass,
-    quantum_integer,
     require,
 )
 from .reflector import ARC_TIME_UNITS, DiracOperator, dirac_lhs_array, dirac_rhs_array, unit_reflector
 
 __all__ = [
     "PlaneWave",
-    "CircleWave",
     "ExpWave",
     "WaveFunction",
     "ResidualReport",
@@ -85,25 +82,6 @@ class PlaneWave:
         return embed((self.eA / e, 0.0, 0.0, 0.0)), e
 
 
-@dataclass(frozen=True)
-class CircleWave:
-    """A standing vibration of the temporal circle (neutral quasi-particle).
-
-    n_r follows the :class:`~circledirac.spectrum.QuantumNumbers` rule: an
-    integer >= 1 (not ``bool``), stored as a plain ``int``.
-    """
-
-    n_r: int
-    R0l: float
-    eta_l: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_r", quantum_integer("n_r", self.n_r, 1))
-        if not self.R0l > 0:
-            raise NonpositiveRadiusParameter(f"circle radius must be positive, got {self.R0l}")
-        object.__setattr__(self, "eta_l", self.n_r / self.R0l)
-
-
 class ExpWave:
     """prefactor * exp(i * k.x) with a real wavevector k over chart coordinates.
 
@@ -128,9 +106,6 @@ class ExpWave:
 
     def __call__(self, point: np.ndarray) -> Biquaternion:
         return self.prefactor * complex(self._phases(point))
-
-    def derivative(self, point: np.ndarray, mu: int) -> Biquaternion:
-        return (1j * self.k[mu]) * self(point)
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         """Coefficients ``(..., 4)`` of the wave at points ``(..., 4)``."""
@@ -238,7 +213,7 @@ def residual(wave: WaveFunction,
     phi = np.stack([f.batch(p) for f in components], axis=-2)
     d_phi = np.stack((np.stack([_central_difference(f, p, h) for f in components], axis=-2),
                       np.stack([f.batch_derivative(p) for f in components], axis=-2)))
-    lhs = dirac_lhs_array(operator.to_array(), unit_reflector(a_pot).to_array(), e, phi, d_phi)
+    lhs = dirac_lhs_array(operator.to_array(), unit_reflector(a_pot), e, phi, d_phi)
     worst = np.abs(lhs - dirac_rhs_array(phi, m.coeffs)).max(axis=(1, 2, 3))
     return ResidualReport(fd=float(worst[0]), analytic=float(worst[1]))
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .biquaternion import Biquaternion, FourVector, I1, embed, unembed
 from .errors import ZeroArcElement
-from .reflector import DiracOperator, Reflector, _check_unit, sandwich
+from .reflector import DiracOperator, _check_unit, sandwich
 from .planewave import ExpWave, WaveFunction
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "DashedKinematics",
     "component_map",
     "tachyon_quaternion",
-    "tachyon_reflector",
     "tachyon_fourvector",
     "tachyon_double",
     "tachyon_fourvector_double",
@@ -95,12 +94,6 @@ def tachyon_quaternion(x: Biquaternion | np.ndarray,
     return sandwich(rot.conj if conjugated else rot.r, x, tol=rot.tol)
 
 
-def tachyon_reflector(x: Reflector, rotor: TachyonRotor | None = None) -> Reflector:
-    """Blockwise transform: top with (r, r), bottom with (conj r, conj r)."""
-    rot = rotor if rotor is not None else TachyonRotor()
-    return sandwich(rot.r, x, tol=rot.tol)
-
-
 def tachyon_fourvector(x: FourVector) -> FourVector:
     """Dashed-frame stored-real components: temporal and first spatial swap.
 
@@ -152,18 +145,20 @@ def dashed_energy(v: float, ds0: float, ds1: float, eta: float, mu: float) -> fl
 def transform_wave(wave: WaveFunction, rotor: TachyonRotor | None = None) -> WaveFunction:
     """Tachyon-transform a plane wave: sandwich prefactors, swap arc slots.
 
+    phi1's prefactor is sandwiched with (r, r) and phi2's with
+    (conj r, conj r), the diagonal-rotor action on the wave reflector.
     The phase re-expressed in dashed coordinates swaps the wavevector's
     temporal and first spatial components, matching the coordinate
     exchange.
     """
     rot = rotor if rotor is not None else TachyonRotor()
-    prefactors = sandwich(rot.r, Reflector(wave.phi1.prefactor, wave.phi2.prefactor), tol=rot.tol)
+    top = sandwich(rot.r, wave.phi1.prefactor, tol=rot.tol)
+    bottom = sandwich(rot.conj, wave.phi2.prefactor, tol=rot.tol)
 
     def swap(k):
         return (k[1], k[0], k[2], k[3])
 
-    return WaveFunction(ExpWave(prefactors.top, swap(wave.phi1.k)),
-                        ExpWave(prefactors.bottom, swap(wave.phi2.k)))
+    return WaveFunction(ExpWave(top, swap(wave.phi1.k)), ExpWave(bottom, swap(wave.phi2.k)))
 
 
 def transform_operator(op: DiracOperator, rotor: TachyonRotor | None = None) -> DiracOperator:

@@ -14,6 +14,7 @@ import pytest
 
 import circledirac as cd
 from circledirac import qed
+from circledirac.reflector import reflector_mul_array
 from circledirac.spectrum import QuantumNumbers
 ALPHA = 1.0 / 137.0
 CODATA_ALPHA = 7.2973525693e-3
@@ -175,16 +176,15 @@ def test_09_chart_bijections():
             q = cd.chart_map(p, chart_l, chart)
             worst_trip = max(worst_trip, float(np.max(np.abs(cd.chart_map(q, chart, chart_l) - p))))
 
-    identity = cd.DiagPair(cd.Biquaternion(1.0), cd.Biquaternion(1.0))
+    angles = rng.uniform((-2.5, -math.pi), (2.5, math.pi), size=(100, 2))
+    units = cd.rotated_basis_array(angles[:, 0], angles[:, 1])           # (100, 4, 2, 4)
+    products = reflector_mul_array(units[:, :, None], units[:, None, :])  # [:, i, j] = u_i u_j
+    identity = np.array((cd.ONE.coeffs, cd.ONE.coeffs))
     worst_basis = 0.0
-    for _ in range(100):
-        basis = cd.rotated_basis(rng.uniform(-2.5, 2.5), rng.uniform(-math.pi, math.pi))
-        units = basis.units
-        for i, u in enumerate(units):
-            worst_basis = max(worst_basis, (cd.reflector_mul(u, u) - identity).max_abs())
-            for j in range(i + 1, 4):
-                anti = cd.reflector_mul(u, units[j]) + cd.reflector_mul(units[j], u)
-                worst_basis = max(worst_basis, anti.max_abs())
+    for i in range(4):
+        worst_basis = max(worst_basis, float(np.abs(products[:, i, i] - identity).max()))
+        for j in range(i + 1, 4):
+            worst_basis = max(worst_basis, float(abs(products[:, i, j] + products[:, j, i]).max()))
 
     ok = worst_trip <= 1e-12 and worst_basis <= 1e-13
     report(9, "chart-bijections", ok,

@@ -8,7 +8,6 @@ import pytest
 from circledirac import (
     Biquaternion,
     ChartKind,
-    DiagPair,
     FloatRange,
     I0,
     I1,
@@ -23,10 +22,7 @@ from circledirac import (
     chart_point_from_json,
     chart_point_to_json,
     embed,
-    reflector_mul,
-    rotate_spatial_basis,
-    rotate_temporal_basis,
-    rotated_basis,
+    rotated_basis_array,
     scale_potential,
     temporal_derivative_matrix,
     unit_reflector,
@@ -39,8 +35,6 @@ M = SpaceChart(ChartKind.M, R1=1.3)
 S = SpaceChart(ChartKind.S, R0=0.7, R1=1.3)
 # radii of other types: stored as a float and kept as an int
 S32 = SpaceChart(ChartKind.S, R0=np.float32(0.7), R1=2)
-
-IDENTITY = DiagPair(Biquaternion(1.0), Biquaternion(1.0))
 
 # a point every chart above maps onto every other chart
 GOOD_POINT = [0.1, 0.2, 0.3, 1.5]
@@ -108,47 +102,29 @@ class TestArcMap:
         assert str(info.value) == "row (1, 2): arc map inverse undefined at r = 0.0"
 
 
-def _pairwise_relations(basis):
-    worst = 0.0
-    units = basis.units
-    for i, u in enumerate(units):
-        worst = max(worst, (reflector_mul(u, u) - IDENTITY).max_abs())
-        for j in range(i + 1, 4):
-            anti = reflector_mul(u, units[j]) + reflector_mul(units[j], u)
-            worst = max(worst, anti.max_abs())
-    return worst
-
-
 class TestRotatedBases:
+    # slots (arc_0, arc_1, radius_1, radius_0); random-angle relations are a verify case
+
     def test_temporal_zero_angle(self):
-        b = rotate_temporal_basis(0.0)
-        assert b.u0 == unit_reflector(I0)
-        assert b.u3 == unit_reflector(I3)
+        b = rotated_basis_array(0.0, 0.0)
+        assert np.array_equal(b[0], unit_reflector(I0))
+        assert np.array_equal(b[3], unit_reflector(I3))
 
     def test_temporal_unit_angle_components(self):
-        b = rotate_temporal_basis(1.0)
+        b = rotated_basis_array(1.0, 0.0)
         ch, sh = math.cosh(1.0), math.sinh(1.0)
-        assert b.u0.top.max_abs_diff(Biquaternion(ch, 0, 0, 1j * sh)) == 0.0
-        assert b.u3.top.max_abs_diff(Biquaternion(-1j * sh, 0, 0, ch)) == 0.0
+        assert np.abs(b[0, 0] - Biquaternion(ch, 0, 0, 1j * sh).coeffs).max() == 0.0
+        assert np.abs(b[3, 0] - Biquaternion(-1j * sh, 0, 0, ch).coeffs).max() == 0.0
 
     def test_spatial_zero_angle(self):
-        b = rotate_spatial_basis(0.0)
-        assert b.u1 == unit_reflector(I1)
-        assert b.u2 == unit_reflector(I2)
+        b = rotated_basis_array(0.0, 0.0)
+        assert np.array_equal(b[1], unit_reflector(I1))
+        assert np.array_equal(b[2], unit_reflector(I2))
 
     def test_spatial_quarter_turn(self):
-        b = rotate_spatial_basis(math.pi / 2)
-        assert b.u1.top.max_abs_diff(-I2) < 1e-15   # arc unit
-        assert b.u2.top.max_abs_diff(I1) < 1e-15    # radial unit
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_relations_random_angles(self, seed):
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(100):
-            worst = max(worst, _pairwise_relations(
-                rotated_basis(rng.uniform(-2.5, 2.5), rng.uniform(-math.pi, math.pi))))
-        assert worst <= 1e-13
+        b = rotated_basis_array(0.0, math.pi / 2)
+        assert np.abs(b[1, 0] - (-I2).coeffs).max() < 1e-15   # arc unit
+        assert np.abs(b[2, 0] - I1.coeffs).max() < 1e-15      # radial unit
 
     def test_derivative_matrix_unimodular(self):
         for theta in np.linspace(-2.5, 2.5, 41):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -185,6 +186,34 @@ class TestCommandOptions:
         assert synopsis == options
 
 
+BAD_INPUTS = [
+    (("spectrum", "--mass-ev", "inf", "--format", "json"), "CircleDiracError: mass-ev"),
+    (("qed-rho", "--A", "nan"), "CircleDiracError: A must be finite"),
+    (("qed-rho", "--A", "1e200"), "FloatRange: "),
+    (("map", "--space", "L", "--point", "[1]"), "JSON object"),
+    (("map", "--space", "T", "--R0", "1",
+      "--point", '{"chart":"T","R0":1,"coords":[1000,0,0,1]}'),
+     "FloatRange: T chart (R0=1) point [1000.0, 0.0, 0.0, 1.0]"),
+    (("qed-rho", "--A", "1e60"), "FloatRange: charge-density roots or residuals at A=1e+60"),
+    (("qed-rho", "--A", "1e100"), "FloatRange: charge-density roots or residuals at A=1e+100"),
+    (("spectrum", "--alpha", "5e-324", "--max-ntheta", "1"),
+     "FloatRange: row (0, 0): bound orbit at alpha=5e-324"),
+    (("spectrum", "--alpha", "5e-324"), "FloatRange: row (0, 0): bound orbit at alpha=5e-324"),
+    (("spectrum", "--alpha", "1e-308", "--max-ntheta", "1"),
+     "FloatRange: row (0, 1): coupled state at alpha=1e-308"),
+    (("map", "--space", "T", "--R0", "1", "--round-trip",
+      "--point", '{"chart":"L","R0":"x","coords":[0.1,0,0,1]}'), "R0 > 0, got 'x'"),
+    (("verify", "--seed", "-1"), "seed must be a non-negative integer, got -1"),
+    (("map", "--space", "T", "--R0", "1", "--point", '{"coords":[0,0,0,1]}'),
+     "chart point record needs the key 'chart'"),
+    (("map", "--space", "T", "--R0", "1", "--point", '{"chart":"L"}'),
+     "chart point record needs the key 'coords'"),
+    *((("map", "--space", "L", "--point", f'{{"chart":"L","coords":{coords}}}'),
+       f"chart point coords must be numbers, got {json.loads(coords)!r}")
+      for coords in ('["0.1","0.2","0.3","1"]', "[true,0,0,1]", "[null,0,0,1]", "[[1],0,0,1]")),
+]
+
+
 class TestSubprocessContract:
     """End-to-end exit codes through a real process boundary."""
 
@@ -195,6 +224,12 @@ class TestSubprocessContract:
             env.update(env_extra)
         return subprocess.run([sys.executable, "-m", "circledirac", *args],
                               capture_output=True, text=True, env=env)
+
+    @pytest.fixture(scope="class")
+    def bad_input_runs(self):
+        """Each BAD_INPUTS command, two at a time: start-up (mostly importing numpy) dominates."""
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            return dict(zip(BAD_INPUTS, pool.map(lambda row: self._run(*row[0]), BAD_INPUTS)))
 
     def test_verify_exit_zero(self):
         proc = self._run("verify", "--suite", "tachyon", "--seed", "42")
@@ -210,32 +245,10 @@ class TestSubprocessContract:
         proc = self._run("verify", "--suite", "bogus")
         assert proc.returncode == 1
 
-    @pytest.mark.parametrize("args", [
-        (("spectrum", "--mass-ev", "inf", "--format", "json"), "CircleDiracError: mass-ev"),
-        (("qed-rho", "--A", "nan"), "CircleDiracError: A must be finite"),
-        (("qed-rho", "--A", "1e200"), "FloatRange: "),
-        (("map", "--space", "L", "--point", "[1]"), "JSON object"),
-        (("map", "--space", "T", "--R0", "1",
-          "--point", '{"chart":"T","R0":1,"coords":[1000,0,0,1]}'),
-         "FloatRange: T chart (R0=1) point [1000.0, 0.0, 0.0, 1.0]"),
-        (("qed-rho", "--A", "1e60"), "FloatRange: charge-density roots or residuals at A=1e+60"),
-        (("qed-rho", "--A", "1e100"), "FloatRange: charge-density roots or residuals at A=1e+100"),
-        (("spectrum", "--alpha", "5e-324", "--max-ntheta", "1"),
-         "FloatRange: row (0, 0): bound orbit at alpha=5e-324"),
-        (("spectrum", "--alpha", "5e-324"), "FloatRange: row (0, 0): bound orbit at alpha=5e-324"),
-        (("spectrum", "--alpha", "1e-308", "--max-ntheta", "1"),
-         "FloatRange: row (0, 1): coupled state at alpha=1e-308"),
-        (("map", "--space", "T", "--R0", "1", "--round-trip",
-          "--point", '{"chart":"L","R0":"x","coords":[0.1,0,0,1]}'), "R0 > 0, got 'x'"),
-        (("verify", "--seed", "-1"), "seed must be a non-negative integer, got -1"),
-        (("map", "--space", "T", "--R0", "1", "--point", '{"coords":[0,0,0,1]}'),
-         "chart point record needs the key 'chart'"),
-        (("map", "--space", "T", "--R0", "1", "--point", '{"chart":"L"}'),
-         "chart point record needs the key 'coords'"),
-    ])
-    def test_bad_input_exit_one_without_traceback(self, args):
+    @pytest.mark.parametrize("args", BAD_INPUTS)
+    def test_bad_input_exit_one_without_traceback(self, args, bad_input_runs):
         argv, message = args
-        proc = self._run(*argv)
+        proc = bad_input_runs[args]
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1

@@ -1,5 +1,6 @@
 """Every public name resolves: module ``__all__`` lists, the package re-exports and the
-functions the benchmark's tracer wraps."""
+functions the benchmark's tracer wraps.  Every ``__all__`` name also has a user in the
+library, a demo or the benchmark."""
 
 import ast
 import importlib
@@ -43,9 +44,12 @@ def _traced_functions() -> list[str]:
 
 
 # Traced layers the library removed on purpose: the one-point Dirac wrappers, whose
-# work ``planewave.residual`` does for a batch.  The tracer lists them under
-# ``missing_layers`` until the benchmark's own FUNCTIONS list drops them.
-RETIRED = ("reflector.dirac_lhs", "reflector.dirac_rhs")
+# work ``planewave.residual`` does for a batch, the scalar reflector product, which
+# ``reflector_mul_array`` does on coefficient arrays, and the one-point rotated basis,
+# which ``rotated_basis_array`` builds over arrays of angles.  The tracer lists them
+# under ``missing_layers`` until the benchmark's own FUNCTIONS list drops them.
+RETIRED = ("reflector.dirac_lhs", "reflector.dirac_rhs", "reflector.reflector_mul",
+           "circle_spaces.rotated_basis")
 
 
 @pytest.mark.parametrize("layer", [f for f in _traced_functions() if f not in RETIRED])
@@ -58,3 +62,21 @@ def test_traced_functions_resolve(layer):
 def test_retired_layers_stay_removed(layer):
     module, name = layer.split(".")
     assert not hasattr(importlib.import_module(f"circledirac.{module}"), name)
+
+
+
+
+def test_every_public_name_has_a_user():
+    """Each ``__all__`` name is read (as a variable or attribute; strings and imports are no reads)
+    in ``src/``, ``demos/`` or ``perfbench/`` outside its own top-level def or class."""
+    root = Path(__file__).resolve().parent.parent
+    reads = set()
+    for path in sorted(p for d in ("src", "demos", "perfbench") for p in (root / d).rglob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            where = (path.relative_to(root).as_posix(), getattr(stmt, "name", None))
+            reads |= {(n.id if isinstance(n, ast.Name) else n.attr, where) for n in ast.walk(stmt)
+                      if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+    unused = [f"{name}.{entry}" for name in MODULES
+              for entry in getattr(importlib.import_module(f"circledirac.{name}"), "__all__", ())
+              if not {w for e, w in reads if e == entry} - {(f"src/circledirac/{name}.py", entry)}]
+    assert unused == []

@@ -6,10 +6,8 @@ from conftest import analytic, central_difference, scalar_lhs, scalar_rhs
 
 from circledirac import (
     Biquaternion,
-    CircleWave,
     DispersionViolation,
     ExpWave,
-    InvalidQuantumNumber,
     NonpositiveMass,
     PlaneWave,
     SuperluminalSpeed,
@@ -135,8 +133,8 @@ OFF_SHELL = plane_wave_solution(PW.nu + 0.1, PW.mu, PW.mass)
 def pointwise(wave, deriv, points):
     """Reference: the worst scalar (D - i e A) Phi - Phi M over the points, one at a time."""
     a, e, m = _args(PW)
-    return max(scalar_lhs(ARC_TIME_UNITS, deriv, a, e, wave, p).max_abs_diff(scalar_rhs(wave, m, p))
-               for p in points)
+    return max(left.max_abs_diff(right) for p in points for left, right in
+               zip(scalar_lhs(ARC_TIME_UNITS, deriv, a, e, wave, p), scalar_rhs(wave, m, p)))
 
 
 class TestBatchedResidual:
@@ -209,21 +207,3 @@ class TestDeBroglie:
     def test_rejects_superluminal(self):
         with pytest.raises(SuperluminalSpeed):
             de_broglie(1.0, 1.0)
-
-
-class TestCircleWave:
-    def test_energy(self):
-        assert CircleWave(3, 1.5).eta_l == 2.0
-
-    def test_rejects_zero_mode(self):
-        with pytest.raises(InvalidQuantumNumber):
-            CircleWave(0, 1.0)
-
-    @pytest.mark.parametrize("n_r", [True, 2.0, 1.5, "1", None])
-    def test_rejects_non_integer_mode(self, n_r):
-        with pytest.raises(InvalidQuantumNumber):
-            CircleWave(n_r, 1.0)
-
-    def test_numpy_mode_stored_as_int(self):
-        wave = CircleWave(np.int64(2), 1.0)
-        assert type(wave.n_r) is int and wave.eta_l == 2.0

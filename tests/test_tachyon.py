@@ -6,13 +6,14 @@ import pytest
 from circledirac import (
     Biquaternion,
     DashedKinematics,
+    ExpWave,
     FourVector,
     I0,
     I2,
     NonUnitRotor,
     PlaneWave,
-    Reflector,
     TachyonRotor,
+    WaveFunction,
     ZeroArcElement,
     bound_solution,
     component_map,
@@ -25,8 +26,6 @@ from circledirac import (
     tachyon_fourvector,
     tachyon_fourvector_double,
     tachyon_quaternion,
-    tachyon_reflector,
-    unit_reflector,
 )
 from circledirac.reflector import ARC_TIME_UNITS
 from circledirac.tachyon import transform_operator, transform_wave
@@ -154,18 +153,20 @@ class TestArrayForms:
 class TestReflectorTransform:
     def test_identity_rotor(self):
         rng = np.random.default_rng(27)
-        r = unit_reflector(rand_bq(rng))
-        out = tachyon_reflector(r, TachyonRotor(I0))
-        assert out.top == r.top and out.bottom == r.bottom
+        u = rand_bq(rng)
+        wave = WaveFunction(ExpWave(u, np.ones(4)), ExpWave(u.conj, np.ones(4)))
+        out = transform_wave(wave, TachyonRotor(I0))
+        assert out.phi1.prefactor == u and out.phi2.prefactor == u.conj
 
     def test_blockwise_component_maps(self):
         rng = np.random.default_rng(28)
         for _ in range(100):
             top, bottom = rand_bq(rng), rand_bq(rng)
-            out = tachyon_reflector(Reflector(top, bottom))
-            assert out.top.max_abs_diff(component_map(top)) <= 1e-14
+            wave = WaveFunction(ExpWave(top, np.ones(4)), ExpWave(bottom, np.ones(4)))
+            out = transform_wave(wave)
+            assert out.phi1.prefactor.max_abs_diff(component_map(top)) <= 1e-14
             expected_bottom = Biquaternion(bottom.c1, -bottom.c0, bottom.c2, bottom.c3)
-            assert out.bottom.max_abs_diff(expected_bottom) <= 1e-14
+            assert out.phi2.prefactor.max_abs_diff(expected_bottom) <= 1e-14
 
     def test_transformed_wave_solves_transformed_system(self):
         # covariance: transform wave, operator, mass and potential together
