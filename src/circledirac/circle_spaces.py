@@ -350,4 +350,12 @@ def chart_point_from_json(text: str | dict) -> tuple[SpaceChart, np.ndarray]:
         raise ValueError(f"chart point coords must be numbers, got {coords!r}")
     if len(coords) != 4:
         raise ValueError("chart point record needs exactly 4 coordinates")
-    return chart, np.asarray(coords, dtype=float)
+    values = []
+    for i, x in enumerate(coords):
+        # a JSON integer has no size limit, so it can overflow a double
+        try:
+            values.append(float(x))
+        except OverflowError:
+            raise FloatRange(f"{_chart_label(chart)} point coordinate {i} is an integer beyond "
+                             "the double range") from None
+    return chart, np.array(values)

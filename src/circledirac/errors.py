@@ -84,6 +84,8 @@ def quantum_integer(name: str, value, low: int):
     dimensions, returned as it is; raises :class:`InvalidQuantumNumber`
     otherwise, naming the first entry of an array that is below ``low``.
     """
+    if type(value) is int and value >= low:
+        return value
     if isinstance(value, np.ndarray) and value.ndim:
         if value.dtype.kind not in "iu":
             raise InvalidQuantumNumber(f"{name} must be an integer >= {low}, "

@@ -27,8 +27,10 @@ routes:
 
 which is the Sommerfeld/Dirac fine-structure formula with k = n_theta
 and radial number n_r.  :func:`sommerfeld_reference` evaluates that
-reference independently in high-precision arithmetic (mpmath) for use
-as an oracle.
+reference independently in high-precision arithmetic for use as an
+oracle: mpmath's correctly rounded libmp primitives at ``dps`` digits,
+the same operations as the one-level mpmath formula, called directly so
+that the global ``mpmath.mp`` context is left alone.
 
 Each solver has one body, which takes scalars or numpy arrays that
 broadcast together (quantum numbers as integer arrays).  A scalar call
@@ -46,8 +48,8 @@ import math
 from dataclasses import dataclass
 from numbers import Integral
 
-import mpmath
 import numpy as np
+from mpmath import libmp
 
 from .errors import FloatRange, SpeedDomain, positive_mass, quantum_integer, require
 from .planewave import de_broglie
@@ -261,12 +263,20 @@ def sommerfeld_reference(alpha: float, n_theta: int, n_r: int,
     """Independent high-precision Sommerfeld/Dirac level, rounded to float.
 
     E = m*(1 + alpha^2/(n_r + sqrt(k^2 - alpha^2))^2)^(-1/2) with k the
-    angular number; evaluated with mpmath at ``dps`` >= 17 decimal digits
-    (fewer than a double carries could not check one).  The arguments may
-    be arrays that broadcast together.  All levels share one mpmath
-    context, and levels of one (alpha, n_theta, mass) row share the root
-    sqrt(k^2 - alpha^2), which is computed exactly as for a single level,
-    so every level has the bits of its one-level call.
+    angular number; evaluated at ``dps`` >= 17 decimal digits (fewer than
+    a double carries could not check one).  The arguments may be arrays
+    that broadcast together.
+
+    Each level runs mpmath's correctly rounded libmp primitives at
+    ``libmp.dps_to_prec(dps)`` bits, rounding to nearest: the same
+    operations in the same order as the mpmath expression
+    ``m/sqrt(1 + (a/(mpf(n_r) + sqrt(k*k - a*a)))**2)`` under
+    ``workdps(dps)`` (its square as one ``mpf_mul``, which rounds as
+    ``**2`` does), so it has that expression's bits, without the
+    per-operation cost of the ``mpf`` wrapper and without touching the
+    global ``mpmath.mp`` context.  Levels of one (alpha, n_theta, mass)
+    row share the root sqrt(k^2 - alpha^2), which is computed exactly as
+    for a single level, so every level has the bits of its one-level call.
     """
     if isinstance(dps, bool) or not isinstance(dps, Integral) or dps < 17:
         raise ValueError(f"dps must be an integer >= 17, got {dps!r}")
@@ -275,15 +285,25 @@ def sommerfeld_reference(alpha: float, n_theta: int, n_r: int,
     _check_speed(alpha, qn.n_theta, allow_zero=True)
     grid = np.broadcast_arrays(np.asarray(alpha, dtype=float), qn.n_theta, qn.n_r,
                                np.asarray(mass, dtype=float))
-    rows, levels = {}, []
-    with mpmath.workdps(dps):
-        for a, k, r, m in zip(*(x.ravel().tolist() for x in grid)):
-            row = rows.get((a, k, m))
-            if row is None:
-                a_mp, k_mp = mpmath.mpf(a), mpmath.mpf(k)
-                row = rows[a, k, m] = a_mp, mpmath.mpf(m), mpmath.sqrt(k_mp * k_mp - a_mp * a_mp)
-            a_mp, m_mp, root = row
-            levels.append(float(m_mp / mpmath.sqrt(1 + (a_mp / (mpmath.mpf(r) + root)) ** 2)))
+    prec, rnd = libmp.dps_to_prec(dps), libmp.round_nearest
+    from_float, from_int, to_float = libmp.from_float, libmp.from_int, libmp.to_float
+    mul, add, sub = libmp.mpf_mul, libmp.mpf_add, libmp.mpf_sub
+    div, sqrt, one = libmp.mpf_div, libmp.mpf_sqrt, libmp.fone
+    rows, radial, levels = {}, {}, []
+    for a, k, r, m in zip(*(x.ravel().tolist() for x in grid)):
+        row = rows.get((a, k, m))
+        if row is None:
+            a_mp, k_mp = from_float(a), from_int(k, prec, rnd)
+            root = sqrt(sub(mul(k_mp, k_mp, prec, rnd), mul(a_mp, a_mp, prec, rnd), prec, rnd),
+                        prec, rnd)
+            row = rows[a, k, m] = a_mp, from_float(m), root
+        a_mp, m_mp, root = row
+        r_mp = radial.get(r)
+        if r_mp is None:
+            r_mp = radial[r] = from_int(r, prec, rnd)
+        q = div(a_mp, add(r_mp, root, prec, rnd), prec, rnd)
+        level = div(m_mp, sqrt(add(mul(q, q, prec, rnd), one, prec, rnd), prec, rnd), prec, rnd)
+        levels.append(to_float(level, rnd=rnd))
     return _plain(np.array(levels).reshape(grid[0].shape))
 
 
@@ -323,32 +343,25 @@ def spectrum_table(alpha: float, mass_ev: float,
     state = coupled_solve(alpha, QuantumNumbers(n_theta, n_r))
     energy_ev = state.nu_m * mass_ev
     reference_ev = sommerfeld_reference(alpha, n_theta, n_r) * mass_ev
-    columns = np.broadcast_arrays(n_theta, n_r, state.nu_m, energy_ev,
-                                  -mass_ev * state.v_m * state.v_m / (1.0 + state.nu_m),
-                                  reference_ev, np.abs(energy_ev - reference_ev))
-    lines = [SpectrumLine(QuantumNumbers(k, r), *values)
-             for k, r, *values in zip(*(column.ravel().tolist() for column in columns))]
-    lines.sort(key=lambda line: (line.qn.n, line.qn.n_theta))
-    return lines
+    columns = [column.ravel() for column in np.broadcast_arrays(
+        n_theta, n_r, state.nu_m, energy_ev, -mass_ev * state.v_m * state.v_m / (1.0 + state.nu_m),
+        reference_ev, np.abs(energy_ev - reference_ev))]
+    order = np.lexsort((columns[0], columns[0] + columns[1]))
+    return [SpectrumLine(QuantumNumbers(k, r), *values)
+            for k, r, *values in zip(*(column[order].tolist() for column in columns))]
 
 
 _CSV_COLUMNS = ("n_theta", "n_r", "n", "energy_natural", "energy_ev",
                 "binding_ev", "reference_ev", "abs_diff")
-
-
-def _fmt(x: float) -> str:
-    """17 significant digits, '.' decimal separator, locale independent."""
-    return format(x, ".17g")
+# 17 significant digits, '.' decimal separator, locale independent
+_CSV_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g"
 
 
 def lines_to_csv(lines: list[SpectrumLine]) -> str:
     rows = [",".join(_CSV_COLUMNS)]
-    for line in lines:
-        rows.append(",".join([
-            str(line.qn.n_theta), str(line.qn.n_r), str(line.qn.n),
-            _fmt(line.energy_natural), _fmt(line.energy_ev),
-            _fmt(line.binding_ev), _fmt(line.reference_ev), _fmt(line.abs_diff),
-        ]))
+    rows.extend(_CSV_ROW % (line.qn.n_theta, line.qn.n_r, line.qn.n, line.energy_natural,
+                            line.energy_ev, line.binding_ev, line.reference_ev, line.abs_diff)
+                for line in lines)
     return "\n".join(rows) + "\n"
 
 

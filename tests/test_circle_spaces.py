@@ -275,3 +275,10 @@ class TestChartMap:
         chart, coords = chart_point_from_json(text)
         assert chart == S
         assert np.all(coords == [0.1, 0.2, 0.3, 1.4])
+
+    def test_json_integer_beyond_double_range(self):
+        big = 10 ** 400
+        with pytest.raises(FloatRange, match=r"^S chart \(R0=0.7, R1=1.3\) point coordinate 2 "):
+            chart_point_from_json({"chart": "S", "R0": 0.7, "R1": 1.3, "coords": [0, 1, big, 2]})
+        _, coords = chart_point_from_json({"chart": "L", "coords": [0, 1, 2 ** 1023, 2]})
+        assert coords[2] == 2.0 ** 1023

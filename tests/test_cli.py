@@ -211,6 +211,8 @@ BAD_INPUTS = [
     *((("map", "--space", "L", "--point", f'{{"chart":"L","coords":{coords}}}'),
        f"chart point coords must be numbers, got {json.loads(coords)!r}")
       for coords in ('["0.1","0.2","0.3","1"]', "[true,0,0,1]", "[null,0,0,1]", "[[1],0,0,1]")),
+    (("map", "--space", "L", "--point", '{"chart":"L","coords":[0,1' + "0" * 400 + ',0,1]}'),
+     "FloatRange: L chart point coordinate 1 is an integer beyond the double range"),
 ]
 
 

@@ -237,6 +237,24 @@ class TestSpectrumTable:
         assert first[0] == "1" and first[1] == "0"
         assert float(first[3]) == lines[0].energy_natural
 
+    @pytest.mark.parametrize("max_n_theta, max_n_r", [(7, 13), (13, 0), (1, 12)])
+    def test_rectangular_grid_order(self, max_n_theta, max_n_r):
+        lines = spectrum_table(0.37, ELECTRON_MASS_EV, max_n_theta, max_n_r)
+        assert len(lines) == max_n_theta * (max_n_r + 1)
+        assert lines == sorted(lines, key=lambda line: (line.qn.n, line.qn.n_theta))
+        assert {(line.qn.n_theta, line.qn.n_r) for line in lines} == {
+            (k, r) for k in range(1, max_n_theta + 1) for r in range(max_n_r + 1)}
+
+    @pytest.mark.parametrize("mass_ev", [1e-300, ELECTRON_MASS_EV, 1e308])
+    def test_csv_text_is_the_per_field_join(self, mass_ev):
+        lines = spectrum_table(CODATA_ALPHA, mass_ev, 6, 5)
+        want = ["n_theta,n_r,n,energy_natural,energy_ev,binding_ev,reference_ev,abs_diff"]
+        for line in lines:
+            want.append(",".join([str(line.qn.n_theta), str(line.qn.n_r), str(line.qn.n)] + [
+                format(x, ".17g") for x in (line.energy_natural, line.energy_ev,
+                                            line.binding_ev, line.reference_ev, line.abs_diff)]))
+        assert lines_to_csv(lines) == "\n".join(want) + "\n"
+
     @pytest.mark.parametrize("alpha", [1e-6, CODATA_ALPHA, 0.5, 0.999])
     @pytest.mark.parametrize("max_n_theta, max_n_r", [(1, 0), (1, 7), (7, 0), (12, 9)])
     def test_rows_equal_single_level_routes(self, alpha, max_n_theta, max_n_r):
@@ -329,6 +347,68 @@ def _scalar_closed_form(alpha, n_theta, n_r, mass):
     root = math.sqrt(n_theta * n_theta - alpha * alpha)
     denom = (root + n_r) ** 2
     return mass / math.sqrt(1.0 + alpha * alpha / denom)
+
+
+def _wrapped_mpmath_reference(alpha, n_theta, n_r, mass, dps):
+    """The oracle as mpf operators under ``workdps(dps)``, one level at a time."""
+    grid = np.broadcast_arrays(np.asarray(alpha, dtype=float), n_theta, n_r,
+                               np.asarray(mass, dtype=float))
+    levels = []
+    with mpmath.workdps(dps):
+        for a, k, r, m in zip(*(x.ravel().tolist() for x in grid)):
+            a_mp, k_mp = mpmath.mpf(a), mpmath.mpf(k)
+            root = mpmath.sqrt(k_mp * k_mp - a_mp * a_mp)
+            level = mpmath.mpf(m) / mpmath.sqrt(1 + (a_mp / (mpmath.mpf(r) + root)) ** 2)
+            levels.append(float(level))
+    return np.array(levels).reshape(grid[0].shape)
+
+
+class TestOracleBits:
+    """sommerfeld_reference has the bits of the wrapped-mpmath formula, level by level."""
+
+    ALPHAS = [1e-300, 1e-6, CODATA_ALPHA, 0.37, 0.999,
+              *np.random.default_rng(46).uniform(0.0, 1.0, 6).tolist()]
+
+    @pytest.mark.parametrize("dps", [17, 40, 60])
+    def test_grid_bits(self, dps):
+        n_theta, n_r = np.arange(1, 31)[:, None], np.arange(31)
+        for alpha in self.ALPHAS:
+            got = sommerfeld_reference(alpha, n_theta, n_r, dps=dps)
+            want = _wrapped_mpmath_reference(alpha, n_theta, n_r, 1.0, dps)
+            assert (got.view(np.int64) == want.view(np.int64)).all(), alpha
+
+    @pytest.mark.parametrize("dps", [17, 40, 60])
+    def test_mass_array_bits(self, dps):
+        mass = np.array([1e-300, ELECTRON_MASS_EV, 1e300])[:, None, None]
+        alpha, n_theta, n_r = 0.37, np.arange(1, 5)[:, None], np.arange(4)
+        got = sommerfeld_reference(alpha, n_theta, n_r, mass, dps=dps)
+        assert got.shape == (3, 4, 4)
+        want = _wrapped_mpmath_reference(alpha, n_theta, n_r, mass, dps)
+        assert (got.view(np.int64) == want.view(np.int64)).all()
+
+    def test_random_levels_bits(self):
+        rng = np.random.default_rng(47)
+        n_theta = rng.integers(1, 40, 400)
+        alpha = rng.uniform(0.0, 1.0, 400) * n_theta
+        n_r = rng.integers(0, 40, 400)
+        mass = 10.0 ** rng.uniform(-5.0, 5.0, 400)
+        got = sommerfeld_reference(alpha, n_theta, n_r, mass)
+        want = _wrapped_mpmath_reference(alpha, n_theta, n_r, mass, 40)
+        assert (got.view(np.int64) == want.view(np.int64)).all()
+        single = [sommerfeld_reference(*row) for row in zip(
+            alpha.tolist(), n_theta.tolist(), n_r.tolist(), mass.tolist())]
+        assert (np.array(single).view(np.int64) == want.view(np.int64)).all()
+
+    def test_global_context_left_alone(self):
+        n_theta, n_r = np.arange(1, 6)[:, None], np.arange(6)
+        plain = sommerfeld_reference(0.37, n_theta, n_r)
+        prec = mpmath.mp.prec
+        with mpmath.workdps(20):
+            inner_prec = mpmath.mp.prec
+            inside = sommerfeld_reference(0.37, n_theta, n_r)
+            assert mpmath.mp.prec == inner_prec
+        assert mpmath.mp.prec == prec
+        assert (inside.view(np.int64) == plain.view(np.int64)).all()
 
 
 class TestArrayKernels:
