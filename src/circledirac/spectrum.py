@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 from mpmath import libmp
@@ -307,11 +308,15 @@ def sommerfeld_reference(alpha: float, n_theta: int, n_r: int,
     return _plain(np.array(levels).reshape(grid[0].shape))
 
 
-@dataclass(frozen=True)
-class SpectrumLine:
-    """One (n_theta, n_r) level with energies in natural units and eV."""
+class SpectrumLine(NamedTuple):
+    """One (n_theta, n_r) level with energies in natural units and eV.
 
-    qn: QuantumNumbers
+    A tuple whose fields are the CSV columns in order; n = n_theta + n_r.
+    """
+
+    n_theta: int
+    n_r: int
+    n: int
     energy_natural: float
     energy_ev: float
     binding_ev: float
@@ -334,7 +339,7 @@ def spectrum_table(alpha: float, mass_ev: float,
     route A's coupled speed (sqrt(1 - v_m^2) is nu_m at unit mass).  It
     equals energy_ev - mass_ev without the cancellation that subtraction
     suffers for weak coupling and high levels.  Rows are sorted by
-    (n_theta + n_r, n_theta).  The bounds follow the :class:`QuantumNumbers`
+    (n, n_theta).  The bounds follow the :class:`QuantumNumbers`
     rule: integers with max_n_theta >= 1 and max_n_r >= 0.
     """
     n_theta = np.arange(1, quantum_integer("max_n_theta", max_n_theta, 1) + 1)[:, None]
@@ -344,38 +349,22 @@ def spectrum_table(alpha: float, mass_ev: float,
     energy_ev = state.nu_m * mass_ev
     reference_ev = sommerfeld_reference(alpha, n_theta, n_r) * mass_ev
     columns = [column.ravel() for column in np.broadcast_arrays(
-        n_theta, n_r, state.nu_m, energy_ev, -mass_ev * state.v_m * state.v_m / (1.0 + state.nu_m),
+        n_theta, n_r, n_theta + n_r, state.nu_m, energy_ev,
+        -mass_ev * state.v_m * state.v_m / (1.0 + state.nu_m),
         reference_ev, np.abs(energy_ev - reference_ev))]
-    order = np.lexsort((columns[0], columns[0] + columns[1]))
-    return [SpectrumLine(QuantumNumbers(k, r), *values)
-            for k, r, *values in zip(*(column[order].tolist() for column in columns))]
+    order = np.lexsort((columns[0], columns[2]))
+    return list(map(SpectrumLine._make, zip(*(column[order].tolist() for column in columns))))
 
 
-_CSV_COLUMNS = ("n_theta", "n_r", "n", "energy_natural", "energy_ev",
-                "binding_ev", "reference_ev", "abs_diff")
 # 17 significant digits, '.' decimal separator, locale independent
 _CSV_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g"
 
 
 def lines_to_csv(lines: list[SpectrumLine]) -> str:
-    rows = [",".join(_CSV_COLUMNS)]
-    rows.extend(_CSV_ROW % (line.qn.n_theta, line.qn.n_r, line.qn.n, line.energy_natural,
-                            line.energy_ev, line.binding_ev, line.reference_ev, line.abs_diff)
-                for line in lines)
+    rows = [",".join(SpectrumLine._fields)]
+    rows.extend(_CSV_ROW % line for line in lines)
     return "\n".join(rows) + "\n"
 
 
 def lines_to_json_rows(lines: list[SpectrumLine]) -> list[dict]:
-    return [
-        {
-            "n_theta": line.qn.n_theta,
-            "n_r": line.qn.n_r,
-            "n": line.qn.n,
-            "energy_natural": line.energy_natural,
-            "energy_ev": line.energy_ev,
-            "binding_ev": line.binding_ev,
-            "reference_ev": line.reference_ev,
-            "abs_diff": line.abs_diff,
-        }
-        for line in lines
-    ]
+    return [line._asdict() for line in lines]

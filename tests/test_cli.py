@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -42,8 +43,32 @@ class TestSpectrumCommand:
         rows = json.loads(out)
         assert code == 0
         assert [r["n_theta"] for r in rows] == [1, 2]
-        assert set(rows[0]) == {"n_theta", "n_r", "n", "energy_natural", "energy_ev",
-                                "binding_ev", "reference_ev", "abs_diff"}
+        header = run_cli("spectrum", "--max-ntheta", "2", "--max-nr", "0")[1].split("\n")[0]
+        assert all(",".join(row) == header for row in rows)
+
+    def test_json_rows_equal_csv_rows(self):
+        grid = ("--alpha", "0.37", "--max-ntheta", "7", "--max-nr", "13")
+        code_csv, text, _ = run_cli("spectrum", *grid)
+        code_json, out, _ = run_cli("spectrum", "--format", "json", *grid)
+        header, *rows = text.strip().split("\n")
+        parsed = [dict(zip(header.split(","), map(json.loads, row.split(",")))) for row in rows]
+        assert code_csv == code_json == 0 and len(parsed) == 7 * 14
+        assert json.loads(out) == parsed
+
+    # sha256 of stdout: the table's bytes are the command's contract, so a
+    # change to the row type or its formatting must leave them alone
+    @pytest.mark.parametrize("argv, digest", [
+        ((), "46027fd7aeb39846f43b5e735e24b71470d14c4df16cd74ce48fa9eb0e4cf489"),
+        (("--format", "json"), "beca44d20d720223b6f5b2f4958dff4234435917749bd47b105dcac4915047a5"),
+        (("--alpha", "0.37", "--max-ntheta", "30", "--max-nr", "30"),
+         "ac28c1ccb504485cd81cd46d7bc1fc346f7134b2582bb435937bddb2926daa0e"),
+        (("--alpha", "0.37", "--max-ntheta", "30", "--max-nr", "30", "--format", "json"),
+         "4095822308bf5f79af70abeb5cbf3cd53814227b6641b5baf986c9e776748a6f"),
+    ])
+    def test_output_digest(self, argv, digest):
+        code, out, _ = run_cli("spectrum", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_rejects_alpha_out_of_range(self):
         code, _, err = run_cli("spectrum", "--alpha", "1.5")

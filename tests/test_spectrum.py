@@ -9,6 +9,7 @@ from circledirac import (
     InvalidQuantumNumber,
     NonpositiveMass,
     QuantumNumbers,
+    SpectrumLine,
     SpeedDomain,
     bohr_solve,
     circle_quantize,
@@ -206,13 +207,13 @@ class TestSpectrumTable:
     def test_row_count_and_order(self):
         lines = spectrum_table(CODATA_ALPHA, ELECTRON_MASS_EV, 3, 3)
         assert len(lines) == 12
-        keys = [(line.qn.n, line.qn.n_theta) for line in lines]
+        keys = [(line.n, line.n_theta) for line in lines]
         assert keys == sorted(keys)
 
     def test_degeneracy_count(self):
         lines = spectrum_table(CODATA_ALPHA, ELECTRON_MASS_EV, 4, 3)
         for n in (2, 3, 4):
-            assert sum(1 for line in lines if line.qn.n == n) == n
+            assert sum(1 for line in lines if line.n == n) == n
 
     def test_ground_binding(self):
         lines = spectrum_table(CODATA_ALPHA, ELECTRON_MASS_EV, 1, 0)
@@ -223,7 +224,7 @@ class TestSpectrumTable:
         assert all(line.abs_diff <= 1e-12 * ELECTRON_MASS_EV for line in lines)
 
     def test_fine_structure_pair_differs(self):
-        lines = {(line.qn.n_theta, line.qn.n_r): line
+        lines = {(line.n_theta, line.n_r): line
                  for line in spectrum_table(CODATA_ALPHA, ELECTRON_MASS_EV, 2, 1)}
         assert lines[(2, 0)].energy_ev != lines[(1, 1)].energy_ev
 
@@ -237,12 +238,20 @@ class TestSpectrumTable:
         assert first[0] == "1" and first[1] == "0"
         assert float(first[3]) == lines[0].energy_natural
 
+    def test_rows_are_tuples_in_csv_column_order(self):
+        lines = spectrum_table(0.37, ELECTRON_MASS_EV, 7, 13)
+        assert ",".join(SpectrumLine._fields) == lines_to_csv(lines).split("\n")[0]
+        for line in lines:
+            assert isinstance(line, tuple)
+            assert line.n == line.n_theta + line.n_r
+            assert [type(x) for x in line] == [int] * 3 + [float] * 5
+
     @pytest.mark.parametrize("max_n_theta, max_n_r", [(7, 13), (13, 0), (1, 12)])
     def test_rectangular_grid_order(self, max_n_theta, max_n_r):
         lines = spectrum_table(0.37, ELECTRON_MASS_EV, max_n_theta, max_n_r)
         assert len(lines) == max_n_theta * (max_n_r + 1)
-        assert lines == sorted(lines, key=lambda line: (line.qn.n, line.qn.n_theta))
-        assert {(line.qn.n_theta, line.qn.n_r) for line in lines} == {
+        assert lines == sorted(lines, key=lambda line: (line.n, line.n_theta))
+        assert {(line.n_theta, line.n_r) for line in lines} == {
             (k, r) for k in range(1, max_n_theta + 1) for r in range(max_n_r + 1)}
 
     @pytest.mark.parametrize("mass_ev", [1e-300, ELECTRON_MASS_EV, 1e308])
@@ -250,7 +259,7 @@ class TestSpectrumTable:
         lines = spectrum_table(CODATA_ALPHA, mass_ev, 6, 5)
         want = ["n_theta,n_r,n,energy_natural,energy_ev,binding_ev,reference_ev,abs_diff"]
         for line in lines:
-            want.append(",".join([str(line.qn.n_theta), str(line.qn.n_r), str(line.qn.n)] + [
+            want.append(",".join([str(line.n_theta), str(line.n_r), str(line.n)] + [
                 format(x, ".17g") for x in (line.energy_natural, line.energy_ev,
                                             line.binding_ev, line.reference_ev, line.abs_diff)]))
         assert lines_to_csv(lines) == "\n".join(want) + "\n"
@@ -261,8 +270,8 @@ class TestSpectrumTable:
         lines = spectrum_table(alpha, ELECTRON_MASS_EV, max_n_theta, max_n_r)
         assert len(lines) == max_n_theta * (max_n_r + 1)
         for line in lines:
-            nt, nr = line.qn.n_theta, line.qn.n_r
-            assert line.energy_natural == coupled_solve(alpha, line.qn).nu_m
+            nt, nr = line.n_theta, line.n_r
+            assert line.energy_natural == coupled_solve(alpha, QuantumNumbers(nt, nr)).nu_m
             assert line.reference_ev == sommerfeld_reference(alpha, nt, nr) * ELECTRON_MASS_EV
 
     def test_rejects_speed_domain(self):
@@ -485,12 +494,12 @@ class TestBindingEnergy:
         worst = 0.0
         with mpmath.workdps(50):
             for line in spectrum_table(alpha, ELECTRON_MASS_EV, 40, 40):
-                oracle = _oracle_binding(alpha, line.qn.n_theta, line.qn.n_r, ELECTRON_MASS_EV)
+                oracle = _oracle_binding(alpha, line.n_theta, line.n_r, ELECTRON_MASS_EV)
                 worst = max(worst, float(abs(line.binding_ev - oracle) / abs(oracle)))
         assert worst <= 1e-13
 
     def test_high_n_splitting_survives(self):
-        lines = {(line.qn.n_theta, line.qn.n_r): line
+        lines = {(line.n_theta, line.n_r): line
                  for line in spectrum_table(CODATA_ALPHA, ELECTRON_MASS_EV, 40, 1)}
         split = lines[(40, 0)].binding_ev - lines[(39, 1)].binding_ev
         with mpmath.workdps(50):
