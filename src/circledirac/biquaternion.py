@@ -139,21 +139,7 @@ class Biquaternion:
         """The scalar a * conj(a) = c0^2 + c1^2 + c2^2 + c3^2 (complex)."""
         return self.c0 * self.c0 + self.c1 * self.c1 + self.c2 * self.c2 + self.c3 * self.c3
 
-    def inverse(self, tol: float = 1e-300) -> "Biquaternion":
-        """Multiplicative inverse conj(a)/norm_form(a).
-
-        Biquaternions with vanishing (complex) norm form are zero
-        divisors and have no inverse.
-        """
-        n = self.norm_form()
-        if abs(n) <= tol:
-            raise ZeroDivisionError("biquaternion with zero norm form has no inverse")
-        return self.conj / n
-
     # -- structure helpers -------------------------------------------------
-
-    def is_scalar(self, tol: float = 1e-12) -> bool:
-        return max(abs(self.c1), abs(self.c2), abs(self.c3)) <= tol
 
     def max_abs(self) -> float:
         return max(abs(self.c0), abs(self.c1), abs(self.c2), abs(self.c3))

@@ -47,6 +47,9 @@ __all__ = [
     "de_broglie",
 ]
 
+# dispersion residual allowed by PlaneWave.is_on_shell, relative to max(1, m^2 + mu^2)
+_SHELL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class PlaneWave:
@@ -61,25 +64,23 @@ class PlaneWave:
     mu: float
     mass: float
     eA: float = 0.0
-    charge_sign: int = 1
 
     def dispersion_residual(self) -> float:
         """Absolute residual of (nu - eA)^2 - mass^2 - mu^2."""
         k = self.nu - self.eA
         return abs(k * k - self.mass * self.mass - self.mu * self.mu)
 
-    def is_on_shell(self, tol: float = 1e-10) -> bool:
+    def is_on_shell(self) -> bool:
         scale = max(1.0, self.mass * self.mass + self.mu * self.mu)
-        return self.dispersion_residual() <= tol * scale
+        return self.dispersion_residual() <= _SHELL_TOL * scale
 
     def potential(self) -> tuple[Biquaternion, float]:
         """The embedded potential biquaternion and the charge e.
 
-        Splits eA into e = charge_sign and A0 = eA/e so that the Dirac
-        term -i*e*A applied to the wave reproduces the stored product.
+        Splits eA into e = 1 and A0 = eA so that the Dirac term -i*e*A
+        applied to the wave reproduces the stored product.
         """
-        e = float(self.charge_sign)
-        return embed((self.eA / e, 0.0, 0.0, 0.0)), e
+        return embed((self.eA, 0.0, 0.0, 0.0)), 1.0
 
 
 class ExpWave:

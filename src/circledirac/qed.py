@@ -106,7 +106,8 @@ def solve_rho(A: float, mass: float, e: float, d_prime: float) -> ChargeDensityS
     Both branches are returned together with the residual of each in the
     quadratic; physical selection is left to the caller.  Raises
     FloatRange when a root or a residual would overflow or be non-finite
-    (from |A| of about 1e52 the residuals no longer fit a double).
+    (from |A| of about 1e52 the residuals no longer fit a double); roots
+    that underflow are 0.0.
 
     The arguments may be arrays that broadcast together; every field is
     then an array, each entry with the bits of the scalar call.  An entry
@@ -126,8 +127,12 @@ def solve_rho(A: float, mass: float, e: float, d_prime: float) -> ChargeDensityS
         product = -_pow(a, 4) * q * q * d * d * m * m
         direct_p, direct_m = front * (a + s), front * (a - s)
         positive = a > 0.0
-        rho_p = np.where(positive, direct_p, product / direct_m + 0.0)
-        rho_m = np.where(positive, product / direct_p + 0.0, direct_m)
+        # when the direct root underflows (|A| below about 1e-160, or 1e-107
+        # massless) the other is smaller still and the product form reads
+        # 0/0: both roots are 0.0, as at A = 0
+        lost = np.where(positive, direct_p, direct_m) == 0.0
+        rho_p = np.where(lost, 0.0, np.where(positive, direct_p, product / direct_m + 0.0))
+        rho_m = np.where(lost, 0.0, np.where(positive, product / direct_p + 0.0, direct_m))
     fields = (rho_p, rho_m, *rho_residual(np.stack((rho_p, rho_m)), a, m, q, d))
     zero = a == 0.0
     require(zero | np.isfinite(fields).all(axis=0), FloatRange,

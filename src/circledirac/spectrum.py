@@ -367,4 +367,5 @@ def lines_to_csv(lines: list[SpectrumLine]) -> str:
 
 
 def lines_to_json_rows(lines: list[SpectrumLine]) -> list[dict]:
-    return [line._asdict() for line in lines]
+    fields = SpectrumLine._fields
+    return [dict(zip(fields, line)) for line in lines]

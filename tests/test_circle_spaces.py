@@ -127,8 +127,6 @@ class TestRotatedBases:
         assert np.abs(b[2, 0] - I1.coeffs).max() < 1e-15      # radial unit
 
     def test_derivative_matrix_unimodular(self):
-        for theta in np.linspace(-2.5, 2.5, 41):
-            assert abs(np.linalg.det(temporal_derivative_matrix(theta)) - 1.0) < 1e-13
         matrices = temporal_derivative_matrix(np.linspace(-2.5, 2.5, 40).reshape(4, 10))
         assert matrices.shape == (4, 10, 2, 2)
         assert np.max(np.abs(np.linalg.det(matrices) - 1.0)) < 1e-13
@@ -171,16 +169,6 @@ class TestChartMap:
     def test_spatial_tangent_point(self):
         out = chart_map([0.0, 0.0, 2.0, 0.0], L, SpaceChart(ChartKind.M, R1=1.0))
         assert np.allclose(out, [0.0, 0.0, 2.0, 0.0], atol=0)
-
-    @pytest.mark.parametrize("target", [T, M, S])
-    def test_round_trips(self, target):
-        rng = np.random.default_rng(9)
-        for _ in range(200):
-            x3 = rng.uniform(0.3, 3.0)
-            p = np.array([x3 * rng.uniform(-0.9, 0.9),
-                          rng.uniform(-2, 2), rng.uniform(-2, 2), x3])
-            q = chart_map(p, L, target)
-            assert np.max(np.abs(chart_map(q, target, L) - p)) < 1e-12
 
     def test_composed_via_l(self):
         p = np.array([0.2, -0.4, 1.1, 1.7])

@@ -113,6 +113,17 @@ class TestVerifyCommand:
                 for _ in range(2)}
         assert len(runs) == 1
 
+    # sha256 of stdout: the reports of every case, with their tolerances, are
+    # the command's contract, so a change to a suite must leave them alone
+    @pytest.mark.parametrize("fmt, digest", [
+        ("csv", "dc30e33dbd793dc587737900f375b89650914485e7e008a652346554ac4b476b"),
+        ("json", "e6c470fcc5f038ad6913f33eb13968178f1678731887ee1201bf5ed857cd256c"),
+    ])
+    def test_output_digest(self, fmt, digest):
+        code, out, _ = run_cli("verify", "--suite", "all", "--seed", "42", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_seed_changes_report(self):
         a = run_cli("verify", "--suite", "algebra", "--seed", "1")[1]
         b = run_cli("verify", "--suite", "algebra", "--seed", "2")[1]
@@ -173,6 +184,13 @@ class TestQedRhoCommand:
         rec = json.loads(out)
         assert code == 0
         assert rec["rho"] == rec["rho_minus"]
+
+    def test_underflowing_roots_print_zero(self):
+        code, out, _ = run_cli("qed-rho", "--A", "1e-200")
+        rec = json.loads(out, parse_constant=_reject_constant)
+        assert code == 0
+        assert rec["A"] == 1e-200
+        assert rec["rho_plus"] == rec["rho_minus"] == rec["residual_plus"] == 0.0
 
     def test_default_charge_is_sqrt_alpha(self):
         _, out, _ = run_cli("qed-rho", "--alpha", "0.04")

@@ -1,26 +1,49 @@
-"""Every demo runs to completion as a script."""
+"""Every demo runs to completion as a script and prints its pinned output."""
 
+import hashlib
 import os
 import pathlib
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+# sha256 of each demo's stdout: every demo is deterministic
+DIGESTS = {
+    "01_biquaternion_algebra.py": "3ab6ac1a8ad96b7507f04a4a5c3ea3224e356c3905ca110172f09783cebd6cc3",
+    "02_chart_tour.py": "50b90b35fe2438ce5cff64eb83555df74ecf8ef5ddf61fca9e720fd57e00edc2",
+    "03_plane_wave_residuals.py": "6337abe4e125e02c6556dc7beaa6f6b48af0bce784a8e422100ed9c2d7266475",
+    "04_tachyon_transformation.py": "531df5026792c1fa0a5d98cae8da260e1e8199589912e128972cb0d538504882",
+    "05_fine_structure_spectrum.py": "c6dbe7e79c0d0ec3d5a36fca1642e0709a7e353f355605a10f4fdb364b99dcd6",
+    "06_charge_density.py": "fcd29744fec98634adb0766acdddfb3efb00e9e3362f61d53ad4ad7ab9b0c1b4",
+}
+
+
+def _run(demo):
+    env = dict(os.environ)
+    env.pop("CIRCLEDIRAC_FAULT", None)
+    return subprocess.run([sys.executable, str(demo)], capture_output=True, env=env, cwd=ROOT,
+                          timeout=120)
+
+
+@pytest.fixture(scope="module")
+def demo_runs():
+    """Each demo, two at a time: start-up (mostly importing numpy) dominates."""
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return dict(zip(DEMOS, pool.map(_run, DEMOS)))
+
 
 def test_demos_found():
-    assert DEMOS
+    assert [demo.name for demo in DEMOS] == list(DIGESTS)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
-def test_demo_runs(demo):
-    env = dict(os.environ)
-    env.pop("CIRCLEDIRAC_FAULT", None)
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                          env=env, cwd=ROOT, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout
+def test_demo_runs(demo, demo_runs):
+    proc = demo_runs[demo]
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert b"Traceback" not in proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == DIGESTS[demo.name]

@@ -76,18 +76,6 @@ class TestBoundSolution:
         assert wave.phi1(p).max_abs_diff(free.phi1(p)) == 0.0
         assert wave.phi2(p).max_abs_diff(free.phi2(p)) == 0.0
 
-    def test_residual_at_random_points(self):
-        rep = residual(bound_solution(PW), *_args(PW), POINTS, h=1e-5)
-        assert rep.analytic <= 1e-12
-        assert rep.fd <= 1e-8
-
-    def test_residual_with_potential(self):
-        mu, eA = 0.6, -0.3
-        pw = PlaneWave(nu=eA + math.sqrt(1 + mu * mu), mu=mu, mass=1.0, eA=eA)
-        rep = residual(bound_solution(pw), *_args(pw), POINTS, h=1e-5)
-        assert rep.analytic <= 1e-12
-        assert rep.fd <= 1e-8
-
     def test_rejects_off_shell(self):
         with pytest.raises(DispersionViolation) as exc:
             bound_solution(PlaneWave(nu=1.5, mu=0.75, mass=1.0))
@@ -95,14 +83,6 @@ class TestBoundSolution:
 
 
 class TestResidualHarness:
-    def test_convergence_order(self):
-        wave = bound_solution(PW)
-        a, e, m = _args(PW)
-        coarse = residual(wave, a, e, m, POINTS, h=0.05).fd
-        fine = residual(wave, a, e, m, POINTS, h=0.025).fd
-        order = math.log2(coarse / fine)
-        assert abs(order - 2.0) < 0.1
-
     def test_linearity(self):
         wave = plane_wave_solution(PW.nu + 0.1, PW.mu, PW.mass)
         scaled = WaveFunction(ExpWave(2.0 * wave.phi1.prefactor, wave.phi1.k),

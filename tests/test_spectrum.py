@@ -20,7 +20,6 @@ from circledirac import (
     sommerfeld_reference,
     spectrum_table,
 )
-from circledirac.verify import sommerfeld_expansion
 
 ALPHA = 1.0 / 137.0
 CODATA_ALPHA = 7.2973525693e-3
@@ -93,14 +92,6 @@ class TestBohrSolve:
         assert b.eA_b == pytest.approx(-0.45)
         assert b.L == 1.0
 
-    def test_quantization_web(self):
-        for n_theta in range(1, 9):
-            for alpha in (ALPHA, 0.3, 0.9 * n_theta):
-                b = bohr_solve(alpha, n_theta, mass=1.0)
-                assert b.R0_l * 1.0 == pytest.approx(n_theta, rel=1e-13)
-                assert b.nu_b * b.R0_b == pytest.approx(n_theta, rel=1e-13)
-                assert b.eta_b * b.R0_b + b.mu_b * b.R1_hat == pytest.approx(n_theta, rel=1e-13)
-
     def test_total_energy_chain(self):
         # nu = eta + eA agrees with the closed form mass*sqrt(1 - v^2)
         for alpha in (ALPHA, 0.3, 0.6):
@@ -116,11 +107,6 @@ class TestBohrSolve:
 
 
 class TestCoupledSolve:
-    def test_reduces_to_bohr_without_vibration(self):
-        for n_theta in range(1, 9):
-            c = coupled_solve(ALPHA, QuantumNumbers(n_theta, 0))
-            assert abs(c.nu_m - c.bohr.nu_b) <= 1e-13
-
     def test_ground_level(self):
         c = coupled_solve(1.0 / 137.0, QuantumNumbers(1, 0))
         assert c.nu_m == pytest.approx(0.99997336, abs=5e-9)
@@ -148,23 +134,8 @@ class TestCoupledSolve:
                 assert c.eta_h ** 2 - c.mu_h ** 2 == pytest.approx(c.m_h ** 2, rel=1e-13)
                 assert c.eta_h * c.nu_h == pytest.approx(c.m_h ** 2, rel=1e-13)
 
-    def test_dashed_energy_consistency(self):
-        for alpha in (ALPHA, 0.3, 0.6):
-            c = coupled_solve(alpha, QuantumNumbers(1, 2))
-            assert c.vprime_m == pytest.approx(1.0 / c.mu_m, rel=1e-12)
-
 
 class TestTwoRoutes:
-    def test_agreement_grid(self):
-        worst = 0.0
-        for alpha in (ALPHA, 0.3, 0.6):
-            for n_theta in range(1, 9):
-                for n_r in range(0, 9):
-                    a = coupled_solve(alpha, QuantumNumbers(n_theta, n_r)).nu_m
-                    b = energy_closed_form(alpha, n_theta, n_r)
-                    worst = max(worst, abs(a - b))
-        assert worst <= 1e-12
-
     @pytest.mark.parametrize("alpha, n_theta, n_r", [(1.0, 1, 0), (2.5, 2, 3), (7.0, 7, 1)])
     def test_reference_speed_domain(self, alpha, n_theta, n_r):
         with pytest.raises(SpeedDomain):
@@ -180,21 +151,6 @@ class TestTwoRoutes:
         for n_theta in (1, 2, 5):
             for n_r in (0, 1, 4):
                 assert energy_closed_form(0.0, n_theta, n_r) == 1.0
-
-    def test_monotonicity(self):
-        values = {(nt, nr): energy_closed_form(ALPHA, nt, nr)
-                  for nt in range(1, 9) for nr in range(0, 9)}
-        for (nt, nr), v in values.items():
-            if nr > 0:
-                assert v > values[(nt, nr - 1)]
-            if nt > 1:
-                assert v > values[(nt - 1, nr)]
-
-    def test_fourth_order_expansion(self):
-        for n_theta in range(1, 6):
-            for n_r in range(0, 6):
-                nu = energy_closed_form(ALPHA, n_theta, n_r)
-                assert abs(nu - sommerfeld_expansion(ALPHA, n_theta, n_r)) <= 1e-12
 
     def test_fine_structure_splitting(self):
         # same principal number, different angular number

