@@ -72,7 +72,6 @@ from .qed import (
 )
 from .reflector import (
     ARC_TIME_UNITS,
-    DiracOperator,
     sandwich,
     unit_reflector,
 )
@@ -93,7 +92,6 @@ from .spectrum import (
 )
 from .tachyon import (
     DashedKinematics,
-    TachyonRotor,
     component_map,
     dashed_energy,
     tachyon_double,

@@ -251,10 +251,13 @@ def embed(x: FourVector | Iterable[float]) -> Biquaternion:
     return Biquaternion(-1j * x0, x1, x2, x3)
 
 
-def unembed(b: Biquaternion, tol: float = 1e-10) -> FourVector:
+_SLICE_TOL = 1e-10   # how far unembed's input may lie off the embedded slice
+
+
+def unembed(b: Biquaternion) -> FourVector:
     """Inverse of :func:`embed`; rejects biquaternions off the embedded slice."""
     off = max(abs(b.c0.real), abs(b.c1.imag), abs(b.c2.imag), abs(b.c3.imag))
-    if off > tol:
+    if off > _SLICE_TOL:
         raise ValueError(
             f"biquaternion is not the embedding of a real four-vector (off-slice {off:.3e})"
         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import circle_spaces as cs
@@ -30,7 +31,12 @@ DEFAULT_MASS_EV = 510998.9461
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that exits 1 (not 2) on bad usage."""
+    """argparse variant that exits 1 (not 2) on bad usage and reads -1e5 as a number."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent, so it took -1e5 for an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

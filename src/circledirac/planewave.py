@@ -32,7 +32,8 @@ from .errors import (
     positive_mass,
     require,
 )
-from .reflector import ARC_TIME_UNITS, DiracOperator, dirac_lhs_array, dirac_rhs_array, unit_reflector
+from .reflector import (ARC_TIME_UNITS, _operator_array, dirac_lhs_array, dirac_rhs_array,
+                        unit_reflector)
 
 __all__ = [
     "PlaneWave",
@@ -192,7 +193,7 @@ def residual(wave: WaveFunction,
              m: Biquaternion,
              points: Sequence[np.ndarray],
              h: float = 1e-5,
-             operator: DiracOperator = ARC_TIME_UNITS) -> ResidualReport:
+             operator: np.ndarray = ARC_TIME_UNITS) -> ResidualReport:
     """Max-norm residual of (D - i e A) Phi - Phi M over the given points.
 
     The library's one evaluation of the Dirac system: a single point is
@@ -205,6 +206,7 @@ def residual(wave: WaveFunction,
     """
     if not 0 < h < math.inf:
         raise ValueError(f"finite-difference step must be positive and finite, got {h}")
+    operator = _operator_array(operator)
     p = np.asarray(points, dtype=float)
     if p.size == 0:
         return ResidualReport(fd=0.0, analytic=0.0)
@@ -214,7 +216,7 @@ def residual(wave: WaveFunction,
     phi = np.stack([f.batch(p) for f in components], axis=-2)
     d_phi = np.stack((np.stack([_central_difference(f, p, h) for f in components], axis=-2),
                       np.stack([f.batch_derivative(p) for f in components], axis=-2)))
-    lhs = dirac_lhs_array(operator.to_array(), unit_reflector(a_pot), e, phi, d_phi)
+    lhs = dirac_lhs_array(operator, unit_reflector(a_pot), e, phi, d_phi)
     worst = np.abs(lhs - dirac_rhs_array(phi, m.coeffs)).max(axis=(1, 2, 3))
     return ResidualReport(fd=float(worst[0]), analytic=float(worst[1]))
 

@@ -22,24 +22,22 @@ does not commute.
 The module holds only this block calculus.  Waves, their derivatives
 and the residual check live in :mod:`~circledirac.planewave`.
 
-Both sides are assembled once, by :func:`dirac_lhs_array` and
-:func:`dirac_rhs_array`; leading axes of the coefficient arrays
+The operator D = sum_mu u_mu d/dx_mu is held the same way, as the
+``(4, 2, 4)`` array of its unit reflectors (u_mu, conj(u_mu)), one per
+coordinate mu.  Both sides are assembled once, by :func:`dirac_lhs_array`
+and :func:`dirac_rhs_array`; leading axes of the coefficient arrays
 broadcast over points and derivative routes.  :func:`sandwich` is the
 library's one rotor sandwich r*x*r.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .biquaternion import Biquaternion, I0, I1, I2, I3, array_conj, array_mul, array_norm_form
-from .errors import NonUnitRotor
+from .errors import NonUnitRotor, require
 
 __all__ = [
-    "DiracOperator",
     "unit_reflector",
     "sandwich",
     "dirac_lhs_array",
@@ -64,24 +62,20 @@ def unit_reflector(u: Biquaternion) -> np.ndarray:
 
 # -- rotor sandwich ------------------------------------------------------
 
-def _check_unit(r, tol: float) -> None:
-    """Raise NonUnitRotor unless every norm form of r is 1 within tol; names the first bad row."""
-    n = np.asarray(r.norm_form() if isinstance(r, Biquaternion) else array_norm_form(r))
-    bad = np.abs(n - 1.0) > tol
-    if np.any(bad):
-        at = np.unravel_index(np.argmax(bad), bad.shape)
-        where = f" {list(map(int, at))}" if at else ""
-        raise NonUnitRotor(f"rotor{where} norm form {n[at]} differs from 1 by more than {tol}")
+_UNIT_TOL = 1e-12   # how far a rotor's norm form may lie from 1
 
 
-def sandwich(r, x, tol: float = 1e-12):
+def sandwich(r, x):
     """Same-factor rotor sandwich r*x*r, the one place the library writes it.
 
     For a biquaternion x the result is r*x*r.  x, or the rotor r, may
     also be a ``(..., 4)`` coefficient array (rotors broadcast against
-    x); the result is then an array.
+    x); the result is then an array.  A rotor whose norm form is not 1
+    raises :class:`NonUnitRotor`, naming the first such row.
     """
-    _check_unit(r, tol)
+    n = r.norm_form() if isinstance(r, Biquaternion) else array_norm_form(r)
+    require(np.abs(n - 1.0) <= _UNIT_TOL, NonUnitRotor,
+            f"rotor norm form {{n}} differs from 1 by more than {_UNIT_TOL}", n=n)
     if isinstance(x, Biquaternion) and isinstance(r, Biquaternion):
         return r * x * r
     if not isinstance(x, Biquaternion) and np.shape(x)[-1:] != (4,):
@@ -92,41 +86,31 @@ def sandwich(r, x, tol: float = 1e-12):
 
 # -- the Dirac system ----------------------------------------------------
 
-@dataclass(frozen=True)
-class DiracOperator:
-    """First-order operator sum_mu u_mu d/dx_mu given by its upper-block units.
-
-    The lower block applies conjugated units.  On charts built from arc
-    coordinates the temporal unit is i*i_0: the temporal arc coordinate
-    is stored real while the algebra wants it divided by i, and the
-    factor i surfaces in the derivative term.  Plain Minkowski-like
-    charts use the bare units.
-    """
-
-    units: tuple[Biquaternion, Biquaternion, Biquaternion, Biquaternion]
-
-    def transform(self, f: Callable[[Biquaternion], Biquaternion]) -> "DiracOperator":
-        """New operator with every unit mapped through f (e.g. a rotor sandwich)."""
-        return DiracOperator(tuple(f(u) for u in self.units))
-
-    def to_array(self) -> np.ndarray:
-        """The unit reflectors (u, conj(u)) as a ``(4, 2, 4)`` array, one per coordinate mu."""
-        return np.array([unit_reflector(u) for u in self.units])
+# The read-only operator of arc-coordinate charts.  Its temporal unit is i*i_0:
+# the temporal arc coordinate is stored real while the algebra wants it divided
+# by i, and that i surfaces in the derivative term.  Plain charts use bare units.
+ARC_TIME_UNITS = np.array([unit_reflector(u) for u in (1j * I0, I1, I2, I3)])
+ARC_TIME_UNITS.flags.writeable = False
 
 
-ARC_TIME_UNITS = DiracOperator((1j * I0, I1, I2, I3))
+def _operator_array(units) -> np.ndarray:
+    """``units`` as an array; ValueError unless it has the operator shape ``(4, 2, 4)``."""
+    units = np.asarray(units)
+    if units.shape != (4, 2, 4):
+        raise ValueError(f"operator needs shape (4, 2, 4), got {units.shape}")
+    return units
 
 
 def dirac_lhs_array(units, a_pot, e: float, phi, d_phi) -> np.ndarray:
     """(D - i e A) Phi on coefficient arrays, as a ``(..., 2, 4)`` block-diagonal array.
 
-    ``units`` is :meth:`DiracOperator.to_array`, ``a_pot`` the ``(2, 4)``
-    potential reflector (a, conj(a)), ``phi`` the ``(..., 2, 4)`` wave
-    and ``d_phi`` its ``(..., 4, 2, 4)`` derivatives, one per coordinate
-    mu.  Leading axes broadcast, so one call covers a batch of points,
-    or of points under several derivative routes.  Every term is a
-    reflector product, so the potential multiplies the wave components
-    on the left.
+    ``units`` is a ``(4, 2, 4)`` operator such as :data:`ARC_TIME_UNITS`,
+    ``a_pot`` the ``(2, 4)`` potential reflector (a, conj(a)), ``phi`` the
+    ``(..., 2, 4)`` wave and ``d_phi`` its ``(..., 4, 2, 4)`` derivatives,
+    one per coordinate mu.  Leading axes broadcast, so one call covers a
+    batch of points, or of points under several derivative routes.  Every
+    term is a reflector product, so the potential multiplies the wave
+    components on the left.
     """
     return (reflector_mul_array(units, d_phi).sum(axis=-3)
             - (1j * e) * reflector_mul_array(a_pot, phi))

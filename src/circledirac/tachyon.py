@@ -27,17 +27,16 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .biquaternion import Biquaternion, FourVector, I1, embed, unembed
+from .biquaternion import Biquaternion, FourVector, I1, array_conj, embed, unembed
 from .errors import ZeroArcElement
-from .reflector import DiracOperator, _check_unit, sandwich
+from .reflector import _operator_array, sandwich
 from .planewave import ExpWave, WaveFunction
 
 __all__ = [
-    "TachyonRotor",
     "DashedKinematics",
     "component_map",
     "tachyon_quaternion",
@@ -55,26 +54,7 @@ __all__ = [
 # the verification suite must detect the mutation and fail.
 FAULT_ENV = "CIRCLEDIRAC_FAULT"
 
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
-
-
-def _default_rotor() -> Biquaternion:
-    return Biquaternion(_SQRT_HALF, _SQRT_HALF)
-
-
-@dataclass(frozen=True)
-class TachyonRotor:
-    """A real quaternion of unit modulus; defaults to (1 + i_1)/sqrt(2)."""
-
-    r: Biquaternion = field(default_factory=_default_rotor)
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        _check_unit(self.r, self.tol)
-
-    @property
-    def conj(self) -> Biquaternion:
-        return self.r.conj
+_ROTOR = Biquaternion(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
 
 
 def component_map(x: Biquaternion | np.ndarray) -> Biquaternion | np.ndarray:
@@ -86,12 +66,9 @@ def component_map(x: Biquaternion | np.ndarray) -> Biquaternion | np.ndarray:
     return np.stack((-x[..., 1], sign * x[..., 0], x[..., 2], x[..., 3]), axis=-1)
 
 
-def tachyon_quaternion(x: Biquaternion | np.ndarray,
-                       rotor: TachyonRotor | None = None,
-                       conjugated: bool = False) -> Biquaternion | np.ndarray:
-    """Same-factor sandwich r*x*r (or conj(r)*x*conj(r) for dagger-type x)."""
-    rot = rotor if rotor is not None else TachyonRotor()
-    return sandwich(rot.conj if conjugated else rot.r, x, tol=rot.tol)
+def tachyon_quaternion(x: Biquaternion | np.ndarray) -> Biquaternion | np.ndarray:
+    """Same-factor sandwich r*x*r with r = (1 + i_1)/sqrt(2)."""
+    return sandwich(_ROTOR, x)
 
 
 def tachyon_fourvector(x: FourVector) -> FourVector:
@@ -142,7 +119,7 @@ def dashed_energy(v: float, ds0: float, ds1: float, eta: float, mu: float) -> fl
 
 # -- covariance of the Dirac system ----------------------------------------
 
-def transform_wave(wave: WaveFunction, rotor: TachyonRotor | None = None) -> WaveFunction:
+def transform_wave(wave: WaveFunction) -> WaveFunction:
     """Tachyon-transform a plane wave: sandwich prefactors, swap arc slots.
 
     phi1's prefactor is sandwiched with (r, r) and phi2's with
@@ -151,9 +128,8 @@ def transform_wave(wave: WaveFunction, rotor: TachyonRotor | None = None) -> Wav
     temporal and first spatial components, matching the coordinate
     exchange.
     """
-    rot = rotor if rotor is not None else TachyonRotor()
-    top = sandwich(rot.r, wave.phi1.prefactor, tol=rot.tol)
-    bottom = sandwich(rot.conj, wave.phi2.prefactor, tol=rot.tol)
+    top = sandwich(_ROTOR, wave.phi1.prefactor)
+    bottom = sandwich(_ROTOR.conj, wave.phi2.prefactor)
 
     def swap(k):
         return (k[1], k[0], k[2], k[3])
@@ -161,8 +137,7 @@ def transform_wave(wave: WaveFunction, rotor: TachyonRotor | None = None) -> Wav
     return WaveFunction(ExpWave(top, swap(wave.phi1.k)), ExpWave(bottom, swap(wave.phi2.k)))
 
 
-def transform_operator(op: DiracOperator, rotor: TachyonRotor | None = None) -> DiracOperator:
-    """Tachyon-transform the operator: sandwich units and swap arc slots."""
-    rot = rotor if rotor is not None else TachyonRotor()
-    u = op.transform(lambda unit: sandwich(rot.r, unit, tol=rot.tol)).units
-    return DiracOperator((u[1], u[0], u[2], u[3]))
+def transform_operator(units) -> np.ndarray:
+    """Tachyon-transform a ``(4, 2, 4)`` operator: r*u*r for each unit u, swap arc slots."""
+    top = sandwich(_ROTOR, _operator_array(units)[:, 0])
+    return np.stack((top, array_conj(top)), axis=-2)[[1, 0, 2, 3]]

@@ -39,7 +39,7 @@ from .biquaternion import (Biquaternion, FourVector, I1, I2, I3, ONE, array_conj
 from .planewave import PlaneWave, bound_solution, free_solution, mass_term, plane_wave_solution, residual
 from .reflector import reflector_mul_array, sandwich
 from .spectrum import QuantumNumbers
-from .tachyon import DashedKinematics, TachyonRotor, component_map, tachyon_double, tachyon_quaternion
+from .tachyon import DashedKinematics, component_map, tachyon_double, tachyon_quaternion
 
 __all__ = [
     "CaseResult",
@@ -241,10 +241,9 @@ def suite_dirac(rng: np.random.Generator) -> VerificationReport:
 
 def suite_tachyon(rng: np.random.Generator) -> VerificationReport:
     cases = []
-    rotor = TachyonRotor()
 
     x = _complex_pairs(rng.standard_normal((1000, 2, 4)))
-    err = np.max(np.abs(tachyon_quaternion(x, rotor) - component_map(x)))
+    err = np.max(np.abs(tachyon_quaternion(x) - component_map(x)))
     cases.append(_case("rotor-vs-component-map", err, 1e-14))
 
     x = _complex_pairs(rng.standard_normal((200, 2, 4)))

@@ -10,16 +10,26 @@ Biquaternion products, one point at a time, so the array kernels are
 checked against code they do not share.
 """
 
+import ast
 import os
 import pathlib
 
 import numpy as np
 
-from circledirac import Biquaternion
+from circledirac import I0, I1, I2, I3, Biquaternion
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     [SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))
+
+
+def perfbench_literal(filename, name):
+    """The literal bound to ``name`` in ``perfbench/<filename>``, read without importing it."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / filename
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/{filename} defines no {name}")
 
 
 def analytic(f, point, mu):
@@ -35,11 +45,16 @@ def central_difference(h):
     return deriv
 
 
-def scalar_lhs(operator, deriv, a_pot, e, wave, point):
+# the upper-block units of the arc-time operator and of plain charts, as Biquaternions
+ARC_UNITS = (1j * I0, I1, I2, I3)
+BARE_UNITS = (I0, I1, I2, I3)
+
+
+def scalar_lhs(units, deriv, a_pot, e, wave, point):
     """Reference (D - i e A) Phi in scalar Biquaternion products: the pair (upper, lower)."""
     upper = Biquaternion()
     lower = Biquaternion()
-    for mu, u in enumerate(operator.units):
+    for mu, u in enumerate(units):
         upper = upper + u * deriv(wave.phi2, point, mu)
         lower = lower + u.conj * deriv(wave.phi1, point, mu)
     ie = 1j * e

@@ -197,6 +197,20 @@ class TestQedRhoCommand:
         assert json.loads(out)["e"] == pytest.approx(0.2)
 
 
+# argparse's own negative-number pattern has no exponent form, yet -1e5 is a value, not an option
+@pytest.mark.parametrize("argv, code, message", [
+    (("qed-rho", "--A", "-1e5"), 0, ""),
+    (("qed-rho", "--charge", "-5e-1"), 0, ""),
+    (("spectrum", "--alpha", "-1e-3"), 1, "alpha must lie in (0, 1)"),
+    (("map", "--space", "T", "--point", '{"chart":"L","coords":[0,0,0,1]}', "--R0", "-1e0"),
+     1, "NonpositiveRadiusParameter"),
+], ids=["qed-rho-A", "qed-rho-charge", "spectrum-alpha", "map-R0"])
+def test_negative_exponent_is_a_value(argv, code, message):
+    result = run_cli(*argv)
+    assert result == run_cli(*argv[:-2], f"{argv[-2]}={argv[-1]}")
+    assert result[0] == code and message in result[2]
+
+
 # the run options, each with a valid value, and the ones each command reads
 SHARED = {"--alpha": "0.5", "--mass-ev": "1", "--tol": "1e-3", "--seed": "5", "--format": "csv"}
 READS = {"spectrum": ("--alpha", "--mass-ev", "--tol", "--format"),

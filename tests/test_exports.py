@@ -8,6 +8,7 @@ import pkgutil
 from pathlib import Path
 
 import pytest
+from conftest import perfbench_literal
 
 import circledirac
 
@@ -34,15 +35,6 @@ def test_package_reexports_are_listed():
     assert unlisted == []
 
 
-def _traced_functions() -> list[str]:
-    """``FUNCTIONS`` of ``perfbench/spans.py``, read from its source without importing it."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-    for node in ast.parse(path.read_text()).body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["FUNCTIONS"]:
-            return list(ast.literal_eval(node.value))
-    raise AssertionError("perfbench/spans.py defines no FUNCTIONS")
-
-
 # Traced layers the library removed on purpose: the one-point Dirac wrappers, whose
 # work ``planewave.residual`` does for a batch, the scalar reflector product, which
 # ``reflector_mul_array`` does on coefficient arrays, and the one-point rotated basis,
@@ -52,7 +44,8 @@ RETIRED = ("reflector.dirac_lhs", "reflector.dirac_rhs", "reflector.reflector_mu
            "circle_spaces.rotated_basis")
 
 
-@pytest.mark.parametrize("layer", [f for f in _traced_functions() if f not in RETIRED])
+@pytest.mark.parametrize("layer", [f for f in perfbench_literal("spans.py", "FUNCTIONS")
+                                   if f not in RETIRED])
 def test_traced_functions_resolve(layer):
     module, name = layer.split(".")
     assert callable(getattr(importlib.import_module(f"circledirac.{module}"), name, None))

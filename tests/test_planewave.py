@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import analytic, central_difference, scalar_lhs, scalar_rhs
+from conftest import ARC_UNITS, analytic, central_difference, scalar_lhs, scalar_rhs
 
 from circledirac import (
     Biquaternion,
@@ -114,7 +114,7 @@ def pointwise(wave, deriv, points):
     """Reference: the worst scalar (D - i e A) Phi - Phi M over the points, one at a time."""
     a, e, m = _args(PW)
     return max(left.max_abs_diff(right) for p in points for left, right in
-               zip(scalar_lhs(ARC_TIME_UNITS, deriv, a, e, wave, p), scalar_rhs(wave, m, p)))
+               zip(scalar_lhs(ARC_UNITS, deriv, a, e, wave, p), scalar_rhs(wave, m, p)))
 
 
 class TestBatchedResidual:
@@ -162,6 +162,9 @@ class TestBatchedResidual:
                 residual(ON_SHELL, *_args(PW), BATCH, h=h)
         with pytest.raises(ValueError):
             residual(ON_SHELL, *_args(PW), np.zeros((3, 3)))
+        for operator in (ARC_TIME_UNITS[0], ARC_TIME_UNITS[:3]):  # (2, 4) would broadcast
+            with pytest.raises(ValueError, match=r"operator needs shape \(4, 2, 4\)"):
+                residual(ON_SHELL, *_args(PW), BATCH, operator=operator)
 
 
 class TestDeBroglie:

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
-from conftest import analytic, central_difference, scalar_lhs
+from conftest import ARC_UNITS, BARE_UNITS, analytic, central_difference, scalar_lhs
 
 from circledirac import (
     Biquaternion,
     I0,
     I1,
     I2,
-    I3,
-    DiracOperator,
     NonUnitRotor,
     array_mul,
     embed,
@@ -103,7 +101,7 @@ class TestSandwich:
             sandwich(Biquaternion(2.0), I1)
         rotors = np.tile(np.array(ROTOR.coeffs), (5, 1))
         rotors[3] *= 1.0 + 1e-9
-        with pytest.raises(NonUnitRotor, match=r"rotor \[3\] norm form"):
+        with pytest.raises(NonUnitRotor, match=r"^row 3: rotor norm form"):
             sandwich(rotors, np.ones((5, 4)))
         with pytest.raises(NonUnitRotor):
             sandwich(rotors[3], np.ones(4))
@@ -151,6 +149,12 @@ class TestSandwich:
 NO_DERIVATIVE = np.zeros((4, 2, 4))
 
 
+def test_arc_time_units_are_read_only_unit_reflectors():
+    assert np.array_equal(ARC_TIME_UNITS, [unit_reflector(u) for u in ARC_UNITS])
+    with pytest.raises(ValueError, match="read-only"):
+        ARC_TIME_UNITS[0, 0, 0] = 0.0
+
+
 class TestDiracSides:
     """Both sides of the Dirac system from the array kernels at one point."""
 
@@ -159,8 +163,7 @@ class TestDiracSides:
         constant = ExpWave(c, np.zeros(4))
         phi = np.array((c.coeffs, c.coeffs))
         d_phi = np.stack((_central_difference(constant, np.zeros((1, 4)), 1e-4)[0],) * 2, axis=-2)
-        out = dirac_lhs_array(ARC_TIME_UNITS.to_array(), unit_reflector(Biquaternion()), 1.0,
-                              phi, d_phi)
+        out = dirac_lhs_array(ARC_TIME_UNITS, unit_reflector(Biquaternion()), 1.0, phi, d_phi)
         assert np.abs(out).max() < 1e-11
 
     def test_rhs_zero_wave(self):
@@ -191,7 +194,7 @@ class TestDiracSides:
         e = 0.7
         for _ in range(50):
             a, p1, p2 = rand_bq(rng), rand_bq(rng), rand_bq(rng)
-            out = dirac_lhs_array(ARC_TIME_UNITS.to_array(), unit_reflector(a), e, blocks(p1, p2),
+            out = dirac_lhs_array(ARC_TIME_UNITS, unit_reflector(a), e, blocks(p1, p2),
                                   NO_DERIVATIVE)
             a_refl = block_matrix(unit_reflector(a))
             phi = block_matrix(blocks(p1, p2))
@@ -202,7 +205,7 @@ class TestDiracSides:
 class TestArrayAssembly:
     """The array kernels and derivative routes against the scalar reference of conftest."""
 
-    @pytest.mark.parametrize("operator", [ARC_TIME_UNITS, DiracOperator((I0, I1, I2, I3))])
+    @pytest.mark.parametrize("operator", [ARC_UNITS, BARE_UNITS])
     @pytest.mark.parametrize("deriv", [analytic, central_difference(1e-3)],
                              ids=["deriv0", "deriv1"])
     def test_lhs_matches_scalar_loop(self, operator, deriv):
@@ -217,7 +220,8 @@ class TestArrayAssembly:
             phi = np.array([f(point).coeffs for f in (wave.phi1, wave.phi2)])
             d_phi = np.array([[deriv(f, point, mu).coeffs for f in (wave.phi1, wave.phi2)]
                               for mu in range(4)])
-            out = dirac_lhs_array(operator.to_array(), unit_reflector(a), e, phi, d_phi)
+            units = np.array([unit_reflector(u) for u in operator])
+            out = dirac_lhs_array(units, unit_reflector(a), e, phi, d_phi)
             ref = blocks(*scalar_lhs(operator, deriv, a, e, wave, point))
             assert np.abs(out - ref).max() <= 1e-13
 

@@ -2,17 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from conftest import ARC_UNITS
 
 from circledirac import (
     Biquaternion,
     DashedKinematics,
     ExpWave,
     FourVector,
-    I0,
     I2,
-    NonUnitRotor,
     PlaneWave,
-    TachyonRotor,
     WaveFunction,
     ZeroArcElement,
     bound_solution,
@@ -26,6 +24,7 @@ from circledirac import (
     tachyon_fourvector,
     tachyon_fourvector_double,
     tachyon_quaternion,
+    unit_reflector,
 )
 from circledirac.reflector import ARC_TIME_UNITS
 from circledirac.tachyon import transform_operator, transform_wave
@@ -70,20 +69,6 @@ class TestQuaternionMap:
     def test_transverse_unit_fixed(self):
         assert tachyon_quaternion(I2).max_abs_diff(I2) < 1e-15
 
-    def test_identity_variant_rotor(self):
-        rng = np.random.default_rng(22)
-        x = rand_bq(rng)
-        assert tachyon_quaternion(x, TachyonRotor(I0)) == x
-
-    def test_conjugated_rotor_quarter_turn_back(self):
-        # dagger-type quantities rotate the opposite way: (c0, c1) -> (c1, -c0)
-        rng = np.random.default_rng(23)
-        for _ in range(100):
-            x = rand_bq(rng)
-            out = tachyon_quaternion(x, conjugated=True)
-            expected = Biquaternion(x.c1, -x.c0, x.c2, x.c3)
-            assert out.max_abs_diff(expected) <= 1e-14
-
     def test_double_application_exact(self):
         rng = np.random.default_rng(24)
         for _ in range(200):
@@ -97,19 +82,6 @@ class TestQuaternionMap:
             x = rand_bq(rng)
             twice = tachyon_quaternion(tachyon_quaternion(x))
             assert twice.max_abs_diff(tachyon_double(x)) <= 1e-14
-
-    def test_norm_preserved_by_general_rotors(self):
-        rng = np.random.default_rng(26)
-        for _ in range(200):
-            raw = rng.standard_normal(4)
-            rotor = TachyonRotor(Biquaternion(*(raw / np.linalg.norm(raw))))
-            x = rand_bq(rng)
-            out = tachyon_quaternion(x, rotor)
-            assert abs(out.norm_form() - x.norm_form()) <= 1e-13 * max(1.0, abs(x.norm_form()))
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(NonUnitRotor):
-            TachyonRotor(Biquaternion(1.0, 1.0))
 
 
 class TestArrayForms:
@@ -132,13 +104,12 @@ class TestArrayForms:
         for v, z in zip(x, tachyon_double(x)):
             assert Biquaternion(*z) == tachyon_double(Biquaternion(*v))
 
-    @pytest.mark.parametrize("conjugated", [False, True])
-    def test_quaternion_matches_scalar(self, conjugated):
+    def test_quaternion_matches_scalar(self):
         x = self._batch(29)
-        out = tachyon_quaternion(x, conjugated=conjugated)
+        out = tachyon_quaternion(x)
         for v, z in zip(x, out):
             # array_mul may fuse multiply-adds: agreement to rounding
-            ref = tachyon_quaternion(Biquaternion(*v), conjugated=conjugated)
+            ref = tachyon_quaternion(Biquaternion(*v))
             assert ref.max_abs_diff(Biquaternion(*z)) <= 1e-15
 
     def test_fault_flips_the_array_form_too(self, monkeypatch):
@@ -151,13 +122,6 @@ class TestArrayForms:
 
 
 class TestReflectorTransform:
-    def test_identity_rotor(self):
-        rng = np.random.default_rng(27)
-        u = rand_bq(rng)
-        wave = WaveFunction(ExpWave(u, np.ones(4)), ExpWave(u.conj, np.ones(4)))
-        out = transform_wave(wave, TachyonRotor(I0))
-        assert out.phi1.prefactor == u and out.phi2.prefactor == u.conj
-
     def test_blockwise_component_maps(self):
         rng = np.random.default_rng(28)
         for _ in range(100):
@@ -180,6 +144,17 @@ class TestReflectorTransform:
         m_dashed = tachyon_quaternion(mass_term(pw.mass))
         points = np.random.default_rng(29).uniform(-2, 2, size=(10, 4))
         assert residual(wave, a_dashed, e, m_dashed, points, operator=op).analytic <= 1e-12
+
+    def test_operator_matches_biquaternion_sandwiches(self):
+        r = Biquaternion(1 / math.sqrt(2.0), 1 / math.sqrt(2.0))
+        u = [r * unit * r for unit in ARC_UNITS]
+        expected = np.array([unit_reflector(v) for v in (u[1], u[0], u[2], u[3])])
+        assert transform_operator(ARC_TIME_UNITS).tobytes() == expected.tobytes()
+
+    def test_rejects_operator_shape(self):
+        for operator in (ARC_TIME_UNITS[0], ARC_TIME_UNITS[:3]):
+            with pytest.raises(ValueError, match=r"operator needs shape \(4, 2, 4\)"):
+                transform_operator(operator)
 
 
 class TestDashedKinematics:

@@ -5,27 +5,13 @@ import math
 from contextlib import redirect_stdout
 
 import pytest
+from conftest import perfbench_literal
 
 from circledirac import verify
 from circledirac.cli import main
 from circledirac.verify import VerificationReport, reports_to_csv, reports_to_json
 
-KNOWN_CASES = {
-    "algebra": ("mul-associative", "unit-anticommutation", "minkowski-embed",
-                "conj-antihomomorphism", "matrix-representation"),
-    "charts": ("roundtrip-L-T", "roundtrip-L-M", "roundtrip-L-S", "rotated-basis-relations",
-               "derivative-matrix-unimodular", "arc-map-inverse", "inverse-distance-flattens"),
-    "dirac": ("free-analytic", "free-fd", "bound-analytic", "bound-fd",
-              "bound-potential-analytic", "bound-potential-fd", "fd-convergence-order",
-              "offshell-detected"),
-    "tachyon": ("rotor-vs-component-map", "double-application-exact",
-                "dot-product-invariance", "general-rotor-norm-preserved"),
-    "spectrum": ("two-route-agreement", "reference-agreement", "quantization-web",
-                 "no-vibration-reduction", "energy-monotonicity", "fourth-order-expansion",
-                 "heavy-electron-closure", "dashed-energy-consistency"),
-    "qed": ("root-residuals", "d-prime-positive", "d-prime-reduces-to-d", "bracket-identity",
-            "branch-ordering"),
-}
+KNOWN_CASES = perfbench_literal("workloads.py", "KNOWN_CASES")
 CASES = [(suite, case) for suite, ids in KNOWN_CASES.items() for case in ids]
 SEEDS = range(20)
 
