@@ -27,10 +27,15 @@ routes:
 
 which is the Sommerfeld/Dirac fine-structure formula with k = n_theta
 and radial number n_r.  :func:`sommerfeld_reference` evaluates that
-reference independently in high-precision arithmetic for use as an
-oracle: mpmath's correctly rounded libmp primitives at ``dps`` digits,
-the same operations as the one-level mpmath formula, called directly so
-that the global ``mpmath.mp`` context is left alone.
+reference independently for use as an oracle, and every level it returns
+has the bits of mpmath's correctly rounded libmp primitives at ``dps``
+digits (the one-level mpmath formula, with the global ``mpmath.mp``
+context left alone).  It first evaluates each level in fixed-point
+Python integers at 2^-256 and keeps the result only when a certificate
+holds: an interval around it, wide enough for the fixed point's own
+error and for libmp's, rounds to a single double, which is then the
+double libmp gives.  Any other level, and any row the fixed point cannot
+hold exactly, goes to the libmp loop, which stays the one arbiter.
 
 Each solver has one body, which takes scalars or numpy arrays that
 broadcast together (quantum numbers as integer arrays).  A scalar call
@@ -39,7 +44,8 @@ of the scalar call for it, because numpy's ``+ - * /`` and ``sqrt`` round
 like Python's and every power is Python's own (:func:`_pow`).  An array
 entry out of domain raises the scalar call's error class, and the
 message names the first such row.  :func:`spectrum_table` makes two
-array calls over its level grid, route A and the oracle.
+array calls over its level grid, route A and the oracle, and refuses a
+grid of more than :data:`MAX_LEVELS` levels before it allocates one.
 """
 
 from __future__ import annotations
@@ -52,10 +58,12 @@ from typing import NamedTuple
 import numpy as np
 from mpmath import libmp
 
-from .errors import FloatRange, SpeedDomain, positive_mass, quantum_integer, require
+from .errors import (CircleDiracError, FloatRange, SpeedDomain, positive_mass, quantum_integer,
+                     require)
 from .planewave import de_broglie
 
 __all__ = [
+    "MAX_LEVELS",
     "QuantumNumbers",
     "BohrState",
     "CoupledState",
@@ -259,25 +267,59 @@ def energy_closed_form(alpha: float, n_theta: int, n_r: int, mass: float = 1.0) 
     return _plain(mass / np.sqrt(1.0 + a * a / denom))
 
 
+# An integer X of the fixed-point oracle stands for X/2^_BITS.
+_BITS = 256
+_ONE = 1 << _BITS
+_ONE_SQ = 1 << 2 * _BITS
+_UNIT = 2.0 ** -_BITS
+
+
 def sommerfeld_reference(alpha: float, n_theta: int, n_r: int,
                          mass: float = 1.0, dps: int = 40) -> float:
     """Independent high-precision Sommerfeld/Dirac level, rounded to float.
 
     E = m*(1 + alpha^2/(n_r + sqrt(k^2 - alpha^2))^2)^(-1/2) with k the
-    angular number; evaluated at ``dps`` >= 17 decimal digits (fewer than
-    a double carries could not check one).  The arguments may be arrays
-    that broadcast together.
+    angular number, with the bits of mpmath at ``dps`` >= 17 decimal
+    digits (fewer than a double carries could not check one).  The
+    arguments may be arrays that broadcast together.
 
-    Each level runs mpmath's correctly rounded libmp primitives at
-    ``libmp.dps_to_prec(dps)`` bits, rounding to nearest: the same
-    operations in the same order as the mpmath expression
-    ``m/sqrt(1 + (a/(mpf(n_r) + sqrt(k*k - a*a)))**2)`` under
-    ``workdps(dps)`` (its square as one ``mpf_mul``, which rounds as
-    ``**2`` does), so it has that expression's bits, without the
-    per-operation cost of the ``mpf`` wrapper and without touching the
-    global ``mpmath.mp`` context.  Levels of one (alpha, n_theta, mass)
-    row share the root sqrt(k^2 - alpha^2), which is computed exactly as
-    for a single level, so every level has the bits of its one-level call.
+    The arbiter is :func:`_libmp_levels`, mpmath's correctly rounded libmp
+    primitives at p = ``libmp.dps_to_prec(dps)`` bits.  Most levels never
+    reach it.  Each is first evaluated in integers at the fixed point
+    S = 2^256, from A = alpha*S and M = m*S, which are exact:
+
+        root  = isqrt(K^2 - A^2)             once per row, K = k*S
+        q     = A*S // (n_r*S + root)
+        w     = isqrt(S^2 + q^2)
+        level = M*S // w
+
+    The integer path's error.  With rho = sqrt(k^2 - alpha^2) the exact
+    values are root* = S*rho, q* = A*S/(n_r*S + root*),
+    w* = sqrt(S^2 + q*^2) and level* = M*S/w* = S*E.  root = root* - e
+    with 0 <= e < 1, so q exceeds q* by at most q*e/(n_r*S + root) <=
+    A*S/root^2 < B, with B = A*S // root^2 + 1 for the row, and its floor
+    takes less than 1: |q - q*| < B.  sqrt(S^2 + x^2) moves no more than
+    x does, and its floor less than 1 more: |w - w*| < B + 1.  Then
+    M*S/w = level* * (1 - (w - w*)/w) with w >= S, and the last floor takes
+    less than 1, so |level - level*| < (B + 1)*E + 1 <= (B + 1)*m + 1,
+    which is below the row's (B + 1)*(floor(m) + 1) + 1 units.
+
+    libmp's error.  Before its rounding to a double, libmp's level is
+    E*(1 + theta) with |theta| <= t, the bound :func:`_libmp_margin`
+    derives operation by operation, and 2^-shift >= 2t.  So S times it
+    lies within delta + ((level + delta) >> shift) of ``level``, with
+    delta = (B + 1)*(floor(m) + 1) + 2 (the unit added covers the shift's
+    floor).
+
+    The certificate: when both ends of that interval round to one double,
+    every value between them rounds to it, libmp's among them, and that
+    double is returned.  The rounding is Python's correctly rounded int to
+    float conversion (to nearest, ties to even, as libmp's ``to_float``),
+    scaled by the exact 2^-256.  Any other level goes to the arbiter, and
+    so does every level of a row in which A or M would not be an integer
+    (alpha or m below about 2^-200, such as 1e-300), m is 2^767 or more
+    (level + delta could overflow the conversion), or t >= 2^-53.  So every
+    level has the libmp bits by construction.
     """
     if isinstance(dps, bool) or not isinstance(dps, Integral) or dps < 17:
         raise ValueError(f"dps must be an integer >= 17, got {dps!r}")
@@ -286,12 +328,128 @@ def sommerfeld_reference(alpha: float, n_theta: int, n_r: int,
     _check_speed(alpha, qn.n_theta, allow_zero=True)
     grid = np.broadcast_arrays(np.asarray(alpha, dtype=float), qn.n_theta, qn.n_r,
                                np.asarray(mass, dtype=float))
-    prec, rnd = libmp.dps_to_prec(dps), libmp.round_nearest
+    prec = libmp.dps_to_prec(dps)
+    columns = [x.ravel().tolist() for x in grid]
+    rows, values, arbitrated = {}, [], []
+    for i, (a, k, r, m) in enumerate(zip(*columns)):
+        row = rows.get((a, k, m), False)
+        if row is False:
+            row = rows[a, k, m] = _fixed_row(a, k, m, prec)
+        if row is not None:
+            a_s, root, m_s, delta, shift = row
+            q = a_s // ((r << _BITS) + root)
+            level = m_s // math.isqrt(_ONE_SQ + q * q)
+            half_width = delta + ((level + delta) >> shift)
+            low = float(level - half_width)
+            if low == float(level + half_width):
+                values.append(low * _UNIT)
+                continue
+        values.append(None)
+        arbitrated.append(i)
+    if arbitrated:
+        levels = list(zip(*([column[i] for i in arbitrated] for column in columns)))
+        for i, value in zip(arbitrated, _libmp_levels(levels, prec)):
+            values[i] = value
+    return _plain(np.array(values).reshape(grid[0].shape))
+
+
+def _fixed_row(a: float, k: int, m: float, prec: int):
+    """(A*S, root, M*S, delta, shift) of one (alpha, n_theta, mass) row, or None for the arbiter."""
+    if not m < 2.0 ** (1023 - _BITS):
+        return None
+    a_num, a_den = a.as_integer_ratio()
+    m_num, m_den = m.as_integer_ratio()
+    if a_den > _ONE or m_den > _ONE:
+        return None
+    a_fixed, m_fixed = a_num * (_ONE // a_den), m_num * (_ONE // m_den)
+    aa = a_fixed * a_fixed
+    radicand = (k << _BITS) ** 2 - aa
+    root = math.isqrt(radicand)
+    if not root:
+        return None
+    t = _libmp_margin(prec, k.bit_length(), a_num.bit_length(), aa / radicand,
+                      aa / (radicand + aa))
+    if not t < 2.0 ** -53:
+        return None
+    bound = (a_fixed << _BITS) // (root * root) + 1
+    delta = (bound + 1) * ((m_fixed >> _BITS) + 1) + 2
+    return a_fixed << _BITS, root, m_fixed << _BITS, delta, -math.frexp(t)[1] - 1
+
+
+def _libmp_margin(prec: int, k_bits: int, a_bits: int, cancel: float, dilution: float) -> float:
+    """A bound t on libmp's relative error theta, E*(1 + theta), over every level of a row.
+
+    The row is alpha = a with a mantissa of ``a_bits`` bits and
+    n_theta = k of ``k_bits`` bits; ``cancel`` is a^2/(k^2 - a^2) and
+    ``dilution`` a^2/k^2.  One correctly rounded operation at ``prec``
+    bits has a relative error of at most u = 2^-prec, and one whose exact
+    result fits in ``prec`` bits has none.  A relative error bound x grows
+    by an operation's own rounding to x + u + x*u.  Operation by
+    operation, in the arbiter's order:
+
+    * k as an mpf: exact, or u when k has more than ``prec`` bits;
+      a and m as mpfs: exact.
+    * k*k, a*a: exact when the square fits in ``prec`` bits (k of at most
+      prec/2 bits, a mantissa of at most prec/2), else one rounding after
+      2x + x^2 for a rounded k.
+    * k*k - a*a: the errors of the two squares, weighted by
+      k^2/(k^2 - a^2) = 1 + cancel and a^2/(k^2 - a^2) = cancel, then one
+      rounding.  Cancellation as a -> k amplifies the squares' errors,
+      not the subtraction's own rounding: at 136 bits (dps 40) both
+      squares are exact for k < 2^68, but at 60 bits (dps 17) a*a rounds
+      and its error reaches the difference times a^2/(k^2 - a^2).
+    * sqrt: a relative error x becomes at most x/(2 - x), then one rounding.
+    * n_r + root: no more than root's error, since both are positive and
+      n_r is exact or off by u; then one rounding.  n_r = 0 is the worst
+      level of the row.
+    * a/s and m/sqrt(...): x/(1 - x), then one rounding.
+    * q*q: 2x + x^2, then one rounding.
+    * q*q + 1: x weighted by q^2/(1 + q^2) <= a^2/k^2 = dilution, then one
+      rounding.
+
+    The bound is evaluated in doubles on non-negative numbers, about 30
+    operations that can make it smaller by a factor 1 - 2^-47 at most;
+    the caller's factor 2 (2^-shift >= 2t) covers that.  Once the
+    subtraction's bound reaches 2^-53 no level of the row can be
+    certified, and the bound is infinite.
+    """
+    u = 2.0 ** -min(prec, 1000)   # an upper bound on 2^-prec that does not underflow
+
+    def rounded(x):
+        return x + u + x * u
+
+    t_k = 0.0 if k_bits <= prec else u
+    t_kk = 0.0 if 2 * k_bits <= prec else rounded(2 * t_k + t_k * t_k)
+    t_aa = 0.0 if 2 * a_bits <= prec else u
+    t_diff = rounded(t_kk * (1.0 + cancel) + t_aa * cancel)
+    if not t_diff < 2.0 ** -53:
+        return math.inf
+    t_sum = rounded(rounded(t_diff / (2.0 - t_diff)))
+    t_q = rounded(t_sum / (1.0 - t_sum))
+    t_one_plus = rounded(rounded(2 * t_q + t_q * t_q) * dilution)
+    t_sqrt = rounded(t_one_plus / (2.0 - t_one_plus))
+    return rounded(t_sqrt / (1.0 - t_sqrt))
+
+
+def _libmp_levels(levels, prec: int) -> list[float]:
+    """The arbiter: each (alpha, n_theta, n_r, mass) level in libmp, rounded to a double.
+
+    mpmath's correctly rounded libmp primitives at ``prec`` bits, rounding
+    to nearest: the same operations in the same order as the mpmath
+    expression ``m/sqrt(1 + (a/(mpf(n_r) + sqrt(k*k - a*a)))**2)`` under
+    ``workdps(dps)`` (its square as one ``mpf_mul``, which rounds as
+    ``**2`` does), so it has that expression's bits, without the
+    per-operation cost of the ``mpf`` wrapper and without touching the
+    global ``mpmath.mp`` context.  Levels of one (alpha, n_theta, mass)
+    row share the root sqrt(k^2 - alpha^2), which is computed exactly as
+    for a single level, so every level has the bits of its one-level call.
+    """
+    rnd = libmp.round_nearest
     from_float, from_int, to_float = libmp.from_float, libmp.from_int, libmp.to_float
     mul, add, sub = libmp.mpf_mul, libmp.mpf_add, libmp.mpf_sub
     div, sqrt, one = libmp.mpf_div, libmp.mpf_sqrt, libmp.fone
-    rows, radial, levels = {}, {}, []
-    for a, k, r, m in zip(*(x.ravel().tolist() for x in grid)):
+    rows, radial, values = {}, {}, []
+    for a, k, r, m in levels:
         row = rows.get((a, k, m))
         if row is None:
             a_mp, k_mp = from_float(a), from_int(k, prec, rnd)
@@ -304,8 +462,8 @@ def sommerfeld_reference(alpha: float, n_theta: int, n_r: int,
             r_mp = radial[r] = from_int(r, prec, rnd)
         q = div(a_mp, add(r_mp, root, prec, rnd), prec, rnd)
         level = div(m_mp, sqrt(add(mul(q, q, prec, rnd), one, prec, rnd), prec, rnd), prec, rnd)
-        levels.append(to_float(level, rnd=rnd))
-    return _plain(np.array(levels).reshape(grid[0].shape))
+        values.append(to_float(level, rnd=rnd))
+    return values
 
 
 class SpectrumLine(NamedTuple):
@@ -324,6 +482,13 @@ class SpectrumLine(NamedTuple):
     abs_diff: float
 
 
+# The most levels spectrum_table computes, more than 601 x 601.  The CLI
+# holds a whole table until it is written: at 601 x 601 it peaked at 275 MB
+# (csv) and 391 MB (json) and took about 17 and 27 us per level from process
+# start, so a table at the cap needs about 0.4-0.55 GB and 9-14 s.
+MAX_LEVELS = 500_000
+
+
 def spectrum_table(alpha: float, mass_ev: float,
                    max_n_theta: int, max_n_r: int) -> list[SpectrumLine]:
     """All levels with n_theta in [1, max_n_theta], n_r in [0, max_n_r].
@@ -340,10 +505,18 @@ def spectrum_table(alpha: float, mass_ev: float,
     equals energy_ev - mass_ev without the cancellation that subtraction
     suffers for weak coupling and high levels.  Rows are sorted by
     (n, n_theta).  The bounds follow the :class:`QuantumNumbers`
-    rule: integers with max_n_theta >= 1 and max_n_r >= 0.
+    rule: integers with max_n_theta >= 1 and max_n_r >= 0.  A grid of more
+    than :data:`MAX_LEVELS` levels raises :class:`CircleDiracError`
+    before anything is allocated.
     """
-    n_theta = np.arange(1, quantum_integer("max_n_theta", max_n_theta, 1) + 1)[:, None]
-    n_r = np.arange(quantum_integer("max_n_r", max_n_r, 0) + 1)
+    max_n_theta = quantum_integer("max_n_theta", max_n_theta, 1)
+    max_n_r = quantum_integer("max_n_r", max_n_r, 0)
+    if max_n_theta * (max_n_r + 1) > MAX_LEVELS:
+        raise CircleDiracError(f"max_n_theta={max_n_theta} and max_n_r={max_n_r} give "
+                               f"{max_n_theta * (max_n_r + 1)} levels, more than the cap "
+                               f"MAX_LEVELS = {MAX_LEVELS}")
+    n_theta = np.arange(1, max_n_theta + 1)[:, None]
+    n_r = np.arange(max_n_r + 1)
     positive_mass(mass_ev, "mass_ev")
     state = coupled_solve(alpha, QuantumNumbers(n_theta, n_r))
     energy_ev = state.nu_m * mass_ev

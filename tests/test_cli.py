@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from circledirac.cli import _build_parser, main
+from circledirac.spectrum import MAX_LEVELS
 
 
 def run_cli(*argv):
@@ -258,6 +259,9 @@ BAD_INPUTS = [
     (("spectrum", "--alpha", "5e-324"), "FloatRange: row (0, 0): bound orbit at alpha=5e-324"),
     (("spectrum", "--alpha", "1e-308", "--max-ntheta", "1"),
      "FloatRange: row (0, 1): coupled state at alpha=1e-308"),
+    (("spectrum", "--max-ntheta", "100000", "--max-nr", "100000"),
+     f"CircleDiracError: max_n_theta=100000 and max_n_r=100000 give 10000100000 levels, "
+     f"more than the cap MAX_LEVELS = {MAX_LEVELS}"),
     (("map", "--space", "T", "--R0", "1", "--round-trip",
       "--point", '{"chart":"L","R0":"x","coords":[0.1,0,0,1]}'), "R0 > 0, got 'x'"),
     (("verify", "--seed", "-1"), "seed must be a non-negative integer, got -1"),
@@ -328,6 +332,9 @@ _numbers = st.one_of(
 )
 _number_args = st.one_of(_numbers.map(repr), st.sampled_from(["", "abc", "1e", "0x10", "--"]))
 _int_args = st.one_of(st.integers(-2, 3).map(str), st.sampled_from(["1.5", "x", "10**3"]))
+# a table bound that is small, not an integer, or large: any bound above MAX_LEVELS
+# exceeds the cap whatever the other is, so those draws exit 1 at once
+_bound_args = st.one_of(_int_args, st.integers(MAX_LEVELS + 1, 10 ** 30).map(str))
 _json_values = st.one_of(_numbers, st.integers(-10 ** 400, 10 ** 400), st.booleans(), st.none(),
                          st.text(max_size=3), st.just([1]), st.just({"a": 1}))
 _charts = st.one_of(st.sampled_from(["L", "T", "M", "S"]), st.sampled_from(["X", 5, None]))
@@ -358,7 +365,7 @@ _qed_argv = _argv("qed-rho", _opt("--A", _number_args), _opt("--mass", _number_a
                   _opt("--charge", _number_args), _opt("--alpha", _number_args),
                   _opt("--ntheta", _int_args), _opt("--nr", _int_args),
                   _opt("--branch", st.sampled_from(["plus", "minus", "both", "up"])))
-_spectrum_argv = _argv("spectrum", _opt("--max-ntheta", _int_args), _opt("--max-nr", _int_args),
+_spectrum_argv = _argv("spectrum", _opt("--max-ntheta", _bound_args), _opt("--max-nr", _bound_args),
                        _opt("--alpha", _number_args), _opt("--mass-ev", _number_args),
                        _opt("--tol", _number_args), st.just(["--format", "json"]))
 

@@ -3,8 +3,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from circledirac import spectrum
 from circledirac import (
+    CircleDiracError,
     FloatRange,
     InvalidQuantumNumber,
     NonpositiveMass,
@@ -235,6 +239,13 @@ class TestSpectrumTable:
             spectrum_table(1.0, ELECTRON_MASS_EV, 2, 1)
 
     @pytest.mark.parametrize("max_n_theta, max_n_r", [
+        (spectrum.MAX_LEVELS + 1, 0), (1000, 1000), (10 ** 30, 10 ** 30)])
+    def test_rejects_tables_above_the_cap(self, max_n_theta, max_n_r):
+        with pytest.raises(CircleDiracError, match=f"more than the cap MAX_LEVELS = "
+                                                   f"{spectrum.MAX_LEVELS}$"):
+            spectrum_table(0.1, 1.0, max_n_theta, max_n_r)
+
+    @pytest.mark.parametrize("max_n_theta, max_n_r", [
         (2.0, 1), (True, 1), (0, 1), (2, -1), (2, 1.0), (2, False), ("2", 1),
     ])
     def test_rejects_bad_bounds(self, max_n_theta, max_n_r):
@@ -331,10 +342,10 @@ def _wrapped_mpmath_reference(alpha, n_theta, n_r, mass, dps):
 class TestOracleBits:
     """sommerfeld_reference has the bits of the wrapped-mpmath formula, level by level."""
 
-    ALPHAS = [1e-300, 1e-6, CODATA_ALPHA, 0.37, 0.999,
+    ALPHAS = [1e-300, 1e-6, CODATA_ALPHA, 0.37, 0.999, 1 - 1e-7, 1 - 1e-10, 1 - 1e-12,
               *np.random.default_rng(46).uniform(0.0, 1.0, 6).tolist()]
 
-    @pytest.mark.parametrize("dps", [17, 40, 60])
+    @pytest.mark.parametrize("dps", [17, 40, 60, 100])
     def test_grid_bits(self, dps):
         n_theta, n_r = np.arange(1, 31)[:, None], np.arange(31)
         for alpha in self.ALPHAS:
@@ -342,7 +353,7 @@ class TestOracleBits:
             want = _wrapped_mpmath_reference(alpha, n_theta, n_r, 1.0, dps)
             assert (got.view(np.int64) == want.view(np.int64)).all(), alpha
 
-    @pytest.mark.parametrize("dps", [17, 40, 60])
+    @pytest.mark.parametrize("dps", [17, 40, 60, 100])
     def test_mass_array_bits(self, dps):
         mass = np.array([1e-300, ELECTRON_MASS_EV, 1e300])[:, None, None]
         alpha, n_theta, n_r = 0.37, np.arange(1, 5)[:, None], np.arange(4)
@@ -357,6 +368,12 @@ class TestOracleBits:
         alpha = rng.uniform(0.0, 1.0, 400) * n_theta
         n_r = rng.integers(0, 40, 400)
         mass = 10.0 ** rng.uniform(-5.0, 5.0, 400)
+        # near-critical coupling, where k^2 - alpha^2 cancels
+        critical = np.arange(1, 31)
+        n_theta = np.concatenate((n_theta, critical))
+        alpha = np.concatenate((alpha, critical * (1 - 1e-12)))
+        n_r = np.concatenate((n_r, rng.integers(0, 40, 30)))
+        mass = np.concatenate((mass, 10.0 ** rng.uniform(-5.0, 5.0, 30)))
         got = sommerfeld_reference(alpha, n_theta, n_r, mass)
         want = _wrapped_mpmath_reference(alpha, n_theta, n_r, mass, 40)
         assert (got.view(np.int64) == want.view(np.int64)).all()
@@ -374,6 +391,74 @@ class TestOracleBits:
             assert mpmath.mp.prec == inner_prec
         assert mpmath.mp.prec == prec
         assert (inside.view(np.int64) == plain.view(np.int64)).all()
+
+
+def _count_arbiter(monkeypatch):
+    """Wrap the libmp arbiter; the list it returns gets the level count of each call."""
+    calls, arbiter = [], spectrum._libmp_levels
+
+    def counted(levels, prec):
+        calls.append(len(levels))
+        return arbiter(levels, prec)
+
+    monkeypatch.setattr(spectrum, "_libmp_levels", counted)
+    return calls
+
+
+class TestOracleCertificate:
+    """Fixed-point levels are returned only when certified; the libmp arbiter decides the rest."""
+
+    GRID = np.arange(1, 31)[:, None], np.arange(31)
+
+    @pytest.mark.parametrize("dps", [17, 40])
+    def test_forced_fallback_gives_the_same_bits(self, dps, monkeypatch):
+        want = [sommerfeld_reference(alpha, *self.GRID, dps=dps) for alpha in TestOracleBits.ALPHAS]
+        calls = _count_arbiter(monkeypatch)
+        monkeypatch.setattr(spectrum, "_libmp_margin", lambda *args: math.inf)
+        got = [sommerfeld_reference(alpha, *self.GRID, dps=dps) for alpha in TestOracleBits.ALPHAS]
+        assert calls == [30 * 31] * len(TestOracleBits.ALPHAS)
+        for g, w in zip(got, want):
+            assert (g.view(np.int64) == w.view(np.int64)).all()
+
+    @pytest.mark.parametrize("alpha", [CODATA_ALPHA, 0.37])
+    def test_table_grid_never_reaches_the_arbiter(self, alpha, monkeypatch):
+        calls = _count_arbiter(monkeypatch)
+        sommerfeld_reference(alpha, np.arange(1, 101)[:, None], np.arange(101))
+        assert calls == []
+
+    def test_straddling_levels_reach_the_arbiter(self, monkeypatch):
+        # at 60 bits libmp's own error leaves some levels too close to a rounding boundary
+        calls = _count_arbiter(monkeypatch)
+        got = sommerfeld_reference(CODATA_ALPHA, *self.GRID, dps=17)
+        assert len(calls) == 1 and 0 < calls[0] < 30 * 31
+        want = _wrapped_mpmath_reference(CODATA_ALPHA, *self.GRID, 1.0, 17)
+        assert (got.view(np.int64) == want.view(np.int64)).all()
+
+    @pytest.mark.parametrize("alpha, mass", [(1e-300, 1.0), (0.37, 1e-300), (0.37, 1e308)])
+    def test_rows_beyond_the_fixed_point_reach_the_arbiter(self, alpha, mass, monkeypatch):
+        calls = _count_arbiter(monkeypatch)
+        got = sommerfeld_reference(alpha, *self.GRID, mass)
+        assert calls == [30 * 31]
+        want = _wrapped_mpmath_reference(alpha, *self.GRID, mass, 40)
+        assert (got.view(np.int64) == want.view(np.int64)).all()
+
+
+@st.composite
+def _levels(draw):
+    n_theta = draw(st.integers(1, 50))
+    alpha = draw(st.one_of(st.floats(0.0, n_theta, exclude_max=True),
+                           st.floats(0.0, 2.2250738585072014e-308),   # zero and subnormals
+                           st.floats(n_theta - 1e-12, n_theta, exclude_max=True)))
+    return (alpha, n_theta, draw(st.integers(0, 50)), draw(st.floats(1e-5, 1e5)),
+            draw(st.sampled_from([17, 40, 60])))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_levels())
+def test_reference_has_the_wrapped_mpmath_bits(level):
+    got = sommerfeld_reference(*level)
+    want = _wrapped_mpmath_reference(*level)
+    assert np.float64(got).view(np.int64) == want.view(np.int64)
 
 
 class TestArrayKernels:
