@@ -65,12 +65,14 @@ def _build_parser() -> _Parser:
                         help="acceptance tolerance for spectrum rows")
     p_spec.add_argument("--max-ntheta", type=int, default=3)
     p_spec.add_argument("--max-nr", type=int, default=3)
+    p_spec.set_defaults(run=cmd_spectrum)
 
     p_verify = sub.add_parser("verify", parents=[output], help="run a verification suite")
     p_verify.add_argument("--suite", default="all",
                           choices=verify.SUITE_NAMES + ("all",))
     p_verify.add_argument("--seed", type=int, default=0,
                           help="seed for randomized verification suites")
+    p_verify.set_defaults(run=cmd_verify)
 
     p_map = sub.add_parser("map", help="map a chart point")
     p_map.add_argument("--space", required=True, choices=[k.value for k in cs.ChartKind],
@@ -81,6 +83,7 @@ def _build_parser() -> _Parser:
                        help='source point JSON, e.g. \'{"chart":"L","coords":[0,0,0,1]}\'')
     p_map.add_argument("--round-trip", action="store_true",
                        help="also map back and print both directions")
+    p_map.set_defaults(run=cmd_map)
 
     p_rho = sub.add_parser("qed-rho", parents=[alpha],
                            help="solve the charge-density quadratic")
@@ -92,6 +95,7 @@ def _build_parser() -> _Parser:
     p_rho.add_argument("--nr", type=int, default=0)
     p_rho.add_argument("--branch", choices=("plus", "minus", "both"), default="both",
                        help="additionally report one root under the key 'rho'")
+    p_rho.set_defaults(run=cmd_qed_rho)
 
     return parser
 
@@ -101,15 +105,15 @@ def _check_alpha(alpha: float) -> None:
         raise CircleDiracError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def cmd_spectrum(alpha: float, mass_ev: float, tol: float, fmt: str,
-                 max_n_theta: int, max_n_r: int) -> int:
-    _check_alpha(alpha)
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    _check_alpha(args.alpha)
+    mass_ev, tol = args.mass_ev, args.tol
     if not 0 < mass_ev < math.inf:
         raise CircleDiracError(f"mass-ev must be positive and finite, got {mass_ev}")
     if not 0 < tol < math.inf:
         raise CircleDiracError(f"tol must be positive and finite, got {tol}")
-    lines = sp.spectrum_table(alpha, mass_ev, max_n_theta, max_n_r)
-    if fmt == "csv":
+    lines = sp.spectrum_table(args.alpha, mass_ev, args.max_ntheta, args.max_nr)
+    if args.format == "csv":
         sys.stdout.write(sp.lines_to_csv(lines))
     else:
         sys.stdout.write(json.dumps(sp.lines_to_json_rows(lines), allow_nan=False) + "\n")
@@ -117,22 +121,22 @@ def cmd_spectrum(alpha: float, mass_ev: float, tol: float, fmt: str,
     return EXIT_OK if all(line.abs_diff <= threshold for line in lines) else EXIT_VERIFICATION
 
 
-def cmd_verify(suite: str, seed: int, fmt: str) -> int:
-    names = verify.SUITE_NAMES if suite == "all" else (suite,)
-    reports = verify.run_suites(names, seed=seed)
-    if fmt == "json":
+def cmd_verify(args: argparse.Namespace) -> int:
+    names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
+    reports = [verify.run_suite(name, args.seed) for name in names]
+    if args.format == "json":
         sys.stdout.write(verify.reports_to_json(reports))
     else:
         sys.stdout.write(verify.reports_to_csv(reports))
     return EXIT_OK if all(r.overall for r in reports) else EXIT_VERIFICATION
 
 
-def cmd_map(space: str, R0, R1, point_json: str, round_trip: bool) -> int:
-    source, coords = cs.chart_point_from_json(point_json)
-    target = cs.SpaceChart(cs.ChartKind(space), R0, R1)
+def cmd_map(args: argparse.Namespace) -> int:
+    source, coords = cs.chart_point_from_json(args.point)
+    target = cs.SpaceChart(cs.ChartKind(args.space), args.R0, args.R1)
     mapped = cs.chart_map(coords, source, target)
     forward = json.loads(cs.chart_point_to_json(target, mapped))
-    if round_trip:
+    if args.round_trip:
         back = cs.chart_map(mapped, target, source)
         payload = {
             "forward": forward,
@@ -145,15 +149,15 @@ def cmd_map(space: str, R0, R1, point_json: str, round_trip: bool) -> int:
     return EXIT_OK
 
 
-def cmd_qed_rho(alpha: float, A: float, mass: float, charge: float | None,
-                n_theta: int, n_r: int, branch: str) -> int:
+def cmd_qed_rho(args: argparse.Namespace) -> int:
+    alpha, mass, charge = args.alpha, args.mass, args.charge
     _check_alpha(alpha)
-    for name, value in (("A", A), ("mass", mass), ("charge", charge)):
+    for name, value in (("A", args.A), ("mass", mass), ("charge", charge)):
         if value is not None and not math.isfinite(value):
             raise CircleDiracError(f"{name} must be finite, got {value}")
     e = math.sqrt(alpha) if charge is None else charge
-    d_prime = qed.coefficient_d_prime(QuantumNumbers(n_theta, n_r), alpha)
-    sol = qed.solve_rho(A, mass, e, d_prime)
+    d_prime = qed.coefficient_d_prime(QuantumNumbers(args.ntheta, args.nr), alpha)
+    sol = qed.solve_rho(args.A, mass, e, d_prime)
     payload = {
         "A": sol.A,
         "mass": mass,
@@ -164,9 +168,9 @@ def cmd_qed_rho(alpha: float, A: float, mass: float, charge: float | None,
         "residual_plus": sol.residual_plus,
         "residual_minus": sol.residual_minus,
     }
-    if branch == "plus":
+    if args.branch == "plus":
         payload["rho"] = sol.rho_plus
-    elif branch == "minus":
+    elif args.branch == "minus":
         payload["rho"] = sol.rho_minus
     sys.stdout.write(json.dumps(payload, allow_nan=False) + "\n")
     return EXIT_OK
@@ -179,27 +183,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "spectrum":
-            return cmd_spectrum(args.alpha, args.mass_ev, args.tol, args.format,
-                                args.max_ntheta, args.max_nr)
-        if args.command == "verify":
-            return cmd_verify(args.suite, args.seed, args.format)
-        if args.command == "map":
-            return cmd_map(args.space, args.R0, args.R1, args.point, args.round_trip)
-        if args.command == "qed-rho":
-            return cmd_qed_rho(args.alpha, args.A, args.mass, args.charge,
-                               args.ntheta, args.nr, args.branch)
-        parser.error(f"unknown command {args.command!r}")
-    except CircleDiracError as exc:
+        return args.run(args)
+    except (CircleDiracError, ArithmeticError) as exc:
         print(f"circledirac: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"circledirac: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ArithmeticError as exc:
-        print(f"circledirac: error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
 
 
 if __name__ == "__main__":

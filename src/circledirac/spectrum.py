@@ -518,11 +518,12 @@ def spectrum_table(alpha: float, mass_ev: float,
     n_theta = np.arange(1, max_n_theta + 1)[:, None]
     n_r = np.arange(max_n_r + 1)
     positive_mass(mass_ev, "mass_ev")
-    state = coupled_solve(alpha, QuantumNumbers(n_theta, n_r))
+    qn = QuantumNumbers(n_theta, n_r)
+    state = coupled_solve(alpha, qn)
     energy_ev = state.nu_m * mass_ev
     reference_ev = sommerfeld_reference(alpha, n_theta, n_r) * mass_ev
     columns = [column.ravel() for column in np.broadcast_arrays(
-        n_theta, n_r, n_theta + n_r, state.nu_m, energy_ev,
+        n_theta, n_r, qn.n, state.nu_m, energy_ev,
         -mass_ev * state.v_m * state.v_m / (1.0 + state.nu_m),
         reference_ev, np.abs(energy_ev - reference_ev))]
     order = np.lexsort((columns[0], columns[2]))

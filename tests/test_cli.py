@@ -116,12 +116,16 @@ class TestVerifyCommand:
 
     # sha256 of stdout: the reports of every case, with their tolerances, are
     # the command's contract, so a change to a suite must leave them alone
-    @pytest.mark.parametrize("fmt, digest", [
-        ("csv", "dc30e33dbd793dc587737900f375b89650914485e7e008a652346554ac4b476b"),
-        ("json", "e6c470fcc5f038ad6913f33eb13968178f1678731887ee1201bf5ed857cd256c"),
+    @pytest.mark.parametrize("fmt, digest, seed", [
+        ("csv", "dc30e33dbd793dc587737900f375b89650914485e7e008a652346554ac4b476b", 42),
+        ("json", "e6c470fcc5f038ad6913f33eb13968178f1678731887ee1201bf5ed857cd256c", 42),
+        ("csv", "7ef5a3bbe928ac90cf6c8f1f715f33dbced9f9e8e06493e435632ec2bc7918a0", 0),
+        ("json", "5c262fd51536746157dc0355801ad1e1ca78eacd512c6d42f5ac35dfcdb32ed3", 0),
+        ("csv", "7777e575d1177760dbca09d0f6b88f74c5e5c0c068642f0428686426ecab133e", 7),
+        ("json", "4a0d80fdef2695a2bf4e2a67031d5ce4b3937face9cde8d4b3fa8c3e0c672b4f", 7),
     ])
-    def test_output_digest(self, fmt, digest):
-        code, out, _ = run_cli("verify", "--suite", "all", "--seed", "42", "--format", fmt)
+    def test_output_digest(self, fmt, digest, seed):
+        code, out, _ = run_cli("verify", "--suite", "all", "--seed", str(seed), "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
