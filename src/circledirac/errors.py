@@ -5,12 +5,28 @@ derives from ``ValueError`` so callers may catch either.  The module
 also holds the checks every module shares without an import cycle:
 :func:`require`, which names the first failing entry of an array
 argument, :func:`quantum_integer`, the one rule for integer quantum
-numbers, and :func:`positive_mass`.
+numbers, :func:`positive_mass` and :func:`bound_coupling`.  Only the
+exception classes are listed in ``__all__``.
 """
 
 import operator
 
 import numpy as np
+
+__all__ = [
+    "CircleDiracError",
+    "NonUnitRotor",
+    "NonpositiveRadiusParameter",
+    "LightConePoint",
+    "NonpositiveMass",
+    "SuperluminalSpeed",
+    "SpeedDomain",
+    "DispersionViolation",
+    "InvalidQuantumNumber",
+    "ZeroCharge",
+    "FloatRange",
+    "ZeroArcElement",
+]
 
 
 class CircleDiracError(ValueError):
@@ -106,6 +122,15 @@ def positive_mass(mass, name: str = "mass") -> None:
     """Raise :class:`NonpositiveMass` unless every entry of ``mass`` is > 0 (NaN is not)."""
     require(np.greater(mass, 0), NonpositiveMass, f"{name} must be positive, got {{mass}}",
             mass=mass)
+
+
+def bound_coupling(alpha, n_theta, allow_zero: bool = False) -> None:
+    """Raise :class:`SpeedDomain` unless 0 < alpha < n_theta (0 <= alpha with ``allow_zero``)."""
+    # compare alpha itself: alpha/n_theta can underflow to 0 for 0 < alpha < n_theta
+    low_ok = np.greater_equal(alpha, 0.0) if allow_zero else np.greater(alpha, 0.0)
+    require(low_ok & np.less(alpha, n_theta), SpeedDomain,
+            f"need {'0 <=' if allow_zero else '0 <'} alpha < n_theta for a bound orbit, "
+            "got alpha={alpha}, n_theta={n_theta}", alpha=alpha, n_theta=n_theta)
 
 
 class ZeroCharge(CircleDiracError):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FloatRange, SpeedDomain, ZeroCharge, quantum_integer, require
+from .errors import FloatRange, ZeroCharge, bound_coupling, quantum_integer, require
 from .spectrum import QuantumNumbers, _plain, _pow
 
 __all__ = [
@@ -60,9 +60,7 @@ def replacement_map(n_theta: int, alpha: float) -> float:
     arrays that broadcast together.
     """
     n_theta = quantum_integer("n_theta", n_theta, 1)
-    require(np.greater_equal(alpha, 0.0) & np.less(alpha, n_theta), SpeedDomain,
-            "need 0 <= alpha < n_theta, got alpha={alpha}, n_theta={n_theta}",
-            alpha=alpha, n_theta=n_theta)
+    bound_coupling(alpha, n_theta, allow_zero=True)
     k, a = np.asarray(n_theta, dtype=float), np.asarray(alpha, dtype=float)
     return _plain(np.sqrt(k * k - a * a))
 

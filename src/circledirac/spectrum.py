@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 from mpmath import libmp
 
-from .errors import (CircleDiracError, FloatRange, SpeedDomain, positive_mass, quantum_integer,
+from .errors import (CircleDiracError, FloatRange, bound_coupling, positive_mass, quantum_integer,
                      require)
 from .planewave import de_broglie
 
@@ -126,15 +126,6 @@ class BohrState:
     L: float
 
 
-def _check_speed(alpha, n_theta, allow_zero: bool = False):
-    # compare alpha itself: alpha/n_theta can underflow to 0 for 0 < alpha < n_theta
-    low_ok = np.greater_equal(alpha, 0.0) if allow_zero else np.greater(alpha, 0.0)
-    require(low_ok & np.less(alpha, n_theta), SpeedDomain,
-            f"need {'0 <=' if allow_zero else '0 <'} alpha < n_theta for a bound orbit, "
-            "got alpha={alpha}, n_theta={n_theta}", alpha=alpha, n_theta=n_theta)
-    return np.divide(alpha, n_theta)
-
-
 def _finite(fields: dict) -> np.ndarray:
     """Where every field, broadcast against the others, is finite."""
     return np.isfinite(np.broadcast_arrays(*fields.values())).all(axis=0)
@@ -188,7 +179,8 @@ def bohr_solve(alpha: float, n_theta: int, mass: float = 1.0) -> BohrState:
     """
     positive_mass(mass)
     n_theta = quantum_integer("n_theta", n_theta, 1)
-    v = _check_speed(alpha, n_theta)
+    bound_coupling(alpha, n_theta)
+    v = np.divide(alpha, n_theta)
     m, k = np.asarray(mass, dtype=float), np.asarray(n_theta, dtype=float)
     eta, mu = de_broglie(mass, v)
     with np.errstate(all="ignore"):
@@ -261,7 +253,7 @@ def energy_closed_form(alpha: float, n_theta: int, n_r: int, mass: float = 1.0) 
     """
     positive_mass(mass)
     qn = QuantumNumbers(n_theta, n_r)
-    _check_speed(alpha, qn.n_theta, allow_zero=True)
+    bound_coupling(alpha, qn.n_theta, allow_zero=True)
     a, k = np.asarray(alpha, dtype=float), np.asarray(qn.n_theta, dtype=float)
     denom = _pow(np.sqrt(k * k - a * a) + qn.n_r, 2)
     return _plain(mass / np.sqrt(1.0 + a * a / denom))
@@ -325,7 +317,7 @@ def sommerfeld_reference(alpha: float, n_theta: int, n_r: int,
         raise ValueError(f"dps must be an integer >= 17, got {dps!r}")
     positive_mass(mass)
     qn = QuantumNumbers(n_theta, n_r)
-    _check_speed(alpha, qn.n_theta, allow_zero=True)
+    bound_coupling(alpha, qn.n_theta, allow_zero=True)
     grid = np.broadcast_arrays(np.asarray(alpha, dtype=float), qn.n_theta, qn.n_r,
                                np.asarray(mass, dtype=float))
     prec = libmp.dps_to_prec(dps)

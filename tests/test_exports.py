@@ -1,11 +1,13 @@
 """Every public name resolves: module ``__all__`` lists, the package re-exports and the
-functions the benchmark's tracer wraps.  Every ``__all__`` name also has a user in the
+functions the benchmark's tracer wraps.  The package's names are exactly the ``__all__``
+lists of the modules it star-imports, and every ``__all__`` name has a user in the
 library, a demo or the benchmark."""
 
 import ast
 import importlib
 import pkgutil
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 from conftest import perfbench_literal
@@ -23,16 +25,18 @@ def test_all_entries_resolve(name):
     assert missing == []
 
 
-def test_package_reexports_are_listed():
+def test_package_reexports_every_module_all():
+    """The package's public names are exactly the ``__all__`` lists of the modules it
+    star-imports, each bound to its module's object; nothing else, such as ``np``, leaks in."""
     tree = ast.parse(Path(circledirac.__file__).read_text())
-    unlisted = []
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            module = importlib.import_module(f"circledirac.{node.module}")
-            exported = getattr(module, "__all__", None)
-            if exported is not None:
-                unlisted += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
-    assert unlisted == []
+    modules = [importlib.import_module(f"circledirac.{node.module}") for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert [m.__name__ for m in modules if not hasattr(m, "__all__")] == []
+    exported = {name: module for module in modules for name in module.__all__}
+    public = {name for name, value in vars(circledirac).items() if not name.startswith("_")
+              and not (isinstance(value, ModuleType) and value.__name__.startswith("circledirac."))}
+    assert public == set(exported)
+    assert [n for n, m in exported.items() if getattr(circledirac, n) is not getattr(m, n)] == []
 
 
 # Traced layers the library removed on purpose: the one-point Dirac wrappers, whose

@@ -85,7 +85,7 @@ class TestReplacementMap:
 
     def test_array_names_first_offending_row(self):
         n_theta = np.array([1, 2, 3, 4])
-        with pytest.raises(SpeedDomain, match=r"^row 2: need 0 <= alpha < n_theta, got alpha=-1.0, n_theta=3$"):
+        with pytest.raises(SpeedDomain, match=r"^row 2: need 0 <= alpha < n_theta for a bound orbit, got alpha=-1.0, n_theta=3$"):
             replacement_map(n_theta, np.array([0.5, 1.5, -1.0, 9.0]))
         with pytest.raises(InvalidQuantumNumber, match=r"^row 1: n_theta must be an integer >= 1, got 0$"):
             replacement_map(np.array([1, 0, -1]), 0.5)

@@ -420,6 +420,17 @@ class TestOracleCertificate:
         for g, w in zip(got, want):
             assert (g.view(np.int64) == w.view(np.int64)).all()
 
+    def test_arbiter_leaves_the_global_context_alone(self, monkeypatch):
+        plain = sommerfeld_reference(0.37, *self.GRID)
+        calls = _count_arbiter(monkeypatch)
+        monkeypatch.setattr(spectrum, "_libmp_margin", lambda *args: math.inf)
+        with mpmath.workdps(20):
+            prec = mpmath.mp.prec
+            inside = sommerfeld_reference(0.37, *self.GRID)
+            assert mpmath.mp.prec == prec
+        assert calls == [30 * 31]
+        assert (inside.view(np.int64) == plain.view(np.int64)).all()
+
     @pytest.mark.parametrize("alpha", [CODATA_ALPHA, 0.37])
     def test_table_grid_never_reaches_the_arbiter(self, alpha, monkeypatch):
         calls = _count_arbiter(monkeypatch)
