@@ -28,7 +28,7 @@ routes:
 which is the Sommerfeld/Dirac fine-structure formula with k = n_theta
 and radial number n_r.  :func:`sommerfeld_reference` evaluates that
 reference independently for use as an oracle, and every level it returns
-has the bits of mpmath's correctly rounded libmp primitives at ``dps``
+has the bits of mpmath's correctly rounded libmp primitives at 40
 digits (the one-level mpmath formula, with the global ``mpmath.mp``
 context left alone).  It first evaluates each level in fixed-point
 Python integers at 2^-256 and keeps the result only when a certificate
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -266,26 +265,25 @@ _ONE_SQ = 1 << 2 * _BITS
 _UNIT = 2.0 ** -_BITS
 
 
-def sommerfeld_reference(alpha: float, n_theta: int, n_r: int,
-                         mass: float = 1.0, dps: int = 40) -> float:
+def sommerfeld_reference(alpha: float, n_theta: int, n_r: int, mass: float = 1.0) -> float:
     """Independent high-precision Sommerfeld/Dirac level, rounded to float.
 
     E = m*(1 + alpha^2/(n_r + sqrt(k^2 - alpha^2))^2)^(-1/2) with k the
-    angular number, with the bits of mpmath at ``dps`` >= 17 decimal
-    digits (fewer than a double carries could not check one).  The
+    angular number, with the bits of mpmath at 40 decimal digits.  The
     arguments may be arrays that broadcast together.
 
     The arbiter is :func:`_libmp_levels`, mpmath's correctly rounded libmp
-    primitives at p = ``libmp.dps_to_prec(dps)`` bits.  Most levels never
-    reach it.  Each is first evaluated in integers at the fixed point
-    S = 2^256, from A = alpha*S and M = m*S, which are exact:
+    primitives at p = 136 bits.  Most levels never reach it.  Each is
+    first evaluated in integers at the fixed point S = 2^256, from
+    A = alpha*S and M = m*S, which are exact:
 
         root  = isqrt(K^2 - A^2)             once per row, K = k*S
         q     = A*S // (n_r*S + root)
         w     = isqrt(S^2 + q^2)
         level = M*S // w
 
-    The integer path's error.  With rho = sqrt(k^2 - alpha^2) the exact
+    The integer path's error.  bound_coupling gives A < K, so K^2 - A^2 >=
+    2K - 1 and root >= 2^128.  With rho = sqrt(k^2 - alpha^2) the exact
     values are root* = S*rho, q* = A*S/(n_r*S + root*),
     w* = sqrt(S^2 + q*^2) and level* = M*S/w* = S*E.  root = root* - e
     with 0 <= e < 1, so q exceeds q* by at most q*e/(n_r*S + root) <=
@@ -297,11 +295,9 @@ def sommerfeld_reference(alpha: float, n_theta: int, n_r: int,
     which is below the row's (B + 1)*(floor(m) + 1) + 1 units.
 
     libmp's error.  Before its rounding to a double, libmp's level is
-    E*(1 + theta) with |theta| <= t, the bound :func:`_libmp_margin`
-    derives operation by operation, and 2^-shift >= 2t.  So S times it
-    lies within delta + ((level + delta) >> shift) of ``level``, with
-    delta = (B + 1)*(floor(m) + 1) + 2 (the unit added covers the shift's
-    floor).
+    E*(1 + theta) with 2|theta| <= 2^-_SHIFT, so S times it lies within
+    delta + ((level + delta) >> _SHIFT) of ``level``, with delta =
+    (B + 1)*(floor(m) + 1) + 2 (one unit more for the shift's floor).
 
     The certificate: when both ends of that interval round to one double,
     every value between them rounds to it, libmp's among them, and that
@@ -310,28 +306,26 @@ def sommerfeld_reference(alpha: float, n_theta: int, n_r: int,
     scaled by the exact 2^-256.  Any other level goes to the arbiter, and
     so does every level of a row in which A or M would not be an integer
     (alpha or m below about 2^-200, such as 1e-300), m is 2^767 or more
-    (level + delta could overflow the conversion), or t >= 2^-53.  So every
-    level has the libmp bits by construction.
+    (level + delta could overflow the conversion), or k is 2^68 or more
+    (k*k would round in libmp).  So every level has the libmp bits by
+    construction.
     """
-    if isinstance(dps, bool) or not isinstance(dps, Integral) or dps < 17:
-        raise ValueError(f"dps must be an integer >= 17, got {dps!r}")
     positive_mass(mass)
     qn = QuantumNumbers(n_theta, n_r)
     bound_coupling(alpha, qn.n_theta, allow_zero=True)
     grid = np.broadcast_arrays(np.asarray(alpha, dtype=float), qn.n_theta, qn.n_r,
                                np.asarray(mass, dtype=float))
-    prec = libmp.dps_to_prec(dps)
     columns = [x.ravel().tolist() for x in grid]
     rows, values, arbitrated = {}, [], []
     for i, (a, k, r, m) in enumerate(zip(*columns)):
         row = rows.get((a, k, m), False)
         if row is False:
-            row = rows[a, k, m] = _fixed_row(a, k, m, prec)
+            row = rows[a, k, m] = _fixed_row(a, k, m)
         if row is not None:
-            a_s, root, m_s, delta, shift = row
+            a_s, root, m_s, delta = row
             q = a_s // ((r << _BITS) + root)
             level = m_s // math.isqrt(_ONE_SQ + q * q)
-            half_width = delta + ((level + delta) >> shift)
+            half_width = delta + ((level + delta) >> _SHIFT)
             low = float(level - half_width)
             if low == float(level + half_width):
                 values.append(low * _UNIT)
@@ -340,103 +334,77 @@ def sommerfeld_reference(alpha: float, n_theta: int, n_r: int,
         arbitrated.append(i)
     if arbitrated:
         levels = list(zip(*([column[i] for i in arbitrated] for column in columns)))
-        for i, value in zip(arbitrated, _libmp_levels(levels, prec)):
+        for i, value in zip(arbitrated, _libmp_levels(levels)):
             values[i] = value
     return _plain(np.array(values).reshape(grid[0].shape))
 
 
-def _fixed_row(a: float, k: int, m: float, prec: int):
-    """(A*S, root, M*S, delta, shift) of one (alpha, n_theta, mass) row, or None for the arbiter."""
-    if not m < 2.0 ** (1023 - _BITS):
+def _fixed_row(a: float, k: int, m: float):
+    """(A*S, root, M*S, delta) of one (alpha, n_theta, mass) row, or None for the arbiter."""
+    if 2 * k.bit_length() > _PREC or not m < 2.0 ** (1023 - _BITS):
         return None
     a_num, a_den = a.as_integer_ratio()
     m_num, m_den = m.as_integer_ratio()
     if a_den > _ONE or m_den > _ONE:
         return None
     a_fixed, m_fixed = a_num * (_ONE // a_den), m_num * (_ONE // m_den)
-    aa = a_fixed * a_fixed
-    radicand = (k << _BITS) ** 2 - aa
-    root = math.isqrt(radicand)
-    if not root:
-        return None
-    t = _libmp_margin(prec, k.bit_length(), a_num.bit_length(), aa / radicand,
-                      aa / (radicand + aa))
-    if not t < 2.0 ** -53:
-        return None
+    root = math.isqrt((k << _BITS) ** 2 - a_fixed * a_fixed)
     bound = (a_fixed << _BITS) // (root * root) + 1
     delta = (bound + 1) * ((m_fixed >> _BITS) + 1) + 2
-    return a_fixed << _BITS, root, m_fixed << _BITS, delta, -math.frexp(t)[1] - 1
+    return a_fixed << _BITS, root, m_fixed << _BITS, delta
 
 
-def _libmp_margin(prec: int, k_bits: int, a_bits: int, cancel: float, dilution: float) -> float:
-    """A bound t on libmp's relative error theta, E*(1 + theta), over every level of a row.
+def _libmp_shift() -> int:
+    """The shift s with 2^-s >= 2t, t a bound on libmp's relative error theta, E*(1 + theta).
 
-    The row is alpha = a with a mantissa of ``a_bits`` bits and
-    n_theta = k of ``k_bits`` bits; ``cancel`` is a^2/(k^2 - a^2) and
-    ``dilution`` a^2/k^2.  One correctly rounded operation at ``prec``
-    bits has a relative error of at most u = 2^-prec, and one whose exact
-    result fits in ``prec`` bits has none.  A relative error bound x grows
-    by an operation's own rounding to x + u + x*u.  Operation by
-    operation, in the arbiter's order:
+    A correctly rounded operation at p = _PREC bits errs by at most
+    u = 2^-p relative (by none if its result fits in p bits) and turns a
+    relative error bound x into x + u + x*u.  In the arbiter's order, for
+    k < 2^68, whose rows the fixed point keeps:
 
-    * k as an mpf: exact, or u when k has more than ``prec`` bits;
-      a and m as mpfs: exact.
-    * k*k, a*a: exact when the square fits in ``prec`` bits (k of at most
-      prec/2 bits, a mantissa of at most prec/2), else one rounding after
-      2x + x^2 for a rounded k.
-    * k*k - a*a: the errors of the two squares, weighted by
-      k^2/(k^2 - a^2) = 1 + cancel and a^2/(k^2 - a^2) = cancel, then one
-      rounding.  Cancellation as a -> k amplifies the squares' errors,
-      not the subtraction's own rounding: at 136 bits (dps 40) both
-      squares are exact for k < 2^68, but at 60 bits (dps 17) a*a rounds
-      and its error reaches the difference times a^2/(k^2 - a^2).
-    * sqrt: a relative error x becomes at most x/(2 - x), then one rounding.
-    * n_r + root: no more than root's error, since both are positive and
-      n_r is exact or off by u; then one rounding.  n_r = 0 is the worst
-      level of the row.
-    * a/s and m/sqrt(...): x/(1 - x), then one rounding.
-    * q*q: 2x + x^2, then one rounding.
-    * q*q + 1: x weighted by q^2/(1 + q^2) <= a^2/k^2 = dilution, then one
-      rounding.
+    * k, a, m, k*k and a*a: exact (k*k has at most 136 bits, a's mantissa
+      at most 53), so k*k - a*a errs by u: no cancellation amplifies;
+    * sqrt: x/(2 - x), then one rounding;
+    * n_r + root: no more than root's error (both positive, n_r exact or
+      off by u), then one rounding;
+    * a/s and m/sqrt(...): x/(1 - x), then one rounding;
+    * q*q: 2x + x^2, then one rounding;
+    * q*q + 1: x weighted by q^2/(1 + q^2) <= 1, then one rounding.
 
-    The bound is evaluated in doubles on non-negative numbers, about 30
-    operations that can make it smaller by a factor 1 - 2^-47 at most;
-    the caller's factor 2 (2^-shift >= 2t) covers that.  Once the
-    subtraction's bound reaches 2^-53 no level of the row can be
-    certified, and the bound is infinite.
+    Evaluated in doubles, about 20 operations can make the bound smaller
+    by a factor 1 - 2^-48 at most; the factor 2 covers that.
     """
-    u = 2.0 ** -min(prec, 1000)   # an upper bound on 2^-prec that does not underflow
+    u = 2.0 ** -_PREC
 
     def rounded(x):
         return x + u + x * u
 
-    t_k = 0.0 if k_bits <= prec else u
-    t_kk = 0.0 if 2 * k_bits <= prec else rounded(2 * t_k + t_k * t_k)
-    t_aa = 0.0 if 2 * a_bits <= prec else u
-    t_diff = rounded(t_kk * (1.0 + cancel) + t_aa * cancel)
-    if not t_diff < 2.0 ** -53:
-        return math.inf
-    t_sum = rounded(rounded(t_diff / (2.0 - t_diff)))
+    t_sum = rounded(rounded(u / (2.0 - u)))
     t_q = rounded(t_sum / (1.0 - t_sum))
-    t_one_plus = rounded(rounded(2 * t_q + t_q * t_q) * dilution)
+    t_one_plus = rounded(rounded(2 * t_q + t_q * t_q))
     t_sqrt = rounded(t_one_plus / (2.0 - t_one_plus))
-    return rounded(t_sqrt / (1.0 - t_sqrt))
+    return -math.frexp(rounded(t_sqrt / (1.0 - t_sqrt)))[1] - 1
 
 
-def _libmp_levels(levels, prec: int) -> list[float]:
+# libmp's working precision, mpmath's 40 digits, and the certificate's shift for it
+_PREC = libmp.dps_to_prec(40)
+_SHIFT = _libmp_shift()
+
+
+def _libmp_levels(levels) -> list[float]:
     """The arbiter: each (alpha, n_theta, n_r, mass) level in libmp, rounded to a double.
 
-    mpmath's correctly rounded libmp primitives at ``prec`` bits, rounding
-    to nearest: the same operations in the same order as the mpmath
-    expression ``m/sqrt(1 + (a/(mpf(n_r) + sqrt(k*k - a*a)))**2)`` under
-    ``workdps(dps)`` (its square as one ``mpf_mul``, which rounds as
+    mpmath's correctly rounded libmp primitives at 40 digits (_PREC bits),
+    rounding to nearest: the same operations in the same order as the
+    mpmath expression ``m/sqrt(1 + (a/(mpf(n_r) + sqrt(k*k - a*a)))**2)``
+    under ``workdps(40)`` (its square as one ``mpf_mul``, which rounds as
     ``**2`` does), so it has that expression's bits, without the
     per-operation cost of the ``mpf`` wrapper and without touching the
     global ``mpmath.mp`` context.  Levels of one (alpha, n_theta, mass)
     row share the root sqrt(k^2 - alpha^2), which is computed exactly as
     for a single level, so every level has the bits of its one-level call.
     """
-    rnd = libmp.round_nearest
+    prec, rnd = _PREC, libmp.round_nearest
     from_float, from_int, to_float = libmp.from_float, libmp.from_int, libmp.to_float
     mul, add, sub = libmp.mpf_mul, libmp.mpf_add, libmp.mpf_sub
     div, sqrt, one = libmp.mpf_div, libmp.mpf_sqrt, libmp.fone

@@ -363,7 +363,7 @@ def run_suite(name: str, seed: int = 0) -> VerificationReport:
     """Run one suite to the end; the report holds its cases in the order yielded."""
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
-    if not isinstance(seed, Integral) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     index, suite = _SUITES[name]
     return VerificationReport(name, tuple(suite(np.random.default_rng([seed, index]))))

@@ -268,15 +268,6 @@ class TestSharedChecks:
         with pytest.raises(NonpositiveMass, match=f"mass must be positive, got {mass}"):
             SOLVERS[solver](mass)
 
-    @pytest.mark.parametrize("dps", [0, -3, 16, 17.5, 40.0, True, "40", None])
-    def test_reference_rejects_too_few_digits(self, dps):
-        with pytest.raises(ValueError, match="dps must be an integer >= 17"):
-            sommerfeld_reference(0.1, 1, 0, dps=dps)
-
-    def test_reference_accepts_seventeen_digits(self):
-        assert sommerfeld_reference(0.1, 1, 0, dps=17) == pytest.approx(
-            energy_closed_form(0.1, 1, 0), rel=1e-15)
-
     def test_array_errors_name_first_offending_row(self):
         with pytest.raises(SpeedDomain, match=r"^row 1: need 0 < alpha < n_theta for a bound "
                                               r"orbit, got alpha=1.5, n_theta=1$"):
@@ -325,17 +316,20 @@ def _scalar_closed_form(alpha, n_theta, n_r, mass):
     return mass / math.sqrt(1.0 + alpha * alpha / denom)
 
 
-def _wrapped_mpmath_reference(alpha, n_theta, n_r, mass, dps):
-    """The oracle as mpf operators under ``workdps(dps)``, one level at a time."""
+def _mpmath_level(a, k, r, m):
+    """The oracle's formula as mpf operators in the current mpmath context, unrounded."""
+    a_mp, k_mp = mpmath.mpf(a), mpmath.mpf(k)
+    root = mpmath.sqrt(k_mp * k_mp - a_mp * a_mp)
+    return mpmath.mpf(m) / mpmath.sqrt(1 + (a_mp / (mpmath.mpf(r) + root)) ** 2)
+
+
+def _wrapped_mpmath_reference(alpha, n_theta, n_r, mass):
+    """The oracle as mpf operators under ``workdps(40)``, one level at a time."""
     grid = np.broadcast_arrays(np.asarray(alpha, dtype=float), n_theta, n_r,
                                np.asarray(mass, dtype=float))
-    levels = []
-    with mpmath.workdps(dps):
-        for a, k, r, m in zip(*(x.ravel().tolist() for x in grid)):
-            a_mp, k_mp = mpmath.mpf(a), mpmath.mpf(k)
-            root = mpmath.sqrt(k_mp * k_mp - a_mp * a_mp)
-            level = mpmath.mpf(m) / mpmath.sqrt(1 + (a_mp / (mpmath.mpf(r) + root)) ** 2)
-            levels.append(float(level))
+    with mpmath.workdps(40):
+        levels = [float(_mpmath_level(*level))
+                  for level in zip(*(x.ravel().tolist() for x in grid))]
     return np.array(levels).reshape(grid[0].shape)
 
 
@@ -345,21 +339,19 @@ class TestOracleBits:
     ALPHAS = [1e-300, 1e-6, CODATA_ALPHA, 0.37, 0.999, 1 - 1e-7, 1 - 1e-10, 1 - 1e-12,
               *np.random.default_rng(46).uniform(0.0, 1.0, 6).tolist()]
 
-    @pytest.mark.parametrize("dps", [17, 40, 60, 100])
-    def test_grid_bits(self, dps):
+    def test_grid_bits(self):
         n_theta, n_r = np.arange(1, 31)[:, None], np.arange(31)
         for alpha in self.ALPHAS:
-            got = sommerfeld_reference(alpha, n_theta, n_r, dps=dps)
-            want = _wrapped_mpmath_reference(alpha, n_theta, n_r, 1.0, dps)
+            got = sommerfeld_reference(alpha, n_theta, n_r)
+            want = _wrapped_mpmath_reference(alpha, n_theta, n_r, 1.0)
             assert (got.view(np.int64) == want.view(np.int64)).all(), alpha
 
-    @pytest.mark.parametrize("dps", [17, 40, 60, 100])
-    def test_mass_array_bits(self, dps):
+    def test_mass_array_bits(self):
         mass = np.array([1e-300, ELECTRON_MASS_EV, 1e300])[:, None, None]
         alpha, n_theta, n_r = 0.37, np.arange(1, 5)[:, None], np.arange(4)
-        got = sommerfeld_reference(alpha, n_theta, n_r, mass, dps=dps)
+        got = sommerfeld_reference(alpha, n_theta, n_r, mass)
         assert got.shape == (3, 4, 4)
-        want = _wrapped_mpmath_reference(alpha, n_theta, n_r, mass, dps)
+        want = _wrapped_mpmath_reference(alpha, n_theta, n_r, mass)
         assert (got.view(np.int64) == want.view(np.int64)).all()
 
     def test_random_levels_bits(self):
@@ -375,7 +367,7 @@ class TestOracleBits:
         n_r = np.concatenate((n_r, rng.integers(0, 40, 30)))
         mass = np.concatenate((mass, 10.0 ** rng.uniform(-5.0, 5.0, 30)))
         got = sommerfeld_reference(alpha, n_theta, n_r, mass)
-        want = _wrapped_mpmath_reference(alpha, n_theta, n_r, mass, 40)
+        want = _wrapped_mpmath_reference(alpha, n_theta, n_r, mass)
         assert (got.view(np.int64) == want.view(np.int64)).all()
         single = [sommerfeld_reference(*row) for row in zip(
             alpha.tolist(), n_theta.tolist(), n_r.tolist(), mass.tolist())]
@@ -397,9 +389,9 @@ def _count_arbiter(monkeypatch):
     """Wrap the libmp arbiter; the list it returns gets the level count of each call."""
     calls, arbiter = [], spectrum._libmp_levels
 
-    def counted(levels, prec):
+    def counted(levels):
         calls.append(len(levels))
-        return arbiter(levels, prec)
+        return arbiter(levels)
 
     monkeypatch.setattr(spectrum, "_libmp_levels", counted)
     return calls
@@ -410,12 +402,11 @@ class TestOracleCertificate:
 
     GRID = np.arange(1, 31)[:, None], np.arange(31)
 
-    @pytest.mark.parametrize("dps", [17, 40])
-    def test_forced_fallback_gives_the_same_bits(self, dps, monkeypatch):
-        want = [sommerfeld_reference(alpha, *self.GRID, dps=dps) for alpha in TestOracleBits.ALPHAS]
+    def test_forced_fallback_gives_the_same_bits(self, monkeypatch):
+        want = [sommerfeld_reference(alpha, *self.GRID) for alpha in TestOracleBits.ALPHAS]
         calls = _count_arbiter(monkeypatch)
-        monkeypatch.setattr(spectrum, "_libmp_margin", lambda *args: math.inf)
-        got = [sommerfeld_reference(alpha, *self.GRID, dps=dps) for alpha in TestOracleBits.ALPHAS]
+        monkeypatch.setattr(spectrum, "_SHIFT", 0)
+        got = [sommerfeld_reference(alpha, *self.GRID) for alpha in TestOracleBits.ALPHAS]
         assert calls == [30 * 31] * len(TestOracleBits.ALPHAS)
         for g, w in zip(got, want):
             assert (g.view(np.int64) == w.view(np.int64)).all()
@@ -423,7 +414,7 @@ class TestOracleCertificate:
     def test_arbiter_leaves_the_global_context_alone(self, monkeypatch):
         plain = sommerfeld_reference(0.37, *self.GRID)
         calls = _count_arbiter(monkeypatch)
-        monkeypatch.setattr(spectrum, "_libmp_margin", lambda *args: math.inf)
+        monkeypatch.setattr(spectrum, "_SHIFT", 0)
         with mpmath.workdps(20):
             prec = mpmath.mp.prec
             inside = sommerfeld_reference(0.37, *self.GRID)
@@ -438,19 +429,52 @@ class TestOracleCertificate:
         assert calls == []
 
     def test_straddling_levels_reach_the_arbiter(self, monkeypatch):
-        # at 60 bits libmp's own error leaves some levels too close to a rounding boundary
+        # an error margin of 2^-58 leaves some levels too close to a rounding boundary
         calls = _count_arbiter(monkeypatch)
-        got = sommerfeld_reference(CODATA_ALPHA, *self.GRID, dps=17)
+        monkeypatch.setattr(spectrum, "_SHIFT", 58)
+        got = sommerfeld_reference(CODATA_ALPHA, *self.GRID)
         assert len(calls) == 1 and 0 < calls[0] < 30 * 31
-        want = _wrapped_mpmath_reference(CODATA_ALPHA, *self.GRID, 1.0, 17)
+        want = _wrapped_mpmath_reference(CODATA_ALPHA, *self.GRID, 1.0)
         assert (got.view(np.int64) == want.view(np.int64)).all()
+
+    @pytest.mark.parametrize("alpha", [0.37, 2.0 ** 67, 2.0 ** 68 * (1 - 1e-12)])
+    def test_exact_squares_bound_the_fixed_point(self, alpha, monkeypatch):
+        # libmp's k*k is exact at 136 bits up to k = 2^68 - 1 and rounds from k = 2^68 on
+        calls = _count_arbiter(monkeypatch)
+        for n_theta, arbitrated in [(2 ** 68 - 1, []), (2 ** 68, [4])]:
+            got = sommerfeld_reference(alpha, n_theta, np.arange(4))
+            assert calls == arbitrated
+            want = _wrapped_mpmath_reference(alpha, n_theta, np.arange(4), 1.0)
+            assert (got.view(np.int64) == want.view(np.int64)).all()
+            calls.clear()
+
+    def test_shift_bounds_libmp_error(self):
+        # 2^-(_SHIFT + 1) bounds the relative error of the unrounded 40-digit level,
+        # measured against 100 digits, including near-critical coupling
+        assert spectrum._SHIFT == 132
+        rng = np.random.default_rng(48)
+        n_theta = [*rng.integers(1, 60, 200).tolist(), *(2 ** e - 1 for e in range(1, 69)),
+                   *(2 ** int(e) - 1 for e in rng.integers(7, 69, 32))]
+        near = 1 - 10.0 ** -rng.uniform(1, 13, 300)
+        alpha = [float(k * (near[i] if i % 2 else rng.uniform())) for i, k in enumerate(n_theta)]
+        assert all(a < k for a, k in zip(alpha, n_theta))
+        n_r = rng.integers(0, 60, 300).tolist()
+        mass = (10.0 ** rng.uniform(-5.0, 5.0, 300)).tolist()
+        worst = mpmath.mpf(0)
+        for level in zip(alpha, n_theta, n_r, mass):
+            with mpmath.workdps(40):
+                low = _mpmath_level(*level)
+            with mpmath.workdps(100):
+                exact = _mpmath_level(*level)
+                worst = max(worst, abs(low - exact) / exact)
+        assert 0 < worst <= mpmath.ldexp(1, -spectrum._SHIFT - 1)
 
     @pytest.mark.parametrize("alpha, mass", [(1e-300, 1.0), (0.37, 1e-300), (0.37, 1e308)])
     def test_rows_beyond_the_fixed_point_reach_the_arbiter(self, alpha, mass, monkeypatch):
         calls = _count_arbiter(monkeypatch)
         got = sommerfeld_reference(alpha, *self.GRID, mass)
         assert calls == [30 * 31]
-        want = _wrapped_mpmath_reference(alpha, *self.GRID, mass, 40)
+        want = _wrapped_mpmath_reference(alpha, *self.GRID, mass)
         assert (got.view(np.int64) == want.view(np.int64)).all()
 
 
@@ -460,8 +484,7 @@ def _levels(draw):
     alpha = draw(st.one_of(st.floats(0.0, n_theta, exclude_max=True),
                            st.floats(0.0, 2.2250738585072014e-308),   # zero and subnormals
                            st.floats(n_theta - 1e-12, n_theta, exclude_max=True)))
-    return (alpha, n_theta, draw(st.integers(0, 50)), draw(st.floats(1e-5, 1e5)),
-            draw(st.sampled_from([17, 40, 60])))
+    return alpha, n_theta, draw(st.integers(0, 50)), draw(st.floats(1e-5, 1e5))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

@@ -55,6 +55,12 @@ def test_tachyon_sign_fault_fails_both_coefficient_cases(monkeypatch):
     assert cases["dot-product-invariance"].passed
 
 
+@pytest.mark.parametrize("seed", [True, False, -1, 1.5])
+def test_run_suite_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed}$"):
+        verify.run_suite("algebra", seed)
+
+
 def _non_finite_reports():
     return [VerificationReport("x", (
         verify._detect("inf-case", 0.0, 1.0),
