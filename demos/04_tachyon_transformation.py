@@ -58,5 +58,5 @@ print("\nDashed-frame energy from the invariant arc-form dot product:")
 eta, mu_b = de_broglie(1.0, 0.6)
 v = eta + mu_b * 0.6      # undashed arc-form energy with ds1/ds0 = v = 0.6
 print(f"  eta = {eta}, mu = {mu_b}, ds1/ds0 = 0.6")
-print(f"  dashed energy = {dashed_energy(v, 1.0, 0.6, eta, mu_b):.6f}"
+print(f"  dashed energy = {dashed_energy(1.0, 0.6, eta, mu_b):.6f}"
       f"  (equals v*ds0/ds1 = {v / 0.6:.6f})")

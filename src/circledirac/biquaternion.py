@@ -256,8 +256,9 @@ _SLICE_TOL = 1e-10   # how far unembed's input may lie off the embedded slice
 
 def unembed(b: Biquaternion) -> FourVector:
     """Inverse of :func:`embed`; rejects biquaternions off the embedded slice."""
-    off = max(abs(b.c0.real), abs(b.c1.imag), abs(b.c2.imag), abs(b.c3.imag))
-    if off > _SLICE_TOL:
+    # numpy's max keeps a NaN where Python's max and > would both skip it
+    off = np.abs((b.c0.real, b.c1.imag, b.c2.imag, b.c3.imag)).max()
+    if not off <= _SLICE_TOL:
         raise ValueError(
             f"biquaternion is not the embedding of a real four-vector (off-slice {off:.3e})"
         )

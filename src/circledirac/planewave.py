@@ -15,6 +15,10 @@ arc-time operator exactly when the dispersion relation
 holds.  The free wave is the special case mu = 0, eA = 0, nu = mass; its
 second component is i*phi1 (the scalar prefactor nu*inverse(M) reduces
 to i at rest).
+
+A wave is one reflector, like every term of the Dirac system: a
+:class:`WaveFunction` is the ``(2, 4)`` prefactor of (phi1, phi2) and the
+wavevector k = (-nu, mu, 0, 0) both share, Phi = prefactor * exp(i k.x).
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .reflector import (ARC_TIME_UNITS, _operator_array, dirac_lhs_array, dirac_
 
 __all__ = [
     "PlaneWave",
-    "ExpWave",
     "WaveFunction",
     "ResidualReport",
     "mass_term",
@@ -84,56 +87,33 @@ class PlaneWave:
         return embed((self.eA, 0.0, 0.0, 0.0)), 1.0
 
 
-class ExpWave:
-    """prefactor * exp(i * k.x) with a real wavevector k over chart coordinates.
-
-    Called with one point it returns a Biquaternion; :meth:`batch` and
-    :meth:`batch_derivative` take a ``(..., 4)`` point array in one
-    numpy pass.  Every route goes through :meth:`_phases`, so a single
-    expression defines the wave.
-    """
-
-    __slots__ = ("prefactor", "k")
-
-    def __init__(self, prefactor: Biquaternion, k: Sequence[float]):
-        self.prefactor = prefactor
-        self.k = np.asarray(k, dtype=float)
-        if self.k.shape != (4,):
-            raise ValueError("wavevector needs exactly 4 components")
-
-    def _phases(self, points) -> np.ndarray:
-        # an elementwise product and a per-point sum, so a point's phase
-        # does not depend on its position in the batch (a matmul's can)
-        return np.exp(1j * (np.asarray(points, dtype=float) * self.k).sum(axis=-1))
-
-    def __call__(self, point: np.ndarray) -> Biquaternion:
-        return self.prefactor * complex(self._phases(point))
-
-    def batch(self, points: np.ndarray) -> np.ndarray:
-        """Coefficients ``(..., 4)`` of the wave at points ``(..., 4)``."""
-        return np.array(self.prefactor.coeffs) * self._phases(points)[..., None]
-
-    def batch_derivative(self, points: np.ndarray) -> np.ndarray:
-        """Derivatives along every mu at points ``(..., 4)``, shape ``(..., 4, 4)``."""
-        return (1j * self.k)[:, None] * self.batch(points)[..., None, :]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveFunction:
-    """The wave reflector Phi = (phi1, phi2) over chart coordinates.
+    """The wave reflector Phi = (phi1, phi2) = prefactor * exp(i k.x) over chart coordinates.
 
-    Both components are :class:`ExpWave`, the one wave protocol that
-    :func:`residual` reads; any other component raises ``TypeError``.
+    ``prefactor`` is the ``(2, 4)`` coefficient array of (phi1, phi2) at
+    the origin and ``k`` the real wavevector both components share.  Both
+    are stored as read-only copies; any other shape raises ``ValueError``.
     """
 
-    phi1: ExpWave
-    phi2: ExpWave
+    prefactor: np.ndarray
+    k: np.ndarray
 
     def __post_init__(self):
-        for name in ("phi1", "phi2"):
-            component = getattr(self, name)
-            if not isinstance(component, ExpWave):
-                raise TypeError(f"{name} must be an ExpWave, got {type(component).__name__}")
+        for name, dtype in (("prefactor", complex), ("k", float)):
+            value = np.array(getattr(self, name), dtype=dtype)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        if self.prefactor.shape != (2, 4) or self.k.shape != (4,):
+            raise ValueError(f"a wave needs a (2, 4) prefactor and a (4,) wavevector, "
+                             f"got {self.prefactor.shape} and {self.k.shape}")
+
+    def at(self, points) -> np.ndarray:
+        """The wave ``(..., 2, 4)`` at points ``(..., 4)``."""
+        # an elementwise product and a per-point sum, so a point's phase
+        # does not depend on its position in the batch (a matmul's can)
+        phases = np.exp(1j * (np.asarray(points, dtype=float) * self.k).sum(axis=-1))
+        return self.prefactor * phases[..., None, None]
 
 
 def mass_term(mass: float) -> Biquaternion:
@@ -148,12 +128,9 @@ def plane_wave_solution(nu: float, mu: float, mass: float, eA: float = 0.0) -> W
     harness; :func:`bound_solution` is the checked entry point.
     """
     positive_mass(mass)
-    k = (-nu, mu, 0.0, 0.0)
-    phi1 = ExpWave(I0, k)
     # ((nu - eA)*i_0 - i*mu*i_1) * inverse(-i*mass), inverse = i/mass
     c2 = Biquaternion(1j * (nu - eA) / mass, mu / mass)
-    phi2 = ExpWave(c2, k)
-    return WaveFunction(phi1, phi2)
+    return WaveFunction((I0.coeffs, c2.coeffs), (-nu, mu, 0.0, 0.0))
 
 
 def free_solution(mass: float) -> WaveFunction:
@@ -176,14 +153,14 @@ class ResidualReport:
     analytic: float
 
 
-def _central_difference(f: ExpWave, points: np.ndarray, h: float) -> np.ndarray:
-    """Central differences of f at points ``(N, 4)`` for every mu, shape ``(N, 4, 4)``.
+def _central_difference(wave: WaveFunction, points: np.ndarray, h: float) -> np.ndarray:
+    """Central differences of the wave at points ``(N, 4)`` for every mu, shape ``(N, 4, 2, 4)``.
 
-    Evaluates f at all 8N shifted points p +- h e_mu in one call.
+    Evaluates the wave at all 8N shifted points p +- h e_mu in one call.
     """
     step = h * np.eye(4)
     shifted = points[:, None, :] + np.stack((step, -step))[:, None]
-    plus, minus = f.batch(shifted)
+    plus, minus = wave.at(shifted)
     return (plus - minus) / (2.0 * h)
 
 
@@ -201,7 +178,7 @@ def residual(wave: WaveFunction,
 
     Evaluates second-order central differences with step h, from the
     wave's values at the 8N shifted points p +- h e_mu, and the analytic
-    derivatives of the components.  All N points and both routes go
+    derivatives i k_mu Phi.  All N points and both routes go
     through :func:`dirac_lhs_array` in one numpy pass.
     """
     if not 0 < h < math.inf:
@@ -212,10 +189,9 @@ def residual(wave: WaveFunction,
         return ResidualReport(fd=0.0, analytic=0.0)
     if p.ndim != 2 or p.shape[1] != 4:
         raise ValueError(f"points need shape (N, 4), got {p.shape}")
-    components = (wave.phi1, wave.phi2)
-    phi = np.stack([f.batch(p) for f in components], axis=-2)
-    d_phi = np.stack((np.stack([_central_difference(f, p, h) for f in components], axis=-2),
-                      np.stack([f.batch_derivative(p) for f in components], axis=-2)))
+    phi = wave.at(p)
+    d_phi = np.stack((_central_difference(wave, p, h),
+                      (1j * wave.k)[:, None, None] * phi[..., None, :, :]))
     lhs = dirac_lhs_array(operator, unit_reflector(a_pot), e, phi, d_phi)
     worst = np.abs(lhs - dirac_rhs_array(phi, m.coeffs)).max(axis=(1, 2, 3))
     return ResidualReport(fd=float(worst[0]), analytic=float(worst[1]))

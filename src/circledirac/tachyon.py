@@ -19,8 +19,10 @@ invariant under them.
 :func:`component_map`, :func:`tachyon_quaternion` and :func:`tachyon_double`
 take a :class:`Biquaternion` or a ``(..., 4)`` coefficient array (see
 :func:`~circledirac.biquaternion.array_mul`), so a batch is one call.
-Every rotor product is :func:`~circledirac.reflector.sandwich`; the dashed
-mass and potential are :func:`tachyon_quaternion` of the undashed ones.
+Every rotor product is :func:`~circledirac.reflector.sandwich`: the dashed
+mass and potential are :func:`tachyon_quaternion` of the undashed ones, and
+:func:`transform_wave` is one sandwich of the wave's ``(2, 4)`` prefactor
+with the rotor pair (r, conj(r)).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from .biquaternion import Biquaternion, FourVector, I1, array_conj, embed, unembed
 from .errors import ZeroArcElement
 from .reflector import _operator_array, sandwich
-from .planewave import ExpWave, WaveFunction
+from .planewave import WaveFunction
 
 __all__ = [
     "DashedKinematics",
@@ -105,12 +107,12 @@ class DashedKinematics:
         return cls(s0d=s1, s1d=s0, etad=mu, mud=eta)
 
 
-def dashed_energy(v: float, ds0: float, ds1: float, eta: float, mu: float) -> float:
+def dashed_energy(ds0: float, ds1: float, eta: float, mu: float) -> float:
     """Dashed-frame interaction energy (eta*ds0 + mu*ds1)/ds1.
 
-    ``v`` is the undashed arc-form energy (the same dot product divided
-    by ds0); the result equals v*ds0/ds1 and the dot product itself is
-    invariant under the dashed exchange.
+    It equals v*ds0/ds1, with v = (eta*ds0 + mu*ds1)/ds0 the undashed
+    arc-form energy; the dot product itself is invariant under the dashed
+    exchange.
     """
     if ds1 == 0.0:
         raise ZeroArcElement("dashed energy needs a nonzero arc element ds1")
@@ -120,21 +122,14 @@ def dashed_energy(v: float, ds0: float, ds1: float, eta: float, mu: float) -> fl
 # -- covariance of the Dirac system ----------------------------------------
 
 def transform_wave(wave: WaveFunction) -> WaveFunction:
-    """Tachyon-transform a plane wave: sandwich prefactors, swap arc slots.
+    """Tachyon-transform a plane wave: sandwich the prefactor, swap arc slots.
 
-    phi1's prefactor is sandwiched with (r, r) and phi2's with
-    (conj r, conj r), the diagonal-rotor action on the wave reflector.
-    The phase re-expressed in dashed coordinates swaps the wavevector's
-    temporal and first spatial components, matching the coordinate
-    exchange.
+    The prefactor's rows are sandwiched with r and conj(r), the
+    diagonal-rotor action on the wave reflector; the phase in dashed
+    coordinates swaps the wavevector's first two components.
     """
-    top = sandwich(_ROTOR, wave.phi1.prefactor)
-    bottom = sandwich(_ROTOR.conj, wave.phi2.prefactor)
-
-    def swap(k):
-        return (k[1], k[0], k[2], k[3])
-
-    return WaveFunction(ExpWave(top, swap(wave.phi1.k)), ExpWave(bottom, swap(wave.phi2.k)))
+    rotors = np.array((_ROTOR.coeffs, _ROTOR.conj.coeffs))
+    return WaveFunction(sandwich(rotors, wave.prefactor), wave.k[[1, 0, 2, 3]])
 
 
 def transform_operator(units) -> np.ndarray:

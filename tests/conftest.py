@@ -6,11 +6,13 @@ the CLI, acceptance and demo tests also run ``python -m circledirac`` or a
 demo script in a fresh interpreter, which reads ``PYTHONPATH`` instead.
 
 The reference helpers write both sides of the Dirac system out in scalar
-Biquaternion products, one point at a time, so the array kernels are
-checked against code they do not share.
+Biquaternion products, one point at a time, and take a wave's value from
+its prefactor and wavevector with ``cmath.exp``, so the array kernels and
+``WaveFunction.at`` are checked against code they do not share.
 """
 
 import ast
+import cmath
 import os
 import pathlib
 
@@ -32,16 +34,22 @@ def perfbench_literal(filename, name):
     raise AssertionError(f"perfbench/{filename} defines no {name}")
 
 
-def analytic(f, point, mu):
-    """d f/d x_mu at one point from the closed form i k_mu f of an ExpWave component."""
-    return (1j * f.k[mu]) * f(point)
+def component(wave, j, point):
+    """Component j of the wave at one point, prefactor_j * exp(i k.x), in plain Python."""
+    phase = cmath.exp(1j * sum(float(k) * float(x) for k, x in zip(wave.k, point)))
+    return Biquaternion(*wave.prefactor[j]) * phase
+
+
+def analytic(wave, j, point, mu):
+    """d phi_j/d x_mu at one point from the closed form i k_mu phi_j."""
+    return (1j * float(wave.k[mu])) * component(wave, j, point)
 
 
 def central_difference(h):
-    """d f/d x_mu at one point as (f(p + h e_mu) - f(p - h e_mu))/(2h)."""
-    def deriv(f, point, mu):
+    """d phi_j/d x_mu at one point as (phi_j(p + h e_mu) - phi_j(p - h e_mu))/(2h)."""
+    def deriv(wave, j, point, mu):
         step = h * np.eye(4)[mu]
-        return (f(point + step) - f(point - step)) / (2.0 * h)
+        return (component(wave, j, point + step) - component(wave, j, point - step)) / (2.0 * h)
     return deriv
 
 
@@ -55,14 +63,14 @@ def scalar_lhs(units, deriv, a_pot, e, wave, point):
     upper = Biquaternion()
     lower = Biquaternion()
     for mu, u in enumerate(units):
-        upper = upper + u * deriv(wave.phi2, point, mu)
-        lower = lower + u.conj * deriv(wave.phi1, point, mu)
+        upper = upper + u * deriv(wave, 1, point, mu)
+        lower = lower + u.conj * deriv(wave, 0, point, mu)
     ie = 1j * e
-    upper = upper - ie * (a_pot * wave.phi2(point))
-    lower = lower - ie * (a_pot.conj * wave.phi1(point))
+    upper = upper - ie * (a_pot * component(wave, 1, point))
+    lower = lower - ie * (a_pot.conj * component(wave, 0, point))
     return upper, lower
 
 
 def scalar_rhs(wave, m, point):
     """Reference Phi M with M = (m, -conj(m)): the pair (-phi1 conj(m), phi2 m)."""
-    return -(wave.phi1(point) * m.conj), wave.phi2(point) * m
+    return -(component(wave, 0, point) * m.conj), component(wave, 1, point) * m

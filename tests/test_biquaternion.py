@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,14 @@ class TestEmbed:
     def test_unembed_rejects_off_slice(self):
         with pytest.raises(ValueError):
             unembed(Biquaternion(1.0))  # real temporal slot
+
+    @pytest.mark.parametrize("slot", range(4))
+    def test_unembed_rejects_nan_off_slice(self, slot):
+        # the off-slice part of each coefficient: c0's real part, c1..c3's imaginary parts
+        coeffs = [-0.4j, 1.0, 2.0, 3.0]
+        coeffs[slot] += complex(math.nan, 0.0) if slot == 0 else complex(0.0, math.nan)
+        with pytest.raises(ValueError, match="off-slice nan"):
+            unembed(Biquaternion(*coeffs))
 
 
 @given(biquaternions, biquaternions, biquaternions)

@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,7 +10,6 @@ from conftest import ARC_UNITS, analytic, central_difference, scalar_lhs, scalar
 from circledirac import (
     Biquaternion,
     DispersionViolation,
-    ExpWave,
     NonpositiveMass,
     PlaneWave,
     SuperluminalSpeed,
@@ -18,6 +20,9 @@ from circledirac import (
     mass_term,
     plane_wave_solution,
     residual,
+    tachyon_quaternion,
+    transform_operator,
+    transform_wave,
 )
 from circledirac.reflector import ARC_TIME_UNITS
 
@@ -37,22 +42,22 @@ def _args(pw):
 class TestFreeSolution:
     def test_zero_phase(self):
         wave = free_solution(1.0)
-        assert wave.phi1(np.zeros(4)) == Biquaternion(1.0)
+        assert Biquaternion(*wave.at(np.zeros(4))[0]) == Biquaternion(1.0)
 
     def test_second_component_quarter_phase(self):
         # at rest the second component is i * phi1
         wave = free_solution(2.0)
-        p = np.array([0.3, 0, 0, 1.0])
-        assert wave.phi2(p).max_abs_diff(1j * wave.phi1(p)) == 0.0
+        phi1, phi2 = wave.at(np.array([0.3, 0, 0, 1.0]))
+        assert np.abs(phi2 - 1j * phi1).max() == 0.0
 
     def test_single_valued_on_quantized_circle(self):
         # phase returns to 1 after a full turn exactly when mass*R0 is an integer
         wave = free_solution(1.0)
         for n_theta in (1, 2, 3):
             p = np.array([2.0 * math.pi * n_theta, 0, 0, 1.0])
-            assert wave.phi1(p).max_abs_diff(Biquaternion(1.0)) < 1e-12
+            assert np.abs(wave.at(p)[0] - (1, 0, 0, 0)).max() < 1e-12
         off = np.array([2.0 * math.pi * 2.5, 0, 0, 1.0])
-        assert wave.phi1(off).max_abs_diff(Biquaternion(1.0)) > 1.0
+        assert np.abs(wave.at(off)[0] - (1, 0, 0, 0)).max() > 1.0
 
     def test_residual_vanishes(self):
         rep = residual(free_solution(1.0), ZERO_POT, 1.0, mass_term(1.0), POINTS, h=1e-5)
@@ -73,8 +78,7 @@ class TestBoundSolution:
         wave = bound_solution(rest)
         free = free_solution(2.0)
         p = np.array([0.7, 0.1, 0.2, 1.0])
-        assert wave.phi1(p).max_abs_diff(free.phi1(p)) == 0.0
-        assert wave.phi2(p).max_abs_diff(free.phi2(p)) == 0.0
+        assert np.array_equal(wave.at(p), free.at(p))
 
     def test_rejects_off_shell(self):
         with pytest.raises(DispersionViolation) as exc:
@@ -85,8 +89,7 @@ class TestBoundSolution:
 class TestResidualHarness:
     def test_linearity(self):
         wave = plane_wave_solution(PW.nu + 0.1, PW.mu, PW.mass)
-        scaled = WaveFunction(ExpWave(2.0 * wave.phi1.prefactor, wave.phi1.k),
-                              ExpWave(2.0 * wave.phi2.prefactor, wave.phi2.k))
+        scaled = WaveFunction(2.0 * wave.prefactor, wave.k)
         a, e, m = _args(PW)
         r1 = residual(wave, a, e, m, POINTS, h=1e-4)
         r2 = residual(scaled, a, e, m, POINTS, h=1e-4)
@@ -152,9 +155,26 @@ class TestBatchedResidual:
             assert whole.fd == max(head.fd, tail.fd)
             assert whole.analytic == max(head.analytic, tail.analytic)
 
-    def test_wave_components_must_be_exp_waves(self):
-        with pytest.raises(TypeError, match="phi2 must be an ExpWave, got function"):
-            WaveFunction(ON_SHELL.phi1, lambda p: ON_SHELL.phi2(p))
+    def test_wave_needs_prefactor_and_wavevector_shapes(self):
+        for prefactor, k, shapes in ((np.ones(4), np.ones(4), r"\(4,\) and \(4,\)"),
+                                     (np.ones((2, 3)), np.ones(4), r"\(2, 3\) and \(4,\)"),
+                                     (np.ones((2, 4)), np.ones(3), r"\(2, 4\) and \(3,\)")):
+            with pytest.raises(ValueError, match=r"needs a \(2, 4\) prefactor and a \(4,\) "
+                                                 r"wavevector, got " + shapes):
+                WaveFunction(prefactor, k)
+
+    def test_wave_is_frozen(self):
+        prefactor, k = np.array(ON_SHELL.prefactor), np.array(ON_SHELL.k)
+        wave = WaveFunction(prefactor, k)
+        for array in (wave.prefactor, wave.k):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            wave.k = np.zeros(4)
+        prefactor[:] = 7.0
+        k[:] = 7.0
+        assert np.array_equal(wave.prefactor, ON_SHELL.prefactor)
+        assert np.array_equal(wave.k, ON_SHELL.k)
 
     def test_rejects_bad_step_and_shape(self):
         for h in (0.0, -1e-5, math.nan, math.inf):
@@ -165,6 +185,33 @@ class TestBatchedResidual:
         for operator in (ARC_TIME_UNITS[0], ARC_TIME_UNITS[:3]):  # (2, 4) would broadcast
             with pytest.raises(ValueError, match=r"operator needs shape \(4, 2, 4\)"):
                 residual(ON_SHELL, *_args(PW), BATCH, operator=operator)
+
+
+# sha256 of the reports below: residual's bits for every kind of wave it is given
+RESIDUAL_DIGEST = "2524bb6f8e494c8fd283b8499b9927f319e6f3ec977fc0aeb2f9fd4911623466"
+
+
+def test_residual_bits_pinned():
+    """Seeded waves on and off shell, at both step sizes, each also tachyon-transformed and
+    checked against the transformed system: the digest of every report's two floats."""
+    rng = np.random.default_rng(20)
+    dashed_operator = transform_operator(ARC_TIME_UNITS)
+    digest = hashlib.sha256()
+    for _ in range(150):
+        mass, mu, eA = rng.uniform(0.2, 3.0), rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0)
+        nu = eA + math.sqrt(mass * mass + mu * mu)
+        points = rng.uniform(-3.0, 3.0, size=(int(rng.integers(1, 9)), 4))
+        a, e = PlaneWave(nu, mu, mass, eA).potential()
+        m = mass_term(mass)
+        for shift in (0.0, rng.uniform(-0.5, 0.5)):
+            wave = plane_wave_solution(nu + shift, mu, mass, eA)
+            for h in (1e-5, 0.05):
+                for rep in (residual(wave, a, e, m, points, h=h),
+                            residual(transform_wave(wave), tachyon_quaternion(a), e,
+                                     tachyon_quaternion(m), points, h=h,
+                                     operator=dashed_operator)):
+                    digest.update(struct.pack("<2d", rep.fd, rep.analytic))
+    assert digest.hexdigest() == RESIDUAL_DIGEST
 
 
 class TestDeBroglie:

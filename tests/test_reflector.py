@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import ARC_UNITS, BARE_UNITS, analytic, central_difference, scalar_lhs
+from conftest import ARC_UNITS, BARE_UNITS, analytic, central_difference, component, scalar_lhs
 
 from circledirac import (
     Biquaternion,
@@ -14,7 +14,7 @@ from circledirac import (
     sandwich,
     unit_reflector,
 )
-from circledirac.planewave import ExpWave, WaveFunction, _central_difference
+from circledirac.planewave import WaveFunction, _central_difference
 from circledirac.reflector import (
     ARC_TIME_UNITS,
     dirac_lhs_array,
@@ -160,10 +160,10 @@ class TestDiracSides:
 
     def test_constant_wave_zero_potential(self):
         c = Biquaternion(0.5, 1.0, -2.0, 0.25)
-        constant = ExpWave(c, np.zeros(4))
-        phi = np.array((c.coeffs, c.coeffs))
-        d_phi = np.stack((_central_difference(constant, np.zeros((1, 4)), 1e-4)[0],) * 2, axis=-2)
-        out = dirac_lhs_array(ARC_TIME_UNITS, unit_reflector(Biquaternion()), 1.0, phi, d_phi)
+        constant = WaveFunction((c.coeffs, c.coeffs), np.zeros(4))
+        d_phi = _central_difference(constant, np.zeros((1, 4)), 1e-4)[0]
+        out = dirac_lhs_array(ARC_TIME_UNITS, unit_reflector(Biquaternion()), 1.0,
+                              constant.prefactor, d_phi)
         assert np.abs(out).max() < 1e-11
 
     def test_rhs_zero_wave(self):
@@ -215,10 +215,10 @@ class TestArrayAssembly:
         rng = np.random.default_rng(44)
         for _ in range(20):
             k = rng.uniform(-2, 2, size=4)
-            wave = WaveFunction(ExpWave(rand_bq(rng), k), ExpWave(rand_bq(rng), k))
+            wave = WaveFunction((rand_bq(rng).coeffs, rand_bq(rng).coeffs), k)
             a, e, point = rand_bq(rng), rng.uniform(-1, 1), rng.uniform(-2, 2, size=4)
-            phi = np.array([f(point).coeffs for f in (wave.phi1, wave.phi2)])
-            d_phi = np.array([[deriv(f, point, mu).coeffs for f in (wave.phi1, wave.phi2)]
+            phi = np.array([component(wave, j, point).coeffs for j in (0, 1)])
+            d_phi = np.array([[deriv(wave, j, point, mu).coeffs for j in (0, 1)]
                               for mu in range(4)])
             units = np.array([unit_reflector(u) for u in operator])
             out = dirac_lhs_array(units, unit_reflector(a), e, phi, d_phi)
@@ -234,11 +234,13 @@ class TestArrayAssembly:
 
     def test_batch_central_difference_matches_scalar(self):
         rng = np.random.default_rng(46)
-        c = rand_bq(rng)
-        component = ExpWave(c, rng.uniform(-2, 2, size=4))
+        wave = WaveFunction((rand_bq(rng).coeffs, rand_bq(rng).coeffs), rng.uniform(-2, 2, size=4))
         points = rng.uniform(-2, 2, size=(5, 4))
-        out, reference = _central_difference(component, points, 0.01), central_difference(0.01)
+        out, reference = _central_difference(wave, points, 0.01), central_difference(0.01)
+        assert out.shape == (5, 4, 2, 4)
         for n, p in enumerate(points):
             for mu in range(4):
-                assert Biquaternion(*out[n, mu]).max_abs_diff(reference(component, p, mu)) <= 1e-12
+                for j in (0, 1):
+                    block = Biquaternion(*out[n, mu, j])
+                    assert block.max_abs_diff(reference(wave, j, p, mu)) <= 1e-12
 
