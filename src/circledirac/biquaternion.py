@@ -24,11 +24,12 @@ With that convention ``embed(X).norm_form()`` is the Minkowski form
 
 Array layout
 ------------
-:func:`array_mul`, :func:`array_conj`, :func:`array_norm_form`,
-:func:`array_embed` and :func:`array_to_matrix` act on numpy complex
-arrays of shape ``(..., 4)`` holding c0..c3 in the last axis, and
-broadcast over the leading axes, so a batch of points is one call.  They
-follow the same formulas, term for term, as :class:`Biquaternion`.
+The algebra is written once, on numpy complex arrays of shape ``(..., 4)``
+holding c0..c3 in the last axis: :func:`array_mul`, :func:`array_conj`,
+:func:`array_norm_form`, :func:`array_embed` and :func:`array_to_matrix`
+broadcast over the leading axes, so a batch of points is one call.  A
+:class:`Biquaternion` is a read-only view of one ``(4,)`` array whose product,
+conjugate and norm form are these kernels; scalars act in Python's arithmetic.
 """
 
 from __future__ import annotations
@@ -58,26 +59,39 @@ __all__ = [
 
 
 class Biquaternion:
-    """A quaternion with complex coefficients c0..c3 of i_0..i_3."""
+    """A quaternion with complex coefficients c0..c3 of i_0..i_3, read-only."""
 
-    __slots__ = ("c0", "c1", "c2", "c3")
+    __slots__ = ("_coeffs",)
+    __array_ufunc__ = None   # numpy's operators refuse it instead of broadcasting it
 
     def __init__(self, c0=0.0, c1=0.0, c2=0.0, c3=0.0):
-        self.c0 = complex(c0)
-        self.c1 = complex(c1)
-        self.c2 = complex(c2)
-        self.c3 = complex(c3)
+        a = np.array((complex(c0), complex(c1), complex(c2), complex(c3)))
+        a.flags.writeable = False
+        object.__setattr__(self, "_coeffs", a)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Biquaternion is read-only")
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._coeffs, dtype=dtype, copy=copy)
+
+    def __reduce__(self):
+        return Biquaternion, self.coeffs
 
     @property
     def coeffs(self) -> tuple[complex, complex, complex, complex]:
-        return (self.c0, self.c1, self.c2, self.c3)
+        return tuple(self._coeffs.tolist())
+
+    c0 = property(lambda self: self._coeffs.item(0))
+    c1 = property(lambda self: self._coeffs.item(1))
+    c2 = property(lambda self: self._coeffs.item(2))
+    c3 = property(lambda self: self._coeffs.item(3))
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Biquaternion):
-            return Biquaternion(self.c0 + other.c0, self.c1 + other.c1,
-                                self.c2 + other.c2, self.c3 + other.c3)
+            return Biquaternion(*(self._coeffs + other._coeffs))
         if isinstance(other, _ComplexABC):
             return Biquaternion(self.c0 + other, self.c1, self.c2, self.c3)
         return NotImplemented
@@ -86,8 +100,7 @@ class Biquaternion:
 
     def __sub__(self, other):
         if isinstance(other, Biquaternion):
-            return Biquaternion(self.c0 - other.c0, self.c1 - other.c1,
-                                self.c2 - other.c2, self.c3 - other.c3)
+            return Biquaternion(*(self._coeffs - other._coeffs))
         if isinstance(other, _ComplexABC):
             return Biquaternion(self.c0 - other, self.c1, self.c2, self.c3)
         return NotImplemented
@@ -102,30 +115,20 @@ class Biquaternion:
 
     def __mul__(self, other):
         if isinstance(other, Biquaternion):
-            a0, a1, a2, a3 = self.coeffs
-            b0, b1, b2, b3 = other.coeffs
-            return Biquaternion(
-                a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-                a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-                a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-                a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-            )
+            return Biquaternion(*array_mul(self, other))
         if isinstance(other, _ComplexABC):
-            return Biquaternion(self.c0 * other, self.c1 * other,
-                                self.c2 * other, self.c3 * other)
+            return Biquaternion(*(c * other for c in self.coeffs))
         return NotImplemented
 
     def __rmul__(self, other):
         # complex scalars commute with everything
         if isinstance(other, _ComplexABC):
-            return Biquaternion(other * self.c0, other * self.c1,
-                                other * self.c2, other * self.c3)
+            return Biquaternion(*(other * c for c in self.coeffs))
         return NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, _ComplexABC):
-            return Biquaternion(self.c0 / other, self.c1 / other,
-                                self.c2 / other, self.c3 / other)
+            return Biquaternion(*(c / other for c in self.coeffs))
         return NotImplemented
 
     # -- conjugation and norm --------------------------------------------
@@ -133,11 +136,11 @@ class Biquaternion:
     @property
     def conj(self) -> "Biquaternion":
         """Quaternion conjugate: i_0 fixed, i_1..i_3 negated."""
-        return Biquaternion(self.c0, -self.c1, -self.c2, -self.c3)
+        return Biquaternion(*array_conj(self))
 
     def norm_form(self) -> complex:
         """The scalar a * conj(a) = c0^2 + c1^2 + c2^2 + c3^2 (complex)."""
-        return self.c0 * self.c0 + self.c1 * self.c1 + self.c2 * self.c2 + self.c3 * self.c3
+        return complex(array_norm_form(self))
 
     # -- structure helpers -------------------------------------------------
 
@@ -149,7 +152,7 @@ class Biquaternion:
 
     def to_matrix(self) -> np.ndarray:
         """Faithful 2x2 complex matrix representation, i_r -> -i sigma_r."""
-        return array_to_matrix(np.array(self.coeffs))
+        return array_to_matrix(self)
 
     # -- value semantics ---------------------------------------------------
 
@@ -194,10 +197,7 @@ class FourVector:
 
 
 def array_mul(a, b) -> np.ndarray:
-    """Broadcasting product of ``(..., 4)`` coefficient arrays.
-
-    The terms are those of :meth:`Biquaternion.__mul__`, in the same order.
-    """
+    """Broadcasting product of ``(..., 4)`` coefficient arrays."""
     a, b = np.asarray(a), np.asarray(b)
     a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
@@ -219,7 +219,7 @@ def array_conj(a) -> np.ndarray:
 
 
 def array_norm_form(a) -> np.ndarray:
-    """:meth:`Biquaternion.norm_form` of ``(..., 4)`` arrays: c0^2 + c1^2 + c2^2 + c3^2."""
+    """The norm form of ``(..., 4)`` arrays: c0^2 + c1^2 + c2^2 + c3^2."""
     a = np.asarray(a)
     a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     return a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
@@ -254,12 +254,18 @@ def embed(x: FourVector | Iterable[float]) -> Biquaternion:
 _SLICE_TOL = 1e-10   # how far unembed's input may lie off the embedded slice
 
 
-def unembed(b: Biquaternion) -> FourVector:
+def unembed(b: Biquaternion | np.ndarray) -> FourVector:
     """Inverse of :func:`embed`; rejects biquaternions off the embedded slice."""
+    c = np.asarray(b)
     # numpy's max keeps a NaN where Python's max and > would both skip it
-    off = np.abs((b.c0.real, b.c1.imag, b.c2.imag, b.c3.imag)).max()
+    off = np.abs((c[0].real, *c[1:].imag)).max()
     if not off <= _SLICE_TOL:
         raise ValueError(
             f"biquaternion is not the embedding of a real four-vector (off-slice {off:.3e})"
         )
-    return FourVector(-b.c0.imag, b.c1.real, b.c2.real, b.c3.real)
+    return FourVector(-c[0].imag.item(), *c[1:].real.tolist())
+
+
+def _like(x, coeffs):
+    """``coeffs`` as a :class:`Biquaternion` when ``x`` is one, else the array itself."""
+    return Biquaternion(*coeffs) if isinstance(x, Biquaternion) else coeffs

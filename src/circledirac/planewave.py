@@ -130,7 +130,7 @@ def plane_wave_solution(nu: float, mu: float, mass: float, eA: float = 0.0) -> W
     positive_mass(mass)
     # ((nu - eA)*i_0 - i*mu*i_1) * inverse(-i*mass), inverse = i/mass
     c2 = Biquaternion(1j * (nu - eA) / mass, mu / mass)
-    return WaveFunction((I0.coeffs, c2.coeffs), (-nu, mu, 0.0, 0.0))
+    return WaveFunction((I0, c2), (-nu, mu, 0.0, 0.0))
 
 
 def free_solution(mass: float) -> WaveFunction:
@@ -165,9 +165,9 @@ def _central_difference(wave: WaveFunction, points: np.ndarray, h: float) -> np.
 
 
 def residual(wave: WaveFunction,
-             a_pot: Biquaternion,
+             a_pot: Biquaternion | np.ndarray,
              e: float,
-             m: Biquaternion,
+             m: Biquaternion | np.ndarray,
              points: Sequence[np.ndarray],
              h: float = 1e-5,
              operator: np.ndarray = ARC_TIME_UNITS) -> ResidualReport:
@@ -193,7 +193,7 @@ def residual(wave: WaveFunction,
     d_phi = np.stack((_central_difference(wave, p, h),
                       (1j * wave.k)[:, None, None] * phi[..., None, :, :]))
     lhs = dirac_lhs_array(operator, unit_reflector(a_pot), e, phi, d_phi)
-    worst = np.abs(lhs - dirac_rhs_array(phi, m.coeffs)).max(axis=(1, 2, 3))
+    worst = np.abs(lhs - dirac_rhs_array(phi, m)).max(axis=(1, 2, 3))
     return ResidualReport(fd=float(worst[0]), analytic=float(worst[1]))
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .biquaternion import Biquaternion, I0, I1, I2, I3, array_conj, array_mul, array_norm_form
+from .biquaternion import Biquaternion, I0, I1, I2, I3, _like, array_conj, array_mul, array_norm_form
 from .errors import NonUnitRotor, require
 
 __all__ = [
@@ -55,9 +55,9 @@ def reflector_mul_array(a, b) -> np.ndarray:
     return array_mul(a, np.asarray(b)[..., ::-1, :])
 
 
-def unit_reflector(u: Biquaternion) -> np.ndarray:
+def unit_reflector(u: Biquaternion | np.ndarray) -> np.ndarray:
     """The ``(2, 4)`` reflector (u, conj(u)) carried by a basis unit or operator symbol."""
-    return np.array((u.coeffs, u.conj.coeffs), dtype=complex)
+    return np.array((np.asarray(u, dtype=complex), array_conj(u)))
 
 
 # -- rotor sandwich ------------------------------------------------------
@@ -68,20 +68,17 @@ _UNIT_TOL = 1e-12   # how far a rotor's norm form may lie from 1
 def sandwich(r, x):
     """Same-factor rotor sandwich r*x*r, the one place the library writes it.
 
-    For a biquaternion x the result is r*x*r.  x, or the rotor r, may
-    also be a ``(..., 4)`` coefficient array (rotors broadcast against
-    x); the result is then an array.  A rotor whose norm form is not 1
+    r and x are each a :class:`Biquaternion` or a ``(..., 4)`` coefficient
+    array, rotors broadcast against x, and the result has the type of x.
+    Both products are ``array_mul``.  A rotor whose norm form is not 1
     raises :class:`NonUnitRotor`, naming the first such row.
     """
-    n = r.norm_form() if isinstance(r, Biquaternion) else array_norm_form(r)
+    n = array_norm_form(r)
     require(np.abs(n - 1.0) <= _UNIT_TOL, NonUnitRotor,
             f"rotor norm form {{n}} differs from 1 by more than {_UNIT_TOL}", n=n)
-    if isinstance(x, Biquaternion) and isinstance(r, Biquaternion):
-        return r * x * r
-    if not isinstance(x, Biquaternion) and np.shape(x)[-1:] != (4,):
+    if np.shape(x)[-1:] != (4,):
         raise TypeError(f"cannot sandwich object of type {type(x).__name__}")
-    r, x = (np.asarray(v.coeffs if isinstance(v, Biquaternion) else v) for v in (r, x))
-    return array_mul(array_mul(r, x), r)
+    return _like(x, array_mul(array_mul(r, x), r))
 
 
 # -- the Dirac system ----------------------------------------------------

@@ -17,12 +17,12 @@ eta' = mu, mu' = eta, and the arc-form dot product eta*ds0 + mu*ds1 is
 invariant under them.
 
 :func:`component_map`, :func:`tachyon_quaternion` and :func:`tachyon_double`
-take a :class:`Biquaternion` or a ``(..., 4)`` coefficient array (see
-:func:`~circledirac.biquaternion.array_mul`), so a batch is one call.
-Every rotor product is :func:`~circledirac.reflector.sandwich`: the dashed
-mass and potential are :func:`tachyon_quaternion` of the undashed ones, and
-:func:`transform_wave` is one sandwich of the wave's ``(2, 4)`` prefactor
-with the rotor pair (r, conj(r)).
+work on the ``(..., 4)`` coefficient array of their argument, so a batch is
+one call, and return the type they were given.  Every rotor product is
+:func:`~circledirac.reflector.sandwich`: the dashed mass and potential are
+:func:`tachyon_quaternion` of the undashed ones, and :func:`transform_wave`
+is one sandwich of the wave's ``(2, 4)`` prefactor with the rotor pair
+(r, conj(r)).
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biquaternion import Biquaternion, FourVector, I1, array_conj, embed, unembed
+from .biquaternion import Biquaternion, FourVector, I1, _like, array_conj, embed, unembed
 from .errors import ZeroArcElement
-from .reflector import _operator_array, sandwich
+from .reflector import _operator_array, sandwich, unit_reflector
 from .planewave import WaveFunction
 
 __all__ = [
@@ -62,10 +62,8 @@ _ROTOR = Biquaternion(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
 def component_map(x: Biquaternion | np.ndarray) -> Biquaternion | np.ndarray:
     """The transformation written on coefficients: (c0, c1) -> (-c1, c0)."""
     sign = -1.0 if os.environ.get(FAULT_ENV, "") == "tachyon-sign" else 1.0
-    if isinstance(x, Biquaternion):
-        return Biquaternion(-x.c1, sign * x.c0, x.c2, x.c3)
-    x = np.asarray(x)
-    return np.stack((-x[..., 1], sign * x[..., 0], x[..., 2], x[..., 3]), axis=-1)
+    c = np.asarray(x)
+    return _like(x, np.stack((-c[..., 1], sign * c[..., 0], c[..., 2], c[..., 3]), axis=-1))
 
 
 def tachyon_quaternion(x: Biquaternion | np.ndarray) -> Biquaternion | np.ndarray:
@@ -128,8 +126,7 @@ def transform_wave(wave: WaveFunction) -> WaveFunction:
     diagonal-rotor action on the wave reflector; the phase in dashed
     coordinates swaps the wavevector's first two components.
     """
-    rotors = np.array((_ROTOR.coeffs, _ROTOR.conj.coeffs))
-    return WaveFunction(sandwich(rotors, wave.prefactor), wave.k[[1, 0, 2, 3]])
+    return WaveFunction(sandwich(unit_reflector(_ROTOR), wave.prefactor), wave.k[[1, 0, 2, 3]])
 
 
 def transform_operator(units) -> np.ndarray:

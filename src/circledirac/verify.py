@@ -122,10 +122,10 @@ def suite_algebra(rng: np.random.Generator) -> Iterator[CaseResult]:
     right = array_mul(a, array_mul(b, c))
     yield _case("mul-associative", _row_rel(left - right, left), 1e-14)
 
-    units = np.array([I1.coeffs, I2.coeffs, I3.coeffs])
+    units = np.array([I1, I2, I3])
     products = array_mul(units[:, None], units[None, :])       # [r, s] = i_r i_s
     diag = np.arange(3)
-    squares = products[diag, diag] + np.array(ONE.coeffs)
+    squares = products[diag, diag] + np.asarray(ONE)
     anti = (products + products.swapaxes(0, 1))[~np.eye(3, dtype=bool)]
     yield _case("unit-anticommutation", np.abs(np.concatenate((squares, anti))), 0.0)
 
@@ -176,7 +176,7 @@ def suite_charts(rng: np.random.Generator) -> Iterator[CaseResult]:
     units = cs.rotated_basis_array(angles[:, 0], angles[:, 1])           # (100, 4, 2, 4)
     products = reflector_mul_array(units[:, :, None], units[:, None, :])  # [:, i, j] = u_i u_j
     diag = np.arange(4)
-    squares = products[:, diag, diag] - np.array((ONE.coeffs, ONE.coeffs))
+    squares = products[:, diag, diag] - np.array((ONE, ONE))
     i, j = np.triu_indices(4, 1)
     anti = products[:, i, j] + products[:, j, i]
     yield _case("rotated-basis-relations", np.abs(np.concatenate((squares, anti), axis=1)), 1e-13)

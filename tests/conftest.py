@@ -5,10 +5,12 @@ Make this checkout's ``src/`` importable by the subprocesses tests start:
 the CLI, acceptance and demo tests also run ``python -m circledirac`` or a
 demo script in a fresh interpreter, which reads ``PYTHONPATH`` instead.
 
-The reference helpers write both sides of the Dirac system out in scalar
-Biquaternion products, one point at a time, and take a wave's value from
-its prefactor and wavevector with ``cmath.exp``, so the array kernels and
-``WaveFunction.at`` are checked against code they do not share.
+The reference helpers write both sides of the Dirac system out in plain
+Python complex arithmetic on 4-tuples of coefficients, one point at a time,
+with their own biquaternion product :func:`mul`, and take a wave's value from
+its prefactor and wavevector with ``cmath.exp``, so the array kernels,
+``Biquaternion`` (whose product is ``array_mul``) and ``WaveFunction.at``
+are checked against code they do not share.
 """
 
 import ast
@@ -18,7 +20,7 @@ import pathlib
 
 import numpy as np
 
-from circledirac import I0, I1, I2, I3, Biquaternion
+from circledirac import I0, I1, I2, I3
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
@@ -34,43 +36,84 @@ def perfbench_literal(filename, name):
     raise AssertionError(f"perfbench/{filename} defines no {name}")
 
 
+def coeffs(x):
+    """The four coefficients of a Biquaternion, a ``(4,)`` array or a sequence, as Python complex."""
+    return tuple(np.asarray(x, dtype=complex).tolist())
+
+
+def mul(a, b):
+    """The biquaternion product in plain Python complex arithmetic, as a 4-tuple."""
+    a0, a1, a2, a3 = coeffs(a)
+    b0, b1, b2, b3 = coeffs(b)
+    return (
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+    )
+
+
+def conj(a):
+    """Quaternion conjugate of a 4-tuple: c1..c3 negated."""
+    a0, a1, a2, a3 = coeffs(a)
+    return (a0, -a1, -a2, -a3)
+
+
+def add(a, b):
+    return tuple(x + y for x, y in zip(coeffs(a), coeffs(b)))
+
+
+def sub(a, b):
+    return tuple(x - y for x, y in zip(coeffs(a), coeffs(b)))
+
+
+def scale(s, a):
+    """The complex scalar s times each coefficient of a."""
+    return tuple(s * c for c in coeffs(a))
+
+
+def max_abs_diff(a, b):
+    return max(abs(d) for d in sub(a, b))
+
+
 def component(wave, j, point):
     """Component j of the wave at one point, prefactor_j * exp(i k.x), in plain Python."""
     phase = cmath.exp(1j * sum(float(k) * float(x) for k, x in zip(wave.k, point)))
-    return Biquaternion(*wave.prefactor[j]) * phase
+    return tuple(c * phase for c in coeffs(wave.prefactor[j]))
 
 
 def analytic(wave, j, point, mu):
     """d phi_j/d x_mu at one point from the closed form i k_mu phi_j."""
-    return (1j * float(wave.k[mu])) * component(wave, j, point)
+    return scale(1j * float(wave.k[mu]), component(wave, j, point))
 
 
 def central_difference(h):
     """d phi_j/d x_mu at one point as (phi_j(p + h e_mu) - phi_j(p - h e_mu))/(2h)."""
     def deriv(wave, j, point, mu):
         step = h * np.eye(4)[mu]
-        return (component(wave, j, point + step) - component(wave, j, point - step)) / (2.0 * h)
+        diff = sub(component(wave, j, point + step), component(wave, j, point - step))
+        return tuple(d / (2.0 * h) for d in diff)
     return deriv
 
 
-# the upper-block units of the arc-time operator and of plain charts, as Biquaternions
-ARC_UNITS = (1j * I0, I1, I2, I3)
-BARE_UNITS = (I0, I1, I2, I3)
+# the upper-block units of the arc-time operator and of plain charts, as 4-tuples
+ARC_UNITS = ((1j * I0).coeffs, I1.coeffs, I2.coeffs, I3.coeffs)
+BARE_UNITS = (I0.coeffs, I1.coeffs, I2.coeffs, I3.coeffs)
 
 
 def scalar_lhs(units, deriv, a_pot, e, wave, point):
-    """Reference (D - i e A) Phi in scalar Biquaternion products: the pair (upper, lower)."""
-    upper = Biquaternion()
-    lower = Biquaternion()
+    """Reference (D - i e A) Phi in plain Python products: the pair (upper, lower)."""
+    upper = lower = (0j,) * 4
     for mu, u in enumerate(units):
-        upper = upper + u * deriv(wave, 1, point, mu)
-        lower = lower + u.conj * deriv(wave, 0, point, mu)
+        upper = add(upper, mul(u, deriv(wave, 1, point, mu)))
+        lower = add(lower, mul(conj(u), deriv(wave, 0, point, mu)))
     ie = 1j * e
-    upper = upper - ie * (a_pot * component(wave, 1, point))
-    lower = lower - ie * (a_pot.conj * component(wave, 0, point))
+    upper = sub(upper, scale(ie, mul(a_pot, component(wave, 1, point))))
+    lower = sub(lower, scale(ie, mul(conj(a_pot), component(wave, 0, point))))
     return upper, lower
 
 
 def scalar_rhs(wave, m, point):
     """Reference Phi M with M = (m, -conj(m)): the pair (-phi1 conj(m), phi2 m)."""
-    return -(component(wave, 0, point) * m.conj), component(wave, 1, point) * m
+    return (tuple(-c for c in mul(component(wave, 0, point), conj(m))),
+            mul(component(wave, 1, point), m))

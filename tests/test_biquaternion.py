@@ -1,7 +1,10 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
+from conftest import conj, mul
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,13 +16,22 @@ from circledirac import (
     I2,
     I3,
     ONE,
+    PlaneWave,
     array_conj,
     array_embed,
     array_mul,
     array_norm_form,
     array_to_matrix,
+    bound_solution,
+    component_map,
     embed,
+    mass_term,
+    residual,
+    sandwich,
+    tachyon_double,
+    tachyon_quaternion,
     unembed,
+    unit_reflector,
 )
 
 finite = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
@@ -178,7 +190,7 @@ def test_scalar_arithmetic():
 
 
 class TestArrayCore:
-    """The (..., 4) array product and conjugate against the scalar class."""
+    """The (..., 4) array kernels against the plain-Python reference of conftest."""
 
     def test_product_matches_scalar(self):
         rng = np.random.default_rng(41)
@@ -187,7 +199,7 @@ class TestArrayCore:
         out = array_mul(a, b)
         for x, y, z in zip(a, b, out):
             # numpy may fuse multiply-adds, so agreement is to rounding, not bits
-            ref = Biquaternion(*x) * Biquaternion(*y)
+            ref = Biquaternion(*mul(x, y))
             assert ref.max_abs_diff(Biquaternion(*z)) <= 1e-14
 
     def test_unit_table_exact(self):
@@ -195,7 +207,7 @@ class TestArrayCore:
         table = array_mul(units[:, None, :], units[None, :, :])
         for i, u in enumerate((I0, I1, I2, I3)):
             for j, v in enumerate((I0, I1, I2, I3)):
-                assert Biquaternion(*table[i, j]) == u * v
+                assert Biquaternion(*table[i, j]) == Biquaternion(*mul(u, v))
 
     def test_broadcasts_over_leading_axes(self):
         rng = np.random.default_rng(42)
@@ -210,7 +222,7 @@ class TestArrayCore:
         a = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
         out = array_conj(a)
         for x, z in zip(a, out):
-            assert Biquaternion(*z) == Biquaternion(*x).conj
+            assert Biquaternion(*z) == Biquaternion(*conj(x))
         assert np.array_equal(array_conj(out), a)
 
     def test_norm_form_matches_scalar(self):
@@ -220,7 +232,7 @@ class TestArrayCore:
         assert out.shape == (100,)
         for x, n in zip(a, out):
             # fused multiply-adds again: agreement to rounding
-            assert abs(n - Biquaternion(*x).norm_form()) <= 1e-14 * max(1.0, abs(n))
+            assert abs(n - mul(x, conj(x))[0]) <= 1e-14 * max(1.0, abs(n))
 
     def test_embed_matches_scalar_exactly(self):
         rng = np.random.default_rng(45)
@@ -247,3 +259,83 @@ class TestArrayCore:
             c0, c1, c2, c3 = b.coeffs
             assert np.array_equal(m, [[c0 - 1j * c3, -1j * c1 - c2], [-1j * c1 + c2, c0 + 1j * c3]])
             assert np.array_equal(b.to_matrix(), m)
+
+
+class TestReadOnlyView:
+    """A Biquaternion is a read-only view of one (4,) complex array."""
+
+    @pytest.mark.parametrize("name", ["c0", "c1", "c2", "c3", "coeffs", "other"])
+    def test_attribute_assignment_raises(self, name):
+        b = Biquaternion(1.0, 2.0)
+        with pytest.raises(AttributeError):
+            setattr(b, name, 2.0)
+        assert b.coeffs == (1.0, 2.0, 0.0, 0.0)
+
+    def test_array_is_read_only(self):
+        b = Biquaternion(1.0, 2.0)
+        with pytest.raises(ValueError, match="read-only"):
+            np.asarray(b)[1] = 5.0
+        assert b.c1 == 2.0
+
+    def test_units_survive_a_write_attempt(self):
+        with pytest.raises(AttributeError):
+            I1.c1 = 2.0
+        x = Biquaternion(1.0, 2.0, 3.0, 4.0)
+        assert tachyon_double(x) == Biquaternion(-1.0, -2.0, 3.0, 4.0)
+
+    def test_value_semantics(self):
+        assert len({Biquaternion(0.0), Biquaternion(-0.0)}) == 1
+        assert Biquaternion(1) == Biquaternion(1 + 0j)
+        b = Biquaternion(1, 2j, -0.5, 3 + 4j)
+        assert repr(b) == "Biquaternion((1+0j), 2j, (-0.5+0j), (3+4j))"
+        assert [type(c) for c in (*b.coeffs, b.c0, b.c1, b.c2, b.c3)] == [complex] * 8
+        assert copy.deepcopy(b) == b == pickle.loads(pickle.dumps(b))
+
+    def test_numpy_sees_the_array(self):
+        assert np.array([I1, I2]).shape == (2, 4)
+        assert np.array_equal(np.array([I1, I2]), [I1.coeffs, I2.coeffs])
+        with pytest.raises(TypeError):
+            np.ones(4) * I1
+        with pytest.raises(TypeError):
+            I1 + np.ones(4)
+
+
+# an off-slice value with every coefficient inexact, and a unit rotor of the (0, 1) plane
+X = Biquaternion(0.3 - 1j, 1.5 + 0.1j, -2j, 0.25 + 0.5j)
+ROTOR = Biquaternion(0.8, 0.6)
+
+
+class TestEitherRepresentation:
+    """Each boundary takes a Biquaternion or its (4,) array and gives the same bits."""
+
+    @pytest.mark.parametrize("fn", [component_map, tachyon_quaternion, tachyon_double,
+                                    lambda x: sandwich(ROTOR, x),
+                                    lambda x: sandwich(np.array(ROTOR.coeffs), x)],
+                             ids=["component_map", "tachyon_quaternion", "tachyon_double",
+                                  "sandwich", "sandwich-array-rotor"])
+    def test_result_has_the_type_given(self, fn):
+        out, out_array = fn(X), fn(np.array(X.coeffs))
+        assert type(out) is Biquaternion and type(out_array) is np.ndarray
+        assert np.asarray(out).tobytes() == out_array.tobytes()
+
+    def test_sandwich_rotor_either_way(self):
+        assert sandwich(np.array(ROTOR.coeffs), X) == sandwich(ROTOR, X)
+
+    def test_unit_reflector(self):
+        out = unit_reflector(X)
+        assert out.tobytes() == unit_reflector(np.array(X.coeffs)).tobytes()
+        assert out.tobytes() == np.array([X.coeffs, X.conj.coeffs]).tobytes()
+
+    def test_unembed(self):
+        b = embed((0.4, -1.2, 0.7, 2.0))
+        assert unembed(b) == unembed(np.array(b.coeffs)) == FourVector(0.4, -1.2, 0.7, 2.0)
+        assert [type(v) for v in unembed(np.array(b.coeffs))] == [float] * 4
+
+    def test_residual_potential_and_mass(self):
+        pw = PlaneWave(nu=1.35, mu=0.75, mass=1.0, eA=0.1)
+        wave, (a, e), m = bound_solution(pw), pw.potential(), mass_term(pw.mass)
+        points = np.random.default_rng(12).uniform(-2.0, 2.0, size=(10, 4))
+        ref = residual(wave, a, e, m, points)
+        for a_pot, mass in ((np.array(a.coeffs), m), (a, np.array(m.coeffs)),
+                            (np.asarray(a), np.asarray(m))):
+            assert residual(wave, a_pot, e, mass, points) == ref

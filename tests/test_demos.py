@@ -1,4 +1,5 @@
-"""Every demo runs to completion as a script and prints its pinned output."""
+"""Every demo runs to completion as a script and prints its pinned output, as numpy is set up
+and under its baseline kernels (no dispatched SIMD, so no fused multiply-adds)."""
 
 import hashlib
 import os
@@ -8,6 +9,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -23,18 +25,32 @@ DIGESTS = {
 }
 
 
-def _run(demo):
+# numpy runs its baseline loops when every dispatch target is disabled
+BASELINE_KERNELS = {"NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__)}
+
+
+def _run(demo, extra_env=None):
     env = dict(os.environ)
     env.pop("CIRCLEDIRAC_FAULT", None)
+    env.update(extra_env or {})
     return subprocess.run([sys.executable, str(demo)], capture_output=True, env=env, cwd=ROOT,
                           timeout=120)
 
 
-@pytest.fixture(scope="module")
-def demo_runs():
+def _run_all(extra_env=None):
     """Each demo, two at a time: start-up (mostly importing numpy) dominates."""
     with ThreadPoolExecutor(max_workers=2) as pool:
-        return dict(zip(DEMOS, pool.map(_run, DEMOS)))
+        return dict(zip(DEMOS, pool.map(lambda demo: _run(demo, extra_env), DEMOS)))
+
+
+@pytest.fixture(scope="module")
+def demo_runs():
+    return _run_all()
+
+
+@pytest.fixture(scope="module")
+def baseline_runs():
+    return _run_all(BASELINE_KERNELS)
 
 
 def test_demos_found():
@@ -44,6 +60,14 @@ def test_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo, demo_runs):
     proc = demo_runs[demo]
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert b"Traceback" not in proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == DIGESTS[demo.name]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_digest_under_baseline_kernels(demo, baseline_runs):
+    proc = baseline_runs[demo]
     assert proc.returncode == 0, proc.stderr.decode()
     assert b"Traceback" not in proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == DIGESTS[demo.name]

@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import ARC_UNITS, analytic, central_difference, scalar_lhs, scalar_rhs
+from conftest import ARC_UNITS, analytic, central_difference, max_abs_diff, scalar_lhs, scalar_rhs
 
 from circledirac import (
     Biquaternion,
@@ -116,7 +116,7 @@ OFF_SHELL = plane_wave_solution(PW.nu + 0.1, PW.mu, PW.mass)
 def pointwise(wave, deriv, points):
     """Reference: the worst scalar (D - i e A) Phi - Phi M over the points, one at a time."""
     a, e, m = _args(PW)
-    return max(left.max_abs_diff(right) for p in points for left, right in
+    return max(max_abs_diff(left, right) for p in points for left, right in
                zip(scalar_lhs(ARC_UNITS, deriv, a, e, wave, p), scalar_rhs(wave, m, p)))
 
 
