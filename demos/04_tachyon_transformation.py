@@ -9,7 +9,6 @@ import math
 import numpy as np
 
 from circledirac import (
-    FourVector,
     PlaneWave,
     bound_solution,
     component_map,
@@ -20,18 +19,19 @@ from circledirac import (
     residual,
     tachyon_double,
     tachyon_fourvector,
-    tachyon_fourvector_double,
     tachyon_quaternion,
+    unembed,
 )
 from circledirac.reflector import ARC_TIME_UNITS
 from circledirac.tachyon import transform_operator, transform_wave
 
 print("On stored-real four-vectors the transformation swaps the temporal")
 print("and first spatial components:")
-x = FourVector(1.0, 2.0, 3.0, 4.0)
-print("  x        =", tuple(x))
-print("  dashed x =", tuple(tachyon_fourvector(x)))
-print("  twice    =", tuple(tachyon_fourvector_double(x)), " (half turn in the (0,1) plane)")
+x = np.array([1.0, 2.0, 3.0, 4.0])
+print("  x        =", tuple(x.tolist()))
+print("  dashed x =", tuple(tachyon_fourvector(x).tolist()))
+print("  twice    =", tuple(unembed(tachyon_double(embed(x))).tolist()),
+      " (half turn in the (0,1) plane)")
 
 print("\nOn biquaternion coefficients it is the quarter turn (c0,c1) -> (-c1,c0),")
 print("realised by the rotor sandwich with (1 + i1)/sqrt(2):")

@@ -13,14 +13,16 @@ Tilde convention
 ----------------
 Temporal-like quantities (potentials A_0, masses, frequencies, arc
 coordinates) enter the algebra divided by i.  Throughout this library
-such quantities are STORED as their real physical values and the /i
-factor is inserted exactly once, by :func:`embed`, which maps a real
-four-vector (x0, x1, x2, x3) onto the biquaternion
+such quantities are STORED as their real physical values.  A stored-real
+four-vector is a float array ``(..., 4)`` holding (x0, x1, x2, x3), and the
+/i factor is inserted exactly once, by :func:`array_embed`, which maps it
+onto the biquaternion
 
-    -i*x0 * i_0 + x1 * i_1 + x2 * i_2 + x3 * i_3.
+    -i*x0 * i_0 + x1 * i_1 + x2 * i_2 + x3 * i_3;
 
-With that convention ``embed(X).norm_form()`` is the Minkowski form
--x0^2 + x1^2 + x2^2 + x3^2.
+:func:`embed` is that map for one four-vector, and :func:`unembed` its
+inverse.  With that convention ``embed(x).norm_form()`` is the Minkowski
+form -x0^2 + x1^2 + x2^2 + x3^2.
 
 Array layout
 ------------
@@ -34,15 +36,12 @@ conjugate and norm form are these kernels; scalars act in Python's arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from numbers import Complex as _ComplexABC
-from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "Biquaternion",
-    "FourVector",
     "ONE",
     "I0",
     "I1",
@@ -175,27 +174,6 @@ I2 = Biquaternion(0.0, 0.0, 1.0)
 I3 = Biquaternion(0.0, 0.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class FourVector:
-    """A real four-vector in natural units (hbar = c = 1).
-
-    The components may also be numpy arrays of one shape, a batch of
-    four-vectors; :meth:`minkowski_form` then works elementwise.
-    """
-
-    x0: float
-    x1: float
-    x2: float
-    x3: float
-
-    def __iter__(self):
-        return iter((self.x0, self.x1, self.x2, self.x3))
-
-    def minkowski_form(self) -> float:
-        """-x0^2 + x1^2 + x2^2 + x3^2 (signature matching norm_form(embed))."""
-        return -self.x0 * self.x0 + self.x1 * self.x1 + self.x2 * self.x2 + self.x3 * self.x3
-
-
 def array_mul(a, b) -> np.ndarray:
     """Broadcasting product of ``(..., 4)`` coefficient arrays."""
     a, b = np.asarray(a), np.asarray(b)
@@ -237,33 +215,45 @@ def array_to_matrix(a) -> np.ndarray:
     return out
 
 
-def array_embed(x) -> np.ndarray:
-    """:func:`embed` of real four-vectors ``(..., 4)``: c0 = -i*x0, c1..c3 = x1..x3."""
+def _fourvectors(x) -> np.ndarray:
+    """``x`` as a float array of stored-real four-vectors ``(..., 4)``; any other shape raises."""
     x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (4,):
+        raise ValueError(f"four-vectors need shape (..., 4), got shape {x.shape}")
+    return x
+
+
+def array_embed(x) -> np.ndarray:
+    """The embedding of stored-real four-vectors ``(..., 4)``: c0 = -i*x0, c1..c3 = x1..x3."""
+    x = _fourvectors(x)
     out = x.astype(complex)
     out[..., 0] = -1j * x[..., 0]
     return out
 
 
-def embed(x: FourVector | Iterable[float]) -> Biquaternion:
-    """Embed a real four-vector, inserting the /i factor on the temporal slot."""
-    x0, x1, x2, x3 = x
-    return Biquaternion(-1j * x0, x1, x2, x3)
+def embed(x) -> Biquaternion:
+    """:func:`array_embed` of one real four-vector, as a :class:`Biquaternion`."""
+    c = array_embed(x)
+    if c.shape != (4,):
+        raise ValueError(f"embed needs one four-vector of shape (4,), got shape {c.shape}")
+    return Biquaternion(*c)
 
 
 _SLICE_TOL = 1e-10   # how far unembed's input may lie off the embedded slice
 
 
-def unembed(b: Biquaternion | np.ndarray) -> FourVector:
-    """Inverse of :func:`embed`; rejects biquaternions off the embedded slice."""
+def unembed(b: Biquaternion | np.ndarray) -> np.ndarray:
+    """Inverse of :func:`embed`: the ``(4,)`` float four-vector; rejects off-slice input."""
     c = np.asarray(b)
+    if c.shape != (4,):
+        raise ValueError(f"unembed needs one biquaternion of shape (4,), got shape {c.shape}")
     # numpy's max keeps a NaN where Python's max and > would both skip it
     off = np.abs((c[0].real, *c[1:].imag)).max()
     if not off <= _SLICE_TOL:
         raise ValueError(
             f"biquaternion is not the embedding of a real four-vector (off-slice {off:.3e})"
         )
-    return FourVector(-c[0].imag.item(), *c[1:].real.tolist())
+    return np.array((-c[0].imag, *c[1:].real))
 
 
 def _like(x, coeffs):

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
@@ -104,15 +105,27 @@ class SpaceChart:
         return value if type(value) is int else as_float
 
 
+_NORMAL_MIN = sys.float_info.min   # the least positive normal double
+
+
 def _hyperbolic_polar(x0: float, x3: float) -> tuple[float, float]:
-    """(r0, theta0) of a point in the x3 > |x0| wedge of the temporal plane."""
+    """(r0, theta0) of a point in the x3 > |x0| wedge of the temporal plane.
+
+    r0 is sqrt(x3^2 - x0^2) wherever that difference of squares is a
+    finite normal double; where it under- or overflows, inside the wedge,
+    r0 is x3*sqrt((1 - t)(1 + t)) with t = x0/x3.
+    """
     w = x3 * x3 - x0 * x0
-    if w <= 0.0 or x3 <= 0.0:
+    if not _NORMAL_MIN <= w < math.inf and x3 > abs(x0):
+        t = x0 / x3
+        r0 = x3 * math.sqrt((1.0 - t) * (1.0 + t))
+    elif w <= 0.0 or x3 <= 0.0:
         raise LightConePoint(
             f"temporal polar map undefined at (x0, x3) = ({x0}, {x3}); "
             "requires x3 > |x0|"
         )
-    r0 = math.sqrt(w)
+    else:
+        r0 = math.sqrt(w)
     return r0, math.asinh(x0 / r0)
 
 
@@ -294,9 +307,13 @@ def _chart_map_batch(c: np.ndarray, source: SpaceChart, target: SpaceChart) -> n
             raise _first_row_error(c, source, target) from None
         if target.kind in _TEMPORAL:
             w = x3 * x3 - x0 * x0
-            if np.any((w <= 0.0) | (x3 <= 0.0)):
+            scaled = (x3 > np.abs(x0)) & ~((w >= _NORMAL_MIN) & (w < math.inf))
+            if np.any(~scaled & ((w <= 0.0) | (x3 <= 0.0))):
                 raise _first_row_error(c, source, target)
             r0 = np.sqrt(w)
+            if scaled.any():
+                t = x0[scaled] / x3[scaled]
+                r0[scaled] = x3[scaled] * np.sqrt((1.0 - t) * (1.0 + t))
             x0, x3 = target.R0 * _mapped(math.asinh, x0 / r0), r0
         if target.kind in _SPATIAL:
             x1, x2 = target.R1 * _mapped(math.atan2, x1, x2), _mapped(math.hypot, x1, x2)

@@ -9,12 +9,15 @@ for x-type quantities and conj(r)*y*conj(r) for conjugated (y-dagger-type)
 quantities.  Applied twice it is the exact half turn in the (0, 1)
 coefficient plane, i.e. the sandwich with the composed rotor i_1.
 
-On stored-real four-vectors the transformation exchanges the temporal and
-first spatial components; the accumulated factors of -i live in the
-coefficient map, not in the real components.  The dashed-frame kinematic
-relations are plain exchanges in stored-real form: s0' = s1, s1' = s0,
-eta' = mu, mu' = eta, and the arc-form dot product eta*ds0 + mu*ds1 is
-invariant under them.
+On stored-real four-vectors, float arrays ``(..., 4)``, the transformation
+is :func:`tachyon_fourvector`, the exchange of the temporal and first
+spatial components; the accumulated factors of -i live in the coefficient
+map, not in the real components.  The dashed-frame kinematic relations are
+that exchange too: (s0', s1') and (eta', mu') are the first two slots of
+``tachyon_fourvector`` of (s0, s1, 0, 0) and of (eta, mu, 0, 0), and the
+arc-form dot product eta*ds0 + mu*ds1 is invariant under it.  The half turn
+(x0, x1) -> (-x0, -x1) of an embedded four-vector is
+``unembed(tachyon_double(embed(x)))``.
 
 :func:`component_map`, :func:`tachyon_quaternion` and :func:`tachyon_double`
 work on the ``(..., 4)`` coefficient array of their argument, so a batch is
@@ -29,22 +32,19 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
-from .biquaternion import Biquaternion, FourVector, I1, _like, array_conj, embed, unembed
+from .biquaternion import Biquaternion, I1, _fourvectors, _like, array_conj
 from .errors import ZeroArcElement
 from .reflector import _operator_array, sandwich, unit_reflector
 from .planewave import WaveFunction
 
 __all__ = [
-    "DashedKinematics",
     "component_map",
     "tachyon_quaternion",
     "tachyon_fourvector",
     "tachyon_double",
-    "tachyon_fourvector_double",
     "dashed_energy",
     "transform_wave",
     "transform_operator",
@@ -57,6 +57,7 @@ __all__ = [
 FAULT_ENV = "CIRCLEDIRAC_FAULT"
 
 _ROTOR = Biquaternion(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
+_EXCHANGE = [1, 0, 2, 3]   # the dashed order of the slots: temporal and first spatial swap
 
 
 def component_map(x: Biquaternion | np.ndarray) -> Biquaternion | np.ndarray:
@@ -71,38 +72,19 @@ def tachyon_quaternion(x: Biquaternion | np.ndarray) -> Biquaternion | np.ndarra
     return sandwich(_ROTOR, x)
 
 
-def tachyon_fourvector(x: FourVector) -> FourVector:
-    """Dashed-frame stored-real components: temporal and first spatial swap.
+def tachyon_fourvector(x) -> np.ndarray:
+    """Dashed-frame stored-real four-vectors ``(..., 4)``: temporal and first spatial swap.
 
     The dashed temporal slot carries what was the first spatial
     component and vice versa; the factors of -i absorbed by the
     stored-real convention are visible only in :func:`component_map`.
     """
-    return FourVector(x.x1, x.x0, x.x2, x.x3)
+    return _fourvectors(x)[..., _EXCHANGE]
 
 
 def tachyon_double(x: Biquaternion | np.ndarray) -> Biquaternion | np.ndarray:
     """Two applications, via the composed rotor i_1: exact (0,1) half turn."""
     return sandwich(I1, x)
-
-
-def tachyon_fourvector_double(x: FourVector) -> FourVector:
-    """Two applications on an embedded four-vector: (x0, x1) negate."""
-    return unembed(tachyon_double(embed(x)))
-
-
-@dataclass(frozen=True)
-class DashedKinematics:
-    """Stored-real dashed-frame coordinates and energy-momentum."""
-
-    s0d: float
-    s1d: float
-    etad: float
-    mud: float
-
-    @classmethod
-    def from_undashed(cls, s0: float, s1: float, eta: float, mu: float) -> "DashedKinematics":
-        return cls(s0d=s1, s1d=s0, etad=mu, mud=eta)
 
 
 def dashed_energy(ds0: float, ds1: float, eta: float, mu: float) -> float:
@@ -126,10 +108,11 @@ def transform_wave(wave: WaveFunction) -> WaveFunction:
     diagonal-rotor action on the wave reflector; the phase in dashed
     coordinates swaps the wavevector's first two components.
     """
-    return WaveFunction(sandwich(unit_reflector(_ROTOR), wave.prefactor), wave.k[[1, 0, 2, 3]])
+    prefactor = sandwich(unit_reflector(_ROTOR), wave.prefactor)
+    return WaveFunction(prefactor, tachyon_fourvector(wave.k))
 
 
 def transform_operator(units) -> np.ndarray:
     """Tachyon-transform a ``(4, 2, 4)`` operator: r*u*r for each unit u, swap arc slots."""
     top = sandwich(_ROTOR, _operator_array(units)[:, 0])
-    return np.stack((top, array_conj(top)), axis=-2)[[1, 0, 2, 3]]
+    return np.stack((top, array_conj(top)), axis=-2)[_EXCHANGE]

@@ -76,6 +76,12 @@ def max_abs_diff(a, b):
     return max(abs(d) for d in sub(a, b))
 
 
+def minkowski(x):
+    """-x0^2 + x1^2 + x2^2 + x3^2 of one real four-vector, in plain Python floats."""
+    x0, x1, x2, x3 = (float(v) for v in x)
+    return -x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
+
+
 def component(wave, j, point):
     """Component j of the wave at one point, prefactor_j * exp(i k.x), in plain Python."""
     phase = cmath.exp(1j * sum(float(k) * float(x) for k, x in zip(wave.k, point)))

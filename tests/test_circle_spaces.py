@@ -177,11 +177,22 @@ class TestChartMap:
         assert np.max(np.abs(direct - via)) == 0.0
 
     def test_light_cone_rejected(self):
-        for bad in ([1.0, 0, 0, 1.0], [2.0, 0, 0, 1.0], [0.0, 0, 0, -1.0]):
+        for bad in ([1.0, 0, 0, 1.0], [2.0, 0, 0, 1.0], [0.0, 0, 0, -1.0], [1e-200, 0, 0, 1e-200]):
             with pytest.raises(LightConePoint):
                 chart_map(bad, L, T)
             with pytest.raises(LightConePoint, match=r"L chart batch row 3 \[.*T chart"):
                 chart_map(_batch_with(bad), L, T)
+
+    @pytest.mark.parametrize("point", [[0.0, 0, 0, 1e-200], [-1e-170, 0, 0, 2e-170],
+                                       [5e-324, 0, 0, 1e-323], [1e300, 0, 0, 1.5e300]])
+    def test_wedge_where_the_squares_leave_the_normal_range(self, point):
+        # x3^2 - x0^2 under- or overflows, yet each point lies in the x3 > |x0| wedge
+        image = chart_map(point, L, T)
+        t = point[0] / point[3]
+        assert image[3] == point[3] * math.sqrt((1.0 - t) * (1.0 + t)) > 0.0
+        assert np.isfinite(image).all()
+        assert chart_map(_batch_with(point), L, T)[3].tolist() == image.tolist()
+        assert np.allclose(chart_map(image, T, L), point, rtol=1e-15, atol=0.0)
 
     def test_batch_shapes(self):
         for chart in (L, T, M, S, S32):
@@ -224,7 +235,7 @@ class TestChartMap:
     @pytest.mark.parametrize("source, coords, target", [
         (SpaceChart(ChartKind.T, R0=1.0), [1000.0, 0, 0, 1.0], SpaceChart(ChartKind.T, R0=1.0)),
         (SpaceChart(ChartKind.T, R0=1.0), [1000.0, 0, 0, 1.0], L),
-        (L, [0.0, 0, 0, 1e200], T),
+        (L, [0.99, 0, 0, 1.0], SpaceChart(ChartKind.T, R0=1e308)),   # s0 overflows
         (L, [math.nan, 0, 0, 1.0], L),
         (M, [0.0, math.inf, 1.0, 1.0], L),
     ])

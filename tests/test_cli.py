@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -156,6 +157,15 @@ class TestMapCommand:
         rec = json.loads(out)
         assert rec["round_trip_error"] <= 1e-12
         assert rec["back"]["chart"] == "L"
+
+    @pytest.mark.parametrize("coords", ["[0,0,0,1e-200]", "[1e300,0,0,1.5e300]"])
+    def test_wedge_point_whose_squares_leave_the_normal_range(self, coords):
+        code, out, _ = run_cli("map", "--space", "T", "--R0", "1", "--round-trip",
+                               "--point", '{"chart":"L","coords":' + coords + "}")
+        assert code == 0
+        rec = json.loads(out)
+        assert all(map(math.isfinite, rec["forward"]["coords"] + rec["back"]["coords"]))
+        assert rec["round_trip_error"] == 0.0
 
     def test_light_cone_exit(self):
         code, _, err = run_cli("map", "--space", "T", "--R0", "1",

@@ -6,8 +6,6 @@ from conftest import ARC_UNITS, max_abs_diff, mul
 
 from circledirac import (
     Biquaternion,
-    DashedKinematics,
-    FourVector,
     I2,
     PlaneWave,
     WaveFunction,
@@ -21,8 +19,8 @@ from circledirac import (
     residual,
     tachyon_double,
     tachyon_fourvector,
-    tachyon_fourvector_double,
     tachyon_quaternion,
+    unembed,
     unit_reflector,
 )
 from circledirac.reflector import ARC_TIME_UNITS
@@ -40,15 +38,28 @@ def rand_bq(rng):
 
 class TestFourVector:
     def test_swap(self):
-        assert tachyon_fourvector(FourVector(1.0, 2.0, 3.0, 4.0)) == FourVector(2.0, 1.0, 3.0, 4.0)
+        out = tachyon_fourvector(np.array([1.0, 2.0, 3.0, 4.0]))
+        assert out.tolist() == [2.0, 1.0, 3.0, 4.0]
 
     def test_transverse_fixed(self):
-        x = FourVector(0.0, 0.0, 3.0, 4.0)
-        assert tachyon_fourvector(x) == x
+        x = np.array([0.0, 0.0, 3.0, 4.0])
+        assert tachyon_fourvector(x).tolist() == x.tolist()
 
     def test_double_is_half_turn(self):
-        assert tachyon_fourvector_double(FourVector(1.0, 2.0, 3.0, 4.0)) == \
-            FourVector(-1.0, -2.0, 3.0, 4.0)
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        assert unembed(tachyon_double(embed(x))).tolist() == [-1.0, -2.0, 3.0, 4.0]
+
+    def test_batch_is_rowwise(self):
+        x = np.arange(24.0).reshape(2, 3, 4)
+        out = tachyon_fourvector(x)
+        assert out.shape == (2, 3, 4)
+        assert [tachyon_fourvector(row).tolist() for row in x.reshape(6, 4)] == \
+            out.reshape(6, 4).tolist()
+
+    @pytest.mark.parametrize("shape", [(), (3,), (5,), (4, 3)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match=r"shape \(\.\.\., 4\), got shape"):
+            tachyon_fourvector(np.ones(shape))
 
 
 class TestQuaternionMap:
@@ -159,17 +170,22 @@ class TestReflectorTransform:
                 transform_operator(operator)
 
 
+def dashed(s0, s1, eta, mu):
+    """(s0', s1', eta', mu') from the exchanged (s0, s1, 0, 0) and (eta, mu, 0, 0)."""
+    (s0d, s1d, _, _), (etad, mud, _, _) = tachyon_fourvector([[s0, s1, 0, 0], [eta, mu, 0, 0]])
+    return s0d, s1d, etad, mud
+
+
 class TestDashedKinematics:
     def test_plain_exchanges(self):
-        d = DashedKinematics.from_undashed(s0=0.5, s1=1.5, eta=1.25, mu=0.75)
-        assert (d.s0d, d.s1d, d.etad, d.mud) == (1.5, 0.5, 0.75, 1.25)
+        assert dashed(s0=0.5, s1=1.5, eta=1.25, mu=0.75) == (1.5, 0.5, 0.75, 1.25)
 
     def test_dot_product_invariant(self):
         rng = np.random.default_rng(30)
         for _ in range(200):
             s0, s1, eta, mu = rng.uniform(-3, 3, size=4)
-            d = DashedKinematics.from_undashed(s0, s1, eta, mu)
-            assert d.etad * d.s0d + d.mud * d.s1d == eta * s0 + mu * s1
+            s0d, s1d, etad, mud = dashed(s0, s1, eta, mu)
+            assert etad * s0d + mud * s1d == eta * s0 + mu * s1
 
 
 class TestDashedEnergy:
