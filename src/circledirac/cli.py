@@ -116,7 +116,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if args.format == "csv":
         sys.stdout.write(sp.lines_to_csv(lines))
     else:
-        sys.stdout.write(json.dumps(sp.lines_to_json_rows(lines), allow_nan=False) + "\n")
+        sys.stdout.write(sp.lines_to_json(lines) + "\n")
     threshold = tol * mass_ev
     return EXIT_OK if all(line.abs_diff <= threshold for line in lines) else EXIT_VERIFICATION
 

@@ -30,12 +30,14 @@ and radial number n_r.  :func:`sommerfeld_reference` evaluates that
 reference independently for use as an oracle, and every level it returns
 has the bits of mpmath's correctly rounded libmp primitives at 40
 digits (the one-level mpmath formula, with the global ``mpmath.mp``
-context left alone).  It first evaluates each level in fixed-point
-Python integers at 2^-256 and keeps the result only when a certificate
-holds: an interval around it, wide enough for the fixed point's own
-error and for libmp's, rounds to a single double, which is then the
-double libmp gives.  Any other level, and any row the fixed point cannot
-hold exactly, goes to the libmp loop, which stays the one arbiter.
+context left alone).  It first evaluates the whole grid in one numpy pass
+of double-word arithmetic (each value an unevaluated sum hi + lo of two
+doubles, built from error-free transformations, no fused multiply-add)
+and keeps a level's hi only when a certificate holds: an interval around
+hi + lo, wide enough for the pass's derived error and for libmp's, rounds
+to hi alone, which is then the double libmp gives.  Any other level, and
+any level outside the domain where the error bound is derived, goes to
+the libmp loop, which stays the one arbiter.
 
 Each solver has one body, which takes scalars or numpy arrays that
 broadcast together (quantum numbers as integer arrays).  A scalar call
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -75,7 +78,7 @@ __all__ = [
     "sommerfeld_reference",
     "spectrum_table",
     "lines_to_csv",
-    "lines_to_json_rows",
+    "lines_to_json",
 ]
 
 
@@ -258,11 +261,9 @@ def energy_closed_form(alpha: float, n_theta: int, n_r: int, mass: float = 1.0) 
     return _plain(mass / np.sqrt(1.0 + a * a / denom))
 
 
-# An integer X of the fixed-point oracle stands for X/2^_BITS.
-_BITS = 256
-_ONE = 1 << _BITS
-_ONE_SQ = 1 << 2 * _BITS
-_UNIT = 2.0 ** -_BITS
+# The double-word pass's domain: alpha and mass at least _TINY, mass at most _HUGE,
+# n_theta and n_r at most _EXACT (see sommerfeld_reference)
+_TINY, _HUGE, _EXACT = 2.0 ** -300, 2.0 ** 300, 2 ** 53
 
 
 def sommerfeld_reference(alpha: float, n_theta: int, n_r: int, mass: float = 1.0) -> float:
@@ -273,85 +274,176 @@ def sommerfeld_reference(alpha: float, n_theta: int, n_r: int, mass: float = 1.0
     arguments may be arrays that broadcast together.
 
     The arbiter is :func:`_libmp_levels`, mpmath's correctly rounded libmp
-    primitives at p = 136 bits.  Most levels never reach it.  Each is
-    first evaluated in integers at the fixed point S = 2^256, from
-    A = alpha*S and M = m*S, which are exact:
+    primitives at p = 136 bits.  Most levels never reach it.  One numpy
+    pass, :func:`_double_word_levels`, first evaluates every level as a
+    double-word v = hi + lo with hi = RN(v), the double nearest v.
 
-        root  = isqrt(K^2 - A^2)             once per row, K = k*S
-        q     = A*S // (n_r*S + root)
-        w     = isqrt(S^2 + q^2)
-        level = M*S // w
+    The certificate.  v errs from E by at most E*2^-(_DW_SHIFT + 1)
+    (derived in :func:`_double_word_shift`) and libmp's level, before its
+    rounding to a double, by at most E*2^-(_SHIFT + 1)
+    (:func:`_libmp_shift`).  So libmp's level lies within
+    h = hi*(2^-_DW_SHIFT + 2^-_SHIFT) of v: each term is twice its bound,
+    which covers E <= hi*(1 + 2^-52) and the one rounding of h.  Let up and
+    down be half the gaps from hi to the next double above and below (both
+    exact).  When lo + h < up and lo - h > -down, each side rounded, the
+    unrounded sides hold too (rounding is monotone and up, down are
+    doubles), so the whole interval v +- h lies strictly inside hi's
+    rounding interval, and libmp's ``to_float``, which rounds to nearest,
+    gives hi.  That hi is returned; every other level goes to the arbiter.
 
-    The integer path's error.  bound_coupling gives A < K, so K^2 - A^2 >=
-    2K - 1 and root >= 2^128.  With rho = sqrt(k^2 - alpha^2) the exact
-    values are root* = S*rho, q* = A*S/(n_r*S + root*),
-    w* = sqrt(S^2 + q*^2) and level* = M*S/w* = S*E.  root = root* - e
-    with 0 <= e < 1, so q exceeds q* by at most q*e/(n_r*S + root) <=
-    A*S/root^2 < B, with B = A*S // root^2 + 1 for the row, and its floor
-    takes less than 1: |q - q*| < B.  sqrt(S^2 + x^2) moves no more than
-    x does, and its floor less than 1 more: |w - w*| < B + 1.  Then
-    M*S/w = level* * (1 - (w - w*)/w) with w >= S, and the last floor takes
-    less than 1, so |level - level*| < (B + 1)*E + 1 <= (B + 1)*m + 1,
-    which is below the row's (B + 1)*(floor(m) + 1) + 1 units.
-
-    libmp's error.  Before its rounding to a double, libmp's level is
-    E*(1 + theta) with 2|theta| <= 2^-_SHIFT, so S times it lies within
-    delta + ((level + delta) >> _SHIFT) of ``level``, with delta =
-    (B + 1)*(floor(m) + 1) + 2 (one unit more for the shift's floor).
-
-    The certificate: when both ends of that interval round to one double,
-    every value between them rounds to it, libmp's among them, and that
-    double is returned.  The rounding is Python's correctly rounded int to
-    float conversion (to nearest, ties to even, as libmp's ``to_float``),
-    scaled by the exact 2^-256.  Any other level goes to the arbiter, and
-    so does every level of a row in which A or M would not be an integer
-    (alpha or m below about 2^-200, such as 1e-300), m is 2^767 or more
-    (level + delta could overflow the conversion), or k is 2^68 or more
-    (k*k would round in libmp).  So every level has the libmp bits by
-    construction.
+    The domain.  So does every level outside the domain where the bound is
+    derived: alpha or m below 2^-300 (alpha = 0 included), m above 2^300,
+    or k or n_r above 2^53.  Inside it k, n_r and k*k (in libmp too) are
+    exact; every product that TwoProduct splits is at least 2^-710 (q*q,
+    with q >= alpha/2^54), far above the 2^-969 below which its error term
+    can underflow; no value split exceeds 2^300, far below the 2^996 at
+    which Veltkamp's split overflows.  A product or quotient that feeds a
+    low word may underflow and err by 2^-1075 more, under 2^-250 of the
+    bound on the term it joins, which the factor 2 covers.  So every level
+    has the libmp bits by construction.
     """
     positive_mass(mass)
     qn = QuantumNumbers(n_theta, n_r)
     bound_coupling(alpha, qn.n_theta, allow_zero=True)
-    grid = np.broadcast_arrays(np.asarray(alpha, dtype=float), qn.n_theta, qn.n_r,
-                               np.asarray(mass, dtype=float))
-    columns = [x.ravel().tolist() for x in grid]
-    rows, values, arbitrated = {}, [], []
-    for i, (a, k, r, m) in enumerate(zip(*columns)):
-        row = rows.get((a, k, m), False)
-        if row is False:
-            row = rows[a, k, m] = _fixed_row(a, k, m)
-        if row is not None:
-            a_s, root, m_s, delta = row
-            q = a_s // ((r << _BITS) + root)
-            level = m_s // math.isqrt(_ONE_SQ + q * q)
-            half_width = delta + ((level + delta) >> _SHIFT)
-            low = float(level - half_width)
-            if low == float(level + half_width):
-                values.append(low * _UNIT)
-                continue
-        values.append(None)
-        arbitrated.append(i)
-    if arbitrated:
-        levels = list(zip(*([column[i] for i in arbitrated] for column in columns)))
-        for i, value in zip(arbitrated, _libmp_levels(levels)):
-            values[i] = value
-    return _plain(np.array(values).reshape(grid[0].shape))
+    a, m = np.asarray(alpha, dtype=float), np.asarray(mass, dtype=float)
+    k, r = np.asarray(qn.n_theta), np.asarray(qn.n_r)
+    k_exact, r_exact = k <= _EXACT, r <= _EXACT
+    with np.errstate(all="ignore"):
+        # levels outside the domain are evaluated too, on stand-in integers, and discarded
+        hi, lo = _double_word_levels(a, np.where(k_exact, k, 1).astype(float),
+                                     np.where(r_exact, r, 0).astype(float), m)
+        h = hi * _HALF_WIDTH
+        up = (np.nextafter(hi, np.inf) - hi) * 0.5
+        down = (hi - np.nextafter(hi, 0.0)) * 0.5
+        certified = ((lo + h < up) & (lo - h > -down) & k_exact & r_exact
+                     & (a >= _TINY) & (m >= _TINY) & (m <= _HUGE))
+    values = np.ravel(hi)
+    arbitrated = np.flatnonzero(~certified)
+    if arbitrated.size:
+        columns = [np.broadcast_to(x, np.shape(hi)).flat[arbitrated].tolist()
+                   for x in (a, k, r, m)]
+        values[arbitrated] = _libmp_levels(list(zip(*columns)))
+    return _plain(values.reshape(np.shape(hi)))
 
 
-def _fixed_row(a: float, k: int, m: float):
-    """(A*S, root, M*S, delta) of one (alpha, n_theta, mass) row, or None for the arbiter."""
-    if 2 * k.bit_length() > _PREC or not m < 2.0 ** (1023 - _BITS):
-        return None
-    a_num, a_den = a.as_integer_ratio()
-    m_num, m_den = m.as_integer_ratio()
-    if a_den > _ONE or m_den > _ONE:
-        return None
-    a_fixed, m_fixed = a_num * (_ONE // a_den), m_num * (_ONE // m_den)
-    root = math.isqrt((k << _BITS) ** 2 - a_fixed * a_fixed)
-    bound = (a_fixed << _BITS) // (root * root) + 1
-    delta = (bound + 1) * ((m_fixed >> _BITS) + 1) + 2
-    return a_fixed << _BITS, root, m_fixed << _BITS, delta
+# Veltkamp's splitting constant 2^27 + 1: x*_SPLIT splits a double into two 26-bit halves
+_SPLIT = 134217729.0
+
+
+def _two_sum(a, b):
+    """Knuth's TwoSum: (s, e) with s = RN(a + b) and s + e = a + b exactly."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _fast_two_sum(a, b):
+    """Dekker's Fast2Sum, for |a| >= |b|: (s, e) with s = RN(a + b) and s + e = a + b exactly."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def _split(a):
+    """Veltkamp's split: a = hi + lo, each half of at most 26 significant bits."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a, b):
+    """Dekker's TwoProduct, without a fused multiply-add: (p, e), p = RN(a*b), p + e = a*b."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dw_mul(xh, xl, yh, yl):
+    """The product of two positive double-words (Dekker's mul2)."""
+    p, e = _two_product(xh, yh)
+    return _fast_two_sum(p, e + (xh * yl + xl * yh))
+
+
+def _dw_add(c, yh, yl):
+    """The sum of a double c >= 0 and a positive double-word."""
+    s, e = _two_sum(c, yh)
+    return _fast_two_sum(s, e + yl)
+
+
+def _dw_div(c, yh, yl):
+    """The quotient of a double c > 0 by a positive double-word (Dekker's div2, c's low word 0)."""
+    q = c / yh
+    p, e = _two_product(q, yh)
+    return _fast_two_sum(q, (((c - p) - e) - q * yl) / yh)
+
+
+def _dw_sqrt(xh, xl):
+    """The square root of a positive double-word (Dekker's sqrt2)."""
+    s = np.sqrt(xh)
+    p, e = _two_product(s, s)
+    return _fast_two_sum(s, (((xh - p) - e) + xl) / (2.0 * s))
+
+
+def _double_word_levels(a, k, r, m):
+    """(hi, lo) of m/sqrt(1 + (a/(r + sqrt(k^2 - a^2)))^2) over broadcasting float arrays.
+
+    k^2 - a^2 is taken as the product (k - a)*(k + a) of two exact
+    TwoSums, so it suffers no cancellation as a approaches k.  Every
+    operation is a real ``+ - * /`` or ``sqrt`` that numpy rounds on its
+    own, so the result has the same bits at every SIMD dispatch level.
+    """
+    root = _dw_sqrt(*_dw_mul(*_two_sum(k, -a), *_two_sum(k, a)))
+    q = _dw_div(a, *_dw_add(r, *root))
+    return _dw_div(m, *_dw_sqrt(*_dw_add(1.0, *_dw_mul(*q, *q))))
+
+
+def _double_word_shift() -> int:
+    """The shift s with 2^-s >= 2t, t a bound on the relative error of :func:`_double_word_levels`.
+
+    With u = 2^-53, every operation below takes normalised double-words
+    (|lo| <= u*hi, as TwoSum and Fast2Sum leave them; a double is one with
+    lo = 0) and errs, relative to the exact operation on them, by at most:
+
+    * _dw_mul: the high words' TwoProduct P is exact; the cross products
+      round by u^2*P each, their sum by 2u^2*P and the sum with P's error
+      term by 3u^2*P; the dropped xl*yl is at most u^2*P; and X*Y >=
+      P*(1 - u)^2: 8u^2 to first order;
+    * _dw_add: TwoSum is exact and the low words, at most 2u*(c + yh)
+      together, round once: 2u^2;
+    * _dw_div: c - p is exact (Sterbenz), the remainder c - q*Y is at most
+      2u*c and is computed within 4u^2*c; dividing it by yh for Y adds
+      2u^2, and its rounding 2u^2: 8u^2;
+    * _dw_sqrt: s = RN(sqrt(xh)) and xh - s*s is exact (Sterbenz); the
+      remainder R = X - s^2 is at most 3u*xh and is computed within
+      5u^2*xh, which adds 2.5u^2*s over 2s; sqrt(s^2 + R) differs from
+      s + R/(2s) by R^2/(8s^3), about 1.13u^2*s, and the quotient's
+      rounding adds 1.5u^2*s: 5.2u^2 in all.
+
+    The constants below carry the higher-order terms of each, rounded up.
+    An operation that errs by t on operands that err by x errs by
+    x + t + x*t; a sum of positive terms keeps the largest error of its
+    terms; a divisor's error x becomes x/(1 - x), a square's 2x + x^2 and a
+    square root's x/(2 - x).  Evaluated in doubles, about 30 operations can
+    make the bound smaller by a factor 1 - 2^-47 at most; the factor 2
+    covers that.
+
+    The algorithms are Knuth's TwoSum (TAOCP vol. 2, 4.2.2) and Dekker's
+    Fast2Sum, TwoProduct, mul2, div2 and sqrt2 (Numer. Math. 18 (1971)
+    224); Joldes, Muller and Popescu (ACM TOMS 44, 2017) prove bounds of
+    this kind for the double-word building blocks.
+    """
+    u2 = 2.0 ** -106
+    mul, add, div, sqrt = 8.001 * u2, 2.001 * u2, 8.001 * u2, 5.2 * u2
+
+    def then(x, t):
+        return x + t + x * t
+
+    t_root = then(then(0.0, mul) / (2.0 - mul), sqrt)      # sqrt((k - a)*(k + a))
+    t_den = then(t_root, add)                               # n_r + root
+    t_q = then(t_den / (1.0 - t_den), div)
+    t_w = then(then(2.0 * t_q + t_q * t_q, mul), add)       # 1 + q*q
+    t_w = then(t_w / (2.0 - t_w), sqrt)
+    return -math.frexp(then(t_w / (1.0 - t_w), div))[1] - 1
 
 
 def _libmp_shift() -> int:
@@ -360,7 +452,7 @@ def _libmp_shift() -> int:
     A correctly rounded operation at p = _PREC bits errs by at most
     u = 2^-p relative (by none if its result fits in p bits) and turns a
     relative error bound x into x + u + x*u.  In the arbiter's order, for
-    k < 2^68, whose rows the fixed point keeps:
+    k < 2^68 (the double-word pass keeps k <= 2^53):
 
     * k, a, m, k*k and a*a: exact (k*k has at most 136 bits, a's mantissa
       at most 53), so k*k - a*a errs by u: no cancellation amplifies;
@@ -386,9 +478,12 @@ def _libmp_shift() -> int:
     return -math.frexp(rounded(t_sqrt / (1.0 - t_sqrt)))[1] - 1
 
 
-# libmp's working precision, mpmath's 40 digits, and the certificate's shift for it
+# libmp's working precision, mpmath's 40 digits, the certificate's shifts for libmp and
+# for the double-word pass, and the certificate's relative half-width
 _PREC = libmp.dps_to_prec(40)
 _SHIFT = _libmp_shift()
+_DW_SHIFT = _double_word_shift()
+_HALF_WIDTH = 2.0 ** -_DW_SHIFT + 2.0 ** -_SHIFT
 
 
 def _libmp_levels(levels) -> list[float]:
@@ -443,9 +538,9 @@ class SpectrumLine(NamedTuple):
 
 
 # The most levels spectrum_table computes, more than 601 x 601.  The CLI
-# holds a whole table until it is written: at 601 x 601 it peaked at 275 MB
-# (csv) and 391 MB (json) and took about 17 and 27 us per level from process
-# start, so a table at the cap needs about 0.4-0.55 GB and 9-14 s.
+# holds a whole table until it is written: at 601 x 601 it peaked at 312 MB
+# (csv) and 395 MB (json) and took about 6-7 and 8-8.5 us per level from
+# process start, so a table at the cap needs about 0.4-0.55 GB and 3-4.5 s.
 MAX_LEVELS = 500_000
 
 
@@ -500,6 +595,19 @@ def lines_to_csv(lines: list[SpectrumLine]) -> str:
     return "\n".join(rows) + "\n"
 
 
-def lines_to_json_rows(lines: list[SpectrumLine]) -> list[dict]:
-    fields = SpectrumLine._fields
-    return [dict(zip(fields, line)) for line in lines]
+# one JSON object per row, with json.dumps's separators; %r is the repr json.dumps
+# writes for a finite float
+_JSON_ROW = "{%s}" % ", ".join(f'"{name}": %{kind}'
+                                for name, kind in zip(SpectrumLine._fields, "dddrrrrr"))
+
+
+def lines_to_json(lines: list[SpectrumLine]) -> str:
+    """The rows as a JSON array of objects keyed by the CSV columns, as ``json.dumps`` writes it.
+
+    Raises ``ValueError``, as ``json.dumps(..., allow_nan=False)`` does, if a
+    value is not finite.
+    """
+    values = np.fromiter(chain.from_iterable(lines), float, count=8 * len(lines))
+    if not np.isfinite(values.reshape(-1, 8)[:, 3:]).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    return "[" + ", ".join([_JSON_ROW % line for line in lines]) + "]"

@@ -19,12 +19,17 @@ import os
 import pathlib
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__
 
 from circledirac import I0, I1, I2, I3
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     [SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))
+
+# The environment under which numpy runs its baseline loops (no dispatched SIMD, so no
+# fused multiply-adds): every dispatch target disabled
+BASELINE_KERNELS = {"NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__)}
 
 
 def perfbench_literal(filename, name):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import BASELINE_KERNELS
 from circledirac.cli import _build_parser, main
 from circledirac.spectrum import MAX_LEVELS
 
@@ -59,18 +60,39 @@ class TestSpectrumCommand:
 
     # sha256 of stdout: the table's bytes are the command's contract, so a
     # change to the row type or its formatting must leave them alone
-    @pytest.mark.parametrize("argv, digest", [
-        ((), "46027fd7aeb39846f43b5e735e24b71470d14c4df16cd74ce48fa9eb0e4cf489"),
-        (("--format", "json"), "beca44d20d720223b6f5b2f4958dff4234435917749bd47b105dcac4915047a5"),
-        (("--alpha", "0.37", "--max-ntheta", "30", "--max-nr", "30"),
-         "ac28c1ccb504485cd81cd46d7bc1fc346f7134b2582bb435937bddb2926daa0e"),
-        (("--alpha", "0.37", "--max-ntheta", "30", "--max-nr", "30", "--format", "json"),
-         "4095822308bf5f79af70abeb5cbf3cd53814227b6641b5baf986c9e776748a6f"),
-    ])
+    DIGESTS = {
+        (): "46027fd7aeb39846f43b5e735e24b71470d14c4df16cd74ce48fa9eb0e4cf489",
+        ("--format", "json"): "beca44d20d720223b6f5b2f4958dff4234435917749bd47b105dcac4915047a5",
+        ("--alpha", "0.37", "--max-ntheta", "30", "--max-nr", "30"):
+            "ac28c1ccb504485cd81cd46d7bc1fc346f7134b2582bb435937bddb2926daa0e",
+        ("--alpha", "0.37", "--max-ntheta", "30", "--max-nr", "30", "--format", "json"):
+            "4095822308bf5f79af70abeb5cbf3cd53814227b6641b5baf986c9e776748a6f",
+    }
+
+    @pytest.mark.parametrize("argv, digest", DIGESTS.items())
     def test_output_digest(self, argv, digest):
         code, out, _ = run_cli("spectrum", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.fixture(scope="class")
+    def baseline_runs(self):
+        """Each pinned command in a fresh interpreter under numpy's baseline kernels."""
+        env = {**os.environ, **BASELINE_KERNELS}
+        env.pop("CIRCLEDIRAC_FAULT", None)
+
+        def run(argv):
+            return subprocess.run([sys.executable, "-m", "circledirac", "spectrum", *argv],
+                                  capture_output=True, env=env, timeout=120)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            return dict(zip(self.DIGESTS, pool.map(run, self.DIGESTS)))
+
+    @pytest.mark.parametrize("argv, digest", DIGESTS.items())
+    def test_output_digest_under_baseline_kernels(self, argv, digest, baseline_runs):
+        proc = baseline_runs[argv]
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
     def test_rejects_alpha_out_of_range(self):
         code, _, err = run_cli("spectrum", "--alpha", "1.5")

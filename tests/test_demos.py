@@ -9,7 +9,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from numpy._core._multiarray_umath import __cpu_dispatch__
+from conftest import BASELINE_KERNELS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -23,10 +23,6 @@ DIGESTS = {
     "05_fine_structure_spectrum.py": "c6dbe7e79c0d0ec3d5a36fca1642e0709a7e353f355605a10f4fdb364b99dcd6",
     "06_charge_density.py": "fcd29744fec98634adb0766acdddfb3efb00e9e3362f61d53ad4ad7ab9b0c1b4",
 }
-
-
-# numpy runs its baseline loops when every dispatch target is disabled
-BASELINE_KERNELS = {"NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__)}
 
 
 def _run(demo, extra_env=None):

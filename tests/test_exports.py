@@ -41,11 +41,12 @@ def test_package_reexports_every_module_all():
 
 # Traced layers the library removed on purpose: the one-point Dirac wrappers, whose
 # work ``planewave.residual`` does for a batch, the scalar reflector product, which
-# ``reflector_mul_array`` does on coefficient arrays, and the one-point rotated basis,
-# which ``rotated_basis_array`` builds over arrays of angles.  The tracer lists them
+# ``reflector_mul_array`` does on coefficient arrays, the one-point rotated basis,
+# which ``rotated_basis_array`` builds over arrays of angles, and the JSON row dicts,
+# which ``lines_to_json`` formats straight from the rows.  The tracer lists them
 # under ``missing_layers`` until the benchmark's own FUNCTIONS list drops them.
 RETIRED = ("reflector.dirac_lhs", "reflector.dirac_rhs", "reflector.reflector_mul",
-           "circle_spaces.rotated_basis")
+           "circle_spaces.rotated_basis", "spectrum.lines_to_json_rows")
 
 
 @pytest.mark.parametrize("layer", [f for f in perfbench_literal("spans.py", "FUNCTIONS")

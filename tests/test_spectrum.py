@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -21,6 +22,7 @@ from circledirac import (
     coupled_solve,
     energy_closed_form,
     lines_to_csv,
+    lines_to_json,
     sommerfeld_reference,
     spectrum_table,
 )
@@ -224,6 +226,23 @@ class TestSpectrumTable:
                                             line.binding_ev, line.reference_ev, line.abs_diff)]))
         assert lines_to_csv(lines) == "\n".join(want) + "\n"
 
+    @pytest.mark.parametrize("mass_ev", [1e-300, ELECTRON_MASS_EV, 1e308])
+    def test_json_text_is_json_dumps(self, mass_ev):
+        for lines in ([], spectrum_table(CODATA_ALPHA, mass_ev, 6, 5),
+                      spectrum_table(0.37, mass_ev, 30, 30)):
+            want = json.dumps([dict(zip(SpectrumLine._fields, line)) for line in lines],
+                              allow_nan=False)
+            assert lines_to_json(lines) == want
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_json_refuses_non_finite_values(self, bad):
+        lines = spectrum_table(CODATA_ALPHA, ELECTRON_MASS_EV, 2, 1)
+        for column in range(3, 8):
+            row = list(lines[-1])
+            row[column] = bad
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                lines_to_json([*lines[:-1], SpectrumLine(*row)])
+
     @pytest.mark.parametrize("alpha", [1e-6, CODATA_ALPHA, 0.5, 0.999])
     @pytest.mark.parametrize("max_n_theta, max_n_r", [(1, 0), (1, 7), (7, 0), (12, 9)])
     def test_rows_equal_single_level_routes(self, alpha, max_n_theta, max_n_r):
@@ -397,15 +416,27 @@ def _count_arbiter(monkeypatch):
     return calls
 
 
+# (alpha, n_theta, n_r, mass) of a level just inside each edge of the double-word pass's
+# domain, and of one just outside it
+DOMAIN_EDGES = {
+    "alpha": ((2.0 ** -300, 1, 0, 1.0), (math.nextafter(2.0 ** -300, 0.0), 1, 0, 1.0)),
+    "mass-low": ((0.37, 1, 0, 2.0 ** -300), (0.37, 1, 0, math.nextafter(2.0 ** -300, 0.0))),
+    "mass-high": ((0.37, 1, 0, 2.0 ** 300), (0.37, 1, 0, math.nextafter(2.0 ** 300, math.inf))),
+    "n_theta": ((0.37, 2 ** 53, 0, 1.0), (0.37, 2 ** 53 + 1, 0, 1.0)),
+    "n_r": ((0.37, 1, 2 ** 53, 1.0), (0.37, 1, 2 ** 53 + 1, 1.0)),
+}
+
+
 class TestOracleCertificate:
-    """Fixed-point levels are returned only when certified; the libmp arbiter decides the rest."""
+    """Double-word levels are returned only when certified; the libmp arbiter decides the rest."""
 
     GRID = np.arange(1, 31)[:, None], np.arange(31)
 
     def test_forced_fallback_gives_the_same_bits(self, monkeypatch):
+        # a half-width of 1 certifies no level
         want = [sommerfeld_reference(alpha, *self.GRID) for alpha in TestOracleBits.ALPHAS]
         calls = _count_arbiter(monkeypatch)
-        monkeypatch.setattr(spectrum, "_SHIFT", 0)
+        monkeypatch.setattr(spectrum, "_HALF_WIDTH", 1.0)
         got = [sommerfeld_reference(alpha, *self.GRID) for alpha in TestOracleBits.ALPHAS]
         assert calls == [30 * 31] * len(TestOracleBits.ALPHAS)
         for g, w in zip(got, want):
@@ -414,7 +445,7 @@ class TestOracleCertificate:
     def test_arbiter_leaves_the_global_context_alone(self, monkeypatch):
         plain = sommerfeld_reference(0.37, *self.GRID)
         calls = _count_arbiter(monkeypatch)
-        monkeypatch.setattr(spectrum, "_SHIFT", 0)
+        monkeypatch.setattr(spectrum, "_HALF_WIDTH", 1.0)
         with mpmath.workdps(20):
             prec = mpmath.mp.prec
             inside = sommerfeld_reference(0.37, *self.GRID)
@@ -422,31 +453,52 @@ class TestOracleCertificate:
         assert calls == [30 * 31]
         assert (inside.view(np.int64) == plain.view(np.int64)).all()
 
-    @pytest.mark.parametrize("alpha", [CODATA_ALPHA, 0.37])
+    @pytest.mark.parametrize("alpha", [CODATA_ALPHA, 0.37, 1 - 1e-12])
     def test_table_grid_never_reaches_the_arbiter(self, alpha, monkeypatch):
         calls = _count_arbiter(monkeypatch)
         sommerfeld_reference(alpha, np.arange(1, 101)[:, None], np.arange(101))
         assert calls == []
 
     def test_straddling_levels_reach_the_arbiter(self, monkeypatch):
-        # an error margin of 2^-58 leaves some levels too close to a rounding boundary
+        # a half-width of 2^-58 leaves some levels too close to a rounding boundary
         calls = _count_arbiter(monkeypatch)
-        monkeypatch.setattr(spectrum, "_SHIFT", 58)
+        monkeypatch.setattr(spectrum, "_HALF_WIDTH", 2.0 ** -58)
         got = sommerfeld_reference(CODATA_ALPHA, *self.GRID)
         assert len(calls) == 1 and 0 < calls[0] < 30 * 31
         want = _wrapped_mpmath_reference(CODATA_ALPHA, *self.GRID, 1.0)
         assert (got.view(np.int64) == want.view(np.int64)).all()
 
-    @pytest.mark.parametrize("alpha", [0.37, 2.0 ** 67, 2.0 ** 68 * (1 - 1e-12)])
-    def test_exact_squares_bound_the_fixed_point(self, alpha, monkeypatch):
-        # libmp's k*k is exact at 136 bits up to k = 2^68 - 1 and rounds from k = 2^68 on
+    @pytest.mark.parametrize("edge", DOMAIN_EDGES)
+    def test_domain_edges_keep_the_bits(self, edge, monkeypatch):
         calls = _count_arbiter(monkeypatch)
-        for n_theta, arbitrated in [(2 ** 68 - 1, []), (2 ** 68, [4])]:
-            got = sommerfeld_reference(alpha, n_theta, np.arange(4))
+        for level, arbitrated in zip(DOMAIN_EDGES[edge], ([], [1])):
+            got = np.float64(sommerfeld_reference(*level))
             assert calls == arbitrated
-            want = _wrapped_mpmath_reference(alpha, n_theta, np.arange(4), 1.0)
-            assert (got.view(np.int64) == want.view(np.int64)).all()
+            assert got.view(np.int64) == _wrapped_mpmath_reference(*level).view(np.int64)
             calls.clear()
+
+    def test_double_word_shift_bounds_its_error(self):
+        # 2^-(_DW_SHIFT + 1) bounds the relative error of the pass's hi + lo, measured against
+        # 100 digits on random, near-critical and domain-edge levels, and is within a factor
+        # 32 of the worst error seen
+        assert spectrum._DW_SHIFT == 99
+        rng = np.random.default_rng(49)
+        n_theta = rng.integers(1, 60, 400)
+        near = 1 - 10.0 ** -rng.uniform(1, 16, 400)
+        alpha = n_theta * np.where(np.arange(400) % 2, near, rng.uniform(size=400))
+        levels = [*zip(alpha.tolist(), n_theta.tolist(), rng.integers(0, 60, 400).tolist(),
+                       (10.0 ** rng.uniform(-5.0, 5.0, 400)).tolist()),
+                  *(inside for inside, _ in DOMAIN_EDGES.values()),
+                  (2.0 ** 53 - 1, 2 ** 53, 0, 1.0)]
+        a, k, r, m = (np.array(column, dtype=float) for column in zip(*levels))
+        hi, lo = spectrum._double_word_levels(a, k, r, m)
+        worst = mpmath.mpf(0)
+        with mpmath.workdps(100):
+            for level, h, l in zip(levels, hi.tolist(), lo.tolist()):
+                exact = _mpmath_level(*level)
+                worst = max(worst, abs(mpmath.mpf(h) + mpmath.mpf(l) - exact) / exact)
+        bound = mpmath.ldexp(1, -spectrum._DW_SHIFT - 1)
+        assert bound / 32 < worst <= bound
 
     def test_shift_bounds_libmp_error(self):
         # 2^-(_SHIFT + 1) bounds the relative error of the unrounded 40-digit level,
@@ -468,14 +520,6 @@ class TestOracleCertificate:
                 exact = _mpmath_level(*level)
                 worst = max(worst, abs(low - exact) / exact)
         assert 0 < worst <= mpmath.ldexp(1, -spectrum._SHIFT - 1)
-
-    @pytest.mark.parametrize("alpha, mass", [(1e-300, 1.0), (0.37, 1e-300), (0.37, 1e308)])
-    def test_rows_beyond_the_fixed_point_reach_the_arbiter(self, alpha, mass, monkeypatch):
-        calls = _count_arbiter(monkeypatch)
-        got = sommerfeld_reference(alpha, *self.GRID, mass)
-        assert calls == [30 * 31]
-        want = _wrapped_mpmath_reference(alpha, *self.GRID, mass)
-        assert (got.view(np.int64) == want.view(np.int64)).all()
 
 
 @st.composite
