@@ -468,6 +468,19 @@ class TestOracleCertificate:
         want = _wrapped_mpmath_reference(CODATA_ALPHA, *self.GRID, 1.0)
         assert (got.view(np.int64) == want.view(np.int64)).all()
 
+    @pytest.mark.parametrize("alpha", [0.37, 2.0 ** 67, 2.0 ** 68 * (1 - 1e-12)])
+    def test_exact_squares_bound_the_fixed_point(self, alpha, monkeypatch):
+        # libmp's k*k is exact at 136 bits up to k = 2^68 - 1 and rounds from k = 2^68 on,
+        # the edge of _libmp_shift's bound; both sides lie beyond the double-word pass's
+        # k <= 2^53, so the arbiter decides every level and keeps the wrapped-mpmath bits
+        calls = _count_arbiter(monkeypatch)
+        for n_theta in [2 ** 68 - 1, 2 ** 68]:
+            got = sommerfeld_reference(alpha, n_theta, np.arange(4))
+            assert calls == [4]
+            want = _wrapped_mpmath_reference(alpha, n_theta, np.arange(4), 1.0)
+            assert (got.view(np.int64) == want.view(np.int64)).all()
+            calls.clear()
+
     @pytest.mark.parametrize("edge", DOMAIN_EDGES)
     def test_domain_edges_keep_the_bits(self, edge, monkeypatch):
         calls = _count_arbiter(monkeypatch)
