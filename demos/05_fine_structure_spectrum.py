@@ -4,12 +4,15 @@ fine-structure levels computed by two independent routes.
 Run:  python demos/05_fine_structure_spectrum.py
 """
 
+import json
+
 from circledirac import (
     QuantumNumbers,
     bohr_solve,
     coupled_solve,
     energy_closed_form,
     lines_to_csv,
+    lines_to_json,
     sommerfeld_reference,
     spectrum_table,
 )
@@ -38,4 +41,7 @@ print(f"  E(n_theta=2, n_r=0) - E(n_theta=1, n_r=1) = {split:.4e} eV"
       f"  (about m*alpha^4/32 = {MASS_EV * ALPHA ** 4 / 32:.4e} eV)")
 
 print("\nSpectrum table (CSV, the golden-file format):")
-print(lines_to_csv(spectrum_table(ALPHA, MASS_EV, 2, 2)))
+lines = spectrum_table(ALPHA, MASS_EV, 2, 2)
+print(lines_to_csv(lines))
+# the JSON form of the same table reads back to the same rows
+assert json.loads(lines_to_json(lines)) == [line._asdict() for line in lines]

@@ -68,6 +68,15 @@ class Biquaternion:
         a.flags.writeable = False
         object.__setattr__(self, "_coeffs", a)
 
+    @classmethod
+    def _of(cls, coeffs) -> "Biquaternion":
+        """The Biquaternion viewing a read-only copy of a ready ``(4,)`` coefficient array."""
+        a = coeffs.astype(complex)
+        a.flags.writeable = False
+        b = object.__new__(cls)
+        object.__setattr__(b, "_coeffs", a)
+        return b
+
     def __setattr__(self, name, value):
         raise AttributeError("Biquaternion is read-only")
 
@@ -90,7 +99,7 @@ class Biquaternion:
 
     def __add__(self, other):
         if isinstance(other, Biquaternion):
-            return Biquaternion(*(self._coeffs + other._coeffs))
+            return Biquaternion._of(self._coeffs + other._coeffs)
         if isinstance(other, _ComplexABC):
             return Biquaternion(self.c0 + other, self.c1, self.c2, self.c3)
         return NotImplemented
@@ -99,7 +108,7 @@ class Biquaternion:
 
     def __sub__(self, other):
         if isinstance(other, Biquaternion):
-            return Biquaternion(*(self._coeffs - other._coeffs))
+            return Biquaternion._of(self._coeffs - other._coeffs)
         if isinstance(other, _ComplexABC):
             return Biquaternion(self.c0 - other, self.c1, self.c2, self.c3)
         return NotImplemented
@@ -114,7 +123,7 @@ class Biquaternion:
 
     def __mul__(self, other):
         if isinstance(other, Biquaternion):
-            return Biquaternion(*array_mul(self, other))
+            return Biquaternion._of(array_mul(self._coeffs, other._coeffs))
         if isinstance(other, _ComplexABC):
             return Biquaternion(*(c * other for c in self.coeffs))
         return NotImplemented
@@ -135,7 +144,7 @@ class Biquaternion:
     @property
     def conj(self) -> "Biquaternion":
         """Quaternion conjugate: i_0 fixed, i_1..i_3 negated."""
-        return Biquaternion(*array_conj(self))
+        return Biquaternion._of(array_conj(self._coeffs))
 
     def norm_form(self) -> complex:
         """The scalar a * conj(a) = c0^2 + c1^2 + c2^2 + c3^2 (complex)."""
@@ -236,7 +245,7 @@ def embed(x) -> Biquaternion:
     c = array_embed(x)
     if c.shape != (4,):
         raise ValueError(f"embed needs one four-vector of shape (4,), got shape {c.shape}")
-    return Biquaternion(*c)
+    return Biquaternion._of(c)
 
 
 _SLICE_TOL = 1e-10   # how far unembed's input may lie off the embedded slice
@@ -258,4 +267,4 @@ def unembed(b: Biquaternion | np.ndarray) -> np.ndarray:
 
 def _like(x, coeffs):
     """``coeffs`` as a :class:`Biquaternion` when ``x`` is one, else the array itself."""
-    return Biquaternion(*coeffs) if isinstance(x, Biquaternion) else coeffs
+    return Biquaternion._of(coeffs) if isinstance(x, Biquaternion) else coeffs

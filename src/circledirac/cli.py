@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage or domain error, 2 verification failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -18,7 +19,7 @@ from . import qed
 from . import spectrum as sp
 from . import verify
 from .errors import CircleDiracError
-from .spectrum import QuantumNumbers
+from .spectrum import QuantumNumbers, SpectrumLine
 
 __all__ = ["main"]
 
@@ -44,7 +45,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process: parse_args reads the parser and fills a fresh Namespace each call
     # each command takes only the options it reads; these two are shared by two commands each
     alpha = _Parser(add_help=False)
     alpha.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
@@ -112,13 +115,14 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         raise CircleDiracError(f"mass-ev must be positive and finite, got {mass_ev}")
     if not 0 < tol < math.inf:
         raise CircleDiracError(f"tol must be positive and finite, got {tol}")
-    lines = sp.spectrum_table(args.alpha, mass_ev, args.max_ntheta, args.max_nr)
+    columns = sp._table_columns(args.alpha, mass_ev, args.max_ntheta, args.max_nr)
     if args.format == "csv":
-        sys.stdout.write(sp.lines_to_csv(lines))
+        sys.stdout.write(sp._csv_text(columns))
     else:
-        sys.stdout.write(sp.lines_to_json(lines) + "\n")
-    threshold = tol * mass_ev
-    return EXIT_OK if all(line.abs_diff <= threshold for line in lines) else EXIT_VERIFICATION
+        sys.stdout.write(sp._json_text(columns))
+        sys.stdout.write("\n")
+    abs_diff = columns[SpectrumLine._fields.index("abs_diff")]
+    return EXIT_OK if (abs_diff <= tol * mass_ev).all() else EXIT_VERIFICATION
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

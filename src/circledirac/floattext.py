@@ -1,0 +1,423 @@
+"""Python's own decimal text for arrays of doubles and integers, in one numpy pass.
+
+:func:`rows_text` writes a table whose columns are numpy arrays, row by
+row between literal strings, with every number spelt exactly as Python
+spells it: an integer as ``"%d"``, a double as ``format(x, ".17g")`` (the
+``g17`` style) or as ``repr(x)`` (the ``repr`` style, which ``json.dumps``
+writes for a finite float).  Each column is converted as a whole, and the
+text of a chunk of rows is one byte buffer, decoded once.
+
+Digits.  A positive finite x with decimal exponent E (10^E <= x <
+10^(E+1)) scales to y = x*10^(16-E) in [10^16, 10^17).  y is evaluated
+as a double-word hi + lo: x, prescaled by an exact power of two 2^b where
+|E| > 250 so that no operand leaves [2^-900, 2^900], times the
+double-word nearest 10^(16-E)*2^-b, by Dekker's TwoProduct.  The table of
+powers is built once from exact integers, each word correctly rounded by
+Python's ``int / int``; the pass uses only real ``+ - *``, ``rint``,
+``floor``, ``ceil`` and integer operations, which give the same bits at
+every SIMD dispatch level.  E comes from ``np.log10`` lowered by 1e-9, an
+estimate at most one below the exponent: where round(y) then exceeds
+10^17, the value is scaled again at E + 1, and a y below 10^16 is
+refused, so the estimate never decides a digit.  round(y) = 10^17 means
+the value rounds up to the next power of ten.
+
+* ``g17``: the digits are those of round(y), the correctly rounded 17
+  digits of David Gay's ``dtoa`` (Gay, "Correctly rounded binary-decimal
+  and decimal-binary conversions", 1990), which Python calls; an exact
+  tie rounds to even, as ``dtoa`` does.
+* ``repr``: the shortest digits that read back as x (Steele & White, "How
+  to print floating-point numbers accurately", PLDI 1990).  With [A, B]
+  x's rounding interval in the units of y, j is the largest power of ten
+  with a multiple in [A, B], and the digits are those of the multiple of
+  10^j nearest y, moved into [A, B] if it lies outside.  That is Python's
+  rule also at powers of two, whose interval is lopsided.  For a normal
+  double B - A < 25, so j and the multiple come from y's last two digits;
+  a subnormal's wider interval takes a loop over the powers of ten.
+
+The certificate.  hi + lo errs from y by at most 2^-104*y < 2^-47: the
+table's words by 2^-106 relative, and the product by the roundings of
+its low word.  Where the table's power is exact (10^0 to 10^22), y is
+exact.  The interval's half-gaps are exact powers of two times the
+table's words, whose products are exact; each end is taken as an exact
+integer plus a part under 3, rounded twice.  A value keeps its digits
+only when each decision lies further than _WIDTH = 2^-40 from its
+boundary: for ``g17`` round(y) from the half-integers, unless y is exact;
+for ``repr`` both ends of the interval from the integers and y from the
+midpoint between the two candidate multiples.
+
+The arbiter.  Every other value goes to Python's own ``format(x,
+".17g")`` or ``repr(x)``, :func:`_python_text`: those the certificate
+leaves (in practice ``repr``'s exact cases: a tie between candidates, or
+an interval end on the grid, as for every double in [2^52, 10^17)),
+those outside its domain (non-finite values, and for ``repr`` the largest
+double, whose upper neighbour is infinite), and every integer of a column
+that does not fit in [0, 10^17).  Zeros are written natively with their
+sign.  So every byte is Python's.
+
+Layout.  A double's text is its sign and prefix (``0.``, ``0.0``, ...),
+its digits with the point among them, and its exponent suffix, in five
+words of zero-padded bytes, whose masks come from tables indexed by the
+exponent and the number of digits.  Fixed and exponent form switch where
+Python's do: fixed for -4 <= E < 17 in ``g17`` and -4 <= E < 16 in
+``repr``, trailing zeros dropped, ``repr`` adding ``.0`` to an integer,
+and an exponent of at least two digits with its sign.  A chunk of rows
+is laid out side by side with the literals in one byte buffer, and its
+zero bytes are dropped in one ``bytes.translate``.
+"""
+
+from __future__ import annotations
+
+import functools
+from typing import NamedTuple
+
+import numpy as np
+
+from .doubleword import _fast_two_sum, _two_product
+
+__all__: list[str] = []
+
+# The decimal exponents the power table covers: those of every positive double, one
+# below for the estimate and one above for the correction
+_E_MIN, _E_MAX = -325, 309
+# Beyond |E| = _BAND, x is prescaled by 2^-+_PRESCALE
+_BAND, _PRESCALE = 250, 400
+_TOP = 10 ** 17
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+# The certificate's margin, in units of the last of 17 digits
+_WIDTH = 2.0 ** -40
+# Values formatted at a time: numpy's temporaries stay within 64 kB, where the allocator
+# reuses them instead of mapping fresh pages
+_CHUNK = 8000
+_WORD = np.dtype("<u8")
+# the point's position among the digits when it has none
+_NO_POINT = 24
+_MAX = np.finfo(float).max
+
+
+@functools.cache
+def _powers():
+    """(hi, lo, scale, exact) by E - _E_MIN: hi + lo nearest 10^(16-E)/scale, scale = 2^b,
+    and whether hi is 10^(16-E)/scale exactly."""
+    his, los, scales, exact = [], [], [], []
+    tens = [1]
+    for _ in range(max(16 - _E_MIN, _E_MAX - 16)):
+        tens.append(tens[-1] * 10)
+    for e in range(_E_MIN, _E_MAX + 1):
+        k = 16 - e
+        b = _PRESCALE if e < -_BAND else -_PRESCALE if e > _BAND else 0
+        num, den = tens[max(k, 0)] << max(-b, 0), tens[max(-k, 0)] << max(b, 0)
+        hi = num / den
+        p, q = hi.as_integer_ratio()
+        rest = num * q - p * den
+        his.append(hi)
+        los.append(rest / (den * q))
+        scales.append(2.0 ** b)
+        exact.append(rest == 0)
+    return np.array(his), np.array(los), np.array(scales), np.array(exact)
+
+
+class _Tables(NamedTuple):
+    """Words of text, and masks of 24-byte digit strings as three words a row."""
+
+    quads: np.ndarray           # 4 digits by value
+    prefixes: np.ndarray        # sign and "0.", "0.0", ... (see _layouts)
+    suffixes: np.ndarray        # "e+XX" by exponent (see _layouts)
+    body: list[np.ndarray]      # 9 words of masks by 25*written + point (see _layouts)
+    lead: list[np.ndarray]      # 3 words keeping the last k of 17 digits, by k
+    lasts: list[np.ndarray]     # 4 tables: the last nonzero digit's position (_significant)
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """The tables of :class:`_Tables`, built once."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T    # of 0000 to 9999
+    quads = np.zeros((10000, 8), np.uint8)
+    quads[:, :4] = digits + 48
+
+    def words(texts):
+        return np.array([t.encode() for t in texts], dtype="S8").view(_WORD)
+
+    # by 5*sign + characters before the digits of a fixed value below 1, less one
+    prefixes = words([sign + ("0." + "0" * (k - 2) if k else "")
+                      for sign in ("", "-") for k in (0, 2, 3, 4, 5)])
+    # by exponent - _E_MIN, then one empty suffix for fixed form
+    suffixes = words([f"e{e:+03d}" for e in range(_E_MIN, _E_MAX + 2)] + [""])
+    # by 25*written + point, for the digits' bytes k: those before the point, those after it
+    # (from the digits shifted up one byte) and the point itself
+    k, written, point = np.arange(24), np.arange(19)[:, None, None], np.arange(25)[:, None]
+    body = np.stack(((k < np.minimum(point, written)) * 255,
+                     ((point < k) & (k <= written)) * 255,
+                     ((k == point) & (point < written)) * 46))
+    body = body.astype(np.uint8).reshape(3, -1, 24).view(_WORD)
+    # by count of digits: the last that many of the 17 digits
+    count = np.arange(18)[:, None]
+    lead = (((17 - count <= k) & (k < 17)) * 255).astype(np.uint8).view(_WORD)
+    # by digits 4k to 4k + 3: the position of the last nonzero one among the 17 (0 for 0)
+    last = ((digits > 0) * np.arange(1, 5, dtype=np.uint8)).max(axis=1)
+    lasts = [np.where(last > 0, 4 * k + last, 0).astype(np.uint8) for k in range(4)]
+    body = list(np.moveaxis(body, 2, 1).reshape(9, -1).copy())
+    return _Tables(quads.view(_WORD).ravel(), prefixes, suffixes, body, list(lead.T.copy()), lasts)
+
+
+@functools.cache
+def _layouts(shortest: bool):
+    """(mask, prefix, suffix) indices of :func:`_tables` by (X - _E_MIN)*18 + L for a
+    value of decimal exponent X with L digits, in the ``repr`` style if ``shortest``."""
+    X, L = np.arange(_E_MIN, _E_MAX + 2)[:, None], np.arange(18)
+    fixed = (X >= -4) & (X < 17 - shortest)
+    point = fixed & (X >= 0)
+    # digits written: also an integer's zeros up to its point, and the 0 of repr's ".0"
+    written = np.where(point, np.maximum(L, X + 1 + shortest), L)
+    # the point goes before digit `dot`, where digits follow it
+    dot = np.where(point, X + 1, np.where(fixed, _NO_POINT, 1))
+    dot = np.where(dot < written, dot, _NO_POINT)
+    prefix = np.where(fixed & (X < 0), -X, 0)
+    suffix = np.where(fixed, _E_MAX + 2 - _E_MIN, X - _E_MIN)
+    return tuple(np.broadcast_to(index, written.shape).astype(np.int16).ravel()
+                 for index in (25 * written + dot, prefix, suffix))
+
+
+# the layout key of a zero, 0 or 0.0, with one digit at exponent 0
+_ZERO = -_E_MIN * 18 + 1
+
+
+def _groups(D) -> list[np.ndarray]:
+    """Integers D in [0, 10^17) as their digits 0-3, 4-7, 8-11 and 12-15 and digit 16."""
+    g0 = D // 10 ** 13
+    r = D - g0 * 10 ** 13
+    g1 = r // 10 ** 9
+    r -= g1 * 10 ** 9
+    g2 = r // 10 ** 5
+    r -= g2 * 10 ** 5
+    g3 = r // 10
+    return [g0, g1, g2, g3, r - g3 * 10]
+
+
+def _digit_words(groups) -> list[np.ndarray]:
+    """The 17 decimal digits of :func:`_groups` as ASCII, 24 bytes in three words."""
+    quads = _tables().quads
+    g0, g1, g2, g3, g4 = groups
+    return [quads[g0] | quads[g1] << 32, quads[g2] | quads[g3] << 32, (g4 + 48).astype(_WORD)]
+
+
+def _significant(groups) -> np.ndarray:
+    """The position of the last nonzero of the 17 digits of :func:`_groups` (0 for 0)."""
+    length = (groups[4] > 0) * 17
+    for last, g in zip(_tables().lasts, groups):
+        np.maximum(length, last[g], out=length)
+    return length
+
+
+def _scaled(ax, E):
+    """(hi, lo, s, t, tl, exact): y = ax*10^(16-E) as the double-word hi + lo, from ax
+    prescaled by the power of two s and the table's words t + tl; where the table's word t
+    is exact (tl = 0), so is hi + lo."""
+    his, los, scales, exact = _powers()
+    i = E - _E_MIN
+    s, t, tl = scales[i], his[i], los[i]
+    xs = ax * s
+    p, e = _two_product(xs, t)
+    return (*_fast_two_sum(p, e + xs * tl), s, t, tl, exact[i])
+
+
+def _at_scale(ax, E, shortest):
+    """(D, ok, above) for positive doubles ax at decimal exponent E.
+
+    D is the 17-digit integer of the ``g17`` or, if ``shortest``, the
+    ``repr`` digits of y = ax*10^(16-E); ok where the certificate holds and
+    10^16 <= y and round(y) <= 10^17; above where round(y) > 10^17, so E is
+    too small.
+    """
+    hi, lo, s, t, tl, exact = _scaled(ax, E)
+    n = np.rint(lo)
+    r = lo - n                        # exact, |r| <= 1/2
+    Y = hi.astype(np.int64) + n.astype(np.int64)
+    # round(y) > 10^17: E is too small, and Y may not even fit in 64 bits
+    above = (hi > 1e17) | ((hi == 1e17) & (lo > 0.5))
+    ok = ((hi > 1e16) | ((hi == 1e16) & (lo >= np.where(exact, 0.0, _WIDTH)))) & ~above
+    if not shortest:
+        # an exact y on a tie has r = -+1/2, and rint rounds lo, so Y (hi is even), to even
+        ok &= (0.5 - np.abs(r) > _WIDTH) | exact
+        return Y, ok, above
+    # x's rounding interval [y - G, y + H], with G and H half the gaps to the neighbouring
+    # doubles in the units of y: exact powers of two times the table's words
+    bits = ax.view(np.int64)
+    low, a = _end(Y, r, ((ax - (bits - 1).view(float)) * s) * 0.5, t, tl, -1)
+    high, b = _end(Y, r, (((bits + 1).view(float) - ax) * s) * 0.5, t, tl, 1)
+    ok &= (a > _WIDTH) & (b > _WIDTH)
+    # j, the largest power of ten with a multiple in [low, high].  For a normal double
+    # high - low < 25, and j is the largest with high mod 10^j <= high - low, so past 10^2
+    # the count of zeros above it; the multiple is then the one in [low, high] for j >= 2,
+    # else the one nearest y moved into it
+    width = high - low
+    tens = high // 10
+    hundreds = high // 100
+    r2 = high - hundreds * 100
+    j = (high - tens * 10 <= width).astype(np.int64) + (r2 <= width)
+    many = np.flatnonzero((j == 2) & ok)
+    j[many] += 17 - _significant(_groups(hundreds[many]))
+    q = Y // 10
+    rem = Y - q * 10 + r - 5.0           # y - 10q - 5
+    C = np.where(j >= 2, high - r2, np.where(j == 1, (q + (rem > 0)) * 10, Y))
+    C += ((C < low) & (j == 1)) * 10 - ((C > high) & (j == 1)) * 10
+    ok &= np.where(j == 0, 0.5 - np.abs(r), np.where(j == 1, np.abs(rem), 1.0)) > _WIDTH
+    # a subnormal's interval is wider: j from the quotients, the multiple nearest y
+    wide = np.flatnonzero((width >= 25) & ok)
+    if wide.size:
+        j[wide], C[wide], ok[wide] = _wide(Y[wide], r[wide], low[wide], high[wide])
+    return C, ok, above
+
+
+def _end(Y, r, gap, t, tl, sign):
+    """(end, margin): the integer end of y - G (sign -1) or y + H (sign 1) nearest y,
+    y = Y + r and G or H = gap*(t + tl), and the distance of the unrounded end from the
+    integers.  gap*t and gap*tl are exact; the integer part of gap*t is taken exactly and
+    the rest, under 3, is rounded twice.  The largest double's upper gap is infinite, and
+    its margin NaN."""
+    G = gap * t
+    whole = np.floor(G)
+    part = r + sign * ((G - whole) + gap * tl)
+    end = np.floor(part) if sign > 0 else np.ceil(part)
+    return Y + sign * whole.astype(np.int64) + end.astype(np.int64), np.abs(part - np.rint(part))
+
+
+def _wide(Y, r, low, high):
+    """(j, C, ok) of :func:`_at_scale` for intervals [low, high] of any width over 24."""
+    j = np.zeros(Y.size, np.int64)
+    live, h, l = np.arange(Y.size), high, low - 1
+    for k in range(1, 18):
+        h, l = h // 10, l // 10
+        keep = h > l
+        live, h, l = live[keep], h[keep], l[keep]
+        j[live] = k
+    # the multiple of p = 10^j >= 10 nearest y: y - C = (Y - C) + r, with the midpoints
+    # between multiples at Y - C = -+p/2 exactly
+    p = _POW10[j]
+    half = p // 2
+    C = (Y + half) // p * p
+    C -= ((Y - C + half).astype(float) + r < 0.0) * p
+    d = Y - C
+    margin = np.minimum(np.abs((d - half).astype(float) + r), np.abs((d + half).astype(float) + r))
+    C += (C < low) * p - (C > high) * p
+    return j, C, margin > _WIDTH
+
+
+def _estimate(ax):
+    """floor(log10(ax)) or one less, from numpy's log10 (whose last bits vary between SIMD
+    dispatch levels) lowered by far more than its error."""
+    return np.floor(np.log10(ax) - 1e-9).astype(np.int64)
+
+
+def _decimals(ax, shortest):
+    """(D, X, ok): ax's digits as an integer in [10^16, 10^17) and its decimal exponent X."""
+    E = np.clip(_estimate(ax), _E_MIN, _E_MAX - 1)
+    D, ok, above = _at_scale(ax, E, shortest)
+    redo = np.flatnonzero(above)
+    if redo.size:
+        E[redo] += 1
+        D[redo], ok[redo], _ = _at_scale(ax[redo], E[redo], shortest)
+    top = ok & (D == _TOP)
+    D[top] = _TOP // 10
+    E[top] += 1
+    return D, E, ok
+
+
+def _python_text(values, style: str) -> list[str]:
+    """The arbiter: Python's own text of each value."""
+    if style == "g17":
+        return [format(v, ".17g") for v in values]
+    return [repr(v) for v in values]
+
+
+def _float_words(x, style: str) -> np.ndarray:
+    """The text of doubles x in ``style`` as five zero-padded words ``(n, 5)`` each: 6 bytes
+    of sign and prefix, 18 of digits and point (in three), 5 of exponent suffix."""
+    shortest = style == "repr"
+    ax = np.abs(x)
+    ok = (ax > 0.0) & (ax <= _MAX)
+    with np.errstate(all="ignore"):
+        D, X, certified = _decimals(np.where(ok, ax, 1.0), shortest)
+    ok &= certified
+    tables = _tables()
+    groups = _groups(D * ok)
+    key = np.where(ok, (X - _E_MIN) * 18 + _significant(groups), _ZERO)
+    mask, prefix, suffix = (index[key].astype(np.intp) for index in _layouts(shortest))
+    digits = _digit_words(groups)
+    shifted = [digits[0] << 8, digits[1] << 8 | digits[0] >> 56, digits[2] << 8 | digits[1] >> 56]
+    masks = [table[mask] for table in tables.body]
+    words = [tables.prefixes[prefix + 5 * np.signbit(x)],
+             *((d & masks[i]) | (s & masks[3 + i]) | masks[6 + i]
+               for i, (d, s) in enumerate(zip(digits, shifted))),
+             tables.suffixes[suffix]]
+    out = np.stack(words, axis=1)
+    arbitrated = np.flatnonzero(~ok & (ax != 0.0))
+    if arbitrated.size:
+        text = _python_text(x[arbitrated].tolist(), style)
+        text = np.array(text, dtype="S24").view(np.uint8).reshape(-1, 24)
+        raw = np.zeros((arbitrated.size, 40), np.uint8)
+        raw[:, 0:6], raw[:, 8:26] = text[:, :6], text[:, 6:]
+        out[arbitrated] = raw.view(_WORD)
+    return out
+
+
+def _int_field(column):
+    """(digits, width) of an integer column: the int64 values if they lie in [0, 10^17),
+    else Python's ``"%d"`` text as zero-padded bytes ``(n, width)``."""
+    column = np.asarray(column)
+    if column.dtype.kind in "iu" and 0 <= column.min() and column.max() < _TOP:
+        return column.astype(np.int64), len(str(int(column.max())))
+    text = np.array(["%d" % n for n in column.tolist()], dtype="S")
+    return text.view(np.uint8).reshape(column.size, -1), text.itemsize
+
+
+def _int_bytes(v, width: int) -> np.ndarray:
+    """Integers v in [0, 10^width), width <= 17, right-aligned in ``(n, width)`` bytes with
+    their leading zeros as 0 bytes."""
+    count = np.searchsorted(_POW10[1:width], v, side="right") + 1
+    kept = [w & lead[count] for w, lead in zip(_digit_words(_groups(v)), _tables().lead)]
+    return np.stack(kept, axis=1).view(np.uint8)[:, 17 - width:17]
+
+
+def rows_text(fields, literals, head: str = "", sep: str = "", tail: str = "") -> str:
+    """``head``, the rows joined by ``sep``, then ``tail``; a row is ``literals[0] field_0
+    literals[1] ... field_k-1 literals[k]``.
+
+    ``fields`` holds (style, column) pairs, each column an array of one
+    value per row and each style ``"d"`` (integers), ``"g17"`` or ``"repr"``.
+    """
+    rows = len(fields[0][1])
+    if not rows:
+        return head + tail
+    styles = [style for style, _ in fields]
+    blocks = {style: np.column_stack([np.asarray(c, dtype=float)
+                                      for s, c in fields if s == style])
+              for style in dict.fromkeys(styles) if style != "d"}
+    ints = [_int_field(column) if style == "d" else None for style, column in fields]
+    # each row of the byte buffer: the literals, the fields' slots, and sep
+    literals = [*literals[:-1], literals[-1] + sep]
+    starts, at = [], 0
+    for literal, field in zip(literals, ints):
+        at += len(literal)
+        starts.append(at)
+        at += 40 if field is None else field[1]
+    step = max(1, _CHUNK // max((b.shape[1] for b in blocks.values()), default=1))
+    buffer = np.empty((min(step, rows), at + len(literals[-1])), np.uint8)
+    for literal, end in zip(literals, starts + [buffer.shape[1]]):
+        buffer[:, end - len(literal):end] = np.frombuffer(literal.encode(), np.uint8)
+    pieces = [head]
+    for first in range(0, rows, step):
+        part = slice(first, first + step)
+        out = buffer[:min(step, rows - first)]
+        text = {style: iter(np.moveaxis(_float_words(block[part].ravel(), style).view(
+            np.uint8).reshape(len(out), block.shape[1], 40), 1, 0))
+            for style, block in blocks.items()}
+        for style, field, at in zip(styles, ints, starts):
+            if field is None:
+                out[:, at:at + 40] = next(text[style])
+            elif field[0].ndim == 1:
+                out[:, at:at + field[1]] = _int_bytes(field[0][part], field[1])
+            else:
+                out[:, at:at + field[1]] = field[0][part]
+        pieces.append(out.tobytes().translate(None, b"\0").decode("ascii"))
+    pieces[-1] = pieces[-1][:len(pieces[-1]) - len(sep)]
+    return "".join([*pieces, tail])

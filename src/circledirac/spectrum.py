@@ -48,18 +48,26 @@ entry out of domain raises the scalar call's error class, and the
 message names the first such row.  :func:`spectrum_table` makes two
 array calls over its level grid, route A and the oracle, and refuses a
 grid of more than :data:`MAX_LEVELS` levels before it allocates one.
+
+The table is a list of :class:`SpectrumLine` tuples, a view of its sorted
+column arrays; the ``spectrum`` command writes its CSV and JSON text
+straight from those arrays, through :func:`circledirac.floattext.rows_text`,
+which spells every number as Python's ``%d``, ``format(x, ".17g")`` or
+``repr`` would, with Python's own formatting as the arbiter for any value
+its certificate does not cover.  :func:`lines_to_csv` and
+:func:`lines_to_json` write the same text from tuples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 from mpmath import libmp
 
+from .doubleword import _fast_two_sum, _two_product, _two_sum
 from .errors import (CircleDiracError, FloatRange, bound_coupling, positive_mass, quantum_integer,
                      require)
 from .planewave import de_broglie
@@ -326,38 +334,6 @@ def sommerfeld_reference(alpha: float, n_theta: int, n_r: int, mass: float = 1.0
     return _plain(values.reshape(np.shape(hi)))
 
 
-# Veltkamp's splitting constant 2^27 + 1: x*_SPLIT splits a double into two 26-bit halves
-_SPLIT = 134217729.0
-
-
-def _two_sum(a, b):
-    """Knuth's TwoSum: (s, e) with s = RN(a + b) and s + e = a + b exactly."""
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
-
-
-def _fast_two_sum(a, b):
-    """Dekker's Fast2Sum, for |a| >= |b|: (s, e) with s = RN(a + b) and s + e = a + b exactly."""
-    s = a + b
-    return s, b - (s - a)
-
-
-def _split(a):
-    """Veltkamp's split: a = hi + lo, each half of at most 26 significant bits."""
-    c = _SPLIT * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _two_product(a, b):
-    """Dekker's TwoProduct, without a fused multiply-add: (p, e), p = RN(a*b), p + e = a*b."""
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
 def _dw_mul(xh, xl, yh, yl):
     """The product of two positive double-words (Dekker's mul2)."""
     p, e = _two_product(xh, yh)
@@ -538,10 +514,35 @@ class SpectrumLine(NamedTuple):
 
 
 # The most levels spectrum_table computes, more than 601 x 601.  The CLI
-# holds a whole table until it is written: at 601 x 601 it peaked at 312 MB
-# (csv) and 395 MB (json) and took about 6-7 and 8-8.5 us per level from
-# process start, so a table at the cap needs about 0.4-0.55 GB and 3-4.5 s.
+# holds a whole table and its text until the text is written: at 601 x 601
+# it peaked at 181 MB (csv) and 240 MB (json) and took about 2.7-3.4 and
+# 3.6-4.4 us per level from process start (3 runs each, 2-vCPU shared VM),
+# so a table at the cap needs about 0.25-0.35 GB and 1.5-2.2 s.
 MAX_LEVELS = 500_000
+
+
+def _table_columns(alpha: float, mass_ev: float,
+                   max_n_theta: int, max_n_r: int) -> list[np.ndarray]:
+    """The columns of :func:`spectrum_table`, in :class:`SpectrumLine` order, as sorted arrays."""
+    max_n_theta = quantum_integer("max_n_theta", max_n_theta, 1)
+    max_n_r = quantum_integer("max_n_r", max_n_r, 0)
+    if max_n_theta * (max_n_r + 1) > MAX_LEVELS:
+        raise CircleDiracError(f"max_n_theta={max_n_theta} and max_n_r={max_n_r} give "
+                               f"{max_n_theta * (max_n_r + 1)} levels, more than the cap "
+                               f"MAX_LEVELS = {MAX_LEVELS}")
+    n_theta = np.arange(1, max_n_theta + 1)[:, None]
+    n_r = np.arange(max_n_r + 1)
+    positive_mass(mass_ev, "mass_ev")
+    qn = QuantumNumbers(n_theta, n_r)
+    state = coupled_solve(alpha, qn)
+    energy_ev = state.nu_m * mass_ev
+    reference_ev = sommerfeld_reference(alpha, n_theta, n_r) * mass_ev
+    columns = [column.ravel() for column in np.broadcast_arrays(
+        n_theta, n_r, qn.n, state.nu_m, energy_ev,
+        -mass_ev * state.v_m * state.v_m / (1.0 + state.nu_m),
+        reference_ev, np.abs(energy_ev - reference_ev))]
+    order = np.lexsort((columns[0], columns[2]))
+    return [column[order] for column in columns]
 
 
 def spectrum_table(alpha: float, mass_ev: float,
@@ -564,41 +565,48 @@ def spectrum_table(alpha: float, mass_ev: float,
     than :data:`MAX_LEVELS` levels raises :class:`CircleDiracError`
     before anything is allocated.
     """
-    max_n_theta = quantum_integer("max_n_theta", max_n_theta, 1)
-    max_n_r = quantum_integer("max_n_r", max_n_r, 0)
-    if max_n_theta * (max_n_r + 1) > MAX_LEVELS:
-        raise CircleDiracError(f"max_n_theta={max_n_theta} and max_n_r={max_n_r} give "
-                               f"{max_n_theta * (max_n_r + 1)} levels, more than the cap "
-                               f"MAX_LEVELS = {MAX_LEVELS}")
-    n_theta = np.arange(1, max_n_theta + 1)[:, None]
-    n_r = np.arange(max_n_r + 1)
-    positive_mass(mass_ev, "mass_ev")
-    qn = QuantumNumbers(n_theta, n_r)
-    state = coupled_solve(alpha, qn)
-    energy_ev = state.nu_m * mass_ev
-    reference_ev = sommerfeld_reference(alpha, n_theta, n_r) * mass_ev
-    columns = [column.ravel() for column in np.broadcast_arrays(
-        n_theta, n_r, qn.n, state.nu_m, energy_ev,
-        -mass_ev * state.v_m * state.v_m / (1.0 + state.nu_m),
-        reference_ev, np.abs(energy_ev - reference_ev))]
-    order = np.lexsort((columns[0], columns[2]))
-    return list(map(SpectrumLine._make, zip(*(column[order].tolist() for column in columns))))
+    columns = _table_columns(alpha, mass_ev, max_n_theta, max_n_r)
+    return list(map(SpectrumLine._make, zip(*(column.tolist() for column in columns))))
 
 
-# 17 significant digits, '.' decimal separator, locale independent
-_CSV_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g"
+def _line_columns(lines: list[SpectrumLine]) -> list[np.ndarray]:
+    """The columns of rows, as :func:`_table_columns` gives them."""
+    if not lines:
+        return [np.zeros(0, int)] * 3 + [np.zeros(0)] * 5
+    return [np.array(column) for column in zip(*lines)]
+
+
+# each row's literal text around its eight values: a CSV line, and a JSON object with
+# json.dumps's separators
+_CSV_LITERALS = ["", *"," * 7, "\n"]
+_JSON_LITERALS = ["{" + f'"{SpectrumLine._fields[0]}": ',
+                  *(f', "{name}": ' for name in SpectrumLine._fields[1:]), "}"]
+
+
+def _csv_text(columns: list[np.ndarray]) -> str:
+    """The table's CSV text, a header and one line per row; doubles as ``%.17g``."""
+    # imported on first use, so that commands which write no spectrum text never load it
+    from .floattext import rows_text
+    fields = list(zip(["d"] * 3 + ["g17"] * 5, columns))
+    return rows_text(fields, _CSV_LITERALS, head=",".join(SpectrumLine._fields) + "\n")
+
+
+def _json_text(columns: list[np.ndarray]) -> str:
+    """The table as ``json.dumps`` writes a list of row dicts; doubles as ``repr``.
+
+    Raises ``ValueError``, as ``json.dumps(..., allow_nan=False)`` does, if a
+    double is not finite.
+    """
+    from .floattext import rows_text
+    if not all(np.isfinite(column).all() for column in columns[3:]):
+        raise ValueError("Out of range float values are not JSON compliant")
+    fields = list(zip(["d"] * 3 + ["repr"] * 5, columns))
+    return rows_text(fields, _JSON_LITERALS, head="[", sep=", ", tail="]")
 
 
 def lines_to_csv(lines: list[SpectrumLine]) -> str:
-    rows = [",".join(SpectrumLine._fields)]
-    rows.extend(_CSV_ROW % line for line in lines)
-    return "\n".join(rows) + "\n"
-
-
-# one JSON object per row, with json.dumps's separators; %r is the repr json.dumps
-# writes for a finite float
-_JSON_ROW = "{%s}" % ", ".join(f'"{name}": %{kind}'
-                                for name, kind in zip(SpectrumLine._fields, "dddrrrrr"))
+    """The rows as CSV: a header of the field names, then ``%d`` and ``%.17g`` values."""
+    return _csv_text(_line_columns(lines))
 
 
 def lines_to_json(lines: list[SpectrumLine]) -> str:
@@ -607,7 +615,4 @@ def lines_to_json(lines: list[SpectrumLine]) -> str:
     Raises ``ValueError``, as ``json.dumps(..., allow_nan=False)`` does, if a
     value is not finite.
     """
-    values = np.fromiter(chain.from_iterable(lines), float, count=8 * len(lines))
-    if not np.isfinite(values.reshape(-1, 8)[:, 3:]).all():
-        raise ValueError("Out of range float values are not JSON compliant")
-    return "[" + ", ".join([_JSON_ROW % line for line in lines]) + "]"
+    return _json_text(_line_columns(lines))

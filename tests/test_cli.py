@@ -280,6 +280,31 @@ class TestCommandOptions:
         assert synopsis == options
 
 
+class TestParserReuse:
+    """main builds its parser once per process; no call's options reach the next."""
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_calls_in_a_row_keep_nothing(self):
+        from circledirac import lines_to_csv, lines_to_json, spectrum_table, verify
+        from circledirac.cli import DEFAULT_ALPHA, DEFAULT_MASS_EV
+        code, out, err = run_cli("spectrum", "--alpha", "0.37", "--bogus")
+        assert (code, out) == (1, "") and "unrecognized arguments: --bogus" in err
+        code, out, _ = run_cli("spectrum", "--alpha", "0.37", "--mass-ev", "2", "--max-ntheta",
+                               "2", "--max-nr", "1", "--format", "json")
+        assert (code, out) == (0, lines_to_json(spectrum_table(0.37, 2.0, 2, 1)) + "\n")
+        # every option back at its default
+        code, out, _ = run_cli("spectrum")
+        default = spectrum_table(DEFAULT_ALPHA, DEFAULT_MASS_EV, 3, 3)
+        assert (code, out) == (0, lines_to_csv(default))
+        code, out, _ = run_cli("verify", "--suite", "algebra", "--seed", "3", "--format", "json")
+        assert (code, out) == (0, verify.reports_to_json([verify.run_suite("algebra", 3)]))
+        code, out, _ = run_cli("verify", "--suite", "spectrum")
+        assert (code, out) == (0, verify.reports_to_csv([verify.run_suite("spectrum", 0)]))
+        code, out, err = run_cli("verify", "--alpha", "0.5")
+        assert (code, out) == (1, "") and "unrecognized arguments: --alpha" in err
+
 BAD_INPUTS = [
     (("spectrum", "--mass-ev", "inf", "--format", "json"), "CircleDiracError: mass-ev"),
     (("qed-rho", "--A", "nan"), "CircleDiracError: A must be finite"),

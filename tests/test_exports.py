@@ -43,7 +43,7 @@ def test_package_reexports_every_module_all():
 # work ``planewave.residual`` does for a batch, the scalar reflector product, which
 # ``reflector_mul_array`` does on coefficient arrays, the one-point rotated basis,
 # which ``rotated_basis_array`` builds over arrays of angles, and the JSON row dicts,
-# which ``lines_to_json`` formats straight from the rows.  The tracer lists them
+# whose text ``floattext.rows_text`` writes from the table's columns.  The tracer lists them
 # under ``missing_layers`` until the benchmark's own FUNCTIONS list drops them.
 RETIRED = ("reflector.dirac_lhs", "reflector.dirac_rhs", "reflector.reflector_mul",
            "circle_spaces.rotated_basis", "spectrum.lines_to_json_rows")

@@ -216,19 +216,25 @@ class TestSpectrumTable:
         assert {(line.n_theta, line.n_r) for line in lines} == {
             (k, r) for k in range(1, max_n_theta + 1) for r in range(max_n_r + 1)}
 
+    # CODATA coupling; 1e-300, where every energy is exactly the mass and the bindings
+    # underflow; and near-critical coupling
+    TEXT_ALPHAS = [CODATA_ALPHA, 1e-300, 1 - 1e-12]
+
     @pytest.mark.parametrize("mass_ev", [1e-300, ELECTRON_MASS_EV, 1e308])
     def test_csv_text_is_the_per_field_join(self, mass_ev):
-        lines = spectrum_table(CODATA_ALPHA, mass_ev, 6, 5)
-        want = ["n_theta,n_r,n,energy_natural,energy_ev,binding_ev,reference_ev,abs_diff"]
-        for line in lines:
-            want.append(",".join([str(line.n_theta), str(line.n_r), str(line.n)] + [
-                format(x, ".17g") for x in (line.energy_natural, line.energy_ev,
-                                            line.binding_ev, line.reference_ev, line.abs_diff)]))
-        assert lines_to_csv(lines) == "\n".join(want) + "\n"
+        for alpha in self.TEXT_ALPHAS:
+            lines = spectrum_table(alpha, mass_ev, 6, 5)
+            want = ["n_theta,n_r,n,energy_natural,energy_ev,binding_ev,reference_ev,abs_diff"]
+            for line in lines:
+                want.append(",".join([str(line.n_theta), str(line.n_r), str(line.n)] + [
+                    format(x, ".17g") for x in (line.energy_natural, line.energy_ev,
+                                                line.binding_ev, line.reference_ev,
+                                                line.abs_diff)]))
+            assert lines_to_csv(lines) == "\n".join(want) + "\n"
 
     @pytest.mark.parametrize("mass_ev", [1e-300, ELECTRON_MASS_EV, 1e308])
     def test_json_text_is_json_dumps(self, mass_ev):
-        for lines in ([], spectrum_table(CODATA_ALPHA, mass_ev, 6, 5),
+        for lines in ([], *(spectrum_table(alpha, mass_ev, 6, 5) for alpha in self.TEXT_ALPHAS),
                       spectrum_table(0.37, mass_ev, 30, 30)):
             want = json.dumps([dict(zip(SpectrumLine._fields, line)) for line in lines],
                               allow_nan=False)
