@@ -41,7 +41,8 @@ print(f"  E(n_theta=2, n_r=0) - E(n_theta=1, n_r=1) = {split:.4e} eV"
       f"  (about m*alpha^4/32 = {MASS_EV * ALPHA ** 4 / 32:.4e} eV)")
 
 print("\nSpectrum table (CSV, the golden-file format):")
-lines = spectrum_table(ALPHA, MASS_EV, 2, 2)
-print(lines_to_csv(lines))
+table = spectrum_table(ALPHA, MASS_EV, 2, 2)
+print(lines_to_csv(table))
 # the JSON form of the same table reads back to the same rows
-assert json.loads(lines_to_json(lines)) == [line._asdict() for line in lines]
+rows = zip(*(column.tolist() for column in table))
+assert json.loads(lines_to_json(table)) == [dict(zip(table._fields, row)) for row in rows]

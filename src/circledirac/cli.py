@@ -19,7 +19,7 @@ from . import qed
 from . import spectrum as sp
 from . import verify
 from .errors import CircleDiracError
-from .spectrum import QuantumNumbers, SpectrumLine
+from .spectrum import QuantumNumbers
 
 __all__ = ["main"]
 
@@ -115,14 +115,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         raise CircleDiracError(f"mass-ev must be positive and finite, got {mass_ev}")
     if not 0 < tol < math.inf:
         raise CircleDiracError(f"tol must be positive and finite, got {tol}")
-    columns = sp._table_columns(args.alpha, mass_ev, args.max_ntheta, args.max_nr)
+    table = sp.spectrum_table(args.alpha, mass_ev, args.max_ntheta, args.max_nr)
     if args.format == "csv":
-        sys.stdout.write(sp._csv_text(columns))
+        sys.stdout.write(sp.lines_to_csv(table))
     else:
-        sys.stdout.write(sp._json_text(columns))
+        sys.stdout.write(sp.lines_to_json(table))
         sys.stdout.write("\n")
-    abs_diff = columns[SpectrumLine._fields.index("abs_diff")]
-    return EXIT_OK if (abs_diff <= tol * mass_ev).all() else EXIT_VERIFICATION
+    return EXIT_OK if (table.abs_diff <= tol * mass_ev).all() else EXIT_VERIFICATION
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -1,7 +1,7 @@
 """Bound states on circular charts and the fine-structure spectrum.
 
 Natural units hbar = c = 1 with e^2 = alpha; electronvolts only enter at
-the :class:`SpectrumLine` boundary through a user-supplied mass.
+the :class:`SpectrumTable` boundary through a user-supplied mass.
 
 The orbital solve is closed-form.  With v = alpha/n_theta the circular
 bound state has
@@ -20,7 +20,8 @@ routes:
 
   route A (geometric chain): solve
       sqrt(1 - v_m^2)/v_m = (sqrt(1 - v^2) + n_r/n_theta)/v
-  for the coupled speed v_m, then nu_m = m*sqrt(1 - v_m^2);
+  for the coupled speed v_m, then nu_m = m*sqrt(1 - v_m^2) (from K, the
+  right-hand side, as m*K/sqrt(1 + K^2) where K < 1);
 
   route B (closed form):
       nu_m = m * (1 + alpha^2/(sqrt(n_theta^2 - alpha^2) + n_r)^2)^(-1/2),
@@ -49,13 +50,13 @@ message names the first such row.  :func:`spectrum_table` makes two
 array calls over its level grid, route A and the oracle, and refuses a
 grid of more than :data:`MAX_LEVELS` levels before it allocates one.
 
-The table is a list of :class:`SpectrumLine` tuples, a view of its sorted
-column arrays; the ``spectrum`` command writes its CSV and JSON text
-straight from those arrays, through :func:`circledirac.floattext.rows_text`,
-which spells every number as Python's ``%d``, ``format(x, ".17g")`` or
-``repr`` would, with Python's own formatting as the arbiter for any value
-its certificate does not cover.  :func:`lines_to_csv` and
-:func:`lines_to_json` write the same text from tuples.
+The table is a :class:`SpectrumTable`, its eight sorted column arrays.
+:func:`lines_to_csv` and :func:`lines_to_json`, which the ``spectrum``
+command calls too, write its text straight from those arrays through
+:func:`circledirac.floattext.rows_text`, which spells every number as
+Python's ``%d``, ``format(x, ".17g")`` or ``repr`` would, with Python's
+own formatting as the arbiter for any value its certificate does not
+cover.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ __all__ = [
     "QuantumNumbers",
     "BohrState",
     "CoupledState",
-    "SpectrumLine",
+    "SpectrumTable",
     "circle_quantize",
     "circle_wave_energy",
     "bohr_solve",
@@ -227,7 +228,9 @@ def coupled_solve(alpha: float, qn: QuantumNumbers, mass: float = 1.0) -> Couple
 
     K = (sqrt(1 - v_b^2) + n_r/n_theta)/v_b determines the coupled speed
     v_m = 1/sqrt(1 + K^2) uniquely in (0, 1); the total energy is
-    nu_m = mass*sqrt(1 - v_m^2).  The heavy-electron fields absorb the
+    nu_m = mass*sqrt(1 - v_m^2), taken as mass*K/sqrt(1 + K^2) where K < 1:
+    there v_m nears 1 and 1 - v_m^2 cancels (Higham 1996, sec. 1.7), down
+    to 0 where v_m rounds to 1.  The heavy-electron fields absorb the
     orbit and vibration energies into one particle at the orbital speed,
     with the boosted denominators ds0^2 - ds1^2 of the arc elements.
 
@@ -240,8 +243,9 @@ def coupled_solve(alpha: float, qn: QuantumNumbers, mass: float = 1.0) -> Couple
     v, m = b.v_b, np.asarray(mass, dtype=float)
     with np.errstate(all="ignore"):
         K = (np.sqrt(1.0 - v * v) + np.divide(qn.n_r, qn.n_theta)) / v
-        v_m = 1.0 / np.sqrt(1.0 + K * K)
-        rest = np.sqrt(1.0 - v_m * v_m)
+        root_k = np.sqrt(1.0 + K * K)
+        v_m = 1.0 / root_k
+        rest = np.where(K < 1.0, K / root_k, np.sqrt(1.0 - v_m * v_m))
         # heavy electron: total energy nu_h at speed v_b, with ds1/ds0 = v_b
         nu_h = b.nu_b + eta_l
         one_minus = 1.0 - v * v
@@ -497,20 +501,22 @@ def _libmp_levels(levels) -> list[float]:
     return values
 
 
-class SpectrumLine(NamedTuple):
-    """One (n_theta, n_r) level with energies in natural units and eV.
+class SpectrumTable(NamedTuple):
+    """A level table: eight 1-d columns, one entry per (n_theta, n_r) level.
 
-    A tuple whose fields are the CSV columns in order; n = n_theta + n_r.
+    The fields are the CSV columns in order; n = n_theta + n_r.  The
+    first three are integer arrays, the rest float arrays of energies in
+    natural units and eV.
     """
 
-    n_theta: int
-    n_r: int
-    n: int
-    energy_natural: float
-    energy_ev: float
-    binding_ev: float
-    reference_ev: float
-    abs_diff: float
+    n_theta: np.ndarray
+    n_r: np.ndarray
+    n: np.ndarray
+    energy_natural: np.ndarray
+    energy_ev: np.ndarray
+    binding_ev: np.ndarray
+    reference_ev: np.ndarray
+    abs_diff: np.ndarray
 
 
 # The most levels spectrum_table computes, more than 601 x 601.  The CLI
@@ -521,32 +527,8 @@ class SpectrumLine(NamedTuple):
 MAX_LEVELS = 500_000
 
 
-def _table_columns(alpha: float, mass_ev: float,
-                   max_n_theta: int, max_n_r: int) -> list[np.ndarray]:
-    """The columns of :func:`spectrum_table`, in :class:`SpectrumLine` order, as sorted arrays."""
-    max_n_theta = quantum_integer("max_n_theta", max_n_theta, 1)
-    max_n_r = quantum_integer("max_n_r", max_n_r, 0)
-    if max_n_theta * (max_n_r + 1) > MAX_LEVELS:
-        raise CircleDiracError(f"max_n_theta={max_n_theta} and max_n_r={max_n_r} give "
-                               f"{max_n_theta * (max_n_r + 1)} levels, more than the cap "
-                               f"MAX_LEVELS = {MAX_LEVELS}")
-    n_theta = np.arange(1, max_n_theta + 1)[:, None]
-    n_r = np.arange(max_n_r + 1)
-    positive_mass(mass_ev, "mass_ev")
-    qn = QuantumNumbers(n_theta, n_r)
-    state = coupled_solve(alpha, qn)
-    energy_ev = state.nu_m * mass_ev
-    reference_ev = sommerfeld_reference(alpha, n_theta, n_r) * mass_ev
-    columns = [column.ravel() for column in np.broadcast_arrays(
-        n_theta, n_r, qn.n, state.nu_m, energy_ev,
-        -mass_ev * state.v_m * state.v_m / (1.0 + state.nu_m),
-        reference_ev, np.abs(energy_ev - reference_ev))]
-    order = np.lexsort((columns[0], columns[2]))
-    return [column[order] for column in columns]
-
-
 def spectrum_table(alpha: float, mass_ev: float,
-                   max_n_theta: int, max_n_r: int) -> list[SpectrumLine]:
+                   max_n_theta: int, max_n_r: int) -> SpectrumTable:
     """All levels with n_theta in [1, max_n_theta], n_r in [0, max_n_r].
 
     The table makes two array calls over its (n_theta, n_r) grid:
@@ -563,56 +545,55 @@ def spectrum_table(alpha: float, mass_ev: float,
     (n, n_theta).  The bounds follow the :class:`QuantumNumbers`
     rule: integers with max_n_theta >= 1 and max_n_r >= 0.  A grid of more
     than :data:`MAX_LEVELS` levels raises :class:`CircleDiracError`
-    before anything is allocated.
+    before anything is allocated, and an infinite mass_ev raises
+    :class:`FloatRange`.
     """
-    columns = _table_columns(alpha, mass_ev, max_n_theta, max_n_r)
-    return list(map(SpectrumLine._make, zip(*(column.tolist() for column in columns))))
-
-
-def _line_columns(lines: list[SpectrumLine]) -> list[np.ndarray]:
-    """The columns of rows, as :func:`_table_columns` gives them."""
-    if not lines:
-        return [np.zeros(0, int)] * 3 + [np.zeros(0)] * 5
-    return [np.array(column) for column in zip(*lines)]
+    max_n_theta = quantum_integer("max_n_theta", max_n_theta, 1)
+    max_n_r = quantum_integer("max_n_r", max_n_r, 0)
+    if max_n_theta * (max_n_r + 1) > MAX_LEVELS:
+        raise CircleDiracError(f"max_n_theta={max_n_theta} and max_n_r={max_n_r} give "
+                               f"{max_n_theta * (max_n_r + 1)} levels, more than the cap "
+                               f"MAX_LEVELS = {MAX_LEVELS}")
+    n_theta = np.arange(1, max_n_theta + 1)[:, None]
+    n_r = np.arange(max_n_r + 1)
+    positive_mass(mass_ev, "mass_ev")
+    require(np.isfinite(mass_ev), FloatRange, "mass_ev must be finite, got {mass_ev}",
+            mass_ev=mass_ev)
+    qn = QuantumNumbers(n_theta, n_r)
+    state = coupled_solve(alpha, qn)
+    energy_ev = state.nu_m * mass_ev
+    reference_ev = sommerfeld_reference(alpha, n_theta, n_r) * mass_ev
+    columns = [column.ravel() for column in np.broadcast_arrays(
+        n_theta, n_r, qn.n, state.nu_m, energy_ev,
+        -mass_ev * state.v_m * state.v_m / (1.0 + state.nu_m),
+        reference_ev, np.abs(energy_ev - reference_ev))]
+    order = np.lexsort((columns[0], columns[2]))
+    return SpectrumTable(*(column[order] for column in columns))
 
 
 # each row's literal text around its eight values: a CSV line, and a JSON object with
 # json.dumps's separators
 _CSV_LITERALS = ["", *"," * 7, "\n"]
-_JSON_LITERALS = ["{" + f'"{SpectrumLine._fields[0]}": ',
-                  *(f', "{name}": ' for name in SpectrumLine._fields[1:]), "}"]
+_JSON_LITERALS = ["{" + f'"{SpectrumTable._fields[0]}": ',
+                  *(f', "{name}": ' for name in SpectrumTable._fields[1:]), "}"]
 
 
-def _csv_text(columns: list[np.ndarray]) -> str:
-    """The table's CSV text, a header and one line per row; doubles as ``%.17g``."""
+def lines_to_csv(table: SpectrumTable) -> str:
+    """The table as CSV: a header of the field names, then ``%d`` and ``%.17g`` values."""
     # imported on first use, so that commands which write no spectrum text never load it
     from .floattext import rows_text
-    fields = list(zip(["d"] * 3 + ["g17"] * 5, columns))
-    return rows_text(fields, _CSV_LITERALS, head=",".join(SpectrumLine._fields) + "\n")
+    fields = list(zip(["d"] * 3 + ["g17"] * 5, table))
+    return rows_text(fields, _CSV_LITERALS, head=",".join(SpectrumTable._fields) + "\n")
 
 
-def _json_text(columns: list[np.ndarray]) -> str:
-    """The table as ``json.dumps`` writes a list of row dicts; doubles as ``repr``.
+def lines_to_json(table: SpectrumTable) -> str:
+    """The table as ``json.dumps`` writes a list of row dicts keyed by the CSV columns.
 
-    Raises ``ValueError``, as ``json.dumps(..., allow_nan=False)`` does, if a
-    double is not finite.
+    Doubles are written as ``repr``.  Raises ``ValueError``, as
+    ``json.dumps(..., allow_nan=False)`` does, if a value is not finite.
     """
     from .floattext import rows_text
-    if not all(np.isfinite(column).all() for column in columns[3:]):
+    if not all(np.isfinite(column).all() for column in table[3:]):
         raise ValueError("Out of range float values are not JSON compliant")
-    fields = list(zip(["d"] * 3 + ["repr"] * 5, columns))
+    fields = list(zip(["d"] * 3 + ["repr"] * 5, table))
     return rows_text(fields, _JSON_LITERALS, head="[", sep=", ", tail="]")
-
-
-def lines_to_csv(lines: list[SpectrumLine]) -> str:
-    """The rows as CSV: a header of the field names, then ``%d`` and ``%.17g`` values."""
-    return _csv_text(_line_columns(lines))
-
-
-def lines_to_json(lines: list[SpectrumLine]) -> str:
-    """The rows as a JSON array of objects keyed by the CSV columns, as ``json.dumps`` writes it.
-
-    Raises ``ValueError``, as ``json.dumps(..., allow_nan=False)`` does, if a
-    value is not finite.
-    """
-    return _json_text(_line_columns(lines))

@@ -67,6 +67,13 @@ class TestSpectrumCommand:
             "ac28c1ccb504485cd81cd46d7bc1fc346f7134b2582bb435937bddb2926daa0e",
         ("--alpha", "0.37", "--max-ntheta", "30", "--max-nr", "30", "--format", "json"):
             "4095822308bf5f79af70abeb5cbf3cd53814227b6641b5baf986c9e776748a6f",
+        # near-critical coupling, where 1 - v_m^2 cancels in route A's energy
+        ("--alpha", "0.999999999999", "--max-ntheta", "1", "--max-nr", "1"):
+            "ec60cf07a4f44d27d6836300730b76fdb4d8a73aab7e4fb65a0fcd1193a36c3a",
+        ("--alpha", "0.9999999999999974", "--max-ntheta", "1", "--max-nr", "1"):
+            "668eb2b802fb663a73f0544eb5f2c572adb4f4e109129284a9bd890b5e984451",
+        ("--alpha", "0.9999999999999999", "--max-ntheta", "1", "--max-nr", "1"):
+            "8e80ebfb858963b595fcfb178e692cfe702345f5db35a9b009e2ead22dd19e2a",
     }
 
     @pytest.mark.parametrize("argv, digest", DIGESTS.items())

@@ -150,9 +150,9 @@ def test_tables_never_reach_the_arbiter(monkeypatch):
     # the certificate covers every value of 100 x 101 tables at 24 random couplings
     calls = _count_arbiter(monkeypatch)
     for alpha in np.random.default_rng(64).uniform(0.0, 1.0, 24).tolist():
-        columns = spectrum._table_columns(alpha, 510998.9461, 100, 100)
-        spectrum._csv_text(columns)
-        spectrum._json_text(columns)
+        table = spectrum.spectrum_table(alpha, 510998.9461, 100, 100)
+        spectrum.lines_to_csv(table)
+        spectrum.lines_to_json(table)
     assert calls == []
 
 

@@ -14,7 +14,7 @@ from circledirac import (
     InvalidQuantumNumber,
     NonpositiveMass,
     QuantumNumbers,
-    SpectrumLine,
+    SpectrumTable,
     SpeedDomain,
     bohr_solve,
     circle_quantize,
@@ -132,6 +132,17 @@ class TestCoupledSolve:
         assert c.mu_h == pytest.approx(1.8 * 0.6 / 0.64, rel=1e-14)
         assert c.m_h == pytest.approx(2.25, rel=1e-14)
 
+    def test_near_critical_level_matches_oracle(self):
+        # alpha one ulp below 1: v_m rounds to 1, so nu_m comes from K alone; the worst
+        # relative error measured on this grid is 3.1e-16, at (1, 1)
+        alpha = 0.9999999999999999
+        assert coupled_solve(alpha, QuantumNumbers(1, 0)).nu_m == pytest.approx(
+            sommerfeld_reference(alpha, 1, 0), rel=4e-16)
+        n_theta, n_r = np.arange(1, 31)[:, None], np.arange(31)
+        got = coupled_solve(alpha, QuantumNumbers(n_theta, n_r)).nu_m
+        want = sommerfeld_reference(alpha, n_theta, n_r)
+        assert (abs(got - want) <= 4e-16 * want).all()
+
     def test_heavy_electron_relations(self):
         for alpha in (ALPHA, 0.3, 0.6):
             for n_r in range(0, 9):
@@ -167,53 +178,53 @@ class TestTwoRoutes:
 
 class TestSpectrumTable:
     def test_row_count_and_order(self):
-        lines = spectrum_table(CODATA_ALPHA, ELECTRON_MASS_EV, 3, 3)
-        assert len(lines) == 12
-        keys = [(line.n, line.n_theta) for line in lines]
+        table = spectrum_table(CODATA_ALPHA, ELECTRON_MASS_EV, 3, 3)
+        assert len(table.n) == 12
+        keys = list(zip(table.n.tolist(), table.n_theta.tolist()))
         assert keys == sorted(keys)
 
     def test_degeneracy_count(self):
-        lines = spectrum_table(CODATA_ALPHA, ELECTRON_MASS_EV, 4, 3)
+        table = spectrum_table(CODATA_ALPHA, ELECTRON_MASS_EV, 4, 3)
         for n in (2, 3, 4):
-            assert sum(1 for line in lines if line.n == n) == n
+            assert np.count_nonzero(table.n == n) == n
 
     def test_ground_binding(self):
-        lines = spectrum_table(CODATA_ALPHA, ELECTRON_MASS_EV, 1, 0)
-        assert lines[0].binding_ev == pytest.approx(-13.61, abs=0.01)
+        table = spectrum_table(CODATA_ALPHA, ELECTRON_MASS_EV, 1, 0)
+        assert table.binding_ev[0] == pytest.approx(-13.61, abs=0.01)
 
     def test_rows_match_reference(self):
-        lines = spectrum_table(CODATA_ALPHA, ELECTRON_MASS_EV, 3, 3)
-        assert all(line.abs_diff <= 1e-12 * ELECTRON_MASS_EV for line in lines)
+        table = spectrum_table(CODATA_ALPHA, ELECTRON_MASS_EV, 3, 3)
+        assert (table.abs_diff <= 1e-12 * ELECTRON_MASS_EV).all()
 
     def test_fine_structure_pair_differs(self):
-        lines = {(line.n_theta, line.n_r): line
-                 for line in spectrum_table(CODATA_ALPHA, ELECTRON_MASS_EV, 2, 1)}
-        assert lines[(2, 0)].energy_ev != lines[(1, 1)].energy_ev
+        table = spectrum_table(CODATA_ALPHA, ELECTRON_MASS_EV, 2, 1)
+        energy = dict(zip(zip(table.n_theta.tolist(), table.n_r.tolist()), table.energy_ev))
+        assert energy[(2, 0)] != energy[(1, 1)]
 
     def test_csv_format(self):
-        lines = spectrum_table(CODATA_ALPHA, ELECTRON_MASS_EV, 1, 1)
-        text = lines_to_csv(lines)
+        table = spectrum_table(CODATA_ALPHA, ELECTRON_MASS_EV, 1, 1)
+        text = lines_to_csv(table)
         rows = text.split("\n")
         assert rows[0] == "n_theta,n_r,n,energy_natural,energy_ev,binding_ev,reference_ev,abs_diff"
         assert text.endswith("\n") and "\r" not in text
         first = rows[1].split(",")
         assert first[0] == "1" and first[1] == "0"
-        assert float(first[3]) == lines[0].energy_natural
+        assert float(first[3]) == table.energy_natural[0]
 
-    def test_rows_are_tuples_in_csv_column_order(self):
-        lines = spectrum_table(0.37, ELECTRON_MASS_EV, 7, 13)
-        assert ",".join(SpectrumLine._fields) == lines_to_csv(lines).split("\n")[0]
-        for line in lines:
-            assert isinstance(line, tuple)
-            assert line.n == line.n_theta + line.n_r
-            assert [type(x) for x in line] == [int] * 3 + [float] * 5
+    def test_columns_in_csv_column_order(self):
+        table = spectrum_table(0.37, ELECTRON_MASS_EV, 7, 13)
+        assert ",".join(SpectrumTable._fields) == lines_to_csv(table).split("\n")[0]
+        assert all(column.shape == (7 * 14,) for column in table)
+        assert (table.n == table.n_theta + table.n_r).all()
+        assert [column.dtype.kind for column in table] == ["i"] * 3 + ["f"] * 5
 
     @pytest.mark.parametrize("max_n_theta, max_n_r", [(7, 13), (13, 0), (1, 12)])
     def test_rectangular_grid_order(self, max_n_theta, max_n_r):
-        lines = spectrum_table(0.37, ELECTRON_MASS_EV, max_n_theta, max_n_r)
-        assert len(lines) == max_n_theta * (max_n_r + 1)
-        assert lines == sorted(lines, key=lambda line: (line.n, line.n_theta))
-        assert {(line.n_theta, line.n_r) for line in lines} == {
+        table = spectrum_table(0.37, ELECTRON_MASS_EV, max_n_theta, max_n_r)
+        assert len(table.n) == max_n_theta * (max_n_r + 1)
+        keys = list(zip(table.n.tolist(), table.n_theta.tolist()))
+        assert keys == sorted(keys)
+        assert set(zip(table.n_theta.tolist(), table.n_r.tolist())) == {
             (k, r) for k in range(1, max_n_theta + 1) for r in range(max_n_r + 1)}
 
     # CODATA coupling; 1e-300, where every energy is exactly the mass and the bindings
@@ -223,45 +234,51 @@ class TestSpectrumTable:
     @pytest.mark.parametrize("mass_ev", [1e-300, ELECTRON_MASS_EV, 1e308])
     def test_csv_text_is_the_per_field_join(self, mass_ev):
         for alpha in self.TEXT_ALPHAS:
-            lines = spectrum_table(alpha, mass_ev, 6, 5)
+            table = spectrum_table(alpha, mass_ev, 6, 5)
             want = ["n_theta,n_r,n,energy_natural,energy_ev,binding_ev,reference_ev,abs_diff"]
-            for line in lines:
-                want.append(",".join([str(line.n_theta), str(line.n_r), str(line.n)] + [
-                    format(x, ".17g") for x in (line.energy_natural, line.energy_ev,
-                                                line.binding_ev, line.reference_ev,
-                                                line.abs_diff)]))
-            assert lines_to_csv(lines) == "\n".join(want) + "\n"
+            for row in zip(*(column.tolist() for column in table)):
+                want.append(",".join([str(x) for x in row[:3]]
+                                     + [format(x, ".17g") for x in row[3:]]))
+            assert lines_to_csv(table) == "\n".join(want) + "\n"
 
     @pytest.mark.parametrize("mass_ev", [1e-300, ELECTRON_MASS_EV, 1e308])
     def test_json_text_is_json_dumps(self, mass_ev):
-        for lines in ([], *(spectrum_table(alpha, mass_ev, 6, 5) for alpha in self.TEXT_ALPHAS),
-                      spectrum_table(0.37, mass_ev, 30, 30)):
-            want = json.dumps([dict(zip(SpectrumLine._fields, line)) for line in lines],
+        tables = [spectrum_table(alpha, mass_ev, 6, 5) for alpha in self.TEXT_ALPHAS]
+        tables.append(spectrum_table(0.37, mass_ev, 30, 30))
+        empty = SpectrumTable(*(column[:0] for column in tables[0]))
+        for table in (empty, *tables):
+            want = json.dumps([dict(zip(SpectrumTable._fields, row))
+                               for row in zip(*(column.tolist() for column in table))],
                               allow_nan=False)
-            assert lines_to_json(lines) == want
+            assert lines_to_json(table) == want
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_json_refuses_non_finite_values(self, bad):
-        lines = spectrum_table(CODATA_ALPHA, ELECTRON_MASS_EV, 2, 1)
-        for column in range(3, 8):
-            row = list(lines[-1])
-            row[column] = bad
+        table = spectrum_table(CODATA_ALPHA, ELECTRON_MASS_EV, 2, 1)
+        for name in SpectrumTable._fields[3:]:
+            column = getattr(table, name).copy()
+            column[-1] = bad
             with pytest.raises(ValueError, match="not JSON compliant"):
-                lines_to_json([*lines[:-1], SpectrumLine(*row)])
+                lines_to_json(table._replace(**{name: column}))
 
     @pytest.mark.parametrize("alpha", [1e-6, CODATA_ALPHA, 0.5, 0.999])
     @pytest.mark.parametrize("max_n_theta, max_n_r", [(1, 0), (1, 7), (7, 0), (12, 9)])
     def test_rows_equal_single_level_routes(self, alpha, max_n_theta, max_n_r):
-        lines = spectrum_table(alpha, ELECTRON_MASS_EV, max_n_theta, max_n_r)
-        assert len(lines) == max_n_theta * (max_n_r + 1)
-        for line in lines:
-            nt, nr = line.n_theta, line.n_r
-            assert line.energy_natural == coupled_solve(alpha, QuantumNumbers(nt, nr)).nu_m
-            assert line.reference_ev == sommerfeld_reference(alpha, nt, nr) * ELECTRON_MASS_EV
+        table = spectrum_table(alpha, ELECTRON_MASS_EV, max_n_theta, max_n_r)
+        assert len(table.n) == max_n_theta * (max_n_r + 1)
+        for nt, nr, energy, reference in zip(table.n_theta.tolist(), table.n_r.tolist(),
+                                              table.energy_natural.tolist(),
+                                              table.reference_ev.tolist()):
+            assert energy == coupled_solve(alpha, QuantumNumbers(nt, nr)).nu_m
+            assert reference == sommerfeld_reference(alpha, nt, nr) * ELECTRON_MASS_EV
 
     def test_rejects_speed_domain(self):
         with pytest.raises(SpeedDomain):
             spectrum_table(1.0, ELECTRON_MASS_EV, 2, 1)
+
+    def test_rejects_infinite_mass(self):
+        with pytest.raises(FloatRange, match="^mass_ev must be finite, got inf$"):
+            spectrum_table(0.3, math.inf, 1, 1)
 
     @pytest.mark.parametrize("max_n_theta, max_n_r", [
         (spectrum.MAX_LEVELS + 1, 0), (1000, 1000), (10 ** 30, 10 ** 30)])
@@ -327,11 +344,12 @@ class TestSharedChecks:
 
 
 def _scalar_chain(alpha, n_theta, n_r, mass):
-    """Route A as the scalar chain computed it before the array kernel: (v_m, nu_m)."""
+    """Route A one level at a time in Python floats: (v_m, nu_m)."""
     v = alpha / n_theta
     K = (math.sqrt(1.0 - v * v) + n_r / n_theta) / v
-    v_m = 1.0 / math.sqrt(1.0 + K * K)
-    return v_m, mass * math.sqrt(1.0 - v_m * v_m)
+    root_k = math.sqrt(1.0 + K * K)
+    v_m = 1.0 / root_k
+    return v_m, mass * (K / root_k if K < 1.0 else math.sqrt(1.0 - v_m * v_m))
 
 
 def _scalar_closed_form(alpha, n_theta, n_r, mass):
@@ -631,15 +649,18 @@ class TestBindingEnergy:
     def test_relative_error_on_grid(self, alpha):
         worst = 0.0
         with mpmath.workdps(50):
-            for line in spectrum_table(alpha, ELECTRON_MASS_EV, 40, 40):
-                oracle = _oracle_binding(alpha, line.n_theta, line.n_r, ELECTRON_MASS_EV)
-                worst = max(worst, float(abs(line.binding_ev - oracle) / abs(oracle)))
+            table = spectrum_table(alpha, ELECTRON_MASS_EV, 40, 40)
+            for nt, nr, binding in zip(table.n_theta.tolist(), table.n_r.tolist(),
+                                       table.binding_ev.tolist()):
+                oracle = _oracle_binding(alpha, nt, nr, ELECTRON_MASS_EV)
+                worst = max(worst, float(abs(binding - oracle) / abs(oracle)))
         assert worst <= 1e-13
 
     def test_high_n_splitting_survives(self):
-        lines = {(line.n_theta, line.n_r): line
-                 for line in spectrum_table(CODATA_ALPHA, ELECTRON_MASS_EV, 40, 1)}
-        split = lines[(40, 0)].binding_ev - lines[(39, 1)].binding_ev
+        table = spectrum_table(CODATA_ALPHA, ELECTRON_MASS_EV, 40, 1)
+        binding = dict(zip(zip(table.n_theta.tolist(), table.n_r.tolist()),
+                           table.binding_ev.tolist()))
+        split = binding[(40, 0)] - binding[(39, 1)]
         with mpmath.workdps(50):
             oracle = float(_oracle_binding(CODATA_ALPHA, 40, 0, ELECTRON_MASS_EV)
                            - _oracle_binding(CODATA_ALPHA, 39, 1, ELECTRON_MASS_EV))
