@@ -5,8 +5,10 @@ derives from ``ValueError`` so callers may catch either.  The module
 also holds the checks every module shares without an import cycle:
 :func:`require`, which names the first failing entry of an array
 argument, :func:`quantum_integer`, the one rule for integer quantum
-numbers, :func:`positive_mass` and :func:`bound_coupling`.  Only the
-exception classes are listed in ``__all__``.
+numbers, :func:`positive_mass` and :func:`bound_coupling`; and
+:func:`_plain`, the one rule for what a kernel returns: a plain float for
+a scalar call, an array for an array call.  Only the exception classes
+are listed in ``__all__``.
 """
 
 import operator
@@ -90,6 +92,11 @@ def require(ok, error: type[Exception], message: str, **values) -> None:
     if index:
         text = f"row {index[0] if len(index) == 1 else index}: {text}"
     raise error(text)
+
+
+def _plain(x):
+    """A 0-d result as a plain Python float; an array as it is."""
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
 def quantum_integer(name: str, value, low: int):

@@ -33,6 +33,7 @@ from .biquaternion import Biquaternion, I0, embed
 from .errors import (
     DispersionViolation,
     SuperluminalSpeed,
+    _plain,
     positive_mass,
     require,
 )
@@ -209,4 +210,4 @@ def de_broglie(mass: float, v: float) -> tuple[float, float]:
     with np.errstate(all="ignore"):
         gamma = 1.0 / np.sqrt(1.0 - np.multiply(v, v))
         eta, mu = mass * gamma, mass * v * gamma
-    return (eta, mu) if np.ndim(eta) else (float(eta), float(mu))
+    return _plain(eta), _plain(mu)

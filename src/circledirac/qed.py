@@ -20,7 +20,9 @@ d(n_theta) at n_r = 0.  The quadratic solves in closed form:
 Every function takes scalars or numpy arrays that broadcast together, in
 one body, like the solvers of :mod:`circledirac.spectrum`: a scalar call
 returns plain floats, and each array entry has the bits of its scalar
-call (powers are Python's own).
+call.  Every power is a product (A^3 as A^2*A, A^4 as A^2*A^2), each
+factor one correctly rounded IEEE operation, so the bits do not depend
+on the CPU or the C library's ``pow``.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FloatRange, ZeroCharge, bound_coupling, quantum_integer, require
-from .spectrum import QuantumNumbers, _plain, _pow
+from .errors import FloatRange, ZeroCharge, _plain, bound_coupling, quantum_integer, require
+from .spectrum import QuantumNumbers
 
 __all__ = [
     "ChargeDensitySolution",
@@ -82,9 +84,10 @@ def rho_residual(rho: float, A: float, mass: float, e: float, d: float) -> float
     overflows gives an infinite or NaN residual rather than an error.
     """
     require(np.not_equal(e, 0.0), ZeroCharge, "charge e must be nonzero")
-    rho, mass, e, d = (np.asarray(x, dtype=float) for x in (rho, mass, e, d))
+    rho, a, mass, e, d = (np.asarray(x, dtype=float) for x in (rho, A, mass, e, d))
     with np.errstate(all="ignore"):
-        return _plain(rho * rho / (d * e * e) - _pow(A, 3) * rho - mass * mass * d * _pow(A, 4))
+        a2 = a * a
+        return _plain(rho * rho / (d * e * e) - a2 * a * rho - mass * mass * d * (a2 * a2))
 
 
 @dataclass(frozen=True)
@@ -117,12 +120,13 @@ def solve_rho(A: float, mass: float, e: float, d_prime: float) -> ChargeDensityS
             d_prime=d_prime)
     a, m, q, d = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (A, mass, e, d_prime)))
     with np.errstate(all="ignore"):
-        s = np.sqrt(a * a + 4.0 * m * m / (q * q))
-        front = a * a * q * q * d / 2.0
+        a2 = a * a
+        s = np.sqrt(a2 + 4.0 * m * m / (q * q))
+        front = a2 * q * q * d / 2.0
         # A -+ s cancels catastrophically when 4 m^2/e^2 << A^2; take the
         # well-conditioned branch directly and the other from the exact root
         # product rho_plus * rho_minus = -A^4 e^2 d'^2 m^2.
-        product = -_pow(a, 4) * q * q * d * d * m * m
+        product = -(a2 * a2) * q * q * d * d * m * m
         direct_p, direct_m = front * (a + s), front * (a - s)
         positive = a > 0.0
         # when the direct root underflows (|A| below about 1e-160, or 1e-107

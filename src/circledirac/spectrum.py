@@ -44,11 +44,13 @@ Each solver has one body, which takes scalars or numpy arrays that
 broadcast together (quantum numbers as integer arrays).  A scalar call
 returns plain Python floats; an array call gives every entry the bits
 of the scalar call for it, because numpy's ``+ - * /`` and ``sqrt`` round
-like Python's and every power is Python's own (:func:`_pow`).  An array
-entry out of domain raises the scalar call's error class, and the
-message names the first such row.  :func:`spectrum_table` makes two
-array calls over its level grid, route A and the oracle, and refuses a
-grid of more than :data:`MAX_LEVELS` levels before it allocates one.
+like Python's.  Every power is a product (route B's square is ``d * d``),
+each factor one correctly rounded IEEE operation, so the bits do not
+depend on the CPU or the C library's ``pow``.  An array entry out of
+domain raises the scalar call's error class, and the message names the
+first such row.  :func:`spectrum_table` makes two array calls over its
+level grid, route A and the oracle, and refuses a grid of more than
+:data:`MAX_LEVELS` levels before it allocates one.
 
 The table is a :class:`SpectrumTable`, its eight sorted column arrays.
 :func:`lines_to_csv` and :func:`lines_to_json`, which the ``spectrum``
@@ -66,11 +68,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from mpmath import libmp
 
 from .doubleword import _fast_two_sum, _two_product, _two_sum
-from .errors import (CircleDiracError, FloatRange, bound_coupling, positive_mass, quantum_integer,
-                     require)
+from .errors import (CircleDiracError, FloatRange, _plain, bound_coupling, positive_mass,
+                     quantum_integer, require)
 from .planewave import de_broglie
 
 __all__ = [
@@ -140,28 +141,6 @@ class BohrState:
 def _finite(fields: dict) -> np.ndarray:
     """Where every field, broadcast against the others, is finite."""
     return np.isfinite(np.broadcast_arrays(*fields.values())).all(axis=0)
-
-
-def _plain(x):
-    """A 0-d result as a plain Python float; an array as it is."""
-    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
-
-
-def _pow(x, p: int) -> np.ndarray:
-    """Python's float ``x ** p`` entry by entry, an overflow giving an infinity of its sign.
-
-    numpy's ``**`` rounds small integer powers differently from Python's
-    (which calls the C ``pow``) on a few percent of inputs, so the array
-    forms map Python's, and every entry keeps the bits of a scalar call.
-    """
-    x = np.asarray(x, dtype=float)
-    values = []
-    for v in x.ravel().tolist():
-        try:
-            values.append(v ** p)
-        except OverflowError:
-            values.append(math.copysign(math.inf, v) ** p)
-    return np.array(values, dtype=float).reshape(x.shape)
 
 
 def circle_quantize(mass: float, n_theta: int) -> float:
@@ -269,8 +248,9 @@ def energy_closed_form(alpha: float, n_theta: int, n_r: int, mass: float = 1.0) 
     qn = QuantumNumbers(n_theta, n_r)
     bound_coupling(alpha, qn.n_theta, allow_zero=True)
     a, k = np.asarray(alpha, dtype=float), np.asarray(qn.n_theta, dtype=float)
-    denom = _pow(np.sqrt(k * k - a * a) + qn.n_r, 2)
-    return _plain(mass / np.sqrt(1.0 + a * a / denom))
+    with np.errstate(all="ignore"):
+        d = np.sqrt(k * k - a * a) + qn.n_r
+        return _plain(mass / np.sqrt(1.0 + a * a / (d * d)))
 
 
 # The double-word pass's domain: alpha and mass at least _TINY, mass at most _HUGE,
@@ -458,9 +438,10 @@ def _libmp_shift() -> int:
     return -math.frexp(rounded(t_sqrt / (1.0 - t_sqrt)))[1] - 1
 
 
-# libmp's working precision, mpmath's 40 digits, the certificate's shifts for libmp and
-# for the double-word pass, and the certificate's relative half-width
-_PREC = libmp.dps_to_prec(40)
+# libmp's working precision, mpmath's 40 digits (libmp.dps_to_prec(40); mpmath loads only
+# when a level reaches the arbiter), the certificate's shifts for libmp and for the
+# double-word pass, and the certificate's relative half-width
+_PREC = 136
 _SHIFT = _libmp_shift()
 _DW_SHIFT = _double_word_shift()
 _HALF_WIDTH = 2.0 ** -_DW_SHIFT + 2.0 ** -_SHIFT
@@ -479,6 +460,7 @@ def _libmp_levels(levels) -> list[float]:
     row share the root sqrt(k^2 - alpha^2), which is computed exactly as
     for a single level, so every level has the bits of its one-level call.
     """
+    from mpmath import libmp
     prec, rnd = _PREC, libmp.round_nearest
     from_float, from_int, to_float = libmp.from_float, libmp.from_int, libmp.to_float
     mul, add, sub = libmp.mpf_mul, libmp.mpf_add, libmp.mpf_sub

@@ -271,8 +271,8 @@ def sommerfeld_expansion(alpha: float, n_theta: int, n_r: int) -> float:
     n_theta and n_r may be integer arrays that broadcast together.
     """
     n = n_theta + n_r
-    a2 = alpha * alpha
-    return 1.0 - a2 / (2.0 * n * n) - (a2 * a2 / (2.0 * n ** 4)) * (n / n_theta - 0.75)
+    a2, n2 = alpha * alpha, n * n
+    return 1.0 - a2 / (2.0 * n * n) - (a2 * a2 / (2.0 * (n2 * n2))) * (n / n_theta - 0.75)
 
 
 def suite_spectrum(rng: np.random.Generator) -> Iterator[CaseResult]:
@@ -301,9 +301,9 @@ def suite_spectrum(rng: np.random.Generator) -> Iterator[CaseResult]:
     err = np.abs(closed[0, :5, :6] - sommerfeld_expansion(alpha, n_theta[:5], n_r[:6]))
     yield _case("fourth-order-expansion", err, 1e-12)
 
-    m_h2 = state.m_h ** 2
+    m_h2 = state.m_h * state.m_h
     err = (np.abs(state.mu_h / state.eta_h - state.bohr.v_b),
-           np.abs(m_h2 - (state.eta_h ** 2 - state.mu_h ** 2)) / m_h2,
+           np.abs(m_h2 - (state.eta_h * state.eta_h - state.mu_h * state.mu_h)) / m_h2,
            np.abs(state.eta_h * state.nu_h - m_h2) / m_h2)
     yield _case("heavy-electron-closure", err, 1e-13)
 
@@ -327,8 +327,9 @@ def suite_qed(rng: np.random.Generator) -> Iterator[CaseResult]:
     rho = np.stack((sol.rho_plus, sol.rho_minus), axis=1)
     res = np.stack((sol.residual_plus, sol.residual_minus), axis=1)
     a, mass, e, d = a[:, None], mass[:, None], e[:, None], d[:, None]
-    scale = np.maximum(np.maximum(rho * rho / (d * e * e), np.abs(a ** 3 * rho)),
-                       np.maximum(mass * mass * d * a ** 4, _TINY))
+    a2 = a * a
+    scale = np.maximum(np.maximum(rho * rho / (d * e * e), np.abs(a2 * a * rho)),
+                       np.maximum(mass * mass * d * (a2 * a2), _TINY))
     yield _case("root-residuals", np.abs(res) / scale, 1e-12)
 
     yield _detect("d-prime-positive", d_prime, 1e-6)
@@ -340,7 +341,7 @@ def suite_qed(rng: np.random.Generator) -> Iterator[CaseResult]:
     a = rng.uniform(0.0, 0.99, size=500) * n_theta
     root = qed.replacement_map(n_theta, a)
     bracket = n_theta * n_theta + n_r * n_r + 2.0 * n_r * root
-    shifted = (root + n_r) ** 2 + a * a
+    shifted = (root + n_r) * (root + n_r) + a * a
     yield _case("bracket-identity", np.abs(shifted - bracket) / bracket, 1e-14)
 
     a, mass, e = rng.uniform((0.01, 0.0, 0.2), (3.0, 2.0, 2.0), size=(200, 3)).T

@@ -147,8 +147,8 @@ class TestVerifyCommand:
     # sha256 of stdout: the reports of every case, with their tolerances, are
     # the command's contract, so a change to a suite must leave them alone
     @pytest.mark.parametrize("fmt, digest, seed", [
-        ("csv", "dc30e33dbd793dc587737900f375b89650914485e7e008a652346554ac4b476b", 42),
-        ("json", "e6c470fcc5f038ad6913f33eb13968178f1678731887ee1201bf5ed857cd256c", 42),
+        ("csv", "b6de3fe5150a34c92c544ed59b1c332e39e65dc6eb755e0925ef8ae99fa4aaf6", 42),
+        ("json", "039e2034c92e7e0d5caafcf56374aba076dff6ef947b3ded47b901a3dba6d049", 42),
         ("csv", "7ef5a3bbe928ac90cf6c8f1f715f33dbced9f9e8e06493e435632ec2bc7918a0", 0),
         ("json", "5c262fd51536746157dc0355801ad1e1ca78eacd512c6d42f5ac35dfcdb32ed3", 0),
         ("csv", "7777e575d1177760dbca09d0f6b88f74c5e5c0c068642f0428686426ecab133e", 7),
@@ -239,6 +239,30 @@ class TestQedRhoCommand:
     def test_default_charge_is_sqrt_alpha(self):
         _, out, _ = run_cli("qed-rho", "--alpha", "0.04")
         assert json.loads(out)["e"] == pytest.approx(0.2)
+
+
+# Runs CLI commands in one fresh interpreter and prints whether mpmath was imported
+_MPMATH_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+from circledirac.cli import main
+with redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(codes, "mpmath" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("commands, loaded", [
+    ([["verify"], ["spectrum", "--max-ntheta", "101", "--max-nr", "100"], ["qed-rho"]], False),
+    # alpha below the double-word pass's domain: every level goes to the libmp arbiter
+    ([["spectrum", "--alpha", "1e-300"]], True),
+], ids=["no-arbiter", "arbiter"])
+def test_mpmath_loads_only_for_the_arbiter(commands, loaded):
+    env = {**os.environ}
+    env.pop("CIRCLEDIRAC_FAULT", None)
+    proc = subprocess.run([sys.executable, "-c", _MPMATH_PROBE, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stdout == f"{[0] * len(commands)} {loaded}\n", proc.stderr
 
 
 # argparse's own negative-number pattern has no exponent form, yet -1e5 is a value, not an option
@@ -375,6 +399,21 @@ class TestSubprocessContract:
     def test_usage_error_exit_one(self):
         proc = self._run("verify", "--suite", "bogus")
         assert proc.returncode == 1
+
+    # The qed suite at seeds where numpy's dispatched a ** 3 and a ** 4 once moved the
+    # root-residuals scale, and one qed-rho point: with every power a product, the output
+    # is the same under numpy's baseline kernels as under its default dispatch
+    @pytest.mark.parametrize("argv", [
+        *(("verify", "--suite", "qed", "--seed", seed) for seed in ("16", "19", "38")),
+        ("qed-rho", "--A", "-2.7", "--mass", "1.3", "--charge", "0.45",
+         "--ntheta", "3", "--nr", "2"),
+    ], ids=" ".join)
+    def test_qed_output_is_the_same_under_baseline_kernels(self, argv):
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            default, baseline = pool.map(lambda extra: self._run(*argv, env_extra=extra),
+                                         (None, BASELINE_KERNELS))
+        assert default.returncode == baseline.returncode == 0, default.stderr + baseline.stderr
+        assert default.stdout == baseline.stdout
 
     @pytest.mark.parametrize("args", BAD_INPUTS)
     def test_bad_input_exit_one_without_traceback(self, args, bad_input_runs):

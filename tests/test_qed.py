@@ -152,17 +152,18 @@ class TestSolveRho:
 
 
 def _scalar_rho_residual(rho, A, mass, e, d):
-    """The scalar residual as it stood before the array kernel, kept as a reference."""
-    return rho * rho / (d * e * e) - A ** 3 * rho - mass * mass * d * A ** 4
+    """The residual in plain Python floats, its powers products, kept as a reference."""
+    A2 = A * A
+    return rho * rho / (d * e * e) - A2 * A * rho - mass * mass * d * (A2 * A2)
 
 
 def _scalar_solve_rho(A, mass, e, d_prime):
-    """The scalar solve_rho body as it stood before the array kernel (checks dropped)."""
+    """The solve_rho body one point at a time in plain Python floats (checks dropped)."""
     if A == 0.0:
         return (0.0, 0.0, 0.0, 0.0, 0.0)
     s = math.sqrt(A * A + 4.0 * mass * mass / (e * e))
     front = A * A * e * e * d_prime / 2.0
-    product = -(A ** 4) * e * e * d_prime * d_prime * mass * mass
+    product = -((A * A) * (A * A)) * e * e * d_prime * d_prime * mass * mass
     if A > 0.0:
         rho_p = front * (A + s)
         rho_m = product / rho_p + 0.0

@@ -169,6 +169,12 @@ class TestTwoRoutes:
             for n_r in (0, 1, 4):
                 assert energy_closed_form(0.0, n_theta, n_r) == 1.0
 
+    def test_huge_quantum_numbers_overflow_quietly(self):
+        # k*k or (root + n_r)^2 overflows to inf, alpha^2/inf is 0 and the level is the
+        # rest mass, without a RuntimeWarning (which the test configuration makes an error)
+        assert energy_closed_form(0.3, 10**200, 0) == 1.0
+        assert energy_closed_form(0.3, 1, 10**200) == 1.0
+
     def test_fine_structure_splitting(self):
         # same principal number, different angular number
         delta = energy_closed_form(ALPHA, 2, 0) - energy_closed_form(ALPHA, 1, 1)
@@ -353,10 +359,9 @@ def _scalar_chain(alpha, n_theta, n_r, mass):
 
 
 def _scalar_closed_form(alpha, n_theta, n_r, mass):
-    """Route B as the scalar body computed it before the array kernel."""
-    root = math.sqrt(n_theta * n_theta - alpha * alpha)
-    denom = (root + n_r) ** 2
-    return mass / math.sqrt(1.0 + alpha * alpha / denom)
+    """Route B one level at a time in Python floats, its square a product."""
+    d = math.sqrt(n_theta * n_theta - alpha * alpha) + n_r
+    return mass / math.sqrt(1.0 + alpha * alpha / (d * d))
 
 
 def _mpmath_level(a, k, r, m):
@@ -537,6 +542,10 @@ class TestOracleCertificate:
         bound = mpmath.ldexp(1, -spectrum._DW_SHIFT - 1)
         assert bound / 32 < worst <= bound
 
+    def test_precision_is_mpmaths_forty_digits(self):
+        # spectrum writes the precision as a literal so that importing it never loads mpmath
+        assert mpmath.libmp.dps_to_prec(40) == spectrum._PREC
+
     def test_shift_bounds_libmp_error(self):
         # 2^-(_SHIFT + 1) bounds the relative error of the unrounded 40-digit level,
         # measured against 100 digits, including near-critical coupling
@@ -602,8 +611,8 @@ class TestArrayKernels:
 
     def test_route_b_bit_identical_at_domain_edge(self):
         # without vibration and near alpha = n_theta the denominator (root + n_r)^2
-        # is small, and its last bit reaches the level: Python's ** and numpy's
-        # square differ there on about 1 input in 3000
+        # is small, and its last bit reaches the level: a square by the C pow and
+        # by a product give different levels there on about 1 input in 4000
         rng = np.random.default_rng(45)
         n_theta = rng.integers(1, 21, 40000)
         alpha = rng.uniform(0.9, 0.999999, 40000) * n_theta
