@@ -134,6 +134,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.overall for r in reports) else EXIT_VERIFICATION
 
 
+def _round_trip_error(back, coords, source: cs.SpaceChart) -> float:
+    """The largest slot difference between a point and its round trip, relative to
+    max(1, |coordinate|).  M and S charts map s1 back to R1 times its principal angle, so
+    there the s1 difference is taken modulo the spatial circle's period 2*pi*R1."""
+    diff = [b - c for b, c in zip(back.tolist(), coords.tolist())]
+    if source.kind in cs._SPATIAL:
+        diff[1] = math.remainder(diff[1], 2 * math.pi * source.R1)
+    return max(abs(d) / max(1.0, abs(c)) for d, c in zip(diff, coords.tolist()))
+
+
 def cmd_map(args: argparse.Namespace) -> int:
     source, coords = cs.chart_point_from_json(args.point)
     target = cs.SpaceChart(cs.ChartKind(args.space), args.R0, args.R1)
@@ -144,7 +154,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         payload = {
             "forward": forward,
             "back": json.loads(cs.chart_point_to_json(source, back)),
-            "round_trip_error": float(max(abs(b - c) for b, c in zip(back, coords))),
+            "round_trip_error": _round_trip_error(back, coords, source),
         }
         sys.stdout.write(json.dumps(payload, allow_nan=False) + "\n")
     else:

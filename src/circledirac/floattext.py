@@ -2,37 +2,37 @@
 
 :func:`rows_text` writes a table whose columns are numpy arrays, row by
 row between literal strings, with every number spelt exactly as Python
-spells it: an integer as ``"%d"``, a double as ``format(x, ".17g")`` (the
-``g17`` style) or as ``repr(x)`` (the ``repr`` style, which ``json.dumps``
-writes for a finite float).  Each column is converted as a whole, and the
-text of a chunk of rows is one byte buffer, decoded once.
+spells it: an integer in [0, 10^17) as ``"%d"``, a double as
+``format(x, ".17g")`` (the ``g17`` style) or as ``repr(x)`` (the ``repr``
+style, which ``json.dumps`` writes for a finite float).  Each column is
+converted as a whole, and the text of a chunk of rows is one byte buffer,
+decoded once.
 
-Digits.  A positive finite x with decimal exponent E (10^E <= x <
-10^(E+1)) scales to y = x*10^(16-E) in [10^16, 10^17).  y is evaluated
-as a double-word hi + lo: x, prescaled by an exact power of two 2^b where
-|E| > 250 so that no operand leaves [2^-900, 2^900], times the
-double-word nearest 10^(16-E)*2^-b, by Dekker's TwoProduct.  The table of
-powers is built once from exact integers, each word correctly rounded by
-Python's ``int / int``; the pass uses only real ``+ - *``, ``rint``,
-``floor``, ``ceil`` and integer operations, which give the same bits at
-every SIMD dispatch level.  E comes from ``np.log10`` lowered by 1e-9, an
-estimate at most one below the exponent: where round(y) then exceeds
-10^17, the value is scaled again at E + 1, and a y below 10^16 is
-refused, so the estimate never decides a digit.  round(y) = 10^17 means
-the value rounds up to the next power of ten.
+Digits.  A double in the band 1e-250 <= |x| < 1e250 with decimal exponent
+E (10^E <= |x| < 10^(E+1)) scales to y = |x|*10^(16-E) in [10^16, 10^17).
+y is evaluated as a double-word hi + lo: |x| times the double-word nearest
+10^(16-E), by Dekker's TwoProduct, whose operands and partial products
+all stay normal in the band.  The table of powers is built once from
+exact integers, each word correctly rounded by Python's ``int / int``;
+the pass uses only real ``+ - *``, ``rint``, ``floor``, ``ceil`` and
+integer operations, which give the same bits at every SIMD dispatch
+level.  E comes from ``np.log10`` lowered by 1e-9, an estimate at most
+one below the exponent: where round(y) then exceeds 10^17, the value is
+scaled again at E + 1, and a y below 10^16 is refused, so the estimate
+never decides a digit.  round(y) = 10^17 means the value rounds up to the
+next power of ten.
 
 * ``g17``: the digits are those of round(y), the correctly rounded 17
   digits of David Gay's ``dtoa`` (Gay, "Correctly rounded binary-decimal
   and decimal-binary conversions", 1990), which Python calls; an exact
   tie rounds to even, as ``dtoa`` does.
 * ``repr``: the shortest digits that read back as x (Steele & White, "How
-  to print floating-point numbers accurately", PLDI 1990).  With [A, B]
-  x's rounding interval in the units of y, j is the largest power of ten
-  with a multiple in [A, B], and the digits are those of the multiple of
-  10^j nearest y, moved into [A, B] if it lies outside.  That is Python's
-  rule also at powers of two, whose interval is lopsided.  For a normal
-  double B - A < 25, so j and the multiple come from y's last two digits;
-  a subnormal's wider interval takes a loop over the powers of ten.
+  to print floating-point numbers accurately", PLDI 1990), by one rule.
+  With [A, B] x's rounding interval in the units of y, j is the largest
+  power of ten with a multiple in [A, B], found by dividing both ends by
+  ten until their quotients meet, and the digits are those of the
+  multiple of 10^j nearest y, moved into [A, B] if it lies outside.  That
+  is Python's rule also at powers of two, whose interval is lopsided.
 
 The certificate.  hi + lo errs from y by at most 2^-104*y < 2^-47: the
 table's words by 2^-106 relative, and the product by the roundings of
@@ -43,16 +43,15 @@ integer plus a part under 3, rounded twice.  A value keeps its digits
 only when each decision lies further than _WIDTH = 2^-40 from its
 boundary: for ``g17`` round(y) from the half-integers, unless y is exact;
 for ``repr`` both ends of the interval from the integers and y from the
-midpoint between the two candidate multiples.
+nearer midpoint between multiples of 10^j.
 
 The arbiter.  Every other value goes to Python's own ``format(x,
 ".17g")`` or ``repr(x)``, :func:`_python_text`: those the certificate
 leaves (in practice ``repr``'s exact cases: a tie between candidates, or
-an interval end on the grid, as for every double in [2^52, 10^17)),
-those outside its domain (non-finite values, and for ``repr`` the largest
-double, whose upper neighbour is infinite), and every integer of a column
-that does not fit in [0, 10^17).  Zeros are written natively with their
-sign.  So every byte is Python's.
+an interval end on the grid, as for every double in [2^52, 10^17)), and
+every nonzero value outside the band: non-finite values, subnormals and
+the doubles below 1e-250 or from 1e250 up, which no spectrum table holds.  Zeros are
+written natively with their sign.  So every byte is Python's.
 
 Layout.  A double's text is its sign and prefix (``0.``, ``0.0``, ...),
 its digits with the point among them, and its exponent suffix, in five
@@ -76,11 +75,11 @@ from .doubleword import _fast_two_sum, _two_product
 
 __all__: list[str] = []
 
-# The decimal exponents the power table covers: those of every positive double, one
-# below for the estimate and one above for the correction
-_E_MIN, _E_MAX = -325, 309
-# Beyond |E| = _BAND, x is prescaled by 2^-+_PRESCALE
-_BAND, _PRESCALE = 250, 400
+# The band of magnitudes written natively, besides zeros
+_LOW, _HIGH = 1e-250, 1e250
+# The decimal exponents the power table covers: the band's, -250 to 249, with one below
+# for the estimate and room above for the correction
+_E_MIN, _E_MAX = -251, 251
 _TOP = 10 ** 17
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
 # The certificate's margin, in units of the last of 17 digits
@@ -91,29 +90,22 @@ _CHUNK = 8000
 _WORD = np.dtype("<u8")
 # the point's position among the digits when it has none
 _NO_POINT = 24
-_MAX = np.finfo(float).max
 
 
 @functools.cache
 def _powers():
-    """(hi, lo, scale, exact) by E - _E_MIN: hi + lo nearest 10^(16-E)/scale, scale = 2^b,
-    and whether hi is 10^(16-E)/scale exactly."""
-    his, los, scales, exact = [], [], [], []
-    tens = [1]
-    for _ in range(max(16 - _E_MIN, _E_MAX - 16)):
-        tens.append(tens[-1] * 10)
+    """(hi, lo, exact) by E - _E_MIN: hi + lo nearest 10^(16-E), and whether hi is
+    10^(16-E) exactly."""
+    his, los, exact = [], [], []
     for e in range(_E_MIN, _E_MAX + 1):
-        k = 16 - e
-        b = _PRESCALE if e < -_BAND else -_PRESCALE if e > _BAND else 0
-        num, den = tens[max(k, 0)] << max(-b, 0), tens[max(-k, 0)] << max(b, 0)
+        num, den = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
         hi = num / den
         p, q = hi.as_integer_ratio()
         rest = num * q - p * den
         his.append(hi)
         los.append(rest / (den * q))
-        scales.append(2.0 ** b)
         exact.append(rest == 0)
-    return np.array(his), np.array(los), np.array(scales), np.array(exact)
+    return np.array(his), np.array(los), np.array(exact)
 
 
 class _Tables(NamedTuple):
@@ -209,15 +201,13 @@ def _significant(groups) -> np.ndarray:
 
 
 def _scaled(ax, E):
-    """(hi, lo, s, t, tl, exact): y = ax*10^(16-E) as the double-word hi + lo, from ax
-    prescaled by the power of two s and the table's words t + tl; where the table's word t
-    is exact (tl = 0), so is hi + lo."""
-    his, los, scales, exact = _powers()
+    """(hi, lo, t, tl, exact): y = ax*10^(16-E) as the double-word hi + lo, from the table's
+    words t + tl; where the table's word t is exact (tl = 0), so is hi + lo."""
+    his, los, exact = _powers()
     i = E - _E_MIN
-    s, t, tl = scales[i], his[i], los[i]
-    xs = ax * s
-    p, e = _two_product(xs, t)
-    return (*_fast_two_sum(p, e + xs * tl), s, t, tl, exact[i])
+    t, tl = his[i], los[i]
+    p, e = _two_product(ax, t)
+    return (*_fast_two_sum(p, e + ax * tl), t, tl, exact[i])
 
 
 def _at_scale(ax, E, shortest):
@@ -228,7 +218,7 @@ def _at_scale(ax, E, shortest):
     10^16 <= y and round(y) <= 10^17; above where round(y) > 10^17, so E is
     too small.
     """
-    hi, lo, s, t, tl, exact = _scaled(ax, E)
+    hi, lo, t, tl, exact = _scaled(ax, E)
     n = np.rint(lo)
     r = lo - n                        # exact, |r| <= 1/2
     Y = hi.astype(np.int64) + n.astype(np.int64)
@@ -242,29 +232,29 @@ def _at_scale(ax, E, shortest):
     # x's rounding interval [y - G, y + H], with G and H half the gaps to the neighbouring
     # doubles in the units of y: exact powers of two times the table's words
     bits = ax.view(np.int64)
-    low, a = _end(Y, r, ((ax - (bits - 1).view(float)) * s) * 0.5, t, tl, -1)
-    high, b = _end(Y, r, (((bits + 1).view(float) - ax) * s) * 0.5, t, tl, 1)
+    low, a = _end(Y, r, (ax - (bits - 1).view(float)) * 0.5, t, tl, -1)
+    high, b = _end(Y, r, ((bits + 1).view(float) - ax) * 0.5, t, tl, 1)
     ok &= (a > _WIDTH) & (b > _WIDTH)
-    # j, the largest power of ten with a multiple in [low, high].  For a normal double
-    # high - low < 25, and j is the largest with high mod 10^j <= high - low, so past 10^2
-    # the count of zeros above it; the multiple is then the one in [low, high] for j >= 2,
-    # else the one nearest y moved into it
-    width = high - low
-    tens = high // 10
-    hundreds = high // 100
-    r2 = high - hundreds * 100
-    j = (high - tens * 10 <= width).astype(np.int64) + (r2 <= width)
-    many = np.flatnonzero((j == 2) & ok)
-    j[many] += 17 - _significant(_groups(hundreds[many]))
-    q = Y // 10
-    rem = Y - q * 10 + r - 5.0           # y - 10q - 5
-    C = np.where(j >= 2, high - r2, np.where(j == 1, (q + (rem > 0)) * 10, Y))
-    C += ((C < low) & (j == 1)) * 10 - ((C > high) & (j == 1)) * 10
-    ok &= np.where(j == 0, 0.5 - np.abs(r), np.where(j == 1, np.abs(rem), 1.0)) > _WIDTH
-    # a subnormal's interval is wider: j from the quotients, the multiple nearest y
-    wide = np.flatnonzero((width >= 25) & ok)
-    if wide.size:
-        j[wide], C[wide], ok[wide] = _wide(Y[wide], r[wide], low[wide], high[wide])
+    # j, the largest power of ten with a multiple in [low, high]: the last k at which
+    # high // 10^k still exceeds (low - 1) // 10^k.  The interval is over one unit wide, so
+    # it holds an integer, and it mostly holds no multiple of 1000
+    j = np.zeros(Y.size, np.int64)
+    live = np.flatnonzero(ok)
+    h, l, k = high[live], low[live] - 1, 0
+    while live.size:
+        k += 1
+        h, l = h // 10, l // 10
+        keep = h > l
+        live, h, l = live[keep], h[keep], l[keep]
+        j[live] = k
+    # the multiple C of p = 10^j nearest y: 2(y - C) = 2(Y - C) + 2r, with the midpoints
+    # between multiples at 2(y - C) = -+p, and the integer parts summed exactly first
+    p = _POW10[j]
+    C = (Y + p // 2) // p * p
+    C -= ((2 * (Y - C) + p) + 2.0 * r < 0.0) * p
+    d = 2 * (Y - C)
+    ok &= np.minimum(np.abs((d + p) + 2.0 * r), np.abs((d - p) + 2.0 * r)) > 2.0 * _WIDTH
+    C += (C < low) * p - (C > high) * p
     return C, ok, above
 
 
@@ -272,34 +262,12 @@ def _end(Y, r, gap, t, tl, sign):
     """(end, margin): the integer end of y - G (sign -1) or y + H (sign 1) nearest y,
     y = Y + r and G or H = gap*(t + tl), and the distance of the unrounded end from the
     integers.  gap*t and gap*tl are exact; the integer part of gap*t is taken exactly and
-    the rest, under 3, is rounded twice.  The largest double's upper gap is infinite, and
-    its margin NaN."""
+    the rest, under 3, is rounded twice."""
     G = gap * t
     whole = np.floor(G)
     part = r + sign * ((G - whole) + gap * tl)
     end = np.floor(part) if sign > 0 else np.ceil(part)
     return Y + sign * whole.astype(np.int64) + end.astype(np.int64), np.abs(part - np.rint(part))
-
-
-def _wide(Y, r, low, high):
-    """(j, C, ok) of :func:`_at_scale` for intervals [low, high] of any width over 24."""
-    j = np.zeros(Y.size, np.int64)
-    live, h, l = np.arange(Y.size), high, low - 1
-    for k in range(1, 18):
-        h, l = h // 10, l // 10
-        keep = h > l
-        live, h, l = live[keep], h[keep], l[keep]
-        j[live] = k
-    # the multiple of p = 10^j >= 10 nearest y: y - C = (Y - C) + r, with the midpoints
-    # between multiples at Y - C = -+p/2 exactly
-    p = _POW10[j]
-    half = p // 2
-    C = (Y + half) // p * p
-    C -= ((Y - C + half).astype(float) + r < 0.0) * p
-    d = Y - C
-    margin = np.minimum(np.abs((d - half).astype(float) + r), np.abs((d + half).astype(float) + r))
-    C += (C < low) * p - (C > high) * p
-    return j, C, margin > _WIDTH
 
 
 def _estimate(ax):
@@ -334,13 +302,20 @@ def _float_words(x, style: str) -> np.ndarray:
     of sign and prefix, 18 of digits and point (in three), 5 of exponent suffix."""
     shortest = style == "repr"
     ax = np.abs(x)
-    ok = (ax > 0.0) & (ax <= _MAX)
+    native = np.flatnonzero((_LOW <= ax) & (ax < _HIGH))
+    # quietly: an estimate two or more below (never numpy's) casts a y past 2^63 to int64
     with np.errstate(all="ignore"):
-        D, X, certified = _decimals(np.where(ok, ax, 1.0), shortest)
-    ok &= certified
+        D, X, ok = _decimals(ax[native], shortest)
+    native, D, X = native[ok], D[ok], X[ok]
+    written = ax == 0.0
+    written[native] = True
+    # the digits of every value, 0 where a zero's layout or the arbiter writes it
+    integer = np.zeros(x.size, np.int64)
+    integer[native] = D
     tables = _tables()
-    groups = _groups(D * ok)
-    key = np.where(ok, (X - _E_MIN) * 18 + _significant(groups), _ZERO)
+    groups = _groups(integer)
+    key = np.full(x.size, _ZERO)
+    key[native] = (X - _E_MIN) * 18 + _significant(groups)[native]
     mask, prefix, suffix = (index[key].astype(np.intp) for index in _layouts(shortest))
     digits = _digit_words(groups)
     shifted = [digits[0] << 8, digits[1] << 8 | digits[0] >> 56, digits[2] << 8 | digits[1] >> 56]
@@ -350,7 +325,7 @@ def _float_words(x, style: str) -> np.ndarray:
                for i, (d, s) in enumerate(zip(digits, shifted))),
              tables.suffixes[suffix]]
     out = np.stack(words, axis=1)
-    arbitrated = np.flatnonzero(~ok & (ax != 0.0))
+    arbitrated = np.flatnonzero(~written)
     if arbitrated.size:
         text = _python_text(x[arbitrated].tolist(), style)
         text = np.array(text, dtype="S24").view(np.uint8).reshape(-1, 24)
@@ -361,13 +336,11 @@ def _float_words(x, style: str) -> np.ndarray:
 
 
 def _int_field(column):
-    """(digits, width) of an integer column: the int64 values if they lie in [0, 10^17),
-    else Python's ``"%d"`` text as zero-padded bytes ``(n, width)``."""
+    """(digits, width) of an integer column, as int64 values and the width of the largest."""
     column = np.asarray(column)
-    if column.dtype.kind in "iu" and 0 <= column.min() and column.max() < _TOP:
-        return column.astype(np.int64), len(str(int(column.max())))
-    text = np.array(["%d" % n for n in column.tolist()], dtype="S")
-    return text.view(np.uint8).reshape(column.size, -1), text.itemsize
+    if column.dtype.kind not in "iu" or column.min() < 0 or column.max() >= _TOP:
+        raise ValueError("an integer column must hold integers in [0, 10**17)")
+    return column.astype(np.int64), len(str(int(column.max())))
 
 
 def _int_bytes(v, width: int) -> np.ndarray:
@@ -383,7 +356,8 @@ def rows_text(fields, literals, head: str = "", sep: str = "", tail: str = "") -
     literals[1] ... field_k-1 literals[k]``.
 
     ``fields`` holds (style, column) pairs, each column an array of one
-    value per row and each style ``"d"`` (integers), ``"g17"`` or ``"repr"``.
+    value per row and each style ``"d"`` (integers in [0, 10^17); any other
+    integer column raises ``ValueError``), ``"g17"`` or ``"repr"``.
     """
     rows = len(fields[0][1])
     if not rows:
@@ -414,10 +388,8 @@ def rows_text(fields, literals, head: str = "", sep: str = "", tail: str = "") -
         for style, field, at in zip(styles, ints, starts):
             if field is None:
                 out[:, at:at + 40] = next(text[style])
-            elif field[0].ndim == 1:
-                out[:, at:at + field[1]] = _int_bytes(field[0][part], field[1])
             else:
-                out[:, at:at + field[1]] = field[0][part]
+                out[:, at:at + field[1]] = _int_bytes(field[0][part], field[1])
         pieces.append(out.tobytes().translate(None, b"\0").decode("ascii"))
     pieces[-1] = pieces[-1][:len(pieces[-1]) - len(sep)]
     return "".join([*pieces, tail])

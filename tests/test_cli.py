@@ -187,6 +187,18 @@ class TestMapCommand:
         assert rec["round_trip_error"] <= 1e-12
         assert rec["back"]["chart"] == "L"
 
+    @pytest.mark.parametrize("point", ['{"chart":"M","R1":1,"coords":[0,7,2,1]}',
+                                       '{"chart":"M","R1":1,"coords":[0,1e17,2,1]}',
+                                       '{"chart":"S","R0":1,"R1":1,"coords":[0,-7,2,1]}'])
+    def test_round_trip_error_wraps_the_spatial_circle(self, point):
+        # s1 comes back as its principal angle times R1: off by whole periods, which the
+        # error takes modulo 2*pi*R1, and relative to the coordinate
+        code, out, _ = run_cli("map", "--space", "L", "--round-trip", "--point", point)
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["back"]["coords"][1] != json.loads(point)["coords"][1]
+        assert rec["round_trip_error"] <= 1e-15
+
     @pytest.mark.parametrize("coords", ["[0,0,0,1e-200]", "[1e300,0,0,1.5e300]"])
     def test_wedge_point_whose_squares_leave_the_normal_range(self, coords):
         code, out, _ = run_cli("map", "--space", "T", "--R0", "1", "--round-trip",

@@ -47,6 +47,13 @@ def _neighbours(values):
     return np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
 
 
+def _count_outside_band(values):
+    """The count of nonzero values outside the band the formatter writes natively."""
+    magnitudes = np.abs(np.asarray(values, dtype=float))
+    return int(np.count_nonzero(~((floattext._LOW <= magnitudes) & (magnitudes < floattext._HIGH))
+                                & (magnitudes != 0.0)))
+
+
 POWERS_OF_TWO = np.ldexp(1.0, np.arange(-1074, 1024))
 POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-323, 309)])
 
@@ -106,6 +113,22 @@ def test_domain_edges_and_non_finite_values():
     _assert_python_text(values)
 
 
+def test_only_the_band_is_written_natively(monkeypatch):
+    # every nonzero double outside [_LOW, _HIGH) goes to the arbiter, and nothing else here
+    low, high = floattext._LOW, floattext._HIGH
+    edges = [low, high, np.nextafter(low, 0.0), np.nextafter(low, np.inf),
+             np.nextafter(high, 0.0), np.nextafter(high, np.inf)]
+    subnormals = [5e-324, 2.2250738585072014e-308 / 3, np.nextafter(2.2250738585072014e-308, 0)]
+    values = np.array(edges + subnormals + [np.finfo(float).max, 1.0, 0.0])
+    values = np.concatenate([values, -values])
+    calls = _count_arbiter(monkeypatch)
+    _assert_python_text(values)
+    # each sign: below _LOW, _HIGH and above it, three subnormals and the largest double
+    outside = 2 * 7
+    assert _count_outside_band(values) == outside
+    assert sum(calls) == 2 * outside
+
+
 @pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2])
 def test_the_estimate_never_decides_a_digit(offset, monkeypatch):
     # the exponent estimate patched to the exact floor(log10 x) plus an offset: one too low
@@ -118,12 +141,13 @@ def test_the_estimate_never_decides_a_digit(offset, monkeypatch):
         [Decimal(v).adjusted() + offset for v in ax.tolist()]))
     calls = _count_arbiter(monkeypatch)
     _assert_python_text(values)
+    outside = 2 * _count_outside_band(values)
     if offset == -1:
-        assert calls == []
+        assert sum(calls) == outside
     elif offset == 0:
         # y = 10^16 exactly is certified only where the power of ten scaling it is exact
         powers = [v for v in values.tolist() if Fraction(v) == 10 ** Decimal(v).adjusted()]
-        assert sum(calls) == 2 * sum(v > 1e16 for v in powers) > 0
+        assert sum(calls) == 2 * sum(v > 1e16 for v in powers) + outside > outside
     else:
         assert sum(calls) > 2 * values.size * 0.95
 
@@ -137,9 +161,9 @@ def test_forced_arbiter_gives_the_same_bytes(monkeypatch):
     values = values[np.isfinite(values)]
     want = {style: _texts(values, style) for style in STYLES}
     calls = _count_arbiter(monkeypatch)
-    his, los, scales, exact = floattext._powers()
+    his, los, exact = floattext._powers()
     monkeypatch.setattr(floattext, "_WIDTH", math.inf)
-    monkeypatch.setattr(floattext, "_powers", lambda: (his, los, scales, exact & False))
+    monkeypatch.setattr(floattext, "_powers", lambda: (his, los, exact & False))
     for style in STYLES:
         assert _texts(values, style) == want[style]
     nonzero = np.count_nonzero(values)
@@ -158,11 +182,12 @@ def test_tables_never_reach_the_arbiter(monkeypatch):
 
 def test_scaled_value_error_bound():
     # hi + lo errs from x*10^(16-E) by at most 2^-47 (2^-104 of y < 2^57), measured exactly
-    # on random and edge doubles, and the bound is within a factor 16 of the worst error seen
+    # on random doubles of the band and its edges, and the bound is within a factor 16 of the
+    # worst error seen
     rng = np.random.default_rng(65)
     values = np.abs(rng.integers(1, 2 ** 63, 3000, dtype=np.int64).view(np.float64))
-    values = np.concatenate([values[np.isfinite(values)], [5e-324, 2.2250738585072014e-308,
-                                                           np.finfo(float).max, 0.1, 1e-300]])
+    values = values[(floattext._LOW <= values) & (values < floattext._HIGH)]
+    values = np.concatenate([values, [floattext._LOW, np.nextafter(floattext._HIGH, 0.0), 0.1]])
     E = np.array([int(format(v, ".16e").split("e")[1]) for v in values.tolist()])
     hi, lo, *_ = floattext._scaled(values, E)
     worst = max(abs(Fraction(h) + Fraction(l) - Fraction(v) * Fraction(10) ** (16 - e))
@@ -173,10 +198,10 @@ def test_scaled_value_error_bound():
 
 
 def test_power_table_words_are_nearest():
-    his, los, scales, exact = floattext._powers()
-    for e, hi, lo, scale, is_exact in zip(range(floattext._E_MIN, floattext._E_MAX + 1),
-                                          *(x.tolist() for x in (his, los, scales, exact))):
-        power = Fraction(10) ** (16 - e) / Fraction(scale)
+    his, los, exact = floattext._powers()
+    for e, hi, lo, is_exact in zip(range(floattext._E_MIN, floattext._E_MAX + 1),
+                                   *(x.tolist() for x in (his, los, exact))):
+        power = Fraction(10) ** (16 - e)
         assert hi == float(power) and lo == float(power - Fraction(hi))
         assert is_exact == (Fraction(hi) == power)
     assert exact.sum() == 23    # 10^0 to 10^22, for E from 16 down to -6
@@ -185,13 +210,21 @@ def test_power_table_words_are_nearest():
 @pytest.mark.parametrize("column", [
     np.array([0, 1, 9, 10, 99, 100, 12345, 10 ** 16, 10 ** 17 - 1]),
     np.arange(0, 30000, 7, dtype=np.uint32),
-    np.array([10 ** 17, 3]),
-    np.array([-5, 0, 7]),
-    np.array([2 ** 70, -(2 ** 70)], dtype=object),
 ])
 def test_integers_are_percent_d(column):
     text = floattext.rows_text([("d", column)], ["<", ">"])
     assert text == "".join("<%d>" % n for n in column.tolist())
+
+
+@pytest.mark.parametrize("column", [
+    np.array([10 ** 17, 3]),
+    np.array([-5, 0, 7]),
+    np.array([2 ** 70, -(2 ** 70)], dtype=object),
+    np.array([1.0, 2.0]),
+])
+def test_integers_outside_the_bound_are_refused(column):
+    with pytest.raises(ValueError, match=r"\[0, 10\*\*17\)"):
+        floattext.rows_text([("d", column)], ["<", ">"])
 
 
 def test_rows_across_chunks_with_literals():
