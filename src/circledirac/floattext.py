@@ -357,9 +357,13 @@ def rows_text(fields, literals, head: str = "", sep: str = "", tail: str = "") -
 
     ``fields`` holds (style, column) pairs, each column an array of one
     value per row and each style ``"d"`` (integers in [0, 10^17); any other
-    integer column raises ``ValueError``), ``"g17"`` or ``"repr"``.
+    integer column raises ``ValueError``), ``"g17"`` or ``"repr"``.  Columns
+    of unequal length raise ``ValueError``.
     """
-    rows = len(fields[0][1])
+    lengths = [len(column) for _, column in fields]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns must have one length, got lengths {lengths}")
+    rows = lengths[0]
     if not rows:
         return head + tail
     styles = [style for style, _ in fields]

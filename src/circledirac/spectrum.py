@@ -1,30 +1,32 @@
 """Bound states on circular charts and the fine-structure spectrum.
 
-Natural units hbar = c = 1 with e^2 = alpha; electronvolts only enter at
-the :class:`SpectrumTable` boundary through a user-supplied mass.
+Natural units hbar = c = m = 1 with e^2 = alpha: every energy is in units
+of the rest mass m, since each level is m times a function of alpha,
+n_theta and n_r.  The one mass, in electronvolts, enters at the
+:class:`SpectrumTable` boundary.
 
 The orbital solve is closed-form.  With v = alpha/n_theta the circular
 bound state has
 
-    eta  = m/sqrt(1 - v^2)          (kinetic energy)
-    mu   = m*v/sqrt(1 - v^2)        (momentum)
-    eA   = -m*v^2/sqrt(1 - v^2)     (potential energy, attractive)
-    nu   = eta + eA = m*sqrt(1 - v^2)   (total energy)
+    eta  = 1/sqrt(1 - v^2)          (kinetic energy)
+    mu   = v/sqrt(1 - v^2)          (momentum)
+    eA   = -v^2/sqrt(1 - v^2)       (potential energy, attractive)
+    nu   = eta + eA = sqrt(1 - v^2)     (total energy)
 
-and the two quantisation statements m*R0_rest = n_theta (temporal
-circle) and mu*R1 = n_theta (orbital angular momentum, L = n_theta).
+and the two quantisation statements R0_rest = n_theta (temporal circle)
+and mu*R1 = n_theta (orbital angular momentum).
 
-Adding a circle vibration with energy n_r*m/n_theta gives the coupled
+Adding a circle vibration with energy n_r/n_theta gives the coupled
 state.  Its total energy is computed by two deliberately separate
 routes:
 
   route A (geometric chain): solve
       sqrt(1 - v_m^2)/v_m = (sqrt(1 - v^2) + n_r/n_theta)/v
-  for the coupled speed v_m, then nu_m = m*sqrt(1 - v_m^2) (from K, the
-  right-hand side, as m*K/sqrt(1 + K^2) where K < 1);
+  for the coupled speed v_m, then nu_m = sqrt(1 - v_m^2) (from K, the
+  right-hand side, as K/sqrt(1 + K^2) where K < 1);
 
   route B (closed form):
-      nu_m = m * (1 + alpha^2/(sqrt(n_theta^2 - alpha^2) + n_r)^2)^(-1/2),
+      nu_m = (1 + alpha^2/(sqrt(n_theta^2 - alpha^2) + n_r)^2)^(-1/2),
 
 which is the Sommerfeld/Dirac fine-structure formula with k = n_theta
 and radial number n_r.  :func:`sommerfeld_reference` evaluates that
@@ -72,7 +74,6 @@ import numpy as np
 from .doubleword import _fast_two_sum, _two_product, _two_sum
 from .errors import (CircleDiracError, FloatRange, _plain, bound_coupling, positive_mass,
                      quantum_integer, require)
-from .planewave import de_broglie
 
 __all__ = [
     "MAX_LEVELS",
@@ -80,8 +81,6 @@ __all__ = [
     "BohrState",
     "CoupledState",
     "SpectrumTable",
-    "circle_quantize",
-    "circle_wave_energy",
     "bohr_solve",
     "coupled_solve",
     "energy_closed_form",
@@ -135,7 +134,6 @@ class BohrState:
     R0_l: float
     R0_b: float
     R1_hat: float
-    L: float
 
 
 def _finite(fields: dict) -> np.ndarray:
@@ -143,45 +141,27 @@ def _finite(fields: dict) -> np.ndarray:
     return np.isfinite(np.broadcast_arrays(*fields.values())).all(axis=0)
 
 
-def circle_quantize(mass: float, n_theta: int) -> float:
-    """Rest-frame temporal circle radius n_theta/mass (single-valued phase).
-
-    n_theta follows the :class:`QuantumNumbers` rule: an integer >= 1, not
-    ``bool``, or an integer array broadcasting against mass.
-    """
-    positive_mass(mass)
-    return _plain(np.divide(quantum_integer("n_theta", n_theta, 1), mass))
-
-
-def circle_wave_energy(mass: float, qn: QuantumNumbers) -> float:
-    """Energy n_r*mass/n_theta carried by the circle vibration."""
-    positive_mass(mass)
-    return _plain(np.multiply(qn.n_r, mass) / qn.n_theta)
-
-
-def bohr_solve(alpha: float, n_theta: int, mass: float = 1.0) -> BohrState:
+def bohr_solve(alpha: float, n_theta: int) -> BohrState:
     """Solve the circular-orbit bound state at coupling alpha.
 
-    alpha, n_theta and mass may be arrays that broadcast together, with
-    n_theta an integer array; each field is then an array with the
-    broadcast shape of the inputs it depends on, and an out-of-domain
-    entry raises the scalar call's error, naming its row.
+    The rest circle's radius R0_l is n_theta (a single-valued phase).
+    alpha and n_theta may be arrays that broadcast together, with n_theta
+    an integer array; each field is then an array with the broadcast
+    shape of the inputs it depends on, and an out-of-domain entry raises
+    the scalar call's error, naming its row.
     """
-    positive_mass(mass)
     n_theta = quantum_integer("n_theta", n_theta, 1)
+    # 0 < alpha < n_theta, so v rounds below 1
     bound_coupling(alpha, n_theta)
     v = np.divide(alpha, n_theta)
-    m, k = np.asarray(mass, dtype=float), np.asarray(n_theta, dtype=float)
-    eta, mu = de_broglie(mass, v)
+    k = np.asarray(n_theta, dtype=float)
     with np.errstate(all="ignore"):
         root = np.sqrt(1.0 - v * v)
-        eA = -m * v * v / root
-        R0_l = circle_quantize(mass, n_theta)
-        fields = dict(v_b=v, eta_b=eta, mu_b=mu, nu_b=eta + eA, eA_b=eA,
-                      R1_b=k * root / (m * v), R0_l=R0_l, R0_b=R0_l / root,
-                      R1_hat=-v * R0_l / root, L=k)
-    require(_finite(fields), FloatRange, "bound orbit at alpha={alpha} (n_theta={n_theta}, "
-            "mass={mass}) leaves the float range", alpha=alpha, n_theta=n_theta, mass=mass)
+        eta, eA = 1.0 / root, -v * v / root
+        fields = dict(v_b=v, eta_b=eta, mu_b=v * eta, nu_b=eta + eA, eA_b=eA,
+                      R1_b=k * root / v, R0_l=k, R0_b=k / root, R1_hat=-v * k / root)
+    require(_finite(fields), FloatRange, "bound orbit at alpha={alpha} (n_theta={n_theta}) "
+            "leaves the float range", alpha=alpha, n_theta=n_theta)
     return BohrState(n_theta=n_theta, **{name: _plain(x) for name, x in fields.items()})
 
 
@@ -202,66 +182,64 @@ class CoupledState:
     m_h: float
 
 
-def coupled_solve(alpha: float, qn: QuantumNumbers, mass: float = 1.0) -> CoupledState:
+def coupled_solve(alpha: float, qn: QuantumNumbers) -> CoupledState:
     """Route A: geometric chain for the coupled interaction.
 
-    K = (sqrt(1 - v_b^2) + n_r/n_theta)/v_b determines the coupled speed
-    v_m = 1/sqrt(1 + K^2) uniquely in (0, 1); the total energy is
-    nu_m = mass*sqrt(1 - v_m^2), taken as mass*K/sqrt(1 + K^2) where K < 1:
-    there v_m nears 1 and 1 - v_m^2 cancels (Higham 1996, sec. 1.7), down
-    to 0 where v_m rounds to 1.  The heavy-electron fields absorb the
-    orbit and vibration energies into one particle at the orbital speed,
-    with the boosted denominators ds0^2 - ds1^2 of the arc elements.
+    The circle vibration carries eta_l = n_r/n_theta.  K = (sqrt(1 - v_b^2)
+    + eta_l)/v_b determines the coupled speed v_m = 1/sqrt(1 + K^2)
+    uniquely in (0, 1); the total energy is nu_m = sqrt(1 - v_m^2), taken
+    as K/sqrt(1 + K^2) where K < 1: there v_m nears 1 and 1 - v_m^2
+    cancels (Higham 1996, sec. 1.7), down to 0 where v_m rounds to 1.  The
+    heavy-electron fields absorb the orbit and vibration energies into one
+    particle at the orbital speed, with the boosted denominators
+    ds0^2 - ds1^2 of the arc elements.
 
-    alpha, mass and the numbers in ``qn`` may be arrays that broadcast
+    alpha and the numbers in ``qn`` may be arrays that broadcast
     together, as for :func:`bohr_solve`; each field then has the
     broadcast shape of the inputs it depends on.
     """
-    b = bohr_solve(alpha, qn.n_theta, mass)
-    eta_l = circle_wave_energy(mass, qn)
-    v, m = b.v_b, np.asarray(mass, dtype=float)
+    b = bohr_solve(alpha, qn.n_theta)
+    v, eta_l = b.v_b, np.divide(qn.n_r, qn.n_theta)
     with np.errstate(all="ignore"):
-        K = (np.sqrt(1.0 - v * v) + np.divide(qn.n_r, qn.n_theta)) / v
+        K = (np.sqrt(1.0 - v * v) + eta_l) / v
         root_k = np.sqrt(1.0 + K * K)
         v_m = 1.0 / root_k
         rest = np.where(K < 1.0, K / root_k, np.sqrt(1.0 - v_m * v_m))
         # heavy electron: total energy nu_h at speed v_b, with ds1/ds0 = v_b
         nu_h = b.nu_b + eta_l
         one_minus = 1.0 - v * v
-        fields = dict(eta_l=eta_l, v_m=v_m, nu_m=m * rest, mu_m=m * v_m / rest,
-                      vprime_m=m * m / b.mu_b + eta_l / v, nu_h=nu_h, eta_h=nu_h / one_minus,
+        fields = dict(eta_l=eta_l, v_m=v_m, nu_m=rest, mu_m=v_m / rest,
+                      vprime_m=1.0 / b.mu_b + eta_l / v, nu_h=nu_h, eta_h=nu_h / one_minus,
                       mu_h=nu_h * v / one_minus, m_h=nu_h / np.sqrt(one_minus))
     require(_finite(fields), FloatRange, "coupled state at alpha={alpha} (n_theta={n_theta}, "
-            "n_r={n_r}, mass={mass}) leaves the float range",
-            alpha=alpha, n_theta=qn.n_theta, n_r=qn.n_r, mass=mass)
+            "n_r={n_r}) leaves the float range", alpha=alpha, n_theta=qn.n_theta, n_r=qn.n_r)
     return CoupledState(qn=qn, bohr=b, **{name: _plain(x) for name, x in fields.items()})
 
 
-def energy_closed_form(alpha: float, n_theta: int, n_r: int, mass: float = 1.0) -> float:
+def energy_closed_form(alpha: float, n_theta: int, n_r: int) -> float:
     """Route B: closed-form coupled energy (fine-structure formula).
 
     Unlike the geometric chain this survives the free limit alpha = 0,
-    where every level collapses to the rest mass.  The arguments may be
+    where every level collapses to the rest mass, 1.  The arguments may be
     arrays that broadcast together (the quantum numbers integer arrays).
     """
-    positive_mass(mass)
     qn = QuantumNumbers(n_theta, n_r)
     bound_coupling(alpha, qn.n_theta, allow_zero=True)
     a, k = np.asarray(alpha, dtype=float), np.asarray(qn.n_theta, dtype=float)
     with np.errstate(all="ignore"):
         d = np.sqrt(k * k - a * a) + qn.n_r
-        return _plain(mass / np.sqrt(1.0 + a * a / (d * d)))
+        return _plain(1.0 / np.sqrt(1.0 + a * a / (d * d)))
 
 
-# The double-word pass's domain: alpha and mass at least _TINY, mass at most _HUGE,
-# n_theta and n_r at most _EXACT (see sommerfeld_reference)
-_TINY, _HUGE, _EXACT = 2.0 ** -300, 2.0 ** 300, 2 ** 53
+# The double-word pass's domain: alpha at least _TINY, n_theta and n_r at most _EXACT
+# (see sommerfeld_reference)
+_TINY, _EXACT = 2.0 ** -300, 2 ** 53
 
 
-def sommerfeld_reference(alpha: float, n_theta: int, n_r: int, mass: float = 1.0) -> float:
+def sommerfeld_reference(alpha: float, n_theta: int, n_r: int) -> float:
     """Independent high-precision Sommerfeld/Dirac level, rounded to float.
 
-    E = m*(1 + alpha^2/(n_r + sqrt(k^2 - alpha^2))^2)^(-1/2) with k the
+    E = 1/sqrt(1 + alpha^2/(n_r + sqrt(k^2 - alpha^2))^2) with k the
     angular number, with the bits of mpmath at 40 decimal digits.  The
     arguments may be arrays that broadcast together.
 
@@ -284,36 +262,34 @@ def sommerfeld_reference(alpha: float, n_theta: int, n_r: int, mass: float = 1.0
     gives hi.  That hi is returned; every other level goes to the arbiter.
 
     The domain.  So does every level outside the domain where the bound is
-    derived: alpha or m below 2^-300 (alpha = 0 included), m above 2^300,
-    or k or n_r above 2^53.  Inside it k, n_r and k*k (in libmp too) are
-    exact; every product that TwoProduct splits is at least 2^-710 (q*q,
-    with q >= alpha/2^54), far above the 2^-969 below which its error term
-    can underflow; no value split exceeds 2^300, far below the 2^996 at
-    which Veltkamp's split overflows.  A product or quotient that feeds a
+    derived: alpha below 2^-300 (alpha = 0 included), or k or n_r above
+    2^53.  Inside it k, n_r and k*k (in libmp too) are exact; every product
+    that TwoProduct splits is at least 2^-710 (q*q, with q >= alpha/2^54),
+    far above the 2^-969 below which its error term can underflow; no value
+    split exceeds k + alpha < 2^54, far below the 2^996 at which
+    Veltkamp's split overflows.  A product or quotient that feeds a
     low word may underflow and err by 2^-1075 more, under 2^-250 of the
     bound on the term it joins, which the factor 2 covers.  So every level
     has the libmp bits by construction.
     """
-    positive_mass(mass)
     qn = QuantumNumbers(n_theta, n_r)
     bound_coupling(alpha, qn.n_theta, allow_zero=True)
-    a, m = np.asarray(alpha, dtype=float), np.asarray(mass, dtype=float)
+    a = np.asarray(alpha, dtype=float)
     k, r = np.asarray(qn.n_theta), np.asarray(qn.n_r)
     k_exact, r_exact = k <= _EXACT, r <= _EXACT
     with np.errstate(all="ignore"):
         # levels outside the domain are evaluated too, on stand-in integers, and discarded
         hi, lo = _double_word_levels(a, np.where(k_exact, k, 1).astype(float),
-                                     np.where(r_exact, r, 0).astype(float), m)
+                                     np.where(r_exact, r, 0).astype(float))
         h = hi * _HALF_WIDTH
         up = (np.nextafter(hi, np.inf) - hi) * 0.5
         down = (hi - np.nextafter(hi, 0.0)) * 0.5
-        certified = ((lo + h < up) & (lo - h > -down) & k_exact & r_exact
-                     & (a >= _TINY) & (m >= _TINY) & (m <= _HUGE))
+        certified = (lo + h < up) & (lo - h > -down) & k_exact & r_exact & (a >= _TINY)
     values = np.ravel(hi)
     arbitrated = np.flatnonzero(~certified)
     if arbitrated.size:
         columns = [np.broadcast_to(x, np.shape(hi)).flat[arbitrated].tolist()
-                   for x in (a, k, r, m)]
+                   for x in (a, k, r)]
         values[arbitrated] = _libmp_levels(list(zip(*columns)))
     return _plain(values.reshape(np.shape(hi)))
 
@@ -344,8 +320,8 @@ def _dw_sqrt(xh, xl):
     return _fast_two_sum(s, (((xh - p) - e) + xl) / (2.0 * s))
 
 
-def _double_word_levels(a, k, r, m):
-    """(hi, lo) of m/sqrt(1 + (a/(r + sqrt(k^2 - a^2)))^2) over broadcasting float arrays.
+def _double_word_levels(a, k, r):
+    """(hi, lo) of 1/sqrt(1 + (a/(r + sqrt(k^2 - a^2)))^2) over broadcasting float arrays.
 
     k^2 - a^2 is taken as the product (k - a)*(k + a) of two exact
     TwoSums, so it suffers no cancellation as a approaches k.  Every
@@ -354,7 +330,7 @@ def _double_word_levels(a, k, r, m):
     """
     root = _dw_sqrt(*_dw_mul(*_two_sum(k, -a), *_two_sum(k, a)))
     q = _dw_div(a, *_dw_add(r, *root))
-    return _dw_div(m, *_dw_sqrt(*_dw_add(1.0, *_dw_mul(*q, *q))))
+    return _dw_div(1.0, *_dw_sqrt(*_dw_add(1.0, *_dw_mul(*q, *q))))
 
 
 def _double_word_shift() -> int:
@@ -414,12 +390,12 @@ def _libmp_shift() -> int:
     relative error bound x into x + u + x*u.  In the arbiter's order, for
     k < 2^68 (the double-word pass keeps k <= 2^53):
 
-    * k, a, m, k*k and a*a: exact (k*k has at most 136 bits, a's mantissa
+    * k, a, k*k and a*a: exact (k*k has at most 136 bits, a's mantissa
       at most 53), so k*k - a*a errs by u: no cancellation amplifies;
     * sqrt: x/(2 - x), then one rounding;
     * n_r + root: no more than root's error (both positive, n_r exact or
       off by u), then one rounding;
-    * a/s and m/sqrt(...): x/(1 - x), then one rounding;
+    * a/s and 1/sqrt(...): x/(1 - x), then one rounding;
     * q*q: 2x + x^2, then one rounding;
     * q*q + 1: x weighted by q^2/(1 + q^2) <= 1, then one rounding.
 
@@ -448,16 +424,16 @@ _HALF_WIDTH = 2.0 ** -_DW_SHIFT + 2.0 ** -_SHIFT
 
 
 def _libmp_levels(levels) -> list[float]:
-    """The arbiter: each (alpha, n_theta, n_r, mass) level in libmp, rounded to a double.
+    """The arbiter: each (alpha, n_theta, n_r) level in libmp, rounded to a double.
 
     mpmath's correctly rounded libmp primitives at 40 digits (_PREC bits),
     rounding to nearest: the same operations in the same order as the
-    mpmath expression ``m/sqrt(1 + (a/(mpf(n_r) + sqrt(k*k - a*a)))**2)``
+    mpmath expression ``1/sqrt(1 + (a/(mpf(n_r) + sqrt(k*k - a*a)))**2)``
     under ``workdps(40)`` (its square as one ``mpf_mul``, which rounds as
     ``**2`` does), so it has that expression's bits, without the
     per-operation cost of the ``mpf`` wrapper and without touching the
-    global ``mpmath.mp`` context.  Levels of one (alpha, n_theta, mass)
-    row share the root sqrt(k^2 - alpha^2), which is computed exactly as
+    global ``mpmath.mp`` context.  Levels of one (alpha, n_theta) row
+    share the root sqrt(k^2 - alpha^2), which is computed exactly as
     for a single level, so every level has the bits of its one-level call.
     """
     from mpmath import libmp
@@ -466,19 +442,19 @@ def _libmp_levels(levels) -> list[float]:
     mul, add, sub = libmp.mpf_mul, libmp.mpf_add, libmp.mpf_sub
     div, sqrt, one = libmp.mpf_div, libmp.mpf_sqrt, libmp.fone
     rows, radial, values = {}, {}, []
-    for a, k, r, m in levels:
-        row = rows.get((a, k, m))
+    for a, k, r in levels:
+        row = rows.get((a, k))
         if row is None:
             a_mp, k_mp = from_float(a), from_int(k, prec, rnd)
             root = sqrt(sub(mul(k_mp, k_mp, prec, rnd), mul(a_mp, a_mp, prec, rnd), prec, rnd),
                         prec, rnd)
-            row = rows[a, k, m] = a_mp, from_float(m), root
-        a_mp, m_mp, root = row
+            row = rows[a, k] = a_mp, root
+        a_mp, root = row
         r_mp = radial.get(r)
         if r_mp is None:
             r_mp = radial[r] = from_int(r, prec, rnd)
         q = div(a_mp, add(r_mp, root, prec, rnd), prec, rnd)
-        level = div(m_mp, sqrt(add(mul(q, q, prec, rnd), one, prec, rnd), prec, rnd), prec, rnd)
+        level = div(one, sqrt(add(mul(q, q, prec, rnd), one, prec, rnd), prec, rnd), prec, rnd)
         values.append(to_float(level, rnd=rnd))
     return values
 
@@ -521,7 +497,7 @@ def spectrum_table(alpha: float, mass_ev: float,
     has the bits of the single-level calls.
 
     binding_ev = -mass_ev*v_m^2/(1 + sqrt(1 - v_m^2)) is taken from
-    route A's coupled speed (sqrt(1 - v_m^2) is nu_m at unit mass).  It
+    route A's coupled speed (sqrt(1 - v_m^2) is nu_m).  It
     equals energy_ev - mass_ev without the cancellation that subtraction
     suffers for weak coupling and high levels.  Rows are sorted by
     (n, n_theta).  The bounds follow the :class:`QuantumNumbers`

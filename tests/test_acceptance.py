@@ -37,9 +37,9 @@ def test_01_fine_structure_spectrum():
     worst = 0.0
     for n_theta in range(1, 6):
         for n_r in range(0, 6):
-            route_a = cd.coupled_solve(ALPHA, QuantumNumbers(n_theta, n_r), mass=1.0).nu_m
-            route_b = cd.energy_closed_form(ALPHA, n_theta, n_r, mass=1.0)
-            reference = cd.sommerfeld_reference(ALPHA, n_theta, n_r, mass=1.0)
+            route_a = cd.coupled_solve(ALPHA, QuantumNumbers(n_theta, n_r)).nu_m
+            route_b = cd.energy_closed_form(ALPHA, n_theta, n_r)
+            reference = cd.sommerfeld_reference(ALPHA, n_theta, n_r)
             worst = max(worst, abs(route_a - route_b), abs(route_a - reference))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 1.0

@@ -359,10 +359,12 @@ BAD_INPUTS = [
     (("qed-rho", "--A", "1e60"), "FloatRange: charge-density roots or residuals at A=1e+60"),
     (("qed-rho", "--A", "1e100"), "FloatRange: charge-density roots or residuals at A=1e+100"),
     (("spectrum", "--alpha", "5e-324", "--max-ntheta", "1"),
-     "FloatRange: row (0, 0): bound orbit at alpha=5e-324"),
-    (("spectrum", "--alpha", "5e-324"), "FloatRange: row (0, 0): bound orbit at alpha=5e-324"),
+     "FloatRange: row (0, 0): bound orbit at alpha=5e-324 (n_theta=1) leaves the float range"),
+    (("spectrum", "--alpha", "5e-324"),
+     "FloatRange: row (0, 0): bound orbit at alpha=5e-324 (n_theta=1) leaves the float range"),
     (("spectrum", "--alpha", "1e-308", "--max-ntheta", "1"),
-     "FloatRange: row (0, 1): coupled state at alpha=1e-308"),
+     "FloatRange: row (0, 1): coupled state at alpha=1e-308 (n_theta=1, n_r=1) leaves the "
+     "float range"),
     (("spectrum", "--max-ntheta", "100000", "--max-nr", "100000"),
      f"CircleDiracError: max_n_theta=100000 and max_n_r=100000 give 10000100000 levels, "
      f"more than the cap MAX_LEVELS = {MAX_LEVELS}"),

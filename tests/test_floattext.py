@@ -3,6 +3,7 @@ integers, ``format(x, ".17g")`` and ``repr(x)`` for doubles, with the certificat
 which values keep their numpy digits and Python deciding the rest."""
 
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -225,6 +226,17 @@ def test_integers_are_percent_d(column):
 def test_integers_outside_the_bound_are_refused(column):
     with pytest.raises(ValueError, match=r"\[0, 10\*\*17\)"):
         floattext.rows_text([("d", column)], ["<", ">"])
+
+
+@pytest.mark.parametrize("fields, lengths", [
+    ([("d", np.arange(3)), ("repr", np.array([1.5, 2.5]))], "[3, 2]"),
+    ([("repr", np.array([1.5, 2.5])), ("d", np.arange(3))], "[2, 3]"),
+    ([("g17", np.array([1.5])), ("g17", np.array([])), ("d", np.arange(1))], "[1, 0, 1]"),
+])
+def test_columns_of_unequal_length_are_refused(fields, lengths):
+    with pytest.raises(ValueError, match=rf"^columns must have one length, got lengths "
+                                         rf"{re.escape(lengths)}$"):
+        floattext.rows_text(fields, ["", *"," * (len(fields) - 1), "\n"])
 
 
 def test_rows_across_chunks_with_literals():

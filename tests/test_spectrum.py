@@ -17,8 +17,6 @@ from circledirac import (
     SpectrumTable,
     SpeedDomain,
     bohr_solve,
-    circle_quantize,
-    circle_wave_energy,
     coupled_solve,
     energy_closed_form,
     lines_to_csv,
@@ -56,27 +54,20 @@ class TestQuantumNumbers:
 
 
 class TestCircleQuantization:
-    def test_unit_case(self):
-        assert circle_quantize(1.0, 1) == 1.0
-
-    def test_scaling(self):
-        assert circle_quantize(2.0, 4) == 2.0
-
     def test_circle_wave_energy(self):
-        # eta = n_r/R0 = n_r*mass/n_theta
-        qn = QuantumNumbers(3, 2)
-        assert circle_wave_energy(1.5, qn) == pytest.approx(2 * 1.5 / 3)
+        # the rest circle's radius is R0 = n_theta, and the vibration's energy eta = n_r/R0
+        c = coupled_solve(0.3, QuantumNumbers(3, 2))
+        assert c.bohr.R0_l == 3.0
+        assert c.eta_l == 2 / 3
 
     def test_rejects(self):
-        with pytest.raises(NonpositiveMass):
-            circle_quantize(0.0, 1)
         with pytest.raises(InvalidQuantumNumber):
-            circle_quantize(1.0, 0)
+            bohr_solve(0.3, 0)
 
     @pytest.mark.parametrize("n_theta", [True, 4.0, 1.5, "1"])
     def test_rejects_non_integers(self, n_theta):
         with pytest.raises(InvalidQuantumNumber):
-            circle_quantize(2.0, n_theta)
+            bohr_solve(0.3, n_theta)
 
 
 class TestBohrSolve:
@@ -96,10 +87,10 @@ class TestBohrSolve:
         assert b.nu_b == pytest.approx(0.8)
         assert b.R1_b == pytest.approx(0.8 / 0.6)
         assert b.eA_b == pytest.approx(-0.45)
-        assert b.L == 1.0
+        assert b.R0_l == 1.0
 
     def test_total_energy_chain(self):
-        # nu = eta + eA agrees with the closed form mass*sqrt(1 - v^2)
+        # nu = eta + eA agrees with the closed form sqrt(1 - v^2)
         for alpha in (ALPHA, 0.3, 0.6):
             b = bohr_solve(alpha, 1)
             assert b.nu_b == pytest.approx(b.eta_b + b.eA_b, rel=1e-14)
@@ -286,6 +277,11 @@ class TestSpectrumTable:
         with pytest.raises(FloatRange, match="^mass_ev must be finite, got inf$"):
             spectrum_table(0.3, math.inf, 1, 1)
 
+    @pytest.mark.parametrize("mass_ev", [-1.0, 0.0, -0.0, math.nan])
+    def test_rejects_nonpositive_mass(self, mass_ev):
+        with pytest.raises(NonpositiveMass, match=f"^mass_ev must be positive, got {mass_ev}$"):
+            spectrum_table(0.1, mass_ev, 1, 0)
+
     @pytest.mark.parametrize("max_n_theta, max_n_r", [
         (spectrum.MAX_LEVELS + 1, 0), (1000, 1000), (10 ** 30, 10 ** 30)])
     def test_rejects_tables_above_the_cap(self, max_n_theta, max_n_r):
@@ -301,21 +297,7 @@ class TestSpectrumTable:
             spectrum_table(0.1, 1.0, max_n_theta, max_n_r)
 
 
-SOLVERS = {
-    "bohr_solve": lambda mass: bohr_solve(0.1, 1, mass),
-    "coupled_solve": lambda mass: coupled_solve(0.1, QuantumNumbers(1, 1), mass),
-    "energy_closed_form": lambda mass: energy_closed_form(0.1, 1, 0, mass),
-    "sommerfeld_reference": lambda mass: sommerfeld_reference(0.1, 1, 0, mass),
-}
-
-
 class TestSharedChecks:
-    @pytest.mark.parametrize("solver", SOLVERS)
-    @pytest.mark.parametrize("mass", [-1.0, 0.0, -0.0, math.nan])
-    def test_rejects_nonpositive_mass(self, solver, mass):
-        with pytest.raises(NonpositiveMass, match=f"mass must be positive, got {mass}"):
-            SOLVERS[solver](mass)
-
     def test_array_errors_name_first_offending_row(self):
         with pytest.raises(SpeedDomain, match=r"^row 1: need 0 < alpha < n_theta for a bound "
                                               r"orbit, got alpha=1.5, n_theta=1$"):
@@ -323,8 +305,6 @@ class TestSharedChecks:
         with pytest.raises(SpeedDomain, match=r"^row \(0, 1\): need 0 <= alpha .* "
                                               r"got alpha=1.0, n_theta=1$"):
             energy_closed_form(np.array([0.5, 1.0]), np.array([[1], [2]]), 0)
-        with pytest.raises(NonpositiveMass, match="^row 2: mass must be positive, got 0.0$"):
-            sommerfeld_reference(0.1, 1, 0, np.array([1.0, 2.0, 0.0]))
         with pytest.raises(InvalidQuantumNumber, match="^row 1: n_r must be an integer >= 0, got -1$"):
             QuantumNumbers(1, np.array([0, -1]))
         with pytest.raises(InvalidQuantumNumber, match="array of dtype bool"):
@@ -332,11 +312,11 @@ class TestSharedChecks:
 
     def test_tiny_coupling_leaves_the_float_range(self):
         # the orbit radius n_theta^2/alpha and the speed vprime_m = 2/alpha overflow
-        with pytest.raises(FloatRange, match=r"^bound orbit at alpha=5e-324 \(n_theta=1, "
-                                             r"mass=1.0\) leaves the float range$"):
+        with pytest.raises(FloatRange, match=r"^bound orbit at alpha=5e-324 \(n_theta=1\) "
+                                             r"leaves the float range$"):
             bohr_solve(5e-324, 1)
         with pytest.raises(FloatRange, match=r"^coupled state at alpha=1e-308 \(n_theta=1, "
-                                             r"n_r=1, mass=1.0\) leaves the float range$"):
+                                             r"n_r=1\) leaves the float range$"):
             coupled_solve(1e-308, QuantumNumbers(1, 1))
         assert math.isfinite(bohr_solve(1e-308, 1).R1_b)
         assert math.isfinite(coupled_solve(1e-308, QuantumNumbers(1, 0)).vprime_m)
@@ -345,36 +325,35 @@ class TestSharedChecks:
         with pytest.raises(FloatRange, match=r"^row \(1, 2\): bound orbit at alpha=5e-324 "):
             bohr_solve(np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 5e-324]]), 1)
         with pytest.raises(FloatRange, match=r"^row 2: coupled state at alpha=1e-308 "
-                                             r"\(n_theta=1, n_r=1, mass=1.0\)"):
+                                             r"\(n_theta=1, n_r=1\) leaves the float range$"):
             coupled_solve(np.array([0.1, 0.2, 1e-308, 1e-308]), QuantumNumbers(1, 1))
 
 
-def _scalar_chain(alpha, n_theta, n_r, mass):
+def _scalar_chain(alpha, n_theta, n_r):
     """Route A one level at a time in Python floats: (v_m, nu_m)."""
     v = alpha / n_theta
     K = (math.sqrt(1.0 - v * v) + n_r / n_theta) / v
     root_k = math.sqrt(1.0 + K * K)
     v_m = 1.0 / root_k
-    return v_m, mass * (K / root_k if K < 1.0 else math.sqrt(1.0 - v_m * v_m))
+    return v_m, K / root_k if K < 1.0 else math.sqrt(1.0 - v_m * v_m)
 
 
-def _scalar_closed_form(alpha, n_theta, n_r, mass):
+def _scalar_closed_form(alpha, n_theta, n_r):
     """Route B one level at a time in Python floats, its square a product."""
     d = math.sqrt(n_theta * n_theta - alpha * alpha) + n_r
-    return mass / math.sqrt(1.0 + alpha * alpha / (d * d))
+    return 1.0 / math.sqrt(1.0 + alpha * alpha / (d * d))
 
 
-def _mpmath_level(a, k, r, m):
+def _mpmath_level(a, k, r):
     """The oracle's formula as mpf operators in the current mpmath context, unrounded."""
     a_mp, k_mp = mpmath.mpf(a), mpmath.mpf(k)
     root = mpmath.sqrt(k_mp * k_mp - a_mp * a_mp)
-    return mpmath.mpf(m) / mpmath.sqrt(1 + (a_mp / (mpmath.mpf(r) + root)) ** 2)
+    return 1 / mpmath.sqrt(1 + (a_mp / (mpmath.mpf(r) + root)) ** 2)
 
 
-def _wrapped_mpmath_reference(alpha, n_theta, n_r, mass):
+def _wrapped_mpmath_reference(alpha, n_theta, n_r):
     """The oracle as mpf operators under ``workdps(40)``, one level at a time."""
-    grid = np.broadcast_arrays(np.asarray(alpha, dtype=float), n_theta, n_r,
-                               np.asarray(mass, dtype=float))
+    grid = np.broadcast_arrays(np.asarray(alpha, dtype=float), n_theta, n_r)
     with mpmath.workdps(40):
         levels = [float(_mpmath_level(*level))
                   for level in zip(*(x.ravel().tolist() for x in grid))]
@@ -391,34 +370,24 @@ class TestOracleBits:
         n_theta, n_r = np.arange(1, 31)[:, None], np.arange(31)
         for alpha in self.ALPHAS:
             got = sommerfeld_reference(alpha, n_theta, n_r)
-            want = _wrapped_mpmath_reference(alpha, n_theta, n_r, 1.0)
+            want = _wrapped_mpmath_reference(alpha, n_theta, n_r)
             assert (got.view(np.int64) == want.view(np.int64)).all(), alpha
-
-    def test_mass_array_bits(self):
-        mass = np.array([1e-300, ELECTRON_MASS_EV, 1e300])[:, None, None]
-        alpha, n_theta, n_r = 0.37, np.arange(1, 5)[:, None], np.arange(4)
-        got = sommerfeld_reference(alpha, n_theta, n_r, mass)
-        assert got.shape == (3, 4, 4)
-        want = _wrapped_mpmath_reference(alpha, n_theta, n_r, mass)
-        assert (got.view(np.int64) == want.view(np.int64)).all()
 
     def test_random_levels_bits(self):
         rng = np.random.default_rng(47)
         n_theta = rng.integers(1, 40, 400)
         alpha = rng.uniform(0.0, 1.0, 400) * n_theta
         n_r = rng.integers(0, 40, 400)
-        mass = 10.0 ** rng.uniform(-5.0, 5.0, 400)
         # near-critical coupling, where k^2 - alpha^2 cancels
         critical = np.arange(1, 31)
         n_theta = np.concatenate((n_theta, critical))
         alpha = np.concatenate((alpha, critical * (1 - 1e-12)))
         n_r = np.concatenate((n_r, rng.integers(0, 40, 30)))
-        mass = np.concatenate((mass, 10.0 ** rng.uniform(-5.0, 5.0, 30)))
-        got = sommerfeld_reference(alpha, n_theta, n_r, mass)
-        want = _wrapped_mpmath_reference(alpha, n_theta, n_r, mass)
+        got = sommerfeld_reference(alpha, n_theta, n_r)
+        want = _wrapped_mpmath_reference(alpha, n_theta, n_r)
         assert (got.view(np.int64) == want.view(np.int64)).all()
         single = [sommerfeld_reference(*row) for row in zip(
-            alpha.tolist(), n_theta.tolist(), n_r.tolist(), mass.tolist())]
+            alpha.tolist(), n_theta.tolist(), n_r.tolist())]
         assert (np.array(single).view(np.int64) == want.view(np.int64)).all()
 
     def test_global_context_left_alone(self):
@@ -445,14 +414,12 @@ def _count_arbiter(monkeypatch):
     return calls
 
 
-# (alpha, n_theta, n_r, mass) of a level just inside each edge of the double-word pass's
-# domain, and of one just outside it
+# (alpha, n_theta, n_r) of a level just inside each edge of the double-word pass's domain,
+# and of one just outside it
 DOMAIN_EDGES = {
-    "alpha": ((2.0 ** -300, 1, 0, 1.0), (math.nextafter(2.0 ** -300, 0.0), 1, 0, 1.0)),
-    "mass-low": ((0.37, 1, 0, 2.0 ** -300), (0.37, 1, 0, math.nextafter(2.0 ** -300, 0.0))),
-    "mass-high": ((0.37, 1, 0, 2.0 ** 300), (0.37, 1, 0, math.nextafter(2.0 ** 300, math.inf))),
-    "n_theta": ((0.37, 2 ** 53, 0, 1.0), (0.37, 2 ** 53 + 1, 0, 1.0)),
-    "n_r": ((0.37, 1, 2 ** 53, 1.0), (0.37, 1, 2 ** 53 + 1, 1.0)),
+    "alpha": ((2.0 ** -300, 1, 0), (math.nextafter(2.0 ** -300, 0.0), 1, 0)),
+    "n_theta": ((0.37, 2 ** 53, 0), (0.37, 2 ** 53 + 1, 0)),
+    "n_r": ((0.37, 1, 2 ** 53), (0.37, 1, 2 ** 53 + 1)),
 }
 
 
@@ -494,7 +461,7 @@ class TestOracleCertificate:
         monkeypatch.setattr(spectrum, "_HALF_WIDTH", 2.0 ** -58)
         got = sommerfeld_reference(CODATA_ALPHA, *self.GRID)
         assert len(calls) == 1 and 0 < calls[0] < 30 * 31
-        want = _wrapped_mpmath_reference(CODATA_ALPHA, *self.GRID, 1.0)
+        want = _wrapped_mpmath_reference(CODATA_ALPHA, *self.GRID)
         assert (got.view(np.int64) == want.view(np.int64)).all()
 
     @pytest.mark.parametrize("alpha", [0.37, 2.0 ** 67, 2.0 ** 68 * (1 - 1e-12)])
@@ -506,7 +473,7 @@ class TestOracleCertificate:
         for n_theta in [2 ** 68 - 1, 2 ** 68]:
             got = sommerfeld_reference(alpha, n_theta, np.arange(4))
             assert calls == [4]
-            want = _wrapped_mpmath_reference(alpha, n_theta, np.arange(4), 1.0)
+            want = _wrapped_mpmath_reference(alpha, n_theta, np.arange(4))
             assert (got.view(np.int64) == want.view(np.int64)).all()
             calls.clear()
 
@@ -528,12 +495,11 @@ class TestOracleCertificate:
         n_theta = rng.integers(1, 60, 400)
         near = 1 - 10.0 ** -rng.uniform(1, 16, 400)
         alpha = n_theta * np.where(np.arange(400) % 2, near, rng.uniform(size=400))
-        levels = [*zip(alpha.tolist(), n_theta.tolist(), rng.integers(0, 60, 400).tolist(),
-                       (10.0 ** rng.uniform(-5.0, 5.0, 400)).tolist()),
+        levels = [*zip(alpha.tolist(), n_theta.tolist(), rng.integers(0, 60, 400).tolist()),
                   *(inside for inside, _ in DOMAIN_EDGES.values()),
-                  (2.0 ** 53 - 1, 2 ** 53, 0, 1.0)]
-        a, k, r, m = (np.array(column, dtype=float) for column in zip(*levels))
-        hi, lo = spectrum._double_word_levels(a, k, r, m)
+                  (2.0 ** 53 - 1, 2 ** 53, 0)]
+        a, k, r = (np.array(column, dtype=float) for column in zip(*levels))
+        hi, lo = spectrum._double_word_levels(a, k, r)
         worst = mpmath.mpf(0)
         with mpmath.workdps(100):
             for level, h, l in zip(levels, hi.tolist(), lo.tolist()):
@@ -557,9 +523,8 @@ class TestOracleCertificate:
         alpha = [float(k * (near[i] if i % 2 else rng.uniform())) for i, k in enumerate(n_theta)]
         assert all(a < k for a, k in zip(alpha, n_theta))
         n_r = rng.integers(0, 60, 300).tolist()
-        mass = (10.0 ** rng.uniform(-5.0, 5.0, 300)).tolist()
         worst = mpmath.mpf(0)
-        for level in zip(alpha, n_theta, n_r, mass):
+        for level in zip(alpha, n_theta, n_r):
             with mpmath.workdps(40):
                 low = _mpmath_level(*level)
             with mpmath.workdps(100):
@@ -574,7 +539,7 @@ def _levels(draw):
     alpha = draw(st.one_of(st.floats(0.0, n_theta, exclude_max=True),
                            st.floats(0.0, 2.2250738585072014e-308),   # zero and subnormals
                            st.floats(n_theta - 1e-12, n_theta, exclude_max=True)))
-    return alpha, n_theta, draw(st.integers(0, 50)), draw(st.floats(1e-5, 1e5))
+    return alpha, n_theta, draw(st.integers(0, 50))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -593,21 +558,19 @@ class TestArrayKernels:
         n_r = rng.integers(0, 21, n)
         alpha = rng.uniform(1e-6, 0.999, n) * n_theta
         alpha[: n // 4] = 10.0 ** rng.uniform(-12.0, -1.0, n // 4)
-        mass = rng.uniform(0.1, 10.0, n)
-        mass[rng.random(n) < 0.2] = 1.0
-        state = coupled_solve(alpha, QuantumNumbers(n_theta, n_r), mass)
-        closed = energy_closed_form(alpha, n_theta, n_r, mass)
-        rows = list(zip(alpha.tolist(), n_theta.tolist(), n_r.tolist(), mass.tolist()))
+        state = coupled_solve(alpha, QuantumNumbers(n_theta, n_r))
+        closed = energy_closed_form(alpha, n_theta, n_r)
+        rows = list(zip(alpha.tolist(), n_theta.tolist(), n_r.tolist()))
         chain = np.array([_scalar_chain(*row) for row in rows]).T
         want_closed = np.array([_scalar_closed_form(*row) for row in rows])
         bits = lambda x: np.asarray(x, dtype=float).view(np.uint64)
         assert (bits(np.stack((state.v_m, state.nu_m))) == bits(chain)).all()
         assert (bits(closed) == bits(want_closed)).all()
         for i in range(0, n, 600):
-            a, k, r, m = rows[i]
-            scalar = coupled_solve(a, QuantumNumbers(k, r), m)
+            a, k, r = rows[i]
+            scalar = coupled_solve(a, QuantumNumbers(k, r))
             assert (scalar.v_m, scalar.nu_m) == tuple(chain[:, i])
-            assert energy_closed_form(a, k, r, m) == want_closed[i]
+            assert energy_closed_form(a, k, r) == want_closed[i]
 
     def test_route_b_bit_identical_at_domain_edge(self):
         # without vibration and near alpha = n_theta the denominator (root + n_r)^2
@@ -616,7 +579,7 @@ class TestArrayKernels:
         rng = np.random.default_rng(45)
         n_theta = rng.integers(1, 21, 40000)
         alpha = rng.uniform(0.9, 0.999999, 40000) * n_theta
-        want = [_scalar_closed_form(a, k, 0, 1.0) for a, k in zip(alpha.tolist(), n_theta.tolist())]
+        want = [_scalar_closed_form(a, k, 0) for a, k in zip(alpha.tolist(), n_theta.tolist())]
         assert energy_closed_form(alpha, n_theta, 0).tolist() == want
 
     def test_scalar_calls_return_plain_numbers(self):
