@@ -277,11 +277,10 @@ def chart_map(coords: Iterable[float] | np.ndarray, source: SpaceChart,
         x0, x3 = target.R0 * theta0, r0
     if target.kind in _SPATIAL:
         x1, x2 = target.R1 * math.atan2(x1, x2), math.hypot(x1, x2)
-    image = (x0, x1, x2, x3)
-    if not all(map(math.isfinite, image)):
+    if not (math.isfinite(x0) and math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
         raise FloatRange(f"{_chart_label(source)} point {c.tolist()} has no finite "
-                         f"image on the {_chart_label(target)}: {list(image)}")
-    return np.array(image)
+                         f"image on the {_chart_label(target)}: {[x0, x1, x2, x3]}")
+    return np.array((x0, x1, x2, x3))
 
 
 def _chart_map_batch(c: np.ndarray, source: SpaceChart, target: SpaceChart) -> np.ndarray:

@@ -19,6 +19,10 @@ to i at rest).
 A wave is one reflector, like every term of the Dirac system: a
 :class:`WaveFunction` is the ``(2, 4)`` prefactor of (phi1, phi2) and the
 wavevector k = (-nu, mu, 0, 0) both share, Phi = prefactor * exp(i k.x).
+Over a batch of N points the points sit next to the coefficient axis: the
+wave is ``(2, N, 4)``, blocks first, and :func:`residual` assembles both
+sides of the system in (route, mu, block, point, coefficient) order, so
+each numpy loop runs along the points.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .biquaternion import Biquaternion, I0, embed
+from .biquaternion import Biquaternion, I0, array_conj, array_mul, embed
 from .errors import (
     DispersionViolation,
     SuperluminalSpeed,
@@ -37,8 +41,7 @@ from .errors import (
     positive_mass,
     require,
 )
-from .reflector import (ARC_TIME_UNITS, _operator_array, dirac_lhs_array, dirac_rhs_array,
-                        unit_reflector)
+from .reflector import ARC_TIME_UNITS, _operator_array, unit_reflector
 
 __all__ = [
     "PlaneWave",
@@ -110,11 +113,11 @@ class WaveFunction:
                              f"got {self.prefactor.shape} and {self.k.shape}")
 
     def at(self, points) -> np.ndarray:
-        """The wave ``(..., 2, 4)`` at points ``(..., 4)``."""
+        """The wave ``(2, ..., 4)`` at points ``(..., 4)``, blocks first; ``(2, 4)`` at one point."""
         # an elementwise product and a per-point sum, so a point's phase
         # does not depend on its position in the batch (a matmul's can)
         phases = np.exp(1j * (np.asarray(points, dtype=float) * self.k).sum(axis=-1))
-        return self.prefactor * phases[..., None, None]
+        return self.prefactor.reshape((2,) + (1,) * phases.ndim + (4,)) * phases[..., None]
 
 
 def mass_term(mass: float) -> Biquaternion:
@@ -155,14 +158,30 @@ class ResidualReport:
 
 
 def _central_difference(wave: WaveFunction, points: np.ndarray, h: float) -> np.ndarray:
-    """Central differences of the wave at points ``(N, 4)`` for every mu, shape ``(N, 4, 2, 4)``.
+    """Central differences of the wave at points ``(N, 4)`` for every mu, shape ``(4, 2, N, 4)``.
 
     Evaluates the wave at all 8N shifted points p +- h e_mu in one call.
     """
     step = h * np.eye(4)
-    shifted = points[:, None, :] + np.stack((step, -step))[:, None]
-    plus, minus = wave.at(shifted)
-    return (plus - minus) / (2.0 * h)
+    values = wave.at(points + np.stack((step, -step))[:, :, None, :])   # (block, +-, mu, N, 4)
+    return ((values[:, 0] - values[:, 1]) / (2.0 * h)).swapaxes(0, 1)
+
+
+def _dirac_sides(operator: np.ndarray, a_pot, e: float, m, phi: np.ndarray,
+                 d_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D - i e A) Phi and Phi M as block-diagonal arrays ``(..., 2, N, 4)``.
+
+    ``phi`` is the wave ``(2, N, 4)`` at N points and ``d_phi`` its
+    derivatives ``(..., 4, 2, N, 4)``, one per coordinate mu; ``operator``
+    is ``(4, 2, 4)`` and M the reflector (m, -conj(m)).  Every term is a
+    reflector product, ``array_mul`` with the right factor's blocks
+    swapped: the potential multiplies the wave components on the left and
+    the mass on the right.  Each numpy loop runs along the points.
+    """
+    lhs = (array_mul(operator[:, :, None, :], d_phi[..., ::-1, :, :]).sum(axis=-4)
+           - (1j * e) * array_mul(unit_reflector(a_pot)[:, None, :], phi[::-1]))
+    m = np.asarray(m)
+    return lhs, array_mul(phi, np.stack((-array_conj(m), m))[:, None, :])
 
 
 def residual(wave: WaveFunction,
@@ -179,8 +198,8 @@ def residual(wave: WaveFunction,
 
     Evaluates second-order central differences with step h, from the
     wave's values at the 8N shifted points p +- h e_mu, and the analytic
-    derivatives i k_mu Phi.  All N points and both routes go
-    through :func:`dirac_lhs_array` in one numpy pass.
+    derivatives i k_mu Phi.  All N points and both routes are assembled
+    in one numpy pass, in (route, mu, block, point, coefficient) order.
     """
     if not 0 < h < math.inf:
         raise ValueError(f"finite-difference step must be positive and finite, got {h}")
@@ -192,9 +211,9 @@ def residual(wave: WaveFunction,
         raise ValueError(f"points need shape (N, 4), got {p.shape}")
     phi = wave.at(p)
     d_phi = np.stack((_central_difference(wave, p, h),
-                      (1j * wave.k)[:, None, None] * phi[..., None, :, :]))
-    lhs = dirac_lhs_array(operator, unit_reflector(a_pot), e, phi, d_phi)
-    worst = np.abs(lhs - dirac_rhs_array(phi, m)).max(axis=(1, 2, 3))
+                      (1j * wave.k)[:, None, None, None] * phi))
+    lhs, rhs = _dirac_sides(operator, a_pot, e, m, phi, d_phi)
+    worst = np.abs(lhs - rhs).max(axis=(1, 2, 3))
     return ResidualReport(fd=float(worst[0]), analytic=float(worst[1]))
 
 

@@ -20,14 +20,13 @@ block layout forces this ordering and it matters because the algebra
 does not commute.
 
 The module holds only this block calculus.  Waves, their derivatives
-and the residual check live in :mod:`~circledirac.planewave`.
+and the residual check, which assembles both sides of the system, live
+in :mod:`~circledirac.planewave`.
 
 The operator D = sum_mu u_mu d/dx_mu is held the same way, as the
 ``(4, 2, 4)`` array of its unit reflectors (u_mu, conj(u_mu)), one per
-coordinate mu.  Both sides are assembled once, by :func:`dirac_lhs_array`
-and :func:`dirac_rhs_array`; leading axes of the coefficient arrays
-broadcast over points and derivative routes.  :func:`sandwich` is the
-library's one rotor sandwich r*x*r.
+coordinate mu.  :func:`sandwich` is the library's one rotor sandwich
+r*x*r.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ from .errors import NonUnitRotor, require
 __all__ = [
     "unit_reflector",
     "sandwich",
-    "dirac_lhs_array",
-    "dirac_rhs_array",
     "reflector_mul_array",
     "ARC_TIME_UNITS",
 ]
@@ -81,7 +78,7 @@ def sandwich(r, x):
     return _like(x, array_mul(array_mul(r, x), r))
 
 
-# -- the Dirac system ----------------------------------------------------
+# -- the Dirac operator --------------------------------------------------
 
 # The read-only operator of arc-coordinate charts.  Its temporal unit is i*i_0:
 # the temporal arc coordinate is stored real while the algebra wants it divided
@@ -96,24 +93,3 @@ def _operator_array(units) -> np.ndarray:
     if units.shape != (4, 2, 4):
         raise ValueError(f"operator needs shape (4, 2, 4), got {units.shape}")
     return units
-
-
-def dirac_lhs_array(units, a_pot, e: float, phi, d_phi) -> np.ndarray:
-    """(D - i e A) Phi on coefficient arrays, as a ``(..., 2, 4)`` block-diagonal array.
-
-    ``units`` is a ``(4, 2, 4)`` operator such as :data:`ARC_TIME_UNITS`,
-    ``a_pot`` the ``(2, 4)`` potential reflector (a, conj(a)), ``phi`` the
-    ``(..., 2, 4)`` wave and ``d_phi`` its ``(..., 4, 2, 4)`` derivatives,
-    one per coordinate mu.  Leading axes broadcast, so one call covers a
-    batch of points, or of points under several derivative routes.  Every
-    term is a reflector product, so the potential multiplies the wave
-    components on the left.
-    """
-    return (reflector_mul_array(units, d_phi).sum(axis=-3)
-            - (1j * e) * reflector_mul_array(a_pot, phi))
-
-
-def dirac_rhs_array(phi, m) -> np.ndarray:
-    """Phi M on coefficient arrays, with M the reflector (m, -conj(m)) of a ``(4,)`` m."""
-    m = np.asarray(m)
-    return reflector_mul_array(phi, np.stack((m, -array_conj(m))))

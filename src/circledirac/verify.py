@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
@@ -375,10 +375,8 @@ def run_suite(name: str, seed: int = 0) -> VerificationReport:
 
 def _case_record(case: CaseResult) -> dict:
     """JSON record of a case; a non-finite ``max_error`` (a failed case) is ``null``."""
-    record = asdict(case)
-    if not math.isfinite(case.max_error):
-        record["max_error"] = None
-    return record
+    return {"id": case.id, "max_error": case.max_error if math.isfinite(case.max_error) else None,
+            "tolerance": case.tolerance, "passed": case.passed}
 
 
 def reports_to_json(reports: list[VerificationReport]) -> str:

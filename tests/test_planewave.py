@@ -9,12 +9,15 @@ from conftest import ARC_UNITS, analytic, central_difference, max_abs_diff, scal
 
 from circledirac import (
     Biquaternion,
+    ChartKind,
     DispersionViolation,
     NonpositiveMass,
     PlaneWave,
+    SpaceChart,
     SuperluminalSpeed,
     WaveFunction,
     bound_solution,
+    chart_map,
     de_broglie,
     free_solution,
     mass_term,
@@ -185,6 +188,55 @@ class TestBatchedResidual:
         for operator in (ARC_TIME_UNITS[0], ARC_TIME_UNITS[:3]):  # (2, 4) would broadcast
             with pytest.raises(ValueError, match=r"operator needs shape \(4, 2, 4\)"):
                 residual(ON_SHELL, *_args(PW), BATCH, operator=operator)
+
+
+def _chart_points(n):
+    """n off-cone points of L mapped onto a T chart, then n more onto an S chart: ``(2n, 4)``."""
+    rng = np.random.default_rng(21)
+    source = SpaceChart(ChartKind.L)
+    batches = []
+    for target in (SpaceChart(ChartKind.T, R0=1.3), SpaceChart(ChartKind.S, R0=0.7, R1=1.9)):
+        pts = rng.uniform(-2.0, 2.0, size=(n, 4))
+        pts[:, 3] = rng.uniform(0.3, 3.0, size=n)
+        pts[:, 0] = pts[:, 3] * rng.uniform(-0.9, 0.9, size=n)
+        batches.append(chart_map(pts, source, target))
+    return np.concatenate(batches)
+
+
+CHART_POINTS = _chart_points(256)
+# a wave with a potential, so every term of the system is nonzero
+CHARGED = PlaneWave(nu=-0.4 + math.sqrt(0.8 ** 2 + 1.1 ** 2), mu=1.1, mass=0.8, eA=-0.4)
+
+
+class TestPointsInnermost:
+    """The residual's numpy loops run along the points: no bit may depend on the batch length."""
+
+    @pytest.mark.parametrize("h", [1e-5, 0.05])
+    @pytest.mark.parametrize("transformed", [False, True], ids=["plain", "transformed"])
+    @pytest.mark.parametrize("shift", [0.0, 0.1], ids=["on-shell", "off-shell"])
+    def test_batch_is_the_max_over_single_points(self, shift, transformed, h):
+        pw = CHARGED
+        wave = plane_wave_solution(pw.nu + shift, pw.mu, pw.mass, pw.eA)
+        a, e, m = _args(pw)
+        operator = ARC_TIME_UNITS
+        if transformed:
+            wave, a, m = transform_wave(wave), tachyon_quaternion(a), tachyon_quaternion(m)
+            operator = transform_operator(operator)
+        whole = residual(wave, a, e, m, CHART_POINTS, h=h, operator=operator)
+        singles = [residual(wave, a, e, m, p[None], h=h, operator=operator)
+                   for p in CHART_POINTS]
+        assert whole.fd == max(r.fd for r in singles)
+        assert whole.analytic == max(r.analytic for r in singles)
+        assert whole.analytic > 0.0
+
+    def test_at_batch_columns_are_single_points(self):
+        wave = transform_wave(bound_solution(CHARGED))
+        batch = wave.at(CHART_POINTS)
+        assert batch.shape == (2, len(CHART_POINTS), 4)
+        for n, p in enumerate(CHART_POINTS):
+            assert np.array_equal(batch[:, n], wave.at(p))
+        grid = CHART_POINTS.reshape(2, -1, 4)
+        assert np.array_equal(wave.at(grid), batch.reshape(2, 2, -1, 4))
 
 
 # sha256 of the reports below: residual's bits for every kind of wave it is given

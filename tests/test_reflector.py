@@ -15,13 +15,8 @@ from circledirac import (
     sandwich,
     unit_reflector,
 )
-from circledirac.planewave import WaveFunction, _central_difference
-from circledirac.reflector import (
-    ARC_TIME_UNITS,
-    dirac_lhs_array,
-    dirac_rhs_array,
-    reflector_mul_array,
-)
+from circledirac.planewave import WaveFunction, _central_difference, _dirac_sides
+from circledirac.reflector import ARC_TIME_UNITS, reflector_mul_array
 
 ROTOR = Biquaternion(2 ** -0.5, 2 ** -0.5)
 
@@ -148,6 +143,19 @@ class TestSandwich:
 
 
 NO_DERIVATIVE = np.zeros((4, 2, 4))
+ZERO = Biquaternion()
+
+
+def lhs(units, a, e, phi, d_phi):
+    """(D - i e A) Phi at one point from the residual's assembly: ``(2, 4)`` phi and
+    ``(4, 2, 4)`` d_phi in, the ``(2, 4)`` block-diagonal array out."""
+    return _dirac_sides(units, a, e, ZERO, phi[:, None], d_phi[:, :, None])[0][:, 0]
+
+
+def rhs(phi, m):
+    """Phi M at one point from the residual's assembly, for a ``(2, 4)`` phi."""
+    return _dirac_sides(ARC_TIME_UNITS, ZERO, 0.0, m, phi[:, None],
+                        NO_DERIVATIVE[:, :, None])[1][:, 0]
 
 
 def test_arc_time_units_are_read_only_unit_reflectors():
@@ -157,25 +165,24 @@ def test_arc_time_units_are_read_only_unit_reflectors():
 
 
 class TestDiracSides:
-    """Both sides of the Dirac system from the array kernels at one point."""
+    """Both sides of the Dirac system from the residual's assembly at one point."""
 
     def test_constant_wave_zero_potential(self):
         c = Biquaternion(0.5, 1.0, -2.0, 0.25)
         constant = WaveFunction((c.coeffs, c.coeffs), np.zeros(4))
-        d_phi = _central_difference(constant, np.zeros((1, 4)), 1e-4)[0]
-        out = dirac_lhs_array(ARC_TIME_UNITS, unit_reflector(Biquaternion()), 1.0,
-                              constant.prefactor, d_phi)
+        d_phi = _central_difference(constant, np.zeros((1, 4)), 1e-4)[:, :, 0]
+        out = lhs(ARC_TIME_UNITS, ZERO, 1.0, constant.prefactor, d_phi)
         assert np.abs(out).max() < 1e-11
 
     def test_rhs_zero_wave(self):
-        out = dirac_rhs_array(np.zeros((2, 4), dtype=complex), mass_term(1.0).coeffs)
+        out = rhs(np.zeros((2, 4), dtype=complex), mass_term(1.0).coeffs)
         assert np.abs(out).max() == 0.0
 
     def test_rhs_scalar_mass_sign(self):
         # constant wave (1, 1) against scalar mass -i m
         one = Biquaternion(1.0)
         m = mass_term(2.0)
-        out = dirac_rhs_array(blocks(one, one), m.coeffs)
+        out = rhs(blocks(one, one), m.coeffs)
         # -phi1 * conj(-2i) = 2i and phi2 * (-2i)
         assert np.array_equal(out, blocks(Biquaternion(2j), Biquaternion(-2j)))
 
@@ -183,7 +190,7 @@ class TestDiracSides:
         rng = np.random.default_rng(8)
         for _ in range(50):
             m, p1, p2 = rand_bq(rng), rand_bq(rng), rand_bq(rng)
-            out = block_matrix(dirac_rhs_array(blocks(p1, p2), m.coeffs), diagonal=True)
+            out = block_matrix(rhs(blocks(p1, p2), m.coeffs), diagonal=True)
             phi = block_matrix(blocks(p1, p2))
             m_refl = block_matrix(blocks(m, -m.conj))
             assert np.max(np.abs(out - phi @ m_refl)) < 1e-13
@@ -195,8 +202,7 @@ class TestDiracSides:
         e = 0.7
         for _ in range(50):
             a, p1, p2 = rand_bq(rng), rand_bq(rng), rand_bq(rng)
-            out = dirac_lhs_array(ARC_TIME_UNITS, unit_reflector(a), e, blocks(p1, p2),
-                                  NO_DERIVATIVE)
+            out = lhs(ARC_TIME_UNITS, a, e, blocks(p1, p2), NO_DERIVATIVE)
             a_refl = block_matrix(unit_reflector(a))
             phi = block_matrix(blocks(p1, p2))
             expected = -1j * e * (a_refl @ phi)
@@ -221,7 +227,7 @@ class TestArrayAssembly:
             phi = np.array([component(wave, j, point) for j in (0, 1)])
             d_phi = np.array([[deriv(wave, j, point, mu) for j in (0, 1)] for mu in range(4)])
             units = np.array([unit_reflector(u) for u in operator])
-            out = dirac_lhs_array(units, unit_reflector(a), e, phi, d_phi)
+            out = lhs(units, a, e, phi, d_phi)
             ref = np.array(scalar_lhs(operator, deriv, a, e, wave, point))
             assert np.abs(out - ref).max() <= 1e-13
 
@@ -237,9 +243,9 @@ class TestArrayAssembly:
         wave = WaveFunction((rand_bq(rng).coeffs, rand_bq(rng).coeffs), rng.uniform(-2, 2, size=4))
         points = rng.uniform(-2, 2, size=(5, 4))
         out, reference = _central_difference(wave, points, 0.01), central_difference(0.01)
-        assert out.shape == (5, 4, 2, 4)
+        assert out.shape == (4, 2, 5, 4)
         for n, p in enumerate(points):
             for mu in range(4):
                 for j in (0, 1):
-                    assert max_abs_diff(out[n, mu, j], reference(wave, j, p, mu)) <= 1e-12
+                    assert max_abs_diff(out[mu, j, n], reference(wave, j, p, mu)) <= 1e-12
 
