@@ -7,7 +7,6 @@ Run:  python demos/05_fine_structure_spectrum.py
 import json
 
 from circledirac import (
-    QuantumNumbers,
     bohr_solve,
     coupled_solve,
     energy_closed_form,
@@ -29,11 +28,11 @@ print(f"  quantisation: nu*R0_boosted = {b.nu_b * b.R0_b:.15f} (= n_theta)")
 
 print("\nAdding circle vibrations (energy n_r*m/n_theta) and re-solving:")
 print("  n_theta n_r   chain route          closed form          reference")
-for qn in (QuantumNumbers(1, 0), QuantumNumbers(1, 1), QuantumNumbers(2, 0), QuantumNumbers(2, 1)):
-    chain = coupled_solve(ALPHA, qn).nu_m
-    closed = energy_closed_form(ALPHA, qn.n_theta, qn.n_r)
-    ref = sommerfeld_reference(ALPHA, qn.n_theta, qn.n_r)
-    print(f"  {qn.n_theta:^7} {qn.n_r:^3}   {chain:.15f}    {closed:.15f}    {ref:.15f}")
+for n_theta, n_r in ((1, 0), (1, 1), (2, 0), (2, 1)):
+    chain = coupled_solve(ALPHA, n_theta, n_r).nu_m
+    closed = energy_closed_form(ALPHA, n_theta, n_r)
+    ref = sommerfeld_reference(ALPHA, n_theta, n_r)
+    print(f"  {n_theta:^7} {n_r:^3}   {chain:.15f}    {closed:.15f}    {ref:.15f}")
 
 print("\nFine structure: levels with the same principal number differ.")
 split = (energy_closed_form(ALPHA, 2, 0) - energy_closed_form(ALPHA, 1, 1)) * MASS_EV

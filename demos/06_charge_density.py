@@ -5,7 +5,6 @@ Run:  python demos/06_charge_density.py
 """
 
 from circledirac import (
-    QuantumNumbers,
     coefficient_d,
     coefficient_d_prime,
     replacement_map,
@@ -20,11 +19,11 @@ for n in (1, 2, 3):
 
 print("\nWith circle vibrations the radical sqrt(n_theta^2 - alpha^2) shifts")
 print("by n_r, giving d'; at n_r = 0 it reduces to d exactly:")
-for qn in (QuantumNumbers(1, 0), QuantumNumbers(1, 1), QuantumNumbers(2, 1)):
-    dp = coefficient_d_prime(qn, ALPHA)
-    print(f"  d'(n_theta={qn.n_theta}, n_r={qn.n_r}) = {dp:.12f}")
-print(f"  d'(1,0) == d(1): {coefficient_d_prime(QuantumNumbers(1, 0), ALPHA) == coefficient_d(1)}")
-root = replacement_map(1, ALPHA)
+for n_theta, n_r in ((1, 0), (1, 1), (2, 1)):
+    dp = coefficient_d_prime(ALPHA, n_theta, n_r)
+    print(f"  d'(n_theta={n_theta}, n_r={n_r}) = {dp:.12f}")
+print(f"  d'(1,0) == d(1): {coefficient_d_prime(ALPHA, 1, 0) == coefficient_d(1)}")
+root = replacement_map(ALPHA, 1)
 print(f"  shifted radicand check: (root + 1)^2 + alpha^2 = {(root + 1) ** 2 + ALPHA ** 2:.12f}"
       f" vs bracket {1 + 1 + 2 * root:.12f}")
 
@@ -32,6 +31,6 @@ print("\nThe quadratic tying the density rho to the potential magnitude A")
 print("solves in closed form; both branches substitute back to zero:")
 e = ALPHA ** 0.5
 for A in (0.5, 1.0, -2.0):
-    sol = solve_rho(A, 1.0, e, coefficient_d_prime(QuantumNumbers(1, 1), ALPHA))
+    sol = solve_rho(A, 1.0, e, coefficient_d_prime(ALPHA, 1, 1))
     print(f"  A = {A:4}: rho+ = {sol.rho_plus: .6e}  rho- = {sol.rho_minus: .6e}"
           f"  residuals ({sol.residual_plus:.1e}, {sol.residual_minus:.1e})")

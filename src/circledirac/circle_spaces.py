@@ -44,8 +44,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .biquaternion import Biquaternion, array_conj
+from .biquaternion import Biquaternion
 from .errors import FloatRange, LightConePoint, NonpositiveRadiusParameter, require
+from .reflector import unit_reflector
 
 __all__ = [
     "ChartKind",
@@ -204,7 +205,7 @@ def rotated_basis_array(theta0, theta1) -> np.ndarray:
         (zero, s, c, zero),              # radius_1
         (-1j * sh, zero, zero, ch),      # radius_0
     )], axis=-2)
-    return np.stack((tops, array_conj(tops)), axis=-2)
+    return unit_reflector(tops)
 
 
 def temporal_derivative_matrix(theta0: float) -> np.ndarray:

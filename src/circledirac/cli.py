@@ -19,7 +19,6 @@ from . import qed
 from . import spectrum as sp
 from . import verify
 from .errors import CircleDiracError
-from .spectrum import QuantumNumbers
 
 __all__ = ["main"]
 
@@ -169,7 +168,7 @@ def cmd_qed_rho(args: argparse.Namespace) -> int:
         if value is not None and not math.isfinite(value):
             raise CircleDiracError(f"{name} must be finite, got {value}")
     e = math.sqrt(alpha) if charge is None else charge
-    d_prime = qed.coefficient_d_prime(QuantumNumbers(args.ntheta, args.nr), alpha)
+    d_prime = qed.coefficient_d_prime(alpha, args.ntheta, args.nr)
     sol = qed.solve_rho(args.A, mass, e, d_prime)
     payload = {
         "A": sol.A,

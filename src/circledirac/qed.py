@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FloatRange, ZeroCharge, _plain, bound_coupling, quantum_integer, require
-from .spectrum import QuantumNumbers
 
 __all__ = [
     "ChargeDensitySolution",
@@ -46,19 +45,18 @@ __all__ = [
 def coefficient_d(n: int) -> float:
     """Orbital coupling coefficient 3*pi/(n^2 h^2) = 3/(4 pi n^2).
 
-    n follows the :class:`QuantumNumbers` rule: an integer >= 1, not
-    ``bool``, or an integer array.
+    n is an integer >= 1, not ``bool``, or an integer array.
     """
     n = np.asarray(quantum_integer("n", n, 1), dtype=float)
     return _plain(3.0 / (4.0 * np.pi * (n * n)))
 
 
-def replacement_map(n_theta: int, alpha: float) -> float:
+def replacement_map(alpha: float, n_theta: int) -> float:
     """sqrt(n_theta^2 - alpha^2) for 0 <= alpha < n_theta, to which callers add n_r.
 
     Squaring the shifted value and adding alpha^2 reproduces the
     denominator bracket of :func:`coefficient_d_prime` exactly.  n_theta
-    follows the :class:`QuantumNumbers` rule; both arguments may be
+    is an integer >= 1 (checked before alpha), and both arguments may be
     arrays that broadcast together.
     """
     n_theta = quantum_integer("n_theta", n_theta, 1)
@@ -67,13 +65,16 @@ def replacement_map(n_theta: int, alpha: float) -> float:
     return _plain(np.sqrt(k * k - a * a))
 
 
-def coefficient_d_prime(qn: QuantumNumbers, alpha: float) -> float:
+def coefficient_d_prime(alpha: float, n_theta: int, n_r: int) -> float:
     """Coupled coefficient; positive, equal to coefficient_d(n_theta) at n_r = 0.
 
-    The numbers in ``qn`` and alpha may be arrays that broadcast together.
+    n_theta >= 1, then n_r >= 0, then alpha are checked, as by the spectrum
+    solvers; the arguments may be arrays that broadcast together.
     """
-    root = replacement_map(qn.n_theta, alpha)
-    k, r = np.asarray(qn.n_theta, dtype=float), np.asarray(qn.n_r, dtype=float)
+    n_theta = quantum_integer("n_theta", n_theta, 1)
+    n_r = quantum_integer("n_r", n_r, 0)
+    root = replacement_map(alpha, n_theta)
+    k, r = np.asarray(n_theta, dtype=float), np.asarray(n_r, dtype=float)
     return _plain(3.0 / (4.0 * np.pi * (k * k + r * r + 2.0 * r * root)))
 
 

@@ -53,8 +53,8 @@ def reflector_mul_array(a, b) -> np.ndarray:
 
 
 def unit_reflector(u: Biquaternion | np.ndarray) -> np.ndarray:
-    """The ``(2, 4)`` reflector (u, conj(u)) carried by a basis unit or operator symbol."""
-    return np.array((np.asarray(u, dtype=complex), array_conj(u)))
+    """The reflectors (u, conj(u)) ``(..., 2, 4)`` carried by units or symbols ``(..., 4)``."""
+    return np.stack((np.asarray(u, dtype=complex), array_conj(u)), axis=-2)
 
 
 # -- rotor sandwich ------------------------------------------------------
@@ -83,7 +83,7 @@ def sandwich(r, x):
 # The read-only operator of arc-coordinate charts.  Its temporal unit is i*i_0:
 # the temporal arc coordinate is stored real while the algebra wants it divided
 # by i, and that i surfaces in the derivative term.  Plain charts use bare units.
-ARC_TIME_UNITS = np.array([unit_reflector(u) for u in (1j * I0, I1, I2, I3)])
+ARC_TIME_UNITS = unit_reflector(np.stack((1j * I0, I1, I2, I3)))
 ARC_TIME_UNITS.flags.writeable = False
 
 

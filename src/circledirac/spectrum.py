@@ -42,11 +42,12 @@ to hi alone, which is then the double libmp gives.  Any other level, and
 any level outside the domain where the error bound is derived, goes to
 the libmp loop, which stays the one arbiter.
 
-Each solver has one body, which takes scalars or numpy arrays that
-broadcast together (quantum numbers as integer arrays).  A scalar call
-returns plain Python floats; an array call gives every entry the bits
-of the scalar call for it, because numpy's ``+ - * /`` and ``sqrt`` round
-like Python's.  Every power is a product (route B's square is ``d * d``),
+Each solver takes a level as (alpha, n_theta, n_r), checks n_theta >= 1,
+then n_r >= 0 (integers, not ``bool``), then alpha, and has one body for
+scalars or numpy arrays that broadcast together (quantum numbers as
+integer arrays).  A scalar call returns plain Python floats; an array
+call gives every entry the bits of the scalar call for it, because
+numpy's ``+ - * /`` and ``sqrt`` round like Python's.  Every power is a product (route B's square is ``d * d``),
 each factor one correctly rounded IEEE operation, so the bits do not
 depend on the CPU or the C library's ``pow``.  An array entry out of
 domain raises the scalar call's error class, and the message names the
@@ -77,7 +78,6 @@ from .errors import (CircleDiracError, FloatRange, _plain, bound_coupling, posit
 
 __all__ = [
     "MAX_LEVELS",
-    "QuantumNumbers",
     "BohrState",
     "CoupledState",
     "SpectrumTable",
@@ -89,29 +89,6 @@ __all__ = [
     "lines_to_csv",
     "lines_to_json",
 ]
-
-
-@dataclass(frozen=True)
-class QuantumNumbers:
-    """Angular number n_theta >= 1 and circle-wave number n_r >= 0.
-
-    Both must be integers (anything ``operator.index`` accepts, such as
-    numpy integers, but not ``bool``) and are stored as plain ``int``; or
-    numpy integer arrays, stored as they are, which name a broadcasting
-    grid of levels for the array forms of the solvers.
-    """
-
-    n_theta: int
-    n_r: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_theta", quantum_integer("n_theta", self.n_theta, 1))
-        object.__setattr__(self, "n_r", quantum_integer("n_r", self.n_r, 0))
-
-    @property
-    def n(self) -> int:
-        """Principal quantum number n_theta + n_r."""
-        return self.n_theta + self.n_r
 
 
 @dataclass(frozen=True)
@@ -169,7 +146,6 @@ def bohr_solve(alpha: float, n_theta: int) -> BohrState:
 class CoupledState:
     """Bound orbit plus circle vibration, solved through the geometric chain."""
 
-    qn: QuantumNumbers
     bohr: BohrState
     eta_l: float
     v_m: float
@@ -182,7 +158,7 @@ class CoupledState:
     m_h: float
 
 
-def coupled_solve(alpha: float, qn: QuantumNumbers) -> CoupledState:
+def coupled_solve(alpha: float, n_theta: int, n_r: int) -> CoupledState:
     """Route A: geometric chain for the coupled interaction.
 
     The circle vibration carries eta_l = n_r/n_theta.  K = (sqrt(1 - v_b^2)
@@ -194,12 +170,14 @@ def coupled_solve(alpha: float, qn: QuantumNumbers) -> CoupledState:
     particle at the orbital speed, with the boosted denominators
     ds0^2 - ds1^2 of the arc elements.
 
-    alpha and the numbers in ``qn`` may be arrays that broadcast
-    together, as for :func:`bohr_solve`; each field then has the
-    broadcast shape of the inputs it depends on.
+    alpha, n_theta and n_r may be arrays that broadcast together, as for
+    :func:`bohr_solve`; each field then has the broadcast shape of the
+    inputs it depends on.
     """
-    b = bohr_solve(alpha, qn.n_theta)
-    v, eta_l = b.v_b, np.divide(qn.n_r, qn.n_theta)
+    n_theta = quantum_integer("n_theta", n_theta, 1)
+    n_r = quantum_integer("n_r", n_r, 0)
+    b = bohr_solve(alpha, n_theta)
+    v, eta_l = b.v_b, np.divide(n_r, n_theta)
     with np.errstate(all="ignore"):
         K = (np.sqrt(1.0 - v * v) + eta_l) / v
         root_k = np.sqrt(1.0 + K * K)
@@ -212,8 +190,8 @@ def coupled_solve(alpha: float, qn: QuantumNumbers) -> CoupledState:
                       vprime_m=1.0 / b.mu_b + eta_l / v, nu_h=nu_h, eta_h=nu_h / one_minus,
                       mu_h=nu_h * v / one_minus, m_h=nu_h / np.sqrt(one_minus))
     require(_finite(fields), FloatRange, "coupled state at alpha={alpha} (n_theta={n_theta}, "
-            "n_r={n_r}) leaves the float range", alpha=alpha, n_theta=qn.n_theta, n_r=qn.n_r)
-    return CoupledState(qn=qn, bohr=b, **{name: _plain(x) for name, x in fields.items()})
+            "n_r={n_r}) leaves the float range", alpha=alpha, n_theta=n_theta, n_r=n_r)
+    return CoupledState(bohr=b, **{name: _plain(x) for name, x in fields.items()})
 
 
 def energy_closed_form(alpha: float, n_theta: int, n_r: int) -> float:
@@ -223,11 +201,12 @@ def energy_closed_form(alpha: float, n_theta: int, n_r: int) -> float:
     where every level collapses to the rest mass, 1.  The arguments may be
     arrays that broadcast together (the quantum numbers integer arrays).
     """
-    qn = QuantumNumbers(n_theta, n_r)
-    bound_coupling(alpha, qn.n_theta, allow_zero=True)
-    a, k = np.asarray(alpha, dtype=float), np.asarray(qn.n_theta, dtype=float)
+    n_theta = quantum_integer("n_theta", n_theta, 1)
+    n_r = quantum_integer("n_r", n_r, 0)
+    bound_coupling(alpha, n_theta, allow_zero=True)
+    a, k = np.asarray(alpha, dtype=float), np.asarray(n_theta, dtype=float)
     with np.errstate(all="ignore"):
-        d = np.sqrt(k * k - a * a) + qn.n_r
+        d = np.sqrt(k * k - a * a) + n_r
         return _plain(1.0 / np.sqrt(1.0 + a * a / (d * d)))
 
 
@@ -272,10 +251,11 @@ def sommerfeld_reference(alpha: float, n_theta: int, n_r: int) -> float:
     bound on the term it joins, which the factor 2 covers.  So every level
     has the libmp bits by construction.
     """
-    qn = QuantumNumbers(n_theta, n_r)
-    bound_coupling(alpha, qn.n_theta, allow_zero=True)
+    n_theta = quantum_integer("n_theta", n_theta, 1)
+    n_r = quantum_integer("n_r", n_r, 0)
+    bound_coupling(alpha, n_theta, allow_zero=True)
     a = np.asarray(alpha, dtype=float)
-    k, r = np.asarray(qn.n_theta), np.asarray(qn.n_r)
+    k, r = np.asarray(n_theta), np.asarray(n_r)
     k_exact, r_exact = k <= _EXACT, r <= _EXACT
     with np.errstate(all="ignore"):
         # levels outside the domain are evaluated too, on stand-in integers, and discarded
@@ -500,8 +480,8 @@ def spectrum_table(alpha: float, mass_ev: float,
     route A's coupled speed (sqrt(1 - v_m^2) is nu_m).  It
     equals energy_ev - mass_ev without the cancellation that subtraction
     suffers for weak coupling and high levels.  Rows are sorted by
-    (n, n_theta).  The bounds follow the :class:`QuantumNumbers`
-    rule: integers with max_n_theta >= 1 and max_n_r >= 0.  A grid of more
+    (n, n_theta), with n = n_theta + n_r.  The bounds are quantum
+    integers, max_n_theta >= 1 and max_n_r >= 0.  A grid of more
     than :data:`MAX_LEVELS` levels raises :class:`CircleDiracError`
     before anything is allocated, and an infinite mass_ev raises
     :class:`FloatRange`.
@@ -517,12 +497,11 @@ def spectrum_table(alpha: float, mass_ev: float,
     positive_mass(mass_ev, "mass_ev")
     require(np.isfinite(mass_ev), FloatRange, "mass_ev must be finite, got {mass_ev}",
             mass_ev=mass_ev)
-    qn = QuantumNumbers(n_theta, n_r)
-    state = coupled_solve(alpha, qn)
+    state = coupled_solve(alpha, n_theta, n_r)
     energy_ev = state.nu_m * mass_ev
     reference_ev = sommerfeld_reference(alpha, n_theta, n_r) * mass_ev
     columns = [column.ravel() for column in np.broadcast_arrays(
-        n_theta, n_r, qn.n, state.nu_m, energy_ev,
+        n_theta, n_r, n_theta + n_r, state.nu_m, energy_ev,
         -mass_ev * state.v_m * state.v_m / (1.0 + state.nu_m),
         reference_ev, np.abs(energy_ev - reference_ev))]
     order = np.lexsort((columns[0], columns[2]))

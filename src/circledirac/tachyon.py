@@ -35,7 +35,7 @@ import os
 
 import numpy as np
 
-from .biquaternion import Biquaternion, I1, _fourvectors, _like, array_conj
+from .biquaternion import Biquaternion, I1, _fourvectors, _like
 from .errors import ZeroArcElement
 from .reflector import _operator_array, sandwich, unit_reflector
 from .planewave import WaveFunction
@@ -115,4 +115,4 @@ def transform_wave(wave: WaveFunction) -> WaveFunction:
 def transform_operator(units) -> np.ndarray:
     """Tachyon-transform a ``(4, 2, 4)`` operator: r*u*r for each unit u, swap arc slots."""
     top = sandwich(_ROTOR, _operator_array(units)[:, 0])
-    return np.stack((top, array_conj(top)), axis=-2)[_EXCHANGE]
+    return unit_reflector(top)[_EXCHANGE]

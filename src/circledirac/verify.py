@@ -43,7 +43,6 @@ from .biquaternion import (Biquaternion, I1, I2, I3, ONE, array_conj, array_embe
                            array_mul, array_norm_form, array_to_matrix)
 from .planewave import PlaneWave, bound_solution, free_solution, mass_term, plane_wave_solution, residual
 from .reflector import reflector_mul_array, sandwich
-from .spectrum import QuantumNumbers
 from .tachyon import component_map, tachyon_double, tachyon_fourvector, tachyon_quaternion
 
 __all__ = [
@@ -280,7 +279,7 @@ def suite_spectrum(rng: np.random.Generator) -> Iterator[CaseResult]:
     # every level (alpha, n_theta, n_r) of the 3 x 8 x 9 grid, solved once by each route
     alphas = np.array((alpha, 0.3, 0.6))[:, None, None]
     n_theta, n_r = np.arange(1, 9)[:, None], np.arange(0, 9)
-    state = sp.coupled_solve(alphas, QuantumNumbers(n_theta, n_r))
+    state = sp.coupled_solve(alphas, n_theta, n_r)
     closed = sp.energy_closed_form(alphas, n_theta, n_r)
     yield _case("two-route-agreement", np.abs(state.nu_m - closed), 1e-12)
 
@@ -317,8 +316,7 @@ def suite_spectrum(rng: np.random.Generator) -> Iterator[CaseResult]:
 def suite_qed(rng: np.random.Generator) -> Iterator[CaseResult]:
     alpha = 1.0 / 137.0
     # d' at n_theta = 1..10 (rows) and n_r = 0..10 (columns), shared by every case
-    d_prime = qed.coefficient_d_prime(QuantumNumbers(np.arange(1, 11)[:, None], np.arange(0, 11)),
-                                      alpha)
+    d_prime = qed.coefficient_d_prime(alpha, np.arange(1, 11)[:, None], np.arange(0, 11))
 
     a, mass, e = rng.uniform((-3.0, 0.0, 0.2), (3.0, 2.0, 2.0), size=(1000, 3)).T
     n_theta, n_r = rng.integers((1, 0), (6, 6), size=(1000, 2)).T
@@ -339,7 +337,7 @@ def suite_qed(rng: np.random.Generator) -> Iterator[CaseResult]:
 
     n_theta, n_r = rng.integers((1, 0), (11, 11), size=(500, 2)).T
     a = rng.uniform(0.0, 0.99, size=500) * n_theta
-    root = qed.replacement_map(n_theta, a)
+    root = qed.replacement_map(a, n_theta)
     bracket = n_theta * n_theta + n_r * n_r + 2.0 * n_r * root
     shifted = (root + n_r) * (root + n_r) + a * a
     yield _case("bracket-identity", np.abs(shifted - bracket) / bracket, 1e-14)

@@ -12,7 +12,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import circledirac as cd
 from circledirac import verify
-from circledirac.spectrum import QuantumNumbers
 
 ALPHA = 1.0 / 137.0
 CODATA_ALPHA = 7.2973525693e-3
@@ -37,7 +36,7 @@ def test_01_fine_structure_spectrum():
     worst = 0.0
     for n_theta in range(1, 6):
         for n_r in range(0, 6):
-            route_a = cd.coupled_solve(ALPHA, QuantumNumbers(n_theta, n_r)).nu_m
+            route_a = cd.coupled_solve(ALPHA, n_theta, n_r).nu_m
             route_b = cd.energy_closed_form(ALPHA, n_theta, n_r)
             reference = cd.sommerfeld_reference(ALPHA, n_theta, n_r)
             worst = max(worst, abs(route_a - route_b), abs(route_a - reference))

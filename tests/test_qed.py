@@ -1,12 +1,14 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from circledirac import qed
 from circledirac import (
     FloatRange,
     InvalidQuantumNumber,
-    QuantumNumbers,
     SpeedDomain,
     ZeroCharge,
     coefficient_d,
@@ -48,52 +50,52 @@ class TestCoefficientDPrime:
     def test_reduces_to_d_exactly(self):
         for n_theta in range(1, 11):
             for alpha in (ALPHA, 0.3, 0.9):
-                assert coefficient_d_prime(QuantumNumbers(n_theta, 0), alpha) \
+                assert coefficient_d_prime(alpha, n_theta, 0) \
                     == coefficient_d(n_theta)
 
     def test_zero_coupling_matches_principal(self):
         # alpha = 0, one vibration: bracket (1 + 1 + 2) = 4 = n^2 with n = 2
-        assert coefficient_d_prime(QuantumNumbers(1, 1), 0.0) == pytest.approx(coefficient_d(2))
+        assert coefficient_d_prime(0.0, 1, 1) == pytest.approx(coefficient_d(2))
 
     def test_rejects_speed_domain(self):
         with pytest.raises(SpeedDomain):
-            coefficient_d_prime(QuantumNumbers(1, 0), 1.0)
+            coefficient_d_prime(1.0, 1, 0)
         with pytest.raises(SpeedDomain, match="alpha=-5.0"):
-            coefficient_d_prime(QuantumNumbers(1, 1), -5.0)
+            coefficient_d_prime(-5.0, 1, 1)
 
     def test_array_grid_matches_scalar_calls(self):
-        grid = coefficient_d_prime(QuantumNumbers(np.arange(1, 11)[:, None], np.arange(0, 11)), ALPHA)
+        grid = coefficient_d_prime(ALPHA, np.arange(1, 11)[:, None], np.arange(0, 11))
         assert grid.shape == (10, 11)
-        assert grid.tolist() == [[coefficient_d_prime(QuantumNumbers(n_theta, n_r), ALPHA)
+        assert grid.tolist() == [[coefficient_d_prime(ALPHA, n_theta, n_r)
                                   for n_r in range(0, 11)] for n_theta in range(1, 11)]
         assert coefficient_d(np.arange(1, 11)).tolist() == [coefficient_d(n) for n in range(1, 11)]
 
 
 class TestReplacementMap:
     def test_zero_coupling(self):
-        assert replacement_map(3, 0.0) == 3.0
+        assert replacement_map(0.0, 3) == 3.0
 
     @pytest.mark.parametrize("n_theta", [0, True, 2.0, 1.5])
     def test_rejects_non_integer(self, n_theta):
         with pytest.raises(InvalidQuantumNumber):
-            replacement_map(n_theta, 0.1)
+            replacement_map(0.1, n_theta)
 
     @pytest.mark.parametrize("alpha", [-5.0, -1e-300, 3.0, 4.5, math.nan])
     def test_rejects_speed_domain(self, alpha):
         with pytest.raises(SpeedDomain, match=f"alpha={alpha}, n_theta=3"):
-            replacement_map(3, alpha)
+            replacement_map(alpha, 3)
 
     def test_array_names_first_offending_row(self):
         n_theta = np.array([1, 2, 3, 4])
         with pytest.raises(SpeedDomain, match=r"^row 2: need 0 <= alpha < n_theta for a bound orbit, got alpha=-1.0, n_theta=3$"):
-            replacement_map(n_theta, np.array([0.5, 1.5, -1.0, 9.0]))
+            replacement_map(np.array([0.5, 1.5, -1.0, 9.0]), n_theta)
         with pytest.raises(InvalidQuantumNumber, match=r"^row 1: n_theta must be an integer >= 1, got 0$"):
-            replacement_map(np.array([1, 0, -1]), 0.5)
+            replacement_map(0.5, np.array([1, 0, -1]))
         with pytest.raises(InvalidQuantumNumber, match="array of dtype float64"):
-            replacement_map(np.array([1.0, 2.0]), 0.5)
+            replacement_map(0.5, np.array([1.0, 2.0]))
 
     def test_no_vibration_is_identity_on_radicand(self):
-        root = replacement_map(2, 0.5)
+        root = replacement_map(0.5, 2)
         assert (root + 0) ** 2 + 0.25 == pytest.approx(4.0, rel=1e-15)
 
 
@@ -221,3 +223,15 @@ class TestArrayKernel:
         assert not math.isfinite(rho_residual(1.0, 1e100, 1.0, 0.5, 0.2))
         assert rho_residual(np.array([1.0, 2.0]), 1.5, 1.0, 0.5, 0.2).tolist() == \
             [rho_residual(1.0, 1.5, 1.0, 0.5, 0.2), rho_residual(2.0, 1.5, 1.0, 0.5, 0.2)]
+
+
+def test_imports_nothing_from_spectrum():
+    # a command that needs only the charge density can load qed without the spectrum
+    imported = set()
+    for node in ast.walk(ast.parse(Path(qed.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+    assert "spectrum" not in imported

@@ -164,6 +164,16 @@ def test_arc_time_units_are_read_only_unit_reflectors():
         ARC_TIME_UNITS[0, 0, 0] = 0.0
 
 
+def test_unit_reflector_broadcasts_over_leading_axes():
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+    out = unit_reflector(u)
+    assert out.shape == (2, 3, 2, 4)
+    for index in np.ndindex(2, 3):
+        assert out[index].tobytes() == unit_reflector(Biquaternion(*u[index])).tobytes()
+    assert np.array_equal(unit_reflector(u.real), unit_reflector(u.real.astype(complex)))
+
+
 class TestDiracSides:
     """Both sides of the Dirac system from the residual's assembly at one point."""
 

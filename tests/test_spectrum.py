@@ -13,14 +13,15 @@ from circledirac import (
     FloatRange,
     InvalidQuantumNumber,
     NonpositiveMass,
-    QuantumNumbers,
     SpectrumTable,
     SpeedDomain,
     bohr_solve,
+    coefficient_d_prime,
     coupled_solve,
     energy_closed_form,
     lines_to_csv,
     lines_to_json,
+    replacement_map,
     sommerfeld_reference,
     spectrum_table,
 )
@@ -30,33 +31,67 @@ CODATA_ALPHA = 7.2973525693e-3
 ELECTRON_MASS_EV = 510998.9461
 
 
+# every function that names a level by (alpha, n_theta, n_r), with its own integer checks
+LEVEL_FUNCTIONS = [coupled_solve, energy_closed_form, sommerfeld_reference, coefficient_d_prime]
+
+
 class TestQuantumNumbers:
     def test_principal(self):
-        assert QuantumNumbers(2, 3).n == 5
+        table = spectrum_table(ALPHA, 1.0, 2, 3)
+        assert (table.n == table.n_theta + table.n_r).all()
+        assert table.n[(table.n_theta == 2) & (table.n_r == 3)].tolist() == [5]
 
     def test_validation(self):
-        with pytest.raises(InvalidQuantumNumber):
-            QuantumNumbers(0, 0)
-        with pytest.raises(InvalidQuantumNumber):
-            QuantumNumbers(1, -1)
+        for level in LEVEL_FUNCTIONS:
+            with pytest.raises(InvalidQuantumNumber):
+                level(0.3, 0, 0)
+            with pytest.raises(InvalidQuantumNumber):
+                level(0.3, 1, -1)
 
     @pytest.mark.parametrize("n_theta, n_r", [
         (True, 0), (1, False), (1.0, 0), (1, 2.0), (1.5, 0), ("1", 0), (None, 0),
     ])
     def test_rejects_non_integers(self, n_theta, n_r):
-        with pytest.raises(InvalidQuantumNumber):
-            QuantumNumbers(n_theta, n_r)
+        for level in LEVEL_FUNCTIONS:
+            with pytest.raises(InvalidQuantumNumber):
+                level(0.3, n_theta, n_r)
 
     def test_numpy_integers_stored_as_int(self):
-        qn = QuantumNumbers(np.int64(3), np.uint8(2))
-        assert (qn.n_theta, qn.n_r) == (3, 2)
-        assert type(qn.n_theta) is int and type(qn.n_r) is int
+        state = coupled_solve(0.3, np.int64(3), np.uint8(2))
+        assert type(state.bohr.n_theta) is int and state.bohr.n_theta == 3
+        assert vars(state) == vars(coupled_solve(0.3, 3, 2))
+        for level in LEVEL_FUNCTIONS[1:]:
+            assert level(0.3, np.int64(3), np.uint8(2)) == level(0.3, 3, 2)
+
+    # (alpha, n_theta, n_r) with the error the level functions raise, n_theta checked
+    # first, then n_r, then alpha
+    @pytest.mark.parametrize("alpha, n_theta, n_r, error, message", [
+        (5.0, 0, -1, InvalidQuantumNumber, "n_theta must be an integer >= 1, got 0"),
+        (5.0, True, -1, InvalidQuantumNumber, "n_theta must be an integer >= 1, got True"),
+        (5.0, 1, -1, InvalidQuantumNumber, "n_r must be an integer >= 0, got -1"),
+        (math.nan, 2, 1.0, InvalidQuantumNumber, "n_r must be an integer >= 0, got 1.0"),
+        (np.array([0.1, 5.0]), np.array([1, 0]), np.array([0, -1]), InvalidQuantumNumber,
+         "row 1: n_theta must be an integer >= 1, got 0"),
+        (5.0, 1, 0, SpeedDomain, "need 0 <=? alpha < n_theta for a bound orbit, "
+                                 "got alpha=5.0, n_theta=1"),
+    ])
+    def test_error_precedence(self, alpha, n_theta, n_r, error, message):
+        for level in LEVEL_FUNCTIONS:
+            with pytest.raises(error, match=f"^{message}$"):
+                level(alpha, n_theta, n_r)
+
+    def test_integers_first_raises(self):
+        # with the integers first, the float lands on n_theta and is refused
+        with pytest.raises(InvalidQuantumNumber, match="^n_theta must be an integer >= 1, got 0.3$"):
+            coefficient_d_prime(1, 0.3, 0)
+        with pytest.raises(InvalidQuantumNumber, match="^n_theta must be an integer >= 1, got 0.3$"):
+            replacement_map(2, 0.3)
 
 
 class TestCircleQuantization:
     def test_circle_wave_energy(self):
         # the rest circle's radius is R0 = n_theta, and the vibration's energy eta = n_r/R0
-        c = coupled_solve(0.3, QuantumNumbers(3, 2))
+        c = coupled_solve(0.3, 3, 2)
         assert c.bohr.R0_l == 3.0
         assert c.eta_l == 2 / 3
 
@@ -105,13 +140,13 @@ class TestBohrSolve:
 
 class TestCoupledSolve:
     def test_ground_level(self):
-        c = coupled_solve(1.0 / 137.0, QuantumNumbers(1, 0))
+        c = coupled_solve(1.0 / 137.0, 1, 0)
         assert c.nu_m == pytest.approx(0.99997336, abs=5e-9)
         assert c.nu_m == pytest.approx(math.sqrt(1 - (1.0 / 137.0) ** 2), rel=1e-15)
 
     def test_frozen_strong_coupling_state(self):
         # alpha=0.6, one vibration: K = 3, v_m = 1/sqrt(10)
-        c = coupled_solve(0.6, QuantumNumbers(1, 1))
+        c = coupled_solve(0.6, 1, 1)
         assert c.eta_l == pytest.approx(1.0)
         assert c.v_m == pytest.approx(1 / math.sqrt(10), rel=1e-15)
         assert c.nu_m == pytest.approx(math.sqrt(0.9), rel=1e-15)
@@ -127,17 +162,17 @@ class TestCoupledSolve:
         # alpha one ulp below 1: v_m rounds to 1, so nu_m comes from K alone; the worst
         # relative error measured on this grid is 3.1e-16, at (1, 1)
         alpha = 0.9999999999999999
-        assert coupled_solve(alpha, QuantumNumbers(1, 0)).nu_m == pytest.approx(
+        assert coupled_solve(alpha, 1, 0).nu_m == pytest.approx(
             sommerfeld_reference(alpha, 1, 0), rel=4e-16)
         n_theta, n_r = np.arange(1, 31)[:, None], np.arange(31)
-        got = coupled_solve(alpha, QuantumNumbers(n_theta, n_r)).nu_m
+        got = coupled_solve(alpha, n_theta, n_r).nu_m
         want = sommerfeld_reference(alpha, n_theta, n_r)
         assert (abs(got - want) <= 4e-16 * want).all()
 
     def test_heavy_electron_relations(self):
         for alpha in (ALPHA, 0.3, 0.6):
             for n_r in range(0, 9):
-                c = coupled_solve(alpha, QuantumNumbers(2, n_r))
+                c = coupled_solve(alpha, 2, n_r)
                 assert c.mu_h / c.eta_h == pytest.approx(c.bohr.v_b, rel=1e-13)
                 assert c.eta_h ** 2 - c.mu_h ** 2 == pytest.approx(c.m_h ** 2, rel=1e-13)
                 assert c.eta_h * c.nu_h == pytest.approx(c.m_h ** 2, rel=1e-13)
@@ -266,7 +301,7 @@ class TestSpectrumTable:
         for nt, nr, energy, reference in zip(table.n_theta.tolist(), table.n_r.tolist(),
                                               table.energy_natural.tolist(),
                                               table.reference_ev.tolist()):
-            assert energy == coupled_solve(alpha, QuantumNumbers(nt, nr)).nu_m
+            assert energy == coupled_solve(alpha, nt, nr).nu_m
             assert reference == sommerfeld_reference(alpha, nt, nr) * ELECTRON_MASS_EV
 
     def test_rejects_speed_domain(self):
@@ -301,14 +336,14 @@ class TestSharedChecks:
     def test_array_errors_name_first_offending_row(self):
         with pytest.raises(SpeedDomain, match=r"^row 1: need 0 < alpha < n_theta for a bound "
                                               r"orbit, got alpha=1.5, n_theta=1$"):
-            coupled_solve(np.array([0.1, 1.5, 0.2, 3.0]), QuantumNumbers(1, 0))
+            coupled_solve(np.array([0.1, 1.5, 0.2, 3.0]), 1, 0)
         with pytest.raises(SpeedDomain, match=r"^row \(0, 1\): need 0 <= alpha .* "
                                               r"got alpha=1.0, n_theta=1$"):
             energy_closed_form(np.array([0.5, 1.0]), np.array([[1], [2]]), 0)
         with pytest.raises(InvalidQuantumNumber, match="^row 1: n_r must be an integer >= 0, got -1$"):
-            QuantumNumbers(1, np.array([0, -1]))
+            coupled_solve(0.3, 1, np.array([0, -1]))
         with pytest.raises(InvalidQuantumNumber, match="array of dtype bool"):
-            QuantumNumbers(np.array([True]), 0)
+            coupled_solve(0.3, np.array([True]), 0)
 
     def test_tiny_coupling_leaves_the_float_range(self):
         # the orbit radius n_theta^2/alpha and the speed vprime_m = 2/alpha overflow
@@ -317,16 +352,16 @@ class TestSharedChecks:
             bohr_solve(5e-324, 1)
         with pytest.raises(FloatRange, match=r"^coupled state at alpha=1e-308 \(n_theta=1, "
                                              r"n_r=1\) leaves the float range$"):
-            coupled_solve(1e-308, QuantumNumbers(1, 1))
+            coupled_solve(1e-308, 1, 1)
         assert math.isfinite(bohr_solve(1e-308, 1).R1_b)
-        assert math.isfinite(coupled_solve(1e-308, QuantumNumbers(1, 0)).vprime_m)
+        assert math.isfinite(coupled_solve(1e-308, 1, 0).vprime_m)
 
     def test_tiny_coupling_names_first_offending_row(self):
         with pytest.raises(FloatRange, match=r"^row \(1, 2\): bound orbit at alpha=5e-324 "):
             bohr_solve(np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 5e-324]]), 1)
         with pytest.raises(FloatRange, match=r"^row 2: coupled state at alpha=1e-308 "
                                              r"\(n_theta=1, n_r=1\) leaves the float range$"):
-            coupled_solve(np.array([0.1, 0.2, 1e-308, 1e-308]), QuantumNumbers(1, 1))
+            coupled_solve(np.array([0.1, 0.2, 1e-308, 1e-308]), 1, 1)
 
 
 def _scalar_chain(alpha, n_theta, n_r):
@@ -558,7 +593,7 @@ class TestArrayKernels:
         n_r = rng.integers(0, 21, n)
         alpha = rng.uniform(1e-6, 0.999, n) * n_theta
         alpha[: n // 4] = 10.0 ** rng.uniform(-12.0, -1.0, n // 4)
-        state = coupled_solve(alpha, QuantumNumbers(n_theta, n_r))
+        state = coupled_solve(alpha, n_theta, n_r)
         closed = energy_closed_form(alpha, n_theta, n_r)
         rows = list(zip(alpha.tolist(), n_theta.tolist(), n_r.tolist()))
         chain = np.array([_scalar_chain(*row) for row in rows]).T
@@ -568,7 +603,7 @@ class TestArrayKernels:
         assert (bits(closed) == bits(want_closed)).all()
         for i in range(0, n, 600):
             a, k, r = rows[i]
-            scalar = coupled_solve(a, QuantumNumbers(k, r))
+            scalar = coupled_solve(a, k, r)
             assert (scalar.v_m, scalar.nu_m) == tuple(chain[:, i])
             assert energy_closed_form(a, k, r) == want_closed[i]
 
@@ -583,8 +618,8 @@ class TestArrayKernels:
         assert energy_closed_form(alpha, n_theta, 0).tolist() == want
 
     def test_scalar_calls_return_plain_numbers(self):
-        state = coupled_solve(0.3, QuantumNumbers(np.int64(2), 1))
-        fields = [value for name, value in vars(state).items() if name not in ("qn", "bohr")]
+        state = coupled_solve(0.3, np.int64(2), 1)
+        fields = [value for name, value in vars(state).items() if name != "bohr"]
         fields += [value for name, value in vars(state.bohr).items() if name != "n_theta"]
         assert all(type(value) is float for value in fields)
         assert type(state.bohr.n_theta) is int
@@ -594,13 +629,13 @@ class TestArrayKernels:
     def test_grid_fields_match_single_levels(self):
         alphas = np.array([ALPHA, 0.3])[:, None, None]
         n_theta, n_r = np.arange(1, 4)[:, None], np.arange(0, 3)
-        state = coupled_solve(alphas, QuantumNumbers(n_theta, n_r))
+        state = coupled_solve(alphas, n_theta, n_r)
         reference = sommerfeld_reference(ALPHA, n_theta, n_r)
         assert state.nu_m.shape == (2, 3, 3) and state.bohr.nu_b.shape == (2, 3, 1)
         for i, alpha in enumerate((ALPHA, 0.3)):
             for j in range(3):
                 for k in range(3):
-                    single = coupled_solve(alpha, QuantumNumbers(j + 1, k))
+                    single = coupled_solve(alpha, j + 1, k)
                     assert state.nu_m[i, j, k] == single.nu_m
                     assert state.m_h[i, j, k] == single.m_h
                     assert state.bohr.R1_hat[i, j, 0] == single.bohr.R1_hat
