@@ -23,10 +23,16 @@ Over a batch of N points the points sit next to the coefficient axis: the
 wave is ``(2, N, 4)``, blocks first, and :func:`residual` assembles both
 sides of the system in (route, mu, block, point, coefficient) order, so
 each numpy loop runs along the points.
+
+Every factor the residual multiplies the wave by (the operator's unit
+reflectors, the potential and the mass) is constant and mostly zero, so
+those products are formed over the factor's nonzero slots only
+(:func:`_constant_mul`); ``array_mul`` stays the product of general operands.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -114,9 +120,11 @@ class WaveFunction:
 
     def at(self, points) -> np.ndarray:
         """The wave ``(2, ..., 4)`` at points ``(..., 4)``, blocks first; ``(2, 4)`` at one point."""
-        # an elementwise product and a per-point sum, so a point's phase
-        # does not depend on its position in the batch (a matmul's can)
-        phases = np.exp(1j * (np.asarray(points, dtype=float) * self.k).sum(axis=-1))
+        # products and sums in coordinate order, elementwise over the points, so a
+        # point's phase does not depend on its position in the batch (a matmul's can)
+        p, (k0, k1, k2, k3) = np.asarray(points, dtype=float), self.k
+        phase = ((p[..., 0] * k0 + p[..., 1] * k1) + p[..., 2] * k2) + p[..., 3] * k3
+        phases = np.exp(1j * phase)
         return self.prefactor.reshape((2,) + (1,) * phases.ndim + (4,)) * phases[..., None]
 
 
@@ -157,14 +165,86 @@ class ResidualReport:
     analytic: float
 
 
-def _central_difference(wave: WaveFunction, points: np.ndarray, h: float) -> np.ndarray:
-    """Central differences of the wave at points ``(N, 4)`` for every mu, shape ``(4, 2, N, 4)``.
+def _central_difference(wave: WaveFunction, points: np.ndarray, h: float, out: np.ndarray) -> None:
+    """Central differences of the wave at points ``(N, 4)`` for every mu, into ``out`` ``(4, 2, N, 4)``.
 
     Evaluates the wave at all 8N shifted points p +- h e_mu in one call.
+    ``out`` must be C-contiguous: the quotient by 2h is taken as the real
+    product of its float view by 1/(2h), which is what numpy's complex /
+    real computes.
     """
     step = h * np.eye(4)
     values = wave.at(points + np.stack((step, -step))[:, :, None, :])   # (block, +-, mu, N, 4)
-    return ((values[:, 0] - values[:, 1]) / (2.0 * h)).swapaxes(0, 1)
+    np.subtract(values[:, 0], values[:, 1], out=out.swapaxes(0, 1))
+    flat = out.view(float)
+    flat *= 1.0 / (2.0 * h)
+
+
+# _UNIT_SIGNS[k, c]: the sign of the term a_k * b_(k ^ c) in slot c of array_mul(a, b),
+# read off array_mul itself: i_k i_j = +-i_(k ^ j)
+_SLOTS = np.arange(4)
+_UNIT_SIGNS = array_mul(np.eye(4)[:, None, :], np.eye(4)[None, :, :])[
+    _SLOTS[:, None], _SLOTS[:, None] ^ _SLOTS, _SLOTS].real
+
+
+@functools.lru_cache(maxsize=None)
+def _term_slots(nonzero: tuple, right: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of a product whose constant factor is nonzero in the slots flagged ``nonzero``.
+
+    ``array_mul(a, b)`` forms slot c as the sum, in the order of a's slots
+    k, of ``s(k, c) * a_k * b_(k ^ c)``; the other terms are +-0.  Returns,
+    per kept term and c, the other operand's slot and the index of
+    ``s * factor slot`` in the factor's coefficients followed by their
+    negatives, each ``(term, 4)``.
+    """
+    nonzero = np.flatnonzero(nonzero)[:, None]
+    if right:   # the operand is a: its slots in order, for each c
+        left_slots = np.sort(nonzero ^ _SLOTS, axis=0)
+    else:
+        left_slots = np.repeat(nonzero, 4, axis=1)
+    other_slots = left_slots ^ _SLOTS
+    factor_slots, operand_slots = (other_slots, left_slots) if right else (left_slots, other_slots)
+    return operand_slots, factor_slots + 4 * (_UNIT_SIGNS[left_slots, _SLOTS] < 0)
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(data: bytes, shape: tuple, right: bool) -> tuple:
+    """The kept terms of a product by the constant complex factor ``data`` ``(..., 4)``.
+
+    Each term is the operand's slot per c ``(4,)`` and the factor's signed
+    coefficients ``(..., 4)``, read-only; a factor slot that is zero
+    everywhere keeps no term.
+    """
+    factor = np.frombuffer(data, dtype=complex).reshape(shape)
+    nonzero = tuple(factor.reshape(-1, 4).any(axis=0).tolist())
+    operand_slots, signed_slots = _term_slots(nonzero, right)
+    coeffs = np.concatenate((factor, -factor), axis=-1)[..., signed_slots]   # (..., term, c)
+    coeffs.flags.writeable = False
+    return tuple((slots, coeffs[..., t, :]) for t, slots in enumerate(operand_slots))
+
+
+def _constant_mul(factor, x: np.ndarray, right: bool = False) -> np.ndarray:
+    """``array_mul(factor, x)``, or ``array_mul(x, factor)`` when ``right``, for a constant factor.
+
+    Sums the factor's nonzero terms in array_mul's order, each as one
+    complex product in array_mul's operand order with the sign folded into
+    the factor, which is exact.  So every nonzero bit is array_mul's; only
+    where x is not finite, or a slot sums to zero, can the result differ
+    (a dropped 0 * inf, the sign of a zero).
+    """
+    factor = np.asarray(factor, dtype=complex)
+    terms = _plan(factor.tobytes(), factor.shape, right)
+    if not terms:
+        return np.zeros(np.broadcast_shapes(factor.shape, x.shape), dtype=complex)
+    out = None
+    for slots, coeffs in terms:
+        term = x[..., slots].astype(complex, copy=False)   # a new array: the product goes in place
+        if right:
+            np.multiply(term, coeffs, out=term)
+        else:
+            np.multiply(coeffs, term, out=term)
+        out = term if out is None else np.add(out, term, out=out)
+    return out
 
 
 def _dirac_sides(operator: np.ndarray, a_pot, e: float, m, phi: np.ndarray,
@@ -174,14 +254,19 @@ def _dirac_sides(operator: np.ndarray, a_pot, e: float, m, phi: np.ndarray,
     ``phi`` is the wave ``(2, N, 4)`` at N points and ``d_phi`` its
     derivatives ``(..., 4, 2, N, 4)``, one per coordinate mu; ``operator``
     is ``(4, 2, 4)`` and M the reflector (m, -conj(m)).  Every term is a
-    reflector product, ``array_mul`` with the right factor's blocks
-    swapped: the potential multiplies the wave components on the left and
-    the mass on the right.  Each numpy loop runs along the points.
+    reflector product, the right factor's blocks swapped: the potential
+    multiplies the wave components on the left and the mass on the right.
+    Each is :func:`_constant_mul`, so it costs one complex product per
+    nonzero slot of the constant factor, and the operator's terms are
+    summed over mu in order.  Each numpy loop runs along the points.
     """
-    lhs = (array_mul(operator[:, :, None, :], d_phi[..., ::-1, :, :]).sum(axis=-4)
-           - (1j * e) * array_mul(unit_reflector(a_pot)[:, None, :], phi[::-1]))
+    d_phi = d_phi[..., ::-1, :, :]
+    lhs = _constant_mul(operator[0, :, None, :], d_phi[..., 0, :, :, :])
+    for mu in range(1, 4):
+        lhs += _constant_mul(operator[mu, :, None, :], d_phi[..., mu, :, :, :])
+    lhs -= (1j * e) * _constant_mul(unit_reflector(a_pot)[:, None, :], phi[::-1])
     m = np.asarray(m)
-    return lhs, array_mul(phi, np.stack((-array_conj(m), m))[:, None, :])
+    return lhs, _constant_mul(np.stack((-array_conj(m), m))[:, None, :], phi, right=True)
 
 
 def residual(wave: WaveFunction,
@@ -210,8 +295,9 @@ def residual(wave: WaveFunction,
     if p.ndim != 2 or p.shape[1] != 4:
         raise ValueError(f"points need shape (N, 4), got {p.shape}")
     phi = wave.at(p)
-    d_phi = np.stack((_central_difference(wave, p, h),
-                      (1j * wave.k)[:, None, None, None] * phi))
+    d_phi = np.empty((2, 4) + phi.shape, dtype=complex)   # (route, mu, block, point, coefficient)
+    _central_difference(wave, p, h, out=d_phi[0])
+    np.multiply((1j * wave.k)[:, None, None, None], phi, out=d_phi[1])
     lhs, rhs = _dirac_sides(operator, a_pot, e, m, phi, d_phi)
     worst = np.abs(lhs - rhs).max(axis=(1, 2, 3))
     return ResidualReport(fd=float(worst[0]), analytic=float(worst[1]))

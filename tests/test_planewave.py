@@ -1,11 +1,16 @@
 import dataclasses
 import hashlib
 import math
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from conftest import ARC_UNITS, analytic, central_difference, max_abs_diff, scalar_lhs, scalar_rhs
+from conftest import (ARC_UNITS, BASELINE_KERNELS, analytic, central_difference, max_abs_diff,
+                      scalar_lhs, scalar_rhs)
 
 from circledirac import (
     Biquaternion,
@@ -26,7 +31,10 @@ from circledirac import (
     tachyon_quaternion,
     transform_operator,
     transform_wave,
+    unit_reflector,
 )
+from circledirac.biquaternion import array_conj, array_mul
+from circledirac.planewave import _constant_mul
 from circledirac.reflector import ARC_TIME_UNITS
 
 RNG = np.random.default_rng(11)
@@ -237,6 +245,97 @@ class TestPointsInnermost:
             assert np.array_equal(batch[:, n], wave.at(p))
         grid = CHART_POINTS.reshape(2, -1, 4)
         assert np.array_equal(wave.at(grid), batch.reshape(2, 2, -1, 4))
+
+    def test_at_has_the_bits_of_a_numpy_sum_of_products(self):
+        """at sums k_mu x_mu in coordinate order; numpy's per-point sum of the
+        elementwise products gives the same bits, at zeros, subnormals and 1e300 too."""
+        rng = np.random.default_rng(23)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, 1e300, -1e300, 1.0])
+        points = np.concatenate((rng.choice(special, size=(512, 4)), CHART_POINTS,
+                                 np.where(rng.random((256, 4)) < 0.5, rng.choice(special, (256, 4)),
+                                          rng.uniform(-3.0, 3.0, (256, 4)))))
+        charged = bound_solution(CHARGED)
+        for k in (charged.k, transform_wave(charged).k, rng.uniform(-2.0, 2.0, 4),
+                  np.array([-0.0, 5e-324, 1e300, -1.5])):
+            wave = WaveFunction(charged.prefactor, k)
+            with np.errstate(all="ignore"):
+                phases = np.exp(1j * (points * k).sum(axis=-1))
+                assert wave.at(points).tobytes() == (wave.prefactor[:, None, :]
+                                                     * phases[:, None]).tobytes()
+
+
+def _constant_factors():
+    """(id, factor) pairs: random factors with random zero patterns, and the residual's own."""
+    rng = np.random.default_rng(31)
+
+    def rand(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    factors = [("all-zero", np.zeros((2, 1, 4), dtype=complex)), ("dense", rand((2, 1, 4)))]
+    for k in range(4):
+        one = np.zeros((2, 1, 4), dtype=complex)
+        one[..., k] = rand((2, 1))
+        factors.append((f"slot-{k}", one))
+    for n in range(8):   # each block its own pattern; a masked slot may hold -0
+        factors.append((f"pattern-{n}", rand((2, 1, 4)) * (rng.random((2, 1, 4)) < 0.5)))
+    a, _ = CHARGED.potential()
+    m = mass_term(CHARGED.mass)
+    dashed_a, dashed_m = tachyon_quaternion(a), tachyon_quaternion(m)
+    return factors + [
+        ("arc-time-units", ARC_TIME_UNITS[:, :, None, :]),
+        ("dashed-units", transform_operator(ARC_TIME_UNITS)[:, :, None, :]),
+        ("potential", unit_reflector(a)[:, None, :]),
+        ("dashed-potential", unit_reflector(dashed_a)[:, None, :]),
+        ("mass", np.stack((-array_conj(m), m))[:, None, :]),
+        ("dashed-mass", np.stack((-array_conj(dashed_m), dashed_m))[:, None, :]),
+    ]
+
+
+CONSTANT_FACTORS = _constant_factors()
+TESTS = pathlib.Path(__file__).resolve().parent
+
+
+class TestConstantFactors:
+    """The residual's products by a constant factor, on either side, against array_mul."""
+
+    @pytest.mark.parametrize("right", [False, True], ids=["left", "right"])
+    @pytest.mark.parametrize("factor", [f for _, f in CONSTANT_FACTORS],
+                             ids=[name for name, _ in CONSTANT_FACTORS])
+    def test_matches_array_mul(self, factor, right):
+        rng = np.random.default_rng(32)
+        shape = factor.shape[:-2] + (37, 4)   # 37 points for each block (and mu)
+        # coefficients of like size, so that the order of the sums shows, and a tenth
+        # of them from subnormal to near overflow
+        scale = np.where(rng.random(shape) < 0.1, 10.0 ** rng.integers(-320, 308, shape), 1.0)
+        x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+        with np.errstate(all="ignore"):
+            expected = array_mul(x, factor) if right else array_mul(factor, x)
+            out = _constant_mul(factor, x, right=right)
+            # + 0.0 turns a zero's sign to +, and leaves every other value's bits as they are
+            assert (out + 0.0).tobytes() == (expected + 0.0).tobytes()
+        assert out.shape == expected.shape
+
+    def test_matches_array_mul_under_baseline_kernels(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{pathlib.Path(__file__).name}::TestConstantFactors::test_matches_array_mul"],
+            capture_output=True, text=True, cwd=TESTS, env={**os.environ, **BASELINE_KERNELS},
+            timeout=300)
+        assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+        assert f"{2 * len(CONSTANT_FACTORS)} passed" in proc.stdout
+
+    def test_non_finite_input_stays_nan(self):
+        a, e, m = _args(CHARGED)
+        wave = bound_solution(CHARGED)
+        with np.errstate(all="ignore"):
+            reports = [residual(wave, a, e, m, points) for points in
+                       ([[math.inf, 0.1, 0.2, 1.0]], [[0.1, math.nan, 0.2, 1.0]],
+                        [[0.1, 0.2, 0.3, 1.0], [0.0, -math.inf, 0.0, 1.0]])]
+            # a mass of 1e-320 makes the second component's prefactor infinite
+            reports.append(residual(plane_wave_solution(1.0, 0.5, 1e-320), ZERO_POT, 1.0,
+                                    mass_term(1e-320), POINTS))
+        for rep in reports:
+            assert math.isnan(rep.fd) and math.isnan(rep.analytic)
 
 
 # sha256 of the reports below: residual's bits for every kind of wave it is given

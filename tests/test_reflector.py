@@ -152,6 +152,13 @@ def lhs(units, a, e, phi, d_phi):
     return _dirac_sides(units, a, e, ZERO, phi[:, None], d_phi[:, :, None])[0][:, 0]
 
 
+def batch_central_difference(wave, points, h):
+    """The residual's central differences ``(4, 2, N, 4)`` of the wave at points ``(N, 4)``."""
+    out = np.empty((4, 2, len(points), 4), dtype=complex)
+    _central_difference(wave, points, h, out)
+    return out
+
+
 def rhs(phi, m):
     """Phi M at one point from the residual's assembly, for a ``(2, 4)`` phi."""
     return _dirac_sides(ARC_TIME_UNITS, ZERO, 0.0, m, phi[:, None],
@@ -180,7 +187,7 @@ class TestDiracSides:
     def test_constant_wave_zero_potential(self):
         c = Biquaternion(0.5, 1.0, -2.0, 0.25)
         constant = WaveFunction((c.coeffs, c.coeffs), np.zeros(4))
-        d_phi = _central_difference(constant, np.zeros((1, 4)), 1e-4)[:, :, 0]
+        d_phi = batch_central_difference(constant, np.zeros((1, 4)), 1e-4)[:, :, 0]
         out = lhs(ARC_TIME_UNITS, ZERO, 1.0, constant.prefactor, d_phi)
         assert np.abs(out).max() < 1e-11
 
@@ -252,7 +259,7 @@ class TestArrayAssembly:
         rng = np.random.default_rng(46)
         wave = WaveFunction((rand_bq(rng).coeffs, rand_bq(rng).coeffs), rng.uniform(-2, 2, size=4))
         points = rng.uniform(-2, 2, size=(5, 4))
-        out, reference = _central_difference(wave, points, 0.01), central_difference(0.01)
+        out, reference = batch_central_difference(wave, points, 0.01), central_difference(0.01)
         assert out.shape == (4, 2, 5, 4)
         for n, p in enumerate(points):
             for mu in range(4):
