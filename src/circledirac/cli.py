@@ -1,8 +1,9 @@
 """Command-line front end: spectrum tables, verification suites, chart maps
 and charge-density solves, with machine-readable CSV/JSON output.
 
-Exit codes: 0 success, 1 usage or domain error, 2 verification failure
-(a computed check exceeded its tolerance).
+Exit codes: 0 success, 1 usage or domain error (or a standard output
+closed before all was written), 2 verification failure (a computed check
+exceeded its tolerance).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 
@@ -188,6 +190,18 @@ def cmd_qed_rho(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _silence_stdout() -> None:
+    """Point the standard output's file descriptor at os.devnull, so that what
+    a closed pipe did not take is dropped quietly at the interpreter's last flush."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):   # not a file: nothing is flushed to a pipe
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -195,7 +209,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()   # a closed pipe shows here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError as exc:
+        _silence_stdout()
+        print(f"circledirac: error: standard output closed early: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (CircleDiracError, ArithmeticError) as exc:
         print(f"circledirac: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,12 +22,17 @@ wavevector k = (-nu, mu, 0, 0) both share, Phi = prefactor * exp(i k.x).
 Over a batch of N points the points sit next to the coefficient axis: the
 wave is ``(2, N, 4)``, blocks first, and :func:`residual` assembles both
 sides of the system in (route, mu, block, point, coefficient) order, so
-each numpy loop runs along the points.
+each numpy loop runs along the points.  Only the coordinates the wave
+moves along are differenced: along the others every term is an exact
+zero (:func:`_moving`).
 
 Every factor the residual multiplies the wave by (the operator's unit
 reflectors, the potential and the mass) is constant and mostly zero, so
 those products are formed over the factor's nonzero slots only
-(:func:`_constant_mul`); ``array_mul`` stays the product of general operands.
+(:func:`_sum_terms`); ``array_mul`` stays the product of general operands.
+The operator's terms are planned once per operator; the potential's and
+the mass's are read from the biquaternion each call, so a new potential
+and mass cost no more than the last ones.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .biquaternion import Biquaternion, I0, array_conj, array_mul, embed
+from .biquaternion import Biquaternion, I0, array_mul, embed
 from .errors import (
     DispersionViolation,
     SuperluminalSpeed,
@@ -47,7 +52,7 @@ from .errors import (
     positive_mass,
     require,
 )
-from .reflector import ARC_TIME_UNITS, _operator_array, unit_reflector
+from .reflector import ARC_TIME_UNITS, _operator_array
 
 __all__ = [
     "PlaneWave",
@@ -120,10 +125,17 @@ class WaveFunction:
 
     def at(self, points) -> np.ndarray:
         """The wave ``(2, ..., 4)`` at points ``(..., 4)``, blocks first; ``(2, 4)`` at one point."""
+        return self._values(self._phase(np.asarray(points, dtype=float)))
+
+    def _phase(self, p: np.ndarray) -> np.ndarray:
+        """The phase k.x ``(...)`` at float points ``(..., 4)``."""
         # products and sums in coordinate order, elementwise over the points, so a
         # point's phase does not depend on its position in the batch (a matmul's can)
-        p, (k0, k1, k2, k3) = np.asarray(points, dtype=float), self.k
-        phase = ((p[..., 0] * k0 + p[..., 1] * k1) + p[..., 2] * k2) + p[..., 3] * k3
+        k0, k1, k2, k3 = self.k
+        return ((p[..., 0] * k0 + p[..., 1] * k1) + p[..., 2] * k2) + p[..., 3] * k3
+
+    def _values(self, phase: np.ndarray) -> np.ndarray:
+        """The wave ``(2, ..., 4)`` at phases ``(...)``: prefactor * exp(i phase)."""
         phases = np.exp(1j * phase)
         return self.prefactor.reshape((2,) + (1,) * phases.ndim + (4,)) * phases[..., None]
 
@@ -165,17 +177,64 @@ class ResidualReport:
     analytic: float
 
 
-def _central_difference(wave: WaveFunction, points: np.ndarray, h: float, out: np.ndarray) -> None:
-    """Central differences of the wave at points ``(N, 4)`` for every mu, into ``out`` ``(4, 2, N, 4)``.
+# the steps from a point to where residual reads the wave, (step, coordinate): a zero
+# step (p + -0.0 is p, bit for bit), then +e_mu and -e_mu for mu = 0..3; times h the
+# last eight are h * eye(4) and its negative, bit for bit
+_STEPS = np.concatenate((np.full((1, 4), -0.0), np.eye(4), -np.eye(4)))
+_DIRECTIONS = (0, 1, 2, 3)
+# a prefactor coefficient below this in both parts keeps its product with a unit
+# phase finite: |a c - b d| <= |a| + |b| < 2^1023 when |c|, |d| <= 1
+_SAFE_PREFACTOR = 2.0 ** 1022
 
-    Evaluates the wave at all 8N shifted points p +- h e_mu in one call.
-    ``out`` must be C-contiguous: the quotient by 2h is taken as the real
-    product of its float view by 1/(2h), which is what numpy's complex /
-    real computes.
+
+def _moving(wave: WaveFunction, finite_units: tuple, h: float, shifted: np.ndarray) -> tuple:
+    """The directions mu whose derivative terms can be nonzero, in order.
+
+    ``shifted`` is the wave's phase at p +- h e_mu ``(+-, mu, N)``.  A
+    direction is still when k_mu == 0 and both shifts give every point the
+    same finite phase: its central difference is then (v - v) / 2h = +0 and
+    its analytic derivative 0j * Phi (the phase at p is the shifted one up
+    to the sign of a zero), so each of its operator terms is an exact +-0.
+    That needs finite values, a finite 1/(2h) and a finite operator unit
+    (``finite_units``, one flag per mu); failing any, every direction is
+    kept, so a NaN or inf comes out as before.  The phases decide, not k
+    alone: a phase that moves along x_mu while k_mu == 0 keeps mu.
     """
-    step = h * np.eye(4)
-    values = wave.at(points + np.stack((step, -step))[:, :, None, :])   # (block, +-, mu, N, 4)
-    np.subtract(values[:, 0], values[:, 1], out=out.swapaxes(0, 1))
+    k = wave.k.tolist()
+    still = [mu for mu in _DIRECTIONS if k[mu] == 0.0 and finite_units[mu]]
+    if not still:
+        return _DIRECTIONS
+    same = ((shifted[0] - shifted[1]) == 0).all(axis=-1).tolist()   # x - y == 0: equal and finite
+    still = [mu for mu in still if same[mu]]
+    if (not still or not math.isfinite(1.0 / (2.0 * h))
+            or not np.abs(wave.prefactor.view(float)).max() < _SAFE_PREFACTOR):
+        return _DIRECTIONS
+    return tuple(mu for mu in _DIRECTIONS if mu not in still)
+
+
+@functools.lru_cache(maxsize=None)
+def _reads(moving: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``_STEPS`` residual reads the wave at for the directions ``moving``:
+    the zero step, then each +e_mu, then each -e_mu; and ``moving`` as an index array."""
+    index = np.array(moving, dtype=int)
+    rows = np.concatenate(([0], 1 + index, 5 + index))
+    rows.flags.writeable = index.flags.writeable = False
+    return rows, index
+
+
+def _central_difference(values: np.ndarray, h: float, out: np.ndarray) -> None:
+    """Central differences of the wave, into ``out`` ``(K, 2, N, 4)``.
+
+    ``values`` is the wave ``(2, 2K, N, 4)`` at p + h e_mu and then at
+    p - h e_mu, for the K differenced directions mu: :func:`residual`
+    differences only the directions :func:`_moving` keeps, since in the
+    others both shifts give the same value and the difference is an exact
+    zero.  ``out`` must be C-contiguous: the quotient by 2h is taken as the
+    real product of its float view by 1/(2h), which is what numpy's
+    complex / real computes.
+    """
+    k = len(out)
+    np.subtract(values[:, :k], values[:, k:], out=out.swapaxes(0, 1))
     flat = out.view(float)
     flat *= 1.0 / (2.0 * h)
 
@@ -188,16 +247,17 @@ _UNIT_SIGNS = array_mul(np.eye(4)[:, None, :], np.eye(4)[None, :, :])[
 
 
 @functools.lru_cache(maxsize=None)
-def _term_slots(nonzero: tuple, right: bool) -> tuple[np.ndarray, np.ndarray]:
+def _term_slots(nonzero: bytes, right: bool) -> tuple[np.ndarray, np.ndarray]:
     """The terms of a product whose constant factor is nonzero in the slots flagged ``nonzero``.
 
     ``array_mul(a, b)`` forms slot c as the sum, in the order of a's slots
-    k, of ``s(k, c) * a_k * b_(k ^ c)``; the other terms are +-0.  Returns,
-    per kept term and c, the other operand's slot and the index of
-    ``s * factor slot`` in the factor's coefficients followed by their
-    negatives, each ``(term, 4)``.
+    k, of ``s(k, c) * a_k * b_(k ^ c)``; the other terms are +-0.  Takes
+    the flags as the bytes of a ``(4,)`` bool array and returns, per kept
+    term and c, the other operand's slot and the index of ``s * factor
+    slot`` in the factor's coefficients followed by their negatives, each
+    ``(term, 4)``.
     """
-    nonzero = np.flatnonzero(nonzero)[:, None]
+    nonzero = np.flatnonzero(np.frombuffer(nonzero, dtype=bool))[:, None]
     if right:   # the operand is a: its slots in order, for each c
         left_slots = np.sort(nonzero ^ _SLOTS, axis=0)
     else:
@@ -207,35 +267,73 @@ def _term_slots(nonzero: tuple, right: bool) -> tuple[np.ndarray, np.ndarray]:
     return operand_slots, factor_slots + 4 * (_UNIT_SIGNS[left_slots, _SLOTS] < 0)
 
 
-@functools.lru_cache(maxsize=64)
-def _plan(data: bytes, shape: tuple, right: bool) -> tuple:
-    """The kept terms of a product by the constant complex factor ``data`` ``(..., 4)``.
+def _signed_terms(factor: np.ndarray, right: bool) -> tuple:
+    """The kept terms of a product by the constant complex factor ``(..., 4)``.
 
     Each term is the operand's slot per c ``(4,)`` and the factor's signed
-    coefficients ``(..., 4)``, read-only; a factor slot that is zero
-    everywhere keeps no term.
+    coefficients ``(..., 4)``; a factor slot that is zero everywhere keeps
+    no term.
     """
-    factor = np.frombuffer(data, dtype=complex).reshape(shape)
-    nonzero = tuple(factor.reshape(-1, 4).any(axis=0).tolist())
-    operand_slots, signed_slots = _term_slots(nonzero, right)
+    nonzero = factor.reshape(-1, 4).any(axis=0)
+    operand_slots, signed_slots = _term_slots(nonzero.tobytes(), right)
     coeffs = np.concatenate((factor, -factor), axis=-1)[..., signed_slots]   # (..., term, c)
     coeffs.flags.writeable = False
-    return tuple((slots, coeffs[..., t, :]) for t, slots in enumerate(operand_slots))
+    return tuple(zip(operand_slots, np.moveaxis(coeffs, -2, 0)))
 
 
-def _constant_mul(factor, x: np.ndarray, right: bool = False) -> np.ndarray:
-    """``array_mul(factor, x)``, or ``array_mul(x, factor)`` when ``right``, for a constant factor.
+@functools.lru_cache(maxsize=16)
+def _operator_plan(data: bytes) -> tuple[tuple, tuple]:
+    """The terms of each unit of the complex operator ``(4, 2, 4)`` given by its bytes,
+    and whether each unit is finite."""
+    units = np.frombuffer(data, dtype=complex).reshape(4, 2, 1, 4)
+    finite = tuple(np.isfinite(units).all(axis=(1, 2, 3)).tolist())
+    return tuple(_signed_terms(u, right=False) for u in units), finite
 
-    Sums the factor's nonzero terms in array_mul's order, each as one
-    complex product in array_mul's operand order with the sign folded into
-    the factor, which is exact.  So every nonzero bit is array_mul's; only
-    where x is not finite, or a slot sums to zero, can the result differ
-    (a dropped 0 * inf, the sign of a zero).
+
+def _plan_of(operator: np.ndarray) -> tuple[tuple, tuple]:
+    """:func:`_operator_plan` of an operator array."""
+    return _operator_plan(np.asarray(operator, dtype=complex).tobytes())
+
+
+# the reflectors the residual builds from a biquaternion v, as the sign of each of
+# v's slots in each block: the potential's (v, conj(v)) and the mass's (-conj(v), v)
+_POTENTIAL_SIGNS = ((1, 1, 1, 1), (1, -1, -1, -1))
+_MASS_SIGNS = ((-1, 1, 1, 1), (1, 1, 1, 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _reflector_slots(nonzero: bytes, signs: tuple, right: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per kept term of a product by the reflector ``signs`` of v: the operand's slots
+    ``(term, 4)`` and the indices ``(term, 2, 1, 4)`` of its signed coefficients in (v, -v)."""
+    operand_slots, signed_slots = _term_slots(nonzero, right)
+    factor_slots = signed_slots % 4
+    flip = np.array(signs)[:, factor_slots] < 0   # (block, term, c)
+    index = factor_slots + 4 * ((signed_slots >= 4) ^ flip)
+    index.flags.writeable = False
+    return operand_slots, np.moveaxis(index, 0, 1)[:, :, None, :]
+
+
+def _reflector_terms(v, signs: tuple, right: bool) -> tuple:
+    """:func:`_signed_terms` of the ``(2, 1, 4)`` reflector ``signs`` of the biquaternion v,
+    read from v and its negative without building the reflector."""
+    v = np.asarray(v, dtype=complex)
+    operand_slots, index = _reflector_slots((v != 0).tobytes(), signs, right)
+    signed = np.empty(8, dtype=complex)
+    signed[:4] = v
+    np.negative(v, out=signed[4:])
+    return tuple(zip(operand_slots, signed[index]))
+
+
+def _sum_terms(terms: tuple, x: np.ndarray, right: bool = False) -> np.ndarray:
+    """``array_mul(factor, x)``, or ``array_mul(x, factor)`` when ``right``, from the
+    factor's kept terms (:func:`_signed_terms`).
+
+    Sums the terms in array_mul's order, each as one complex product in
+    array_mul's operand order with the sign folded into the factor, which
+    is exact.  So every nonzero bit is array_mul's; only where x is not
+    finite, or a slot sums to zero, can the result differ (a dropped
+    0 * inf, the sign of a zero).  No terms give zeros of x's shape.
     """
-    factor = np.asarray(factor, dtype=complex)
-    terms = _plan(factor.tobytes(), factor.shape, right)
-    if not terms:
-        return np.zeros(np.broadcast_shapes(factor.shape, x.shape), dtype=complex)
     out = None
     for slots, coeffs in terms:
         term = x[..., slots].astype(complex, copy=False)   # a new array: the product goes in place
@@ -244,29 +342,33 @@ def _constant_mul(factor, x: np.ndarray, right: bool = False) -> np.ndarray:
         else:
             np.multiply(coeffs, term, out=term)
         out = term if out is None else np.add(out, term, out=out)
-    return out
+    return np.zeros(x.shape, dtype=complex) if out is None else out
 
 
 def _dirac_sides(operator: np.ndarray, a_pot, e: float, m, phi: np.ndarray,
-                 d_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 d_phi: np.ndarray, moving: tuple = _DIRECTIONS) -> tuple[np.ndarray, np.ndarray]:
     """(D - i e A) Phi and Phi M as block-diagonal arrays ``(..., 2, N, 4)``.
 
     ``phi`` is the wave ``(2, N, 4)`` at N points and ``d_phi`` its
-    derivatives ``(..., 4, 2, N, 4)``, one per coordinate mu; ``operator``
-    is ``(4, 2, 4)`` and M the reflector (m, -conj(m)).  Every term is a
-    reflector product, the right factor's blocks swapped: the potential
-    multiplies the wave components on the left and the mass on the right.
-    Each is :func:`_constant_mul`, so it costs one complex product per
-    nonzero slot of the constant factor, and the operator's terms are
-    summed over mu in order.  Each numpy loop runs along the points.
+    derivatives ``(..., K, 2, N, 4)`` along the K coordinates ``moving``;
+    ``operator`` is ``(4, 2, 4)`` and M the reflector (m, -conj(m)).  Every
+    term is a reflector product, the right factor's blocks swapped: the
+    potential multiplies the wave components on the left and the mass on
+    the right.  Each costs one complex product per nonzero slot of the
+    constant factor (:func:`_sum_terms`), and the operator's terms are
+    summed over mu in order; a direction left out of ``moving`` adds
+    nothing.  Each numpy loop runs along the points.
     """
+    units, _ = _plan_of(operator)
     d_phi = d_phi[..., ::-1, :, :]
-    lhs = _constant_mul(operator[0, :, None, :], d_phi[..., 0, :, :, :])
-    for mu in range(1, 4):
-        lhs += _constant_mul(operator[mu, :, None, :], d_phi[..., mu, :, :, :])
-    lhs -= (1j * e) * _constant_mul(unit_reflector(a_pot)[:, None, :], phi[::-1])
-    m = np.asarray(m)
-    return lhs, _constant_mul(np.stack((-array_conj(m), m))[:, None, :], phi, right=True)
+    lhs = None
+    for i, mu in enumerate(moving):
+        term = _sum_terms(units[mu], d_phi[..., i, :, :, :])
+        lhs = term if lhs is None else np.add(lhs, term, out=lhs)
+    if lhs is None:
+        lhs = np.zeros(d_phi.shape[:-4] + phi.shape, dtype=complex)
+    lhs -= (1j * e) * _sum_terms(_reflector_terms(a_pot, _POTENTIAL_SIGNS, right=False), phi[::-1])
+    return lhs, _sum_terms(_reflector_terms(m, _MASS_SIGNS, right=True), phi, right=True)
 
 
 def residual(wave: WaveFunction,
@@ -282,9 +384,15 @@ def residual(wave: WaveFunction,
     a batch of one.
 
     Evaluates second-order central differences with step h, from the
-    wave's values at the 8N shifted points p +- h e_mu, and the analytic
-    derivatives i k_mu Phi.  All N points and both routes are assembled
-    in one numpy pass, in (route, mu, block, point, coefficient) order.
+    wave's values at the shifted points p +- h e_mu, and the analytic
+    derivatives i k_mu Phi.  Both routes take only the directions mu the
+    wave moves in (:func:`_moving`): a direction with k_mu == 0 whose two
+    shifts give every point the same finite phase adds an exact +-0 to
+    every term on both routes, so it is left out and the report keeps its
+    bits.  The library's waves have k = (-nu, mu, 0, 0), or its first two
+    slots swapped, so x2 and x3 are never differenced.  All N points and
+    both routes are assembled in one numpy pass, in (route, mu, block,
+    point, coefficient) order.
     """
     if not 0 < h < math.inf:
         raise ValueError(f"finite-difference step must be positive and finite, got {h}")
@@ -294,11 +402,15 @@ def residual(wave: WaveFunction,
         return ResidualReport(fd=0.0, analytic=0.0)
     if p.ndim != 2 or p.shape[1] != 4:
         raise ValueError(f"points need shape (N, 4), got {p.shape}")
-    phi = wave.at(p)
-    d_phi = np.empty((2, 4) + phi.shape, dtype=complex)   # (route, mu, block, point, coefficient)
-    _central_difference(wave, p, h, out=d_phi[0])
-    np.multiply((1j * wave.k)[:, None, None, None], phi, out=d_phi[1])
-    lhs, rhs = _dirac_sides(operator, a_pot, e, m, phi, d_phi)
+    phase = wave._phase(p + (h * _STEPS)[:, None, :])   # (step, N): p, p + h e_mu, p - h e_mu
+    moving = _moving(wave, _plan_of(operator)[1], h, phase[1:].reshape(2, 4, -1))
+    rows, index = _reads(moving)
+    values = wave._values(phase[rows])   # (block, 1 + 2K, N, 4)
+    phi = values[:, 0]
+    d_phi = np.empty((2, len(moving)) + phi.shape, dtype=complex)   # (route, mu, block, point, coefficient)
+    _central_difference(values[:, 1:], h, out=d_phi[0])
+    np.multiply((1j * wave.k[index])[:, None, None, None], phi, out=d_phi[1])
+    lhs, rhs = _dirac_sides(operator, a_pot, e, m, phi, d_phi, moving)
     worst = np.abs(lhs - rhs).max(axis=(1, 2, 3))
     return ResidualReport(fd=float(worst[0]), analytic=float(worst[1]))
 

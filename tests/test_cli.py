@@ -440,6 +440,23 @@ class TestSubprocessContract:
         assert proc.stderr.startswith("circledirac: error: ")
         assert message in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--suite", "all"),
+        ("spectrum", "--max-ntheta", "60", "--max-nr", "60", "--format", "json"),
+    ], ids=["verify", "spectrum"])
+    def test_closed_stdout_exit_one_without_traceback(self, argv):
+        """A reader that closes the pipe unread, as `circledirac ... | true` can."""
+        env = dict(os.environ)
+        env.pop("CIRCLEDIRAC_FAULT", None)
+        proc = subprocess.Popen([sys.executable, "-m", "circledirac", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()   # before the child has imported numpy, let alone written
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in stderr and "Exception ignored" not in stderr
+        assert len(stderr.splitlines()) == 1
+        assert stderr.startswith("circledirac: error: standard output closed early")
+
 
 # -- fuzzing the CLI boundary ---------------------------------------------------
 

@@ -27,6 +27,7 @@ from circledirac import (
     free_solution,
     mass_term,
     plane_wave_solution,
+    planewave,
     residual,
     tachyon_quaternion,
     transform_operator,
@@ -34,7 +35,7 @@ from circledirac import (
     unit_reflector,
 )
 from circledirac.biquaternion import array_conj, array_mul
-from circledirac.planewave import _constant_mul
+from circledirac.planewave import _signed_terms, _sum_terms
 from circledirac.reflector import ARC_TIME_UNITS
 
 RNG = np.random.default_rng(11)
@@ -310,7 +311,7 @@ class TestConstantFactors:
         x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
         with np.errstate(all="ignore"):
             expected = array_mul(x, factor) if right else array_mul(factor, x)
-            out = _constant_mul(factor, x, right=right)
+            out = _sum_terms(_signed_terms(factor, right), x, right=right)
             # + 0.0 turns a zero's sign to +, and leaves every other value's bits as they are
             assert (out + 0.0).tobytes() == (expected + 0.0).tobytes()
         assert out.shape == expected.shape
@@ -324,6 +325,27 @@ class TestConstantFactors:
         assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
         assert f"{2 * len(CONSTANT_FACTORS)} passed" in proc.stdout
 
+    @pytest.mark.parametrize("kind", ["potential", "mass"])
+    def test_reflector_terms_are_those_of_the_built_reflector(self, kind):
+        """The potential's (v, conj v) and the mass's (-conj v, v), read off v: the same
+        terms, to the bit, as the reflector built and planned as a general factor."""
+        signs, right = ((planewave._POTENTIAL_SIGNS, False) if kind == "potential"
+                        else (planewave._MASS_SIGNS, True))
+        rng = np.random.default_rng(34)
+        special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324])
+        for _ in range(64):
+            v = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) * (rng.random(4) < 0.6)
+            v.real[rng.random(4) < 0.1] = rng.choice(special)
+            built = (unit_reflector(v) if kind == "potential"
+                     else np.stack((-array_conj(v), v)))[:, None, :]
+            expected = _signed_terms(built, right)
+            got = planewave._reflector_terms(v, signs, right=right)
+            assert len(got) == len(expected)
+            for (slots, coeffs), (want_slots, want_coeffs) in zip(got, expected):
+                assert np.array_equal(slots, want_slots)
+                assert coeffs.shape == want_coeffs.shape
+                assert coeffs.tobytes() == want_coeffs.tobytes()
+
     def test_non_finite_input_stays_nan(self):
         a, e, m = _args(CHARGED)
         wave = bound_solution(CHARGED)
@@ -336,6 +358,71 @@ class TestConstantFactors:
                                     mass_term(1e-320), POINTS))
         for rep in reports:
             assert math.isnan(rep.fd) and math.isnan(rep.analytic)
+
+
+def _with_prefactor_slot(wave, index, value):
+    prefactor = np.array(wave.prefactor)
+    prefactor[index] = value
+    return WaveFunction(prefactor, wave.k)
+
+
+class _DriftingWave(WaveFunction):
+    """A wave whose phase moves along x3 at 0.5 while its k3 reads 0."""
+
+    def _phase(self, p):
+        return super()._phase(p) + 0.5 * p[..., 3]
+
+
+class TestStillDirections:
+    """residual differences only the coordinates the wave moves along: a skipped one adds
+    exact zeros, so the reports keep their bits, NaN and inf included."""
+
+    CHARGED_WAVE = bound_solution(CHARGED)
+    INF_UNIT = np.array(ARC_TIME_UNITS)
+    INF_UNIT[3, 1, 3] = math.inf
+    # wave, points, keywords, and (fd, analytic) of the residual that differences all
+    # four coordinates; in the last two a still coordinate's own terms are NaN
+    EDGES = {
+        "all-k-nonzero": (WaveFunction(CHARGED_WAVE.prefactor, (-0.9, 1.1, 0.3, -0.7)), BATCH[:6],
+                          {}, (1.2595882263896065, 1.2595882263660614)),
+        "k-zero": (WaveFunction(CHARGED_WAVE.prefactor, np.zeros(4)), BATCH[:6], {}, (1.1, 1.1)),
+        "inf-point": (CHARGED_WAVE, np.concatenate((BATCH[:2], [[0.3, -0.2, math.inf, 1.0]])),
+                      {}, (math.nan, math.nan)),
+        "inf-prefactor": (_with_prefactor_slot(CHARGED_WAVE, (1, 1), math.inf), BATCH[:6],
+                          {}, (math.nan, math.nan)),
+        "huge-prefactor": (_with_prefactor_slot(CHARGED_WAVE, (0, 2), 1e308 + 1e308j), BATCH[:6],
+                           {}, (math.inf, math.inf)),
+        "inf-operator-unit": (CHARGED_WAVE, BATCH[:6], {"operator": INF_UNIT},
+                              (math.nan, math.nan)),
+        "k-zero-subnormal-step": (WaveFunction(CHARGED_WAVE.prefactor, np.zeros(4)), BATCH[:6],
+                                  {"h": 5e-324}, (math.nan, 1.1)),
+    }
+
+    @pytest.mark.parametrize("name", EDGES)
+    def test_edge_reports(self, name):
+        wave, points, keywords, expected = self.EDGES[name]
+        with np.errstate(all="ignore"):
+            rep = residual(wave, *_args(CHARGED), points, **keywords)
+        for got, want in zip((rep.fd, rep.analytic), expected):
+            assert got == want or (math.isnan(got) and math.isnan(want))
+
+    @pytest.mark.parametrize("name", EDGES)
+    def test_same_bits_as_differencing_every_coordinate(self, name, monkeypatch):
+        wave, points, keywords, _ = self.EDGES[name]
+        args = _args(CHARGED)
+        with np.errstate(all="ignore"):
+            rep = residual(wave, *args, points, **keywords)
+            monkeypatch.setattr(planewave, "_moving", lambda *_: (0, 1, 2, 3))
+            every = residual(wave, *args, points, **keywords)
+        assert (struct.pack("<2d", rep.fd, rep.analytic)
+                == struct.pack("<2d", every.fd, every.analytic))
+
+    def test_fd_sees_a_phase_moving_along_a_zero_k(self):
+        """The skip reads the shifted phases, not k: a k-only skip would read about 5e-11."""
+        wave = _DriftingWave(self.CHARGED_WAVE.prefactor, self.CHARGED_WAVE.k)
+        rep = residual(wave, *_args(CHARGED), BATCH[:6])
+        assert rep.fd >= 1e-3
+        assert rep.analytic <= 1e-12   # the drift is a constant phase at each point
 
 
 # sha256 of the reports below: residual's bits for every kind of wave it is given

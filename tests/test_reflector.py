@@ -15,7 +15,7 @@ from circledirac import (
     sandwich,
     unit_reflector,
 )
-from circledirac.planewave import WaveFunction, _central_difference, _dirac_sides
+from circledirac.planewave import _STEPS, WaveFunction, _central_difference, _dirac_sides
 from circledirac.reflector import ARC_TIME_UNITS, reflector_mul_array
 
 ROTOR = Biquaternion(2 ** -0.5, 2 ** -0.5)
@@ -155,7 +155,7 @@ def lhs(units, a, e, phi, d_phi):
 def batch_central_difference(wave, points, h):
     """The residual's central differences ``(4, 2, N, 4)`` of the wave at points ``(N, 4)``."""
     out = np.empty((4, 2, len(points), 4), dtype=complex)
-    _central_difference(wave, points, h, out)
+    _central_difference(wave.at(points + (h * _STEPS[1:])[:, None, :]), h, out)
     return out
 
 
