@@ -33,14 +33,16 @@ and radial number n_r.  :func:`sommerfeld_reference` evaluates that
 reference independently for use as an oracle, and every level it returns
 has the bits of mpmath's correctly rounded libmp primitives at 40
 digits (the one-level mpmath formula, with the global ``mpmath.mp``
-context left alone).  It first evaluates the whole grid in one numpy pass
-of double-word arithmetic (each value an unevaluated sum hi + lo of two
-doubles, built from error-free transformations, no fused multiply-add)
-and keeps a level's hi only when a certificate holds: an interval around
-hi + lo, wide enough for the pass's derived error and for libmp's, rounds
-to hi alone, which is then the double libmp gives.  Any other level, and
-any level outside the domain where the error bound is derived, goes to
-the libmp loop, which stays the one arbiter.
+context left alone).  The level is written once and run through three
+evaluators: double-word arithmetic (each value an unevaluated sum hi + lo
+of two doubles, built from error-free transformations, no fused
+multiply-add), one numpy pass over the whole grid; libmp, the one
+arbiter; and relative error bounds.  A level's hi is kept only when a
+certificate holds: an interval around hi + lo, wide enough for the bounds
+on both other evaluators' errors, rounds to hi alone, which is then the
+double libmp gives.  Any other level, and any level outside the domain
+where the bounds hold, goes to the arbiter; a coupling below 2^-300
+gives exactly 1 there, and is certified as such.
 
 Each solver takes a level as (alpha, n_theta, n_r), checks n_theta >= 1,
 then n_r >= 0 (integers, not ``bool``), then alpha, and has one body for
@@ -68,11 +70,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from .doubleword import _fast_two_sum, _two_product, _two_sum
+from .doubleword import _dw_add, _dw_diff_of_squares, _dw_div, _dw_mul, _dw_sqrt
 from .errors import (CircleDiracError, FloatRange, _plain, bound_coupling, positive_mass,
                      quantum_integer, require)
 
@@ -210,8 +213,7 @@ def energy_closed_form(alpha: float, n_theta: int, n_r: int) -> float:
         return _plain(1.0 / np.sqrt(1.0 + a * a / (d * d)))
 
 
-# The double-word pass's domain: alpha at least _TINY, n_theta and n_r at most _EXACT
-# (see sommerfeld_reference)
+# the certificate's domain (see sommerfeld_reference): alpha >= _TINY; n_theta, n_r <= _EXACT
 _TINY, _EXACT = 2.0 ** -300, 2 ** 53
 
 
@@ -222,15 +224,16 @@ def sommerfeld_reference(alpha: float, n_theta: int, n_r: int) -> float:
     angular number, with the bits of mpmath at 40 decimal digits.  The
     arguments may be arrays that broadcast together.
 
-    The arbiter is :func:`_libmp_levels`, mpmath's correctly rounded libmp
-    primitives at p = 136 bits.  Most levels never reach it.  One numpy
-    pass, :func:`_double_word_levels`, first evaluates every level as a
-    double-word v = hi + lo with hi = RN(v), the double nearest v.
+    The level is written once, in :func:`_root` and :func:`_level`.  The
+    arbiter, :func:`_libmp_levels`, evaluates it in mpmath's correctly
+    rounded libmp primitives at p = 136 bits.  Most levels never reach it.
+    One numpy pass, :func:`_double_word_levels`, first evaluates every
+    level as a double-word v = hi + lo with hi = RN(v), the double nearest v.
 
-    The certificate.  v errs from E by at most E*2^-(_DW_SHIFT + 1)
-    (derived in :func:`_double_word_shift`) and libmp's level, before its
-    rounding to a double, by at most E*2^-(_SHIFT + 1)
-    (:func:`_libmp_shift`).  So libmp's level lies within
+    The certificate.  v errs from E by at most E*2^-(_DW_SHIFT + 1) and
+    libmp's level, before its rounding to a double, by at most
+    E*2^-(_SHIFT + 1), both bounds propagated through the same expression
+    by the bound evaluator :func:`_bounds`.  So libmp's level lies within
     h = hi*(2^-_DW_SHIFT + 2^-_SHIFT) of v: each term is twice its bound,
     which covers E <= hi*(1 + 2^-52) and the one rounding of h.  Let up and
     down be half the gaps from hi to the next double above and below (both
@@ -240,31 +243,39 @@ def sommerfeld_reference(alpha: float, n_theta: int, n_r: int) -> float:
     rounding interval, and libmp's ``to_float``, which rounds to nearest,
     gives hi.  That hi is returned; every other level goes to the arbiter.
 
-    The domain.  So does every level outside the domain where the bound is
-    derived: alpha below 2^-300 (alpha = 0 included), or k or n_r above
-    2^53.  Inside it k, n_r and k*k (in libmp too) are exact; every product
-    that TwoProduct splits is at least 2^-710 (q*q, with q >= alpha/2^54),
-    far above the 2^-969 below which its error term can underflow; no value
-    split exceeds k + alpha < 2^54, far below the 2^996 at which
-    Veltkamp's split overflows.  A product or quotient that feeds a
-    low word may underflow and err by 2^-1075 more, under 2^-250 of the
-    bound on the term it joins, which the factor 2 covers.  So every level
-    has the libmp bits by construction.
+    The domain.  So does every level with k or n_r above 2^53.  Inside it
+    k, n_r and k*k (in libmp too) are exact; every product that TwoProduct
+    splits is at least 2^-710 (q*q, with q >= alpha/2^54), far above the
+    2^-969 below which its error term can underflow; no value split
+    exceeds k + alpha < 2^54, far below the 2^996 at which Veltkamp's
+    split overflows.  A product or quotient that feeds a low word may
+    underflow and err by 2^-1075 more, under 2^-250 of the bound on the
+    term it joins, which the factor 2 covers.  So every level has the
+    libmp bits by construction.
+
+    Below the domain, 0 <= alpha < 2^-300 (any k >= 1 and n_r >= 0),
+    libmp's level is exactly 1, which the certificate takes as hi + lo:
+    k*k - alpha^2 rounds to at least 1/2, and so do its root and
+    n_r + root; q = alpha/(n_r + root) then rounds to at most 2^-299
+    (rounding is monotone and 2^-299 is a double), q*q to at most 2^-598,
+    and 1 + q*q, below the midpoint 1 + 2^-136 between 1 and the next
+    136-bit number, to 1, whose sqrt and reciprocal are exact.
     """
     n_theta = quantum_integer("n_theta", n_theta, 1)
     n_r = quantum_integer("n_r", n_r, 0)
     bound_coupling(alpha, n_theta, allow_zero=True)
     a = np.asarray(alpha, dtype=float)
     k, r = np.asarray(n_theta), np.asarray(n_r)
-    k_exact, r_exact = k <= _EXACT, r <= _EXACT
+    k_exact, r_exact, tiny = k <= _EXACT, r <= _EXACT, a < _TINY
     with np.errstate(all="ignore"):
         # levels outside the domain are evaluated too, on stand-in integers, and discarded
         hi, lo = _double_word_levels(a, np.where(k_exact, k, 1).astype(float),
                                      np.where(r_exact, r, 0).astype(float))
+        hi, lo = np.where(tiny, 1.0, hi), np.where(tiny, 0.0, lo)
         h = hi * _HALF_WIDTH
         up = (np.nextafter(hi, np.inf) - hi) * 0.5
         down = (hi - np.nextafter(hi, 0.0)) * 0.5
-        certified = (lo + h < up) & (lo - h > -down) & k_exact & r_exact & (a >= _TINY)
+        certified = (lo + h < up) & (lo - h > -down) & (k_exact & r_exact | tiny)
     values = np.ravel(hi)
     arbitrated = np.flatnonzero(~certified)
     if arbitrated.size:
@@ -274,132 +285,101 @@ def sommerfeld_reference(alpha: float, n_theta: int, n_r: int) -> float:
     return _plain(values.reshape(np.shape(hi)))
 
 
-def _dw_mul(xh, xl, yh, yl):
-    """The product of two positive double-words (Dekker's mul2)."""
-    p, e = _two_product(xh, yh)
-    return _fast_two_sum(p, e + (xh * yl + xl * yh))
+def _root(ops, a, k):
+    """sqrt(k^2 - a^2) in the evaluator ops: the part of a level its (alpha, n_theta) row shares."""
+    return ops.sqrt(ops.diff_of_squares(k, a))
 
 
-def _dw_add(c, yh, yl):
-    """The sum of a double c >= 0 and a positive double-word."""
-    s, e = _two_sum(c, yh)
-    return _fast_two_sum(s, e + yl)
+def _level(ops, a, r, root):
+    """The Sommerfeld level 1/sqrt(1 + q*q), q = a/(r + root), in the evaluator ops.
+
+    ``add`` and ``div`` take an input or the evaluator's ``one`` first.
+    """
+    q = ops.div(a, ops.add(r, root))
+    return ops.div(ops.one, ops.sqrt(ops.add(ops.one, ops.mul(q, q))))
 
 
-def _dw_div(c, yh, yl):
-    """The quotient of a double c > 0 by a positive double-word (Dekker's div2, c's low word 0)."""
-    q = c / yh
-    p, e = _two_product(q, yh)
-    return _fast_two_sum(q, (((c - p) - e) - q * yl) / yh)
-
-
-def _dw_sqrt(xh, xl):
-    """The square root of a positive double-word (Dekker's sqrt2)."""
-    s = np.sqrt(xh)
-    p, e = _two_product(s, s)
-    return _fast_two_sum(s, (((xh - p) - e) + xl) / (2.0 * s))
+# the double-word evaluator (each evaluator gives these six names): doubles in, (hi, lo) out
+_DOUBLE_WORD = SimpleNamespace(one=1.0, diff_of_squares=_dw_diff_of_squares, add=_dw_add,
+                               mul=_dw_mul, div=_dw_div, sqrt=_dw_sqrt)
 
 
 def _double_word_levels(a, k, r):
-    """(hi, lo) of 1/sqrt(1 + (a/(r + sqrt(k^2 - a^2)))^2) over broadcasting float arrays.
+    """(hi, lo) of the level over broadcasting float arrays, in double-word arithmetic.
 
     k^2 - a^2 is taken as the product (k - a)*(k + a) of two exact
     TwoSums, so it suffers no cancellation as a approaches k.  Every
     operation is a real ``+ - * /`` or ``sqrt`` that numpy rounds on its
     own, so the result has the same bits at every SIMD dispatch level.
     """
-    root = _dw_sqrt(*_dw_mul(*_two_sum(k, -a), *_two_sum(k, a)))
-    q = _dw_div(a, *_dw_add(r, *root))
-    return _dw_div(1.0, *_dw_sqrt(*_dw_add(1.0, *_dw_mul(*q, *q))))
+    return _level(_DOUBLE_WORD, a, r, _root(_DOUBLE_WORD, a, k))
 
 
-def _double_word_shift() -> int:
-    """The shift s with 2^-s >= 2t, t a bound on the relative error of :func:`_double_word_levels`.
+def _bounds(t):
+    """The bound evaluator: each value is a bound on its relative error.
 
-    With u = 2^-53, every operation below takes normalised double-words
-    (|lo| <= u*hi, as TwoSum and Fast2Sum leave them; a double is one with
-    lo = 0) and errs, relative to the exact operation on them, by at most:
-
-    * _dw_mul: the high words' TwoProduct P is exact; the cross products
-      round by u^2*P each, their sum by 2u^2*P and the sum with P's error
-      term by 3u^2*P; the dropped xl*yl is at most u^2*P; and X*Y >=
-      P*(1 - u)^2: 8u^2 to first order;
-    * _dw_add: TwoSum is exact and the low words, at most 2u*(c + yh)
-      together, round once: 2u^2;
-    * _dw_div: c - p is exact (Sterbenz), the remainder c - q*Y is at most
-      2u*c and is computed within 4u^2*c; dividing it by yh for Y adds
-      2u^2, and its rounding 2u^2: 8u^2;
-    * _dw_sqrt: s = RN(sqrt(xh)) and xh - s*s is exact (Sterbenz); the
-      remainder R = X - s^2 is at most 3u*xh and is computed within
-      5u^2*xh, which adds 2.5u^2*s over 2s; sqrt(s^2 + R) differs from
-      s + R/(2s) by R^2/(8s^3), about 1.13u^2*s, and the quotient's
-      rounding adds 1.5u^2*s: 5.2u^2 in all.
-
-    The constants below carry the higher-order terms of each, rounded up.
-    An operation that errs by t on operands that err by x errs by
-    x + t + x*t; a sum of positive terms keeps the largest error of its
-    terms; a divisor's error x becomes x/(1 - x), a square's 2x + x^2 and a
-    square root's x/(2 - x).  Evaluated in doubles, about 30 operations can
-    make the bound smaller by a factor 1 - 2^-47 at most; the factor 2
-    covers that.
-
-    The algorithms are Knuth's TwoSum (TAOCP vol. 2, 4.2.2) and Dekker's
-    Fast2Sum, TwoProduct, mul2, div2 and sqrt2 (Numer. Math. 18 (1971)
-    224); Joldes, Muller and Popescu (ACM TOMS 44, 2017) prove bounds of
-    this kind for the double-word building blocks.
+    Each operation has its own constant t[op], its error relative to the
+    exact operation on its positive operands; inputs and ``one`` are exact,
+    0.  On operands that err by x it errs by x + t + x*t.  The operands of
+    a product or quotient combine the same way, a divisor's error x taken
+    as x/(1 - x); a sum keeps the larger error of its terms; a square
+    root's operand's error x counts as x/(2 - x).  No subtraction of
+    inexact values exists (it could cancel and amplify their errors
+    without bound): ``diff_of_squares`` takes exact operands and raises on
+    any other.
     """
-    u2 = 2.0 ** -106
-    mul, add, div, sqrt = 8.001 * u2, 2.001 * u2, 8.001 * u2, 5.2 * u2
+    def compose(x, y):  # (1 + x)*(1 + y) - 1: two relative errors incurred in turn
+        return x + y + x * y
 
-    def then(x, t):
-        return x + t + x * t
+    def diff_of_squares(k, a):
+        if k or a:
+            raise ValueError(f"diff_of_squares needs exact operands, got error bounds {k}, {a}")
+        return t["diff_of_squares"]
+    return SimpleNamespace(
+        one=0.0, diff_of_squares=diff_of_squares,
+        add=lambda c, y: compose(max(c, y), t["add"]),
+        mul=lambda x, y: compose(compose(x, y), t["mul"]),
+        div=lambda c, y: compose(compose(c, y / (1.0 - y)), t["div"]),
+        sqrt=lambda x: compose(x / (2.0 - x), t["sqrt"]))
 
-    t_root = then(then(0.0, mul) / (2.0 - mul), sqrt)      # sqrt((k - a)*(k + a))
-    t_den = then(t_root, add)                               # n_r + root
-    t_q = then(t_den / (1.0 - t_den), div)
-    t_w = then(then(2.0 * t_q + t_q * t_q, mul), add)       # 1 + q*q
-    t_w = then(t_w / (2.0 - t_w), sqrt)
-    return -math.frexp(then(t_w / (1.0 - t_w), div))[1] - 1
 
-
-def _libmp_shift() -> int:
-    """The shift s with 2^-s >= 2t, t a bound on libmp's relative error theta, E*(1 + theta).
-
-    A correctly rounded operation at p = _PREC bits errs by at most
-    u = 2^-p relative (by none if its result fits in p bits) and turns a
-    relative error bound x into x + u + x*u.  In the arbiter's order, for
-    k < 2^68 (the double-word pass keeps k <= 2^53):
-
-    * k, a, k*k and a*a: exact (k*k has at most 136 bits, a's mantissa
-      at most 53), so k*k - a*a errs by u: no cancellation amplifies;
-    * sqrt: x/(2 - x), then one rounding;
-    * n_r + root: no more than root's error (both positive, n_r exact or
-      off by u), then one rounding;
-    * a/s and 1/sqrt(...): x/(1 - x), then one rounding;
-    * q*q: 2x + x^2, then one rounding;
-    * q*q + 1: x weighted by q^2/(1 + q^2) <= 1, then one rounding.
-
-    Evaluated in doubles, about 20 operations can make the bound smaller
-    by a factor 1 - 2^-48 at most; the factor 2 covers that.
-    """
-    u = 2.0 ** -_PREC
-
-    def rounded(x):
-        return x + u + x * u
-
-    t_sum = rounded(rounded(u / (2.0 - u)))
-    t_q = rounded(t_sum / (1.0 - t_sum))
-    t_one_plus = rounded(rounded(2 * t_q + t_q * t_q))
-    t_sqrt = rounded(t_one_plus / (2.0 - t_one_plus))
-    return -math.frexp(rounded(t_sqrt / (1.0 - t_sqrt)))[1] - 1
+def _shift(bounds) -> int:
+    """The shift s with 2^-s >= 2t, t the bound evaluator's bound on a level's relative error."""
+    return -math.frexp(_level(bounds, 0.0, 0.0, _root(bounds, 0.0, 0.0)))[1] - 1
 
 
 # libmp's working precision, mpmath's 40 digits (libmp.dps_to_prec(40); mpmath loads only
-# when a level reaches the arbiter), the certificate's shifts for libmp and for the
-# double-word pass, and the certificate's relative half-width
+# when a level reaches the arbiter).  A correctly rounded operation at p = _PREC bits errs
+# by at most u = 2^-p (by none if its result fits in p bits).  For k < 2^68 (the double-word
+# pass keeps k <= 2^53) k, a, k*k and a*a are exact (k*k has at most 136 bits, a's mantissa
+# at most 53), so k*k - a*a errs by u: no cancellation amplifies; n_r is exact, or off by u,
+# which a sum with the root, whose error is larger, does not raise.
 _PREC = 136
-_SHIFT = _libmp_shift()
-_DW_SHIFT = _double_word_shift()
+
+# The double-word operations' constants, in units of u^2 with u = 2^-53.  Every operation
+# takes normalised double-words (|lo| <= u*hi, as TwoSum and Fast2Sum leave them; a double
+# is one with lo = 0) and errs, relative to the exact operation on them, by at most:
+# * _dw_mul: the high words' TwoProduct P is exact; the cross products round by u^2*P
+#   each, their sum by 2u^2*P and the sum with P's error term by 3u^2*P; the dropped
+#   xl*yl is at most u^2*P; and X*Y >= P*(1 - u)^2: 8u^2 to first order;
+# * _dw_diff_of_squares: its two TwoSums are exact, so it errs as _dw_mul;
+# * _dw_add: TwoSum is exact and the low words, at most 2u*(c + yh) together, round
+#   once: 2u^2;
+# * _dw_div: c - p is exact (Sterbenz), the remainder c - q*Y is at most 2u*c and is
+#   computed within 4u^2*c; dividing it by yh for Y adds 2u^2, and its rounding 2u^2: 8u^2;
+# * _dw_sqrt: s = RN(sqrt(xh)) and xh - s*s is exact (Sterbenz); the remainder
+#   R = X - s^2 is at most 3u*xh and is computed within 5u^2*xh, which adds 2.5u^2*s over
+#   2s; sqrt(s^2 + R) differs from s + R/(2s) by R^2/(8s^3), about 1.13u^2*s, and the
+#   quotient's rounding adds 1.5u^2*s: 5.2u^2 in all.
+# The constants carry the higher-order terms of each, rounded up.  Joldes, Muller and
+# Popescu (ACM TOMS 44, 2017) prove bounds of this kind for the double-word building blocks.
+_DW_CONSTANTS = dict(mul=8.001, diff_of_squares=8.001, add=2.001, div=8.001, sqrt=5.2)
+
+# the certificate's shifts for the double-word pass and for libmp (the factor 2 covers the
+# bound's own rounding: its 30 or so operations in doubles can make it smaller by a factor
+# 1 - 2^-47 at most), and its relative half-width
+_DW_SHIFT = _shift(_bounds({op: c * 2.0 ** -106 for op, c in _DW_CONSTANTS.items()}))
+_SHIFT = _shift(_bounds(dict.fromkeys(_DW_CONSTANTS, 2.0 ** -_PREC)))
 _HALF_WIDTH = 2.0 ** -_DW_SHIFT + 2.0 ** -_SHIFT
 
 
@@ -418,24 +398,23 @@ def _libmp_levels(levels) -> list[float]:
     """
     from mpmath import libmp
     prec, rnd = _PREC, libmp.round_nearest
-    from_float, from_int, to_float = libmp.from_float, libmp.from_int, libmp.to_float
-    mul, add, sub = libmp.mpf_mul, libmp.mpf_add, libmp.mpf_sub
-    div, sqrt, one = libmp.mpf_div, libmp.mpf_sqrt, libmp.fone
+    mul, add, div, sqrt = libmp.mpf_mul, libmp.mpf_add, libmp.mpf_div, libmp.mpf_sqrt
+    # the libmp evaluator; k*k and a*a are exact, and their difference rounds once
+    ops = SimpleNamespace(
+        one=libmp.fone, sqrt=lambda x: sqrt(x, prec, rnd), add=lambda x, y: add(x, y, prec, rnd),
+        mul=lambda x, y: mul(x, y, prec, rnd), div=lambda x, y: div(x, y, prec, rnd),
+        diff_of_squares=lambda k, a: libmp.mpf_sub(mul(k, k, prec, rnd), mul(a, a, prec, rnd),
+                                                   prec, rnd))
     rows, radial, values = {}, {}, []
     for a, k, r in levels:
         row = rows.get((a, k))
         if row is None:
-            a_mp, k_mp = from_float(a), from_int(k, prec, rnd)
-            root = sqrt(sub(mul(k_mp, k_mp, prec, rnd), mul(a_mp, a_mp, prec, rnd), prec, rnd),
-                        prec, rnd)
-            row = rows[a, k] = a_mp, root
-        a_mp, root = row
+            a_mp = libmp.from_float(a)
+            row = rows[a, k] = a_mp, _root(ops, a_mp, libmp.from_int(k, prec, rnd))
         r_mp = radial.get(r)
         if r_mp is None:
-            r_mp = radial[r] = from_int(r, prec, rnd)
-        q = div(a_mp, add(r_mp, root, prec, rnd), prec, rnd)
-        level = div(one, sqrt(add(mul(q, q, prec, rnd), one, prec, rnd), prec, rnd), prec, rnd)
-        values.append(to_float(level, rnd=rnd))
+            r_mp = radial[r] = libmp.from_int(r, prec, rnd)
+        values.append(libmp.to_float(_level(ops, row[0], r_mp, row[1]), rnd=rnd))
     return values
 
 

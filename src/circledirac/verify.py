@@ -342,7 +342,7 @@ def suite_qed(rng: np.random.Generator) -> Iterator[CaseResult]:
     shifted = (root + n_r) * (root + n_r) + a * a
     yield _case("bracket-identity", np.abs(shifted - bracket) / bracket, 1e-14)
 
-    a, mass, e = rng.uniform((0.01, 0.0, 0.2), (3.0, 2.0, 2.0), size=(200, 3)).T
+    a, mass, e = rng.uniform((-3.0, 0.0, 0.2), (3.0, 2.0, 2.0), size=(200, 3)).T
     sol = qed.solve_rho(a, mass, e, d_prime[0, 1])
     yield _case("branch-ordering", np.maximum(0.0, sol.rho_minus - sol.rho_plus), 0.0)
 

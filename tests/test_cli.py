@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import BASELINE_KERNELS
 from circledirac.cli import _build_parser, main
-from circledirac.spectrum import MAX_LEVELS
+from circledirac.spectrum import MAX_LEVELS, _HALF_WIDTH
 
 
 def run_cli(*argv):
@@ -257,22 +257,26 @@ class TestQedRhoCommand:
 _MPMATH_PROBE = """
 import io, json, sys
 from contextlib import redirect_stdout
+from circledirac import spectrum
 from circledirac.cli import main
+spectrum._HALF_WIDTH = float(sys.argv[2])
 with redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in json.loads(sys.argv[1])]
 print(codes, "mpmath" in sys.modules)
 """
 
 
-@pytest.mark.parametrize("commands, loaded", [
-    ([["verify"], ["spectrum", "--max-ntheta", "101", "--max-nr", "100"], ["qed-rho"]], False),
-    # alpha below the double-word pass's domain: every level goes to the libmp arbiter
-    ([["spectrum", "--alpha", "1e-300"]], True),
+@pytest.mark.parametrize("commands, half_width, loaded", [
+    ([["verify"], ["spectrum", "--max-ntheta", "101", "--max-nr", "100"], ["qed-rho"],
+      ["spectrum", "--alpha", "1e-300"]], _HALF_WIDTH, False),
+    # a certificate half-width of 1 certifies no level: every level goes to the libmp arbiter
+    ([["spectrum", "--alpha", "0.37"]], 1.0, True),
 ], ids=["no-arbiter", "arbiter"])
-def test_mpmath_loads_only_for_the_arbiter(commands, loaded):
+def test_mpmath_loads_only_for_the_arbiter(commands, half_width, loaded):
     env = {**os.environ}
     env.pop("CIRCLEDIRAC_FAULT", None)
-    proc = subprocess.run([sys.executable, "-c", _MPMATH_PROBE, json.dumps(commands)],
+    proc = subprocess.run([sys.executable, "-c", _MPMATH_PROBE, json.dumps(commands),
+                           repr(half_width)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.stdout == f"{[0] * len(commands)} {loaded}\n", proc.stderr
 

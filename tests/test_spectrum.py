@@ -450,7 +450,7 @@ def _count_arbiter(monkeypatch):
 
 
 # (alpha, n_theta, n_r) of a level just inside each edge of the double-word pass's domain,
-# and of one just outside it
+# and of one just outside it; below alpha's edge every level is exactly 1 and certified
 DOMAIN_EDGES = {
     "alpha": ((2.0 ** -300, 1, 0), (math.nextafter(2.0 ** -300, 0.0), 1, 0)),
     "n_theta": ((0.37, 2 ** 53, 0), (0.37, 2 ** 53 + 1, 0)),
@@ -515,7 +515,7 @@ class TestOracleCertificate:
     @pytest.mark.parametrize("edge", DOMAIN_EDGES)
     def test_domain_edges_keep_the_bits(self, edge, monkeypatch):
         calls = _count_arbiter(monkeypatch)
-        for level, arbitrated in zip(DOMAIN_EDGES[edge], ([], [1])):
+        for level, arbitrated in zip(DOMAIN_EDGES[edge], ([], [] if edge == "alpha" else [1])):
             got = np.float64(sommerfeld_reference(*level))
             assert calls == arbitrated
             assert got.view(np.int64) == _wrapped_mpmath_reference(*level).view(np.int64)
@@ -566,6 +566,35 @@ class TestOracleCertificate:
                 exact = _mpmath_level(*level)
                 worst = max(worst, abs(low - exact) / exact)
         assert 0 < worst <= mpmath.ldexp(1, -spectrum._SHIFT - 1)
+
+
+class TestOneExpression:
+    """The level written once: tiny couplings, and the bound evaluator's refusals."""
+
+    TINY_ALPHAS = [0.0, 5e-324, 1e-310, 1e-300, math.nextafter(2.0 ** -300, 0.0)]
+
+    def test_tiny_alpha_is_one_without_the_arbiter(self, monkeypatch):
+        # below 2^-300 libmp's level is exactly 1 for every k and n_r, and is certified so
+        calls = _count_arbiter(monkeypatch)
+        n_theta, n_r = [1, 2, 7, 2 ** 53, 2 ** 53 + 1, 2 ** 70], [0, 1, 100, 2 ** 53 + 1, 2 ** 60]
+        for alpha in self.TINY_ALPHAS:
+            grid = sommerfeld_reference(alpha, np.arange(1, 101)[:, None], np.arange(101))
+            assert (grid == 1.0).all()
+            for k in n_theta:
+                for r in n_r:
+                    want = _wrapped_mpmath_reference(alpha, k, r)
+                    got = np.float64(sommerfeld_reference(alpha, k, r))
+                    assert want == 1.0 and got.view(np.int64) == want.view(np.int64)
+        assert calls == []
+
+    def test_bound_evaluator_refuses_inexact_differences(self):
+        bounds = spectrum._bounds(dict.fromkeys(spectrum._DW_CONSTANTS, 2.0 ** -106))
+        assert bounds.diff_of_squares(0.0, 0.0) == 2.0 ** -106
+        for k, a in [(2.0 ** -106, 0.0), (0.0, 2.0 ** -106), (1e-300, 1e-300)]:
+            with pytest.raises(ValueError, match="exact operands"):
+                bounds.diff_of_squares(k, a)
+        # diff_of_squares is the one subtraction
+        assert not hasattr(bounds, "sub")
 
 
 @st.composite
