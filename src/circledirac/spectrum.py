@@ -68,6 +68,7 @@ cover.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -118,7 +119,7 @@ class BohrState:
 
 def _finite(fields: dict) -> np.ndarray:
     """Where every field, broadcast against the others, is finite."""
-    return np.isfinite(np.broadcast_arrays(*fields.values())).all(axis=0)
+    return functools.reduce(np.logical_and, map(np.isfinite, fields.values()))
 
 
 def bohr_solve(alpha: float, n_theta: int) -> BohrState:

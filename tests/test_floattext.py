@@ -4,6 +4,7 @@ which values keep their numpy digits and Python deciding the rest."""
 
 import math
 import re
+import string
 from decimal import Decimal
 from fractions import Fraction
 
@@ -211,10 +212,17 @@ def test_power_table_words_are_nearest():
 @pytest.mark.parametrize("column", [
     np.array([0, 1, 9, 10, 99, 100, 12345, 10 ** 16, 10 ** 17 - 1]),
     np.arange(0, 30000, 7, dtype=np.uint32),
+    # every value of the word table, at each width from 1 to 4 digits that it fits
+    *(np.arange(10 ** width) for width in range(1, 5)),
+    # one field a line: the table's width edge, the edge of one word and the widest field
+    np.array([[9999, 0, 7], [10000, 1, 0], [99999999, 0, 42], [10 ** 8, 9, 1],
+              [10 ** 17 - 1, 0, 10 ** 16]]),
 ])
 def test_integers_are_percent_d(column):
-    text = floattext.rows_text([("d", column)], ["<", ">"])
-    assert text == "".join("<%d>" % n for n in column.tolist())
+    fields = [("d", c) for c in np.atleast_2d(column)]
+    text = floattext.rows_text(fields, ["<", *"," * (len(fields) - 1), ">"], sep="|")
+    rows = zip(*(c.tolist() for _, c in fields))
+    assert text == "|".join("<%s>" % ",".join("%d" % n for n in row) for row in rows)
 
 
 @pytest.mark.parametrize("column", [
@@ -250,3 +258,29 @@ def test_rows_across_chunks_with_literals():
     assert text == want
     empty = [("d", n[:0]), ("repr", x[:0])]
     assert floattext.rows_text(empty, ["(", ",", ")"], "[", ", ", "]") == "[]"
+
+
+@pytest.mark.parametrize("roll", range(3))
+def test_literals_of_every_length_keep_word_alignment(roll):
+    # literals of 0 to 17 bytes, each beside every style in one of the three rolls, over rows
+    # that cross two chunk boundaries; every style has at most 6 columns, so a chunk holds
+    # _CHUNK // 6 rows
+    rng = np.random.default_rng(69 + roll)
+    styles = (["d", "g17", "repr"] * 7)[roll:roll + 17]
+    rows = 2 * (floattext._CHUNK // 6) + 5
+    literals = [string.ascii_letters[k:2 * k] for k in range(18)]
+    highs = iter([10, 10 ** 4, 10 ** 5, 10 ** 8, 10 ** 9, 10 ** 17])
+    special = [0.0, -0.0, 5e-324, -math.inf, math.nan, 1e300, 2.0 ** 60]
+    columns = []
+    for style in styles:
+        if style == "d":
+            columns.append(rng.integers(0, next(highs), rows))
+            continue
+        x = rng.normal(size=rows) * 10.0 ** rng.integers(-30, 30, rows)
+        x[rng.integers(0, rows, 40)] = rng.choice(special, 40)
+        columns.append(x)
+    text = floattext.rows_text(list(zip(styles, columns)), literals, "[", ", ", "]")
+    python = {"d": lambda n: "%d" % n, **STYLES}
+    want = ["".join(literal + python[style](v) for literal, style, v in zip(literals, styles, row))
+            + literals[-1] for row in zip(*(c.tolist() for c in columns))]
+    assert text == "[" + ", ".join(want) + "]"
