@@ -65,14 +65,14 @@ class Biquaternion:
 
     def __init__(self, c0=0.0, c1=0.0, c2=0.0, c3=0.0):
         a = np.array((complex(c0), complex(c1), complex(c2), complex(c3)))
-        a.flags.writeable = False
+        a.setflags(write=False)
         object.__setattr__(self, "_coeffs", a)
 
     @classmethod
     def _of(cls, coeffs) -> "Biquaternion":
         """The Biquaternion viewing a read-only copy of a ready ``(4,)`` coefficient array."""
         a = coeffs.astype(complex)
-        a.flags.writeable = False
+        a.setflags(write=False)
         b = object.__new__(cls)
         object.__setattr__(b, "_coeffs", a)
         return b
@@ -241,11 +241,13 @@ def array_embed(x) -> np.ndarray:
 
 
 def embed(x) -> Biquaternion:
-    """:func:`array_embed` of one real four-vector, as a :class:`Biquaternion`."""
-    c = array_embed(x)
-    if c.shape != (4,):
-        raise ValueError(f"embed needs one four-vector of shape (4,), got shape {c.shape}")
-    return Biquaternion._of(c)
+    """:func:`array_embed` of one real four-vector, as a :class:`Biquaternion`: Python's
+    complex -1j * x0 takes numpy's IEEE operations in numpy's order, so the bits are the same."""
+    x = _fourvectors(x)
+    if x.shape != (4,):
+        raise ValueError(f"embed needs one four-vector of shape (4,), got shape {x.shape}")
+    x0, x1, x2, x3 = x.tolist()
+    return Biquaternion(-1j * x0, x1, x2, x3)
 
 
 _SLICE_TOL = 1e-10   # how far unembed's input may lie off the embedded slice

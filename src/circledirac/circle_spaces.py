@@ -79,6 +79,9 @@ class SpaceChart:
     compute in double precision whatever its type (a numpy ``float32``
     too); a Python int is kept as given, since Python and numpy divide
     and multiply by it as by its float.
+
+    ``temporal`` and ``spatial`` flag the temporal (T, S) and spatial (M, S)
+    circles; they are not fields, so ``==``, ``hash`` and ``repr`` skip them.
     """
 
     kind: ChartKind
@@ -88,9 +91,11 @@ class SpaceChart:
     def __post_init__(self):
         kind = ChartKind(self.kind)
         object.__setattr__(self, "kind", kind)
-        if kind in (ChartKind.T, ChartKind.S) or self.R0 is not None:
+        object.__setattr__(self, "temporal", kind in (ChartKind.T, ChartKind.S))
+        object.__setattr__(self, "spatial", kind in (ChartKind.M, ChartKind.S))
+        if self.temporal or self.R0 is not None:
             object.__setattr__(self, "R0", self._radius("R0", self.R0))
-        if kind in (ChartKind.M, ChartKind.S) or self.R1 is not None:
+        if self.spatial or self.R1 is not None:
             object.__setattr__(self, "R1", self._radius("R1", self.R1))
 
     @staticmethod
@@ -234,8 +239,7 @@ def scale_potential(a: Biquaternion, r1: float, R1: float) -> Biquaternion:
 
 # -- chart-to-chart maps ----------------------------------------------------
 
-_TEMPORAL = (ChartKind.T, ChartKind.S)
-_SPATIAL = (ChartKind.M, ChartKind.S)
+_FLOAT = np.dtype(float)
 
 
 def _chart_label(chart: SpaceChart) -> str:
@@ -258,27 +262,31 @@ def chart_map(coords: Iterable[float] | np.ndarray, source: SpaceChart,
     A batch gives in every row exactly the bits a one-point call gives
     for that row.  It raises what one-point calls over its rows would
     raise first, with a message naming that row's index and coordinates.
+    A ``(4,)`` float64 array, such as a batch row or an image, is read as it is.
     """
-    c = np.asarray(coords if isinstance(coords, np.ndarray) else list(coords), dtype=float)
-    if c.shape != (4,):
-        return _chart_map_batch(c, source, target)
+    c = coords
+    if not (type(c) is np.ndarray and c.dtype is _FLOAT and c.shape == (4,)):
+        c = np.asarray(c if isinstance(c, np.ndarray) else list(c), dtype=float)
+        if c.shape != (4,):
+            return _chart_map_batch(c, source, target)
     x0, x1, x2, x3 = c.tolist()
     try:
-        if source.kind in _TEMPORAL:
+        if source.temporal:
             theta0 = x0 / source.R0
             x0, x3 = x3 * math.sinh(theta0), x3 * math.cosh(theta0)
-        if source.kind in _SPATIAL:
+        if source.spatial:
             theta1 = x1 / source.R1
             x1, x2 = x2 * math.sin(theta1), x2 * math.cos(theta1)
     except (OverflowError, ValueError):
         raise FloatRange(f"{_chart_label(source)} point {c.tolist()} overflows "
                          "when mapped to L") from None
-    if target.kind in _TEMPORAL:
+    if target.temporal:
         r0, theta0 = _hyperbolic_polar(x0, x3)
         x0, x3 = target.R0 * theta0, r0
-    if target.kind in _SPATIAL:
+    if target.spatial:
         x1, x2 = target.R1 * math.atan2(x1, x2), math.hypot(x1, x2)
-    if not (math.isfinite(x0) and math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
+    # x - x is 0.0 for a finite x and NaN for an infinite or NaN one
+    if (x0 - x0) + (x1 - x1) + (x2 - x2) + (x3 - x3) != 0.0:
         raise FloatRange(f"{_chart_label(source)} point {c.tolist()} has no finite "
                          f"image on the {_chart_label(target)}: {[x0, x1, x2, x3]}")
     return np.array((x0, x1, x2, x3))
@@ -297,15 +305,15 @@ def _chart_map_batch(c: np.ndarray, source: SpaceChart, target: SpaceChart) -> n
     x0, x1, x2, x3 = c.T
     with np.errstate(all="ignore"):
         try:
-            if source.kind in _TEMPORAL:
+            if source.temporal:
                 theta0 = x0 / source.R0
                 x0, x3 = x3 * _mapped(math.sinh, theta0), x3 * _mapped(math.cosh, theta0)
-            if source.kind in _SPATIAL:
+            if source.spatial:
                 theta1 = x1 / source.R1
                 x1, x2 = x2 * _mapped(math.sin, theta1), x2 * _mapped(math.cos, theta1)
         except (OverflowError, ValueError):
             raise _first_row_error(c, source, target) from None
-        if target.kind in _TEMPORAL:
+        if target.temporal:
             w = x3 * x3 - x0 * x0
             scaled = (x3 > np.abs(x0)) & ~((w >= _NORMAL_MIN) & (w < math.inf))
             if np.any(~scaled & ((w <= 0.0) | (x3 <= 0.0))):
@@ -315,7 +323,7 @@ def _chart_map_batch(c: np.ndarray, source: SpaceChart, target: SpaceChart) -> n
                 t = x0[scaled] / x3[scaled]
                 r0[scaled] = x3[scaled] * np.sqrt((1.0 - t) * (1.0 + t))
             x0, x3 = target.R0 * _mapped(math.asinh, x0 / r0), r0
-        if target.kind in _SPATIAL:
+        if target.spatial:
             x1, x2 = target.R1 * _mapped(math.atan2, x1, x2), _mapped(math.hypot, x1, x2)
     image = np.stack((x0, x1, x2, x3), axis=1)
     if not np.isfinite(image).all():

@@ -140,7 +140,7 @@ def _round_trip_error(back, coords, source: cs.SpaceChart) -> float:
     max(1, |coordinate|).  M and S charts map s1 back to R1 times its principal angle, so
     there the s1 difference is taken modulo the spatial circle's period 2*pi*R1."""
     diff = [b - c for b, c in zip(back.tolist(), coords.tolist())]
-    if source.kind in cs._SPATIAL:
+    if source.spatial:
         diff[1] = math.remainder(diff[1], 2 * math.pi * source.R1)
     return max(abs(d) / max(1.0, abs(c)) for d, c in zip(diff, coords.tolist()))
 

@@ -83,6 +83,8 @@ def require(ok, error: type[Exception], message: str, **values) -> None:
     starts with that entry's row: ``row 3: ...``, or ``row (0, 2): ...``
     in two or more dimensions.  A scalar check gives the bare message.
     """
+    if ok is True or ok is np.True_:   # a passing scalar check, such as np.greater of floats
+        return
     ok = np.asarray(ok)
     if ok.all() if ok.ndim else ok:
         return

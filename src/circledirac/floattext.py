@@ -369,8 +369,12 @@ def rows_text(fields, literals, head: str = "", sep: str = "", tail: str = "") -
     ``fields`` holds (style, column) pairs, each column an array of one
     value per row and each style ``"d"`` (integers in [0, 10^17); any other
     integer column raises ``ValueError``), ``"g17"`` or ``"repr"``.  Columns
-    of unequal length raise ``ValueError``.
+    of unequal length, or other than one literal more than fields, raise
+    ``ValueError``.
     """
+    if len(literals) != len(fields) + 1:
+        raise ValueError(f"{len(fields)} fields need {len(fields) + 1} literals, "
+                         f"got {len(literals)}")
     lengths = [len(column) for _, column in fields]
     if len(set(lengths)) > 1:
         raise ValueError(f"columns must have one length, got lengths {lengths}")

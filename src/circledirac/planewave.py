@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .biquaternion import Biquaternion, I0, array_mul, embed
+from .biquaternion import Biquaternion, array_mul, embed
 from .errors import (
     DispersionViolation,
     SuperluminalSpeed,
@@ -117,7 +117,7 @@ class WaveFunction:
     def __post_init__(self):
         for name, dtype in (("prefactor", complex), ("k", float)):
             value = np.array(getattr(self, name), dtype=dtype)
-            value.flags.writeable = False
+            value.setflags(write=False)
             object.__setattr__(self, name, value)
         if self.prefactor.shape != (2, 4) or self.k.shape != (4,):
             raise ValueError(f"a wave needs a (2, 4) prefactor and a (4,) wavevector, "
@@ -152,9 +152,10 @@ def plane_wave_solution(nu: float, mu: float, mass: float, eA: float = 0.0) -> W
     harness; :func:`bound_solution` is the checked entry point.
     """
     positive_mass(mass)
-    # ((nu - eA)*i_0 - i*mu*i_1) * inverse(-i*mass), inverse = i/mass
-    c2 = Biquaternion(1j * (nu - eA) / mass, mu / mass)
-    return WaveFunction((I0, c2), (-nu, mu, 0.0, 0.0))
+    # phi1 = I0 and phi2 = ((nu - eA)*i_0 - i*mu*i_1) * inverse(-i*mass), inverse = i/mass,
+    # each coefficient converted by complex() as Biquaternion(c0, c1) would
+    c0, c1 = complex(1j * (nu - eA) / mass), complex(mu / mass)
+    return WaveFunction(((1.0, 0.0, 0.0, 0.0), (c0, c1, 0.0, 0.0)), (-nu, mu, 0.0, 0.0))
 
 
 def free_solution(mass: float) -> WaveFunction:

@@ -145,6 +145,17 @@ class TestEmbed:
         x = np.array([0.4, -1.2, 0.7, 2.0])
         assert unembed(embed(x)).tolist() == x.tolist()
 
+    @pytest.mark.parametrize("value", [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                                       5e-324, -1e-310, 1e308, -1e308])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_bits_are_array_embeds(self, value, slot):
+        x = [0.25, -0.5, 1.5, 2.0]
+        x[slot] = value
+        with np.errstate(invalid="ignore"):   # array_embed's -1j * inf forms 0 * inf
+            want = array_embed(x).tobytes()
+        for given in (x, tuple(x), np.array(x)):
+            assert np.asarray(embed(given)).tobytes() == want
+
     @pytest.mark.parametrize("x", [(1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0, 5.0), 1.0])
     def test_rejects_other_lengths(self, x):
         for fn, arg in ((embed, x), (array_embed, x), (array_embed, [x, x])):

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -244,6 +247,104 @@ class TestChartMap:
             chart_map(coords, source, target)
         with pytest.raises(FloatRange, match="batch row 3: " + source.kind.value + " chart"):
             chart_map(_batch_with(coords), source, target)
+
+    @pytest.mark.parametrize("source, coords, target, message", [
+        (SpaceChart(ChartKind.T, R0=1.0), [1000.0, 0, 0, 1.0], SpaceChart(ChartKind.T, R0=1.0),
+         "T chart (R0=1.0) point [1000.0, 0.0, 0.0, 1.0] overflows when mapped to L"),
+        (M, [0.0, math.inf, 1.0, 1.0], L,
+         "M chart (R1=1.3) point [0.0, inf, 1.0, 1.0] overflows when mapped to L"),
+        (L, [0.99, 0, 0, 1.0], SpaceChart(ChartKind.T, R0=1e308),
+         "L chart point [0.99, 0.0, 0.0, 1.0] has no finite image on the T chart (R0=1e+308): "
+         "[inf, 0.0, 0.0, 0.14106735979665894]"),
+        (L, [math.nan, 0, 0, 1.0], L,
+         "L chart point [nan, 0.0, 0.0, 1.0] has no finite image on the L chart: "
+         "[nan, 0.0, 0.0, 1.0]"),
+    ])
+    def test_float_range_message(self, source, coords, target, message):
+        for point in (coords, np.array(coords, dtype=float)):
+            with pytest.raises(FloatRange) as err:
+                chart_map(point, source, target)
+            assert str(err.value) == message
+        with pytest.raises(FloatRange) as err:
+            chart_map(_batch_with(coords), source, target)
+        assert str(err.value) == "batch row 3: " + message
+
+    @pytest.mark.parametrize("coords", [[1.0, 0, 0, 1.0], [1e-200, 0, 0, 1e-200], [0.0, 0, 0, -1.0]])
+    def test_light_cone_message(self, coords):
+        row = [float(x) for x in coords]
+        message = (f"temporal polar map undefined at (x0, x3) = ({row[0]}, {row[3]}); "
+                   "requires x3 > |x0|")
+        for point in (coords, np.array(coords, dtype=float)):
+            with pytest.raises(LightConePoint) as err:
+                chart_map(point, L, T)
+            assert str(err.value) == message
+        with pytest.raises(LightConePoint) as err:
+            chart_map(_batch_with(coords), L, T)
+        assert str(err.value) == f"L chart batch row 3 {row} is off the T chart (R0=0.7): {message}"
+
+    @staticmethod
+    def _one_point_inputs(point):
+        """``point`` as each kind of one-point input ``chart_map`` takes."""
+        strided = np.full(8, np.nan)
+        strided[::2] = point
+        read_only = np.array(point)
+        read_only.flags.writeable = False
+        return {
+            "row view": np.tile(point, (3, 1))[1],
+            "strided view": strided[::2],
+            "read-only": read_only,
+            "float32": np.array(point, dtype=np.float32),
+            "int64": np.rint(point).astype(np.int64),
+            "big-endian": np.array(point, dtype=">f8"),
+            "masked": np.ma.array(point, mask=[False, True, False, False]),
+            "list": list(point),
+            "tuple": tuple(point),
+            "generator": (x for x in point),
+        }
+
+    @pytest.mark.parametrize("source, target", [(L, S), (S, L), (T, M), (M, T), (S32, S)])
+    @pytest.mark.parametrize("point", [GOOD_POINT, [0.0, -1.0, 2.0, 3.0]])
+    def test_every_one_point_input_kind(self, source, target, point):
+        # each kind maps as the list of the float64 values numpy converts it to
+        point = chart_map(point, L, source).tolist()
+        inputs, again = self._one_point_inputs(point), self._one_point_inputs(point)
+        for kind, coords in inputs.items():
+            same = again[kind]
+            as_floats = np.asarray(same if isinstance(same, np.ndarray) else list(same),
+                                   dtype=float).tolist()
+            image = chart_map(coords, source, target)
+            assert image.dtype == float and image.shape == (4,), kind
+            assert not isinstance(coords, np.ndarray) or not np.may_share_memory(image, coords)
+            assert image.tobytes() == chart_map(as_floats, source, target).tobytes(), kind
+            assert image.tobytes() == chart_map(np.array([as_floats]), source, target).tobytes()
+
+    @pytest.mark.parametrize("point, error", [([1.0, 0.0, 0.0, 1.0], LightConePoint),
+                                              ([0.0, 0.0, 0.0, -1.0], LightConePoint),
+                                              ([1000.0, 0.0, 0.0, 1.0], FloatRange)])
+    def test_every_one_point_input_kind_raises_alike(self, point, error):
+        source = L if error is LightConePoint else SpaceChart(ChartKind.T, R0=1.0)
+        with pytest.raises(error) as want:
+            chart_map(list(point), source, T)
+        for kind, coords in self._one_point_inputs(point).items():
+            with pytest.raises(error) as got:
+                chart_map(coords, source, T)
+            assert str(got.value) == str(want.value), kind
+
+    @pytest.mark.parametrize("chart, temporal, spatial", [
+        (L, False, False), (T, True, False), (M, False, True), (S, True, True), (S32, True, True)])
+    def test_circle_flags(self, chart, temporal, spatial):
+        for same in (chart, pickle.loads(pickle.dumps(chart)), copy.copy(chart),
+                     copy.deepcopy(chart), dataclasses.replace(chart)):
+            assert (same.temporal, same.spatial) == (temporal, spatial)
+            assert same == chart and hash(same) == hash(chart) and repr(same) == repr(chart)
+        # the flags are derived, not fields: equality, hash and repr see the fields only
+        assert [f.name for f in dataclasses.fields(chart)] == ["kind", "R0", "R1"]
+        assert hash(chart) == hash((chart.kind, chart.R0, chart.R1))
+        assert repr(chart) == (f"SpaceChart(kind={chart.kind!r}, R0={chart.R0!r}, "
+                               f"R1={chart.R1!r})")
+        other = dataclasses.replace(chart, kind=ChartKind.S, R0=0.7, R1=1.3)
+        assert (other.temporal, other.spatial) == (True, True)
+        assert other == S
 
     def test_chart_requires_radii(self):
         with pytest.raises(NonpositiveRadiusParameter):

@@ -433,6 +433,38 @@ class TestSubprocessContract:
         assert default.returncode == baseline.returncode == 0, default.stderr + baseline.stderr
         assert default.stdout == baseline.stdout
 
+    # sha256 of map stdout, forward and round trip, onto and from each of the four charts:
+    # one-point chart_map pays per call, so its body is pinned end to end, under numpy's
+    # default dispatch and its baseline kernels (the map itself uses math's functions only)
+    MAP_DIGESTS = {
+        ("--space", "T", "--R0", "0.7", "--point", '{"chart":"L","coords":[0.2,-0.4,0.8,1.5]}'):
+            ("cfbc61883b47ab71987a0829ed8ccc7ad6af2f8a6b872ec8b247c79cf940b8c6",
+             "9522b6b0e71cb34f4a597e67eeb0dfa216569d4cd2b8596b9752e9708c86244a"),
+        ("--space", "M", "--R1", "1.3",
+         "--point", '{"chart":"T","R0":0.7,"coords":[0.3,-0.4,0.8,1.5]}'):
+            ("d4be3e0d330def9134f944596db45abcbbd5f64f57c041aef9e883c99f389e61",
+             "df1c374a550fd8b62d4a17f793e080c8301393801669415c3013c745e9510e79"),
+        ("--space", "S", "--R0", "0.7", "--R1", "1.3",
+         "--point", '{"chart":"M","R1":1.3,"coords":[0.2,-0.9,0.8,1.5]}'):
+            ("a0a7bc1e464181422b68eb25d35be75265b6887b89ed9ca9a8f00007893fa84e",
+             "5300b6d3e6ddf17a761b0a37e4cf59f23db96680b7b59181048d59bb7405a9d6"),
+        ("--space", "L", "--point", '{"chart":"S","R0":0.7,"R1":1.3,"coords":[-0.25,2.1,0.6,1.1]}'):
+            ("19e5b6f2aa0e982b5f4dfdfa4fc502d2aa095a3b4a31c59df799569156e10e4b",
+             "2ba3b60dd4706afe949839a024162dc44f658e37019d27ec63d419fb1c52a538"),
+    }
+
+    @pytest.mark.parametrize("argv, digests", MAP_DIGESTS.items(),
+                             ids=[f"to {argv[1]}" for argv in MAP_DIGESTS])
+    @pytest.mark.parametrize("round_trip", [False, True], ids=["forward", "round-trip"])
+    def test_map_output_is_pinned_under_both_dispatch_levels(self, argv, digests, round_trip):
+        argv = ("map", *argv, *(("--round-trip",) if round_trip else ()))
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            default, baseline = pool.map(lambda extra: self._run(*argv, env_extra=extra),
+                                         (None, BASELINE_KERNELS))
+        assert default.returncode == baseline.returncode == 0, default.stderr + baseline.stderr
+        assert default.stdout == baseline.stdout
+        assert hashlib.sha256(default.stdout.encode()).hexdigest() == digests[round_trip]
+
     @pytest.mark.parametrize("args", BAD_INPUTS)
     def test_bad_input_exit_one_without_traceback(self, args, bad_input_runs):
         argv, message = args

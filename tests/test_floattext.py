@@ -247,6 +247,18 @@ def test_columns_of_unequal_length_are_refused(fields, lengths):
         floattext.rows_text(fields, ["", *"," * (len(fields) - 1), "\n"])
 
 
+@pytest.mark.parametrize("literals, message", [
+    # 16 fields with 18 literals once dropped a middle literal without a word
+    (["<", *"," * 16, ">"], "16 fields need 17 literals, got 18"),
+    (["<", *"," * 14, ">"], "16 fields need 17 literals, got 16"),
+])
+@pytest.mark.parametrize("rows", [0, 3])
+def test_literal_count_is_one_more_than_fields(literals, message, rows):
+    fields = [("repr", np.arange(rows, dtype=float))] * 16
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        floattext.rows_text(fields, literals)
+
+
 def test_rows_across_chunks_with_literals():
     rng = np.random.default_rng(66)
     rows = 3 * floattext._CHUNK // 2 + 17

@@ -15,6 +15,7 @@ from conftest import (ARC_UNITS, BASELINE_KERNELS, analytic, central_difference,
 from circledirac import (
     Biquaternion,
     ChartKind,
+    I0,
     DispersionViolation,
     NonpositiveMass,
     PlaneWave,
@@ -34,7 +35,7 @@ from circledirac import (
     transform_wave,
     unit_reflector,
 )
-from circledirac.biquaternion import array_conj, array_mul
+from circledirac.biquaternion import array_conj, array_embed, array_mul
 from circledirac.planewave import _signed_terms, _sum_terms
 from circledirac.reflector import ARC_TIME_UNITS
 
@@ -96,6 +97,36 @@ class TestBoundSolution:
         with pytest.raises(DispersionViolation) as exc:
             bound_solution(PlaneWave(nu=1.5, mu=0.75, mass=1.0))
         assert exc.value.residual > 0.1
+
+
+class TestConstruction:
+    EDGES = [
+        (0.0, -0.0, 1.0, -0.0), (-0.0, 0.0, 2.0, 0.0), (3, 4, 5, 0),
+        (1e308, 1e308, 5e-324, -1e308), (math.inf, 0.0, 1.0, 0.0), (math.nan, 1.0, 1.0, 0.0),
+        (1.0, 1e-320, 1e-310, 2.0), (-2.5, -0.75, math.inf, 0.5),
+    ]
+
+    def test_prefactor_and_k_are_the_biquaternion_forms(self):
+        rng = np.random.default_rng(35)
+        randoms = [tuple(rng.uniform(-3.0, 3.0, 4) + (0.0, 0.0, 3.5, 0.0)) for _ in range(50)]
+        for nu, mu, mass, eA in self.EDGES + randoms:
+            wave = plane_wave_solution(nu, mu, mass, eA)
+            phi2 = Biquaternion(1j * (nu - eA) / mass, mu / mass)
+            assert wave.prefactor.tobytes() == np.array((I0, phi2), dtype=complex).tobytes()
+            assert wave.k.tobytes() == np.array((-nu, mu, 0.0, 0.0)).tobytes()
+            assert not wave.prefactor.flags.writeable and not wave.k.flags.writeable
+
+    def test_potential_is_the_embedded_eA(self):
+        for eA in (0.0, -0.0, -0.4, np.float64(0.3), 1e308, math.inf):
+            a_pot, e = PlaneWave(1.0, 0.0, 1.0, eA).potential()
+            with np.errstate(invalid="ignore"):   # array_embed's -1j * inf forms 0 * inf
+                want = array_embed((eA, 0.0, 0.0, 0.0))
+            assert np.asarray(a_pot).tobytes() == want.tobytes() and e == 1.0
+
+    @pytest.mark.parametrize("mass", [0.0, -1.0, math.nan, -math.inf])
+    def test_rejects_mass(self, mass):
+        with pytest.raises(NonpositiveMass, match=rf"^mass must be positive, got {mass}$"):
+            plane_wave_solution(1.0, 0.0, mass)
 
 
 class TestResidualHarness:
