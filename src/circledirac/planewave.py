@@ -30,9 +30,8 @@ Every factor the residual multiplies the wave by (the operator's unit
 reflectors, the potential and the mass) is constant and mostly zero, so
 those products are formed over the factor's nonzero slots only
 (:func:`_sum_terms`); ``array_mul`` stays the product of general operands.
-The operator's terms are planned once per operator; the potential's and
-the mass's are read from the biquaternion each call, so a new potential
-and mass cost no more than the last ones.
+One reader (:func:`_terms`) takes each as biquaternion rows and a layout
+of them: the operator is read once, a new potential and mass off v.
 """
 
 from __future__ import annotations
@@ -107,8 +106,8 @@ class WaveFunction:
     """The wave reflector Phi = (phi1, phi2) = prefactor * exp(i k.x) over chart coordinates.
 
     ``prefactor`` is the ``(2, 4)`` coefficient array of (phi1, phi2) at
-    the origin and ``k`` the real wavevector both components share.  Both
-    are stored as read-only copies; any other shape raises ``ValueError``.
+    the origin and ``k`` the real wavevector both components share.  Both are
+    stored as read-only C-ordered copies; any other shape raises ``ValueError``.
     """
 
     prefactor: np.ndarray
@@ -116,7 +115,7 @@ class WaveFunction:
 
     def __post_init__(self):
         for name, dtype in (("prefactor", complex), ("k", float)):
-            value = np.array(getattr(self, name), dtype=dtype)
+            value = np.array(getattr(self, name), dtype=dtype, order="C")
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         if self.prefactor.shape != (2, 4) or self.k.shape != (4,):
@@ -247,48 +246,60 @@ _UNIT_SIGNS = array_mul(np.eye(4)[:, None, :], np.eye(4)[None, :, :])[
     _SLOTS[:, None], _SLOTS[:, None] ^ _SLOTS, _SLOTS].real
 
 
+# How a factor reads biquaternion rows S: per block, the row it reads and each slot's sign.
+# An operator unit reads its two rows; the potential (v, conj v) and mass (-conj v, v) read v twice.
+_OWN_ROWS = ((0, (1, 1, 1, 1)), (1, (1, 1, 1, 1)))
+_POTENTIAL = ((0, (1, 1, 1, 1)), (0, (1, -1, -1, -1)))
+_MASS = ((0, (-1, 1, 1, 1)), (0, (1, 1, 1, 1)))
+
+
 @functools.lru_cache(maxsize=None)
-def _term_slots(nonzero: bytes, right: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The terms of a product whose constant factor is nonzero in the slots flagged ``nonzero``.
+def _plan(nonzero: bytes, layout: tuple, right: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of a product by the factor ``layout`` reads from R rows S, nonzero where
+    flagged by the bytes of an ``(R, 4)`` bool array.
 
     ``array_mul(a, b)`` forms slot c as the sum, in the order of a's slots
-    k, of ``s(k, c) * a_k * b_(k ^ c)``; the other terms are +-0.  Takes
-    the flags as the bytes of a ``(4,)`` bool array and returns, per kept
-    term and c, the other operand's slot and the index of ``s * factor
-    slot`` in the factor's coefficients followed by their negatives, each
-    ``(term, 4)``.
+    k, of ``s(k, c) * a_k * b_(k ^ c)``; a term whose factor slot is zero in
+    every row is +-0 and dropped.  Returns per kept term the other operand's
+    slot per c ``(term, 4)``, and the index ``(term, 2, 1, 4)`` of each
+    block's signed coefficient in (S, -S) flattened.
     """
-    nonzero = np.flatnonzero(np.frombuffer(nonzero, dtype=bool))[:, None]
-    if right:   # the operand is a: its slots in order, for each c
-        left_slots = np.sort(nonzero ^ _SLOTS, axis=0)
-    else:
-        left_slots = np.repeat(nonzero, 4, axis=1)
-    other_slots = left_slots ^ _SLOTS
-    factor_slots, operand_slots = (other_slots, left_slots) if right else (left_slots, other_slots)
-    return operand_slots, factor_slots + 4 * (_UNIT_SIGNS[left_slots, _SLOTS] < 0)
+    flags = np.frombuffer(nonzero, dtype=bool).reshape(-1, 4)
+    kept = np.flatnonzero(flags.any(axis=0))[:, None]
+    # a's slots per c, in order: the factor's kept slots, or those that pair with them
+    a_slots = np.sort(kept ^ _SLOTS, axis=0) if right else np.repeat(kept, 4, axis=1)
+    b_slots = a_slots ^ _SLOTS
+    factor_slots, operand_slots = (b_slots, a_slots) if right else (a_slots, b_slots)
+    rows, signs = (np.array(column) for column in zip(*layout))
+    negative = (_UNIT_SIGNS[a_slots, _SLOTS] < 0)[..., None] ^ (signs.T[factor_slots] < 0)
+    index = (flags.size * negative + 4 * rows + factor_slots[..., None])[:, None]
+    index.flags.writeable = False
+    # the block axis innermost: with another layout, numpy's loops stop running along the points
+    return operand_slots, index.transpose(0, 3, 1, 2)
 
 
-def _signed_terms(factor: np.ndarray, right: bool) -> tuple:
-    """The kept terms of a product by the constant complex factor ``(..., 4)``.
-
-    Each term is the operand's slot per c ``(4,)`` and the factor's signed
-    coefficients ``(..., 4)``; a factor slot that is zero everywhere keeps
-    no term.
-    """
-    nonzero = factor.reshape(-1, 4).any(axis=0)
-    operand_slots, signed_slots = _term_slots(nonzero.tobytes(), right)
-    coeffs = np.concatenate((factor, -factor), axis=-1)[..., signed_slots]   # (..., term, c)
-    coeffs.flags.writeable = False
-    return tuple(zip(operand_slots, np.moveaxis(coeffs, -2, 0)))
+def _terms(source, layout: tuple, right: bool) -> tuple:
+    """The kept terms (:func:`_plan`) of a product by the factor ``layout`` reads from
+    ``source``, the rows of S one after another ``(4R,)``: per term, the operand's
+    slot per c ``(4,)`` and the signed coefficients ``(2, 1, 4)``."""
+    source = np.asarray(source, dtype=complex)
+    operand_slots, index = _plan((source != 0).tobytes(), layout, right)
+    signed = np.empty(2 * len(source), dtype=complex)
+    signed[:len(source)] = source
+    np.negative(source, out=signed[len(source):])
+    return tuple(zip(operand_slots, signed[index]))
 
 
 @functools.lru_cache(maxsize=16)
 def _operator_plan(data: bytes) -> tuple[tuple, tuple]:
     """The terms of each unit of the complex operator ``(4, 2, 4)`` given by its bytes,
     and whether each unit is finite."""
-    units = np.frombuffer(data, dtype=complex).reshape(4, 2, 1, 4)
-    finite = tuple(np.isfinite(units).all(axis=(1, 2, 3)).tolist())
-    return tuple(_signed_terms(u, right=False) for u in units), finite
+    units = np.frombuffer(data, dtype=complex).reshape(4, 8)
+    finite = tuple(np.isfinite(units).all(axis=1).tolist())
+    terms = tuple(_terms(u, _OWN_ROWS, right=False) for u in units)
+    for _, coeffs in (term for unit in terms for term in unit):
+        coeffs.flags.writeable = False
+    return terms, finite
 
 
 def _plan_of(operator: np.ndarray) -> tuple[tuple, tuple]:
@@ -296,44 +307,15 @@ def _plan_of(operator: np.ndarray) -> tuple[tuple, tuple]:
     return _operator_plan(np.asarray(operator, dtype=complex).tobytes())
 
 
-# the reflectors the residual builds from a biquaternion v, as the sign of each of
-# v's slots in each block: the potential's (v, conj(v)) and the mass's (-conj(v), v)
-_POTENTIAL_SIGNS = ((1, 1, 1, 1), (1, -1, -1, -1))
-_MASS_SIGNS = ((-1, 1, 1, 1), (1, 1, 1, 1))
-
-
-@functools.lru_cache(maxsize=None)
-def _reflector_slots(nonzero: bytes, signs: tuple, right: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Per kept term of a product by the reflector ``signs`` of v: the operand's slots
-    ``(term, 4)`` and the indices ``(term, 2, 1, 4)`` of its signed coefficients in (v, -v)."""
-    operand_slots, signed_slots = _term_slots(nonzero, right)
-    factor_slots = signed_slots % 4
-    flip = np.array(signs)[:, factor_slots] < 0   # (block, term, c)
-    index = factor_slots + 4 * ((signed_slots >= 4) ^ flip)
-    index.flags.writeable = False
-    return operand_slots, np.moveaxis(index, 0, 1)[:, :, None, :]
-
-
-def _reflector_terms(v, signs: tuple, right: bool) -> tuple:
-    """:func:`_signed_terms` of the ``(2, 1, 4)`` reflector ``signs`` of the biquaternion v,
-    read from v and its negative without building the reflector."""
-    v = np.asarray(v, dtype=complex)
-    operand_slots, index = _reflector_slots((v != 0).tobytes(), signs, right)
-    signed = np.empty(8, dtype=complex)
-    signed[:4] = v
-    np.negative(v, out=signed[4:])
-    return tuple(zip(operand_slots, signed[index]))
-
-
 def _sum_terms(terms: tuple, x: np.ndarray, right: bool = False) -> np.ndarray:
     """``array_mul(factor, x)``, or ``array_mul(x, factor)`` when ``right``, from the
-    factor's kept terms (:func:`_signed_terms`).
+    factor's kept terms (:func:`_terms`).
 
     Sums the terms in array_mul's order, each as one complex product in
     array_mul's operand order with the sign folded into the factor, which
-    is exact.  So every nonzero bit is array_mul's; only where x is not
-    finite, or a slot sums to zero, can the result differ (a dropped
-    0 * inf, the sign of a zero).  No terms give zeros of x's shape.
+    is exact.  So every nonzero bit is array_mul's; only where an operand
+    is not finite, or a slot sums to zero, can the result differ (a dropped
+    0 * inf, the sign of a zero or a NaN).  No terms give zeros of x's shape.
     """
     out = None
     for slots, coeffs in terms:
@@ -346,21 +328,20 @@ def _sum_terms(terms: tuple, x: np.ndarray, right: bool = False) -> np.ndarray:
     return np.zeros(x.shape, dtype=complex) if out is None else out
 
 
-def _dirac_sides(operator: np.ndarray, a_pot, e: float, m, phi: np.ndarray,
+def _dirac_sides(units: tuple, a_pot, e: float, m, phi: np.ndarray,
                  d_phi: np.ndarray, moving: tuple = _DIRECTIONS) -> tuple[np.ndarray, np.ndarray]:
     """(D - i e A) Phi and Phi M as block-diagonal arrays ``(..., 2, N, 4)``.
 
     ``phi`` is the wave ``(2, N, 4)`` at N points and ``d_phi`` its
     derivatives ``(..., K, 2, N, 4)`` along the K coordinates ``moving``;
-    ``operator`` is ``(4, 2, 4)`` and M the reflector (m, -conj(m)).  Every
-    term is a reflector product, the right factor's blocks swapped: the
-    potential multiplies the wave components on the left and the mass on
-    the right.  Each costs one complex product per nonzero slot of the
-    constant factor (:func:`_sum_terms`), and the operator's terms are
-    summed over mu in order; a direction left out of ``moving`` adds
-    nothing.  Each numpy loop runs along the points.
+    ``units`` is the operator's terms (:func:`_plan_of`) and M the
+    reflector (m, -conj(m)).  Every term is a reflector product, the right
+    factor's blocks swapped: the potential multiplies the wave components
+    on the left and the mass on the right.  Each costs one complex product
+    per nonzero slot of the constant factor (:func:`_sum_terms`), and the
+    operator's terms are summed over mu in order; a direction left out of
+    ``moving`` adds nothing.  Each numpy loop runs along the points.
     """
-    units, _ = _plan_of(operator)
     d_phi = d_phi[..., ::-1, :, :]
     lhs = None
     for i, mu in enumerate(moving):
@@ -368,8 +349,8 @@ def _dirac_sides(operator: np.ndarray, a_pot, e: float, m, phi: np.ndarray,
         lhs = term if lhs is None else np.add(lhs, term, out=lhs)
     if lhs is None:
         lhs = np.zeros(d_phi.shape[:-4] + phi.shape, dtype=complex)
-    lhs -= (1j * e) * _sum_terms(_reflector_terms(a_pot, _POTENTIAL_SIGNS, right=False), phi[::-1])
-    return lhs, _sum_terms(_reflector_terms(m, _MASS_SIGNS, right=True), phi, right=True)
+    lhs -= (1j * e) * _sum_terms(_terms(a_pot, _POTENTIAL, right=False), phi[::-1])
+    return lhs, _sum_terms(_terms(m, _MASS, right=True), phi, right=True)
 
 
 def residual(wave: WaveFunction,
@@ -397,21 +378,21 @@ def residual(wave: WaveFunction,
     """
     if not 0 < h < math.inf:
         raise ValueError(f"finite-difference step must be positive and finite, got {h}")
-    operator = _operator_array(operator)
+    units, finite = _plan_of(_operator_array(operator))
     p = np.asarray(points, dtype=float)
     if p.size == 0:
         return ResidualReport(fd=0.0, analytic=0.0)
     if p.ndim != 2 or p.shape[1] != 4:
         raise ValueError(f"points need shape (N, 4), got {p.shape}")
     phase = wave._phase(p + (h * _STEPS)[:, None, :])   # (step, N): p, p + h e_mu, p - h e_mu
-    moving = _moving(wave, _plan_of(operator)[1], h, phase[1:].reshape(2, 4, -1))
+    moving = _moving(wave, finite, h, phase[1:].reshape(2, 4, -1))
     rows, index = _reads(moving)
     values = wave._values(phase[rows])   # (block, 1 + 2K, N, 4)
     phi = values[:, 0]
     d_phi = np.empty((2, len(moving)) + phi.shape, dtype=complex)   # (route, mu, block, point, coefficient)
     _central_difference(values[:, 1:], h, out=d_phi[0])
     np.multiply((1j * wave.k[index])[:, None, None, None], phi, out=d_phi[1])
-    lhs, rhs = _dirac_sides(operator, a_pot, e, m, phi, d_phi, moving)
+    lhs, rhs = _dirac_sides(units, a_pot, e, m, phi, d_phi, moving)
     worst = np.abs(lhs - rhs).max(axis=(1, 2, 3))
     return ResidualReport(fd=float(worst[0]), analytic=float(worst[1]))
 

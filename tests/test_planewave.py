@@ -36,7 +36,7 @@ from circledirac import (
     unit_reflector,
 )
 from circledirac.biquaternion import array_conj, array_embed, array_mul
-from circledirac.planewave import _signed_terms, _sum_terms
+from circledirac.planewave import _MASS, _OWN_ROWS, _POTENTIAL, _plan_of, _sum_terms, _terms
 from circledirac.reflector import ARC_TIME_UNITS
 
 RNG = np.random.default_rng(11)
@@ -219,6 +219,21 @@ class TestBatchedResidual:
         assert np.array_equal(wave.prefactor, ON_SHELL.prefactor)
         assert np.array_equal(wave.k, ON_SHELL.k)
 
+    def test_prefactor_in_any_memory_order(self):
+        """A Fortran-ordered prefactor and a transposed view are stored C-ordered: the
+        residual reads the prefactor's float view, and reports the C-ordered wave's bits."""
+        args = _args(CHARGED)
+        wave = bound_solution(CHARGED)
+        want = residual(wave, *args, BATCH)
+        transposed = np.ascontiguousarray(wave.prefactor.T).T
+        for prefactor in (np.asfortranarray(wave.prefactor), transposed):
+            assert not prefactor.flags.c_contiguous
+            other = WaveFunction(prefactor, wave.k)
+            assert other.prefactor.flags.c_contiguous
+            got = residual(other, *args, BATCH)
+            assert struct.pack("<2d", got.fd, got.analytic) == struct.pack(
+                "<2d", want.fd, want.analytic)
+
     def test_rejects_bad_step_and_shape(self):
         for h in (0.0, -1e-5, math.nan, math.inf):
             with pytest.raises(ValueError, match="step must be positive and finite"):
@@ -327,6 +342,12 @@ CONSTANT_FACTORS = _constant_factors()
 TESTS = pathlib.Path(__file__).resolve().parent
 
 
+def _canonical(z):
+    """The bytes of z + 0.0 with every NaN part made the one NaN."""
+    parts = np.ascontiguousarray(z + 0.0).view(float)
+    return np.where(np.isnan(parts), math.nan, parts).tobytes()
+
+
 class TestConstantFactors:
     """The residual's products by a constant factor, on either side, against array_mul."""
 
@@ -342,10 +363,14 @@ class TestConstantFactors:
         x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
         with np.errstate(all="ignore"):
             expected = array_mul(x, factor) if right else array_mul(factor, x)
-            out = _sum_terms(_signed_terms(factor, right), x, right=right)
+            # each factor read as its own two rows; a stack of them (the operator's
+            # units) one unit at a time
+            outs = [_sum_terms(_terms(unit, _OWN_ROWS, right), x_unit, right=right)
+                    for unit, x_unit in zip(factor.reshape(-1, 8), x.reshape(-1, 2, 37, 4))]
+            out = np.stack(outs).reshape(expected.shape)
             # + 0.0 turns a zero's sign to +, and leaves every other value's bits as they are
             assert (out + 0.0).tobytes() == (expected + 0.0).tobytes()
-        assert out.shape == expected.shape
+        assert all(o.shape == (2, 37, 4) for o in outs)
 
     def test_matches_array_mul_under_baseline_kernels(self):
         proc = subprocess.run(
@@ -356,26 +381,45 @@ class TestConstantFactors:
         assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
         assert f"{2 * len(CONSTANT_FACTORS)} passed" in proc.stdout
 
+    @pytest.mark.parametrize("right", [False, True], ids=["left", "right"])
     @pytest.mark.parametrize("kind", ["potential", "mass"])
-    def test_reflector_terms_are_those_of_the_built_reflector(self, kind):
-        """The potential's (v, conj v) and the mass's (-conj v, v), read off v: the same
-        terms, to the bit, as the reflector built and planned as a general factor."""
-        signs, right = ((planewave._POTENTIAL_SIGNS, False) if kind == "potential"
-                        else (planewave._MASS_SIGNS, True))
+    def test_reflector_layouts_match_array_mul(self, kind, right):
+        """The potential's (v, conj v) and the mass's (-conj v, v), read off v: array_mul's
+        product by the built reflector, to the bit, with zeros, infinities, NaN and
+        subnormals in v."""
+        layout = _POTENTIAL if kind == "potential" else _MASS
         rng = np.random.default_rng(34)
         special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324])
         for _ in range(64):
             v = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) * (rng.random(4) < 0.6)
             v.real[rng.random(4) < 0.1] = rng.choice(special)
+            v.imag[rng.random(4) < 0.1] = rng.choice(special)
             built = (unit_reflector(v) if kind == "potential"
                      else np.stack((-array_conj(v), v)))[:, None, :]
-            expected = _signed_terms(built, right)
-            got = planewave._reflector_terms(v, signs, right=right)
-            assert len(got) == len(expected)
-            for (slots, coeffs), (want_slots, want_coeffs) in zip(got, expected):
-                assert np.array_equal(slots, want_slots)
-                assert coeffs.shape == want_coeffs.shape
-                assert coeffs.tobytes() == want_coeffs.tobytes()
+            x = rng.standard_normal((2, 37, 4)) + 1j * rng.standard_normal((2, 37, 4))
+            with np.errstate(all="ignore"):
+                expected = array_mul(x, built) if right else array_mul(built, x)
+                out = _sum_terms(_terms(v, layout, right), x, right=right)
+                # array_mul subtracts where the terms add a negated factor, which can
+                # flip a NaN's sign bit: a NaN compares as the one NaN
+                assert _canonical(out) == _canonical(expected)
+
+    def test_coefficients_keep_the_block_axis_innermost(self):
+        """Every term's coefficients ``(2, 1, 4)`` run along the blocks first, then the slots:
+        the layout under which the products by them run along the points."""
+        rng = np.random.default_rng(35)
+        factors = [(u, _OWN_ROWS) for u in transform_operator(ARC_TIME_UNITS).reshape(4, 8)]
+        for _ in range(16):
+            rand = rng.standard_normal(8) * (rng.random(8) < 0.5)
+            factors += [(rand, _OWN_ROWS), (rand[:4], _POTENTIAL), (rand[4:], _MASS)]
+        terms = [t for unit in _plan_of(ARC_TIME_UNITS)[0] for t in unit]
+        for source, layout in factors:
+            for right in (False, True):
+                terms += _terms(source, layout, right)
+        assert terms
+        for _, coeffs in terms:
+            assert coeffs.shape == (2, 1, 4)
+            assert (coeffs.strides[0], coeffs.strides[2]) == (16, 32)
 
     def test_non_finite_input_stays_nan(self):
         a, e, m = _args(CHARGED)

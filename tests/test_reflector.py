@@ -15,7 +15,8 @@ from circledirac import (
     sandwich,
     unit_reflector,
 )
-from circledirac.planewave import _STEPS, WaveFunction, _central_difference, _dirac_sides
+from circledirac.planewave import (_STEPS, WaveFunction, _central_difference, _dirac_sides,
+                                  _plan_of)
 from circledirac.reflector import ARC_TIME_UNITS, reflector_mul_array
 
 ROTOR = Biquaternion(2 ** -0.5, 2 ** -0.5)
@@ -149,7 +150,8 @@ ZERO = Biquaternion()
 def lhs(units, a, e, phi, d_phi):
     """(D - i e A) Phi at one point from the residual's assembly: ``(2, 4)`` phi and
     ``(4, 2, 4)`` d_phi in, the ``(2, 4)`` block-diagonal array out."""
-    return _dirac_sides(units, a, e, ZERO, phi[:, None], d_phi[:, :, None])[0][:, 0]
+    return _dirac_sides(_plan_of(units)[0], a, e, ZERO, phi[:, None],
+                        d_phi[:, :, None])[0][:, 0]
 
 
 def batch_central_difference(wave, points, h):
@@ -161,7 +163,7 @@ def batch_central_difference(wave, points, h):
 
 def rhs(phi, m):
     """Phi M at one point from the residual's assembly, for a ``(2, 4)`` phi."""
-    return _dirac_sides(ARC_TIME_UNITS, ZERO, 0.0, m, phi[:, None],
+    return _dirac_sides(_plan_of(ARC_TIME_UNITS)[0], ZERO, 0.0, m, phi[:, None],
                         NO_DERIVATIVE[:, :, None])[1][:, 0]
 
 
