@@ -23,7 +23,12 @@ and the spatial plane (x1, x2) by ordinary polar coordinates
 A circle chart replaces the true arc length s_tilde = r*theta by the
 fixed-radius arc s = R*theta, giving the bijection s_tilde = r*s/R
 (:func:`arc_map`), which extends continuously to r = 0.  Only the
-inverse hyperbolic polar map rejects on-cone points.
+inverse hyperbolic polar map rejects on-cone points.  It takes the radius
+as r0 = x3*sqrt((d/x3)*(1 + a/x3)) with a = |x0| and d = x3 - a.  d is
+exact near the cone and every factor lies in (0, 2], so nothing cancels
+or leaves the double range: r0 is within 3 ulps of sqrt(x3^2 - x0^2)
+near the cone and at both ends of the range, and the axis x0 = 0 maps
+to r0 = x3 exactly.
 
 Hyperbolic angles are kept real.  The imaginary rotation angle
 theta_hat = -i*theta0 exists only in the derivation of the temporal units
@@ -36,7 +41,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
@@ -109,30 +113,6 @@ class SpaceChart:
         if not 0 < as_float < math.inf:
             raise NonpositiveRadiusParameter(f"chart requires a finite {name} > 0, got {value!r}")
         return value if type(value) is int else as_float
-
-
-_NORMAL_MIN = sys.float_info.min   # the least positive normal double
-
-
-def _hyperbolic_polar(x0: float, x3: float) -> tuple[float, float]:
-    """(r0, theta0) of a point in the x3 > |x0| wedge of the temporal plane.
-
-    r0 is sqrt(x3^2 - x0^2) wherever that difference of squares is a
-    finite normal double; where it under- or overflows, inside the wedge,
-    r0 is x3*sqrt((1 - t)(1 + t)) with t = x0/x3.
-    """
-    w = x3 * x3 - x0 * x0
-    if not _NORMAL_MIN <= w < math.inf and x3 > abs(x0):
-        t = x0 / x3
-        r0 = x3 * math.sqrt((1.0 - t) * (1.0 + t))
-    elif w <= 0.0 or x3 <= 0.0:
-        raise LightConePoint(
-            f"temporal polar map undefined at (x0, x3) = ({x0}, {x3}); "
-            "requires x3 > |x0|"
-        )
-    else:
-        r0 = math.sqrt(w)
-    return r0, math.asinh(x0 / r0)
 
 
 def _mapped(fn, *args) -> np.ndarray:
@@ -281,8 +261,13 @@ def chart_map(coords: Iterable[float] | np.ndarray, source: SpaceChart,
         raise FloatRange(f"{_chart_label(source)} point {c.tolist()} overflows "
                          "when mapped to L") from None
     if target.temporal:
-        r0, theta0 = _hyperbolic_polar(x0, x3)
-        x0, x3 = target.R0 * theta0, r0
+        a = abs(x0)
+        d = x3 - a
+        if d <= 0.0 or x3 <= 0.0:   # x3 <= 0 also where x0 is NaN
+            raise LightConePoint(f"temporal polar map undefined at (x0, x3) = ({x0}, {x3}); "
+                                 "requires x3 > |x0|")
+        r0 = x3 * math.sqrt((d / x3) * (1.0 + a / x3))
+        x0, x3 = target.R0 * math.asinh(x0 / r0), r0
     if target.spatial:
         x1, x2 = target.R1 * math.atan2(x1, x2), math.hypot(x1, x2)
     # x - x is 0.0 for a finite x and NaN for an infinite or NaN one
@@ -295,7 +280,7 @@ def chart_map(coords: Iterable[float] | np.ndarray, source: SpaceChart,
 def _chart_map_batch(c: np.ndarray, source: SpaceChart, target: SpaceChart) -> np.ndarray:
     """:func:`chart_map` of an ``(N, 4)`` batch, row for row bit-identical to the one-point map.
 
-    The arithmetic runs in numpy, whose ``/``, ``*``, ``-`` and ``sqrt``
+    The arithmetic runs in numpy, whose ``+``, ``-``, ``*``, ``/`` and ``sqrt``
     are correctly rounded like Python's, and every transcendental is
     ``math``'s own (:func:`_mapped`).  The one-point body is kept apart
     because its per-call cost is what pointwise callers pay.
@@ -314,14 +299,11 @@ def _chart_map_batch(c: np.ndarray, source: SpaceChart, target: SpaceChart) -> n
         except (OverflowError, ValueError):
             raise _first_row_error(c, source, target) from None
         if target.temporal:
-            w = x3 * x3 - x0 * x0
-            scaled = (x3 > np.abs(x0)) & ~((w >= _NORMAL_MIN) & (w < math.inf))
-            if np.any(~scaled & ((w <= 0.0) | (x3 <= 0.0))):
+            a = np.abs(x0)
+            d = x3 - a
+            if np.any((d <= 0.0) | (x3 <= 0.0)):
                 raise _first_row_error(c, source, target)
-            r0 = np.sqrt(w)
-            if scaled.any():
-                t = x0[scaled] / x3[scaled]
-                r0[scaled] = x3[scaled] * np.sqrt((1.0 - t) * (1.0 + t))
+            r0 = x3 * np.sqrt((d / x3) * (1.0 + a / x3))
             x0, x3 = target.R0 * _mapped(math.asinh, x0 / r0), r0
         if target.spatial:
             x1, x2 = target.R1 * _mapped(math.atan2, x1, x2), _mapped(math.hypot, x1, x2)

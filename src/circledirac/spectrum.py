@@ -439,9 +439,9 @@ class SpectrumTable(NamedTuple):
 
 # The most levels spectrum_table computes, more than 601 x 601.  The CLI
 # holds a whole table and its text until the text is written: at 601 x 601
-# it peaked at 181 MB (csv) and 240 MB (json) and took about 2.7-3.4 and
-# 3.6-4.4 us per level from process start (3 runs each, 2-vCPU shared VM),
-# so a table at the cap needs about 0.25-0.35 GB and 1.5-2.2 s.
+# it peaked at 168 MB (csv) and 240 MB (json) and took 0.68 s and 0.89 s,
+# about 1.9 and 2.5 us per level, from process start (median of 3 runs,
+# 2-vCPU shared VM), so a table at the cap needs about 0.23-0.33 GB and 1-1.3 s.
 MAX_LEVELS = 500_000
 
 

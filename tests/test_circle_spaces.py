@@ -3,8 +3,10 @@ import dataclasses
 import json
 import math
 import pickle
+import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -48,6 +50,22 @@ def _batch_with(bad):
     batch = np.tile(GOOD_POINT, (6, 1))
     batch[3] = bad
     return batch
+
+
+# points of the x3 > |x0| wedge where x3^2 - x0^2 is not a finite normal double
+WEDGE_POINTS = [[0.0, 0, 0, 1e-200], [-1e-170, 0, 0, 2e-170], [5e-324, 0, 0, 1e-323],
+                [1e300, 0, 0, 1.5e300]]
+
+
+def _exact_polar(x0, x3, R0):
+    """The doubles nearest r0 = sqrt(x3^2 - x0^2) and s0 = R0*asinh(x0/r0), from 50 digits."""
+    with mpmath.workdps(50):
+        r0 = mpmath.sqrt(mpmath.mpf(x3) ** 2 - mpmath.mpf(x0) ** 2)
+        return float(r0), float(R0 * mpmath.asinh(x0 / r0))
+
+
+def _ulps_off(got, want):
+    return abs(got - want) / math.ulp(want)
 
 
 class TestArcMap:
@@ -186,16 +204,63 @@ class TestChartMap:
             with pytest.raises(LightConePoint, match=r"L chart batch row 3 \[.*T chart"):
                 chart_map(_batch_with(bad), L, T)
 
-    @pytest.mark.parametrize("point", [[0.0, 0, 0, 1e-200], [-1e-170, 0, 0, 2e-170],
-                                       [5e-324, 0, 0, 1e-323], [1e300, 0, 0, 1.5e300]])
+    @pytest.mark.parametrize("point", WEDGE_POINTS)
     def test_wedge_where_the_squares_leave_the_normal_range(self, point):
-        # x3^2 - x0^2 under- or overflows, yet each point lies in the x3 > |x0| wedge
+        # x3^2 - x0^2 would under- or overflow, yet each point lies in the x3 > |x0| wedge
         image = chart_map(point, L, T)
-        t = point[0] / point[3]
-        assert image[3] == point[3] * math.sqrt((1.0 - t) * (1.0 + t)) > 0.0
-        assert np.isfinite(image).all()
+        assert _ulps_off(image[3], _exact_polar(point[0], point[3], T.R0)[0]) <= 3
+        assert image[3] > 0.0 and np.isfinite(image).all()
         assert chart_map(_batch_with(point), L, T)[3].tolist() == image.tolist()
         assert np.allclose(chart_map(image, T, L), point, rtol=1e-15, atol=0.0)
+
+    def test_temporal_polar_accuracy_near_the_cone_and_at_the_ends_of_the_range(self):
+        # 10^-k from the cone on both sides, and the axis, from the bottom of the double
+        # range to its top
+        points = [[sign * x3 * (1.0 - 10.0 ** -k), 0.0, 0.0, x3]
+                  for x3 in (1e-300, 1.0, 1e300, 1.7e308)
+                  for k in range(1, 16) for sign in (1.0, -1.0)]
+        points += [[0.0, 0.0, 0.0, x3] for x3 in (1e-300, 1.0, 1e300, 1.7e308)] + WEDGE_POINTS
+        images = [chart_map(p, L, T) for p in points]
+        for p, (s0, _, _, r0) in zip(points, images):
+            want_r0, want_s0 = _exact_polar(p[0], p[3], T.R0)
+            assert _ulps_off(r0, want_r0) <= 3, p
+            if p[0] == 0.0:
+                assert r0 == p[3] and s0 == 0.0, p
+            elif r0 >= sys.float_info.min:   # a subnormal r0 has too few bits for its angle
+                assert _ulps_off(s0, want_s0) <= 4, p
+        assert chart_map(np.array(points), L, T).tolist() == [x.tolist() for x in images]
+
+    # (x0, x3) of points off the temporal charts, with what mapping them raises: a NaN
+    # x0 with x3 <= 0 is off the wedge; elsewhere a NaN or infinite coordinate leaves
+    # r0 NaN (for x3 = inf, d/x3 is inf/inf), so the image has no finite value
+    OFF_THE_WEDGE = [
+        (math.nan, 1.0, FloatRange), (1.0, math.nan, FloatRange),
+        (math.inf, math.inf, FloatRange), (-math.inf, math.inf, FloatRange),
+        (1.0, math.inf, FloatRange), (math.inf, 1.0, LightConePoint),
+        (0.0, -math.inf, LightConePoint), (math.nan, -1.0, LightConePoint),
+        (0.0, 0.0, LightConePoint), (-0.0, 0.0, LightConePoint), (0.0, -0.0, LightConePoint),
+        (-0.0, -0.0, LightConePoint), (5e-324, 5e-324, LightConePoint),
+        (1.0, 1.0, LightConePoint), (2.0, 1.0, LightConePoint), (0.5, -1.0, LightConePoint),
+    ]
+
+    @pytest.mark.parametrize("x0, x3, error", OFF_THE_WEDGE)
+    @pytest.mark.parametrize("target, label", [(T, "T chart (R0=0.7)"),
+                                               (S, "S chart (R0=0.7, R1=1.3)")], ids=["T", "S"])
+    def test_temporal_target_error_and_message(self, x0, x3, error, target, label):
+        row = [x0, 0.0, 0.0, x3]
+        if error is LightConePoint:
+            message = f"temporal polar map undefined at (x0, x3) = ({x0}, {x3}); requires x3 > |x0|"
+            batch_message = f"L chart batch row 3 {row} is off the {label}: {message}"
+        else:
+            message = f"L chart point {row} has no finite image on the {label}: [nan, 0.0, 0.0, nan]"
+            batch_message = "batch row 3: " + message
+        for point in (row, np.array(row)):
+            with pytest.raises(error) as err:
+                chart_map(point, L, target)
+            assert str(err.value) == message
+        with pytest.raises(error) as err:
+            chart_map(_batch_with(row), L, target)
+        assert str(err.value) == batch_message
 
     def test_batch_shapes(self):
         for chart in (L, T, M, S, S32):
@@ -225,7 +290,8 @@ class TestChartMap:
                 x[1], x[2] = r1 * math.sin(theta1), r1 * math.cos(theta1)
             y = list(x)
             if target.kind in (ChartKind.T, ChartKind.S):
-                r0 = math.sqrt(x[3] * x[3] - x[0] * x[0])
+                d = x[3] - abs(x[0])
+                r0 = x[3] * math.sqrt((d / x[3]) * (1.0 + abs(x[0]) / x[3]))
                 y[0], y[3] = target.R0 * math.asinh(x[0] / r0), r0
             if target.kind in (ChartKind.M, ChartKind.S):
                 y[1], y[2] = target.R1 * math.atan2(x[1], x[2]), math.hypot(x[1], x[2])
@@ -255,7 +321,7 @@ class TestChartMap:
          "M chart (R1=1.3) point [0.0, inf, 1.0, 1.0] overflows when mapped to L"),
         (L, [0.99, 0, 0, 1.0], SpaceChart(ChartKind.T, R0=1e308),
          "L chart point [0.99, 0.0, 0.0, 1.0] has no finite image on the T chart (R0=1e+308): "
-         "[inf, 0.0, 0.0, 0.14106735979665894]"),
+         "[inf, 0.0, 0.0, 0.1410673597966589]"),
         (L, [math.nan, 0, 0, 1.0], L,
          "L chart point [nan, 0.0, 0.0, 1.0] has no finite image on the L chart: "
          "[nan, 0.0, 0.0, 1.0]"),

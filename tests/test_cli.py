@@ -149,8 +149,8 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("fmt, digest, seed", [
         ("csv", "b6de3fe5150a34c92c544ed59b1c332e39e65dc6eb755e0925ef8ae99fa4aaf6", 42),
         ("json", "039e2034c92e7e0d5caafcf56374aba076dff6ef947b3ded47b901a3dba6d049", 42),
-        ("csv", "7ef5a3bbe928ac90cf6c8f1f715f33dbced9f9e8e06493e435632ec2bc7918a0", 0),
-        ("json", "5c262fd51536746157dc0355801ad1e1ca78eacd512c6d42f5ac35dfcdb32ed3", 0),
+        ("csv", "c810cf271da31f2a8ca19bf6fcdef1ebb501cb9cefeb2d31896b5233141dafd6", 0),
+        ("json", "b929ff9da4c54b6e3f715718760fb5a7ef947167d1420db531463517a1949d6e", 0),
         ("csv", "7777e575d1177760dbca09d0f6b88f74c5e5c0c068642f0428686426ecab133e", 7),
         ("json", "4a0d80fdef2695a2bf4e2a67031d5ce4b3937face9cde8d4b3fa8c3e0c672b4f", 7),
     ])
@@ -433,6 +433,17 @@ class TestSubprocessContract:
         assert default.returncode == baseline.returncode == 0, default.stderr + baseline.stderr
         assert default.stdout == baseline.stdout
 
+    # The charts suite maps its points as (N, 4) batches, whose numpy arithmetic must
+    # give the one-point bits under either dispatch level
+    @pytest.mark.parametrize("seed", ["0", "7", "42"])
+    def test_charts_output_is_the_same_under_baseline_kernels(self, seed):
+        argv = ("verify", "--suite", "charts", "--seed", seed)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            default, baseline = pool.map(lambda extra: self._run(*argv, env_extra=extra),
+                                         (None, BASELINE_KERNELS))
+        assert default.returncode == baseline.returncode == 0, default.stderr + baseline.stderr
+        assert default.stdout == baseline.stdout
+
     # sha256 of map stdout, forward and round trip, onto and from each of the four charts:
     # one-point chart_map pays per call, so its body is pinned end to end, under numpy's
     # default dispatch and its baseline kernels (the map itself uses math's functions only)
@@ -443,7 +454,7 @@ class TestSubprocessContract:
         ("--space", "M", "--R1", "1.3",
          "--point", '{"chart":"T","R0":0.7,"coords":[0.3,-0.4,0.8,1.5]}'):
             ("d4be3e0d330def9134f944596db45abcbbd5f64f57c041aef9e883c99f389e61",
-             "df1c374a550fd8b62d4a17f793e080c8301393801669415c3013c745e9510e79"),
+             "c179582088e782dbb91b3c7242fad9d23d46d5140a6b23db1255f7f7248bc9bf"),
         ("--space", "S", "--R0", "0.7", "--R1", "1.3",
          "--point", '{"chart":"M","R1":1.3,"coords":[0.2,-0.9,0.8,1.5]}'):
             ("a0a7bc1e464181422b68eb25d35be75265b6887b89ed9ca9a8f00007893fa84e",
