@@ -105,11 +105,14 @@ class ChargeDensitySolution:
 def solve_rho(A: float, mass: float, e: float, d_prime: float) -> ChargeDensitySolution:
     """Closed-form roots rho = (A^2 e^2 d'/2)(A +- sqrt(A^2 + 4 m^2/e^2)).
 
-    Both branches are returned together with the residual of each in the
-    quadratic; physical selection is left to the caller.  Raises
-    FloatRange when a root or a residual would overflow or be non-finite
-    (from |A| of about 1e52 the residuals no longer fit a double); roots
-    that underflow are 0.0.
+    With t = A + s for A > 0, A - s otherwise (s the square root), the
+    root with A's sign is (e^2 d'/2) t A A and the other -2 d' m^2/t A A:
+    neither cancels, and A comes in last, so a root reads 0.0 only where
+    its exact value underflows (e = sqrt(alpha), d' = d(1): |A| below
+    1.1e-161 at unit mass, 1.1e-107 massless).  Both come with their
+    residuals in the quadratic; the caller picks the physical one.  Raises
+    FloatRange when a root or a residual would overflow or be non-finite:
+    from |A| near 1e52 the residuals leave the double range, the roots not.
 
     The arguments may be arrays that broadcast together; every field is
     then an array, each entry with the bits of the scalar call.  An entry
@@ -121,21 +124,11 @@ def solve_rho(A: float, mass: float, e: float, d_prime: float) -> ChargeDensityS
             d_prime=d_prime)
     a, m, q, d = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (A, mass, e, d_prime)))
     with np.errstate(all="ignore"):
-        a2 = a * a
-        s = np.sqrt(a2 + 4.0 * m * m / (q * q))
-        front = a2 * q * q * d / 2.0
-        # A -+ s cancels catastrophically when 4 m^2/e^2 << A^2; take the
-        # well-conditioned branch directly and the other from the exact root
-        # product rho_plus * rho_minus = -A^4 e^2 d'^2 m^2.
-        product = -(a2 * a2) * q * q * d * d * m * m
-        direct_p, direct_m = front * (a + s), front * (a - s)
+        s = np.sqrt(a * a + 4.0 * m * m / (q * q))
         positive = a > 0.0
-        # when the direct root underflows (|A| below about 1e-160, or 1e-107
-        # massless) the other is smaller still and the product form reads
-        # 0/0: both roots are 0.0, as at A = 0
-        lost = np.where(positive, direct_p, direct_m) == 0.0
-        rho_p = np.where(lost, 0.0, np.where(positive, direct_p, product / direct_m + 0.0))
-        rho_m = np.where(lost, 0.0, np.where(positive, product / direct_p + 0.0, direct_m))
+        t = np.where(positive, a + s, a - s)
+        big, small = q * q * d / 2.0 * t * a * a, -2.0 * d * m * m / t * a * a + 0.0
+        rho_p, rho_m = np.where(positive, big, small), np.where(positive, small, big)
     fields = (rho_p, rho_m, *rho_residual(np.stack((rho_p, rho_m)), a, m, q, d))
     zero = a == 0.0
     require(zero | np.isfinite(fields).all(axis=0), FloatRange,

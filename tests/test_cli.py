@@ -147,13 +147,14 @@ class TestVerifyCommand:
     # sha256 of stdout: the reports of every case, with their tolerances, are
     # the command's contract, so a change to a suite must leave them alone
     @pytest.mark.parametrize("fmt, digest, seed", [
-        ("csv", "b6de3fe5150a34c92c544ed59b1c332e39e65dc6eb755e0925ef8ae99fa4aaf6", 42),
-        ("json", "039e2034c92e7e0d5caafcf56374aba076dff6ef947b3ded47b901a3dba6d049", 42),
-        ("csv", "c810cf271da31f2a8ca19bf6fcdef1ebb501cb9cefeb2d31896b5233141dafd6", 0),
-        ("json", "b929ff9da4c54b6e3f715718760fb5a7ef947167d1420db531463517a1949d6e", 0),
-        ("csv", "7777e575d1177760dbca09d0f6b88f74c5e5c0c068642f0428686426ecab133e", 7),
-        ("json", "4a0d80fdef2695a2bf4e2a67031d5ce4b3937face9cde8d4b3fa8c3e0c672b4f", 7),
-    ])
+        pytest.param(fmt, digest, seed, id=f"{fmt}-{seed}") for fmt, digest, seed in [
+            ("csv", "4cb2da77e9fb1feaadc7f487dccddfb98b2a5a2859d6bc3ce35710e93d35faae", 42),
+            ("json", "5acd9dab41861064515284216c7ab3375d68f9ae644f19f4c3818712308aa12a", 42),
+            ("csv", "605200c4dfefa43e47bc6b2b74ba9bbe2dffc35ba8277aa5dd0cad43bf3f7634", 0),
+            ("json", "2f1aca965c96e5b04a01d0a063eee09d1b2bb406a24a4b75032321d9f2812996", 0),
+            ("csv", "a22d8fccfb98c10cd7cd14eb16f08a15a60d17b268aa18531403c5236df5b9f7", 7),
+            ("json", "c96ca0ad11962fa301b9bec2167753d58edea786da175e1cef850ad84e29b9e3", 7),
+        ]])
     def test_output_digest(self, fmt, digest, seed):
         code, out, _ = run_cli("verify", "--suite", "all", "--seed", str(seed), "--format", fmt)
         assert code == 0
@@ -247,6 +248,20 @@ class TestQedRhoCommand:
         assert code == 0
         assert rec["A"] == 1e-200
         assert rec["rho_plus"] == rec["rho_minus"] == rec["residual_plus"] == 0.0
+
+    # CODATA alpha, unit mass, n_theta = 1, n_r = 0: each root within 1 ulp of its
+    # correctly rounded value, down to subnormal roots
+    @pytest.mark.parametrize("A, rho_plus, rho_minus", [
+        ("1e-80", 2.0393607451221655e-162, -2.0393607451221655e-162),
+        ("-1e-120", 2.039360745122166e-242, -2.039360745122166e-242),
+        ("1e-160", 2.03e-322, -2.03e-322),
+    ], ids=["1e-80", "-1e-120", "1e-160"])
+    def test_tiny_potential_roots(self, A, rho_plus, rho_minus):
+        code, out, _ = run_cli("qed-rho", "--A", A)
+        rec = json.loads(out)
+        assert code == 0
+        assert abs(rec["rho_plus"] - rho_plus) <= math.ulp(rho_plus)
+        assert abs(rec["rho_minus"] - rho_minus) <= math.ulp(rho_minus)
 
     def test_default_charge_is_sqrt_alpha(self):
         _, out, _ = run_cli("qed-rho", "--alpha", "0.04")
@@ -419,12 +434,15 @@ class TestSubprocessContract:
         assert proc.returncode == 1
 
     # The qed suite at seeds where numpy's dispatched a ** 3 and a ** 4 once moved the
-    # root-residuals scale, and one qed-rho point: with every power a product, the output
-    # is the same under numpy's baseline kernels as under its default dispatch
+    # root-residuals scale, and qed-rho points, two with roots far below 1: with every
+    # power a product, the output is the same under numpy's baseline kernels as under
+    # its default dispatch
     @pytest.mark.parametrize("argv", [
         *(("verify", "--suite", "qed", "--seed", seed) for seed in ("16", "19", "38")),
         ("qed-rho", "--A", "-2.7", "--mass", "1.3", "--charge", "0.45",
          "--ntheta", "3", "--nr", "2"),
+        ("qed-rho", "--A", "1e-80"),
+        ("qed-rho", "--A", "-1e-120", "--mass", "1.3"),
     ], ids=" ".join)
     def test_qed_output_is_the_same_under_baseline_kernels(self, argv):
         with ThreadPoolExecutor(max_workers=2) as pool:

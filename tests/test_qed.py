@@ -2,6 +2,7 @@ import ast
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -137,7 +138,7 @@ class TestSolveRho:
     @pytest.mark.parametrize("A, mass", [(1e-200, 1.0), (-1e-200, 1.0), (5e-324, 1.0),
                                          (-5e-324, 1.0), (1e-110, 0.0)])
     def test_underflowing_roots_are_zero(self, A, mass):
-        # the roots underflow, as at A = 0, instead of reading 0/0
+        # the exact roots lie below half the least subnormal, so both read 0.0, as at A = 0
         e, d = math.sqrt(ALPHA), coefficient_d(1)
         sol = solve_rho(A, mass, e, d)
         assert list(vars(sol).values()) == [A, 0.0, 0.0, 0.0, 0.0]
@@ -146,11 +147,53 @@ class TestSolveRho:
         assert fields[1:, [0, 2]].tolist() == [[0.0, 0.0]] * 4
         assert fields[:, 1].tolist() == list(vars(solve_rho(1.5, mass, e, d)).values())
 
+    def test_roots_match_mpmath_across_the_range(self):
+        # A log-uniform over 1e-170..1e50, both signs: the roots run from below the
+        # least subnormal to about 1e150
+        rng = np.random.default_rng(2024)
+        n = 4000
+        A = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-170.0, 50.0, n)
+        mass = rng.uniform(0.0, 2.0, n)
+        mass[rng.random(n) < 0.15] = 0.0
+        e = rng.uniform(0.05, 2.0, n)
+        d = rng.uniform(0.01, 0.3, n)
+        sol = solve_rho(A, mass, e, d)
+        with mpmath.workprec(256):
+            for i in range(n):
+                want = _mp_roots(*(float(x[i]) for x in (A, mass, e, d)))
+                for got, exact in zip((sol.rho_plus[i], sol.rho_minus[i]), want):
+                    error = abs(mpmath.mpf(float(got)) - exact)
+                    if abs(exact) >= 2.0 ** -1022:
+                        # within 4 ulps of the exact root
+                        assert error <= 4 * math.ulp(float(exact)), (i, A[i], got, exact)
+                    else:
+                        # subnormal or smaller: within 2^-1074 beyond the relative error
+                        # of the steps in the normal range, so 0.0 only where
+                        # |exact| < 2^-1074; a massless root is +0.0, never -0.0
+                        bound = 2.0 ** -1074 + 4 * 2.0 ** -53 * abs(exact)
+                        assert error <= bound, (i, A[i], got, exact)
+                        assert exact != 0 or math.copysign(1.0, got) == 1.0, (i, A[i], got)
+
     @pytest.mark.parametrize("A", [1e-100, 1e50, -1e50])
     def test_large_finite_potential(self, A):
         sol = solve_rho(A, 1.0, math.sqrt(ALPHA), coefficient_d(1))
         fields = (sol.rho_plus, sol.rho_minus, sol.residual_plus, sol.residual_minus)
         assert all(math.isfinite(v) for v in fields)
+
+
+def _mp_roots(A, mass, e, d_prime):
+    """(rho_plus, rho_minus) in mpmath at the working precision, in cancellation-free forms.
+
+    t = A + s for A > 0 and A - s otherwise adds two magnitudes; the root with
+    A's sign is (e^2 d'/2) t A^2 and the other the root product -m^2 d'^2 e^2 A^4
+    divided by it.
+    """
+    A, mass, e, d_prime = (mpmath.mpf(x) for x in (A, mass, e, d_prime))
+    s = mpmath.sqrt(A * A + 4 * mass * mass / (e * e))
+    t = A + s if A > 0 else A - s
+    big = e * e * d_prime / 2 * t * A * A
+    small = -2 * d_prime * mass * mass / t * A * A
+    return (big, small) if A > 0 else (small, big)
 
 
 def _scalar_rho_residual(rho, A, mass, e, d):
@@ -164,14 +207,10 @@ def _scalar_solve_rho(A, mass, e, d_prime):
     if A == 0.0:
         return (0.0, 0.0, 0.0, 0.0, 0.0)
     s = math.sqrt(A * A + 4.0 * mass * mass / (e * e))
-    front = A * A * e * e * d_prime / 2.0
-    product = -((A * A) * (A * A)) * e * e * d_prime * d_prime * mass * mass
-    if A > 0.0:
-        rho_p = front * (A + s)
-        rho_m = product / rho_p + 0.0
-    else:
-        rho_m = front * (A - s)
-        rho_p = product / rho_m + 0.0
+    t = A + s if A > 0.0 else A - s
+    big = e * e * d_prime / 2.0 * t * A * A
+    small = -2.0 * d_prime * mass * mass / t * A * A + 0.0
+    rho_p, rho_m = (big, small) if A > 0.0 else (small, big)
     return (A, rho_p, rho_m, _scalar_rho_residual(rho_p, A, mass, e, d_prime),
             _scalar_rho_residual(rho_m, A, mass, e, d_prime))
 
