@@ -48,7 +48,7 @@ class LightConePoint(CircleDiracError):
 
 
 class NonpositiveMass(CircleDiracError):
-    """Rest mass must be strictly positive."""
+    """Rest mass must be strictly positive; non-negative where the massless branch is allowed."""
 
 
 class SuperluminalSpeed(CircleDiracError):

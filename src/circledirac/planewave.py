@@ -17,26 +17,19 @@ second component is i*phi1 (the scalar prefactor nu*inverse(M) reduces
 to i at rest).
 
 A wave is one reflector, like every term of the Dirac system: a
-:class:`WaveFunction` is the ``(2, 4)`` prefactor of (phi1, phi2) and the
-wavevector k = (-nu, mu, 0, 0) both share, Phi = prefactor * exp(i k.x).
-Over a batch of N points the points sit next to the coefficient axis: the
-wave is ``(2, N, 4)``, blocks first, and :func:`residual` assembles both
-sides of the system in (route, mu, block, point, coefficient) order, so
-each numpy loop runs along the points.  Only the coordinates the wave
-moves along are differenced: along the others every term is an exact
-zero (:func:`_moving`).
-
-Every factor the residual multiplies the wave by (the operator's unit
-reflectors, the potential and the mass) is constant and mostly zero, so
-those products are formed over the factor's nonzero slots only
-(:func:`_sum_terms`); ``array_mul`` stays the product of general operands.
-One reader (:func:`_terms`) takes each as biquaternion rows and a layout
-of them: the operator is read once, a new potential and mass off v.
+:class:`WaveFunction` is the ``(2, 4)`` prefactor P of (phi1, phi2) and the
+wavevector k = (-nu, mu, 0, 0) both share, Phi = P * z with the scalar
+phase z = exp(i k.x).  Over a batch of N points the wave is ``(2, N, 4)``,
+blocks first.  A complex scalar commutes with every reflector, so each
+term of the system is a constant product of P (by an operator unit, the
+potential or the mass) times z or a derivative of z: :func:`residual`
+forms those products once, with one ``array_mul``, and differentiates z
+alone, along all four coordinates, with the points innermost in every
+numpy loop (:func:`_sides`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -124,7 +117,8 @@ class WaveFunction:
 
     def at(self, points) -> np.ndarray:
         """The wave ``(2, ..., 4)`` at points ``(..., 4)``, blocks first; ``(2, 4)`` at one point."""
-        return self._values(self._phase(np.asarray(points, dtype=float)))
+        phases = np.exp(1j * self._phase(np.asarray(points, dtype=float)))
+        return self.prefactor.reshape((2,) + (1,) * phases.ndim + (4,)) * phases[..., None]
 
     def _phase(self, p: np.ndarray) -> np.ndarray:
         """The phase k.x ``(...)`` at float points ``(..., 4)``."""
@@ -132,11 +126,6 @@ class WaveFunction:
         # point's phase does not depend on its position in the batch (a matmul's can)
         k0, k1, k2, k3 = self.k
         return ((p[..., 0] * k0 + p[..., 1] * k1) + p[..., 2] * k2) + p[..., 3] * k3
-
-    def _values(self, phase: np.ndarray) -> np.ndarray:
-        """The wave ``(2, ..., 4)`` at phases ``(...)``: prefactor * exp(i phase)."""
-        phases = np.exp(1j * phase)
-        return self.prefactor.reshape((2,) + (1,) * phases.ndim + (4,)) * phases[..., None]
 
 
 def mass_term(mass: float) -> Biquaternion:
@@ -177,180 +166,51 @@ class ResidualReport:
     analytic: float
 
 
-# the steps from a point to where residual reads the wave, (step, coordinate): a zero
+# the steps from a point to where residual reads the phase, (step, coordinate): a zero
 # step (p + -0.0 is p, bit for bit), then +e_mu and -e_mu for mu = 0..3; times h the
 # last eight are h * eye(4) and its negative, bit for bit
 _STEPS = np.concatenate((np.full((1, 4), -0.0), np.eye(4), -np.eye(4)))
-_DIRECTIONS = (0, 1, 2, 3)
-# a prefactor coefficient below this in both parts keeps its product with a unit
-# phase finite: |a c - b d| <= |a| + |b| < 2^1023 when |c|, |d| <= 1
-_SAFE_PREFACTOR = 2.0 ** 1022
 
 
-def _moving(wave: WaveFunction, finite_units: tuple, h: float, shifted: np.ndarray) -> tuple:
-    """The directions mu whose derivative terms can be nonzero, in order.
-
-    ``shifted`` is the wave's phase at p +- h e_mu ``(+-, mu, N)``.  A
-    direction is still when k_mu == 0 and both shifts give every point the
-    same finite phase: its central difference is then (v - v) / 2h = +0 and
-    its analytic derivative 0j * Phi (the phase at p is the shifted one up
-    to the sign of a zero), so each of its operator terms is an exact +-0.
-    That needs finite values, a finite 1/(2h) and a finite operator unit
-    (``finite_units``, one flag per mu); failing any, every direction is
-    kept, so a NaN or inf comes out as before.  The phases decide, not k
-    alone: a phase that moves along x_mu while k_mu == 0 keeps mu.
-    """
-    k = wave.k.tolist()
-    still = [mu for mu in _DIRECTIONS if k[mu] == 0.0 and finite_units[mu]]
-    if not still:
-        return _DIRECTIONS
-    same = ((shifted[0] - shifted[1]) == 0).all(axis=-1).tolist()   # x - y == 0: equal and finite
-    still = [mu for mu in still if same[mu]]
-    if (not still or not math.isfinite(1.0 / (2.0 * h))
-            or not np.abs(wave.prefactor.view(float)).max() < _SAFE_PREFACTOR):
-        return _DIRECTIONS
-    return tuple(mu for mu in _DIRECTIONS if mu not in still)
-
-
-@functools.lru_cache(maxsize=None)
-def _reads(moving: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``_STEPS`` residual reads the wave at for the directions ``moving``:
-    the zero step, then each +e_mu, then each -e_mu; and ``moving`` as an index array."""
-    index = np.array(moving, dtype=int)
-    rows = np.concatenate(([0], 1 + index, 5 + index))
-    rows.flags.writeable = index.flags.writeable = False
-    return rows, index
-
-
-def _central_difference(values: np.ndarray, h: float, out: np.ndarray) -> None:
-    """Central differences of the wave, into ``out`` ``(K, 2, N, 4)``.
-
-    ``values`` is the wave ``(2, 2K, N, 4)`` at p + h e_mu and then at
-    p - h e_mu, for the K differenced directions mu: :func:`residual`
-    differences only the directions :func:`_moving` keeps, since in the
-    others both shifts give the same value and the difference is an exact
-    zero.  ``out`` must be C-contiguous: the quotient by 2h is taken as the
-    real product of its float view by 1/(2h), which is what numpy's
-    complex / real computes.
-    """
-    k = len(out)
-    np.subtract(values[:, :k], values[:, k:], out=out.swapaxes(0, 1))
-    flat = out.view(float)
+def _phase_derivatives(wave: WaveFunction, p: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The scalar phase z = exp(i k.x) ``(N,)`` at float points ``(N, 4)`` and its derivatives
+    ``(route, mu, N)``: the central difference (z(p + h e_mu) - z(p - h e_mu)) / 2h, as the
+    float view times 1/(2h) (numpy's complex / real), then the analytic i k_mu z(p)."""
+    z = np.exp(1j * wave._phase(p + (h * _STEPS)[:, None, :]))   # (step, N)
+    d = np.empty((2, 4, len(p)), dtype=complex)
+    np.subtract(z[1:5], z[5:], out=d[0])
+    flat = d[0].view(float)
     flat *= 1.0 / (2.0 * h)
+    np.multiply((1j * wave.k)[:, None], z[0], out=d[1])
+    return z[0], d
 
 
-# _UNIT_SIGNS[k, c]: the sign of the term a_k * b_(k ^ c) in slot c of array_mul(a, b),
-# read off array_mul itself: i_k i_j = +-i_(k ^ j)
-_SLOTS = np.arange(4)
-_UNIT_SIGNS = array_mul(np.eye(4)[:, None, :], np.eye(4)[None, :, :])[
-    _SLOTS[:, None], _SLOTS[:, None] ^ _SLOTS, _SLOTS].real
+def _sides(wave: WaveFunction, a_pot, e: float, m, p: np.ndarray, h: float,
+           operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D - i e A) Phi ``(route, block, N, 4)`` and Phi M ``(block, N, 4)`` at float points
+    ``(N, 4)``, the routes as in :func:`_phase_derivatives`.
 
-
-# How a factor reads biquaternion rows S: per block, the row it reads and each slot's sign.
-# An operator unit reads its two rows; the potential (v, conj v) and mass (-conj v, v) read v twice.
-_OWN_ROWS = ((0, (1, 1, 1, 1)), (1, (1, 1, 1, 1)))
-_POTENTIAL = ((0, (1, 1, 1, 1)), (0, (1, -1, -1, -1)))
-_MASS = ((0, (-1, 1, 1, 1)), (0, (1, 1, 1, 1)))
-
-
-@functools.lru_cache(maxsize=None)
-def _plan(nonzero: bytes, layout: tuple, right: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The terms of a product by the factor ``layout`` reads from R rows S, nonzero where
-    flagged by the bytes of an ``(R, 4)`` bool array.
-
-    ``array_mul(a, b)`` forms slot c as the sum, in the order of a's slots
-    k, of ``s(k, c) * a_k * b_(k ^ c)``; a term whose factor slot is zero in
-    every row is +-0 and dropped.  Returns per kept term the other operand's
-    slot per c ``(term, 4)``, and the index ``(term, 2, 1, 4)`` of each
-    block's signed coefficient in (S, -S) flattened.
+    Phi is its prefactor P times the scalar phase z, and a complex scalar
+    commutes with every reflector, so each term is a constant product times z
+    or a derivative of z.  One ``array_mul`` forms the six products: each
+    operator unit u_mu and the potential (a, conj a) against P's swapped
+    blocks, and P against the mass's swapped blocks (-conj m, m).  They are
+    multiplied by the scalars with the points innermost, and each point's
+    sum over mu runs in order, so no bit depends on the batch.
     """
-    flags = np.frombuffer(nonzero, dtype=bool).reshape(-1, 4)
-    kept = np.flatnonzero(flags.any(axis=0))[:, None]
-    # a's slots per c, in order: the factor's kept slots, or those that pair with them
-    a_slots = np.sort(kept ^ _SLOTS, axis=0) if right else np.repeat(kept, 4, axis=1)
-    b_slots = a_slots ^ _SLOTS
-    factor_slots, operand_slots = (b_slots, a_slots) if right else (a_slots, b_slots)
-    rows, signs = (np.array(column) for column in zip(*layout))
-    negative = (_UNIT_SIGNS[a_slots, _SLOTS] < 0)[..., None] ^ (signs.T[factor_slots] < 0)
-    index = (flags.size * negative + 4 * rows + factor_slots[..., None])[:, None]
-    index.flags.writeable = False
-    # the block axis innermost: with another layout, numpy's loops stop running along the points
-    return operand_slots, index.transpose(0, 3, 1, 2)
-
-
-def _terms(source, layout: tuple, right: bool) -> tuple:
-    """The kept terms (:func:`_plan`) of a product by the factor ``layout`` reads from
-    ``source``, the rows of S one after another ``(4R,)``: per term, the operand's
-    slot per c ``(4,)`` and the signed coefficients ``(2, 1, 4)``."""
-    source = np.asarray(source, dtype=complex)
-    operand_slots, index = _plan((source != 0).tobytes(), layout, right)
-    signed = np.empty(2 * len(source), dtype=complex)
-    signed[:len(source)] = source
-    np.negative(source, out=signed[len(source):])
-    return tuple(zip(operand_slots, signed[index]))
-
-
-@functools.lru_cache(maxsize=16)
-def _operator_plan(data: bytes) -> tuple[tuple, tuple]:
-    """The terms of each unit of the complex operator ``(4, 2, 4)`` given by its bytes,
-    and whether each unit is finite."""
-    units = np.frombuffer(data, dtype=complex).reshape(4, 8)
-    finite = tuple(np.isfinite(units).all(axis=1).tolist())
-    terms = tuple(_terms(u, _OWN_ROWS, right=False) for u in units)
-    for _, coeffs in (term for unit in terms for term in unit):
-        coeffs.flags.writeable = False
-    return terms, finite
-
-
-def _plan_of(operator: np.ndarray) -> tuple[tuple, tuple]:
-    """:func:`_operator_plan` of an operator array."""
-    return _operator_plan(np.asarray(operator, dtype=complex).tobytes())
-
-
-def _sum_terms(terms: tuple, x: np.ndarray, right: bool = False) -> np.ndarray:
-    """``array_mul(factor, x)``, or ``array_mul(x, factor)`` when ``right``, from the
-    factor's kept terms (:func:`_terms`).
-
-    Sums the terms in array_mul's order, each as one complex product in
-    array_mul's operand order with the sign folded into the factor, which
-    is exact.  So every nonzero bit is array_mul's; only where an operand
-    is not finite, or a slot sums to zero, can the result differ (a dropped
-    0 * inf, the sign of a zero or a NaN).  No terms give zeros of x's shape.
-    """
-    out = None
-    for slots, coeffs in terms:
-        term = x[..., slots].astype(complex, copy=False)   # a new array: the product goes in place
-        if right:
-            np.multiply(term, coeffs, out=term)
-        else:
-            np.multiply(coeffs, term, out=term)
-        out = term if out is None else np.add(out, term, out=out)
-    return np.zeros(x.shape, dtype=complex) if out is None else out
-
-
-def _dirac_sides(units: tuple, a_pot, e: float, m, phi: np.ndarray,
-                 d_phi: np.ndarray, moving: tuple = _DIRECTIONS) -> tuple[np.ndarray, np.ndarray]:
-    """(D - i e A) Phi and Phi M as block-diagonal arrays ``(..., 2, N, 4)``.
-
-    ``phi`` is the wave ``(2, N, 4)`` at N points and ``d_phi`` its
-    derivatives ``(..., K, 2, N, 4)`` along the K coordinates ``moving``;
-    ``units`` is the operator's terms (:func:`_plan_of`) and M the
-    reflector (m, -conj(m)).  Every term is a reflector product, the right
-    factor's blocks swapped: the potential multiplies the wave components
-    on the left and the mass on the right.  Each costs one complex product
-    per nonzero slot of the constant factor (:func:`_sum_terms`), and the
-    operator's terms are summed over mu in order; a direction left out of
-    ``moving`` adds nothing.  Each numpy loop runs along the points.
-    """
-    d_phi = d_phi[..., ::-1, :, :]
-    lhs = None
-    for i, mu in enumerate(moving):
-        term = _sum_terms(units[mu], d_phi[..., i, :, :, :])
-        lhs = term if lhs is None else np.add(lhs, term, out=lhs)
-    if lhs is None:
-        lhs = np.zeros(d_phi.shape[:-4] + phi.shape, dtype=complex)
-    lhs -= (1j * e) * _sum_terms(_terms(a_pot, _POTENTIAL, right=False), phi[::-1])
-    return lhs, _sum_terms(_terms(m, _MASS, right=True), phi, right=True)
+    left, right = np.empty((2, 6, 2, 4), dtype=complex)
+    left[:4], left[4], left[5] = operator, a_pot, wave.prefactor
+    right[:5], right[5] = wave.prefactor[::-1], m
+    np.negative(left[4, 1, 1:], out=left[4, 1, 1:])     # conj a
+    np.negative(right[5, 0, :1], out=right[5, 0, :1])   # -conj m
+    products = array_mul(left, right)[..., None]   # (product, block, 4, 1)
+    z, d = _phase_derivatives(wave, p, h)
+    terms = products[:4] * d[:, :, None, None, :]   # (route, mu, block, 4, N)
+    lhs = terms[:, 0] + terms[:, 1]
+    lhs += terms[:, 2]
+    lhs += terms[:, 3]
+    lhs -= ((1j * e) * products[4]) * z
+    return lhs.swapaxes(-1, -2), (products[5] * z).swapaxes(-1, -2)
 
 
 def residual(wave: WaveFunction,
@@ -366,33 +226,20 @@ def residual(wave: WaveFunction,
     a batch of one.
 
     Evaluates second-order central differences with step h, from the
-    wave's values at the shifted points p +- h e_mu, and the analytic
-    derivatives i k_mu Phi.  Both routes take only the directions mu the
-    wave moves in (:func:`_moving`): a direction with k_mu == 0 whose two
-    shifts give every point the same finite phase adds an exact +-0 to
-    every term on both routes, so it is left out and the report keeps its
-    bits.  The library's waves have k = (-nu, mu, 0, 0), or its first two
-    slots swapped, so x2 and x3 are never differenced.  All N points and
-    both routes are assembled in one numpy pass, in (route, mu, block,
-    point, coefficient) order.
+    wave's phase at the shifted points p +- h e_mu, and the analytic
+    derivatives i k_mu Phi, each along all four coordinates.  Both sides
+    are assembled in one numpy pass from the constant products of the
+    prefactor (:func:`_sides`).
     """
     if not 0 < h < math.inf:
         raise ValueError(f"finite-difference step must be positive and finite, got {h}")
-    units, finite = _plan_of(_operator_array(operator))
+    operator = _operator_array(operator)
     p = np.asarray(points, dtype=float)
     if p.size == 0:
         return ResidualReport(fd=0.0, analytic=0.0)
     if p.ndim != 2 or p.shape[1] != 4:
         raise ValueError(f"points need shape (N, 4), got {p.shape}")
-    phase = wave._phase(p + (h * _STEPS)[:, None, :])   # (step, N): p, p + h e_mu, p - h e_mu
-    moving = _moving(wave, finite, h, phase[1:].reshape(2, 4, -1))
-    rows, index = _reads(moving)
-    values = wave._values(phase[rows])   # (block, 1 + 2K, N, 4)
-    phi = values[:, 0]
-    d_phi = np.empty((2, len(moving)) + phi.shape, dtype=complex)   # (route, mu, block, point, coefficient)
-    _central_difference(values[:, 1:], h, out=d_phi[0])
-    np.multiply((1j * wave.k[index])[:, None, None, None], phi, out=d_phi[1])
-    lhs, rhs = _dirac_sides(units, a_pot, e, m, phi, d_phi, moving)
+    lhs, rhs = _sides(wave, a_pot, e, m, p, h, operator)
     worst = np.abs(lhs - rhs).max(axis=(1, 2, 3))
     return ResidualReport(fd=float(worst[0]), analytic=float(worst[1]))
 

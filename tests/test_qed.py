@@ -10,6 +10,7 @@ from circledirac import qed
 from circledirac import (
     FloatRange,
     InvalidQuantumNumber,
+    NonpositiveMass,
     SpeedDomain,
     ZeroCharge,
     coefficient_d,
@@ -257,6 +258,15 @@ class TestArrayKernel:
             solve_rho(A, 1.0, np.array([0.5, 0.0, 0.5, 0.5, 0.5]), 0.2)
         with pytest.raises(ValueError, match="^row 3: d_prime must be positive, got -0.1$"):
             solve_rho(1.0, 1.0, 0.5, np.array([0.1, 0.2, 0.3, -0.1]))
+
+    def test_rejects_negative_mass(self):
+        # m = 0 is the massless branch; a negative or NaN mass is no rest mass
+        assert solve_rho(1.5, 0.0, 0.5, 0.2).rho_minus == 0.0
+        for mass in (-1.0, -5e-324, math.nan):
+            with pytest.raises(NonpositiveMass, match=f"^mass must be non-negative, got {mass}$"):
+                solve_rho(1.5, mass, 0.5, 0.2)
+        with pytest.raises(NonpositiveMass, match=r"^row 2: mass must be non-negative, got -1.0$"):
+            solve_rho(1.5, np.array([1.0, 0.0, -1.0, -2.0]), 0.5, 0.2)
 
     def test_residual_of_overflowing_power_is_not_finite(self):
         assert not math.isfinite(rho_residual(1.0, 1e100, 1.0, 0.5, 0.2))

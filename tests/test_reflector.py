@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
-from conftest import (ARC_UNITS, BARE_UNITS, analytic, central_difference, component, max_abs_diff,
-                      mul, scalar_lhs)
+from conftest import (ARC_UNITS, BARE_UNITS, analytic, central_difference, max_abs_diff, mul,
+                      scalar_lhs)
 
 from circledirac import (
     Biquaternion,
@@ -15,8 +15,7 @@ from circledirac import (
     sandwich,
     unit_reflector,
 )
-from circledirac.planewave import (_STEPS, WaveFunction, _central_difference, _dirac_sides,
-                                  _plan_of)
+from circledirac.planewave import WaveFunction, _phase_derivatives, _sides
 from circledirac.reflector import ARC_TIME_UNITS, reflector_mul_array
 
 ROTOR = Biquaternion(2 ** -0.5, 2 ** -0.5)
@@ -143,28 +142,31 @@ class TestSandwich:
             sandwich(np.array(ROTOR.coeffs), 2.0)
 
 
-NO_DERIVATIVE = np.zeros((4, 2, 4))
 ZERO = Biquaternion()
+ORIGIN = np.zeros(4)
 
 
-def lhs(units, a, e, phi, d_phi):
-    """(D - i e A) Phi at one point from the residual's assembly: ``(2, 4)`` phi and
-    ``(4, 2, 4)`` d_phi in, the ``(2, 4)`` block-diagonal array out."""
-    return _dirac_sides(_plan_of(units)[0], a, e, ZERO, phi[:, None],
-                        d_phi[:, :, None])[0][:, 0]
+def constant(phi):
+    """The wave of constant value phi ``(2, 4)``: its derivatives are exact zeros."""
+    return WaveFunction(phi, np.zeros(4))
 
 
-def batch_central_difference(wave, points, h):
-    """The residual's central differences ``(4, 2, N, 4)`` of the wave at points ``(N, 4)``."""
-    out = np.empty((4, 2, len(points), 4), dtype=complex)
-    _central_difference(wave.at(points + (h * _STEPS[1:])[:, None, :]), h, out)
-    return out
+def lhs(wave, a, e, point, units=ARC_TIME_UNITS, h=1e-3):
+    """(D - i e A) Phi at one point from the residual's assembly: the ``(2, 4)``
+    block-diagonal array on each route ``(route, 2, 4)``, central difference first."""
+    return _sides(wave, a, e, ZERO, point[None], h, units)[0][:, :, 0]
 
 
 def rhs(phi, m):
-    """Phi M at one point from the residual's assembly, for a ``(2, 4)`` phi."""
-    return _dirac_sides(_plan_of(ARC_TIME_UNITS)[0], ZERO, 0.0, m, phi[:, None],
-                        NO_DERIVATIVE[:, :, None])[1][:, 0]
+    """Phi M from the residual's assembly, for the constant wave of value phi ``(2, 4)``."""
+    return _sides(constant(phi), ZERO, 0.0, m, ORIGIN[None], 1e-3, ARC_TIME_UNITS)[1][:, 0]
+
+
+def batch_central_difference(wave, points, h):
+    """The residual's central differences ``(4, 2, N, 4)`` of the wave at points ``(N, 4)``:
+    its derivative scalars times the prefactor."""
+    d = _phase_derivatives(wave, points, h)[1][0]
+    return d[:, None, :, None] * wave.prefactor[None, :, None, :]
 
 
 def test_arc_time_units_are_read_only_unit_reflectors():
@@ -188,9 +190,7 @@ class TestDiracSides:
 
     def test_constant_wave_zero_potential(self):
         c = Biquaternion(0.5, 1.0, -2.0, 0.25)
-        constant = WaveFunction((c.coeffs, c.coeffs), np.zeros(4))
-        d_phi = batch_central_difference(constant, np.zeros((1, 4)), 1e-4)[:, :, 0]
-        out = lhs(ARC_TIME_UNITS, ZERO, 1.0, constant.prefactor, d_phi)
+        out = lhs(constant(blocks(c, c)), ZERO, 1.0, ORIGIN, h=1e-4)
         assert np.abs(out).max() < 1e-11
 
     def test_rhs_zero_wave(self):
@@ -221,32 +221,38 @@ class TestDiracSides:
         e = 0.7
         for _ in range(50):
             a, p1, p2 = rand_bq(rng), rand_bq(rng), rand_bq(rng)
-            out = lhs(ARC_TIME_UNITS, a, e, blocks(p1, p2), NO_DERIVATIVE)
             a_refl = block_matrix(unit_reflector(a))
             phi = block_matrix(blocks(p1, p2))
             expected = -1j * e * (a_refl @ phi)
-            assert np.max(np.abs(block_matrix(out, diagonal=True) - expected)) < 1e-13
+            for out in lhs(constant(blocks(p1, p2)), a, e, ORIGIN):
+                assert np.max(np.abs(block_matrix(out, diagonal=True) - expected)) < 1e-13
 
 
 class TestArrayAssembly:
     """The array kernels and derivative routes against the scalar reference of conftest."""
 
     @pytest.mark.parametrize("operator", [ARC_UNITS, BARE_UNITS])
-    @pytest.mark.parametrize("deriv", [analytic, central_difference(1e-3)],
-                             ids=["deriv0", "deriv1"])
-    def test_lhs_matches_scalar_loop(self, operator, deriv):
-        # both sides get the same derivative values, so this checks the assembly;
-        # the batch routes meet the same references in
-        # test_batch_central_difference_matches_scalar and test_planewave
+    @pytest.mark.parametrize("route", [1, 0], ids=["deriv0", "deriv1"])
+    def test_lhs_matches_scalar_loop(self, operator, route):
+        # both sides get the same derivative values, so this checks the assembly: the
+        # analytic route against conftest's analytic, the central difference against the
+        # residual's own derivative scalars times the prefactor; the derivative routes
+        # meet the references in test_batch_central_difference_matches_scalar and test_planewave
         rng = np.random.default_rng(44)
+        h = 1e-3
         for _ in range(20):
             k = rng.uniform(-2, 2, size=4)
             wave = WaveFunction((rand_bq(rng).coeffs, rand_bq(rng).coeffs), k)
             a, e, point = rand_bq(rng), rng.uniform(-1, 1), rng.uniform(-2, 2, size=4)
-            phi = np.array([component(wave, j, point) for j in (0, 1)])
-            d_phi = np.array([[deriv(wave, j, point, mu) for j in (0, 1)] for mu in range(4)])
+            if route:
+                deriv = analytic
+            else:
+                d = _phase_derivatives(wave, point[None], h)[1][0, :, 0].tolist()
+
+                def deriv(wave, j, point, mu):
+                    return tuple(d[mu] * c for c in wave.prefactor[j].tolist())
             units = np.array([unit_reflector(u) for u in operator])
-            out = lhs(units, a, e, phi, d_phi)
+            out = lhs(wave, a, e, point, units, h)[route]
             ref = np.array(scalar_lhs(operator, deriv, a, e, wave, point))
             assert np.abs(out - ref).max() <= 1e-13
 
