@@ -117,12 +117,14 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if not 0 < tol < math.inf:
         raise CircleDiracError(f"tol must be positive and finite, got {tol}")
     table = sp.spectrum_table(args.alpha, mass_ev, args.max_ntheta, args.max_nr)
-    if args.format == "csv":
-        sys.stdout.write(sp.lines_to_csv(table))
-    else:
-        sys.stdout.write(sp.lines_to_json(table))
+    # each chunk of rows is written as soon as it is formatted; a JSON table that is not
+    # finite is refused before the first
+    for text in sp._csv_chunks(table) if args.format == "csv" else sp._json_chunks(table):
+        sys.stdout.write(text)
+    if args.format == "json":
         sys.stdout.write("\n")
-    return EXIT_OK if (table.abs_diff <= tol * mass_ev).all() else EXIT_VERIFICATION
+    # over all rows: a NaN difference fails, as it fails <=
+    return EXIT_OK if table.abs_diff.max() <= tol * mass_ev else EXIT_VERIFICATION
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

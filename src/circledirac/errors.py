@@ -129,8 +129,9 @@ def quantum_integer(name: str, value, low: int):
 
 def positive_mass(mass, name: str = "mass") -> None:
     """Raise :class:`NonpositiveMass` unless every entry of ``mass`` is > 0 (NaN is not)."""
-    require(np.greater(mass, 0), NonpositiveMass, f"{name} must be positive, got {{mass}}",
-            mass=mass)
+    # a plain float is compared by Python, without numpy's round trip
+    require(mass > 0 if type(mass) is float else np.greater(mass, 0), NonpositiveMass,
+            f"{name} must be positive, got {{mass}}", mass=mass)
 
 
 def bound_coupling(alpha, n_theta, allow_zero: bool = False) -> None:

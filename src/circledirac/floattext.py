@@ -4,9 +4,11 @@
 row between literal strings, with every number spelt exactly as Python
 spells it: an integer in [0, 10^17) as ``"%d"``, a double as
 ``format(x, ".17g")`` (the ``g17`` style) or as ``repr(x)`` (the ``repr``
-style, which ``json.dumps`` writes for a finite float).  Each column is
-converted as a whole, and the text of a chunk of rows is one byte buffer,
-decoded once.
+style, which ``json.dumps`` writes for a finite float).  The columns are
+converted a chunk of rows at a time, the text of a chunk is one byte
+buffer, decoded once, and :func:`_chunks` yields each chunk's text as soon
+as it is decoded, so that a caller can write a table without holding its
+text.
 
 Digits.  A double in the band 1e-250 <= |x| < 1e250 with decimal exponent
 E (10^E <= |x| < 10^(E+1)) scales to y = |x|*10^(16-E) in [10^16, 10^17).
@@ -89,7 +91,10 @@ _POW10 = 10 ** np.arange(18, dtype=np.int64)
 _WIDTH = 2.0 ** -40
 # Values formatted at a time: numpy's temporaries stay within 64 kB, where the allocator
 # reuses them instead of mapping fresh pages.  The knee: 100 x 101 levels' CSV and JSON
-# cost about 7% more at 4 000, 18% more at 16 000 and 44% more at 32 000
+# cost about 7% more at 4 000, 18% more at 16 000 and 44% more at 32 000.  Nothing else
+# grows with the table: writing a 300 x 300 spectrum table chunk by chunk peaks at 1.8 MB
+# (CSV) and 2.5 MB (JSON) of traced memory, where stacking its columns and joining its
+# text peaked at 24.4 MB and 43.4 MB
 _CHUNK = 8000
 _WORD = np.dtype("<u8")
 # the point's position among the digits when it has none
@@ -308,10 +313,9 @@ def _python_text(values, style: str) -> list[str]:
     return [repr(v) for v in values]
 
 
-def _float_words(x, style: str) -> list[np.ndarray]:
-    """The text of doubles x in ``style`` as five arrays of zero-padded words: 6 bytes of
-    sign and prefix, 18 of digits and point (in three), 5 of exponent suffix."""
-    shortest = style == "repr"
+def _digit_keys(x, shortest: bool):
+    """(written, key, digits) of doubles x: where they are written natively (zeros too), the
+    layout key of each, and their digits as in :func:`_digit_words` (0 where not native)."""
     ax = np.abs(x)
     native = np.flatnonzero((_LOW <= ax) & (ax < _HIGH))
     # quietly: an estimate two or more below (never numpy's) casts a y past 2^63 to int64
@@ -323,16 +327,25 @@ def _float_words(x, style: str) -> list[np.ndarray]:
     # the digits of every value, 0 where a zero's layout or the arbiter writes it
     integer = np.zeros(x.size, np.int64)
     integer[native] = D
-    tables = _tables()
     groups = _groups(integer)
     key = np.full(x.size, _ZERO)
     key[native] = (X - _E_MIN) * 18 + _significant(groups)[native]
+    return written, key, _digit_words(groups)
+
+
+def _float_words(x, style: str) -> list[np.ndarray]:
+    """The text of doubles x in ``style`` as five arrays of zero-padded words: 6 bytes of
+    sign and prefix, 18 of digits and point (in three), 5 of exponent suffix.  The digits'
+    temporaries end with :func:`_digit_keys`, and each word's masks are gathered as it is
+    formed, so that fewer arrays of x's size are alive at once."""
+    shortest = style == "repr"
+    written, key, digits = _digit_keys(x, shortest)
     mask, prefix, suffix = (index[key].astype(np.intp) for index in _layouts(shortest))
-    digits = _digit_words(groups)
+    tables = _tables()
+    body = tables.body
     shifted = [digits[0] << 8, digits[1] << 8 | digits[0] >> 56, digits[2] << 8 | digits[1] >> 56]
-    masks = [table[mask] for table in tables.body]
     words = [tables.prefixes[prefix + 5 * np.signbit(x)],
-             *((d & masks[i]) | (s & masks[3 + i]) | masks[6 + i]
+             *((d & body[i][mask]) | (s & body[3 + i][mask]) | body[6 + i][mask]
                for i, (d, s) in enumerate(zip(digits, shifted))),
              tables.suffixes[suffix]]
     arbitrated = np.flatnonzero(~written)
@@ -346,12 +359,12 @@ def _float_words(x, style: str) -> list[np.ndarray]:
     return words
 
 
-def _int_field(column):
-    """(digits, width) of an integer column, as int64 values and the width of the largest."""
-    column = np.asarray(column)
+def _int_width(column) -> int:
+    """The width of an integer column's largest value; a column other than integers in
+    [0, 10^17) raises ``ValueError``."""
     if column.dtype.kind not in "iu" or column.min() < 0 or column.max() >= _TOP:
         raise ValueError("an integer column must hold integers in [0, 10**17)")
-    return column.astype(np.int64), len(str(int(column.max())))
+    return len(str(int(column.max())))
 
 
 def _int_bytes(v, width: int) -> np.ndarray:
@@ -372,6 +385,17 @@ def rows_text(fields, literals, head: str = "", sep: str = "", tail: str = "") -
     of unequal length, or other than one literal more than fields, raise
     ``ValueError``.
     """
+    return "".join(_chunks(fields, literals, head, sep, tail))
+
+
+def _chunks(fields, literals, head: str = "", sep: str = "", tail: str = ""):
+    """The text of :func:`rows_text` in pieces that join to it: ``head``, each chunk of rows
+    as soon as it is decoded, every chunk but the last ending in ``sep``, then ``tail``.
+
+    A chunk reads only its own rows: its doubles are copied into one reused
+    block per style and its integers are sliced, so nothing the generator
+    allocates grows with the table.
+    """
     if len(literals) != len(fields) + 1:
         raise ValueError(f"{len(fields)} fields need {len(fields) + 1} literals, "
                          f"got {len(literals)}")
@@ -380,41 +404,48 @@ def rows_text(fields, literals, head: str = "", sep: str = "", tail: str = "") -
         raise ValueError(f"columns must have one length, got lengths {lengths}")
     rows = lengths[0]
     if not rows:
-        return head + tail
+        yield head + tail
+        return
     styles = [style for style, _ in fields]
-    blocks = {style: np.column_stack([np.asarray(c, dtype=float)
-                                      for s, c in fields if s == style])
+    columns = [np.asarray(column) for _, column in fields]
+    widths = [_int_width(column) if style == "d" else None
+              for style, column in zip(styles, columns)]
+    floats = {style: [c for s, c in zip(styles, columns) if s == style]
               for style in dict.fromkeys(styles) if style != "d"}
-    ints = [_int_field(column) if style == "d" else None for style, column in fields]
-    step = max(1, _CHUNK // max((b.shape[1] for b in blocks.values()), default=1))
+    step = min(rows, max(1, _CHUNK // max(map(len, floats.values()), default=1)))
+    blocks = {style: np.empty((step, len(group))) for style, group in floats.items()}
     # each row of the word buffer: the literals, the fields' slots, and sep, with each
     # literal and integer right-aligned in whole words after NUL bytes
     literals = [text.encode() for text in [*literals[:-1], literals[-1] + sep]]
     literals = [bytes(-len(text) % 8) + text for text in literals]
     row, starts = b"", []
-    for literal, field in zip(literals, ints):
+    for literal, width in zip(literals, widths):
         row += literal
         starts.append(len(row) // 8)
-        row += bytes(40 if field is None else (field[1] + 7) // 8 * 8)
-    buffer = np.tile(np.frombuffer(row + literals[-1], _WORD), (min(step, rows), 1))
-    columns = {style: np.array([at for s, at in zip(styles, starts) if s == style])
-               for style in blocks}
-    pieces = [head]
+        row += bytes(40 if width is None else (width + 7) // 8 * 8)
+    buffer = np.tile(np.frombuffer(row + literals[-1], _WORD), (step, 1))
+    slots = {style: np.array([at for s, at in zip(styles, starts) if s == style])
+             for style in blocks}
+    yield head
     for first in range(0, rows, step):
         part = slice(first, first + step)
         out = buffer[:min(step, rows - first)]
         for style, block in blocks.items():
-            for i, word in enumerate(_float_words(block[part].ravel(), style)):
-                out[:, columns[style] + i] = word.reshape(len(out), -1)
-        for field, at in zip(ints, starts):
-            if field is None:
+            block = block[:len(out)]
+            for j, column in enumerate(floats[style]):
+                block[:, j] = column[part]
+            for i, word in enumerate(_float_words(block.ravel(), style)):
+                out[:, slots[style] + i] = word.reshape(len(out), -1)
+        for column, width, at in zip(columns, widths, starts):
+            if width is None:
                 continue
-            v, width = field[0][part], field[1]
+            v = column[part].astype(np.int64, copy=False)
             if width <= 4:
                 out[:, at] = _tables().ints[v]
             else:
                 end = 8 * at + (width + 7) // 8 * 8
                 out.view(np.uint8)[:, end - width:end] = _int_bytes(v, width)
-        pieces.append(out.tobytes().translate(None, b"\0").decode("ascii"))
-    pieces[-1] = pieces[-1][:len(pieces[-1]) - len(sep)]
-    return "".join([*pieces, tail])
+        # in one expression, so that no bytes outlive the yield; the last row drops its sep
+        cut = -len(sep) if sep and first + step >= rows else None
+        yield out.tobytes().translate(None, b"\0")[:cut].decode("ascii")
+    yield tail

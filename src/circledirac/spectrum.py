@@ -58,12 +58,12 @@ level grid, route A and the oracle, and refuses a grid of more than
 :data:`MAX_LEVELS` levels before it allocates one.
 
 The table is a :class:`SpectrumTable`, its eight sorted column arrays.
-:func:`lines_to_csv` and :func:`lines_to_json`, which the ``spectrum``
-command calls too, write its text straight from those arrays through
-:func:`circledirac.floattext.rows_text`, which spells every number as
-Python's ``%d``, ``format(x, ".17g")`` or ``repr`` would, with Python's
-own formatting as the arbiter for any value its certificate does not
-cover.
+:func:`lines_to_csv` and :func:`lines_to_json` write its text straight
+from those arrays, a chunk of rows at a time, through
+:mod:`circledirac.floattext`, which spells every number as Python's
+``%d``, ``format(x, ".17g")`` or ``repr`` would, with Python's own
+formatting as the arbiter for any value its certificate does not cover.
+The ``spectrum`` command writes each chunk as soon as it is formatted.
 """
 
 from __future__ import annotations
@@ -438,10 +438,12 @@ class SpectrumTable(NamedTuple):
 
 
 # The most levels spectrum_table computes, more than 601 x 601.  The CLI
-# holds a whole table and its text until the text is written: at 601 x 601
-# it peaked at 168 MB (csv) and 240 MB (json) and took 0.68 s and 0.89 s,
-# about 1.9 and 2.5 us per level, from process start (median of 3 runs,
-# 2-vCPU shared VM), so a table at the cap needs about 0.23-0.33 GB and 1-1.3 s.
+# holds a whole table, but writes its text a chunk of rows at a time: at
+# 601 x 601 it peaked at 100 MB (csv and json) and took 0.81 s and 0.99 s,
+# about 2.2 and 2.7 us per level, from process start, against 168 MB and
+# 240 MB, 0.96 s and 1.23 s when the whole text was written at once (median
+# of 5 runs each, 2-vCPU shared VM).  At the cap, 707 x 707 levels peaked at
+# 127 MB and took 0.9-1.25 s.
 MAX_LEVELS = 500_000
 
 
@@ -497,10 +499,15 @@ _JSON_LITERALS = ["{" + f'"{SpectrumTable._fields[0]}": ',
 
 def lines_to_csv(table: SpectrumTable) -> str:
     """The table as CSV: a header of the field names, then ``%d`` and ``%.17g`` values."""
+    return "".join(_csv_chunks(table))
+
+
+def _csv_chunks(table: SpectrumTable):
+    """The text of :func:`lines_to_csv`, a chunk of rows at a time."""
     # imported on first use, so that commands which write no spectrum text never load it
-    from .floattext import rows_text
+    from .floattext import _chunks
     fields = list(zip(["d"] * 3 + ["g17"] * 5, table))
-    return rows_text(fields, _CSV_LITERALS, head=",".join(SpectrumTable._fields) + "\n")
+    return _chunks(fields, _CSV_LITERALS, head=",".join(SpectrumTable._fields) + "\n")
 
 
 def lines_to_json(table: SpectrumTable) -> str:
@@ -509,8 +516,14 @@ def lines_to_json(table: SpectrumTable) -> str:
     Doubles are written as ``repr``.  Raises ``ValueError``, as
     ``json.dumps(..., allow_nan=False)`` does, if a value is not finite.
     """
-    from .floattext import rows_text
+    return "".join(_json_chunks(table))
+
+
+def _json_chunks(table: SpectrumTable):
+    """The text of :func:`lines_to_json`, a chunk of rows at a time; a value that is not
+    finite raises ``ValueError`` at once, before any chunk."""
+    from .floattext import _chunks
     if not all(np.isfinite(column).all() for column in table[3:]):
         raise ValueError("Out of range float values are not JSON compliant")
     fields = list(zip(["d"] * 3 + ["repr"] * 5, table))
-    return rows_text(fields, _JSON_LITERALS, head="[", sep=", ", tail="]")
+    return _chunks(fields, _JSON_LITERALS, head="[", sep=", ", tail="]")

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -16,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import BASELINE_KERNELS
+from circledirac import spectrum as sp
 from circledirac.cli import _build_parser, main
 from circledirac.spectrum import MAX_LEVELS, _HALF_WIDTH
 
@@ -25,6 +27,20 @@ def run_cli(*argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+class _Discard(io.TextIOBase):
+    """A text stream that drops what is written and counts the writes."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.writes += 1
+        return len(text)
 
 
 class TestSpectrumCommand:
@@ -100,6 +116,34 @@ class TestSpectrumCommand:
         proc = baseline_runs[argv]
         assert proc.returncode == 0, proc.stderr.decode()
         assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+    def test_table_is_written_chunk_by_chunk(self):
+        stream = _Discard()
+        with redirect_stdout(stream):
+            assert main(["spectrum", "--max-ntheta", "100", "--max-nr", "100"]) == 0
+        assert stream.writes > 1
+
+    # Writing a 300 x 300 table, computed beforehand, peaked at 1.8 MB (csv) and 2.5 MB
+    # (json) of traced memory; whole-text writing peaked at 24.4 MB and 43.4 MB.  The 3.5 MB
+    # bound leaves 1 MB of headroom, and any table-sized buffer breaks it: the text is
+    # 10 MB (csv) or 18 MB (json), the five float columns stacked 3.6 MB and the three
+    # integer columns copied 2.2 MB
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writing_holds_no_table_sized_buffer(self, fmt, monkeypatch):
+        table = sp.spectrum_table(0.37, 510998.9461, 300, 300)
+        monkeypatch.setattr(sp, "spectrum_table", lambda *args: table)
+        argv = ["spectrum", "--max-ntheta", "300", "--max-nr", "300", "--format", fmt]
+        with redirect_stdout(_Discard()):   # the formatter's tables, built once, are not traced
+            main(argv)
+        tracemalloc.start()
+        try:
+            with redirect_stdout(_Discard()):
+                code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 3.5e6
 
     def test_rejects_alpha_out_of_range(self):
         code, _, err = run_cli("spectrum", "--alpha", "1.5")
@@ -506,17 +550,21 @@ class TestSubprocessContract:
         assert proc.stderr.startswith("circledirac: error: ")
         assert message in proc.stderr
 
-    @pytest.mark.parametrize("argv", [
-        ("verify", "--suite", "all"),
-        ("spectrum", "--max-ntheta", "60", "--max-nr", "60", "--format", "json"),
-    ], ids=["verify", "spectrum"])
-    def test_closed_stdout_exit_one_without_traceback(self, argv):
-        """A reader that closes the pipe unread, as `circledirac ... | true` can."""
+    @pytest.mark.parametrize("argv, read", [
+        (("verify", "--suite", "all"), 0),
+        (("spectrum", "--max-ntheta", "60", "--max-nr", "60", "--format", "json"), 0),
+        (("spectrum", "--max-ntheta", "100", "--max-nr", "100", "--format", "json"), 200),
+    ], ids=["verify", "spectrum", "spectrum-partway"])
+    def test_closed_stdout_exit_one_without_traceback(self, argv, read):
+        """A reader that closes the pipe unread, as `circledirac ... | true` can, or after
+        its first ``read`` characters, so that the pipe breaks partway through the output."""
         env = dict(os.environ)
         env.pop("CIRCLEDIRAC_FAULT", None)
         proc = subprocess.Popen([sys.executable, "-m", "circledirac", *argv], env=env,
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        proc.stdout.close()   # before the child has imported numpy, let alone written
+        if read:   # the start of the table's one JSON line, some 2 MB long
+            assert proc.stdout.read(read).startswith('[{"n_theta": 1, "n_r": 0, "n": 1, ')
+        proc.stdout.close()   # unread: before the child has imported numpy, let alone written
         stderr = proc.stderr.read()
         assert proc.wait(timeout=120) == 1
         assert "Traceback" not in stderr and "Exception ignored" not in stderr

@@ -37,3 +37,15 @@ def test_failing_array_check_names_the_first_row():
 def test_positive_mass_rejects(mass):
     with pytest.raises(NonpositiveMass, match=rf"^mass must be positive, got {float(mass)}$"):
         positive_mass(mass)
+
+
+# a plain float is compared by Python and every other input by numpy, with one verdict
+@pytest.mark.parametrize("mass", [-0.0, -math.inf, 0, np.float64(-1.0), np.array([1.0, math.nan])])
+def test_positive_mass_rejects_every_kind_of_input(mass):
+    with pytest.raises(NonpositiveMass, match="mass must be positive, got "):
+        positive_mass(mass)
+
+
+@pytest.mark.parametrize("mass", [5e-324, 1.5, math.inf, 3, np.float64(2.0), np.array([1.0, 2.0])])
+def test_positive_mass_accepts_every_kind_of_input(mass):
+    assert positive_mass(mass) is None

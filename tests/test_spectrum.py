@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circledirac import spectrum
+from circledirac import floattext, spectrum
 from circledirac import (
     CircleDiracError,
     FloatRange,
@@ -208,6 +208,20 @@ class TestTwoRoutes:
         assert delta == pytest.approx(oracle, rel=0.01)
 
 
+def _python_csv(table):
+    """The table's CSV as Python spells it, row by row."""
+    want = [",".join(SpectrumTable._fields)]
+    for row in zip(*(column.tolist() for column in table)):
+        want.append(",".join([str(x) for x in row[:3]] + [format(x, ".17g") for x in row[3:]]))
+    return "\n".join(want) + "\n"
+
+
+def _python_json(table):
+    """The table's JSON as ``json.dumps`` writes its row dicts."""
+    return json.dumps([dict(zip(SpectrumTable._fields, row))
+                       for row in zip(*(column.tolist() for column in table))], allow_nan=False)
+
+
 class TestSpectrumTable:
     def test_row_count_and_order(self):
         table = spectrum_table(CODATA_ALPHA, ELECTRON_MASS_EV, 3, 3)
@@ -267,11 +281,7 @@ class TestSpectrumTable:
     def test_csv_text_is_the_per_field_join(self, mass_ev):
         for alpha in self.TEXT_ALPHAS:
             table = spectrum_table(alpha, mass_ev, 6, 5)
-            want = ["n_theta,n_r,n,energy_natural,energy_ev,binding_ev,reference_ev,abs_diff"]
-            for row in zip(*(column.tolist() for column in table)):
-                want.append(",".join([str(x) for x in row[:3]]
-                                     + [format(x, ".17g") for x in row[3:]]))
-            assert lines_to_csv(table) == "\n".join(want) + "\n"
+            assert lines_to_csv(table) == _python_csv(table)
 
     @pytest.mark.parametrize("mass_ev", [1e-300, ELECTRON_MASS_EV, 1e308])
     def test_json_text_is_json_dumps(self, mass_ev):
@@ -279,10 +289,28 @@ class TestSpectrumTable:
         tables.append(spectrum_table(0.37, mass_ev, 30, 30))
         empty = SpectrumTable(*(column[:0] for column in tables[0]))
         for table in (empty, *tables):
-            want = json.dumps([dict(zip(SpectrumTable._fields, row))
-                               for row in zip(*(column.tolist() for column in table))],
-                              allow_nan=False)
-            assert lines_to_json(table) == want
+            assert lines_to_json(table) == _python_json(table)
+
+    # A chunk holds STEP rows of five doubles.  Tables of one row less than a chunk, one
+    # chunk, one row more and two chunks and a row, and one of 10 001 rows, whose n_theta
+    # column needs five digits, so that _int_bytes writes it on both sides of every seam
+    STEP = floattext._CHUNK // 5
+
+    @pytest.mark.parametrize("rows", [STEP - 1, STEP, STEP + 1, 2 * STEP + 1, 10001])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_chunks_join_at_the_seams(self, fmt, rows):
+        table = spectrum_table(0.37, ELECTRON_MASS_EV, rows, 0)
+        if fmt == "csv":
+            chunks, want, marker = list(spectrum._csv_chunks(table)), _python_csv(table), "\n"
+        else:
+            chunks, want, marker = list(spectrum._json_chunks(table)), _python_json(table), "{"
+        assert "".join(chunks) == want
+        # the head, each chunk's rows, then the tail
+        head, *body, tail = chunks
+        assert (head, tail) == ((",".join(SpectrumTable._fields) + "\n", "") if fmt == "csv"
+                                else ("[", "]"))
+        assert [piece.count(marker) for piece in body] == [
+            min(self.STEP, rows - first) for first in range(0, rows, self.STEP)]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_json_refuses_non_finite_values(self, bad):
