@@ -1,4 +1,6 @@
+import cmath
 import dataclasses
+import functools
 import hashlib
 import math
 import os
@@ -9,8 +11,8 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import (ARC_UNITS, BASELINE_KERNELS, analytic, central_difference, max_abs_diff,
-                      scalar_lhs, scalar_rhs)
+from conftest import (ARC_UNITS, BARE_UNITS, BASELINE_KERNELS, add, analytic, central_difference,
+                      conj, max_abs_diff, mul, scalar_lhs, scalar_rhs, scale, sub)
 
 from circledirac import (
     Biquaternion,
@@ -403,6 +405,57 @@ def test_residual_bits_pinned():
                                      operator=dashed_operator)):
                     digest.update(struct.pack("<2d", rep.fd, rep.analytic))
     assert digest.hexdigest() == RESIDUAL_DIGEST
+
+
+GENERAL_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "residual-general.txt"
+
+
+def _general_residual_lines():
+    """One line ``label fd analytic`` per report, both floats as ``float.hex``, for waves off
+    the (x0, x1) plane that RESIDUAL_DIGEST's cases keep to: every k_mu nonzero, a potential
+    whose lower block is not its own conjugate and a general mass, under the arc-time and
+    the bare operator.  With K = i(sum_mu k_mu u_mu - e a), the wave (P_top, conj(K) P_top
+    m^-1) solves the system for any P_top once N(K) = -N(m), N the norm form, so the mass
+    is scaled to that; the off-shell wave is the same with k_0 moved."""
+    rng = np.random.default_rng(24)
+    lines = []
+    for n in range(25):
+        k = rng.uniform(-2.0, 2.0, size=4)
+        a, m0, top = (tuple(complex(*c) for c in rng.uniform(-1.0, 1.0, size=(4, 2)))
+                      for _ in range(3))
+        e = rng.uniform(-1.0, 1.0)
+        points = rng.uniform(-3.0, 3.0, size=(int(rng.integers(1, 9)), 4))
+        shift = rng.uniform(0.1, 0.5)
+        for name, units in (("arc", ARC_UNITS), ("bare", BARE_UNITS)):
+            k_sum = sub(functools.reduce(add, (scale(c, u) for c, u in zip(k, units))),
+                        scale(e, a))
+            m = scale(cmath.sqrt(mul(k_sum, conj(k_sum))[0] / mul(m0, conj(m0))[0]), m0)
+            inverse_m = scale(1.0 / mul(m, conj(m))[0], conj(m))
+            bottom = mul(mul(scale(1j, conj(k_sum)), top), inverse_m)
+            operator = unit_reflector(np.array(units))
+            for shell, k0 in (("on", k[0]), ("off", k[0] + shift)):
+                wave = WaveFunction((top, bottom), (k0, *k[1:]))
+                for h in (1e-5, 0.05):
+                    rep = residual(wave, np.array(a), e, np.array(m), points, h=h,
+                                   operator=operator)
+                    lines.append(f"{n:02d}-{name}-{shell}-h{h:g} {rep.fd.hex()} "
+                                 f"{rep.analytic.hex()}")
+    return lines
+
+
+def test_general_residual_golden():
+    """residual's bits on general waves, line by line against the committed golden file."""
+    assert _general_residual_lines() == GENERAL_GOLDEN.read_text().splitlines()
+
+
+def test_general_residual_golden_cases_are_on_and_off_shell():
+    for line in GENERAL_GOLDEN.read_text().splitlines():
+        label, fd, analytic_error = line.split()
+        analytic_error = float.fromhex(analytic_error)
+        if "-on-" in label:
+            assert analytic_error <= 1e-13, line
+        else:
+            assert analytic_error >= 1e-2, line
 
 
 class TestDeBroglie:
