@@ -20,12 +20,11 @@ A wave is one reflector, like every term of the Dirac system: a
 :class:`WaveFunction` is the ``(2, 4)`` prefactor P of (phi1, phi2) and the
 wavevector k = (-nu, mu, 0, 0) both share, Phi = P * z with the scalar
 phase z = exp(i k.x).  Over a batch of N points the wave is ``(2, N, 4)``,
-blocks first.  A complex scalar commutes with every reflector, so each
-term of the system is a constant product of P (by an operator unit, the
-potential or the mass) times z or a derivative of z: :func:`residual`
-forms those products once, with one ``array_mul``, and differentiates z
-alone, along all four coordinates, with the points innermost in every
-numpy loop (:func:`_sides`).
+blocks first.  A complex scalar commutes with every reflector, so
+:func:`residual` forms (D - i e A) Phi - Phi M as one ordered sum of six
+signed terms, each a constant product of P (by an operator unit, the
+potential or the mass, all from one ``array_mul``) times z or a derivative
+of z, with the points innermost in every numpy loop (:func:`_signed_sum`).
 """
 
 from __future__ import annotations
@@ -116,15 +115,18 @@ class WaveFunction:
                              f"got {self.prefactor.shape} and {self.k.shape}")
 
     def at(self, points) -> np.ndarray:
-        """The wave ``(2, ..., 4)`` at points ``(..., 4)``, blocks first; ``(2, 4)`` at one point."""
-        phases = np.exp(1j * self._phase(np.asarray(points, dtype=float)))
+        """The wave ``(2, ..., 4)`` at points ``(..., 4)`` (else ValueError), blocks first."""
+        p = np.asarray(points, dtype=float)
+        if p.shape[-1:] != (4,):
+            raise ValueError(f"points need shape (..., 4), got {p.shape}")
+        phases = np.exp(1j * self._phase(p))
         return self.prefactor.reshape((2,) + (1,) * phases.ndim + (4,)) * phases[..., None]
 
     def _phase(self, p: np.ndarray) -> np.ndarray:
         """The phase k.x ``(...)`` at float points ``(..., 4)``."""
         # products and sums in coordinate order, elementwise over the points, so a
         # point's phase does not depend on its position in the batch (a matmul's can)
-        k0, k1, k2, k3 = self.k
+        k0, k1, k2, k3 = self.k.tolist()
         return ((p[..., 0] * k0 + p[..., 1] * k1) + p[..., 2] * k2) + p[..., 3] * k3
 
 
@@ -166,17 +168,17 @@ class ResidualReport:
     analytic: float
 
 
-# the steps from a point to where residual reads the phase, (step, coordinate): a zero
+# the steps from a point to where residual reads the phase, (step, 1, coordinate): a zero
 # step (p + -0.0 is p, bit for bit), then +e_mu and -e_mu for mu = 0..3; times h the
 # last eight are h * eye(4) and its negative, bit for bit
-_STEPS = np.concatenate((np.full((1, 4), -0.0), np.eye(4), -np.eye(4)))
+_STEPS = np.concatenate((np.full((1, 4), -0.0), np.eye(4), -np.eye(4)))[:, None, :]
 
 
 def _phase_derivatives(wave: WaveFunction, p: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """The scalar phase z = exp(i k.x) ``(N,)`` at float points ``(N, 4)`` and its derivatives
     ``(route, mu, N)``: the central difference (z(p + h e_mu) - z(p - h e_mu)) / 2h, as the
     float view times 1/(2h) (numpy's complex / real), then the analytic i k_mu z(p)."""
-    z = np.exp(1j * wave._phase(p + (h * _STEPS)[:, None, :]))   # (step, N)
+    z = np.exp(1j * wave._phase(p + h * _STEPS))   # (step, N)
     d = np.empty((2, 4, len(p)), dtype=complex)
     np.subtract(z[1:5], z[5:], out=d[0])
     flat = d[0].view(float)
@@ -185,18 +187,16 @@ def _phase_derivatives(wave: WaveFunction, p: np.ndarray, h: float) -> tuple[np.
     return z[0], d
 
 
-def _sides(wave: WaveFunction, a_pot, e: float, m, p: np.ndarray, h: float,
-           operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(D - i e A) Phi ``(route, block, N, 4)`` and Phi M ``(block, N, 4)`` at float points
-    ``(N, 4)``, the routes as in :func:`_phase_derivatives`.
+def _signed_sum(wave: WaveFunction, a_pot, e: float, m, p: np.ndarray, h: float,
+                operator: np.ndarray) -> np.ndarray:
+    """(D - i e A) Phi - Phi M ``(route, block, 4, N)`` at float points ``(N, 4)``, the routes
+    as in :func:`_phase_derivatives`, as one ordered sum of six signed terms.
 
-    Phi is its prefactor P times the scalar phase z, and a complex scalar
-    commutes with every reflector, so each term is a constant product times z
-    or a derivative of z.  One ``array_mul`` forms the six products: each
-    operator unit u_mu and the potential (a, conj a) against P's swapped
-    blocks, and P against the mass's swapped blocks (-conj m, m).  They are
-    multiplied by the scalars with the points innermost, and each point's
-    sum over mu runs in order, so no bit depends on the batch.
+    One ``array_mul`` forms the six products: each operator unit u_mu and the
+    potential (a, conj a) against P's swapped blocks, and P against the
+    mass's swapped blocks (-conj m, m).  Each point's sum runs u_mu P d_mu z
+    for mu = 0..3, then -(i e A P) z, then -(P M) z, points innermost, so no bit
+    depends on the batch; subtracting a term adds its exact negation (IEEE).
     """
     left, right = np.empty((2, 6, 2, 4), dtype=complex)
     left[:4], left[4], left[5] = operator, a_pot, wave.prefactor
@@ -206,11 +206,11 @@ def _sides(wave: WaveFunction, a_pot, e: float, m, p: np.ndarray, h: float,
     products = array_mul(left, right)[..., None]   # (product, block, 4, 1)
     z, d = _phase_derivatives(wave, p, h)
     terms = products[:4] * d[:, :, None, None, :]   # (route, mu, block, 4, N)
-    lhs = terms[:, 0] + terms[:, 1]
-    lhs += terms[:, 2]
-    lhs += terms[:, 3]
-    lhs -= ((1j * e) * products[4]) * z
-    return lhs.swapaxes(-1, -2), (products[5] * z).swapaxes(-1, -2)
+    # ((t0 + t1) + t2) + t3 per element: -0 + t is t bit for bit (a +0 start is not)
+    out = np.add.reduce(terms, axis=1, initial=-0j)
+    out -= ((1j * e) * products[4]) * z
+    out -= products[5] * z
+    return out
 
 
 def residual(wave: WaveFunction,
@@ -227,9 +227,9 @@ def residual(wave: WaveFunction,
 
     Evaluates second-order central differences with step h, from the
     wave's phase at the shifted points p +- h e_mu, and the analytic
-    derivatives i k_mu Phi, each along all four coordinates.  Both sides
-    are assembled in one numpy pass from the constant products of the
-    prefactor (:func:`_sides`).
+    derivatives i k_mu Phi, each along all four coordinates: the largest
+    magnitude in each route's one ordered sum of six signed terms, formed in
+    one numpy pass from the constant products of the prefactor (:func:`_signed_sum`).
     """
     if not 0 < h < math.inf:
         raise ValueError(f"finite-difference step must be positive and finite, got {h}")
@@ -239,9 +239,8 @@ def residual(wave: WaveFunction,
         return ResidualReport(fd=0.0, analytic=0.0)
     if p.ndim != 2 or p.shape[1] != 4:
         raise ValueError(f"points need shape (N, 4), got {p.shape}")
-    lhs, rhs = _sides(wave, a_pot, e, m, p, h, operator)
-    worst = np.abs(lhs - rhs).max(axis=(1, 2, 3))
-    return ResidualReport(fd=float(worst[0]), analytic=float(worst[1]))
+    worst = np.abs(_signed_sum(wave, a_pot, e, m, p, h, operator).reshape(2, -1)).max(axis=1)
+    return ResidualReport(*worst.tolist())
 
 
 def de_broglie(mass: float, v: float) -> tuple[float, float]:

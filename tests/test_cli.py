@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from conftest import BASELINE_KERNELS
 from circledirac import spectrum as sp
-from circledirac.cli import _build_parser, main
+from circledirac import circle_spaces as cs
+from circledirac.cli import ROUND_TRIP_TOL, _build_parser, main
 from circledirac.spectrum import MAX_LEVELS, _HALF_WIDTH
 
 
@@ -243,6 +244,24 @@ class TestMapCommand:
         rec = json.loads(out)
         assert rec["back"]["coords"][1] != json.loads(point)["coords"][1]
         assert rec["round_trip_error"] <= 1e-15
+
+    @pytest.mark.parametrize("scale, code", [(0.5, 0), (2.0, 2)])
+    def test_round_trip_error_above_the_tolerance_exits_two(self, monkeypatch, scale, code):
+        # the map back onto L moves x3 = 1.5 by scale tolerances, relative
+        chart_map = cs.chart_map
+
+        def perturbed_back(coords, source, target):
+            out = chart_map(coords, source, target)
+            if target.kind == "L":
+                out[3] *= 1.0 + scale * ROUND_TRIP_TOL
+            return out
+
+        monkeypatch.setattr(cs, "chart_map", perturbed_back)
+        got, out, _ = run_cli("map", "--space", "T", "--R0", "0.7", "--round-trip",
+                              "--point", '{"chart":"L","coords":[0.2,-0.4,0.8,1.5]}')
+        rec = json.loads(out)
+        assert got == code
+        assert rec["round_trip_error"] == pytest.approx(scale * ROUND_TRIP_TOL, rel=0.01)
 
     @pytest.mark.parametrize("coords", ["[0,0,0,1e-200]", "[1e300,0,0,1.5e300]"])
     def test_wedge_point_whose_squares_leave_the_normal_range(self, coords):

@@ -5,6 +5,7 @@ import hashlib
 import math
 import os
 import pathlib
+import re
 import struct
 import subprocess
 import sys
@@ -206,6 +207,12 @@ class TestBatchedResidual:
             with pytest.raises(ValueError, match=r"needs a \(2, 4\) prefactor and a \(4,\) "
                                                  r"wavevector, got " + shapes):
                 WaveFunction(prefactor, k)
+
+    @pytest.mark.parametrize("shape", [(6, 5), (6, 3), (3,), ()])
+    def test_at_rejects_points_without_four_coordinates(self, shape):
+        with pytest.raises(ValueError, match=rf"points need shape \(\.\.\., 4\), got "
+                                             rf"{re.escape(str(shape))}"):
+            ON_SHELL.at(np.zeros(shape))
 
     def test_wave_is_frozen(self):
         prefactor, k = np.array(ON_SHELL.prefactor), np.array(ON_SHELL.k)

@@ -15,7 +15,7 @@ from circledirac import (
     sandwich,
     unit_reflector,
 )
-from circledirac.planewave import WaveFunction, _phase_derivatives, _sides
+from circledirac.planewave import WaveFunction, _phase_derivatives, _signed_sum
 from circledirac.reflector import ARC_TIME_UNITS, reflector_mul_array
 
 ROTOR = Biquaternion(2 ** -0.5, 2 ** -0.5)
@@ -152,14 +152,16 @@ def constant(phi):
 
 
 def lhs(wave, a, e, point, units=ARC_TIME_UNITS, h=1e-3):
-    """(D - i e A) Phi at one point from the residual's assembly: the ``(2, 4)``
-    block-diagonal array on each route ``(route, 2, 4)``, central difference first."""
-    return _sides(wave, a, e, ZERO, point[None], h, units)[0][:, :, 0]
+    """(D - i e A) Phi at one point from the residual's signed sum at zero mass, whose
+    Phi M term is zero: the ``(2, 4)`` block-diagonal array on each route
+    ``(route, 2, 4)``, central difference first."""
+    return _signed_sum(wave, a, e, ZERO, point[None], h, units)[..., 0]
 
 
 def rhs(phi, m):
-    """Phi M from the residual's assembly, for the constant wave of value phi ``(2, 4)``."""
-    return _sides(constant(phi), ZERO, 0.0, m, ORIGIN[None], 1e-3, ARC_TIME_UNITS)[1][:, 0]
+    """Phi M from the residual's signed sum, for the constant wave of value phi ``(2, 4)``
+    at zero potential: its derivative and potential terms are zero, so the sum is -Phi M."""
+    return -_signed_sum(constant(phi), ZERO, 0.0, m, ORIGIN[None], 1e-3, ARC_TIME_UNITS)[0, ..., 0]
 
 
 def batch_central_difference(wave, points, h):
