@@ -457,7 +457,7 @@ def test_general_residual_golden():
 
 def test_general_residual_golden_cases_are_on_and_off_shell():
     for line in GENERAL_GOLDEN.read_text().splitlines():
-        label, fd, analytic_error = line.split()
+        label, _, analytic_error = line.split()
         analytic_error = float.fromhex(analytic_error)
         if "-on-" in label:
             assert analytic_error <= 1e-13, line
